@@ -273,7 +273,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             checks = run_verification(seed=args.seed, runs=args.runs, tol=args.tol)
             return 0 if all(c.violations == 0 for c in checks) else 2
-    except (ParseError, ValueError, OSError) as exc:
+    except (ParseError, ValueError, OSError, KeyError, RuntimeError) as exc:
+        # RuntimeError covers RecursionError and the rewrite fixed-point limits
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

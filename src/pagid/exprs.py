@@ -7,6 +7,22 @@ preserves the numeric value on every probability table.  Conditioning-set
 drops are *not* algebraic and only happen through
 :func:`drop_certified_givens`, where the caller supplies an independence
 certificate.
+
+Nodes are immutable, so facts about a node are stored on it, outside its
+``eq`` and ``repr``:
+
+* its free variables and its hash are computed once, at construction, from
+  the already-stored facts of its children;
+* its plain-text rendering is computed on first use (it is the sort key of
+  non-factor entries);
+* a node that :func:`simplify` returns is marked as a fixed point of the
+  rewrite calculus, and normalisation returns a marked node as it is.  The
+  mark is truthful because ``simplify`` only returns a node that one more
+  normalisation pass left unchanged.
+
+No cache outlives the node it describes: there is no memo keyed by
+expression content, so one query costs the same whether or not others ran
+before it in the same process.
 """
 
 from __future__ import annotations
@@ -20,32 +36,67 @@ import numpy as np
 MASS_TOL = 1e-12
 
 
+class _VarKeys(dict):
+    """Sort key of each variable name, built on first sight of the name.
+
+    Bounded by the alphabet of variable names, not by expression content.
+    """
+
+    def __missing__(self, v: str) -> tuple[str, str]:
+        key = self[v] = (v.lower(), v)
+        return key
+
+
+_var_key = _VarKeys().__getitem__
+
+
 def vsort(items: Iterable[str]) -> tuple[str, ...]:
     """Canonical variable order: lexicographic on the lowercased name."""
-    return tuple(sorted(set(items), key=lambda s: (s.lower(), s)))
+    distinct = set(items)
+    if len(distinct) < 2:
+        return tuple(distinct)
+    return tuple(sorted(distinct, key=_var_key))
 
 
 class Expr:
-    """Base class; concrete nodes are frozen dataclasses."""
+    """Base class; concrete nodes are frozen dataclasses sealed by ``_seal``."""
 
     __slots__ = ()
+    _text: str | None = None
+    _fixed: bool = False
+
+    def _seal(self, free: tuple[str, ...], fields: tuple) -> None:
+        # hash the tuple the generated dataclass hash would, so hash values,
+        # and with them the iteration order of sets of nodes, stay the same
+        object.__setattr__(self, "_free", free)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def free_vars(self) -> tuple[str, ...]:
-        raise NotImplementedError
+        return self._free
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """Frozen dataclass keeping the hash that ``_seal`` stored."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Expr.__hash__
+    return cls
+
+
+@_node
 class Const(Expr):
     value: float = 1.0
 
-    def free_vars(self):
-        return ()
+    def __post_init__(self):
+        self._seal((), (self.value,))
 
 
 ONE = Const(1.0)
 
 
-@dataclass(frozen=True)
+@_node
 class DistRef(Expr):
     """Joint probability of ``scope`` under intervention on ``do``."""
 
@@ -59,20 +110,21 @@ class DistRef(Expr):
             raise ValueError("scope and interventions overlap")
         if not self.scope:
             raise ValueError("empty distribution scope")
+        free = vsort(self.scope + self.do) if self.do else self.scope
+        self._seal(free, (self.scope, self.do))
 
-    def free_vars(self):
-        return vsort(self.scope + self.do)
 
-
-@dataclass(frozen=True)
+@_node
 class Conditional(Expr):
-    """Conditional probability of the distribution denoted by ``base``."""
+    """Conditional factor ``P_do(target | given)`` of the distribution ``base``."""
 
     target: tuple[str, ...]
     given: tuple[str, ...]
-    base: Expr
+    base: DistRef
 
     def __post_init__(self):
+        if not isinstance(self.base, DistRef):
+            raise TypeError(f"conditional base must be a DistRef, not {type(self.base).__name__}")
         object.__setattr__(self, "target", vsort(self.target))
         object.__setattr__(self, "given", vsort(self.given))
         if set(self.target) & set(self.given):
@@ -82,30 +134,28 @@ class Conditional(Expr):
         missing = (set(self.target) | set(self.given)) - set(self.base.free_vars())
         if missing:
             raise ValueError(f"conditional over variables missing from base: {sorted(missing)}")
-
-    def free_vars(self):
-        extra = tuple(self.base.do) if isinstance(self.base, DistRef) else ()
-        return vsort(self.target + self.given + extra)
+        free = vsort(self.target + self.given + self.base.do)
+        self._seal(free, (self.target, self.given, self.base))
 
 
-@dataclass(frozen=True)
+@_node
 class Product(Expr):
     factors: tuple[Expr, ...]
 
-    def free_vars(self):
-        return vsort(v for f in self.factors for v in f.free_vars())
+    def __post_init__(self):
+        self._seal(vsort(v for f in self.factors for v in f.free_vars()), (self.factors,))
 
 
-@dataclass(frozen=True)
+@_node
 class Quotient(Expr):
     num: Expr
     den: Expr
 
-    def free_vars(self):
-        return vsort(self.num.free_vars() + self.den.free_vars())
+    def __post_init__(self):
+        self._seal(vsort(self.num.free_vars() + self.den.free_vars()), (self.num, self.den))
 
 
-@dataclass(frozen=True)
+@_node
 class SumOver(Expr):
     vars: tuple[str, ...]
     body: Expr
@@ -114,12 +164,12 @@ class SumOver(Expr):
         object.__setattr__(self, "vars", vsort(self.vars))
         if not self.vars:
             raise ValueError("empty summation variable set")
-        missing = set(self.vars) - set(self.body.free_vars())
+        body_free = self.body.free_vars()
+        missing = set(self.vars) - set(body_free)
         if missing:
             raise ValueError(f"summation variables not free in body: {sorted(missing)}")
-
-    def free_vars(self):
-        return tuple(v for v in self.body.free_vars() if v not in set(self.vars))
+        summed = set(self.vars)
+        self._seal(tuple(v for v in body_free if v not in summed), (self.vars, self.body))
 
 
 @dataclass(frozen=True)
@@ -260,7 +310,7 @@ def _as_factor(e: Expr) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ..
     """(do, target, given) when ``e`` is a canonical conditional factor."""
     if isinstance(e, DistRef):
         return (e.do, e.scope, ())
-    if isinstance(e, Conditional) and isinstance(e.base, DistRef):
+    if isinstance(e, Conditional):
         return (e.base.do, e.target, e.given)
     return None
 
@@ -372,18 +422,10 @@ def _rebuild(num: list[Expr], den: list[Expr]) -> Expr:
 
 
 def _norm(e: Expr) -> Expr:
-    if isinstance(e, (Const, DistRef)):
+    if e._fixed or isinstance(e, (Const, DistRef)):
         return e
     if isinstance(e, Conditional):
-        base = _norm(e.base)
-        if isinstance(base, DistRef):
-            return _from_factor(base.do, e.target, e.given)
-        scope = set(base.free_vars())
-        over_num = vsort(scope - set(e.target) - set(e.given))
-        over_den = vsort(scope - set(e.given))
-        num = SumOver(over_num, base) if over_num else base
-        den = SumOver(over_den, base) if over_den else base
-        return _norm(Quotient(num, den))
+        return _from_factor(e.base.do, e.target, e.given)
     if isinstance(e, (Product, Quotient)):
         num: list[Expr] = []
         den: list[Expr] = []
@@ -471,6 +513,7 @@ def simplify(e: Expr) -> Expr:
     for _ in range(50):
         cur = _norm(cur)
         if cur == prev:
+            object.__setattr__(cur, "_fixed", True)
             return cur
         prev = cur
     raise RuntimeError("simplification did not reach a fixed point")
@@ -505,7 +548,7 @@ def drop_certified_givens(
     eligible = set(eligible)
 
     def walk(node: Expr) -> Expr:
-        if isinstance(node, Conditional) and isinstance(node.base, DistRef) and not node.base.do:
+        if isinstance(node, Conditional) and not node.base.do:
             given = list(node.given)
             changed = True
             while changed:
@@ -597,13 +640,17 @@ def _render_factor_text(do, target, given) -> str:
 
 def render_text(e: Expr) -> str:
     """Plain-text rendering, e.g. ``P(y1,y2|x1) * P(y3|x2)``."""
+    if e._text is None:
+        object.__setattr__(e, "_text", _render_text(e))
+    return e._text
+
+
+def _render_text(e: Expr) -> str:
     f = _as_factor(e)
     if f is not None:
         return _render_factor_text(*f)
     if isinstance(e, Const):
         return "1" if e.value == 1.0 else repr(e.value)
-    if isinstance(e, Conditional):
-        return f"[{render_text(e.base)}]({','.join(map(_render_var, e.target))}|{','.join(map(_render_var, e.given))})"
     if isinstance(e, Product):
         return " * ".join(render_text(f) for f in e.factors)
     if isinstance(e, Quotient):
@@ -638,8 +685,6 @@ def render_latex(e: Expr) -> str:
     if isinstance(e, SumOver):
         subs = ",".join(_latex_var(v) for v in e.vars)
         return r"\sum_{%s} %s" % (subs, render_latex(e.body))
-    if isinstance(e, Conditional):
-        return render_latex(_norm(e))
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -662,8 +707,6 @@ def to_json_dict(e: Expr):
         return {"kind": "quotient", "num": to_json_dict(e.num), "den": to_json_dict(e.den)}
     if isinstance(e, SumOver):
         return {"kind": "sum", "vars": [_render_var(v) for v in e.vars], "body": to_json_dict(e.body)}
-    if isinstance(e, Conditional):
-        return to_json_dict(_norm(e))
     raise TypeError(f"not an expression: {e!r}")
 
 

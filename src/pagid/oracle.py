@@ -74,7 +74,6 @@ def _full_joint(s: Scm, skip: Sequence[str] = (), clamp: Mapping[str, int] | Non
             perm_shape[axis[d]] = s.cards[d]
         out = out * arranged.reshape(perm_shape)
     for v, val in clamp.items():
-        index = [slice(None)] * len(order)
         keep = np.zeros(s.cards[v])
         keep[val] = 1.0
         out = out * keep.reshape([s.cards[v] if u == v else 1 for u in order])

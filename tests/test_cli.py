@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pagid import ident_pag
 from pagid.catalog import (
     beyond_adjustment_pag,
     confounded_chain_dag,
@@ -164,6 +165,27 @@ class TestCommands:
         code = main(["idp", "--graph", path, "--treat", "X1", "--outcome", "X1"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            RuntimeError("simplification did not reach a fixed point"),
+            KeyError("missing table"),
+            RecursionError("maximum recursion depth exceeded"),
+        ],
+    )
+    def test_internal_errors_exit_as_messages(self, tmp_path, capsys, monkeypatch, exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(ident_pag, "idp", broken)
+        path = save(tmp_path, "twin.pag", "pag", two_treatment_pag())
+        code = main(["idp", "--graph", path, "--treat", "X1", "--outcome", "Y1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(exc) in captured.err
+        assert "Traceback" not in captured.err
 
     def test_missing_file(self, capsys):
         code = main(["pto", "--graph", "/nonexistent.pag"])

@@ -6,14 +6,17 @@ from hypothesis import strategies as st
 from conftest import max_value_gap, random_joint_table
 from pagid.exprs import (
     Conditional,
+    Const,
     DistRef,
     JointTable,
     Product,
     Quotient,
     SumOver,
+    _norm,
     conditional_of,
     drop_certified_givens,
     evaluate,
+    evaluate_table,
     expr_size,
     join_certified_marginals,
     render_latex,
@@ -32,6 +35,106 @@ def P(*target, given=(), do=()):
     if not given:
         return DistRef(target, tuple(do))
     return Conditional(target, tuple(given), DistRef(target + tuple(given), tuple(do)))
+
+
+def _fresh(e):
+    """Structurally equal copy built from scratch, so it carries no marks."""
+    if isinstance(e, Const):
+        return Const(e.value)
+    if isinstance(e, DistRef):
+        return DistRef(e.scope, e.do)
+    if isinstance(e, Conditional):
+        return Conditional(e.target, e.given, _fresh(e.base))
+    if isinstance(e, Product):
+        return Product(tuple(_fresh(f) for f in e.factors))
+    if isinstance(e, Quotient):
+        return Quotient(_fresh(e.num), _fresh(e.den))
+    return SumOver(e.vars, _fresh(e.body))
+
+
+def _subtrees(e):
+    yield e
+    if isinstance(e, Conditional):
+        yield e.base
+    elif isinstance(e, Product):
+        for f in e.factors:
+            yield from _subtrees(f)
+    elif isinstance(e, Quotient):
+        yield from _subtrees(e.num)
+        yield from _subtrees(e.den)
+    elif isinstance(e, SumOver):
+        yield from _subtrees(e.body)
+
+
+def _reference_free_vars(e):
+    """Free variables recomputed from the children on every call."""
+    if isinstance(e, Const):
+        return set()
+    if isinstance(e, DistRef):
+        return set(e.scope) | set(e.do)
+    if isinstance(e, Conditional):
+        return set(e.target) | set(e.given) | set(e.base.do)
+    if isinstance(e, Product):
+        return set().union(*(_reference_free_vars(f) for f in e.factors))
+    if isinstance(e, Quotient):
+        return _reference_free_vars(e.num) | _reference_free_vars(e.den)
+    return _reference_free_vars(e.body) - set(e.vars)
+
+
+def _subsets(variables, min_size):
+    if not variables:
+        return st.just(())
+    return st.lists(
+        st.sampled_from(variables), min_size=min_size, max_size=len(variables), unique=True
+    ).map(tuple)
+
+
+def _unless_refused(rewrite, *args):
+    """``rewrite(*args)``, or None where a summed variable cancels out of its
+    body: the calculus carries no cardinalities, so ``simplify`` refuses
+    such sums (see ``test_sum_over_cancelled_variable_is_refused``)."""
+    try:
+        return rewrite(*args)
+    except ValueError as exc:
+        if "vanished" not in str(exc):
+            raise
+        return None
+
+
+def _draw_sum(body):
+    if not body.free_vars():
+        return st.just(body)
+    return _subsets(body.free_vars(), 1).map(lambda vs: SumOver(vs, body))
+
+
+def _draw_conditional(q):
+    if not q.free_vars():
+        return st.just(q)
+    return _subsets(q.free_vars(), 1).flatmap(
+        lambda scope: _subsets(scope, 1).flatmap(
+            lambda target: _subsets(tuple(v for v in scope if v not in target), 0).map(
+                lambda given: _unless_refused(conditional_of, q, target, given, scope)
+            )
+        )
+    ).filter(lambda e: e is not None)
+
+
+def expression_trees():
+    """Products, quotients, sums and ``conditional_of`` results over
+    observational factors of ``TWIN_VARS``."""
+    factors = st.lists(st.sampled_from(TWIN_VARS), min_size=1, max_size=4, unique=True).flatmap(
+        lambda vs: st.integers(1, len(vs)).map(lambda k: P(*vs[:k], given=vs[k:]))
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.lists(children, min_size=2, max_size=3).map(lambda fs: Product(tuple(fs))),
+            st.tuples(children, children).map(lambda nd: Quotient(*nd)),
+            children.flatmap(_draw_sum),
+            children.flatmap(_draw_conditional),
+        )
+
+    return st.recursive(factors, extend, max_leaves=6)
 
 
 class TestJointTable:
@@ -119,10 +222,45 @@ class TestSimplify:
         unchanged = drop_certified_givens(e, lambda *a: False, {"V1"})
         assert unchanged == simplify(e)
 
-    def test_idempotent_on_fixture_corpus(self, twin_pag, chain_pag, ring_pag):
-        for e in _expression_corpus(twin_pag, chain_pag, ring_pag):
-            once = simplify(e)
-            assert simplify(once) == once
+    @given(expression_trees())
+    @settings(max_examples=50, deadline=None)
+    def test_idempotent_on_fixture_corpus(self, tree):
+        results = [simplify(e) for e in _expression_corpus(None, None, None)]
+        drawn = _unless_refused(simplify, tree)
+        # an unmarked copy, so the fixed-point mark cannot answer for it
+        for once in results + ([] if drawn is None else [drawn]):
+            assert simplify(_fresh(once)) == once
+
+    @given(expression_trees())
+    @settings(max_examples=50, deadline=None)
+    def test_simplify_marks_are_truthful(self, tree):
+        # drawn trees hold marked conditional_of results as subtrees
+        once = _unless_refused(simplify, tree)
+        marked = [n for n in _subtrees(tree) if n._fixed] + ([] if once is None else [once])
+        for node in marked:
+            assert _norm(_fresh(node)) == node
+            assert _norm(node) is node
+
+    @given(expression_trees())
+    @settings(max_examples=50, deadline=None)
+    def test_stored_free_vars_match_reference(self, tree):
+        once = _unless_refused(simplify, tree)
+        for node in list(_subtrees(tree)) + ([] if once is None else list(_subtrees(once))):
+            expected = sorted(_reference_free_vars(node), key=lambda v: (v.lower(), v))
+            assert node.free_vars() == tuple(expected)
+
+    @given(expression_trees())
+    @settings(max_examples=50, deadline=None)
+    def test_equal_copies_hash_and_compare_equal(self, tree):
+        copy = _fresh(tree)
+        assert copy is not tree
+        assert copy == tree and hash(copy) == hash(tree)
+
+    def test_sum_over_cancelled_variable_is_refused(self):
+        # sum_a P(a)/P(a) is the cardinality of a, which no factor denotes
+        e = SumOver(("A",), Quotient(P("A"), P("A")))
+        with pytest.raises(ValueError, match="vanished"):
+            simplify(e)
 
     def test_chain_merge(self):
         e = Product((P("A"), P("B", given=("A",))))
@@ -140,13 +278,19 @@ class TestSimplify:
         for e in _expression_corpus(twin_pag, chain_pag, ring_pag):
             assert set(simplify(e).free_vars()) <= set(e.free_vars())
 
-    @given(st.integers(0, 10_000))
+    @given(st.integers(0, 10_000), expression_trees())
     @settings(max_examples=50, deadline=None)
-    def test_rewrites_preserve_value(self, seed):
+    def test_rewrites_preserve_value(self, seed, tree):
         rng = np.random.default_rng(seed)
         tables = {(): random_joint_table(rng, TWIN_VARS)}
         for e in _expression_corpus(None, None, None):
             assert max_value_gap(e, simplify(e), tables) <= 1e-12
+        once = _unless_refused(simplify, tree)
+        if once is not None:
+            # quotients of drawn trees reach values in the hundreds, so the
+            # rounding bound scales with the largest value
+            scale = max(1.0, float(np.abs(evaluate_table(tree, tables)[1]).max()))
+            assert max_value_gap(tree, once, tables) <= 1e-12 * scale
 
     def test_first_twin_reduction_equals_direct_marginal(self, twin_pag):
         # evaluating the unsimplified quotient-sum form on a class model
@@ -194,6 +338,10 @@ def _expression_corpus(twin_pag, chain_pag, ring_pag):
 
 
 class TestConditionalOf:
+    def test_base_must_be_a_distribution_reference(self):
+        with pytest.raises(TypeError, match="DistRef"):
+            Conditional(("A",), (), Product((DistRef(("A",)), DistRef(("B",)))))
+
     def test_observational_base(self):
         q = DistRef(("A", "B", "C"))
         e = conditional_of(q, ("B",), ("A",), ("A", "B", "C"))
