@@ -3,6 +3,27 @@
 Edges carry one mark per endpoint (tail / arrow / circle) plus a visibility
 flag that is meaningful only on directed edges.  All graph values are
 immutable after construction; every operation here is a pure function.
+Derived tables (index adjacency with marks, per-node ancestor masks, the
+visible-edge set) are filled lazily into slots of the instance they describe.
+
+Every path search in the package runs on one reachability kernel,
+:func:`reach`, except the definite-status ones of ``definitely_m_separated``
+and the adjustment criterion, which stay enumerative for the reason given in
+:mod:`.separation`.  The kernel is a stack search over (node,
+arrived-with-arrowhead) states on int bitmasks (Bayes-ball reachability,
+Shachter 1998; van der Zander, Liskiewicz & Textor, AIJ 2019).  A node
+passed *into* and left through an arrowhead is a collider and must lie in
+``collider_ok``; any other pass makes it a non-collider, which must lie in
+``noncollider_ok``.  The kernel finds walks; a walk becomes a simple path by
+cutting out the stretch between the first and last visit of the first node
+that repeats; a start that recurs loses its prefix, and the walk ends at its
+first arrival at the target.  Where ``noncollider_ok`` is empty (inducing
+paths here, collider paths and pc-components in :mod:`.structure`) both
+visits of a repeated interior node are colliders, so the joined node is a
+collider from ``collider_ok`` too.  :func:`_dag_inducing_path` also passes
+latents, which are roots and so always non-colliders; the first-repeat cut
+keeps their two path neighbours distinct.  m- and d-separation are argued in
+:mod:`.separation`.
 """
 
 from __future__ import annotations
@@ -49,7 +70,7 @@ def node_sorted(graph_nodes: Sequence[str], items: Iterable[str]) -> tuple[str, 
 class MixedGraph:
     """Nodes plus per-edge endpoint marks; at most one edge per node pair."""
 
-    __slots__ = ("nodes", "_index", "_edges", "_adj")
+    __slots__ = ("nodes", "_index", "_edges", "_adj", "_masks", "_anc", "_visible")
 
     def __init__(
         self,
@@ -65,6 +86,7 @@ class MixedGraph:
         self._index = {v: i for i, v in enumerate(nodes)}
         self._edges: dict[tuple[str, str], tuple[EdgeMark, EdgeMark, bool]] = {}
         self._adj: dict[str, list[str]] = {v: [] for v in nodes}
+        self._masks = self._anc = self._visible = None
         for a, b, mark_a, mark_b, visible in edges:
             self._add_edge(a, b, mark_a, mark_b, visible)
         for v in self._adj:
@@ -190,16 +212,7 @@ class MixedGraph:
         )
 
     def __repr__(self) -> str:
-        toks = {
-            (TAIL, ARROW): "-->",
-            (ARROW, TAIL): "<--",
-            (ARROW, ARROW): "<->",
-            (CIRCLE, ARROW): "o->",
-            (ARROW, CIRCLE): "<-o",
-            (CIRCLE, CIRCLE): "o-o",
-            (CIRCLE, TAIL): "o--",
-            (TAIL, CIRCLE): "--o",
-        }
+        toks = {marks: tok for tok, marks in reversed(EDGE_TOKENS.items())}
         parts = [
             f"{a} {toks[(ma, mb)]} {b}" + (" v" if vis else "")
             for a, b, ma, mb, vis in self.edges()
@@ -265,21 +278,123 @@ class Mag(MixedGraph):
         return cls(nodes, g.edges())
 
 
+def bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def names_of(nodes: Sequence[str], mask: int) -> tuple[str, ...]:
+    """Members of ``mask`` as node names, in node order."""
+    return tuple(nodes[i] for i in bits(mask))
+
+
+def mask_of(g, names: Iterable[str]) -> int:
+    """Mask of ``names`` in ``g``; unknown names raise ValueError."""
+    mask = 0
+    for t in names:
+        if t not in g._index:
+            raise ValueError(f"unknown node {t!r}")
+        mask |= 1 << g._index[t]
+    return mask
+
+
+def adjacency_masks(g) -> tuple[tuple[int, int, int], ...]:
+    """Per node index: (neighbours, neighbours w with an arrowhead at this
+    node on the edge to w, neighbours w with an arrowhead at w).  Cached."""
+    if g._masks is None:
+        index = g._index
+        nbr, head, out = ([0] * len(index) for _ in range(3))
+        if isinstance(g, LatentDag):
+            marked = ((p, c, False, True) for p, c in g.edges())
+        else:
+            marked = ((a, b, ma is ARROW, mb is ARROW) for a, b, ma, mb, _ in g.edges())
+        for a, b, head_a, head_b in marked:
+            i, j = index[a], index[b]
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+            if head_a:
+                head[i] |= 1 << j
+                out[j] |= 1 << i
+            if head_b:
+                head[j] |= 1 << i
+                out[i] |= 1 << j
+        g._masks = tuple(zip(nbr, head, out))
+    return g._masks
+
+
+def ancestor_masks(g) -> tuple[int, ...]:
+    """Per node index: the mask of its ancestors along directed edges,
+    itself included.  Cached; terminates on cyclic input as well."""
+    if g._anc is None:
+        index = g._index
+        parents = [0] * len(index)
+        for u, v in g.edges() if isinstance(g, LatentDag) else g.directed_edges():
+            parents[index[v]] |= 1 << index[u]
+        g._anc = tuple(_close(parents, 1 << v) for v in range(len(parents)))
+    return g._anc
+
+
+def _close(steps: Sequence[int], mask: int) -> int:
+    """``mask`` plus every node reachable from it, node ``u`` stepping to ``steps[u]``."""
+    frontier = mask
+    while frontier:
+        nxt = 0
+        for u in bits(frontier):
+            nxt |= steps[u]
+        frontier = nxt & ~mask
+        mask |= frontier
+    return mask
+
+
+def reach(adj, starts: int, collider_ok: int, noncollider_ok: int) -> tuple[int, int]:
+    """Walk reachability from ``starts`` over (node, arrived-into) states.
+
+    A start may leave along any edge.  A node arrived at through an
+    arrowhead and left through an arrowhead is a collider and may be passed
+    only if it is in ``collider_ok``; any other pass is a non-collider pass
+    and needs ``noncollider_ok``.  Returns the masks of nodes reached by at
+    least one step and of those reached through an arrowhead.
+    """
+    seen_into = seen_plain = 0
+    stack = [(v, adj[v][0]) for v in bits(starts)]
+    while stack:
+        v, moves = stack.pop()
+        arrow = adj[v][2]
+        fresh = moves & arrow & ~seen_into
+        seen_into |= fresh
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            w = low.bit_length() - 1
+            nbr, head, _ = adj[w]
+            step = (head if collider_ok & low else 0) | (nbr & ~head if noncollider_ok & low else 0)
+            if step:
+                stack.append((w, step))
+        fresh = moves & ~arrow & ~seen_plain
+        seen_plain |= fresh
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            if noncollider_ok & low:
+                w = low.bit_length() - 1
+                stack.append((w, adj[w][0]))
+    return seen_into | seen_plain, seen_into
+
+
 def ancestors_in(g: MixedGraph, targets: Iterable[str]) -> tuple[str, ...]:
     """Nodes with a directed path (all -> edges) into some target; includes targets."""
-    targets = list(targets)
-    for t in targets:
-        if not g.has_node(t):
-            raise ValueError(f"unknown node {t!r}")
-    out = set(targets)
-    frontier = list(targets)
-    while frontier:
-        v = frontier.pop()
-        for u in g.neighbors(v):
-            if u not in out and g.is_directed_edge(u, v):
-                out.add(u)
-                frontier.append(u)
-    return g.sort_nodes(out)
+    return _ancestors(g, targets)
+
+
+def _ancestors(g, targets: Iterable[str]) -> tuple[str, ...]:
+    anc = ancestor_masks(g)
+    out = 0
+    for i in bits(mask_of(g, targets)):
+        out |= anc[i]
+    return names_of(g.nodes, out)
 
 
 def possible_ancestors(g: MixedGraph, y: Iterable[str]) -> tuple[str, ...]:
@@ -289,36 +404,14 @@ def possible_ancestors(g: MixedGraph, y: Iterable[str]) -> tuple[str, ...]:
     arrowhead pointing back toward the source; the edge-local test makes a
     plain reverse reachability search exact.
     """
-    y = list(y)
-    for t in y:
-        if not g.has_node(t):
-            raise ValueError(f"unknown node {t!r}")
-    out = set(y)
-    frontier = list(y)
-    while frontier:
-        v = frontier.pop()
-        for u in g.neighbors(v):
-            if u not in out and g.mark_at(u, v) is not ARROW:
-                out.add(u)
-                frontier.append(u)
-    return g.sort_nodes(out)
+    steps = [nbr & ~arrow for nbr, _, arrow in adjacency_masks(g)]
+    return names_of(g.nodes, _close(steps, mask_of(g, y)))
 
 
 def possible_descendants(g: MixedGraph, x: Iterable[str]) -> tuple[str, ...]:
     """Nodes reachable from ``x`` by a potentially directed path; includes ``x``."""
-    x = list(x)
-    for t in x:
-        if not g.has_node(t):
-            raise ValueError(f"unknown node {t!r}")
-    out = set(x)
-    frontier = list(x)
-    while frontier:
-        v = frontier.pop()
-        for u in g.neighbors(v):
-            if u not in out and g.mark_at(v, u) is not ARROW:
-                out.add(u)
-                frontier.append(u)
-    return g.sort_nodes(out)
+    steps = [nbr & ~head for nbr, head, _ in adjacency_masks(g)]
+    return names_of(g.nodes, _close(steps, mask_of(g, x)))
 
 
 def find_closure_violation(g: MixedGraph) -> tuple[str, str, str] | None:
@@ -345,13 +438,15 @@ def find_closure_violation(g: MixedGraph) -> tuple[str, str, str] | None:
 
 def mag_violation(g: MixedGraph) -> str | None:
     """Return a description of an ancestrality/maximality failure, or None."""
-    an = {v: set(ancestors_in(g, [v])) for v in g.nodes}
-    for v in g.nodes:
-        if any(u != v and v in an[u] and u in an[v] for u in g.nodes):
+    an = ancestor_masks(g)
+    for v, mask in enumerate(an):
+        if any(an[u] >> v & 1 for u in bits(mask & ~(1 << v))):
             return "directed cycle"
+    index = g._index
     for a, b, ma, mb, _ in g.edges():
         if ma is ARROW and mb is ARROW:
-            if a in an[b] or b in an[a]:
+            i, j = index[a], index[b]
+            if an[j] >> i & 1 or an[i] >> j & 1:
                 return f"almost directed cycle at {a!r}<->{b!r}"
     for a, b in itertools.combinations(g.nodes, 2):
         if not g.adjacent(a, b) and _has_inducing_path(g, a, b):
@@ -362,25 +457,9 @@ def mag_violation(g: MixedGraph) -> str | None:
 def _has_inducing_path(g: MixedGraph, x: str, y: str) -> bool:
     """Inducing path relative to the empty set: interior nodes are colliders
     and each is an ancestor of an endpoint."""
-    ok_interior = set(ancestors_in(g, [x])) | set(ancestors_in(g, [y]))
-
-    def step(path: list[str]) -> bool:
-        v = path[-1]
-        for w in g.neighbors(v):
-            if w in path:
-                continue
-            if len(path) >= 2:
-                prev = path[-2]
-                collider = g.mark_at(v, prev) is ARROW and g.mark_at(v, w) is ARROW
-                if not collider or v not in ok_interior:
-                    continue
-            if w == y:
-                return True
-            if step(path + [w]):
-                return True
-        return False
-
-    return step([x])
+    an, i, j = ancestor_masks(g), g._index[x], g._index[y]
+    reached, _ = reach(adjacency_masks(g), 1 << i, an[i] | an[j], 0)
+    return bool(reached >> j & 1)
 
 
 class LatentDag:
@@ -390,7 +469,7 @@ class LatentDag:
     bidirected confounding arcs.
     """
 
-    __slots__ = ("observed", "latent", "_edges", "_parents", "_children", "_index")
+    __slots__ = ("observed", "latent", "_edges", "_parents", "_children", "_index", "_masks", "_anc")
 
     def __init__(
         self,
@@ -409,6 +488,7 @@ class LatentDag:
         self.latent = latent
         self._index = {v: i for i, v in enumerate(names)}
         self._edges = tuple(edges)
+        self._masks = self._anc = None
         self._parents: dict[str, list[str]] = {v: [] for v in names}
         self._children: dict[str, list[str]] = {v: [] for v in names}
         seen = set()
@@ -490,19 +570,7 @@ class LatentDag:
 
     def ancestors(self, targets: Iterable[str]) -> tuple[str, ...]:
         """Ancestors of ``targets`` (directed paths), including the targets."""
-        targets = list(targets)
-        for t in targets:
-            if t not in self._index:
-                raise ValueError(f"unknown node {t!r}")
-        out = set(targets)
-        frontier = list(targets)
-        while frontier:
-            v = frontier.pop()
-            for p in self._parents[v]:
-                if p not in out:
-                    out.add(p)
-                    frontier.append(p)
-        return self.sort_nodes(out)
+        return _ancestors(self, targets)
 
     def descendants(self, sources: Iterable[str]) -> tuple[str, ...]:
         sources = list(sources)
@@ -570,48 +638,24 @@ def mag_of_dag(d: LatentDag) -> Mag:
     them relative to the latents; the mark at X is a tail iff X is an
     ancestor of Y.
     """
-    an = {v: set(d.ancestors([v])) for v in d.observed}
+    an, index = ancestor_masks(d), d._index
     edges = []
     for x, y in itertools.combinations(d.observed, 2):
-        if not _dag_inducing_path(d, x, y, an):
+        i, j = index[x], index[y]
+        if not _dag_inducing_path(d, i, j):
             continue
-        mark_x = TAIL if x in an[y] else ARROW
-        mark_y = TAIL if y in an[x] else ARROW
+        mark_x = TAIL if an[j] >> i & 1 else ARROW
+        mark_y = TAIL if an[i] >> j & 1 else ARROW
         edges.append((x, y, mark_x, mark_y, False))
     return Mag(d.sort_nodes(d.observed), edges)
 
 
-def _dag_inducing_path(d: LatentDag, x: str, y: str, an: dict[str, set[str]]) -> bool:
-    """Inducing path between observed x, y relative to the latents: every
-    interior observed node is a collider on the path and an ancestor of an
-    endpoint.  Latent interior nodes are exempt (and are never colliders,
-    being roots)."""
-    latent = set(d.latent)
-    arrows: dict[tuple[str, str], bool] = {}
-    neigh: dict[str, list[str]] = {v: [] for v in d.nodes}
-    for p, c in d.edges():
-        neigh[p].append(c)
-        neigh[c].append(p)
-        arrows[(p, c)] = True   # arrowhead at c
-        arrows[(c, p)] = False
-    ok_interior = latent | {v for v in d.observed if v in an[x] or v in an[y]}
-
-    def interior_ok(prev: str, v: str, nxt: str) -> bool:
-        if v in latent:
-            return True
-        return arrows[(prev, v)] and arrows[(nxt, v)] and v in ok_interior
-
-    def step(path: list[str]) -> bool:
-        v = path[-1]
-        for w in neigh[v]:
-            if w in path:
-                continue
-            if len(path) >= 2 and not interior_ok(path[-2], v, w):
-                continue
-            if w == y:
-                return True
-            if step(path + [w]):
-                return True
-        return False
-
-    return step([x])
+def _dag_inducing_path(d: LatentDag, i: int, j: int) -> bool:
+    """Inducing path between observed nodes i, j relative to the latents:
+    every interior observed node is a collider on the path and an ancestor
+    of an endpoint.  Latent interior nodes are exempt: they pass as
+    non-colliders, and being roots they are never colliders."""
+    an = ancestor_masks(d)
+    latent = mask_of(d, d.latent)
+    reached, _ = reach(adjacency_masks(d), 1 << i, an[i] | an[j], latent)
+    return bool(reached >> j & 1)

@@ -138,40 +138,47 @@ def _separation_signature(g: MixedGraph) -> frozenset[tuple[str, str, tuple[str,
     return frozenset(out)
 
 
-def _unshielded_colliders(g: MixedGraph) -> frozenset[tuple[str, str, str]]:
-    out = set()
-    for b in g.nodes:
-        for a, c in itertools.combinations(g.neighbors(b), 2):
-            if g.adjacent(a, c):
-                continue
-            if g.mark_at(b, a) is ARROW and g.mark_at(b, c) is ARROW:
-                out.add((min(a, c), b, max(a, c)))
-    return frozenset(out)
-
-
 def equivalence_class(m: Mag) -> tuple[Mag, ...]:
     """All MAGs over the skeleton of ``m`` with the same separation model.
 
-    Enumerates every tail/arrow assignment; candidates are prefiltered by the
-    unshielded-collider fingerprint (a necessary condition) before the full
-    model comparison decides membership.
+    Enumerates every tail/arrow assignment.  A candidate goes on to the full
+    model comparison only if its unshielded colliders (a necessary
+    condition) match those of ``m``; they are read off its mark tuple over
+    the unshielded triples of the shared skeleton, before any graph is built.
     """
     skeleton = [(a, b) for a, b, *_ in m.edges()]
     if len(skeleton) > MAX_CLASS_EDGES:
         raise ValueError(
             f"{len(skeleton)} edges exceeds the enumeration guard {MAX_CLASS_EDGES}"
         )
+    ends: dict[str, list[tuple[int, int, str]]] = {v: [] for v in m.nodes}
+    for k, (a, b) in enumerate(skeleton):
+        ends[a].append((k, 0, b))
+        ends[b].append((k, 1, a))
+    triples = [
+        (k, side_k, l, side_l)
+        for b in m.nodes
+        for (k, side_k, a), (l, side_l, c) in itertools.combinations(ends[b], 2)
+        if not m.adjacent(a, c)
+    ]
+
+    def colliders(marks) -> list[bool]:
+        return [
+            marks[k][side_k] is ARROW and marks[l][side_l] is ARROW
+            for k, side_k, l, side_l in triples
+        ]
+
+    reference_colliders = colliders([(ma, mb) for _, _, ma, mb, _ in m.edges()])
     reference_sig = _separation_signature(m)
-    reference_colliders = _unshielded_colliders(m)
     options = ((TAIL, ARROW), (ARROW, TAIL), (ARROW, ARROW))
     members = []
     for marks in itertools.product(options, repeat=len(skeleton)):
+        if colliders(marks) != reference_colliders:
+            continue
         edges = [
             (a, b, ma, mb, False) for (a, b), (ma, mb) in zip(skeleton, marks)
         ]
         candidate = MixedGraph(m.nodes, edges)
-        if _unshielded_colliders(candidate) != reference_colliders:
-            continue
         if mag_violation(candidate) is not None:
             continue
         if _separation_signature(candidate) != reference_sig:

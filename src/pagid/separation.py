@@ -1,18 +1,46 @@
-"""Path-based separation tests for DAGs, MAGs and PAGs.
+"""Separation tests for DAGs, MAGs and PAGs.
 
-Everything enumerates simple paths; blocking follows the usual collider /
-non-collider rules.  The PAG test looks only at definite status paths and
-opens colliders that are *possible* ancestors of the conditioning set, so a
-separation verdict is conservative: it certifies independence in every graph
-of the represented class.  On a MAG (no circles) the definite test coincides
-with plain m-separation.
+m- and d-separation run on the reachability kernel :func:`.graphs.reach`:
+from ``xs``, colliders may be passed when they are ancestors of ``zs`` and
+non-colliders when they are outside ``zs``, and the sets are separated iff
+no member of ``ys`` is reached.  A connecting walk of this kind yields a
+connecting path.  Take the first node v that repeats and join its first
+arrival to its last departure.  If v is a non-collider there and lies in
+``zs``, every visit of v was a collider, so the joined v is a collider:
+contradiction.  If v is a collider there, one of its visits was a collider,
+so v is an ancestor of ``zs``; or else the walk leaves v on a directed edge
+and follows directed edges through non-colliders until it meets a collider,
+an ancestor of ``zs``.  It cannot follow them all the way back into v,
+since an ancestral graph and a DAG have no directed cycle.  A repeated start
+is cut off, and the walk is cut at its first member of ``ys``.
+
+The PAG test enumerates simple paths and looks only at definite status
+paths, opening colliders that are *possible* ancestors of the conditioning
+set, so a separation verdict is conservative: it certifies independence in
+every graph of the represented class.  On a MAG (no circles) it coincides
+with plain m-separation.  It stays enumerative because definite status does
+not survive the walk shortcut: whether a circle-circle node is a definite
+non-collider depends on its two path neighbours being non-adjacent, and
+joining a walk changes those neighbours.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import ARROW, CIRCLE, TAIL, LatentDag, MixedGraph, ancestors_in, possible_ancestors
+from .graphs import (
+    ARROW,
+    CIRCLE,
+    TAIL,
+    LatentDag,
+    MixedGraph,
+    adjacency_masks,
+    ancestor_masks,
+    bits,
+    mask_of,
+    possible_ancestors,
+    reach,
+)
 
 
 def _paths(neigh: dict[str, list[str]], sources: set[str], targets: set[str]):
@@ -32,57 +60,24 @@ def _paths(neigh: dict[str, list[str]], sources: set[str], targets: set[str]):
 
 def m_separated(g: MixedGraph, xs: Iterable[str], ys: Iterable[str], zs: Iterable[str]) -> bool:
     """m-separation in a MAG: no path connects ``xs`` and ``ys`` given ``zs``."""
-    xs, ys, zs = set(xs), set(ys), set(zs)
-    if xs & ys:
-        raise ValueError("overlapping node sets")
-    open_collider = set(ancestors_in(g, zs)) if zs else set()
-    neigh = {v: list(g.neighbors(v)) for v in g.nodes}
-    for path in _paths(neigh, xs, ys):
-        if _mag_path_connects(g, path, zs, open_collider):
-            return False
-    return True
-
-
-def _mag_path_connects(g: MixedGraph, path: list[str], zs: set[str], open_collider: set[str]) -> bool:
-    for i in range(1, len(path) - 1):
-        prev, v, nxt = path[i - 1], path[i], path[i + 1]
-        collider = g.mark_at(v, prev) is ARROW and g.mark_at(v, nxt) is ARROW
-        if collider:
-            if v not in open_collider:
-                return False
-        elif v in zs:
-            return False
-    return True
+    return _separated(g, xs, ys, zs)
 
 
 def d_separated(d: LatentDag, xs: Iterable[str], ys: Iterable[str], zs: Iterable[str]) -> bool:
     """d-separation in a latent DAG, latents treated as ordinary path nodes."""
-    xs, ys, zs = set(xs), set(ys), set(zs)
-    if xs & ys:
+    return _separated(d, xs, ys, zs)
+
+
+def _separated(g, xs: Iterable[str], ys: Iterable[str], zs: Iterable[str]) -> bool:
+    an = ancestor_masks(g)
+    x, y, z = mask_of(g, xs), mask_of(g, ys), mask_of(g, zs)
+    if x & y:
         raise ValueError("overlapping node sets")
-    arrow_at: dict[tuple[str, str], bool] = {}
-    neigh: dict[str, list[str]] = {v: [] for v in d.nodes}
-    for p, c in d.edges():
-        neigh[p].append(c)
-        neigh[c].append(p)
-        arrow_at[(c, p)] = True  # arrowhead at c on edge p->c
-        arrow_at[(p, c)] = False
-    open_collider = set(d.ancestors(zs)) if zs else set()
-    for path in _paths(neigh, xs, ys):
-        ok = True
-        for i in range(1, len(path) - 1):
-            prev, v, nxt = path[i - 1], path[i], path[i + 1]
-            collider = arrow_at[(v, prev)] and arrow_at[(v, nxt)]
-            if collider:
-                if v not in open_collider:
-                    ok = False
-                    break
-            elif v in zs:
-                ok = False
-                break
-        if ok:
-            return False
-    return True
+    open_collider = 0
+    for i in bits(z):
+        open_collider |= an[i]
+    reached, _ = reach(adjacency_masks(g), x, open_collider, ~z)
+    return not reached & y
 
 
 def definite_status_interior(g: MixedGraph, path: list[str]) -> list[str] | None:

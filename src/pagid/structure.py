@@ -1,10 +1,16 @@
 """PAG analytics: edge visibility, buckets, the partial topological order,
 and the possible/definite/composite component notions used by identification.
 
-All functions accept a full PAG or any of its induced subgraphs.  Component
-searches enumerate simple paths only; at the enforced graph sizes a
-connecting walk always contains a connecting simple path of the required
-form (cross-checked against a bounded walk search in the test suite).
+All functions accept a full PAG or any of its induced subgraphs.  Collider
+paths for visibility and pc-component paths run on the reachability kernel
+:func:`.graphs.reach` with every non-collider refused, so the kernel's walks
+have only colliders inside.  A walk becomes a simple path by joining the
+first and last visit of the first node that repeats: both visits are
+colliders, so the joined node is a collider from the same allowed set.  A
+repeated start is cut off, and the walk is cut at its first arrival at the
+target; for visibility that arrival is into the target, because an interior
+visit of it is a collider visit.  The visible-edge set is cached on the
+graph instance.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import ARROW, TAIL, MixedGraph
+from .graphs import ARROW, TAIL, MixedGraph, adjacency_masks, mask_of, names_of, reach
 
 
 def graphical_visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
@@ -22,47 +28,15 @@ def graphical_visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
     into x, or reaches x by a collider path into x whose every collider is a
     parent of y.
     """
+    adj, index = adjacency_masks(g), g._index
     out = set()
     for x, y in g.directed_edges():
-        if _visibility_witness(g, x, y) is not None:
+        i, j = index[x], index[y]
+        far = ~adj[j][0] & ~(1 << i | 1 << j) & ((1 << len(adj)) - 1)
+        _, reached_into = reach(adj, far, mask_of(g, g.parents(y)), 0)
+        if reached_into >> i & 1:
             out.add((x, y))
     return frozenset(out)
-
-
-def _visibility_witness(g: MixedGraph, x: str, y: str) -> str | None:
-    parents_y = set(g.parents(y))
-    for z in g.nodes:
-        if z in (x, y) or g.adjacent(z, y):
-            continue
-        if _collider_path_into(g, z, x, parents_y):
-            return z
-    return None
-
-
-def _collider_path_into(g: MixedGraph, z: str, x: str, allowed: set[str]) -> bool:
-    """Path z ... x into x whose interior nodes are colliders drawn from
-    ``allowed``.  The single edge z *-> x qualifies."""
-
-    def step(path: list[str]) -> bool:
-        v = path[-1]
-        for w in g.neighbors(v):
-            if w in path:
-                continue
-            if len(path) >= 2:
-                prev = path[-2]
-                if not (g.mark_at(v, prev) is ARROW and g.mark_at(v, w) is ARROW):
-                    continue
-                if v not in allowed:
-                    continue
-            if w == x:
-                if g.mark_at(x, v) is ARROW:
-                    return True
-                continue
-            if step(path + [w]):
-                return True
-        return False
-
-    return step([z])
 
 
 def visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
@@ -71,12 +45,14 @@ def visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
     Flags dominate on induced subgraphs, where an edge stays visible even
     after its graphical witness has been cut away.
     """
-    flagged = {
-        (a, b) if ma is TAIL else (b, a)
-        for a, b, ma, mb, vis in g.edges()
-        if vis
-    }
-    return graphical_visible_edges(g) | frozenset(flagged)
+    if g._visible is None:
+        flagged = {
+            (a, b) if ma is TAIL else (b, a)
+            for a, b, ma, mb, vis in g.edges()
+            if vis
+        }
+        g._visible = graphical_visible_edges(g) | frozenset(flagged)
+    return g._visible
 
 
 def buckets(g: MixedGraph) -> tuple[tuple[str, ...], ...]:
@@ -177,32 +153,15 @@ def _pto_with_preference(g: MixedGraph, extract_first: tuple[str, ...] | None) -
 def pc_component(g: MixedGraph, seed: Iterable[str]) -> tuple[str, ...]:
     """Possible c-component of ``seed``: nodes connected to it by a path whose
     non-endpoints are all colliders and whose edges are all invisible."""
-    seed = list(seed)
-    for v in seed:
-        if not g.has_node(v):
-            raise ValueError(f"unknown node {v!r}")
-    visible = visible_edges(g)
-
-    def invisible(u: str, w: str) -> bool:
-        return (u, w) not in visible and (w, u) not in visible
-
-    reached = set(seed)
-
-    def step(path: list[str]) -> None:
-        v = path[-1]
-        for w in g.neighbors(v):
-            if w in path or not invisible(v, w):
-                continue
-            if len(path) >= 2:
-                prev = path[-2]
-                if not (g.mark_at(v, prev) is ARROW and g.mark_at(v, w) is ARROW):
-                    continue
-            reached.add(w)
-            step(path + [w])
-
-    for s in seed:
-        step([s])
-    return g.sort_nodes(reached)
+    starts = mask_of(g, seed)
+    index = g._index
+    adj = list(adjacency_masks(g))
+    for a, b in visible_edges(g):
+        i, j = index[a], index[b]
+        adj[i] = tuple(m & ~(1 << j) for m in adj[i])
+        adj[j] = tuple(m & ~(1 << i) for m in adj[j])
+    reached, _ = reach(adj, starts, -1, 0)
+    return names_of(g.nodes, reached | starts)
 
 
 def dc_component(g: MixedGraph, seed: Iterable[str]) -> tuple[str, ...]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import adjustment, ident_dag, ident_pag
-from .exprs import Expr, evaluate_table
+from .exprs import Expr, _align, evaluate_table
 from .graphs import LatentDag, Mag, induced_subgraph, mag_of_dag, possible_ancestors
 from .oracle import canonical_dag_of_mag, equivalence_class, joint, pag_of_class, random_latent_dag, random_scm
 from .ident_dag import c_components
@@ -50,35 +50,20 @@ def interventional_gap(expr: Expr, scm, x_vars, y_vars) -> float:
     stray = set(evars) - set(x_vars) - set(y_vars)
     if stray:
         raise AssertionError(f"expression mentions non-query variables {sorted(stray)}")
+    x_vars = tuple(x_vars)
     y_sorted = tuple(sorted(y_vars, key=lambda v: (v.lower(), v)))
-    cards = {v: scm.cards[v] for v in scm.graph.observed}
-    gap = 0.0
-    for x_vals in itertools.product(*(range(cards[v]) for v in x_vars)):
-        assignment = dict(zip(x_vars, x_vals))
-        truth = truncated(scm, assignment).array_for(y_sorted)
-        for y_vals in itertools.product(*(range(cards[v]) for v in y_sorted)):
-            assignment.update(zip(y_sorted, y_vals))
-            idx = tuple(assignment[v] for v in evars)
-            got = float(arr[idx])
-            want = float(truth[tuple(y_vals)])
-            gap = max(gap, abs(got - want))
-    return gap
+    truth = np.empty(tuple(scm.cards[v] for v in x_vars + y_sorted))
+    for x_vals in itertools.product(*(range(scm.cards[v]) for v in x_vars)):
+        truth[x_vals] = truncated(scm, dict(zip(x_vars, x_vals))).array_for(y_sorted)
+    _, (got, want) = _align([(evars, arr), (x_vars + y_sorted, truth)])
+    return float(np.abs(got - want).max(initial=0.0))
 
 
 def expression_gap(e1: Expr, e2: Expr, scm) -> float:
     """Largest pointwise deviation between two expressions on one table."""
     tables = {(): joint(scm)}
-    v1, a1 = evaluate_table(e1, tables)
-    v2, a2 = evaluate_table(e2, tables)
-    cards = {v: scm.cards[v] for v in scm.graph.observed}
-    union = sorted(set(v1) | set(v2), key=lambda v: (v.lower(), v))
-    gap = 0.0
-    for vals in itertools.product(*(range(cards[v]) for v in union)):
-        assignment = dict(zip(union, vals))
-        x1 = float(a1[tuple(assignment[v] for v in v1)])
-        x2 = float(a2[tuple(assignment[v] for v in v2)])
-        gap = max(gap, abs(x1 - x2))
-    return gap
+    _, (a1, a2) = _align([evaluate_table(e1, tables), evaluate_table(e2, tables)])
+    return float(np.abs(a1 - a2).max(initial=0.0))
 
 
 def _sample_graph(rng) -> tuple[LatentDag, Mag]:
