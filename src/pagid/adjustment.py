@@ -39,21 +39,22 @@ def _proper_simple_paths(g: MixedGraph, xs: set[str], ys: set[str]):
     Interior nodes from ``ys`` are allowed; each prefix reaching ``ys`` is
     reported separately.
     """
-    out = []
-
-    def step(path: list[str]) -> None:
-        v = path[-1]
-        for w in g.neighbors(v):
-            if w in path or w in xs:
-                continue
-            nxt = path + [w]
-            if w in ys:
-                out.append(nxt)
-            step(nxt)
-
+    out: list[list[str]] = []
     for start in sorted(xs):
-        step([start])
+        _extend_proper_paths(g, [start], xs, ys, out)
     return out
+
+
+def _extend_proper_paths(g: MixedGraph, path: list[str], xs: set[str], ys: set[str], out: list) -> None:
+    # module-level: a recursive closure is a reference cycle that would keep
+    # the graph and every path alive until the next full collection
+    for w in g.neighbors(path[-1]):
+        if w in path or w in xs:
+            continue
+        nxt = path + [w]
+        if w in ys:
+            out.append(nxt)
+        _extend_proper_paths(g, nxt, xs, ys, out)
 
 
 def _is_possibly_directed(g: MixedGraph, path: list[str]) -> bool:

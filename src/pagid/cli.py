@@ -5,6 +5,11 @@ File format: a header line (``pag``, ``dag`` or ``mag``), an optional
 tokens ``-->  <--  <->  o->  <-o  o-o  o--  --o`` (plus ``->`` / ``<-`` in
 dag files).  A trailing ``visible`` tag is accepted on directed pag edges and
 cross-checked against the graphical condition.  ``#`` starts a comment.
+
+The argument parser is built once, at import.  ``main(argv)`` only parses
+``argv`` against it and keeps no other state, so it is safe to call
+repeatedly in one process: each call prints and returns exactly what a fresh
+``pagid`` run would.
 """
 
 from __future__ import annotations
@@ -181,38 +186,42 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> _Parser:
     parser = _Parser(
         prog="pagid",
         description="Causal effect identification from partial ancestral graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_query(name: str, help_: str, kinds: tuple[str, ...]):
+    for name, help_, kinds in (
+        ("idp", "identify an effect from a PAG", ("pag",)),
+        ("id-dag", "identify an effect from a latent DAG", ("dag",)),
+        ("gac", "generalized adjustment criterion on a PAG", ("pag",)),
+    ):
         q = sub.add_parser(name, help=help_)
         q.add_argument("--graph", required=True)
         q.add_argument("--treat", required=True)
         q.add_argument("--outcome", required=True)
         q.add_argument("--format", choices=("text", "latex", "json"), default="text")
         q.set_defaults(kinds=kinds)
-        return q
-
-    add_query("idp", "identify an effect from a PAG", ("pag",))
-    add_query("id-dag", "identify an effect from a latent DAG", ("dag",))
-    add_query("gac", "generalized adjustment criterion on a PAG", ("pag",))
-
-    p_pto = sub.add_parser("pto", help="partial topological order of a PAG")
-    p_pto.add_argument("--graph", required=True)
-    p_comp = sub.add_parser("components", help="component decomposition")
-    p_comp.add_argument("--graph", required=True)
-    p_proj = sub.add_parser("pag-of-dag", help="brute-force the PAG of a DAG")
-    p_proj.add_argument("--graph", required=True)
+    for name, help_ in (
+        ("pto", "partial topological order of a PAG"),
+        ("components", "component decomposition"),
+        ("pag-of-dag", "brute-force the PAG of a DAG"),
+    ):
+        sub.add_parser(name, help=help_).add_argument("--graph", required=True)
     p_ver = sub.add_parser("verify", help="run the seeded verification pipeline")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--runs", type=int, default=200)
     p_ver.add_argument("--tol", type=float, default=1e-9)
+    return parser
 
-    args = parser.parse_args(argv)
+
+# built once at import; parse_args reads it and leaves it unchanged
+_PARSER = _build_parser()
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _PARSER.parse_args(argv)
     started = time.perf_counter()
     try:
         if args.command == "idp":

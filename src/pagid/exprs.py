@@ -544,42 +544,60 @@ def drop_certified_givens(
     ``eligible`` is dropped when ``certify(target, v, remaining_given)``
     returns True.  This is the only rewrite allowed to change the free
     variables of a factor; plain :func:`simplify` is purely algebraic.
+
+    When the result still has free variables from ``eligible``, a second form
+    is tried that drops every certified given, summed or free, eligible or
+    not: a certified drop is a pointwise identity of the factor, so it holds
+    anywhere in the tree.  The second form is kept only when it has fewer
+    free variables from ``eligible``; it is discarded if a drop leaves a sum
+    without its variable or the drops do not settle.
     """
-    eligible = set(eligible)
+    eligible = frozenset(eligible)
+    cur = _drops_to_fixed_point(simplify(e), certify, eligible.__contains__)
+    stray = eligible.intersection(cur.free_vars())
+    if not stray:
+        return cur
+    try:
+        alt = _drops_to_fixed_point(cur, certify, lambda v: True)
+    except (ValueError, RuntimeError):  # an emptied sum, or no fixed point
+        return cur
+    return alt if eligible.intersection(alt.free_vars()) < stray else cur
 
-    def walk(node: Expr) -> Expr:
-        if isinstance(node, Conditional) and not node.base.do:
-            given = list(node.given)
-            changed = True
-            while changed:
-                changed = False
-                for v in sorted(given):
-                    if v not in eligible:
-                        continue
-                    rest = tuple(x for x in given if x != v)
-                    if certify(node.target, v, rest):
-                        given.remove(v)
-                        changed = True
-            return _from_factor((), node.target, tuple(given))
-        if isinstance(node, Product):
-            return Product(tuple(walk(f) for f in node.factors))
-        if isinstance(node, Quotient):
-            return Quotient(walk(node.num), walk(node.den))
-        if isinstance(node, SumOver):
-            # a summed variable losing its last free occurrence is a caller
-            # error and surfaces through the SumOver constructor
-            return SumOver(node.vars, walk(node.body))
-        return node
 
+def _drops_to_fixed_point(cur: Expr, certify, droppable: Callable[[str], bool]) -> Expr:
     # drops enable merges that build new factors with droppable givens, so
     # iterate the pass to a fixed point
-    cur = simplify(e)
     for _ in range(20):
-        nxt = simplify(walk(cur))
+        nxt = simplify(_drop_givens(cur, certify, droppable))
         if nxt == cur:
             return cur
         cur = nxt
     raise RuntimeError("conditioning drops did not reach a fixed point")
+
+
+def _drop_givens(node: Expr, certify, droppable: Callable[[str], bool]) -> Expr:
+    if isinstance(node, Conditional) and not node.base.do:
+        given = list(node.given)
+        changed = True
+        while changed:
+            changed = False
+            for v in sorted(given):
+                if not droppable(v):
+                    continue
+                rest = tuple(x for x in given if x != v)
+                if certify(node.target, v, rest):
+                    given.remove(v)
+                    changed = True
+        return _from_factor((), node.target, tuple(given))
+    if isinstance(node, Product):
+        return Product(tuple(_drop_givens(f, certify, droppable) for f in node.factors))
+    if isinstance(node, Quotient):
+        return Quotient(_drop_givens(node.num, certify, droppable), _drop_givens(node.den, certify, droppable))
+    if isinstance(node, SumOver):
+        # a summed variable losing its last free occurrence is a caller
+        # error and surfaces through the SumOver constructor
+        return SumOver(node.vars, _drop_givens(node.body, certify, droppable))
+    return node
 
 
 def join_certified_marginals(
@@ -591,35 +609,35 @@ def join_certified_marginals(
     the independence; like the conditioning drops this is an exact rewrite
     only under the caller's certificate, never plain algebra.
     """
+    return simplify(_join_marginals(simplify(e), certify))
 
-    def walk(node: Expr) -> Expr:
-        if isinstance(node, Product):
-            factors = [walk(f) for f in node.factors]
-            changed = True
-            while changed:
-                changed = False
-                marginals = [
-                    (i, f)
-                    for i, f in enumerate(factors)
-                    if isinstance(f, DistRef) and not f.do
-                ]
-                for (i, a), (j, b) in ((p, q) for p in marginals for q in marginals if p[0] < q[0]):
-                    if set(a.scope) & set(b.scope):
-                        continue
-                    if certify(a.scope, b.scope):
-                        joined = DistRef(vsort(a.scope + b.scope))
-                        factors = [f for k, f in enumerate(factors) if k not in (i, j)]
-                        factors.append(joined)
-                        changed = True
-                        break
-            return Product(tuple(factors))
-        if isinstance(node, Quotient):
-            return Quotient(walk(node.num), walk(node.den))
-        if isinstance(node, SumOver):
-            return SumOver(node.vars, walk(node.body))
-        return node
 
-    return simplify(walk(simplify(e)))
+def _join_marginals(node: Expr, certify) -> Expr:
+    if isinstance(node, Product):
+        factors = [_join_marginals(f, certify) for f in node.factors]
+        changed = True
+        while changed:
+            changed = False
+            marginals = [
+                (i, f)
+                for i, f in enumerate(factors)
+                if isinstance(f, DistRef) and not f.do
+            ]
+            for (i, a), (j, b) in ((p, q) for p in marginals for q in marginals if p[0] < q[0]):
+                if set(a.scope) & set(b.scope):
+                    continue
+                if certify(a.scope, b.scope):
+                    joined = DistRef(vsort(a.scope + b.scope))
+                    factors = [f for k, f in enumerate(factors) if k not in (i, j)]
+                    factors.append(joined)
+                    changed = True
+                    break
+        return Product(tuple(factors))
+    if isinstance(node, Quotient):
+        return Quotient(_join_marginals(node.num, certify), _join_marginals(node.den, certify))
+    if isinstance(node, SumOver):
+        return SumOver(node.vars, _join_marginals(node.body, certify))
+    return node
 
 
 # ---------------------------------------------------------------------------

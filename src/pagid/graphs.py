@@ -469,7 +469,7 @@ class LatentDag:
     bidirected confounding arcs.
     """
 
-    __slots__ = ("observed", "latent", "_edges", "_parents", "_children", "_index", "_masks", "_anc")
+    __slots__ = ("observed", "latent", "_edges", "_parents", "_children", "_index", "_masks", "_anc", "_topo")
 
     def __init__(
         self,
@@ -508,7 +508,7 @@ class LatentDag:
                 raise ValueError(f"latent {u!r} has parents")
             if len(self._children[u]) != 2 or any(c in latent for c in self._children[u]):
                 raise ValueError(f"latent {u!r} must have exactly two observed children")
-        self.topological_order()  # raises on cycles
+        self._topo = self._kahn_order()  # raises on cycles
 
     @classmethod
     def from_specs(cls, observed: Sequence[str], specs: Iterable[str]) -> "LatentDag":
@@ -553,6 +553,9 @@ class LatentDag:
 
     def topological_order(self) -> tuple[str, ...]:
         """Deterministic topological order over all nodes (Kahn, node order)."""
+        return self._topo
+
+    def _kahn_order(self) -> tuple[str, ...]:
         indeg = {v: len(self._parents[v]) for v in self.nodes}
         ready = [v for v in self.nodes if indeg[v] == 0]
         out: list[str] = []

@@ -23,6 +23,7 @@ from .structure import graphical_visible_edges
 MAX_JOINT_STATES = 1 << 20
 MAX_CLASS_EDGES = 10
 CPT_FLOOR = 1e-6
+CPT_ROW_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,8 @@ class Scm:
                 raise ValueError(f"CPT shape for {v!r}: {cpt.shape} != {want}")
             if (cpt < 0).any():
                 raise ValueError(f"negative CPT entry for {v!r}")
-            if not np.allclose(cpt.sum(axis=-1), 1.0, atol=1e-12):
+            # absolute tolerance only; written so that a NaN row fails too
+            if not np.abs(cpt.sum(axis=-1) - 1.0).max() <= CPT_ROW_TOL:
                 raise ValueError(f"CPT rows for {v!r} do not sum to 1")
 
 

@@ -196,3 +196,54 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "projection roundtrip" in out and "FAIL" not in out
+
+
+def _without_timings(out: str) -> str:
+    lines = []
+    for line in out.splitlines():
+        if line.startswith("{\""):
+            envelope = json.loads(line)
+            envelope.pop("timings")
+            line = json.dumps(envelope, sort_keys=True)
+        lines.append(line)
+    return "\n".join(lines)
+
+
+class TestSharedParser:
+    """The parser is built once per process; calls must not see each other."""
+
+    def test_calls_are_independent_of_earlier_calls(self, tmp_path, capsys):
+        pag = save(tmp_path, "chain.pag", "pag", confounded_chain_pag())
+        ring = save(tmp_path, "ring.pag", "pag", beyond_adjustment_pag())
+        dag = save(tmp_path, "chain.dag", "dag", confounded_chain_dag())
+        query = ["--treat", "X", "--outcome", "V4"]
+        calls = [
+            ["idp", "--graph", pag, *query],
+            ["idp", "--graph", pag, *query, "--format", "json"],
+            ["id-dag", "--graph", dag, *query, "--format", "latex"],
+            ["gac", "--graph", pag, *query, "--format", "json"],
+            ["gac", "--graph", ring, "--treat", "X", "--outcome", "Y"],
+            ["pto", "--graph", pag],
+            ["components", "--graph", pag],
+            ["components", "--graph", dag],
+            ["pag-of-dag", "--graph", dag],
+            ["verify", "--seed", "3", "--runs", "2"],
+        ]
+
+        def run_all():
+            results = []
+            for argv in calls:
+                code = main(argv)
+                results.append((code, _without_timings(capsys.readouterr().out)))
+            return results
+
+        first = run_all()
+        assert {code for code, _ in first} == {0, 2}
+        with pytest.raises(SystemExit) as usage:
+            main(["idp", "--graph", pag, "--treat", "X"])
+        assert usage.value.code == 1
+        with pytest.raises(SystemExit) as shown:
+            main(["gac", "--help"])
+        assert shown.value.code == 0
+        assert "--outcome" in capsys.readouterr().out
+        assert run_all() == first

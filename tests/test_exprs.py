@@ -217,6 +217,25 @@ class TestSimplify:
         dropped = drop_certified_givens(e, certify, {"V1", "V2"})
         assert render_text(dropped) == "P(y1,y2|x1)"
 
+    def test_stray_variable_removed_through_a_non_eligible_drop(self):
+        # P_{v2}(v4) as [sum_{v1} [P(v1,v3) * P(v4|v1,v2,v3)] / P(v3)]: v3,
+        # the only eligible variable, cannot drop until the treatment v2 has
+        independent = {("V2", ("V1", "V3")), ("V3", ())}
+        e = Quotient(
+            SumOver(("V1",), Product((DistRef(("V1", "V3")), P("V4", given=("V1", "V2", "V3"))))),
+            DistRef(("V3",)),
+        )
+
+        def certify(target, var, rest):
+            return target == ("V4",) and (var, rest) in independent
+
+        assert render_text(drop_certified_givens(e, certify, {"V3"})) == "P(v4)"
+
+    def test_second_form_that_empties_a_sum_is_discarded(self):
+        e = SumOver(("V",), P("A", given=("B", "V")))
+        kept = drop_certified_givens(e, lambda target, var, rest: var == "V", {"B"})
+        assert kept == simplify(e)
+
     def test_drop_is_caller_certified_only(self):
         e = P("Y1", given=("V1",))
         unchanged = drop_certified_givens(e, lambda *a: False, {"V1"})

@@ -98,6 +98,22 @@ class TestIdDag:
             gap = interventional_gap(res, random_scm(rng, d), xs, ys)
             assert gap <= 1e-9
 
+    @pytest.mark.parametrize("seed", [66, 399, 542, 878])
+    def test_no_free_variables_outside_query(self, seed):
+        # these draws of the test above used to leave non-query variables
+        # free, e.g. [sum_{v5} [P(v2,v5) * P(v4|v5)] / P(v2)] for P_v1(v4),
+        # which interventional_gap refuses to evaluate
+        rng = np.random.default_rng(seed)
+        d = random_latent_dag(rng, int(rng.integers(2, 7)), int(rng.integers(0, 4)), 0.4)
+        nodes = list(d.observed)
+        perm = [nodes[i] for i in rng.permutation(len(nodes))]
+        xs, ys = (perm[0],), (perm[1],)
+        res = id_dag(xs, ys, d)
+        assert not isinstance(res, Fail)
+        assert set(res.free_vars()) <= set(xs) | set(ys)
+        for _ in range(5):
+            assert interventional_gap(res, random_scm(rng, d), xs, ys) <= 1e-9
+
 
 def reverse_topo_candidates(d, t, c_set):
     dt = induced_subgraph(d, t)

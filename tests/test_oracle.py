@@ -41,6 +41,20 @@ class TestScm:
         with pytest.raises(ValueError, match="sum to 1"):
             Scm(d, {"A": 2}, {"A": np.array([0.5, 0.6])})
 
+    def test_cpt_row_tolerance_is_absolute(self):
+        # a relative tolerance of 1e-5 used to let this row through
+        d = LatentDag(["A"], [], [])
+        with pytest.raises(ValueError, match="sum to 1"):
+            Scm(d, {"A": 2}, {"A": np.array([0.5, 0.5 + 1e-6])})
+        with pytest.raises(ValueError, match="sum to 1"):
+            Scm(d, {"A": 2}, {"A": np.array([0.5, np.nan])})
+
+    def test_random_scms_pass_the_row_check(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            d = random_latent_dag(rng, int(rng.integers(1, 7)), int(rng.integers(0, 4)), 0.5)
+            random_scm(rng, d, card=int(rng.integers(2, 4)))
+
     def test_joint_normalised_on_random_scms(self, chain_dag):
         for seed in range(5):
             table = joint(random_scm(seed, chain_dag))
