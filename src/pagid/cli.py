@@ -21,23 +21,11 @@ import time
 
 from . import adjustment, ident_dag, ident_pag
 from .exprs import render_latex, render_text, to_json_dict
-from .graphs import ARROW, CIRCLE, TAIL, EDGE_TOKENS, LatentDag, Mag, Pag
+from .graphs import CIRCLE, EDGE_TOKENS, TOKEN_OF_MARKS, LatentDag, Mag, Pag
 from .ident_dag import c_components
 from .oracle import class_of_dag
 from .structure import cpc_components, pto
 from .verify import run_verification
-
-_TOKEN_OF_MARKS = {
-    (TAIL, ARROW): "-->",
-    (ARROW, TAIL): "<--",
-    (ARROW, ARROW): "<->",
-    (CIRCLE, ARROW): "o->",
-    (ARROW, CIRCLE): "<-o",
-    (CIRCLE, CIRCLE): "o-o",
-    (CIRCLE, TAIL): "o--",
-    (TAIL, CIRCLE): "--o",
-}
-
 
 class ParseError(ValueError):
     pass
@@ -139,7 +127,7 @@ def serialize_graph(kind: str, g) -> str:
     else:
         lines.append("nodes: " + " ".join(g.nodes))
         for a, b, ma, mb, vis in g.edges():
-            token = _TOKEN_OF_MARKS[(ma, mb)]
+            token = TOKEN_OF_MARKS[(ma, mb)]
             suffix = " visible" if vis else ""
             lines.append(f"edge: {a} {token} {b}{suffix}")
     return "\n".join(lines) + "\n"
@@ -160,7 +148,7 @@ def _split_nodes(arg: str) -> tuple[str, ...]:
     return items
 
 
-def _emit_query_result(result, fail_type, fmt: str, started: float) -> int:
+def _emit_query_result(result, fail_type, fmt: str, started: float, adjustment_set=None) -> int:
     failed = isinstance(result, fail_type)
     if fmt == "json":
         envelope = {
@@ -171,10 +159,14 @@ def _emit_query_result(result, fail_type, fmt: str, started: float) -> int:
             envelope["witness"] = result.describe()
         else:
             envelope["expression"] = to_json_dict(result)
+            if adjustment_set is not None:
+                envelope["adjustment_set"] = list(adjustment_set)
         print(json.dumps(envelope, sort_keys=True))
     elif failed:
         print(f"FAIL: {result.describe()}")
     else:
+        if adjustment_set is not None:
+            print("adjustment set: {" + ",".join(adjustment_set) + "}")
         print(render_latex(result) if fmt == "latex" else render_text(result))
     return 2 if failed else 0
 
@@ -234,33 +226,12 @@ def main(argv: list[str] | None = None) -> int:
             return _emit_query_result(result, ident_dag.Fail, args.format, started)
         if args.command == "gac":
             _, g = _load(args.graph, args.kinds)
-            result = adjustment.gac(g, _split_nodes(args.treat), _split_nodes(args.outcome))
+            treat, outcome = _split_nodes(args.treat), _split_nodes(args.outcome)
+            result = adjustment.gac(g, treat, outcome)
             if isinstance(result, adjustment.Fail):
-                if args.format == "json":
-                    print(json.dumps({
-                        "verdict": "not identifiable",
-                        "witness": result.describe(),
-                        "timings": {"seconds": round(time.perf_counter() - started, 6)},
-                    }, sort_keys=True))
-                else:
-                    print(f"FAIL: {result.describe()}")
-                return 2
-            formula = adjustment.adjustment_formula(
-                result, _split_nodes(args.treat), _split_nodes(args.outcome)
-            )
-            if args.format == "json":
-                print(json.dumps({
-                    "verdict": "identifiable",
-                    "adjustment_set": list(result),
-                    "expression": to_json_dict(formula),
-                    "timings": {"seconds": round(time.perf_counter() - started, 6)},
-                }, sort_keys=True))
-            else:
-                shown = "{" + ",".join(result) + "}"
-                body = render_latex(formula) if args.format == "latex" else render_text(formula)
-                print(f"adjustment set: {shown}")
-                print(body)
-            return 0
+                return _emit_query_result(result, adjustment.Fail, args.format, started)
+            formula = adjustment.adjustment_formula(result, treat, outcome)
+            return _emit_query_result(formula, adjustment.Fail, args.format, started, result)
         if args.command == "pto":
             _, g = _load(args.graph, ("pag",))
             order = pto(g)

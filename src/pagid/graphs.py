@@ -60,6 +60,11 @@ EDGE_TOKENS: Mapping[str, tuple[EdgeMark, EdgeMark]] = {
     "<-": (ARROW, TAIL),
 }
 
+# Mark pair -> the first token listed for it ("-->", not the dag-only "->").
+TOKEN_OF_MARKS: Mapping[tuple[EdgeMark, EdgeMark], str] = {
+    marks: tok for tok, marks in reversed(EDGE_TOKENS.items())
+}
+
 
 def node_sorted(graph_nodes: Sequence[str], items: Iterable[str]) -> tuple[str, ...]:
     """Order ``items`` by their position in ``graph_nodes`` (deterministic)."""
@@ -159,13 +164,6 @@ class MixedGraph:
             and self.mark_at(b, a) is ARROW
         )
 
-    def is_bidirected(self, a: str, b: str) -> bool:
-        return (
-            self.adjacent(a, b)
-            and self.mark_at(a, b) is ARROW
-            and self.mark_at(b, a) is ARROW
-        )
-
     def is_circle_circle(self, a: str, b: str) -> bool:
         return (
             self.adjacent(a, b)
@@ -212,9 +210,8 @@ class MixedGraph:
         )
 
     def __repr__(self) -> str:
-        toks = {marks: tok for tok, marks in reversed(EDGE_TOKENS.items())}
         parts = [
-            f"{a} {toks[(ma, mb)]} {b}" + (" v" if vis else "")
+            f"{a} {TOKEN_OF_MARKS[(ma, mb)]} {b}" + (" v" if vis else "")
             for a, b, ma, mb, vis in self.edges()
         ]
         return f"{type(self).__name__}({', '.join(parts)})"
@@ -289,6 +286,26 @@ def bits(mask: int):
 def names_of(nodes: Sequence[str], mask: int) -> tuple[str, ...]:
     """Members of ``mask`` as node names, in node order."""
     return tuple(nodes[i] for i in bits(mask))
+
+
+def partition(nodes: Sequence[str], links: Iterable[Iterable[str]]) -> tuple[tuple[str, ...], ...]:
+    """Classes of ``nodes`` once the members of each group in ``links`` are
+    joined (union-find); members in node order, classes by first member."""
+    parent = {v: v for v in nodes}
+
+    def find(v: str) -> str:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for first, *rest in links:
+        for v in rest:
+            parent[find(v)] = find(first)
+    classes: dict[str, list[str]] = {}
+    for v in nodes:
+        classes.setdefault(find(v), []).append(v)
+    return tuple(tuple(members) for members in classes.values())
 
 
 def mask_of(g, names: Iterable[str]) -> int:

@@ -1,8 +1,18 @@
-"""Identification of interventional distributions given a latent-variable DAG.
+"""Identification of interventional distributions given a latent-variable DAG,
+and the identification driver it shares with the PAG recursion.
 
-Implements the step-wise decomposition: ancestral pruning, c-component
-factorisation, and repeated removal of single nodes that are not confounded
-with any of their children.  Non-identifiability is reported as a value
+Shared (:func:`identify`, behind both :func:`id_dag` and
+:func:`.ident_pag.idp`): the input checks, pruning to the ancestors of the
+outcome once the treatment is cut, the split into components, reducing Q to
+each component by repeated removals, marginalising the pruned set outside
+the outcome, and the cleanup by :func:`simplify` and independence-certified
+conditioning drops and marginal joins.  Every removal ends in the same
+rewrite, Q[t \\ x] = q / Q[S] * sum_x Q[S] (:func:`reduced_q`).
+
+Specific to latent DAGs: ancestors along directed paths, c-components
+(shared-latent connectivity), d-separation as the certificate, and removal
+of single nodes that are not confounded with any of their children, scanned
+in reverse topological order.  Non-identifiability is reported as a value
 carrying the offending node and its confounded component.
 """
 
@@ -14,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .exprs import DistRef, Expr, Product, Quotient, SumOver, conditional_of, drop_certified_givens, join_certified_marginals, simplify
-from .graphs import LatentDag, induced_subgraph
+from .graphs import LatentDag, induced_subgraph, partition
 from .separation import d_separated
 
 
@@ -38,25 +48,19 @@ class Fail:
 
 def c_components(d: LatentDag) -> tuple[tuple[str, ...], ...]:
     """Partition of the observed nodes by shared-latent connectivity."""
-    parent = {v: v for v in d.observed}
+    return partition(d.observed, (d.children(u) for u in d.latent))
 
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
 
-    for u in d.latent:
-        a, b = d.children(u)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    groups: dict[str, list[str]] = {}
-    for v in d.observed:
-        groups.setdefault(find(v), []).append(v)
-    index = {v: i for i, v in enumerate(d.observed)}
-    comps = [tuple(sorted(g, key=index.__getitem__)) for g in groups.values()]
-    return tuple(sorted(comps, key=lambda c: index[c[0]]))
+def _product(factors: list[Expr]) -> Expr:
+    return factors[0] if len(factors) == 1 else Product(tuple(factors))
+
+
+def reduced_q(q: Expr, factors: list[Expr], x: tuple[str, ...]) -> Expr:
+    """q / Q[S] * sum_x Q[S] with Q[S] the product of ``factors``: the
+    rewrite that ends a node removal (:func:`q_reduce`) and a bucket removal
+    (:func:`.ident_pag.q_reduce_bucket`)."""
+    q_s = _product(factors)
+    return simplify(Product((Quotient(q, q_s), SumOver(x, q_s))))
 
 
 def q_reduce(d: LatentDag, t: Iterable[str], x: Iterable[str], q: Expr) -> Expr:
@@ -89,8 +93,52 @@ def q_reduce(d: LatentDag, t: Iterable[str], x: Iterable[str], q: Expr) -> Expr:
     for i, v in enumerate(topo):
         if v in s_union:
             terms.append(conditional_of(q, (v,), tuple(topo[:i]), scope=t))
-    q_s = Product(tuple(terms)) if len(terms) != 1 else terms[0]
-    return simplify(Product((Quotient(q, q_s), SumOver(x, q_s))))
+    return reduced_q(q, terms, x)
+
+
+def identify(g, observed, x, y, *, prune, components, separated, remove, choice_seed):
+    """Effect of ``x`` on ``y`` in ``g``, whose observed nodes are
+    ``observed``, or the failure value of the first removal that gets stuck.
+
+    The caller supplies its graph's parts, looked up at each call:
+    ``prune(sub, ys)`` gives the observed (possible) ancestors of ``ys`` in
+    ``sub``, which is ``g`` without ``x``; ``components(h)`` partitions the
+    observed nodes of ``h``; ``separated(g, a, b, z)`` certifies the cleanup
+    rewrites; ``remove(t, c_set, q, rng)`` takes one step from Q[t], held in
+    ``q``, towards Q[c_set] and returns ``(removed, reduced q)`` or a
+    failure value.
+    """
+    x, y = tuple(x), tuple(y)
+    x_set, y_set = set(x), set(y)
+    obs = set(observed)
+    if not x_set or not y_set or x_set & y_set:
+        raise ValueError("treatment and outcome must be nonempty and disjoint")
+    if not x_set <= obs or not y_set <= obs:
+        raise ValueError("treatment/outcome outside the observed graph nodes")
+    rng = np.random.default_rng(choice_seed) if choice_seed is not None else None
+
+    big_d = prune(induced_subgraph(g, g.sort_nodes(obs - x_set)), g.sort_nodes(y_set))
+    q0: Expr = DistRef(tuple(observed))
+    parts: list[Expr] = []
+    for comp in components(induced_subgraph(g, big_d)):
+        c_set, t, q = set(comp), list(observed), q0
+        while set(t) != c_set:
+            step = remove(t, c_set, q, rng)
+            if not isinstance(step, tuple):
+                return step
+            removed, q = step
+            t = [v for v in t if v not in removed]
+        parts.append(q)
+    expr = _product(parts)
+    leftover = set(big_d) - y_set
+    if leftover:
+        expr = SumOver(tuple(leftover), expr)
+    expr = simplify(expr)
+    eligible = set(expr.free_vars()) - x_set - y_set
+    expr = drop_certified_givens(
+        expr, lambda target, var, rest: separated(g, target, [var], rest), eligible
+    )
+    return join_certified_marginals(expr, lambda a, b: separated(g, a, b, ()))
 
 
 def id_dag(
@@ -102,62 +150,32 @@ def id_dag(
     default is a reverse-topological scan.  Any valid choice is sound and the
     verdict does not depend on it.
     """
-    x, y = tuple(x), tuple(y)
-    x_set, y_set = set(x), set(y)
-    obs = set(d.observed)
-    if not x_set or not y_set or x_set & y_set:
-        raise ValueError("treatment and outcome must be nonempty and disjoint")
-    if not x_set <= obs or not y_set <= obs:
-        raise ValueError("treatment/outcome outside the observed nodes")
-    rng = np.random.default_rng(choice_seed) if choice_seed is not None else None
-
-    sub = induced_subgraph(d, d.sort_nodes(obs - x_set))
-    big_d = tuple(v for v in sub.ancestors(d.sort_nodes(y_set)) if v in obs)
-    comps = c_components(induced_subgraph(d, big_d))
-    q0: Expr = DistRef(tuple(d.observed))
-
-    parts: list[Expr] = []
-    for comp in comps:
-        res = _identify(d, set(comp), list(d.observed), q0, rng)
-        if isinstance(res, Fail):
-            return res
-        parts.append(res)
-    expr: Expr = Product(tuple(parts)) if len(parts) != 1 else parts[0]
-    leftover = set(big_d) - y_set
-    if leftover:
-        expr = SumOver(tuple(leftover), expr)
-    expr = simplify(expr)
-    eligible = set(expr.free_vars()) - x_set - y_set
-
-    def certify(target, var, rest):
-        return d_separated(d, target, [var], rest)
-
-    expr = drop_certified_givens(expr, certify, eligible)
-    return join_certified_marginals(expr, lambda a, b: d_separated(d, a, b, ()))
+    return identify(
+        d, d.observed, x, y,
+        prune=_observed_ancestors,
+        components=c_components,
+        separated=d_separated,
+        remove=lambda t, c_set, q, rng: _remove_node(d, t, c_set, q, rng),
+        choice_seed=choice_seed,
+    )
 
 
-def _identify(d: LatentDag, c_set: set[str], t: list[str], q: Expr, rng) -> Expr | Fail:
-    while set(t) != c_set:
-        dt = induced_subgraph(d, t)
-        comps = c_components(dt)
-        comp_of = {v: comp for comp in comps for v in comp}
-        topo = [v for v in dt.topological_order() if v in set(t)]
-        scan = [v for v in reversed(topo) if v not in c_set]
-        if rng is not None:
-            scan = [scan[i] for i in rng.permutation(len(scan))]
-        pick = None
-        for b in scan:
-            if not set(comp_of[b]) & set(dt.children(b)):
-                pick = b
-                break
-        if pick is None:
-            b = scan[0]
-            return Fail(
-                node=b,
-                component=comp_of[b],
-                scope=tuple(t),
-                target=d.sort_nodes(c_set),
-            )
-        q = q_reduce(d, tuple(t), (pick,), q)
-        t = [v for v in t if v != pick]
-    return q
+def _observed_ancestors(sub: LatentDag, ys: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(v for v in sub.ancestors(ys) if v in sub.observed)
+
+
+def _remove_node(d: LatentDag, t: list[str], c_set: set[str], q: Expr, rng):
+    """Remove the first node of ``t \\ c_set`` in the scan order that shares
+    its c-component with none of its children."""
+    dt = induced_subgraph(d, t)
+    comp_of = {v: comp for comp in c_components(dt) for v in comp}
+    t_set = set(t)
+    topo = [v for v in dt.topological_order() if v in t_set]
+    scan = [v for v in reversed(topo) if v not in c_set]
+    if rng is not None:
+        scan = [scan[i] for i in rng.permutation(len(scan))]
+    for b in scan:
+        if not set(comp_of[b]) & set(dt.children(b)):
+            return (b,), q_reduce(d, tuple(t), (b,), q)
+    b = scan[0]
+    return Fail(node=b, component=comp_of[b], scope=tuple(t), target=d.sort_nodes(c_set))

@@ -1,10 +1,16 @@
 """Identification of interventional distributions given a PAG.
 
-The recursion removes whole buckets: a bucket is removable from the current
+The top level is the driver shared with the DAG-side algorithm,
+:func:`.ident_dag.identify`: input checks, ancestral pruning, the component
+split, per-component reduction by repeated removals, marginalisation and
+the certified cleanup.  Specific to PAGs: possible ancestors, composite
+pc-components, definite m-separation as the certificate, and the removal
+step, which removes whole buckets.  A bucket is removable from the current
 subgraph when none of its members has, within that subgraph, a possible
 child outside the bucket lying in the same possible c-component.  Each
-removal rewrites the running distribution expression through the bucket-level
-reduction; the final form is cleaned up by independence-certified
+removal rewrites the running distribution expression through the
+bucket-level reduction, choosing the smaller of the reductions under two
+partial orders; the final form is cleaned up by independence-certified
 conditioning drops so that only treatment and outcome symbols remain free.
 """
 
@@ -13,26 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-from .exprs import (
-    DistRef,
-    Expr,
-    Product,
-    Quotient,
-    SumOver,
-    conditional_of,
-    drop_certified_givens,
-    join_certified_marginals,
-    render_text,
-    simplify,
-)
+from .exprs import Expr, conditional_of, expr_size, render_text
 from .graphs import MixedGraph, Pag, induced_subgraph, possible_ancestors
-from .exprs import expr_size
+from .ident_dag import identify, reduced_q
 from .separation import definitely_m_separated
 from .structure import (
     PartialOrder,
     _pto_with_preference,
+    buckets,
     cpc_components,
     dc_component,
     pc_component,
@@ -84,9 +78,7 @@ def bucket_identifiable(p_t: MixedGraph, x: Iterable[str]) -> tuple[bool, tuple[
     """
     x = tuple(x)
     x_set = set(x)
-    from .structure import buckets as bucket_partition
-
-    if x_set not in [set(b) for b in bucket_partition(p_t)]:
+    if x_set not in [set(b) for b in buckets(p_t)]:
         raise ValueError(f"{sorted(x_set)} is not a bucket of the graph")
     if not x_set < set(p_t.nodes):
         raise ValueError("bucket must be a strict subset of the graph nodes")
@@ -122,8 +114,7 @@ def q_reduce_bucket(
             terms.append(conditional_of(q, bucket, order.preceding(i), scope=t))
         elif set(bucket) & s_union:
             raise ValueError("definite c-component is not a union of buckets")
-    q_s: Expr = Product(tuple(terms)) if len(terms) != 1 else terms[0]
-    return simplify(Product((Quotient(q, q_s), SumOver(x, q_s))))
+    return reduced_q(q, terms, x)
 
 
 def idp(
@@ -140,75 +131,40 @@ def idp(
     default walks the partial order backwards); the verdict is invariant to
     that choice.  ``trace`` collects the intermediate reductions.
     """
-    x, y = tuple(x), tuple(y)
-    x_set, y_set = set(x), set(y)
-    nodes = set(p.nodes)
-    if not x_set or not y_set or x_set & y_set:
-        raise ValueError("treatment and outcome must be nonempty and disjoint")
-    if not x_set <= nodes or not y_set <= nodes:
-        raise ValueError("treatment/outcome outside the graph nodes")
-    rng = np.random.default_rng(choice_seed) if choice_seed is not None else None
-
-    big_d = possible_ancestors(induced_subgraph(p, p.sort_nodes(nodes - x_set)), p.sort_nodes(y_set))
-    comps = cpc_components(induced_subgraph(p, big_d))
-    q0: Expr = DistRef(tuple(p.nodes))
-
-    parts: list[Expr] = []
-    for comp in comps:
-        res = _identify(p, set(comp), list(p.nodes), q0, rng, trace)
-        if isinstance(res, Fail):
-            return res
-        parts.append(res)
-    expr: Expr = Product(tuple(parts)) if len(parts) != 1 else parts[0]
-    leftover = set(big_d) - y_set
-    if leftover:
-        expr = SumOver(tuple(leftover), expr)
-    expr = simplify(expr)
-    eligible = set(expr.free_vars()) - x_set - y_set
-
-    def certify(target, var, rest):
-        return definitely_m_separated(p, target, [var], rest)
-
-    expr = drop_certified_givens(expr, certify, eligible)
-    return join_certified_marginals(expr, lambda a, b: definitely_m_separated(p, a, b, ()))
+    return identify(
+        p, p.nodes, x, y,
+        prune=possible_ancestors,
+        components=cpc_components,
+        separated=definitely_m_separated,
+        remove=lambda t, c_set, q, rng: _remove_bucket(p, t, c_set, q, rng, trace),
+        choice_seed=choice_seed,
+    )
 
 
-def _identify(
-    p: Pag,
-    c_set: set[str],
-    t: list[str],
-    q: Expr,
-    rng,
-    trace: list[TraceStep] | None,
-) -> Expr | Fail:
-    while set(t) != c_set:
-        p_t = induced_subgraph(p, t)
-        order = pto(p_t)
-        candidates = [b for b in order.buckets if set(b) <= set(t) - c_set]
-        sequence = list(reversed(candidates))
-        if rng is not None:
-            sequence = [candidates[i] for i in rng.permutation(len(candidates))]
-        pick = None
-        witness = None
-        for bucket in sequence:
-            ok, wit = bucket_identifiable(p_t, bucket)
-            if ok:
-                pick = bucket
-                break
-            if witness is None:
-                witness = wit
-        if pick is None:
-            return Fail(scope=tuple(t), component=p.sort_nodes(c_set), witness=witness)
-        # Any valid partial order is sound; also try the one that postpones
-        # the removed bucket and keep whichever reduction came out smaller.
-        reduced = q_reduce_bucket(p_t, pick, q, order)
-        late_order = _pto_with_preference(p_t, pick)
-        if late_order != order:
-            alternative = q_reduce_bucket(p_t, pick, q, late_order)
-            if expr_size(alternative) < expr_size(reduced):
-                reduced = alternative
-        q = reduced
-        t = [v for v in t if v not in set(pick)]
-        if trace is not None:
-            trace.append(TraceStep(scope=tuple(p_t.nodes), bucket=pick, reduced=q))
-    return q
+def _remove_bucket(p: Pag, t: list[str], c_set: set[str], q: Expr, rng, trace: list[TraceStep] | None):
+    p_t = induced_subgraph(p, t)
+    order = pto(p_t)
+    candidates = [b for b in order.buckets if set(b) <= set(t) - c_set]
+    sequence = list(reversed(candidates))
+    if rng is not None:
+        sequence = [candidates[i] for i in rng.permutation(len(candidates))]
+    witness = None
+    for pick in sequence:
+        ok, wit = bucket_identifiable(p_t, pick)
+        if ok:
+            break
+        if witness is None:
+            witness = wit
+    else:
+        return Fail(scope=tuple(t), component=p.sort_nodes(c_set), witness=witness)
+    # Any valid partial order is sound; also try the one that postpones
+    # the removed bucket and keep whichever reduction came out smaller.
+    reduced = q_reduce_bucket(p_t, pick, q, order)
+    late_order = _pto_with_preference(p_t, pick)
+    if late_order != order:
+        alternative = q_reduce_bucket(p_t, pick, q, late_order)
+        if expr_size(alternative) < expr_size(reduced):
+            reduced = alternative
+    if trace is not None:
+        trace.append(TraceStep(scope=tuple(p_t.nodes), bucket=pick, reduced=reduced))
+    return pick, reduced

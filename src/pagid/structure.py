@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import ARROW, TAIL, MixedGraph, adjacency_masks, mask_of, names_of, reach
+from .graphs import ARROW, CIRCLE, TAIL, MixedGraph, _close, adjacency_masks, mask_of, names_of, partition, reach
 
 
 def graphical_visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
@@ -57,23 +57,8 @@ def visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
 
 def buckets(g: MixedGraph) -> tuple[tuple[str, ...], ...]:
     """Partition of the nodes into circle-connected components."""
-    comp: dict[str, int] = {}
-    out: list[list[str]] = []
-    for v in g.nodes:
-        if v in comp:
-            continue
-        group = [v]
-        comp[v] = len(out)
-        frontier = [v]
-        while frontier:
-            u = frontier.pop()
-            for w in g.neighbors(u):
-                if w not in comp and g.is_circle_circle(u, w):
-                    comp[w] = comp[v]
-                    group.append(w)
-                    frontier.append(w)
-        out.append(group)
-    return tuple(g.sort_nodes(group) for group in out)
+    circle_pairs = (pair for pair, (ma, mb, _) in g._edges.items() if (ma, mb) == (CIRCLE, CIRCLE))
+    return partition(g.nodes, circle_pairs)
 
 
 @dataclass(frozen=True)
@@ -166,46 +151,14 @@ def pc_component(g: MixedGraph, seed: Iterable[str]) -> tuple[str, ...]:
 
 def dc_component(g: MixedGraph, seed: Iterable[str]) -> tuple[str, ...]:
     """Definite c-component: transitive closure of bidirected edges."""
-    seed = list(seed)
-    for v in seed:
-        if not g.has_node(v):
-            raise ValueError(f"unknown node {v!r}")
-    out = set(seed)
-    frontier = list(seed)
-    while frontier:
-        v = frontier.pop()
-        for w in g.neighbors(v):
-            if w not in out and g.is_bidirected(v, w):
-                out.add(w)
-                frontier.append(w)
-    return g.sort_nodes(out)
+    bidirected = [head & out for _, head, out in adjacency_masks(g)]
+    return names_of(g.nodes, _close(bidirected, mask_of(g, seed)))
 
 
 def cpc_components(g: MixedGraph) -> tuple[tuple[str, ...], ...]:
     """Unique partition into composite pc-components (transitive closure of
     the pc-component relation)."""
-    parent = {v: v for v in g.nodes}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for v in g.nodes:
-        for w in pc_component(g, [v]):
-            union(v, w)
-    groups: dict[str, list[str]] = {}
-    for v in g.nodes:
-        groups.setdefault(find(v), []).append(v)
-    comps = [g.sort_nodes(members) for members in groups.values()]
-    index = {v: i for i, v in enumerate(g.nodes)}
-    return tuple(sorted(comps, key=lambda c: index[c[0]]))
+    return partition(g.nodes, (pc_component(g, [v]) for v in g.nodes))
 
 
 def possible_children(g: MixedGraph, xs: Iterable[str]) -> tuple[str, ...]:

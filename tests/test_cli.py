@@ -1,6 +1,10 @@
+import itertools
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pagid import ident_pag
 from pagid.catalog import (
@@ -10,6 +14,7 @@ from pagid.catalog import (
     two_treatment_pag,
 )
 from pagid.cli import ParseError, main, parse_graph, serialize_graph
+from pagid.graphs import EDGE_TOKENS
 
 
 def write(tmp_path, name, text):
@@ -247,3 +252,111 @@ class TestSharedParser:
         assert shown.value.code == 0
         assert "--outcome" in capsys.readouterr().out
         assert run_all() == first
+
+
+_TIMINGS = re.compile(r'"timings": \{"seconds": [0-9.e-]+\}, ')
+
+
+class TestGacOutputBytes:
+    """Exact `pagid gac` output in every format, timings removed."""
+
+    CASES = {
+        ("chain", "X", "V4"): (0, {
+            "text": "adjustment set: {V1,V2}\nsum_{v1,v2} [P(v1,v2) * P(v4|v1,v2,x)]\n",
+            "latex": (
+                "adjustment set: {V1,V2}\n"
+                "\\sum_{v_{1},v_{2}} P(v_{1},v_{2}) \\cdot P(v_{4} \\mid v_{1},v_{2},x)\n"
+            ),
+            "json": (
+                '{"adjustment_set": ["V1", "V2"], "expression": {"body": {"factors": '
+                '[{"do": [], "given": [], "kind": "dist", "target": ["v1", "v2"]}, '
+                '{"do": [], "given": ["v1", "v2", "x"], "kind": "conditional", '
+                '"target": ["v4"]}], "kind": "product"}, "kind": "sum", '
+                '"vars": ["v1", "v2"]}, "verdict": "identifiable"}\n'
+            ),
+        }),
+        ("ring", "V1", "X"): (2, {
+            "text": "FAIL: not amenable: possibly directed path V1 - X starts with an invisible edge\n",
+            "latex": "FAIL: not amenable: possibly directed path V1 - X starts with an invisible edge\n",
+            "json": (
+                '{"verdict": "not identifiable", "witness": "not amenable: possibly '
+                'directed path V1 - X starts with an invisible edge"}\n'
+            ),
+        }),
+        ("ring", "X", "V1"): (2, {
+            "text": "FAIL: no adjustment set: non-causal path X - V1 stays open\n",
+            "latex": "FAIL: no adjustment set: non-causal path X - V1 stays open\n",
+            "json": (
+                '{"verdict": "not identifiable", "witness": "no adjustment set: '
+                'non-causal path X - V1 stays open"}\n'
+            ),
+        }),
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+    @pytest.mark.parametrize("case", list(CASES), ids="-".join)
+    def test_exact_bytes(self, tmp_path, capsys, case, fmt):
+        graphs = {"chain": confounded_chain_pag(), "ring": beyond_adjustment_pag()}
+        name, treat, outcome = case
+        path = save(tmp_path, f"{name}.pag", "pag", graphs[name])
+        code = main(["gac", "--graph", path, "--treat", treat, "--outcome", outcome, "--format", fmt])
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert len(_TIMINGS.findall(out)) == 1
+            out = _TIMINGS.sub("", out)
+        assert (code, out) == (self.CASES[case][0], self.CASES[case][1][fmt])
+
+
+_NAMES = st.one_of(
+    st.sampled_from(["A", "B", "C", "X", "Y", "a", "V1", "U1", "visible"]),
+    st.text(alphabet="ABab1_:#-<>o", min_size=1, max_size=3),
+)
+_TOKENS = st.one_of(st.sampled_from(sorted(EDGE_TOKENS)), st.text(alphabet="-<>o", max_size=4))
+_KIND_TOKENS = {
+    "pag": ["-->", "<--", "<->", "o->", "<-o", "o-o", "o--", "--o"],
+    "mag": ["-->", "<--", "<->"],
+    "dag": ["->", "<-", "<->"],
+}
+
+
+def _edge_line(e):
+    return f"edge: {e[0]} {e[1]} {e[2]}{e[3]}"
+
+
+@st.composite
+def _graph_texts(draw):
+    """Either a well-formed-looking file of one kind or header, ``nodes:``
+    and ``edge:`` lines, some malformed, mixed with arbitrary text."""
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(sorted(_KIND_TOKENS)))
+        node_pairs = st.sampled_from(list(itertools.combinations("ABCDXY", 2)))
+        pairs = draw(st.lists(node_pairs, max_size=7, unique=True))
+        tokens = st.sampled_from(_KIND_TOKENS[kind])
+        tags = st.sampled_from(["", "", "", " visible"] if kind == "pag" else [""])
+        lines = [kind, *(_edge_line((a, draw(tokens), b, draw(tags))) for a, b in pairs)]
+        if draw(st.booleans()):
+            lines.insert(1, "nodes: " + " ".join(draw(st.permutations("ABCDXY"))))
+        return "\n".join(lines)
+    odd_edge = st.tuples(_NAMES, _TOKENS, _NAMES, st.sampled_from(["", " visible", " x"]))
+    line = st.one_of(
+        odd_edge.map(_edge_line),
+        st.lists(_NAMES, max_size=6).map(lambda ns: "nodes: " + " ".join(ns)),
+        st.sampled_from(["", "# note", "nodes:", "edge:", "pag"]),
+        st.text(max_size=12),
+    )
+    header = draw(st.sampled_from(["pag", "dag", "mag", "  pag # kind", "", "graph"]))
+    return "\n".join([header, *draw(st.lists(line, max_size=8))])
+
+
+class TestParseFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_graph_texts())
+    def test_only_parse_errors_and_stable_roundtrip(self, text):
+        try:
+            kind, g = parse_graph(text)
+        except ParseError:
+            return
+        first = serialize_graph(kind, g)
+        kind2, g2 = parse_graph(first)
+        assert kind2 == kind
+        assert serialize_graph(kind2, g2) == first
