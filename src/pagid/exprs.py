@@ -192,9 +192,6 @@ class JointTable:
         if abs(float(probs.sum()) - 1.0) > MASS_TOL:
             raise ValueError(f"table mass {probs.sum()} != 1")
 
-    def card_of(self, v: str) -> int:
-        return self.cards[self.variables.index(v)]
-
     def array_for(self, variables: tuple[str, ...]) -> np.ndarray:
         """Marginal array with axes ordered as ``variables``."""
         keep = set(variables)

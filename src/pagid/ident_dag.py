@@ -7,13 +7,18 @@ outcome once the treatment is cut, the split into components, reducing Q to
 each component by repeated removals, marginalising the pruned set outside
 the outcome, and the cleanup by :func:`simplify` and independence-certified
 conditioning drops and marginal joins.  Every removal ends in the same
-rewrite, Q[t \\ x] = q / Q[S] * sum_x Q[S] (:func:`reduced_q`).
+rewrite, Q[t \\ x] = q / Q[S] * sum_x Q[S] (:func:`reduced_q`), given the
+S and the order that the step's own removability test derived; the public
+:func:`q_reduce` and :func:`.ident_pag.q_reduce_bucket` derive and check
+them again for direct callers.
 
 Specific to latent DAGs: ancestors along directed paths, c-components
 (shared-latent connectivity), d-separation as the certificate, and removal
 of single nodes that are not confounded with any of their children, scanned
-in reverse topological order.  Non-identifiability is reported as a value
-carrying the offending node and its confounded component.
+in reverse topological order.  Such a node has no descendant in its
+c-component, so it is the descendant set that :func:`q_reduce` checks for.
+Non-identifiability is reported as a value carrying the offending node and
+its confounded component.
 """
 
 from __future__ import annotations
@@ -55,20 +60,33 @@ def _product(factors: list[Expr]) -> Expr:
     return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
 
-def reduced_q(q: Expr, factors: list[Expr], x: tuple[str, ...]) -> Expr:
-    """q / Q[S] * sum_x Q[S] with Q[S] the product of ``factors``: the
-    rewrite that ends a node removal (:func:`q_reduce`) and a bucket removal
-    (:func:`.ident_pag.q_reduce_bucket`)."""
-    q_s = _product(factors)
+def reduced_q(q: Expr, blocks: Iterable[tuple[str, ...]], s_union: set[str], x: tuple[str, ...], t: tuple[str, ...]) -> Expr:
+    """Q[t \\ x] = q / Q[S] * sum_x Q[S], with Q[t] held in ``q``: the one
+    reduction behind every removal step.
+
+    ``blocks`` partition ``t`` so that edges between blocks point forward:
+    single nodes in topological order, or the buckets of a partial order.
+    Q[S] is the product of q(B | the blocks before B) over the blocks inside
+    ``s_union``, the union S of the components of the members of ``x``.
+    Nothing here checks that ``x`` is removable: the removal steps reach it
+    only through the test that proved so, and the public :func:`q_reduce` and
+    :func:`.ident_pag.q_reduce_bucket` are the checked entry points.
+    """
+    terms, preceding = [], ()
+    for block in blocks:
+        if set(block) <= s_union:
+            terms.append(conditional_of(q, block, preceding, scope=t))
+        elif set(block) & s_union:
+            raise ValueError("definite c-component is not a union of buckets")
+        preceding += block
+    q_s = _product(terms)
     return simplify(Product((Quotient(q, q_s), SumOver(x, q_s))))
 
 
 def q_reduce(d: LatentDag, t: Iterable[str], x: Iterable[str], q: Expr) -> Expr:
     """Reduce Q[t] to Q[t \\ x] when ``x`` is a descendant set inside its
-    composite confounded component.
-
-    Emits q / Q[S] * sum_x Q[S] with Q[S] assembled from ``q`` by the
-    c-component factorisation under a topological order of the subgraph.
+    composite confounded component: :func:`reduced_q` over the nodes of the
+    subgraph in topological order, after checking that condition.
     """
     t = tuple(t)
     x = tuple(x)
@@ -76,11 +94,7 @@ def q_reduce(d: LatentDag, t: Iterable[str], x: Iterable[str], q: Expr) -> Expr:
     if not x_set or not x_set < t_set:
         raise ValueError("x must be a nonempty strict subset of t")
     dt = induced_subgraph(d, t)
-    comps = c_components(dt)
-    s_union: set[str] = set()
-    for comp in comps:
-        if set(comp) & x_set:
-            s_union |= set(comp)
+    s_union = set().union(*(comp for comp in c_components(dt) if set(comp) & x_set))
     ds = induced_subgraph(d, d.sort_nodes(s_union))
     escaped = set(ds.descendants(x_set)) - x_set
     if escaped:
@@ -88,12 +102,8 @@ def q_reduce(d: LatentDag, t: Iterable[str], x: Iterable[str], q: Expr) -> Expr:
             f"{sorted(x_set)} is not a descendant set in its component: "
             f"descendants {sorted(escaped)} escape"
         )
-    topo = [v for v in dt.topological_order() if v in t_set]
-    terms = []
-    for i, v in enumerate(topo):
-        if v in s_union:
-            terms.append(conditional_of(q, (v,), tuple(topo[:i]), scope=t))
-    return reduced_q(q, terms, x)
+    topo = [(v,) for v in dt.topological_order() if v in t_set]
+    return reduced_q(q, topo, s_union, x, t)
 
 
 def identify(g, observed, x, y, *, prune, components, separated, remove, choice_seed):
@@ -166,7 +176,14 @@ def _observed_ancestors(sub: LatentDag, ys: tuple[str, ...]) -> tuple[str, ...]:
 
 def _remove_node(d: LatentDag, t: list[str], c_set: set[str], q: Expr, rng):
     """Remove the first node of ``t \\ c_set`` in the scan order that shares
-    its c-component with none of its children."""
+    its c-component with none of its children.
+
+    A node with no child in its component has no descendant there, which is
+    what :func:`q_reduce` checks, so the reduction reuses this step's
+    components and order.  The subgraph itself stays: answers follow its Kahn
+    order, which is not always ``d``'s order restricted to ``t`` (C -> B -> A
+    on {A, C}).
+    """
     dt = induced_subgraph(d, t)
     comp_of = {v: comp for comp in c_components(dt) for v in comp}
     t_set = set(t)
@@ -176,6 +193,6 @@ def _remove_node(d: LatentDag, t: list[str], c_set: set[str], q: Expr, rng):
         scan = [scan[i] for i in rng.permutation(len(scan))]
     for b in scan:
         if not set(comp_of[b]) & set(dt.children(b)):
-            return (b,), q_reduce(d, tuple(t), (b,), q)
+            return (b,), reduced_q(q, [(v,) for v in topo], set(comp_of[b]), (b,), tuple(t))
     b = scan[0]
     return Fail(node=b, component=comp_of[b], scope=tuple(t), target=d.sort_nodes(c_set))

@@ -12,6 +12,13 @@ removal rewrites the running distribution expression through the
 bucket-level reduction, choosing the smaller of the reductions under two
 partial orders; the final form is cleaned up by independence-certified
 conditioning drops so that only treatment and outcome symbols remain free.
+
+A step proves its bucket removable once and reduces with what it derived:
+the definite c-component S is computed once for both partial orders, and
+:func:`q_reduce_bucket`, the checked entry point for direct callers, is not
+called to prove it again.  Nor is the subgraph's arrowhead closure checked
+again: the check reads adjacent triples, and every adjacent triple of an
+induced subgraph is one of the full PAG, with the same marks.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .exprs import Expr, conditional_of, expr_size, render_text
+from .exprs import Expr, expr_size, render_text
 from .graphs import MixedGraph, Pag, induced_subgraph, possible_ancestors
 from .ident_dag import identify, reduced_q
 from .separation import definitely_m_separated
@@ -31,7 +38,6 @@ from .structure import (
     dc_component,
     pc_component,
     possible_children,
-    pto,
 )
 
 
@@ -98,23 +104,14 @@ def q_reduce_bucket(
     Emits q / prod_i q(B_i | B^(i-1)) * sum_x prod_i q(B_i | B^(i-1)), the
     product running over the buckets inside the union S of the definite
     c-components of the members of ``x``; conditionals are taken against the
-    symbolic base distribution ``q`` of the current recursion level.
+    symbolic base distribution ``q`` of the current recursion level.  The
+    checked entry point: raises unless ``x`` is a removable bucket.
     """
     x = tuple(x)
     ok, witness = bucket_identifiable(p_t, x)
     if not ok:
         raise ValueError(f"bucket {sorted(x)} is not removable; witness {witness}")
-    t = tuple(p_t.nodes)
-    s_union: set[str] = set()
-    for member in x:
-        s_union |= set(dc_component(p_t, [member]))
-    terms = []
-    for i, bucket in enumerate(order.buckets):
-        if set(bucket) <= s_union:
-            terms.append(conditional_of(q, bucket, order.preceding(i), scope=t))
-        elif set(bucket) & s_union:
-            raise ValueError("definite c-component is not a union of buckets")
-    return reduced_q(q, terms, x)
+    return reduced_q(q, order.buckets, set(dc_component(p_t, x)), x, tuple(p_t.nodes))
 
 
 def idp(
@@ -143,7 +140,7 @@ def idp(
 
 def _remove_bucket(p: Pag, t: list[str], c_set: set[str], q: Expr, rng, trace: list[TraceStep] | None):
     p_t = induced_subgraph(p, t)
-    order = pto(p_t)
+    order = _pto_with_preference(p_t, None)
     candidates = [b for b in order.buckets if set(b) <= set(t) - c_set]
     sequence = list(reversed(candidates))
     if rng is not None:
@@ -159,10 +156,11 @@ def _remove_bucket(p: Pag, t: list[str], c_set: set[str], q: Expr, rng, trace: l
         return Fail(scope=tuple(t), component=p.sort_nodes(c_set), witness=witness)
     # Any valid partial order is sound; also try the one that postpones
     # the removed bucket and keep whichever reduction came out smaller.
-    reduced = q_reduce_bucket(p_t, pick, q, order)
+    s_union, scope = set(dc_component(p_t, pick)), tuple(p_t.nodes)
+    reduced = reduced_q(q, order.buckets, s_union, pick, scope)
     late_order = _pto_with_preference(p_t, pick)
     if late_order != order:
-        alternative = q_reduce_bucket(p_t, pick, q, late_order)
+        alternative = reduced_q(q, late_order.buckets, s_union, pick, scope)
         if expr_size(alternative) < expr_size(reduced):
             reduced = alternative
     if trace is not None:

@@ -84,13 +84,7 @@ def _full_joint(s: Scm, skip: Sequence[str] = (), clamp: Mapping[str, int] | Non
 
 def joint(s: Scm) -> JointTable:
     """Exact observational distribution over the observed variables."""
-    order, arr = _full_joint(s)
-    latent_axes = tuple(i for i, v in enumerate(order) if v in s.graph.latent)
-    obs = tuple(v for v in order if v not in s.graph.latent)
-    marg = arr.sum(axis=latent_axes) if latent_axes else arr
-    obs_sorted = tuple(sorted(obs, key=lambda x: (x.lower(), x)))
-    perm = [obs.index(v) for v in obs_sorted]
-    return JointTable(obs_sorted, tuple(s.cards[v] for v in obs_sorted), np.transpose(marg, perm))
+    return truncated(s, {})
 
 
 def truncated(s: Scm, x: Mapping[str, int]) -> JointTable:

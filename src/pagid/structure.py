@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import ARROW, CIRCLE, TAIL, MixedGraph, _close, adjacency_masks, mask_of, names_of, partition, reach
+from .graphs import ARROW, CIRCLE, TAIL, MixedGraph, _close, adjacency_masks, find_closure_violation, mask_of, names_of, partition, reach
 
 
 def graphical_visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
@@ -73,15 +73,9 @@ class PartialOrder:
                 return i
         raise KeyError(v)
 
-    def bucket_of(self, v: str) -> tuple[str, ...]:
-        return self.buckets[self.position(v)]
-
     def preceding(self, i: int) -> tuple[str, ...]:
         """All nodes in buckets strictly before bucket ``i``."""
         return tuple(v for b in self.buckets[:i] for v in b)
-
-    def __iter__(self):
-        return iter(self.buckets)
 
 
 def pto(g: MixedGraph) -> PartialOrder:
@@ -91,7 +85,13 @@ def pto(g: MixedGraph) -> PartialOrder:
     other buckets and returns the reverse extraction order.  Ties are broken
     by extracting the bucket whose smallest member is lexicographically
     largest, which fixes a deterministic total choice; any choice is sound.
+    Raises on an arrowhead-closure violation.  Only this public entry checks:
+    the check reads adjacent triples, which an induced subgraph of a valid
+    PAG keeps, so the removal steps call :func:`_pto_with_preference`.
     """
+    violation = find_closure_violation(g)
+    if violation is not None:
+        raise ValueError(f"arrowhead closure violated at triple {violation}")
     return _pto_with_preference(g, None)
 
 
@@ -102,12 +102,6 @@ def _pto_with_preference(g: MixedGraph, extract_first: tuple[str, ...] | None) -
     late as possible in the resulting order; every extraction choice yields a
     sound order, so callers may pick whichever produces a simpler reduction.
     """
-    from .graphs import find_closure_violation
-
-    violation = find_closure_violation(g)
-    if violation is not None:
-        raise ValueError(f"arrowhead closure violated at triple {violation}")
-
     remaining = list(buckets(g))
     removed: set[str] = set()
     extracted: list[tuple[str, ...]] = []

@@ -1,0 +1,86 @@
+"""The removal steps reduce with what their own test derived, skipping the
+checks and re-derivations of the public reducers.  These tests show on the
+catalog and on seeded verification draws that every skipped check would have
+passed and that each step's reduction is the one the checked entry points
+give."""
+
+import numpy as np
+import pytest
+
+from pagid import catalog, ident_dag, ident_pag
+from pagid.exprs import expr_size
+from pagid.graphs import find_closure_violation, induced_subgraph
+from pagid.ident_pag import bucket_identifiable, q_reduce_bucket
+from pagid.oracle import canonical_dag_of_mag, equivalence_class, pag_of_class
+from pagid.structure import _pto_with_preference, pto
+from pagid.verify import _sample_graph, _sample_query
+
+
+@pytest.fixture
+def checked_steps(monkeypatch):
+    """Spy on both removal steps; count the steps taken, each checked."""
+    taken = {"bucket": 0, "node": 0}
+    remove_bucket, remove_node = ident_pag._remove_bucket, ident_dag._remove_node
+
+    def bucket_step(p, t, c_set, q, rng, trace):
+        step = remove_bucket(p, t, c_set, q, rng, trace)
+        if isinstance(step, tuple):
+            pick, reduced = step
+            p_t = induced_subgraph(p, t)
+            assert bucket_identifiable(p_t, pick) == (True, None)
+            assert find_closure_violation(p_t) is None
+            early = q_reduce_bucket(p_t, pick, q, pto(p_t))
+            late = q_reduce_bucket(p_t, pick, q, _pto_with_preference(p_t, pick))
+            assert reduced == min((early, late), key=expr_size)
+            taken["bucket"] += 1
+        return step
+
+    def node_step(d, t, c_set, q, rng):
+        step = remove_node(d, t, c_set, q, rng)
+        if isinstance(step, tuple):
+            removed, reduced = step
+            assert reduced == ident_dag.q_reduce(d, t, removed, q)
+            taken["node"] += 1
+        return step
+
+    monkeypatch.setattr(ident_pag, "_remove_bucket", bucket_step)
+    monkeypatch.setattr(ident_dag, "_remove_node", node_step)
+    return taken
+
+
+def _queries(nodes):
+    """Every single-node query, and the whole rest as the outcome of each node."""
+    pairs = [((x,), (y,)) for x in nodes for y in nodes if x != y]
+    return pairs + [((x,), tuple(v for v in nodes if v != x)) for x in nodes]
+
+
+def test_catalog_steps_match_the_checked_reducers(checked_steps):
+    acceptance = (("X1", "X2"), ("Y1", "Y2", "Y3"))
+    for pag in (catalog.confounded_chain_pag(), catalog.two_treatment_pag(),
+                catalog.beyond_adjustment_pag(), catalog.circle_pair_pag()):
+        queries = _queries(pag.nodes) + [acceptance] * set(acceptance[0]).issubset(pag.nodes)
+        for xs, ys in queries:
+            for seed in (None, 3):
+                ident_pag.idp(xs, ys, pag, choice_seed=seed)
+    for dag in (catalog.confounded_chain_dag(), catalog.confounded_chain_dag_alt(), catalog.bow_dag()):
+        for xs, ys in _queries(dag.observed):
+            for seed in (None, 3):
+                ident_dag.id_dag(xs, ys, dag, choice_seed=seed)
+    assert checked_steps["bucket"] > 1000 and checked_steps["node"] > 500
+
+
+def test_sampled_steps_match_the_checked_reducers(checked_steps):
+    rng = np.random.default_rng(20)
+    for _ in range(60):
+        d, m = _sample_graph(rng)
+        pag = pag_of_class(equivalence_class(m))
+        for _ in range(4):
+            query = _sample_query(rng, list(pag.nodes))
+            if query is None:
+                continue
+            seed = int(rng.integers(1000))
+            for choice_seed in (None, seed):
+                ident_pag.idp(*query, pag, choice_seed=choice_seed)
+                for dag in (d, canonical_dag_of_mag(m)):
+                    ident_dag.id_dag(*query, dag, choice_seed=choice_seed)
+    assert checked_steps["bucket"] > 500 and checked_steps["node"] > 3000

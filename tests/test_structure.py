@@ -83,6 +83,17 @@ class TestPto:
         with pytest.raises(ValueError, match="extractable"):
             pto(cyclic)
 
+    def test_closure_violation_rejected(self):
+        # A *-> B o-o C with A, C adjacent needs an arrowhead at C; the
+        # removal steps skip this check, so the public entry must keep it.
+        unchecked = Pag(
+            ["A", "B", "C"],
+            MixedGraph.from_specs(["A", "B", "C"], ["A --> B", "B o-o C", "A o-o C"]).edges(),
+            check_closure=False,
+        )
+        with pytest.raises(ValueError, match="closure"):
+            pto(unchecked)
+
     def test_arrowheads_never_point_backwards(self, ring_pag):
         order = pto(ring_pag)
         pos = {v: order.position(v) for v in ring_pag.nodes}
