@@ -4,6 +4,13 @@ Decision procedure only: amenability, the forbidden set, the canonical
 adjustment set, and the definite-status blocking test.  By completeness of
 the criterion, the canonical set works whenever any set does, so a failure
 here certifies that no adjustment set exists.
+
+Proper paths from x to y come from :func:`.separation.proper_paths` under
+two prefix-closed step rules.  Amenability and the forbidden set walk the
+possibly directed paths (no edge has an arrowhead at its near end); blocking
+walks the definite-status paths left open by the canonical set.  Each rule
+cuts whole subtrees of one depth-first search, so a :class:`Fail` names the
+first failing proper path in that search's order.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from typing import Iterable
 
 from .exprs import Conditional, DistRef, Expr, Product, SumOver, simplify, vsort
 from .graphs import ARROW, MixedGraph, Pag, possible_ancestors, possible_descendants
-from .separation import definite_status_interior
+from .separation import open_definite_step, proper_paths
 from .structure import visible_edges
 
 
@@ -33,32 +40,10 @@ class Fail:
         return f"no adjustment set: non-causal path {route} stays open"
 
 
-def _proper_simple_paths(g: MixedGraph, xs: set[str], ys: set[str]):
-    """Simple paths from ``xs`` to ``ys`` whose non-initial nodes avoid ``xs``.
-
-    Interior nodes from ``ys`` are allowed; each prefix reaching ``ys`` is
-    reported separately.
-    """
-    out: list[list[str]] = []
-    for start in sorted(xs):
-        _extend_proper_paths(g, [start], xs, ys, out)
-    return out
-
-
-def _extend_proper_paths(g: MixedGraph, path: list[str], xs: set[str], ys: set[str], out: list) -> None:
-    # module-level: a recursive closure is a reference cycle that would keep
-    # the graph and every path alive until the next full collection
-    for w in g.neighbors(path[-1]):
-        if w in path or w in xs:
-            continue
-        nxt = path + [w]
-        if w in ys:
-            out.append(nxt)
-        _extend_proper_paths(g, nxt, xs, ys, out)
-
-
-def _is_possibly_directed(g: MixedGraph, path: list[str]) -> bool:
-    return all(g.mark_at(path[i], path[i + 1]) is not ARROW for i in range(len(path) - 1))
+def _possibly_directed_step(g: MixedGraph):
+    """``extend`` for :func:`.separation.proper_paths` that keeps the possibly
+    directed paths: no edge has an arrowhead at its near end."""
+    return lambda path, w: g.mark_at(path[-1], w) is not ARROW
 
 
 def forbidden_set(p: MixedGraph, x: Iterable[str], y: Iterable[str]) -> tuple[str, ...]:
@@ -68,9 +53,8 @@ def forbidden_set(p: MixedGraph, x: Iterable[str], y: Iterable[str]) -> tuple[st
     if xs & ys:
         raise ValueError("treatment and outcome overlap")
     on_causal: set[str] = set()
-    for path in _proper_simple_paths(p, xs, ys):
-        if _is_possibly_directed(p, path):
-            on_causal.update(v for v in path if v not in xs)
+    for path in proper_paths(p, xs, ys, _possibly_directed_step(p)):
+        on_causal.update(path[1:])
     if not on_causal:
         return ()
     return possible_descendants(p, p.sort_nodes(on_causal))
@@ -85,19 +69,6 @@ def adjust_set(p: MixedGraph, x: Iterable[str], y: Iterable[str]) -> tuple[str, 
     return p.sort_nodes(anc - forb - xs - ys)
 
 
-def _blocked(g: MixedGraph, path: list[str], zs: set[str], open_collider: set[str]) -> bool:
-    statuses = definite_status_interior(g, path)
-    if statuses is None:
-        return True  # not of definite status; never counts as open
-    for v, status in zip(path[1:-1], statuses):
-        if status == "collider":
-            if v not in open_collider:
-                return True
-        elif v in zs:
-            return True
-    return False
-
-
 def gac(p: Pag, x: Iterable[str], y: Iterable[str]) -> tuple[str, ...] | Fail:
     """Adjustment set for (x, y), or a :class:`Fail` certificate.
 
@@ -108,20 +79,17 @@ def gac(p: Pag, x: Iterable[str], y: Iterable[str]) -> tuple[str, ...] | Fail:
     xs, ys = set(x), set(y)
     if not xs or not ys or xs & ys:
         raise ValueError("treatment and outcome must be nonempty and disjoint")
+    if not xs | ys <= set(p.nodes):
+        raise ValueError("treatment/outcome outside the observed graph nodes")
     visible = visible_edges(p)
-    paths = _proper_simple_paths(p, xs, ys)
-    for path in paths:
-        if _is_possibly_directed(p, path):
-            if (path[0], path[1]) not in visible:
-                return Fail(reason="amenability", path=tuple(path))
+    for path in proper_paths(p, xs, ys, _possibly_directed_step(p)):
+        if path[:2] not in visible:
+            return Fail(reason="amenability", path=path)
     z = adjust_set(p, xs, ys)
-    z_set = set(z)
     open_collider = set(possible_ancestors(p, z)) if z else set()
-    for path in paths:
-        if _is_possibly_directed(p, path):
-            continue
-        if not _blocked(p, path, z_set, open_collider):
-            return Fail(reason="blocking", path=tuple(path))
+    for path in proper_paths(p, xs, ys, open_definite_step(p, set(z), open_collider)):
+        if any(p.mark_at(a, b) is ARROW for a, b in zip(path, path[1:])):
+            return Fail(reason="blocking", path=path)
     return z
 
 

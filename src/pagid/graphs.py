@@ -7,8 +7,9 @@ Derived tables (index adjacency with marks, per-node ancestor masks, the
 visible-edge set) are filled lazily into slots of the instance they describe.
 
 Every path search in the package runs on one reachability kernel,
-:func:`reach`, except the definite-status ones of ``definitely_m_separated``
-and the adjustment criterion, which stay enumerative for the reason given in
+:func:`reach`, except those of ``definitely_m_separated`` and the
+adjustment criterion, which share one pruned simple-path search,
+:func:`.separation.proper_paths`, for the reasons given in
 :mod:`.separation`.  The kernel is a stack search over (node,
 arrived-with-arrowhead) states on int bitmasks (Bayes-ball reachability,
 Shachter 1998; van der Zander, Liskiewicz & Textor, AIJ 2019).  A node

@@ -16,9 +16,11 @@ conditioning drops so that only treatment and outcome symbols remain free.
 A step proves its bucket removable once and reduces with what it derived:
 the definite c-component S is computed once for both partial orders, and
 :func:`q_reduce_bucket`, the checked entry point for direct callers, is not
-called to prove it again.  Nor is the subgraph's arrowhead closure checked
-again: the check reads adjacent triples, and every adjacent triple of an
-induced subgraph is one of the full PAG, with the same marks.
+called to prove it again.  Candidates are the partial order's own buckets,
+so they skip :func:`bucket_identifiable`'s bucket and subset guards.  Nor
+is the subgraph's arrowhead closure checked again: the check reads adjacent
+triples, and every adjacent triple of an induced subgraph is one of the full
+PAG, with the same marks.
 """
 
 from __future__ import annotations
@@ -88,12 +90,18 @@ def bucket_identifiable(p_t: MixedGraph, x: Iterable[str]) -> tuple[bool, tuple[
         raise ValueError(f"{sorted(x_set)} is not a bucket of the graph")
     if not x_set < set(p_t.nodes):
         raise ValueError("bucket must be a strict subset of the graph nodes")
+    witness = _blocking_child(p_t, x)
+    return witness is None, witness
+
+
+def _blocking_child(p_t: MixedGraph, x: tuple[str, ...]) -> tuple[str, str] | None:
+    """The first (member, child) pair that blocks removing bucket ``x``, or None."""
     for member in x:
         pc = set(pc_component(p_t, [member]))
         for child in possible_children(p_t, [member]):
-            if child not in x_set and child in pc:
-                return False, (member, child)
-    return True, None
+            if child not in x and child in pc:
+                return member, child
+    return None
 
 
 def q_reduce_bucket(
@@ -147,11 +155,10 @@ def _remove_bucket(p: Pag, t: list[str], c_set: set[str], q: Expr, rng, trace: l
         sequence = [candidates[i] for i in rng.permutation(len(candidates))]
     witness = None
     for pick in sequence:
-        ok, wit = bucket_identifiable(p_t, pick)
-        if ok:
+        wit = _blocking_child(p_t, pick)
+        if wit is None:
             break
-        if witness is None:
-            witness = wit
+        witness = witness or wit
     else:
         return Fail(scope=tuple(t), component=p.sort_nodes(c_set), witness=witness)
     # Any valid partial order is sound; also try the one that postpones

@@ -14,14 +14,22 @@ an ancestor of ``zs``.  It cannot follow them all the way back into v,
 since an ancestral graph and a DAG have no directed cycle.  A repeated start
 is cut off, and the walk is cut at its first member of ``ys``.
 
-The PAG test enumerates simple paths and looks only at definite status
-paths, opening colliders that are *possible* ancestors of the conditioning
-set, so a separation verdict is conservative: it certifies independence in
-every graph of the represented class.  On a MAG (no circles) it coincides
-with plain m-separation.  It stays enumerative because definite status does
-not survive the walk shortcut: whether a circle-circle node is a definite
-non-collider depends on its two path neighbours being non-adjacent, and
-joining a walk changes those neighbours.
+The PAG test looks only at definite status paths, opening colliders that
+are *possible* ancestors of the conditioning set, so a separation verdict is
+conservative: it certifies independence in every graph of the represented
+class.  On a MAG (no circles) it coincides with plain m-separation.
+Definite status does not survive the walk shortcut (whether a circle-circle
+node is a definite non-collider depends on its two path neighbours being
+non-adjacent, and joining a walk changes those neighbours), so the test runs
+on :func:`proper_paths`, a depth-first search over simple paths that takes a
+step only when ``extend(path, w)`` allows it.  Being open and of definite
+status is prefix-closed: a node's status depends only on its two path
+neighbours, so the step that leaves it settles it, and a blocked or
+undetermined prefix has no open extension.  Pruning there cuts whole
+subtrees, so the open paths keep their order in the unpruned search, which
+the adjustment criterion's certificates rely on.  The worst case stays
+exponential: a dense graph may have exponentially many open prefixes that
+all miss ``ys``.
 """
 
 from __future__ import annotations
@@ -41,21 +49,6 @@ from .graphs import (
     possible_ancestors,
     reach,
 )
-
-
-def _paths(neigh: dict[str, list[str]], sources: set[str], targets: set[str]):
-    """Yield all simple paths from any source to any target."""
-    stack = [[s] for s in sorted(sources)]
-    while stack:
-        path = stack.pop()
-        v = path[-1]
-        for w in neigh[v]:
-            if w in path or w in sources:
-                continue
-            if w in targets:
-                yield path + [w]
-            else:
-                stack.append(path + [w])
 
 
 def m_separated(g: MixedGraph, xs: Iterable[str], ys: Iterable[str], zs: Iterable[str]) -> bool:
@@ -80,6 +73,42 @@ def _separated(g, xs: Iterable[str], ys: Iterable[str], zs: Iterable[str]) -> bo
     return not reached & y
 
 
+def proper_paths(g: MixedGraph, sources: Iterable[str], targets: Iterable[str], extend):
+    """Yield, as tuples, the simple paths from a source to a target whose
+    later nodes avoid the sources, exploring ``path + [w]`` only when the
+    prefix-closed ``extend(path, w)`` allows it.
+
+    Depth-first preorder: sources by name, neighbours in node order, and a
+    prefix ending at a target before its extensions through that target.
+    """
+    sources, targets = set(sources), set(targets)
+    for start in sorted(sources):
+        path, pending = [start], [iter(g.neighbors(start))]
+        while pending:
+            for w in pending[-1]:
+                if w in path or w in sources or not extend(path, w):
+                    continue
+                path.append(w)
+                if w in targets:
+                    yield tuple(path)
+                pending.append(iter(g.neighbors(w)))
+                break
+            else:
+                pending.pop()
+                path.pop()
+
+
+def _status(g: MixedGraph, prev: str, v: str, nxt: str) -> str | None:
+    """Status of ``v`` between its path neighbours ``prev`` and ``nxt``:
+    "collider", "noncollider", or None when it is not definite."""
+    m_prev, m_nxt = g.mark_at(v, prev), g.mark_at(v, nxt)
+    if m_prev is ARROW and m_nxt is ARROW:
+        return "collider"
+    if TAIL in (m_prev, m_nxt) or (m_prev is m_nxt is CIRCLE and not g.adjacent(prev, nxt)):
+        return "noncollider"
+    return None
+
+
 def definite_status_interior(g: MixedGraph, path: list[str]) -> list[str] | None:
     """Per-interior-node statuses, or None when some node has no definite status.
 
@@ -87,19 +116,24 @@ def definite_status_interior(g: MixedGraph, path: list[str]) -> list[str] | None
     definite non-collider when one path edge carries a tail at it, or both
     carry circles while its path neighbours are non-adjacent.
     """
-    statuses = []
-    for i in range(1, len(path) - 1):
-        prev, v, nxt = path[i - 1], path[i], path[i + 1]
-        m_prev, m_nxt = g.mark_at(v, prev), g.mark_at(v, nxt)
-        if m_prev is ARROW and m_nxt is ARROW:
-            statuses.append("collider")
-        elif m_prev is TAIL or m_nxt is TAIL:
-            statuses.append("noncollider")
-        elif m_prev is CIRCLE and m_nxt is CIRCLE and not g.adjacent(prev, nxt):
-            statuses.append("noncollider")
-        else:
-            return None
-    return statuses
+    statuses = [_status(g, *triple) for triple in zip(path, path[1:], path[2:])]
+    return None if None in statuses else statuses
+
+
+def open_definite_step(g: MixedGraph, zs: set[str], open_collider: set[str]):
+    """``extend`` for :func:`proper_paths` that keeps the definite status
+    paths open given ``zs``: each interior collider lies in ``open_collider``
+    and each interior non-collider outside ``zs``."""
+
+    def extend(path: list[str], w: str) -> bool:
+        if len(path) < 2:
+            return True
+        status = _status(g, path[-2], path[-1], w)
+        if status == "collider":
+            return path[-1] in open_collider
+        return status is not None and path[-1] not in zs
+
+    return extend
 
 
 def definitely_m_separated(
@@ -114,20 +148,4 @@ def definitely_m_separated(
     if xs & ys:
         raise ValueError("overlapping node sets")
     open_collider = set(possible_ancestors(g, zs)) if zs else set()
-    neigh = {v: list(g.neighbors(v)) for v in g.nodes}
-    for path in _paths(neigh, xs, ys):
-        statuses = definite_status_interior(g, path)
-        if statuses is None:
-            continue
-        connecting = True
-        for v, status in zip(path[1:-1], statuses):
-            if status == "collider":
-                if v not in open_collider:
-                    connecting = False
-                    break
-            elif v in zs:
-                connecting = False
-                break
-        if connecting:
-            return False
-    return True
+    return not any(proper_paths(g, xs, ys, open_definite_step(g, zs, open_collider)))

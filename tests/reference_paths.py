@@ -1,18 +1,19 @@
-"""Simple-path reference oracles for the reachability-kernel searches.
+"""Simple-path reference oracles for the package's path searches.
 
 These are the enumerating searches that ``pagid`` used before its path
-searches moved onto ``graphs.reach``.  They are exponential in the graph
-size and exist only so that the differential tests can compare the kernel
-against an independent path-by-path reading of each definition.  Ancestor
-sets are recomputed here by plain search rather than read from the cached
-masks under test.
+searches moved onto ``graphs.reach`` and, for definite status paths and the
+adjustment criterion, onto the pruned ``separation.proper_paths``.  They are
+exponential in the graph size and exist only so that the differential tests
+can compare the production searches against an independent path-by-path
+reading of each definition.  Ancestor sets are recomputed here by plain
+search rather than read from the cached masks under test.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from pagid.graphs import ARROW, TAIL, LatentDag, Mag, MixedGraph
+from pagid.graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, MixedGraph
 
 
 def ancestors(g, targets) -> set[str]:
@@ -230,3 +231,111 @@ def equivalence_class(m: Mag) -> tuple:
             continue
         members.append(Mag(m.nodes, edges, validate=False))
     return tuple(members)
+
+
+def possible_ancestors(g: MixedGraph, targets) -> set[str]:
+    """Nodes with a possibly directed path into some target, targets included."""
+    out = set(targets)
+    frontier = list(targets)
+    while frontier:
+        v = frontier.pop()
+        for u in g.neighbors(v):
+            if u not in out and g.mark_at(u, v) is not ARROW:
+                out.add(u)
+                frontier.append(u)
+    return out
+
+
+def possible_descendants(g: MixedGraph, sources) -> set[str]:
+    """Nodes reached from some source by a possibly directed path, sources included."""
+    out = set(sources)
+    frontier = list(sources)
+    while frontier:
+        v = frontier.pop()
+        for w in g.neighbors(v):
+            if w not in out and g.mark_at(v, w) is not ARROW:
+                out.add(w)
+                frontier.append(w)
+    return out
+
+
+def definite_status_interior(g: MixedGraph, path):
+    statuses = []
+    for prev, v, nxt in zip(path, path[1:], path[2:]):
+        m_prev, m_nxt = g.mark_at(v, prev), g.mark_at(v, nxt)
+        if m_prev is ARROW and m_nxt is ARROW:
+            statuses.append("collider")
+        elif m_prev is TAIL or m_nxt is TAIL:
+            statuses.append("noncollider")
+        elif m_prev is CIRCLE and m_nxt is CIRCLE and not g.adjacent(prev, nxt):
+            statuses.append("noncollider")
+        else:
+            return None
+    return statuses
+
+
+def _blocked(g: MixedGraph, path, zs, open_collider) -> bool:
+    statuses = definite_status_interior(g, path)
+    if statuses is None:
+        return True  # not of definite status; never counts as open
+    for v, status in zip(path[1:-1], statuses):
+        if status == "collider":
+            if v not in open_collider:
+                return True
+        elif v in zs:
+            return True
+    return False
+
+
+def definitely_m_separated(g: MixedGraph, xs, ys, zs) -> bool:
+    """Every definite status path between ``xs`` and ``ys`` is blocked."""
+    xs, ys, zs = set(xs), set(ys), set(zs)
+    open_collider = possible_ancestors(g, zs)
+    neigh = {v: list(g.neighbors(v)) for v in g.nodes}
+    return all(_blocked(g, path, zs, open_collider) for path in _paths(neigh, xs, ys))
+
+
+def proper_simple_paths(g: MixedGraph, xs, ys) -> list[tuple[str, ...]]:
+    """Simple paths from ``xs`` to ``ys`` whose non-initial nodes avoid ``xs``,
+    in depth-first preorder: sources by name, neighbours in node order, each
+    prefix reaching ``ys`` before its extensions."""
+    xs, ys = set(xs), set(ys)
+    out: list[tuple[str, ...]] = []
+
+    def extend(path):
+        for w in g.neighbors(path[-1]):
+            if w in path or w in xs:
+                continue
+            if w in ys:
+                out.append((*path, w))
+            extend(path + [w])
+
+    for start in sorted(xs):
+        extend([start])
+    return out
+
+
+def _possibly_directed(g: MixedGraph, path) -> bool:
+    return all(g.mark_at(a, b) is not ARROW for a, b in zip(path, path[1:]))
+
+
+def gac(p: MixedGraph, x, y):
+    """``("set", z)`` or ``(reason, first failing path)``, from every proper
+    path materialised up front."""
+    xs, ys = set(x), set(y)
+    visible = graphical_visible_edges(p) | {
+        (a, b) if ma is TAIL else (b, a) for a, b, ma, _, vis in p.edges() if vis
+    }
+    paths = proper_simple_paths(p, xs, ys)
+    causal = [path for path in paths if _possibly_directed(p, path)]
+    for path in causal:
+        if path[:2] not in visible:
+            return "amenability", path
+    on_causal = {v for path in causal for v in path[1:]}
+    forbidden = possible_descendants(p, on_causal)
+    z = possible_ancestors(p, xs | ys) - forbidden - xs - ys
+    open_collider = possible_ancestors(p, z)
+    for path in paths:
+        if not _possibly_directed(p, path) and not _blocked(p, path, z, open_collider):
+            return "blocking", path
+    return "set", p.sort_nodes(z)

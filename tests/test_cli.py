@@ -171,6 +171,16 @@ class TestCommands:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["idp", "gac"])
+    @pytest.mark.parametrize("treat,outcome", [("Q", "Y1"), ("X1", "Q")])
+    def test_unknown_query_node_is_a_usage_error(self, tmp_path, capsys, command, treat, outcome):
+        path = save(tmp_path, "twin.pag", "pag", two_treatment_pag())
+        code = main([command, "--graph", path, "--treat", treat, "--outcome", outcome])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: treatment/outcome outside the observed graph nodes\n"
+
     @pytest.mark.parametrize(
         "exc",
         [

@@ -1,6 +1,6 @@
-"""Differential tests: the reachability-kernel searches against the
-simple-path reference oracles in ``reference_paths``, plus known answers at
-the 12-node cap.
+"""Differential tests: the reachability-kernel searches and the pruned
+definite-status path search against the simple-path reference oracles in
+``reference_paths``, plus known answers at the 12-node cap.
 
 Graphs come from the verification pipeline's sampler, the catalog and four
 synthetic density families (complete bidirected, bidirected chain and cycle,
@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import reference_paths as ref
 from pagid import catalog
-from pagid.cli import main
+from pagid.adjustment import Fail, gac
+from pagid.cli import main, serialize_graph
 from pagid.graphs import (
     ARROW,
     TAIL,
@@ -29,7 +30,7 @@ from pagid.graphs import (
     mag_violation,
 )
 from pagid.oracle import equivalence_class, pag_of_class
-from pagid.separation import d_separated, m_separated
+from pagid.separation import d_separated, definitely_m_separated, m_separated, proper_paths
 from pagid.structure import cpc_components, graphical_visible_edges, pc_component, visible_edges
 from pagid.verify import _sample_graph
 
@@ -149,6 +150,51 @@ class TestSeparation:
             m_separated(g, ["A"], ["A", "B"], [])
 
 
+def gac_outcome(p, xs, ys):
+    """``gac`` in the reference oracle's shape: ("set", z) or (reason, path)."""
+    result = gac(p, xs, ys)
+    return (result.reason, result.path) if isinstance(result, Fail) else ("set", result)
+
+
+def assert_definite_paths_match(g, rng, sample=False):
+    """``proper_paths``, ``gac`` and ``definitely_m_separated`` against the
+    references on ordered singleton pairs, each with every conditioning set,
+    and on random multi-node sets.  With ``sample``, 12 random pairs each
+    with one random conditioning set, and fewer multi-node sets, stand in."""
+    nodes = list(g.nodes)
+    pairs = list(itertools.permutations(nodes, 2))
+    if sample:
+        pairs = [pairs[i] for i in rng.choice(len(pairs), 12, replace=False)]
+        queries = [([a], [b], [v for v in nodes if v not in (a, b) and rng.random() < 0.5])
+                   for a, b in pairs]
+    else:
+        queries = list(separation_queries(nodes))
+    random_sets = list(set_queries(rng, nodes, 4 if sample else 10)) if len(nodes) >= 3 else []
+    for xs, ys in [([a], [b]) for a, b in pairs] + [(xs, ys) for xs, ys, _ in random_sets]:
+        assert list(proper_paths(g, xs, ys, lambda path, w: True)) == ref.proper_simple_paths(g, xs, ys)
+        assert gac_outcome(g, xs, ys) == ref.gac(g, xs, ys)
+    for xs, ys, zs in queries + random_sets:
+        assert definitely_m_separated(g, xs, ys, zs) == ref.definitely_m_separated(g, xs, ys, zs)
+
+
+class TestDefiniteStatusPaths:
+    def test_match_reference_on_drawn_classes(self):
+        for seed in range(30):
+            _, m = draw(seed)
+            assert_definite_paths_match(pag_of_class(equivalence_class(m)), np.random.default_rng(seed))
+
+    def test_match_reference_on_catalog_subgraphs(self):
+        rng = np.random.default_rng(0)
+        for g in catalog_pags():
+            for r in range(2, len(g.nodes) + 1):
+                for keep in itertools.combinations(g.nodes, r):
+                    assert_definite_paths_match(induced_subgraph(g, keep), rng)
+
+    @pytest.mark.parametrize("family,n", ladder(8))
+    def test_match_reference_on_ladder(self, family, n):
+        assert_definite_paths_match(ladder_pag(family, n), np.random.default_rng(n), sample=n > 6)
+
+
 class TestProjectionAndValidation:
     @given(st.integers(0, 100_000))
     @settings(max_examples=40, deadline=None)
@@ -266,6 +312,25 @@ class TestAtTheCap:
         path.write_text(text)
         assert main(["components", "--graph", str(path)]) == 0
         assert ",".join(nodes) in capsys.readouterr().out.replace(" ", "")
+
+
+    @pytest.mark.parametrize(
+        "family,line",
+        [
+            ("complete_bidirected", "FAIL: no adjustment set: non-causal path V1 - V12 stays open"),
+            (
+                "circle_clique",
+                "FAIL: not amenable: possibly directed path "
+                + " - ".join(f"V{i}" for i in range(1, 13))
+                + " starts with an invisible edge",
+            ),
+        ],
+    )
+    def test_gac_command_finishes(self, family, line, tmp_path, capsys):
+        path = tmp_path / "g.pag"
+        path.write_text(serialize_graph("pag", ladder_pag(family, 12)))
+        assert main(["gac", "--graph", str(path), "--treat", "V1", "--outcome", "V12"]) == 2
+        assert capsys.readouterr().out == line + "\n"
 
 
 class TestNetworkxDifferential:
