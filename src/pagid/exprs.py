@@ -18,7 +18,10 @@ Nodes are immutable, so facts about a node are stored on it, outside its
 * a node that :func:`simplify` returns is marked as a fixed point of the
   rewrite calculus, and normalisation returns a marked node as it is.  The
   mark is truthful because ``simplify`` only returns a node that one more
-  normalisation pass left unchanged.
+  normalisation pass left unchanged.  :func:`conditional_of` also marks the
+  single factor it builds in closed form: that factor is the node
+  ``simplify`` returns for the quotient of sums it stands for, so the same
+  pass leaves it unchanged.
 
 No cache outlives the node it describes: there is no memo keyed by
 expression content, so one query costs the same whether or not others ran
@@ -312,6 +315,13 @@ def _as_factor(e: Expr) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ..
     return None
 
 
+def _is_canonical(e: Expr) -> bool:
+    """Whether ``e`` is a factor exactly as :func:`_from_factor` builds it."""
+    return isinstance(e, DistRef) or (
+        isinstance(e, Conditional) and bool(e.given) and e.base.scope == vsort(e.target + e.given)
+    )
+
+
 def _from_factor(do: tuple[str, ...], target: tuple[str, ...], given: tuple[str, ...]) -> Expr:
     if not target:
         return ONE
@@ -419,7 +429,7 @@ def _rebuild(num: list[Expr], den: list[Expr]) -> Expr:
 
 
 def _norm(e: Expr) -> Expr:
-    if e._fixed or isinstance(e, (Const, DistRef)):
+    if e._fixed or isinstance(e, Const) or _is_canonical(e):
         return e
     if isinstance(e, Conditional):
         return _from_factor(e.base.do, e.target, e.given)
@@ -521,8 +531,27 @@ def conditional_of(q: Expr, target: Iterable[str], given: Iterable[str], scope: 
 
     Built as a quotient of sums over ``scope`` and simplified; extra free
     variables of ``q`` (intervention arguments) pass through untouched.
+
+    One case is answered in closed form, without building the quotient:
+    ``q`` is one canonical factor P_D(T | G) (see :func:`_is_canonical`),
+    and with F = scope \\ given the request has target inside F and F inside
+    T.  The result is P_D(target | (T \\ F) u G), marked as a fixed point.
+    It is the node the quotient of sums simplifies to: the numerator's sum
+    peels F \\ target off T and the denominator's peels F, one variable at
+    a time; the quotient rule turns P_D((T \\ F) u target | G) over
+    P_D(T \\ F | G) into this one factor (when F is all of T, the
+    denominator sums to 1 and the numerator is already that factor), and
+    one more normalisation pass leaves it unchanged.  An empty target gives
+    the constant 1.  Every other input takes the generic path.
     """
     target, given, scope = vsort(target), vsort(given), vsort(scope)
+    if _is_canonical(q):
+        do, t, g = _as_factor(q)
+        free = set(scope).difference(given)
+        if free.issuperset(target) and free.issubset(t):
+            out = _from_factor(do, target, vsort(set(t).difference(free).union(g)))
+            object.__setattr__(out, "_fixed", True)
+            return out
     over_num = vsort(set(scope) - set(target) - set(given))
     over_den = vsort(set(scope) - set(given))
     num = SumOver(over_num, q) if over_num else q

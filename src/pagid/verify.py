@@ -10,6 +10,7 @@ per check and renders a summary table.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -91,7 +92,16 @@ def _sample_query(rng, nodes) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
 
 
 def run_verification(seed: int = 0, runs: int = 200, tol: float = 1e-9, scms: int = 5, quiet: bool = False):
-    """Run the full property pipeline; returns the list of checks."""
+    """Run the full property pipeline; returns the list of checks.
+
+    Raises ``ValueError`` unless ``tol`` is finite and nonnegative and
+    ``runs`` is nonnegative: no gap is ``<= nan``, so a NaN tolerance would
+    count every numeric trial of a correct program as a violation.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be a finite number >= 0, not {tol!r}")
+    if runs < 0:
+        raise ValueError(f"number of runs must be >= 0, not {runs!r}")
     rng = np.random.default_rng(seed)
     checks = {
         name: Check(name)

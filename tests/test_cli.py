@@ -212,6 +212,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "projection roundtrip" in out and "FAIL" not in out
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--tol", "nan", "tolerance must be a finite number >= 0, not nan"),
+            ("--tol", "inf", "tolerance must be a finite number >= 0, not inf"),
+            ("--tol", "-0.5", "tolerance must be a finite number >= 0, not -0.5"),
+            ("--runs", "-1", "number of runs must be >= 0, not -1"),
+        ],
+    )
+    def test_verify_rejects_bad_tolerance_and_runs(self, capsys, flag, value, message):
+        # a NaN tolerance made every numeric trial a violation (exit 2)
+        code = main(["verify", "--seed", "5", "--runs", "1", flag, value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_verify_accepts_zero_runs_and_tolerance(self, capsys):
+        assert main(["verify", "--runs", "0", "--tol", "0"]) == 0
+        assert "violations" in capsys.readouterr().out
+
 
 def _without_timings(out: str) -> str:
     lines = []

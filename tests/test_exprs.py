@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_exprs
 from conftest import max_value_gap, random_joint_table
+from pagid import exprs
 from pagid.exprs import (
     Conditional,
     Const,
@@ -281,6 +283,20 @@ class TestSimplify:
         with pytest.raises(ValueError, match="vanished"):
             simplify(e)
 
+    def test_canonical_conditional_is_its_own_normal_form(self):
+        c = P("A", "B", given=("C",), do=("D",))
+        assert _norm(c) is c
+        assert simplify(c) is c and c._fixed
+
+    def test_other_conditionals_are_rebuilt(self):
+        # a base wider than target and given, or an empty given, is not the
+        # canonical form; normalisation rebuilds it
+        wide = Conditional(("A",), (), DistRef(("A", "B")))
+        assert simplify(wide) == DistRef(("A",)) and render_text(simplify(wide)) == "P(a)"
+        assert simplify(Conditional(("A",), (), DistRef(("A",)))) == DistRef(("A",))
+        narrowed = simplify(Conditional(("A",), ("B",), DistRef(("A", "B", "C"))))
+        assert narrowed == P("A", given=("B",)) and narrowed.base.scope == ("A", "B")
+
     def test_chain_merge(self):
         e = Product((P("A"), P("B", given=("A",))))
         assert render_text(simplify(e)) == "P(a,b)"
@@ -371,6 +387,113 @@ class TestConditionalOf:
         q = Product((DistRef(("A", "B")), P("C", given=("A", "B", "D"))))
         e = conditional_of(q, ("C",), ("B",), ("A", "B", "C"))
         assert "d" in render_text(e)
+
+
+FACTOR_VARS = ("A", "B", "C", "D")
+OUTSIDE = "Z"  # a name no drawn factor mentions
+
+
+def single_factors():
+    """A ``DistRef`` or a canonical ``Conditional``, with or without ``do``:
+    each of ``FACTOR_VARS`` is in the target, the given, ``do`` or none."""
+    roles = st.lists(st.sampled_from("tgdn"), min_size=len(FACTOR_VARS), max_size=len(FACTOR_VARS))
+
+    def build(roles):
+        pick = lambda role: tuple(v for v, r in zip(FACTOR_VARS, roles) if r == role)
+        return P(*pick("t"), given=pick("g"), do=pick("d"))
+
+    return roles.filter(lambda r: "t" in r).map(build)
+
+
+def _requests(q):
+    """(target, given, scope) from the free variables of ``q`` and one name
+    outside it: mostly shaped like the requests of a removal step, some
+    drawn freely so that overlapping and out-of-scope requests fall through."""
+    names = q.free_vars() + (OUTSIDE,)
+    shaped = _subsets(names, 0).flatmap(
+        lambda scope: st.tuples(
+            _subsets(scope, 0), _subsets(tuple(v for v in names if v != OUTSIDE), 0), st.just(scope)
+        ).map(lambda r: (r[0], tuple(v for v in r[1] if v not in r[0]), r[2]))
+    )
+    free = st.tuples(_subsets(names, 0), _subsets(names, 0), _subsets(names, 0))
+    return st.one_of(shaped, free)
+
+
+def _outcome(compute, *args):
+    """What the differential test compares: the node, its rendering and its
+    mark, or the type of the exception raised."""
+    try:
+        e = compute(*args)
+    except Exception as exc:  # any exception: its type is what is compared
+        return type(exc)
+    return e, render_text(e), e._fixed
+
+
+@pytest.fixture
+def simplify_calls(monkeypatch):
+    """The arguments of every ``exprs.simplify`` call made through the module."""
+    calls = []
+    monkeypatch.setattr(exprs, "simplify", lambda e: calls.append(e) or simplify(e))
+    return calls
+
+
+class TestConditionalOfClosedForm:
+    """``conditional_of`` on one canonical factor against the quotient of
+    sums it skips (``reference_exprs``)."""
+
+    @given(single_factors().flatmap(lambda q: st.tuples(st.just(q), _requests(q))))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_quotient_of_sums(self, drawn):
+        q, (target, given_, scope) = drawn
+        assert _outcome(conditional_of, q, target, given_, scope) == _outcome(
+            reference_exprs.conditional_of, q, target, given_, scope
+        )
+
+    @pytest.mark.parametrize(
+        "q, target, given_, scope, text",
+        [
+            # empty given
+            (P("A", "B", "C"), ("A",), (), ("A", "B"), "P(a|c)"),
+            (P("A", "B", "C"), ("A", "B", "C"), (), ("A", "B", "C"), "P(a,b,c)"),
+            # scope = target
+            (P("A", "B", "C"), ("A", "B"), (), ("A", "B"), "P(a,b|c)"),
+            (P("A", "B", given=("C",), do=("D",)), ("B",), (), ("B",), "P_{d}(b|a,c)"),
+            # givens outside the factor, or in its conditioning set
+            (P("A", "B"), ("A",), ("Z",), ("A", "Z"), "P(a|b)"),
+            (P("A", "B", given=("C",)), ("A",), ("B", "C"), ("A", "B", "C"), "P(a|b,c)"),
+            # empty target
+            (P("A", "B"), (), ("B",), ("A", "B"), "1"),
+        ],
+    )
+    def test_closed_form_cases(self, q, target, given_, scope, text, simplify_calls):
+        expected = reference_exprs.conditional_of(q, target, given_, scope)
+        e = conditional_of(q, target, given_, scope)
+        assert simplify_calls == []
+        assert e == expected and render_text(e) == text and e._fixed
+
+    @pytest.mark.parametrize(
+        "q, target, given_, scope",
+        [
+            # the scope reaches outside the factor's target
+            (P("A", given=("B",)), ("A",), (), ("A", "B")),
+            # target outside the scope, or overlapping the given
+            (P("A", "B"), ("A",), (), ("B",)),
+            (P("A", "B"), ("A",), ("A",), ("A", "B")),
+            # a factor not built the canonical way
+            (Conditional(("A",), ("B",), DistRef(("A", "B", "C"))), ("A",), ("B",), ("A", "B")),
+            (Conditional(("A",), (), DistRef(("A",))), ("A",), (), ("A",)),
+        ],
+    )
+    def test_other_requests_fall_through(self, q, target, given_, scope, simplify_calls):
+        expected = _outcome(reference_exprs.conditional_of, q, target, given_, scope)
+        assert _outcome(conditional_of, q, target, given_, scope) == expected
+        assert len(simplify_calls) == 1
+
+    def test_a_product_still_takes_the_generic_path(self, simplify_calls):
+        q = Product((P("A"), P("B", given=("A",))))
+        e = conditional_of(q, ("B",), ("A",), ("A", "B"))
+        assert len(simplify_calls) == 1
+        assert e == reference_exprs.conditional_of(q, ("B",), ("A",), ("A", "B"))
 
 
 class TestJoinCertifiedMarginals:
