@@ -1,10 +1,12 @@
 """Graph file format and command-line interface.
 
 File format: a header line (``pag``, ``dag`` or ``mag``), an optional
-``nodes:`` line fixing the node order, and one ``edge:`` line per edge with
-tokens ``-->  <--  <->  o->  <-o  o-o  o--  --o`` (plus ``->`` / ``<-`` in
-dag files).  A trailing ``visible`` tag is accepted on directed pag edges and
-cross-checked against the graphical condition.  ``#`` starts a comment.
+``nodes:`` line fixing the node order, and one ``edge:`` line per edge,
+read by :func:`.graphs.parse_edge` under the rules of the header's kind:
+tokens ``-->  <--  <->  o->  <-o  o-o  o--  --o`` (only ``->``, ``<-`` and
+``<->`` in dag files, no circles in mag files).  A trailing ``visible`` tag
+is accepted on directed pag edges and cross-checked against the graphical
+condition.  ``#`` starts a comment.
 
 The argument parser is built once, at import.  ``main(argv)`` only parses
 ``argv`` against it and keeps no other state, so it is safe to call
@@ -21,7 +23,7 @@ import time
 
 from . import adjustment, ident_dag, ident_pag
 from .exprs import render_latex, render_text, to_json_dict
-from .graphs import CIRCLE, EDGE_TOKENS, TOKEN_OF_MARKS, LatentDag, Mag, Pag
+from .graphs import TOKEN_OF_MARKS, LatentDag, Mag, Pag, parse_edge
 from .ident_dag import c_components
 from .oracle import class_of_dag
 from .structure import cpc_components, pto
@@ -32,10 +34,13 @@ class ParseError(ValueError):
 
 
 def parse_graph(text: str):
-    """Parse a graph file; returns (kind, graph) with kind in pag|dag|mag."""
+    """Parse a graph file; returns (kind, graph) with kind in pag|dag|mag.
+
+    Each edge line is read by :func:`.graphs.parse_edge`; its errors get the
+    line number in front."""
     kind = None
     nodes: list[str] | None = None
-    edge_lines: list[tuple[int, list[str]]] = []
+    specs: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -51,36 +56,23 @@ def parse_graph(text: str):
             nodes = line[len("nodes:"):].split()
             continue
         if line.startswith("edge:"):
-            edge_lines.append((lineno, line[len("edge:"):].split()))
+            specs.append((lineno, line[len("edge:"):]))
             continue
         raise ParseError(f"line {lineno}: expected 'nodes:' or 'edge:'")
     if kind is None:
         raise ParseError("empty graph file")
 
     seen: list[str] = []
-    specs: list[tuple[int, str, str, str, bool]] = []
-    for lineno, parts in edge_lines:
-        visible = False
-        if len(parts) == 4 and parts[3] == "visible":
-            visible = True
-            parts = parts[:3]
-        if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 'edge: A <tok> B [visible]'")
-        a, token, b = parts
-        if token not in EDGE_TOKENS:
-            raise ParseError(f"line {lineno}: unknown edge token {token!r}")
-        if token in ("->", "<-") and kind != "dag":
-            raise ParseError(f"line {lineno}: token {token!r} is dag-only")
-        if token not in ("->", "<-", "<->") and kind == "dag":
-            raise ParseError(f"line {lineno}: token {token!r} not allowed in dag files")
-        if visible and kind != "pag":
-            raise ParseError(f"line {lineno}: 'visible' tag is pag-only")
-        if CIRCLE in EDGE_TOKENS[token] and kind == "mag":
-            raise ParseError(f"line {lineno}: circle marks not allowed in mag files")
-        for v in (a, b):
+    edges = []
+    for lineno, spec in specs:
+        try:
+            edge = parse_edge(kind, spec)
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+        for v in edge[:2]:
             if v not in seen:
                 seen.append(v)
-        specs.append((lineno, a, token, b, visible))
+        edges.append(edge)
 
     order = nodes if nodes is not None else seen
     if len(set(order)) != len(order):
@@ -95,13 +87,7 @@ def parse_graph(text: str):
 
     try:
         if kind == "dag":
-            return kind, LatentDag.from_specs(
-                tuple(order), [f"{a} {tok} {b}" for _, a, tok, b, _ in specs]
-            )
-        edges = []
-        for lineno, a, token, b, visible in specs:
-            ma, mb = EDGE_TOKENS[token]
-            edges.append((a, b, ma, mb, visible))
+            return kind, LatentDag.from_specs(tuple(order), [spec for _, spec in specs])
         if kind == "mag":
             return kind, Mag(tuple(order), edges)
         return kind, Pag(tuple(order), edges, check_visibility=True)

@@ -3,8 +3,9 @@
 Edges carry one mark per endpoint (tail / arrow / circle) plus a visibility
 flag that is meaningful only on directed edges.  All graph values are
 immutable after construction; every operation here is a pure function.
-Derived tables (index adjacency with marks, per-node ancestor masks, the
-visible-edge set) are filled lazily into slots of the instance they describe.
+Derived tables (index adjacency with marks, per-node ancestor masks) are
+filled lazily into slots of the instance they describe; a :class:`Pag`
+settles its visible-edge set when it is built.
 
 Every path search in the package runs on one reachability kernel,
 :func:`reach`, except those of ``definitely_m_separated`` and the
@@ -46,8 +47,8 @@ TAIL = EdgeMark.TAIL
 ARROW = EdgeMark.ARROW
 CIRCLE = EdgeMark.CIRCLE
 
-# Edge spec tokens accepted by the convenience constructors, mapped to
-# (mark at left node, mark at right node).
+# Edge spec tokens, mapped to (mark at left node, mark at right node);
+# which of them a graph kind accepts is decided by parse_edge.
 EDGE_TOKENS: Mapping[str, tuple[EdgeMark, EdgeMark]] = {
     "-->": (TAIL, ARROW),
     "<--": (ARROW, TAIL),
@@ -67,6 +68,33 @@ TOKEN_OF_MARKS: Mapping[tuple[EdgeMark, EdgeMark], str] = {
 }
 
 
+def parse_edge(kind: str, spec: str) -> tuple[str, str, EdgeMark, EdgeMark, bool]:
+    """Read ``"A <tok> B [visible]"`` under the rules of graph ``kind`` (pag,
+    mag or dag) into (a, b, mark at a, mark at b, visible).
+
+    The one edge grammar, shared by graph files and every ``from_specs``:
+    ``->`` and ``<-`` are dag-only, a dag takes only those and ``<->``, the
+    ``visible`` tag is pag-only and a mag has no circles.  Raises ValueError.
+    """
+    parts = spec.split()
+    visible = len(parts) == 4 and parts[3] == "visible"
+    if len(parts) != 3 + visible:
+        raise ValueError("expected 'edge: A <tok> B [visible]'")
+    a, token, b = parts[:3]
+    if token not in EDGE_TOKENS:
+        raise ValueError(f"unknown edge token {token!r}")
+    if token in ("->", "<-") and kind != "dag":
+        raise ValueError(f"token {token!r} is dag-only")
+    if token not in ("->", "<-", "<->") and kind == "dag":
+        raise ValueError(f"token {token!r} not allowed in dag files")
+    if visible and kind != "pag":
+        raise ValueError("'visible' tag is pag-only")
+    mark_a, mark_b = EDGE_TOKENS[token]
+    if CIRCLE in (mark_a, mark_b) and kind == "mag":
+        raise ValueError("circle marks not allowed in mag files")
+    return a, b, mark_a, mark_b, visible
+
+
 def node_sorted(graph_nodes: Sequence[str], items: Iterable[str]) -> tuple[str, ...]:
     """Order ``items`` by their position in ``graph_nodes`` (deterministic)."""
     index = {v: i for i, v in enumerate(graph_nodes)}
@@ -77,6 +105,7 @@ class MixedGraph:
     """Nodes plus per-edge endpoint marks; at most one edge per node pair."""
 
     __slots__ = ("nodes", "_index", "_edges", "_adj", "_masks", "_anc", "_visible")
+    _grammar = "pag"  # the parse_edge kind read by from_specs
 
     def __init__(
         self,
@@ -124,18 +153,9 @@ class MixedGraph:
 
     @classmethod
     def from_specs(cls, nodes: Sequence[str], specs: Iterable[str]) -> "MixedGraph":
-        """Build from edge strings like ``"V1 o-> X"`` or ``"X --> V3 visible"``."""
-        edges = []
-        for spec in specs:
-            parts = spec.split()
-            if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "visible"):
-                raise ValueError(f"bad edge spec {spec!r}")
-            a, token, b = parts[:3]
-            if token not in EDGE_TOKENS:
-                raise ValueError(f"bad edge token {token!r} in {spec!r}")
-            mark_a, mark_b = EDGE_TOKENS[token]
-            edges.append((a, b, mark_a, mark_b, len(parts) == 4))
-        return cls(nodes, edges)
+        """Build from edge strings like ``"X --> V3 visible"``, read by
+        :func:`parse_edge` with the class's ``_grammar``."""
+        return cls(nodes, [parse_edge(cls._grammar, spec) for spec in specs])
 
     # -- queries ---------------------------------------------------------
 
@@ -219,13 +239,15 @@ class MixedGraph:
 
 
 class Pag(MixedGraph):
-    """Partial ancestral graph; validates the arrowhead-closure property.
+    """Partial ancestral graph; checks arrowhead closure and settles edge
+    visibility once, when it is built.
 
-    Visibility flags are authoritative on instances produced by
-    :func:`induced_subgraph` (an edge that is visible in the full graph stays
-    visible in the subgraph even when its graphical witness is dropped).
-    On freshly constructed graphs set ``check_visibility`` to cross-check the
-    supplied flags against the graphical condition.
+    Construction computes the graphically visible directed edges
+    (:func:`.structure.graphical_visible_edges`).  With ``check_visibility``
+    the given flags must equal that set; otherwise every graphically visible
+    edge is flagged too, so the flags are complete.  An induced subgraph
+    copies them and keeps its parent's visible edges, since its own
+    graphical set lies inside its parent's.
     """
 
     def __init__(self, nodes, edges=(), *, check_closure: bool = True, check_visibility: bool = False):
@@ -234,29 +256,30 @@ class Pag(MixedGraph):
             violation = find_closure_violation(self)
             if violation is not None:
                 raise ValueError(f"arrowhead closure violated at triple {violation}")
-        if check_visibility:
-            from .structure import graphical_visible_edges
+        from .structure import graphical_visible_edges
 
-            computed = graphical_visible_edges(self)
-            flagged = {
-                (a, b) if ma is TAIL else (b, a)
-                for a, b, ma, mb, vis in self.edges()
-                if vis
-            }
-            if computed != flagged:
-                raise ValueError(
-                    f"visibility flags {sorted(flagged)} disagree with the "
-                    f"graphical condition {sorted(computed)}"
-                )
+        computed = graphical_visible_edges(self)
+        flagged = flagged_edges(self)
+        if check_visibility and computed != flagged:
+            raise ValueError(
+                f"visibility flags {sorted(flagged)} disagree with the "
+                f"graphical condition {sorted(computed)}"
+            )
+        for x, y in computed - flagged:
+            key = self._key(x, y)
+            self._edges[key] = (*self._edges[key][:2], True)
+        self._visible = computed | flagged
 
     @classmethod
     def from_specs(cls, nodes, specs, *, check_visibility: bool = True) -> "Pag":
-        g = MixedGraph.from_specs(nodes, specs)
-        return cls(nodes, g.edges(), check_visibility=check_visibility)
+        edges = [parse_edge("pag", spec) for spec in specs]
+        return cls(nodes, edges, check_visibility=check_visibility)
 
 
 class Mag(MixedGraph):
     """Maximal ancestral graph: tail/arrow marks, ancestral and maximal."""
+
+    _grammar = "mag"
 
     def __init__(self, nodes, edges=(), *, validate: bool = True):
         super().__init__(nodes, edges)
@@ -270,10 +293,12 @@ class Mag(MixedGraph):
             if problem:
                 raise ValueError(problem)
 
-    @classmethod
-    def from_specs(cls, nodes, specs) -> "Mag":
-        g = MixedGraph.from_specs(nodes, specs)
-        return cls(nodes, g.edges())
+
+def flagged_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
+    """Directed edges (x, y) of ``g`` that carry a visible flag."""
+    return frozenset(
+        (a, b) if ma is TAIL else (b, a) for (a, b), (ma, _, vis) in g._edges.items() if vis
+    )
 
 
 def bits(mask: int):
@@ -530,19 +555,13 @@ class LatentDag:
 
     @classmethod
     def from_specs(cls, observed: Sequence[str], specs: Iterable[str]) -> "LatentDag":
-        """Build from strings ``"A -> B"`` plus ``"A <-> B"`` confounding arcs."""
+        """Build from strings ``"A -> B"`` plus ``"A <-> B"`` confounding arcs,
+        read by :func:`parse_edge` under the dag rules."""
         edges: list[tuple[str, str]] = []
         latent: list[str] = []
         for spec in specs:
-            parts = spec.split()
-            if len(parts) != 3:
-                raise ValueError(f"bad edge spec {spec!r}")
-            a, token, b = parts
-            if token == "->":
-                edges.append((a, b))
-            elif token == "<-":
-                edges.append((b, a))
-            elif token == "<->":
+            a, b, mark_a, mark_b, _ = parse_edge("dag", spec)
+            if mark_a is ARROW and mark_b is ARROW:
                 name = f"U{len(latent) + 1}"
                 while name in observed:
                     name += "_"
@@ -550,7 +569,7 @@ class LatentDag:
                 edges.append((name, a))
                 edges.append((name, b))
             else:
-                raise ValueError(f"bad edge token {token!r} in {spec!r}")
+                edges.append((a, b) if mark_b is ARROW else (b, a))
         return cls(observed, latent, edges)
 
     @property
@@ -594,16 +613,9 @@ class LatentDag:
         return _ancestors(self, targets)
 
     def descendants(self, sources: Iterable[str]) -> tuple[str, ...]:
-        sources = list(sources)
-        out = set(sources)
-        frontier = list(sources)
-        while frontier:
-            v = frontier.pop()
-            for c in self._children[v]:
-                if c not in out:
-                    out.add(c)
-                    frontier.append(c)
-        return self.sort_nodes(out)
+        """Descendants of ``sources`` (directed paths), including the sources."""
+        mask = mask_of(self, sources)
+        return tuple(v for v, anc in zip(self.nodes, ancestor_masks(self)) if anc & mask)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LatentDag):
@@ -623,7 +635,9 @@ class LatentDag:
 
 
 def induced_subgraph(g, a: Iterable[str]):
-    """Induced subgraph over ``a``; marks and visibility flags copied verbatim.
+    """Induced subgraph over ``a``; marks and visibility flags copied verbatim
+    (a :class:`Pag`'s flags are complete, so the subgraph keeps its parent's
+    visible edges).
 
     For a :class:`LatentDag` the latents with both children inside ``a`` are
     retained as well.

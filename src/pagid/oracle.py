@@ -18,7 +18,6 @@ import numpy as np
 from .exprs import JointTable
 from .graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, MixedGraph, Pag, mag_of_dag, mag_violation
 from .separation import m_separated
-from .structure import graphical_visible_edges
 
 MAX_JOINT_STATES = 1 << 20
 MAX_CLASS_EDGES = 10
@@ -184,7 +183,8 @@ def equivalence_class(m: Mag) -> tuple[Mag, ...]:
 
 
 def pag_of_class(members: Sequence[Mag]) -> Pag:
-    """Invariant marks across the class; circles elsewhere; visibility recomputed."""
+    """Invariant marks across the class; circles elsewhere; visibility
+    settled by :class:`.graphs.Pag`."""
     if not members:
         raise ValueError("empty equivalence class")
     skeleton = [(a, b) for a, b, *_ in members[0].edges()]
@@ -200,13 +200,7 @@ def pag_of_class(members: Sequence[Mag]) -> Pag:
         ma = marks_a.pop() if len(marks_a) == 1 else CIRCLE
         mb = marks_b.pop() if len(marks_b) == 1 else CIRCLE
         edges.append((a, b, ma, mb, False))
-    bare = MixedGraph(members[0].nodes, edges)
-    visible = graphical_visible_edges(bare)
-    flagged = [
-        (a, b, ma, mb, (a, b) in visible or (b, a) in visible)
-        for a, b, ma, mb, _ in bare.edges()
-    ]
-    return Pag(members[0].nodes, flagged, check_visibility=False)
+    return Pag(members[0].nodes, edges)
 
 
 def class_of_dag(d: LatentDag) -> tuple[tuple[Mag, ...], Pag]:

@@ -9,8 +9,8 @@ first and last visit of the first node that repeats: both visits are
 colliders, so the joined node is a collider from the same allowed set.  A
 repeated start is cut off, and the walk is cut at its first arrival at the
 target; for visibility that arrival is into the target, because an interior
-visit of it is a collider visit.  The visible-edge set is cached on the
-graph instance.
+visit of it is a collider visit.  A :class:`.graphs.Pag` settles its
+visible-edge set when it is built; :func:`visible_edges` reads it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import ARROW, CIRCLE, TAIL, MixedGraph, _close, adjacency_masks, find_closure_violation, mask_of, names_of, partition, reach
+from .graphs import ARROW, CIRCLE, MixedGraph, _close, adjacency_masks, find_closure_violation, flagged_edges, mask_of, names_of, partition, reach
 
 
 def graphical_visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
@@ -40,18 +40,16 @@ def graphical_visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
 
 
 def visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
-    """Visible directed edges: carried flags plus the graphical condition.
+    """Visible directed edges (x, y): the flagged edges together with those
+    the graphical condition certifies.
 
-    Flags dominate on induced subgraphs, where an edge stays visible even
-    after its graphical witness has been cut away.
+    A :class:`.graphs.Pag` settles this set when it is built and carries it
+    in its flags, so an induced subgraph keeps every edge visible in its
+    parent; for a PAG this returns the stored set.  Other mixed graphs
+    compute the same union on first use and cache it.
     """
     if g._visible is None:
-        flagged = {
-            (a, b) if ma is TAIL else (b, a)
-            for a, b, ma, mb, vis in g.edges()
-            if vis
-        }
-        g._visible = graphical_visible_edges(g) | frozenset(flagged)
+        g._visible = graphical_visible_edges(g) | flagged_edges(g)
     return g._visible
 
 

@@ -14,7 +14,7 @@ from pagid.catalog import (
     two_treatment_pag,
 )
 from pagid.cli import ParseError, main, parse_graph, serialize_graph
-from pagid.graphs import EDGE_TOKENS
+from pagid.graphs import EDGE_TOKENS, LatentDag, Mag, Pag
 
 
 def write(tmp_path, name, text):
@@ -71,6 +71,33 @@ class TestParsing:
     def test_lowercase_collision_rejected(self):
         with pytest.raises(ParseError, match="collide"):
             parse_graph("pag\nedge: A o-o a\n")
+
+
+_BUILDERS = {"pag": Pag, "mag": Mag, "dag": LatentDag}
+_SPECS = [
+    *(f"A {tok} B{tag}" for tok in [*sorted(EDGE_TOKENS), "??"] for tag in ("", " visible")),
+    "A -->",
+    "A --> B visible visible",
+]
+
+
+class TestOneEdgeGrammar:
+    """A graph file and ``from_specs`` read an edge spec by the same rules."""
+
+    @pytest.mark.parametrize("spec", _SPECS)
+    @pytest.mark.parametrize("kind", sorted(_BUILDERS))
+    def test_file_and_from_specs_agree(self, kind, spec):
+        try:
+            _BUILDERS[kind].from_specs(["A", "B"], [spec])
+            library_error = None
+        except ValueError as exc:
+            library_error = str(exc)
+        try:
+            parse_graph(f"{kind}\nedge: {spec}\n")
+            file_error = None
+        except ParseError as exc:
+            file_error = str(exc).removeprefix("line 2: ")
+        assert file_error == library_error
 
 
 class TestCommands:
