@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -87,7 +88,7 @@ def parse_graph(text: str):
 
     try:
         if kind == "dag":
-            return kind, LatentDag.from_specs(tuple(order), [spec for _, spec in specs])
+            return kind, LatentDag.from_edges(tuple(order), edges)
         if kind == "mag":
             return kind, Mag(tuple(order), edges)
         return kind, Pag(tuple(order), edges, check_visibility=True)
@@ -158,6 +159,12 @@ def _emit_query_result(result, fail_type, fmt: str, started: float, adjustment_s
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent form, so "--tol -1e-9" would
+        # read "-1e-9" as an option instead of a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # usage problems exit 1; exit 2 is reserved for "not identifiable"
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)

@@ -7,6 +7,10 @@ Derived tables (index adjacency with marks, per-node ancestor masks) are
 filled lazily into slots of the instance they describe; a :class:`Pag`
 settles its visible-edge set when it is built.
 
+Each graph kind has one builder, its constructor; :meth:`LatentDag.from_edges`
+alone turns confounding arcs into latent roots.  Induced subgraphs of mixed
+graphs restrict their parent instead of building anew.
+
 Every path search in the package runs on one reachability kernel,
 :func:`reach`, except those of ``definitely_m_separated`` and the
 adjustment criterion, which share one pruned simple-path search,
@@ -22,10 +26,10 @@ that repeats; a start that recurs loses its prefix, and the walk ends at its
 first arrival at the target.  Where ``noncollider_ok`` is empty (inducing
 paths here, collider paths and pc-components in :mod:`.structure`) both
 visits of a repeated interior node are colliders, so the joined node is a
-collider from ``collider_ok`` too.  :func:`_dag_inducing_path` also passes
-latents, which are roots and so always non-colliders; the first-repeat cut
-keeps their two path neighbours distinct.  m- and d-separation are argued in
-:mod:`.separation`.
+collider from ``collider_ok`` too.  :func:`_inducing_path` on a DAG also
+passes latents, which are roots and so always non-colliders; the first-repeat
+cut keeps their two path neighbours distinct.  m- and d-separation are argued
+in :mod:`.separation`.
 """
 
 from __future__ import annotations
@@ -246,8 +250,8 @@ class Pag(MixedGraph):
     (:func:`.structure.graphical_visible_edges`).  With ``check_visibility``
     the given flags must equal that set; otherwise every graphically visible
     edge is flagged too, so the flags are complete.  An induced subgraph
-    copies them and keeps its parent's visible edges, since its own
-    graphical set lies inside its parent's.
+    restricts its parent without this constructor and takes the copied flags
+    as its visible set, as its own graphical set lies inside its parent's.
     """
 
     def __init__(self, nodes, edges=(), *, check_closure: bool = True, check_visibility: bool = False):
@@ -427,12 +431,8 @@ def reach(adj, starts: int, collider_ok: int, noncollider_ok: int) -> tuple[int,
     return seen_into | seen_plain, seen_into
 
 
-def ancestors_in(g: MixedGraph, targets: Iterable[str]) -> tuple[str, ...]:
+def ancestors_in(g, targets: Iterable[str]) -> tuple[str, ...]:
     """Nodes with a directed path (all -> edges) into some target; includes targets."""
-    return _ancestors(g, targets)
-
-
-def _ancestors(g, targets: Iterable[str]) -> tuple[str, ...]:
     anc = ancestor_masks(g)
     out = 0
     for i in bits(mask_of(g, targets)):
@@ -481,27 +481,28 @@ def find_closure_violation(g: MixedGraph) -> tuple[str, str, str] | None:
 
 def mag_violation(g: MixedGraph) -> str | None:
     """Return a description of an ancestrality/maximality failure, or None."""
-    an = ancestor_masks(g)
+    an, index = ancestor_masks(g), g._index
     for v, mask in enumerate(an):
         if any(an[u] >> v & 1 for u in bits(mask & ~(1 << v))):
             return "directed cycle"
-    index = g._index
     for a, b, ma, mb, _ in g.edges():
         if ma is ARROW and mb is ARROW:
             i, j = index[a], index[b]
             if an[j] >> i & 1 or an[i] >> j & 1:
                 return f"almost directed cycle at {a!r}<->{b!r}"
     for a, b in itertools.combinations(g.nodes, 2):
-        if not g.adjacent(a, b) and _has_inducing_path(g, a, b):
+        if not g.adjacent(a, b) and _inducing_path(g, index[a], index[b], 0):
             return f"inducing path between non-adjacent {a!r} and {b!r}"
     return None
 
 
-def _has_inducing_path(g: MixedGraph, x: str, y: str) -> bool:
-    """Inducing path relative to the empty set: interior nodes are colliders
-    and each is an ancestor of an endpoint."""
-    an, i, j = ancestor_masks(g), g._index[x], g._index[y]
-    reached, _ = reach(adjacency_masks(g), 1 << i, an[i] | an[j], 0)
+def _inducing_path(g, i: int, j: int, latent_mask: int) -> bool:
+    """Inducing path between nodes i and j relative to ``latent_mask``: every
+    interior node outside it is a collider and an ancestor of an endpoint.
+    Interior latents pass as non-colliders; in a :class:`LatentDag` they are
+    roots, so never colliders."""
+    an = ancestor_masks(g)
+    reached, _ = reach(adjacency_masks(g), 1 << i, an[i] | an[j], latent_mask)
     return bool(reached >> j & 1)
 
 
@@ -554,23 +555,32 @@ class LatentDag:
         self._topo = self._kahn_order()  # raises on cycles
 
     @classmethod
-    def from_specs(cls, observed: Sequence[str], specs: Iterable[str]) -> "LatentDag":
-        """Build from strings ``"A -> B"`` plus ``"A <-> B"`` confounding arcs,
-        read by :func:`parse_edge` under the dag rules."""
-        edges: list[tuple[str, str]] = []
+    def from_edges(cls, observed: Sequence[str], edges: Iterable[tuple]) -> "LatentDag":
+        """Build from (a, b, mark_a, mark_b, visible) edges: directed ones are
+        kept, each ``<->`` becomes a latent root ``U<n>`` (``_`` appended while
+        that is an observed name) over its endpoints, other marks raise."""
+        arcs: list[tuple[str, str]] = []
         latent: list[str] = []
-        for spec in specs:
-            a, b, mark_a, mark_b, _ = parse_edge("dag", spec)
-            if mark_a is ARROW and mark_b is ARROW:
+        for a, b, mark_a, mark_b, _ in edges:
+            if (mark_a, mark_b) == (ARROW, ARROW):
                 name = f"U{len(latent) + 1}"
                 while name in observed:
                     name += "_"
                 latent.append(name)
-                edges.append((name, a))
-                edges.append((name, b))
+                arcs += [(name, a), (name, b)]
+            elif (mark_a, mark_b) == (TAIL, ARROW):
+                arcs.append((a, b))
+            elif (mark_a, mark_b) == (ARROW, TAIL):
+                arcs.append((b, a))
             else:
-                edges.append((a, b) if mark_b is ARROW else (b, a))
-        return cls(observed, latent, edges)
+                raise ValueError(f"edge {a!r}-{b!r} is neither directed nor bidirected")
+        return cls(observed, latent, arcs)
+
+    @classmethod
+    def from_specs(cls, observed: Sequence[str], specs: Iterable[str]) -> "LatentDag":
+        """Build from strings ``"A -> B"`` plus ``"A <-> B"`` confounding arcs,
+        read by :func:`parse_edge` under the dag rules."""
+        return cls.from_edges(observed, [parse_edge("dag", spec) for spec in specs])
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -610,7 +620,7 @@ class LatentDag:
 
     def ancestors(self, targets: Iterable[str]) -> tuple[str, ...]:
         """Ancestors of ``targets`` (directed paths), including the targets."""
-        return _ancestors(self, targets)
+        return ancestors_in(self, targets)
 
     def descendants(self, sources: Iterable[str]) -> tuple[str, ...]:
         """Descendants of ``sources`` (directed paths), including the sources."""
@@ -635,12 +645,14 @@ class LatentDag:
 
 
 def induced_subgraph(g, a: Iterable[str]):
-    """Induced subgraph over ``a``; marks and visibility flags copied verbatim
-    (a :class:`Pag`'s flags are complete, so the subgraph keeps its parent's
-    visible edges).
+    """Induced subgraph over ``a``, in the parent's node order.
 
-    For a :class:`LatentDag` the latents with both children inside ``a`` are
-    retained as well.
+    A mixed graph is restricted, not rebuilt: it copies the parent's
+    validated edge entries (marks and flags) and adjacency lists, and a
+    :class:`Pag`'s visible set is its copied flags, which are complete (see
+    :class:`Pag`).  Over every node the graph itself is returned.  A
+    :class:`LatentDag` is rebuilt, with the latents whose children are both
+    kept, as its topological order must be recomputed.
     """
     a = list(a)
     if isinstance(g, LatentDag):
@@ -657,13 +669,16 @@ def induced_subgraph(g, a: Iterable[str]):
         if not g.has_node(v):
             raise ValueError(f"unknown node {v!r}")
     keep = set(a)
-    nodes = g.sort_nodes(keep)
-    edges = [e for e in g.edges() if e[0] in keep and e[1] in keep]
-    if isinstance(g, Pag):
-        return Pag(nodes, edges, check_closure=False, check_visibility=False)
-    if isinstance(g, Mag):
-        return Mag(nodes, edges, validate=False)
-    return MixedGraph(nodes, edges)
+    if len(keep) == len(g.nodes):
+        return g
+    sub = object.__new__(type(g))
+    sub.nodes = g.sort_nodes(keep)
+    sub._index = {v: i for i, v in enumerate(sub.nodes)}
+    sub._edges = {k: e for k, e in g._edges.items() if k[0] in keep and k[1] in keep}
+    sub._adj = {v: [w for w in g._adj[v] if w in keep] for v in sub.nodes}
+    sub._masks = sub._anc = None
+    sub._visible = flagged_edges(sub) if isinstance(g, Pag) else None
+    return sub
 
 
 def mag_of_dag(d: LatentDag) -> Mag:
@@ -674,23 +689,13 @@ def mag_of_dag(d: LatentDag) -> Mag:
     ancestor of Y.
     """
     an, index = ancestor_masks(d), d._index
+    latent = mask_of(d, d.latent)
     edges = []
     for x, y in itertools.combinations(d.observed, 2):
         i, j = index[x], index[y]
-        if not _dag_inducing_path(d, i, j):
+        if not _inducing_path(d, i, j, latent):
             continue
         mark_x = TAIL if an[j] >> i & 1 else ARROW
         mark_y = TAIL if an[i] >> j & 1 else ARROW
         edges.append((x, y, mark_x, mark_y, False))
     return Mag(d.sort_nodes(d.observed), edges)
-
-
-def _dag_inducing_path(d: LatentDag, i: int, j: int) -> bool:
-    """Inducing path between observed nodes i, j relative to the latents:
-    every interior observed node is a collider on the path and an ancestor
-    of an endpoint.  Latent interior nodes are exempt: they pass as
-    non-colliders, and being roots they are never colliders."""
-    an = ancestor_masks(d)
-    latent = mask_of(d, d.latent)
-    reached, _ = reach(adjacency_masks(d), 1 << i, an[i] | an[j], latent)
-    return bool(reached >> j & 1)

@@ -4,7 +4,9 @@ Provides discrete structural models with exact joints and truncated
 (interventional) distributions, the canonical DAG of a MAG, brute-force
 Markov equivalence class enumeration by separation-model comparison, and
 seeded random generators.  Everything here is deliberately exhaustive; the
-size guards keep it at desk scale.
+size guards keep it at desk scale.  Latent DAGs are built by
+:meth:`.graphs.LatentDag.from_edges` from marked edges, and each member of
+an enumerated class is built once, as the :class:`.graphs.Mag` it tests.
 """
 
 from __future__ import annotations
@@ -50,10 +52,10 @@ class Scm:
                 raise ValueError(f"CPT rows for {v!r} do not sum to 1")
 
 
-def _full_joint(s: Scm, skip: Sequence[str] = (), clamp: Mapping[str, int] | None = None) -> tuple[tuple[str, ...], np.ndarray]:
-    """Joint over all nodes, skipping the CPTs in ``skip`` and clamping values."""
+def _full_joint(s: Scm, x: Mapping[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Joint over all nodes with the CPTs of the intervened ``x`` dropped and
+    their values clamped."""
     order = s.graph.topological_order()
-    clamp = clamp or {}
     states = 1
     for v in order:
         states *= s.cards[v]
@@ -63,7 +65,7 @@ def _full_joint(s: Scm, skip: Sequence[str] = (), clamp: Mapping[str, int] | Non
     shape = tuple(s.cards[v] for v in order)
     out = np.ones(shape)
     for v in order:
-        if v in skip:
+        if v in x:
             continue
         cpt = np.asarray(s.cpts[v], dtype=float)
         dims = tuple(s.graph.parents(v)) + (v,)
@@ -74,7 +76,7 @@ def _full_joint(s: Scm, skip: Sequence[str] = (), clamp: Mapping[str, int] | Non
         for d in dims:
             perm_shape[axis[d]] = s.cards[d]
         out = out * arranged.reshape(perm_shape)
-    for v, val in clamp.items():
+    for v, val in x.items():
         keep = np.zeros(s.cards[v])
         keep[val] = 1.0
         out = out * keep.reshape([s.cards[v] if u == v else 1 for u in order])
@@ -91,7 +93,7 @@ def truncated(s: Scm, x: Mapping[str, int]) -> JointTable:
     for v in x:
         if v not in s.graph.observed:
             raise ValueError(f"intervention on unknown observed node {v!r}")
-    order, arr = _full_joint(s, skip=tuple(x), clamp=dict(x))
+    order, arr = _full_joint(s, x)
     drop = set(s.graph.latent) | set(x)
     axes = tuple(i for i, v in enumerate(order) if v in drop)
     keep = tuple(v for v in order if v not in drop)
@@ -102,22 +104,9 @@ def truncated(s: Scm, x: Mapping[str, int]) -> JointTable:
 
 
 def canonical_dag_of_mag(m: Mag) -> LatentDag:
-    """Directed edges kept; every bidirected edge becomes a fresh latent root."""
-    edges: list[tuple[str, str]] = []
-    latent: list[str] = []
-    for a, b, ma, mb, _ in m.edges():
-        if ma is ARROW and mb is ARROW:
-            name = f"L{len(latent) + 1}"
-            while name in m.nodes:
-                name += "_"
-            latent.append(name)
-            edges.append((name, a))
-            edges.append((name, b))
-        elif ma is TAIL:
-            edges.append((a, b))
-        else:
-            edges.append((b, a))
-    return LatentDag(m.nodes, tuple(latent), edges)
+    """Directed edges kept; every bidirected edge becomes a fresh latent root
+    ``U<n>``, named by :meth:`.graphs.LatentDag.from_edges`."""
+    return LatentDag.from_edges(m.nodes, m.edges())
 
 
 def _separation_signature(g: MixedGraph) -> frozenset[tuple[str, str, tuple[str, ...]]]:
@@ -173,12 +162,12 @@ def equivalence_class(m: Mag) -> tuple[Mag, ...]:
         edges = [
             (a, b, ma, mb, False) for (a, b), (ma, mb) in zip(skeleton, marks)
         ]
-        candidate = MixedGraph(m.nodes, edges)
+        candidate = Mag(m.nodes, edges, validate=False)
         if mag_violation(candidate) is not None:
             continue
         if _separation_signature(candidate) != reference_sig:
             continue
-        members.append(Mag(m.nodes, edges, validate=False))
+        members.append(candidate)
     return tuple(members)
 
 
@@ -215,7 +204,9 @@ def random_latent_dag(
     n_latent: int,
     edge_prob: float,
 ) -> LatentDag:
-    """Seed-deterministic random DAG in canonical semi-Markovian form."""
+    """Seed-deterministic random DAG in canonical semi-Markovian form: its
+    directed and ``<->`` edges go through :meth:`.graphs.LatentDag.from_edges`,
+    which makes each arc a latent root ``U<n>``."""
     if not 1 <= n_obs <= 6:
         raise ValueError("n_obs must be between 1 and 6")
     if not 0 <= n_latent <= 3:
@@ -223,22 +214,17 @@ def random_latent_dag(
     rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
     observed = tuple(f"V{i + 1}" for i in range(n_obs))
     edges = [
-        (observed[i], observed[j])
+        (observed[i], observed[j], TAIL, ARROW, False)
         for i in range(n_obs)
         for j in range(i + 1, n_obs)
         if rng.random() < edge_prob
     ]
-    pairs = list(itertools.combinations(range(n_obs), 2))
-    latent: list[str] = []
+    pairs = list(itertools.combinations(observed, 2))
     if pairs and n_latent:
         chosen = rng.choice(len(pairs), size=min(n_latent, len(pairs)), replace=False)
-        for k, pick in enumerate(sorted(int(i) for i in chosen)):
-            i, j = pairs[pick]
-            name = f"L{k + 1}"
-            latent.append(name)
-            edges.append((name, observed[i]))
-            edges.append((name, observed[j]))
-    return LatentDag(observed, tuple(latent), edges)
+        for pick in sorted(int(i) for i in chosen):
+            edges.append((*pairs[pick], ARROW, ARROW, False))
+    return LatentDag.from_edges(observed, edges)
 
 
 def random_scm(seed: int | np.random.Generator, d: LatentDag, card: int = 2) -> Scm:

@@ -256,6 +256,15 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("value", ["-1e-9", "-1.5E+3", "-.5e1"])
+    def test_verify_reads_a_negative_exponent_tolerance_as_a_value(self, capsys, value):
+        # argparse's own negative-number pattern took "-1e-9" for an option
+        code = main(["verify", "--seed", "5", "--runs", "1", "--tol", value])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: tolerance must be a finite number >= 0, not {float(value)!r}\n"
+        )
+
     def test_verify_accepts_zero_runs_and_tolerance(self, capsys):
         assert main(["verify", "--runs", "0", "--tol", "0"]) == 0
         assert "violations" in capsys.readouterr().out
