@@ -18,10 +18,12 @@ Nodes are immutable, so facts about a node are stored on it, outside its
 * a node that :func:`simplify` returns is marked as a fixed point of the
   rewrite calculus, and normalisation returns a marked node as it is.  The
   mark is truthful because ``simplify`` only returns a node that one more
-  normalisation pass left unchanged.  :func:`conditional_of` also marks the
-  single factor it builds in closed form: that factor is the node
-  ``simplify`` returns for the quotient of sums it stands for, so the same
-  pass leaves it unchanged.
+  normalisation pass left unchanged.  The two closed forms mark what they
+  build, for the same reason: :func:`conditional_of` marks its single
+  factor, the node ``simplify`` returns for the quotient of sums it stands
+  for, and :func:`removal_in_closed_form` marks its factor or product of two
+  factors, the node ``simplify`` returns for a removal's quotient
+  q / Q[S] * sum_x Q[S].  One more pass leaves each of them unchanged.
 
 No cache outlives the node it describes: there is no memo keyed by
 expression content, so one query costs the same whether or not others ran
@@ -557,6 +559,51 @@ def conditional_of(q: Expr, target: Iterable[str], given: Iterable[str], scope: 
     num = SumOver(over_num, q) if over_num else q
     den = SumOver(over_den, q) if over_den else q
     return simplify(Quotient(num, den))
+
+
+def removal_in_closed_form(
+    q: Expr, t: Iterable[str], x: Iterable[str], inside: list[tuple[tuple[str, ...], tuple[str, ...]]]
+) -> Expr | None:
+    """Q[t \\ x] = q / Q[S] * sum_x Q[S] without building the quotient, or
+    None where this function has no closed form for it.
+
+    ``inside`` holds (B, the blocks before B) for each block B of an ordered
+    partition of ``t`` that lies inside S, and Q[S] is the product of
+    q(B | the blocks before B) over them.  The closed forms need ``q`` to be
+    one canonical factor P_D(T | G) (see :func:`_is_canonical`) with T = t;
+    each conditional of Q[S] is then P_D(B | Pre u G) (:func:`conditional_of`):
+
+    * every block lies inside S: Q[S] is all of q by the chain rule, and the
+      sum peels x off T, leaving P_D(t \\ x | G);
+    * exactly one block B, after the blocks Pre: the quotient rule turns
+      P_D(T | G) over P_D(B | Pre u G) into P_D(t \\ B \\ Pre | B u Pre u G)
+      times P_D(Pre | G), and the chain rule merges the latter with the
+      sum P_D(B \\ x | Pre u G) into P_D(Pre u (B \\ x) | G).  Factors with
+      an empty target are dropped.
+
+    The result is the node ``simplify`` returns for the quotient: in its
+    factor order, and marked as a fixed point because one more
+    normalisation pass leaves it unchanged (a single factor is canonical,
+    and no rule applies to the two factors).  Every other input returns None.
+    """
+    if not _is_canonical(q):
+        return None
+    do, big_t, g = _as_factor(q)
+    if set(big_t) != set(t):
+        return None
+    if sum(len(block) for block, _ in inside) == len(big_t):
+        out = _from_factor(do, vsort(set(big_t).difference(x)), g)
+    elif len(inside) == 1:
+        [(block, before)] = inside
+        factors = (
+            (vsort(set(big_t).difference(block, before)), vsort(block + before + g)),
+            (vsort(set(block).difference(x).union(before)), g),
+        )
+        out = _rebuild([_from_factor(do, target, given) for target, given in factors if target], [])
+    else:
+        return None
+    object.__setattr__(out, "_fixed", True)
+    return out
 
 
 def drop_certified_givens(

@@ -35,6 +35,7 @@ in :mod:`.separation`.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -627,17 +628,24 @@ class LatentDag:
         mask = mask_of(self, sources)
         return tuple(v for v, anc in zip(self.nodes, ancestor_masks(self)) if anc & mask)
 
+    def _structure(self) -> tuple:
+        """What equality compares: the observed nodes, the observed edges and
+        the multiset of each latent's set of children.  Latent names do not
+        count, as :meth:`from_edges` assigns them in arc order."""
+        latent = set(self.latent)
+        return (
+            frozenset(self.observed),
+            frozenset(e for e in self._edges if e[0] not in latent),
+            frozenset(Counter(frozenset(self._children[u]) for u in self.latent).items()),
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LatentDag):
             return NotImplemented
-        return (
-            set(self.observed) == set(other.observed)
-            and set(self.latent) == set(other.latent)
-            and set(self._edges) == set(other._edges)
-        )
+        return self._structure() == other._structure()
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.observed), frozenset(self.latent), frozenset(self._edges)))
+        return hash(self._structure())
 
     def __repr__(self) -> str:
         arcs = ", ".join(f"{p}->{c}" for p, c in self._edges)

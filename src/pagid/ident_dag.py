@@ -10,7 +10,10 @@ conditioning drops and marginal joins.  Every removal ends in the same
 rewrite, Q[t \\ x] = q / Q[S] * sum_x Q[S] (:func:`reduced_q`), given the
 S and the order that the step's own removability test derived; the public
 :func:`q_reduce` and :func:`.ident_pag.q_reduce_bucket` derive and check
-them again for direct callers.
+them again for direct callers.  When Q[t] is one canonical factor and S is
+all of t or a single block, the rewrite is answered in closed form (the
+Q-decomposition of Tian & Pearl, AAAI 2002); otherwise the quotient is built
+and simplified.
 
 Specific to latent DAGs: ancestors along directed paths, c-components
 (shared-latent connectivity), d-separation as the certificate, and removal
@@ -28,7 +31,18 @@ from typing import Iterable
 
 import numpy as np
 
-from .exprs import DistRef, Expr, Product, Quotient, SumOver, conditional_of, drop_certified_givens, join_certified_marginals, simplify
+from .exprs import (
+    DistRef,
+    Expr,
+    Product,
+    Quotient,
+    SumOver,
+    conditional_of,
+    drop_certified_givens,
+    join_certified_marginals,
+    removal_in_closed_form,
+    simplify,
+)
 from .graphs import LatentDag, induced_subgraph, partition
 from .separation import d_separated
 
@@ -71,15 +85,23 @@ def reduced_q(q: Expr, blocks: Iterable[tuple[str, ...]], s_union: set[str], x: 
     Nothing here checks that ``x`` is removable: the removal steps reach it
     only through the test that proved so, and the public :func:`q_reduce` and
     :func:`.ident_pag.q_reduce_bucket` are the checked entry points.
+
+    When ``q`` is one canonical factor over ``t`` and S is all of ``t`` or a
+    single block, the result is built in closed form
+    (:func:`.exprs.removal_in_closed_form`); every other input builds the
+    quotient and simplifies it.
     """
-    terms, preceding = [], ()
+    inside, preceding = [], ()
     for block in blocks:
         if set(block) <= s_union:
-            terms.append(conditional_of(q, block, preceding, scope=t))
+            inside.append((block, preceding))
         elif set(block) & s_union:
             raise ValueError("definite c-component is not a union of buckets")
         preceding += block
-    q_s = _product(terms)
+    closed = removal_in_closed_form(q, t, x, inside)
+    if closed is not None:
+        return closed
+    q_s = _product([conditional_of(q, block, before, scope=t) for block, before in inside])
     return simplify(Product((Quotient(q, q_s), SumOver(x, q_s))))
 
 

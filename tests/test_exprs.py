@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import reference_exprs
 from conftest import max_value_gap, random_joint_table
-from pagid import exprs
+from pagid import exprs, ident_dag
 from pagid.exprs import (
     Conditional,
     Const,
@@ -494,6 +494,92 @@ class TestConditionalOfClosedForm:
         e = conditional_of(q, ("B",), ("A",), ("A", "B"))
         assert len(simplify_calls) == 1
         assert e == reference_exprs.conditional_of(q, ("B",), ("A",), ("A", "B"))
+
+
+@st.composite
+def removals(draw):
+    """(q, blocks, s_union, x, t): one canonical factor q over t, an ordered
+    partition of t into blocks, S the union of all of them, of one or of
+    several, and x a nonempty subset of S."""
+    q = draw(single_factors())
+    t = draw(st.permutations(q.scope if isinstance(q, DistRef) else q.target))
+    cuts = draw(st.lists(st.booleans(), min_size=len(t) - 1, max_size=len(t) - 1))
+    blocks = [[t[0]]]
+    for v, cut in zip(t[1:], cuts):
+        if cut:
+            blocks.append([])
+        blocks[-1].append(v)
+    blocks = [tuple(b) for b in blocks]
+    indices = range(len(blocks))
+    chosen = draw(st.one_of(
+        st.just(indices), st.sampled_from(indices).map(lambda i: (i,)), st.sets(st.sampled_from(indices), min_size=1)
+    ))
+    s_union = {v for i in chosen for v in blocks[i]}
+    x = draw(_subsets(tuple(v for v in t if v in s_union), 1))
+    return q, blocks, s_union, x, tuple(t)
+
+
+@pytest.fixture
+def removal_simplify_calls(simplify_calls, monkeypatch):
+    """``simplify_calls``, plus the calls ``ident_dag`` makes by its own name."""
+    monkeypatch.setattr(ident_dag, "simplify", lambda e: simplify_calls.append(e) or simplify(e))
+    return simplify_calls
+
+
+class TestReducedQClosedForm:
+    """``ident_dag.reduced_q`` on one canonical factor against the quotient
+    q / Q[S] * sum_x Q[S] it skips (``reference_exprs``)."""
+
+    @given(removals())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_simplified_quotient(self, drawn):
+        assert _outcome(ident_dag.reduced_q, *drawn) == _outcome(reference_exprs.reduced_q, *drawn)
+
+    @pytest.mark.parametrize(
+        "q, blocks, s_union, x, text",
+        [
+            # every block inside S
+            (P("A", "B", "C"), [("A",), ("B",), ("C",)], {"A", "B", "C"}, ("C",), "P(a,b)"),
+            (P("A", "B", given=("C",), do=("D",)), [("A", "B")], {"A", "B"}, ("B",), "P_{d}(a|c)"),
+            # one block: first, middle, last, and x a strict part of it
+            (P("A", "B", "C"), [("A",), ("B",), ("C",)], {"A"}, ("A",), "P(b,c|a)"),
+            (P("A", "B", "C"), [("A",), ("B",), ("C",)], {"B"}, ("B",), "P(a) * P(c|a,b)"),
+            (P("A", "B", "C"), [("A",), ("B",), ("C",)], {"C"}, ("C",), "P(a,b)"),
+            (P("A", "B", "C", given=("E",), do=("D",)), [("A",), ("B",), ("C",)], {"B"}, ("B",),
+             "P_{d}(a|e) * P_{d}(c|a,b,e)"),
+            (P("A", "B", "C", given=("E",)), [("A",), ("B", "C")], {"B", "C"}, ("B",), "P(a,c|e)"),
+        ],
+    )
+    def test_closed_form_cases(self, q, blocks, s_union, x, text, removal_simplify_calls):
+        t = tuple(v for b in blocks for v in b)
+        expected = reference_exprs.reduced_q(q, blocks, s_union, x, t)
+        removal_simplify_calls.clear()
+        e = ident_dag.reduced_q(q, blocks, s_union, x, t)
+        assert removal_simplify_calls == []
+        assert e == expected and render_text(e) == text and e._fixed
+
+    @pytest.mark.parametrize(
+        "q, blocks, s_union, x",
+        [
+            # several blocks, not all of t
+            (P("A", "B", "C"), [("A",), ("B",), ("C",)], {"A", "C"}, ("A",)),
+            # a product, and a factor over more than t
+            (Product((P("A"), P("B", given=("A",)))), [("A",), ("B",)], {"B"}, ("B",)),
+            (P("A", "B", "C"), [("A",), ("B",)], {"B"}, ("B",)),
+        ],
+    )
+    def test_other_inputs_take_the_generic_path(self, q, blocks, s_union, x, removal_simplify_calls):
+        t = tuple(v for b in blocks for v in b)
+        expected = reference_exprs.reduced_q(q, blocks, s_union, x, t)
+        removal_simplify_calls.clear()
+        assert ident_dag.reduced_q(q, blocks, s_union, x, t) == expected
+        assert removal_simplify_calls
+
+    def test_a_cut_block_is_refused(self):
+        q, blocks, t = P("A", "B", "C", given=("E",)), [("A", "B"), ("C",)], ("A", "B", "C")
+        for reduce in (ident_dag.reduced_q, reference_exprs.reduced_q):
+            with pytest.raises(ValueError, match="not a union of buckets"):
+                reduce(q, blocks, {"A"}, ("A",), t)
 
 
 class TestJoinCertifiedMarginals:

@@ -84,6 +84,22 @@ class TestMixedGraph:
         assert g.mark_at("B", "A") is ARROW
 
 
+class TestLatentDagEquality:
+    def test_confounding_arc_order_does_not_count(self):
+        first = LatentDag.from_specs(["A", "B", "C"], ["A -> C", "A <-> B", "B <-> C"])
+        second = LatentDag.from_specs(["A", "B", "C"], ["B <-> C", "A <-> B", "A -> C"])
+        assert first.latent == second.latent and first.edges() != second.edges()
+        assert first == second and hash(first) == hash(second)
+
+    def test_structure_still_counts(self):
+        base = LatentDag.from_specs(["A", "B", "C"], ["A -> C", "A <-> B"])
+        assert base != LatentDag.from_specs(["A", "B", "C"], ["C -> A", "A <-> B"])
+        assert base != LatentDag.from_specs(["A", "B", "C"], ["A -> C", "A <-> C"])
+        # each latent counts: two confounders of one pair are not one
+        arcs = [("A", "C")] + [(u, v) for u in ("U1", "U2") for v in "AB"]
+        assert base != LatentDag(["A", "B", "C"], ["U1", "U2"], arcs)
+
+
 class TestInducedSubgraph:
     def test_chain_pag_subgraph_drops_inner_chain(self, chain_pag):
         sub = induced_subgraph(chain_pag, ["V1", "V2", "X", "V4"])

@@ -34,6 +34,7 @@ class TestQReduce:
         assert render_text(out) == "P(y|x)"
 
     def test_bow_violates_precondition(self, bow):
+        # S is all of t, so the check alone keeps reduced_q's closed form away
         with pytest.raises(ValueError, match="descendant set"):
             q_reduce(bow, ("X", "Y"), ("X",), DistRef(("X", "Y")))
 

@@ -73,6 +73,8 @@ class TestQReduceBucket:
         assert render_text(out) == "P(v1,v2) * P(y1,y2|v1,v2,x1)"
 
     def test_rejects_criterion_violation(self, chain_pag):
+        # S is the one bucket {V2}, so the check alone keeps reduced_q's
+        # closed form away
         q = DistRef(tuple(chain_pag.nodes))
         with pytest.raises(ValueError, match="not removable"):
             q_reduce_bucket(chain_pag, ("V2",), q, pto(chain_pag))
