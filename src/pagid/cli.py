@@ -38,10 +38,12 @@ def parse_graph(text: str):
     """Parse a graph file; returns (kind, graph) with kind in pag|dag|mag.
 
     Each edge line is read by :func:`.graphs.parse_edge`; its errors get the
-    line number in front."""
+    line number in front.  Only what a file adds is checked here: the header,
+    the line syntax and edge lines naming a node missing from ``nodes:``;
+    the graph's constructor decides the rest."""
     kind = None
     nodes: list[str] | None = None
-    specs: list[tuple[int, str]] = []
+    edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -50,38 +52,22 @@ def parse_graph(text: str):
             if line not in ("pag", "dag", "mag"):
                 raise ParseError(f"line {lineno}: header must be pag, dag or mag")
             kind = line
-            continue
-        if line.startswith("nodes:"):
+        elif line.startswith("nodes:"):
             if nodes is not None:
                 raise ParseError(f"line {lineno}: duplicate nodes line")
             nodes = line[len("nodes:"):].split()
-            continue
-        if line.startswith("edge:"):
-            specs.append((lineno, line[len("edge:"):]))
-            continue
-        raise ParseError(f"line {lineno}: expected 'nodes:' or 'edge:'")
+        elif line.startswith("edge:"):
+            try:
+                edges.append(parse_edge(kind, line[len("edge:"):]))
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from exc
+        else:
+            raise ParseError(f"line {lineno}: expected 'nodes:' or 'edge:'")
     if kind is None:
         raise ParseError("empty graph file")
 
-    seen: list[str] = []
-    edges = []
-    for lineno, spec in specs:
-        try:
-            edge = parse_edge(kind, spec)
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-        for v in edge[:2]:
-            if v not in seen:
-                seen.append(v)
-        edges.append(edge)
-
+    seen = list(dict.fromkeys(v for edge in edges for v in edge[:2]))
     order = nodes if nodes is not None else seen
-    if len(set(order)) != len(order):
-        raise ParseError("duplicate node in nodes line")
-    lowered = {}
-    for v in order:
-        if lowered.setdefault(v.lower(), v) != v:
-            raise ParseError(f"node names {lowered[v.lower()]!r} and {v!r} collide when lowercased")
     for v in seen:
         if v not in order:
             raise ParseError(f"edge references node {v!r} missing from nodes line")
@@ -101,16 +87,10 @@ def serialize_graph(kind: str, g) -> str:
     lines = [kind]
     if kind == "dag":
         lines.append("nodes: " + " ".join(g.observed))
-        directed = [(p, c) for p, c in g.edges() if p in set(g.observed)]
-        index = {v: i for i, v in enumerate(g.observed)}
-        for p, c in sorted(directed, key=lambda e: (index[e[0]], index[e[1]])):
-            lines.append(f"edge: {p} -> {c}")
-        pairs = []
-        for u in g.latent:
-            a, b = g.children(u)
-            pairs.append(tuple(sorted((a, b), key=index.__getitem__)))
-        for a, b in sorted(pairs, key=lambda e: (index[e[0]], index[e[1]])):
-            lines.append(f"edge: {a} <-> {b}")
+        index = g._index  # observed nodes come first, in their own order
+        directed = [e for e in g.edges() if e[0] in g.observed]
+        for arcs, token in ((directed, "->"), (map(g.children, g.latent), "<->")):
+            lines += [f"edge: {a} {token} {b}" for a, b in sorted(arcs, key=lambda e: (index[e[0]], index[e[1]]))]
     else:
         lines.append("nodes: " + " ".join(g.nodes))
         for a, b, ma, mb, vis in g.edges():

@@ -100,10 +100,18 @@ def parse_edge(kind: str, spec: str) -> tuple[str, str, EdgeMark, EdgeMark, bool
     return a, b, mark_a, mark_b, visible
 
 
-def node_sorted(graph_nodes: Sequence[str], items: Iterable[str]) -> tuple[str, ...]:
-    """Order ``items`` by their position in ``graph_nodes`` (deterministic)."""
-    index = {v: i for i, v in enumerate(graph_nodes)}
-    return tuple(sorted(items, key=lambda v: index[v]))
+def check_nodes(named: Sequence[str], latent: Sequence[str] = ()) -> None:
+    """The node rules of every graph kind: names are unique, and the nodes a
+    user names (not a DAG's latents) are at most ``MAX_NODES`` and distinct
+    when lowercased, as rendering lowercases them.  Raises ValueError."""
+    if len(set(named).union(latent)) != len(named) + len(latent):
+        raise ValueError("duplicate node identifiers")
+    if len(named) > MAX_NODES:
+        raise ValueError(f"graph exceeds the {MAX_NODES}-node cap")
+    lowered: dict[str, str] = {}
+    for v in named:
+        if lowered.setdefault(v.lower(), v) != v:
+            raise ValueError(f"node names {lowered[v.lower()]!r} and {v!r} collide when lowercased")
 
 
 class MixedGraph:
@@ -118,10 +126,7 @@ class MixedGraph:
         edges: Iterable[tuple[str, str, EdgeMark, EdgeMark, bool]] = (),
     ):
         nodes = tuple(nodes)
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("duplicate node identifiers")
-        if len(nodes) > MAX_NODES:
-            raise ValueError(f"graph exceeds the {MAX_NODES}-node cap")
+        check_nodes(nodes)
         self.nodes = nodes
         self._index = {v: i for i, v in enumerate(nodes)}
         self._edges: dict[tuple[str, str], tuple[EdgeMark, EdgeMark, bool]] = {}
@@ -199,29 +204,24 @@ class MixedGraph:
 
     def edges(self) -> tuple[tuple[str, str, EdgeMark, EdgeMark, bool], ...]:
         """All edges as (a, b, mark_a, mark_b, visible), in node order."""
-        out = []
-        for (a, b), (ma, mb, vis) in sorted(
-            self._edges.items(), key=lambda kv: (self._index[kv[0][0]], self._index[kv[0][1]])
-        ):
-            out.append((a, b, ma, mb, vis))
-        return tuple(out)
+        index = self._index
+        entries = ((a, b, *marks) for (a, b), marks in self._edges.items())
+        return tuple(sorted(entries, key=lambda e: (index[e[0]], index[e[1]])))
 
     def directed_edges(self) -> tuple[tuple[str, str], ...]:
-        """All x -> y edges as (x, y) pairs."""
-        out = []
-        for a, b, ma, mb, _ in self.edges():
-            if ma is TAIL and mb is ARROW:
-                out.append((a, b))
-            elif ma is ARROW and mb is TAIL:
-                out.append((b, a))
-        return tuple(out)
+        """All x -> y edges as (x, y) pairs, read off the edge entries unsorted."""
+        return tuple(
+            (a, b) if ma is TAIL else (b, a)
+            for (a, b), (ma, mb, _) in self._edges.items()
+            if ma is not mb and CIRCLE not in (ma, mb)
+        )
 
     def parents(self, v: str) -> tuple[str, ...]:
         """Strict parents: nodes u with u -> v."""
         return tuple(u for u in self._adj[v] if self.is_directed_edge(u, v))
 
     def sort_nodes(self, items: Iterable[str]) -> tuple[str, ...]:
-        return node_sorted(self.nodes, items)
+        return tuple(sorted(items, key=self._index.__getitem__))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MixedGraph):
@@ -244,10 +244,13 @@ class MixedGraph:
 
 
 class Pag(MixedGraph):
-    """Partial ancestral graph; checks arrowhead closure and settles edge
+    """Partial ancestral graph; refuses what no PAG has and settles edge
     visibility once, when it is built.
 
-    Construction computes the graphically visible directed edges
+    A PAG's tails and arrowheads hold in every MAG of its class, so its
+    arrowheads are closed and its definite marks have no directed or almost
+    directed cycle; every induced subgraph keeps both.  Construction then
+    computes the graphically visible directed edges
     (:func:`.structure.graphical_visible_edges`).  With ``check_visibility``
     the given flags must equal that set; otherwise every graphically visible
     edge is flagged too, so the flags are complete.  An induced subgraph
@@ -255,12 +258,14 @@ class Pag(MixedGraph):
     as its visible set, as its own graphical set lies inside its parent's.
     """
 
-    def __init__(self, nodes, edges=(), *, check_closure: bool = True, check_visibility: bool = False):
+    def __init__(self, nodes, edges=(), *, check_visibility: bool = False):
         super().__init__(nodes, edges)
-        if check_closure:
-            violation = find_closure_violation(self)
-            if violation is not None:
-                raise ValueError(f"arrowhead closure violated at triple {violation}")
+        violation = find_closure_violation(self)
+        if violation is not None:
+            raise ValueError(f"arrowhead closure violated at triple {violation}")
+        problem = ancestral_violation(self)
+        if problem:
+            raise ValueError(problem)
         from .structure import graphical_visible_edges
 
         computed = graphical_visible_edges(self)
@@ -480,17 +485,29 @@ def find_closure_violation(g: MixedGraph) -> tuple[str, str, str] | None:
     return None
 
 
+def ancestral_violation(g: MixedGraph) -> str | None:
+    """Describe a directed or almost directed cycle among the definite marks
+    of ``g``, or None; the first bidirected edge in node order is named."""
+    an, index = ancestor_masks(g), g._index
+    if any(an[u] >> v & 1 for v, mask in enumerate(an) for u in bits(mask & ~(1 << v))):
+        return "directed cycle"
+    cyclic = [
+        (index[a], index[b])
+        for (a, b), (ma, mb, _) in g._edges.items()
+        if ma is mb is ARROW and (an[index[a]] >> index[b] | an[index[b]] >> index[a]) & 1
+    ]
+    if not cyclic:
+        return None
+    i, j = min(cyclic)
+    return f"almost directed cycle at {g.nodes[i]!r}<->{g.nodes[j]!r}"
+
+
 def mag_violation(g: MixedGraph) -> str | None:
     """Return a description of an ancestrality/maximality failure, or None."""
-    an, index = ancestor_masks(g), g._index
-    for v, mask in enumerate(an):
-        if any(an[u] >> v & 1 for u in bits(mask & ~(1 << v))):
-            return "directed cycle"
-    for a, b, ma, mb, _ in g.edges():
-        if ma is ARROW and mb is ARROW:
-            i, j = index[a], index[b]
-            if an[j] >> i & 1 or an[i] >> j & 1:
-                return f"almost directed cycle at {a!r}<->{b!r}"
+    problem = ancestral_violation(g)
+    if problem:
+        return problem
+    index = g._index
     for a, b in itertools.combinations(g.nodes, 2):
         if not g.adjacent(a, b) and _inducing_path(g, index[a], index[b], 0):
             return f"inducing path between non-adjacent {a!r} and {b!r}"
@@ -511,7 +528,7 @@ class LatentDag:
     """Acyclic causal diagram in canonical semi-Markovian form.
 
     Latent nodes are roots with exactly two observed children, standing for
-    bidirected confounding arcs.
+    bidirected confounding arcs; the node cap counts the observed nodes only.
     """
 
     __slots__ = ("observed", "latent", "_edges", "_parents", "_children", "_index", "_masks", "_anc", "_topo")
@@ -525,10 +542,7 @@ class LatentDag:
         observed = tuple(observed)
         latent = tuple(latent)
         names = observed + latent
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate node identifiers")
-        if len(observed) > MAX_NODES or len(latent) > MAX_NODES:
-            raise ValueError(f"graph exceeds the {MAX_NODES}-node cap")
+        check_nodes(observed, latent)
         self.observed = observed
         self.latent = latent
         self._index = {v: i for i, v in enumerate(names)}
@@ -559,11 +573,16 @@ class LatentDag:
     def from_edges(cls, observed: Sequence[str], edges: Iterable[tuple]) -> "LatentDag":
         """Build from (a, b, mark_a, mark_b, visible) edges: directed ones are
         kept, each ``<->`` becomes a latent root ``U<n>`` (``_`` appended while
-        that is an observed name) over its endpoints, other marks raise."""
+        that is an observed name) over its endpoints, other marks raise, and
+        so does a repeated ``<->`` pair, as in a mixed graph."""
         arcs: list[tuple[str, str]] = []
         latent: list[str] = []
+        confounded = set()
         for a, b, mark_a, mark_b, _ in edges:
             if (mark_a, mark_b) == (ARROW, ARROW):
+                if frozenset((a, b)) in confounded:
+                    raise ValueError(f"duplicate edge {a!r}-{b!r}")
+                confounded.add(frozenset((a, b)))
                 name = f"U{len(latent) + 1}"
                 while name in observed:
                     name += "_"

@@ -17,10 +17,9 @@ A step proves its bucket removable once and reduces with what it derived:
 the definite c-component S is computed once for both partial orders, and
 :func:`q_reduce_bucket`, the checked entry point for direct callers, is not
 called to prove it again.  Candidates are the partial order's own buckets,
-so they skip :func:`bucket_identifiable`'s bucket and subset guards.  Nor
-is the subgraph's arrowhead closure checked again: the check reads adjacent
-triples, and every adjacent triple of an induced subgraph is one of the full
-PAG, with the same marks.
+so they skip :func:`bucket_identifiable`'s bucket and subset guards.  Every
+:class:`.graphs.Pag`, induced subgraphs included, is a valid PAG by
+construction.
 """
 
 from __future__ import annotations

@@ -211,7 +211,7 @@ def random_latent_dag(
         raise ValueError("n_obs must be between 1 and 6")
     if not 0 <= n_latent <= 3:
         raise ValueError("n_latent must be between 0 and 3")
-    rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     observed = tuple(f"V{i + 1}" for i in range(n_obs))
     edges = [
         (observed[i], observed[j], TAIL, ARROW, False)
@@ -229,7 +229,7 @@ def random_latent_dag(
 
 def random_scm(seed: int | np.random.Generator, d: LatentDag, card: int = 2) -> Scm:
     """Random CPTs with Dirichlet(1, ..., 1) rows, floored away from zero."""
-    rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     cards = {v: card for v in d.nodes}
     cpts = {}
     for v in d.nodes:

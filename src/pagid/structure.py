@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import ARROW, CIRCLE, MixedGraph, _close, adjacency_masks, find_closure_violation, flagged_edges, mask_of, names_of, partition, reach
+from .graphs import ARROW, CIRCLE, MixedGraph, Pag, _close, adjacency_masks, find_closure_violation, flagged_edges, mask_of, names_of, partition, reach
 
 
 def graphical_visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
@@ -83,13 +83,13 @@ def pto(g: MixedGraph) -> PartialOrder:
     other buckets and returns the reverse extraction order.  Ties are broken
     by extracting the bucket whose smallest member is lexicographically
     largest, which fixes a deterministic total choice; any choice is sound.
-    Raises on an arrowhead-closure violation.  Only this public entry checks:
-    the check reads adjacent triples, which an induced subgraph of a valid
-    PAG keeps, so the removal steps call :func:`_pto_with_preference`.
+    A :class:`.graphs.Pag` and its induced subgraphs are valid PAGs by
+    construction; any other mixed graph raises on a closure violation.
     """
-    violation = find_closure_violation(g)
-    if violation is not None:
-        raise ValueError(f"arrowhead closure violated at triple {violation}")
+    if not isinstance(g, Pag):
+        violation = find_closure_violation(g)
+        if violation is not None:
+            raise ValueError(f"arrowhead closure violated at triple {violation}")
     return _pto_with_preference(g, None)
 
 

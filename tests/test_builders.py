@@ -109,7 +109,7 @@ def _rebuilt_subgraph(g, keep):
     nodes = g.sort_nodes(keep)
     edges = [e for e in g.edges() if e[0] in keep and e[1] in keep]
     if isinstance(g, Pag):
-        return Pag(nodes, edges, check_closure=False, check_visibility=False)
+        return Pag(nodes, edges, check_visibility=False)
     if isinstance(g, Mag):
         return Mag(nodes, edges, validate=False)
     return MixedGraph(nodes, edges)

@@ -185,6 +185,18 @@ class TestRandomGenerators:
         s1, s2 = random_scm(9, d1), random_scm(9, d2)
         np.testing.assert_array_equal(joint(s1).probs, joint(s2).probs)
 
+    @pytest.mark.parametrize("seed", [np.int64(3), np.int32(17), np.uint32(5), np.int64(2**40)])
+    def test_numpy_integer_seeds_equal_python_ones(self, seed):
+        d = random_latent_dag(int(seed), 5, 2, 0.5)
+        assert random_latent_dag(seed, 5, 2, 0.5).edges() == d.edges()
+        s1, s2 = random_scm(seed, d), random_scm(int(seed), d)
+        for v in d.nodes:
+            np.testing.assert_array_equal(s1.cpts[v], s2.cpts[v])
+
+    def test_generator_seed_is_used_as_is(self):
+        d1 = random_latent_dag(np.random.default_rng(4), 5, 2, 0.5)
+        assert d1.edges() == random_latent_dag(4, 5, 2, 0.5).edges()
+
     def test_zero_edge_probability(self):
         d = random_latent_dag(0, 4, 0, 0.0)
         assert d.edges() == ()

@@ -84,13 +84,9 @@ class TestPto:
             pto(cyclic)
 
     def test_closure_violation_rejected(self):
-        # A *-> B o-o C with A, C adjacent needs an arrowhead at C; the
-        # removal steps skip this check, so the public entry must keep it.
-        unchecked = Pag(
-            ["A", "B", "C"],
-            MixedGraph.from_specs(["A", "B", "C"], ["A --> B", "B o-o C", "A o-o C"]).edges(),
-            check_closure=False,
-        )
+        # A *-> B o-o C with A, C adjacent needs an arrowhead at C; a Pag
+        # refuses it when built, so pto checks every other mixed graph.
+        unchecked = MixedGraph.from_specs(["A", "B", "C"], ["A --> B", "B o-o C", "A o-o C"])
         with pytest.raises(ValueError, match="closure"):
             pto(unchecked)
 
@@ -114,7 +110,6 @@ class TestPto:
         renamed = Pag(
             [mapping[v] for v in pag.nodes],
             [(mapping[a], mapping[b], ma, mb, vis) for a, b, ma, mb, vis in pag.edges()],
-            check_closure=False,
         )
         original_mapped = {frozenset(mapping[v] for v in b) for b in pto(pag).buckets}
         renamed_parts = {frozenset(b) for b in pto(renamed).buckets}
