@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .exprs import JointTable
-from .graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, MixedGraph, Pag, mag_of_dag, mag_violation
-from .separation import m_separated
+from .graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, Pag, adjacency_masks, mag_of_dag, mag_violation
+from .separation import separated_mask
 
 MAX_JOINT_STATES = 1 << 20
 MAX_CLASS_EDGES = 10
@@ -32,17 +32,25 @@ class Scm:
     """Discrete structural model over a latent DAG with explicit CPTs.
 
     ``cpts[v]`` has one axis per parent of ``v`` (in graph parent order)
-    plus a final axis for ``v``; every row sums to one.
+    plus a final axis for ``v``; every row sums to one.  ``factors[k]`` is
+    the CPT of the k-th node in topological order with its axes in that
+    order, shaped to broadcast over the full joint; it is derived from
+    ``cpts``, so equality, hashing and the repr ignore it.
     """
 
     graph: LatentDag
     cards: Mapping[str, int]
     cpts: Mapping[str, np.ndarray] = field(hash=False)
+    factors: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for v in self.graph.nodes:
+        order = self.graph.topological_order()
+        axis = {v: i for i, v in enumerate(order)}
+        factors = []
+        for v in order:
             cpt = np.asarray(self.cpts[v], dtype=float)
-            want = tuple(self.cards[p] for p in self.graph.parents(v)) + (self.cards[v],)
+            dims = (*self.graph.parents(v), v)
+            want = tuple(self.cards[d] for d in dims)
             if cpt.shape != want:
                 raise ValueError(f"CPT shape for {v!r}: {cpt.shape} != {want}")
             if (cpt < 0).any():
@@ -50,6 +58,12 @@ class Scm:
             # absolute tolerance only; written so that a NaN row fails too
             if not np.abs(cpt.sum(axis=-1) - 1.0).max() <= CPT_ROW_TOL:
                 raise ValueError(f"CPT rows for {v!r} do not sum to 1")
+            shape = [1] * len(order)
+            for d, card in zip(dims, want):
+                shape[axis[d]] = card
+            arranged = np.transpose(cpt, sorted(range(len(dims)), key=lambda i: axis[dims[i]]))
+            factors.append(arranged.reshape(shape))
+        object.__setattr__(self, "factors", tuple(factors))
 
 
 def _full_joint(s: Scm, x: Mapping[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -61,21 +75,10 @@ def _full_joint(s: Scm, x: Mapping[str, int]) -> tuple[tuple[str, ...], np.ndarr
         states *= s.cards[v]
     if states > MAX_JOINT_STATES:
         raise ValueError(f"joint state space {states} exceeds guard {MAX_JOINT_STATES}")
-    axis = {v: i for i, v in enumerate(order)}
-    shape = tuple(s.cards[v] for v in order)
-    out = np.ones(shape)
-    for v in order:
-        if v in x:
-            continue
-        cpt = np.asarray(s.cpts[v], dtype=float)
-        dims = tuple(s.graph.parents(v)) + (v,)
-        # reorder cpt axes to follow the global variable order, then broadcast
-        order_pos = sorted(range(len(dims)), key=lambda i: axis[dims[i]])
-        arranged = np.transpose(cpt, order_pos)
-        perm_shape = [1] * len(order)
-        for d in dims:
-            perm_shape[axis[d]] = s.cards[d]
-        out = out * arranged.reshape(perm_shape)
+    out = np.ones(tuple(s.cards[v] for v in order))
+    for v, factor in zip(order, s.factors):
+        if v not in x:
+            out = out * factor
     for v, val in x.items():
         keep = np.zeros(s.cards[v])
         keep[val] = 1.0
@@ -109,17 +112,26 @@ def canonical_dag_of_mag(m: Mag) -> LatentDag:
     return LatentDag.from_edges(m.nodes, m.edges())
 
 
-def _separation_signature(g: MixedGraph) -> frozenset[tuple[str, str, tuple[str, ...]]]:
-    """All separations (x, y, Z) over disjoint singleton pairs and subsets."""
-    out = set()
-    nodes = g.nodes
-    for x, y in itertools.combinations(nodes, 2):
-        rest = [v for v in nodes if v not in (x, y)]
-        for r in range(len(rest) + 1):
-            for z in itertools.combinations(rest, r):
-                if m_separated(g, [x], [y], z):
-                    out.add((x, y, z))
-    return frozenset(out)
+def _separation_signature(g: Mag) -> Iterator[tuple[int, int, int]]:
+    """The separation model of ``g``, one walk per source and conditioning set.
+
+    Yields ``(i, z, sep)`` for each node index ``i`` and each mask ``z`` of
+    the other nodes, ``z`` ascending: ``sep`` masks the nodes ``y`` that
+    ``z`` m-separates from node ``i``, among the candidates: ``y`` later than
+    ``i``, outside ``z`` and not adjacent to ``i``.  A pair ``(i, z)`` with
+    no candidate is skipped.  Adjacent nodes are never m-separated and
+    m-separation is symmetric, so over MAGs that share a skeleton (and so
+    the candidates and the order), equal sequences are equal models.
+    """
+    everyone = (1 << len(g.nodes)) - 1
+    for i, (nbr, _, _) in enumerate(adjacency_masks(g)):
+        later = everyone & ~((2 << i) - 1) & ~nbr
+        if not later:
+            continue
+        for z in range(everyone + 1):
+            targets = later & ~z
+            if targets and not z >> i & 1:
+                yield i, z, separated_mask(g, 1 << i, targets, z)
 
 
 def equivalence_class(m: Mag) -> tuple[Mag, ...]:
@@ -129,6 +141,8 @@ def equivalence_class(m: Mag) -> tuple[Mag, ...]:
     model comparison only if its unshielded colliders (a necessary
     condition) match those of ``m``; they are read off its mark tuple over
     the unshielded triples of the shared skeleton, before any graph is built.
+    The model comparison walks the :func:`_separation_signature` of the
+    candidate against that of ``m`` and rejects at the first difference.
     """
     skeleton = [(a, b) for a, b, *_ in m.edges()]
     if len(skeleton) > MAX_CLASS_EDGES:
@@ -153,7 +167,7 @@ def equivalence_class(m: Mag) -> tuple[Mag, ...]:
         ]
 
     reference_colliders = colliders([(ma, mb) for _, _, ma, mb, _ in m.edges()])
-    reference_sig = _separation_signature(m)
+    reference_sig = tuple(_separation_signature(m))
     options = ((TAIL, ARROW), (ARROW, TAIL), (ARROW, ARROW))
     members = []
     for marks in itertools.product(options, repeat=len(skeleton)):
@@ -165,7 +179,7 @@ def equivalence_class(m: Mag) -> tuple[Mag, ...]:
         candidate = Mag(m.nodes, edges, validate=False)
         if mag_violation(candidate) is not None:
             continue
-        if _separation_signature(candidate) != reference_sig:
+        if any(got != want for got, want in zip(_separation_signature(candidate), reference_sig)):
             continue
         members.append(candidate)
     return tuple(members)

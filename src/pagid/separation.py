@@ -62,15 +62,21 @@ def d_separated(d: LatentDag, xs: Iterable[str], ys: Iterable[str], zs: Iterable
 
 
 def _separated(g, xs: Iterable[str], ys: Iterable[str], zs: Iterable[str]) -> bool:
-    an = ancestor_masks(g)
     x, y, z = mask_of(g, xs), mask_of(g, ys), mask_of(g, zs)
     if x & y:
         raise ValueError("overlapping node sets")
+    return separated_mask(g, x, y, z) == y
+
+
+def separated_mask(g, x: int, y: int, z: int) -> int:
+    """Mask of the members of ``y`` that ``z`` separates from ``x``: those
+    that one walk from ``x`` does not reach.  Node masks in, mask out."""
+    an = ancestor_masks(g)
     open_collider = 0
     for i in bits(z):
         open_collider |= an[i]
     reached, _ = reach(adjacency_masks(g), x, open_collider, ~z)
-    return not reached & y
+    return y & ~reached
 
 
 def proper_paths(g: MixedGraph, sources: Iterable[str], targets: Iterable[str], extend):

@@ -20,7 +20,7 @@ import numpy as np
 from . import adjustment, ident_dag, ident_pag
 from .exprs import Expr, _align, evaluate_table
 from .graphs import LatentDag, Mag, induced_subgraph, mag_of_dag, possible_ancestors
-from .oracle import canonical_dag_of_mag, equivalence_class, joint, pag_of_class, random_latent_dag, random_scm
+from .oracle import canonical_dag_of_mag, equivalence_class, joint, pag_of_class, random_latent_dag, random_scm, truncated
 from .ident_dag import c_components
 from .structure import pc_component, pto
 
@@ -44,8 +44,6 @@ class Check:
 
 def interventional_gap(expr: Expr, scm, x_vars, y_vars) -> float:
     """Largest deviation of ``expr`` from the truncated-factorisation P_x(y)."""
-    from .oracle import truncated
-
     tables = {(): joint(scm)}
     evars, arr = evaluate_table(expr, tables)
     stray = set(evars) - set(x_vars) - set(y_vars)

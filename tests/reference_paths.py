@@ -210,13 +210,24 @@ def unshielded_colliders(g: MixedGraph) -> frozenset:
     return frozenset(out)
 
 
+def separation_signature(g: MixedGraph) -> frozenset:
+    """All separations (x, y, Z) over disjoint singleton pairs and subsets,
+    each tested by path enumeration."""
+    out = set()
+    for x, y in itertools.combinations(g.nodes, 2):
+        rest = [v for v in g.nodes if v not in (x, y)]
+        for r in range(len(rest) + 1):
+            for z in itertools.combinations(rest, r):
+                if m_separated(g, [x], [y], z):
+                    out.add((x, y, z))
+    return frozenset(out)
+
+
 def equivalence_class(m: Mag) -> tuple:
     """Builds every candidate graph, then filters by unshielded colliders,
     the reference MAG test and the full separation model."""
-    from pagid.oracle import _separation_signature
-
     skeleton = [(a, b) for a, b, *_ in m.edges()]
-    reference_sig = _separation_signature(m)
+    reference_sig = separation_signature(m)
     reference_colliders = unshielded_colliders(m)
     options = ((TAIL, ARROW), (ARROW, TAIL), (ARROW, ARROW))
     members = []
@@ -227,7 +238,7 @@ def equivalence_class(m: Mag) -> tuple:
             continue
         if mag_violation(candidate) is not None:
             continue
-        if _separation_signature(candidate) != reference_sig:
+        if separation_signature(candidate) != reference_sig:
             continue
         members.append(Mag(m.nodes, edges, validate=False))
     return tuple(members)

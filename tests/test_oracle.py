@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pagid.graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, mag_of_dag
+import reference_paths as ref
+from pagid.graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, bits, mag_of_dag
 from pagid.oracle import (
+    MAX_JOINT_STATES,
     Scm,
+    _full_joint,
+    _separation_signature,
     canonical_dag_of_mag,
     class_of_dag,
     equivalence_class,
@@ -15,10 +19,64 @@ from pagid.oracle import (
     random_scm,
     truncated,
 )
+from pagid.verify import _sample_graph
 
 
 def edge_view(g):
     return {(a, b): (ma, mb) for a, b, ma, mb, _ in g.edges()}
+
+
+def loop_full_joint(s, x):
+    """The joint as built before the SCM kept its aligned factors: each CPT
+    transposed to the topological order and broadcast on every call."""
+    order = s.graph.topological_order()
+    axis = {v: i for i, v in enumerate(order)}
+    out = np.ones(tuple(s.cards[v] for v in order))
+    for v in order:
+        if v in x:
+            continue
+        dims = tuple(s.graph.parents(v)) + (v,)
+        arranged = np.transpose(s.cpts[v], sorted(range(len(dims)), key=lambda i: axis[dims[i]]))
+        perm_shape = [1] * len(order)
+        for d in dims:
+            perm_shape[axis[d]] = s.cards[d]
+        out = out * arranged.reshape(perm_shape)
+    for v, val in x.items():
+        keep = np.zeros(s.cards[v])
+        keep[val] = 1.0
+        out = out * keep.reshape([s.cards[v] if u == v else 1 for u in order])
+    return order, out
+
+
+def loop_truncated(s, x):
+    """P_x over the observed variables, sorted by name, from :func:`loop_full_joint`."""
+    order, arr = loop_full_joint(s, x)
+    drop = set(s.graph.latent) | set(x)
+    marg = arr.sum(axis=tuple(i for i, v in enumerate(order) if v in drop)) if drop else arr
+    keep = [v for v in order if v not in drop]
+    keep_sorted = sorted(keep, key=lambda v: (v.lower(), v))
+    return tuple(keep_sorted), np.transpose(marg, [keep.index(v) for v in keep_sorted])
+
+
+def mixed_card_scm(rng, d):
+    """Random CPTs with a cardinality of 2 or 3 drawn per node."""
+    cards = {v: int(rng.integers(2, 4)) for v in d.nodes}
+    cpts = {}
+    for v in d.nodes:
+        shape = tuple(cards[p] for p in d.parents(v)) + (cards[v],)
+        rows = rng.dirichlet(np.ones(cards[v]), size=int(np.prod(shape[:-1], dtype=int)))
+        cpts[v] = rows.reshape(shape)
+    return Scm(d, cards, cpts)
+
+
+def decoded_signature(g):
+    """The (x, y, Z) triples that ``_separation_signature`` masks encode."""
+    nodes = g.nodes
+    return frozenset(
+        (nodes[i], nodes[j], tuple(nodes[k] for k in bits(z)))
+        for i, z, sep in _separation_signature(g)
+        for j in bits(sep)
+    )
 
 
 class TestScm:
@@ -75,6 +133,37 @@ class TestScm:
         m = joint(s).array_for(t.variables)
         np.testing.assert_allclose(t.probs, m, atol=1e-12)
 
+    def test_aligned_factors_give_the_loop_joint_bitwise(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            d = random_latent_dag(rng, int(rng.integers(1, 6)), int(rng.integers(0, 4)), 0.5)
+            s = mixed_card_scm(rng, d)
+            picked = [v for v in d.observed if rng.random() < 0.4]
+            for x in ({}, {v: int(rng.integers(s.cards[v])) for v in picked}):
+                order, arr = _full_joint(s, x)
+                want_order, want = loop_full_joint(s, x)
+                assert order == want_order and np.array_equal(arr, want)
+                variables, probs = loop_truncated(s, x)
+                got = truncated(s, x) if x else joint(s)
+                assert got.variables == variables and np.array_equal(got.probs, probs)
+
+    def test_factors_stay_out_of_equality_and_repr(self):
+        d = LatentDag.from_specs(["X", "Y"], ["X -> Y"])
+        s1 = random_scm(0, d)
+        s2 = Scm(s1.graph, s1.cards, s1.cpts)
+        assert s1.factors[0] is not s2.factors[0]
+        assert s1 == s2 and "factors" not in repr(s1)
+
+    def test_joint_guard_refuses_at_evaluation_not_construction(self):
+        nodes = [f"N{i}" for i in range(12)]
+        d = LatentDag(nodes, [], [])
+        assert 4 ** len(nodes) > MAX_JOINT_STATES
+        s = Scm(d, {v: 4 for v in nodes}, {v: np.full(4, 0.25) for v in nodes})
+        with pytest.raises(ValueError, match="exceeds guard"):
+            joint(s)
+        with pytest.raises(ValueError, match="exceeds guard"):
+            truncated(s, {"N0": 1})
+
     def test_bow_truncation_differs_from_conditioning(self, bow):
         # deterministic structural sharing makes the gap large
         s = random_scm(1, bow)
@@ -124,6 +213,18 @@ class TestEquivalenceClass:
     def test_reflexivity(self, chain_dag):
         m = mag_of_dag(chain_dag)
         assert m in equivalence_class(m)
+
+    def test_signature_and_class_match_their_all_pairs_definitions(self):
+        # _sample_graph draws up to verify's 9-edge guard; the path-enumerating
+        # reference class finishes in test time up to 7 edges
+        rng = np.random.default_rng(2024)
+        for draw in range(150):
+            _, m = _sample_graph(rng)
+            members = equivalence_class(m)
+            for g in members:
+                assert decoded_signature(g) == ref.separation_signature(g), (draw, g)
+            if len(m.edges()) <= 7:
+                assert members == ref.equivalence_class(m), draw
 
     def test_edge_guard(self):
         specs = [f"N{i} --> N{i+1}" for i in range(11)]
