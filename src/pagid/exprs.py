@@ -18,12 +18,10 @@ Nodes are immutable, so facts about a node are stored on it, outside its
 * a node that :func:`simplify` returns is marked as a fixed point of the
   rewrite calculus, and normalisation returns a marked node as it is.  The
   mark is truthful because ``simplify`` only returns a node that one more
-  normalisation pass left unchanged.  The two closed forms mark what they
-  build, for the same reason: :func:`conditional_of` marks its single
-  factor, the node ``simplify`` returns for the quotient of sums it stands
-  for, and :func:`removal_in_closed_form` marks its factor or product of two
-  factors, the node ``simplify`` returns for a removal's quotient
-  q / Q[S] * sum_x Q[S].  One more pass leaves each of them unchanged.
+  normalisation pass left unchanged.  Only :func:`simplify` and
+  :func:`reduced_q` set the mark: the closed form of a removal marks its
+  factor or product of two factors, the node ``simplify`` returns for the
+  removal's quotient q / Q[S] * sum_x Q[S], for the same reason.
 
 No cache outlives the node it describes: there is no memo keyed by
 expression content, so one query costs the same whether or not others ran
@@ -533,27 +531,8 @@ def conditional_of(q: Expr, target: Iterable[str], given: Iterable[str], scope: 
 
     Built as a quotient of sums over ``scope`` and simplified; extra free
     variables of ``q`` (intervention arguments) pass through untouched.
-
-    One case is answered in closed form, without building the quotient:
-    ``q`` is one canonical factor P_D(T | G) (see :func:`_is_canonical`),
-    and with F = scope \\ given the request has target inside F and F inside
-    T.  The result is P_D(target | (T \\ F) u G), marked as a fixed point.
-    It is the node the quotient of sums simplifies to: the numerator's sum
-    peels F \\ target off T and the denominator's peels F, one variable at
-    a time; the quotient rule turns P_D((T \\ F) u target | G) over
-    P_D(T \\ F | G) into this one factor (when F is all of T, the
-    denominator sums to 1 and the numerator is already that factor), and
-    one more normalisation pass leaves it unchanged.  An empty target gives
-    the constant 1.  Every other input takes the generic path.
     """
     target, given, scope = vsort(target), vsort(given), vsort(scope)
-    if _is_canonical(q):
-        do, t, g = _as_factor(q)
-        free = set(scope).difference(given)
-        if free.issuperset(target) and free.issubset(t):
-            out = _from_factor(do, target, vsort(set(t).difference(free).union(g)))
-            object.__setattr__(out, "_fixed", True)
-            return out
     over_num = vsort(set(scope) - set(target) - set(given))
     over_den = vsort(set(scope) - set(given))
     num = SumOver(over_num, q) if over_num else q
@@ -561,49 +540,59 @@ def conditional_of(q: Expr, target: Iterable[str], given: Iterable[str], scope: 
     return simplify(Quotient(num, den))
 
 
-def removal_in_closed_form(
-    q: Expr, t: Iterable[str], x: Iterable[str], inside: list[tuple[tuple[str, ...], tuple[str, ...]]]
-) -> Expr | None:
-    """Q[t \\ x] = q / Q[S] * sum_x Q[S] without building the quotient, or
-    None where this function has no closed form for it.
+def reduced_q(
+    q: Expr, blocks: Iterable[tuple[str, ...]], s_union: set[str], x: tuple[str, ...], t: tuple[str, ...]
+) -> Expr:
+    """Q[t \\ x] = q / Q[S] * sum_x Q[S], with Q[t] held in ``q``: the one
+    rewrite behind every removal step (the Q-decomposition of Tian & Pearl,
+    AAAI 2002).
 
-    ``inside`` holds (B, the blocks before B) for each block B of an ordered
-    partition of ``t`` that lies inside S, and Q[S] is the product of
-    q(B | the blocks before B) over them.  The closed forms need ``q`` to be
-    one canonical factor P_D(T | G) (see :func:`_is_canonical`) with T = t;
-    each conditional of Q[S] is then P_D(B | Pre u G) (:func:`conditional_of`):
+    ``blocks`` partition ``t`` so that edges between blocks point forward:
+    single nodes in topological order, or the buckets of a partial order.
+    Q[S] is the product of q(B | the blocks before B) over the blocks inside
+    ``s_union``, the union S of the components of the members of ``x``.
+    Nothing here checks that ``x`` is removable: the removal steps reach it
+    only through the test that proved so, and the public
+    :func:`.ident_dag.q_reduce` and :func:`.ident_pag.q_reduce_bucket` are
+    the checked entry points.
 
-    * every block lies inside S: Q[S] is all of q by the chain rule, and the
-      sum peels x off T, leaving P_D(t \\ x | G);
-    * exactly one block B, after the blocks Pre: the quotient rule turns
-      P_D(T | G) over P_D(B | Pre u G) into P_D(t \\ B \\ Pre | B u Pre u G)
-      times P_D(Pre | G), and the chain rule merges the latter with the
-      sum P_D(B \\ x | Pre u G) into P_D(Pre u (B \\ x) | G).  Factors with
-      an empty target are dropped.
-
-    The result is the node ``simplify`` returns for the quotient: in its
-    factor order, and marked as a fixed point because one more
-    normalisation pass leaves it unchanged (a single factor is canonical,
-    and no rule applies to the two factors).  Every other input returns None.
+    When ``q`` is one canonical factor P_D(T | G) (see :func:`_is_canonical`)
+    with T = t, each conditional of Q[S] is P_D(B | Pre u G), Pre the blocks
+    before B.  If S is all of t, Q[S] is all of q by the chain rule; take B
+    = t and Pre empty.  Otherwise, if ``x`` lies inside the last block B
+    inside S, only B's conditional mentions ``x``, and the others cancel
+    between q / Q[S] and the sum.  Either way the result is q over
+    P_D(B | Pre u G) times P_D(B \\ x | Pre u G): the quotient rule and
+    the chain rule make it P_D(t \\ B \\ Pre | B u Pre u G) *
+    P_D(Pre u (B \\ x) | G), factors with an empty target dropped.  That is
+    the node ``simplify`` returns for the quotient, in its factor order,
+    marked as a fixed point because one more normalisation pass leaves it
+    unchanged (a single factor is canonical, and no rule applies to the two
+    factors).  Every other input builds the quotient and simplifies it.
     """
-    if not _is_canonical(q):
-        return None
-    do, big_t, g = _as_factor(q)
-    if set(big_t) != set(t):
-        return None
-    if sum(len(block) for block, _ in inside) == len(big_t):
-        out = _from_factor(do, vsort(set(big_t).difference(x)), g)
-    elif len(inside) == 1:
-        [(block, before)] = inside
-        factors = (
-            (vsort(set(big_t).difference(block, before)), vsort(block + before + g)),
-            (vsort(set(block).difference(x).union(before)), g),
-        )
-        out = _rebuild([_from_factor(do, target, given) for target, given in factors if target], [])
-    else:
-        return None
-    object.__setattr__(out, "_fixed", True)
-    return out
+    inside, preceding = [], ()
+    for block in blocks:
+        if set(block) <= s_union:
+            inside.append((block, preceding))
+        elif set(block) & s_union:
+            raise ValueError("definite c-component is not a union of buckets")
+        preceding += block
+    if _is_canonical(q):
+        do, big_t, g = _as_factor(q)
+        block, before = inside[-1]
+        if sum(len(b) for b, _ in inside) == len(big_t):
+            block, before = big_t, ()
+        if set(big_t) == set(t) and set(x) <= set(block):
+            factors = (
+                (vsort(set(big_t).difference(block, before)), vsort(block + before + g)),
+                (vsort(set(block).difference(x).union(before)), g),
+            )
+            out = _rebuild([_from_factor(do, target, given) for target, given in factors if target], [])
+            object.__setattr__(out, "_fixed", True)
+            return out
+    terms = [conditional_of(q, block, before, scope=t) for block, before in inside]
+    q_s = terms[0] if len(terms) == 1 else Product(tuple(terms))
+    return simplify(Product((Quotient(q, q_s), SumOver(x, q_s))))
 
 
 def drop_certified_givens(

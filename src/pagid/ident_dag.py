@@ -6,14 +6,11 @@ Shared (:func:`identify`, behind both :func:`id_dag` and
 outcome once the treatment is cut, the split into components, reducing Q to
 each component by repeated removals, marginalising the pruned set outside
 the outcome, and the cleanup by :func:`simplify` and independence-certified
-conditioning drops and marginal joins.  Every removal ends in the same
-rewrite, Q[t \\ x] = q / Q[S] * sum_x Q[S] (:func:`reduced_q`), given the
-S and the order that the step's own removability test derived; the public
-:func:`q_reduce` and :func:`.ident_pag.q_reduce_bucket` derive and check
-them again for direct callers.  When Q[t] is one canonical factor and S is
-all of t or a single block, the rewrite is answered in closed form (the
-Q-decomposition of Tian & Pearl, AAAI 2002); otherwise the quotient is built
-and simplified.
+conditioning drops and marginal joins.  Every removal ends in the one
+rewrite :func:`.exprs.reduced_q`, Q[t \\ x] = q / Q[S] * sum_x Q[S], given
+the S and the order that the step's own removability test derived; the
+public :func:`q_reduce` and :func:`.ident_pag.q_reduce_bucket` derive and
+check them again for direct callers.
 
 Specific to latent DAGs: ancestors along directed paths, c-components
 (shared-latent connectivity), d-separation as the certificate, and removal
@@ -35,12 +32,10 @@ from .exprs import (
     DistRef,
     Expr,
     Product,
-    Quotient,
     SumOver,
-    conditional_of,
     drop_certified_givens,
     join_certified_marginals,
-    removal_in_closed_form,
+    reduced_q,
     simplify,
 )
 from .graphs import LatentDag, induced_subgraph, partition
@@ -70,45 +65,10 @@ def c_components(d: LatentDag) -> tuple[tuple[str, ...], ...]:
     return partition(d.observed, (d.children(u) for u in d.latent))
 
 
-def _product(factors: list[Expr]) -> Expr:
-    return factors[0] if len(factors) == 1 else Product(tuple(factors))
-
-
-def reduced_q(q: Expr, blocks: Iterable[tuple[str, ...]], s_union: set[str], x: tuple[str, ...], t: tuple[str, ...]) -> Expr:
-    """Q[t \\ x] = q / Q[S] * sum_x Q[S], with Q[t] held in ``q``: the one
-    reduction behind every removal step.
-
-    ``blocks`` partition ``t`` so that edges between blocks point forward:
-    single nodes in topological order, or the buckets of a partial order.
-    Q[S] is the product of q(B | the blocks before B) over the blocks inside
-    ``s_union``, the union S of the components of the members of ``x``.
-    Nothing here checks that ``x`` is removable: the removal steps reach it
-    only through the test that proved so, and the public :func:`q_reduce` and
-    :func:`.ident_pag.q_reduce_bucket` are the checked entry points.
-
-    When ``q`` is one canonical factor over ``t`` and S is all of ``t`` or a
-    single block, the result is built in closed form
-    (:func:`.exprs.removal_in_closed_form`); every other input builds the
-    quotient and simplifies it.
-    """
-    inside, preceding = [], ()
-    for block in blocks:
-        if set(block) <= s_union:
-            inside.append((block, preceding))
-        elif set(block) & s_union:
-            raise ValueError("definite c-component is not a union of buckets")
-        preceding += block
-    closed = removal_in_closed_form(q, t, x, inside)
-    if closed is not None:
-        return closed
-    q_s = _product([conditional_of(q, block, before, scope=t) for block, before in inside])
-    return simplify(Product((Quotient(q, q_s), SumOver(x, q_s))))
-
-
 def q_reduce(d: LatentDag, t: Iterable[str], x: Iterable[str], q: Expr) -> Expr:
     """Reduce Q[t] to Q[t \\ x] when ``x`` is a descendant set inside its
-    composite confounded component: :func:`reduced_q` over the nodes of the
-    subgraph in topological order, after checking that condition.
+    composite confounded component: :func:`.exprs.reduced_q` over the nodes
+    of the subgraph in topological order, after checking that condition.
     """
     t = tuple(t)
     x = tuple(x)
@@ -161,7 +121,7 @@ def identify(g, observed, x, y, *, prune, components, separated, remove, choice_
             removed, q = step
             t = [v for v in t if v not in removed]
         parts.append(q)
-    expr = _product(parts)
+    expr = parts[0] if len(parts) == 1 else Product(tuple(parts))
     leftover = set(big_d) - y_set
     if leftover:
         expr = SumOver(tuple(leftover), expr)

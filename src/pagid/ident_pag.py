@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .exprs import Expr, expr_size, render_text
+from .exprs import Expr, expr_size, reduced_q, render_text
 from .graphs import MixedGraph, Pag, induced_subgraph, possible_ancestors
-from .ident_dag import identify, reduced_q
+from .ident_dag import identify
 from .separation import definitely_m_separated
 from .structure import (
     PartialOrder,

@@ -35,7 +35,8 @@ class Scm:
     plus a final axis for ``v``; every row sums to one.  ``factors[k]`` is
     the CPT of the k-th node in topological order with its axes in that
     order, shaped to broadcast over the full joint; it is derived from
-    ``cpts``, so equality, hashing and the repr ignore it.
+    ``cpts``, so equality, hashing and the repr ignore it.  Two models are
+    equal when their graphs, cards and every CPT entry are.
     """
 
     graph: LatentDag
@@ -64,6 +65,16 @@ class Scm:
             arranged = np.transpose(cpt, sorted(range(len(dims)), key=lambda i: axis[dims[i]]))
             factors.append(arranged.reshape(shape))
         object.__setattr__(self, "factors", tuple(factors))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Scm):
+            return NotImplemented
+        return (
+            self.graph == other.graph
+            and self.cards == other.cards
+            and self.cpts.keys() == other.cpts.keys()
+            and all(np.array_equal(self.cpts[v], other.cpts[v]) for v in self.cpts)
+        )
 
 
 def _full_joint(s: Scm, x: Mapping[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -140,7 +151,8 @@ def equivalence_class(m: Mag) -> tuple[Mag, ...]:
     Enumerates every tail/arrow assignment.  A candidate goes on to the full
     model comparison only if its unshielded colliders (a necessary
     condition) match those of ``m``; they are read off its mark tuple over
-    the unshielded triples of the shared skeleton, before any graph is built.
+    the unshielded triples of the shared skeleton, before any graph is built,
+    and the first triple that differs rejects it.
     The model comparison walks the :func:`_separation_signature` of the
     candidate against that of ``m`` and rejects at the first difference.
     """
@@ -153,35 +165,27 @@ def equivalence_class(m: Mag) -> tuple[Mag, ...]:
     for k, (a, b) in enumerate(skeleton):
         ends[a].append((k, 0, b))
         ends[b].append((k, 1, a))
+    ref = [(ma, mb) for _, _, ma, mb, _ in m.edges()]
     triples = [
-        (k, side_k, l, side_l)
+        (k, side_k, l, side_l, ref[k][side_k] is ARROW and ref[l][side_l] is ARROW)
         for b in m.nodes
         for (k, side_k, a), (l, side_l, c) in itertools.combinations(ends[b], 2)
         if not m.adjacent(a, c)
     ]
-
-    def colliders(marks) -> list[bool]:
-        return [
-            marks[k][side_k] is ARROW and marks[l][side_l] is ARROW
-            for k, side_k, l, side_l in triples
-        ]
-
-    reference_colliders = colliders([(ma, mb) for _, _, ma, mb, _ in m.edges()])
     reference_sig = tuple(_separation_signature(m))
     options = ((TAIL, ARROW), (ARROW, TAIL), (ARROW, ARROW))
     members = []
     for marks in itertools.product(options, repeat=len(skeleton)):
-        if colliders(marks) != reference_colliders:
-            continue
-        edges = [
-            (a, b, ma, mb, False) for (a, b), (ma, mb) in zip(skeleton, marks)
-        ]
-        candidate = Mag(m.nodes, edges, validate=False)
-        if mag_violation(candidate) is not None:
-            continue
-        if any(got != want for got, want in zip(_separation_signature(candidate), reference_sig)):
-            continue
-        members.append(candidate)
+        for k, side_k, l, side_l, collider in triples:
+            if (marks[k][side_k] is ARROW and marks[l][side_l] is ARROW) != collider:
+                break
+        else:
+            edges = [(a, b, ma, mb, False) for (a, b), (ma, mb) in zip(skeleton, marks)]
+            candidate = Mag(m.nodes, edges, validate=False)
+            if mag_violation(candidate) is None and all(
+                got == want for got, want in zip(_separation_signature(candidate), reference_sig)
+            ):
+                members.append(candidate)
     return tuple(members)
 
 

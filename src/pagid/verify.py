@@ -25,6 +25,7 @@ from .ident_dag import c_components
 from .structure import pc_component, pto
 
 MAX_MAG_EDGES = 9
+SCMS_PER_DAG = 5  # random models per class DAG in the numeric soundness check
 
 
 @dataclass
@@ -89,7 +90,7 @@ def _sample_query(rng, nodes) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     return xs, ys
 
 
-def run_verification(seed: int = 0, runs: int = 200, tol: float = 1e-9, scms: int = 5, quiet: bool = False):
+def run_verification(seed: int = 0, runs: int = 200, tol: float = 1e-9, quiet: bool = False):
     """Run the full property pipeline; returns the list of checks.
 
     Raises ``ValueError`` unless ``tol`` is finite and nonnegative and
@@ -132,20 +133,14 @@ def run_verification(seed: int = 0, runs: int = 200, tol: float = 1e-9, scms: in
             sub_pag = induced_subgraph(pag, pag.sort_nodes(sel))
             order = pto(sub_pag)
             pos = {v: order.position(v) for v in sel}
+            possible_anc = {v: set(possible_ancestors(sub_pag, [v])) for v in sel}
+            pc_of = {v: set(pc_component(sub_pag, [v])) for v in sel}
             for cdag in class_dags:
                 sub_dag = induced_subgraph(cdag, sel)
                 anc = {v: set(sub_dag.ancestors([v])) & set(sel) for v in sel}
-                ok_anc = all(
-                    u in possible_ancestors(sub_pag, [v])
-                    for v in sel
-                    for u in anc[v]
-                )
+                ok_anc = all(anc[v] <= possible_anc[v] for v in sel)
                 checks["ancestor subsumption"].record(ok_anc, f"run {run}: {sel}")
-                ok_comp = True
-                for comp in c_components(sub_dag):
-                    for a in comp:
-                        if not set(comp) <= set(pc_component(sub_pag, [a])):
-                            ok_comp = False
+                ok_comp = all(set(comp) <= pc_of[a] for comp in c_components(sub_dag) for a in comp)
                 checks["component subsumption"].record(ok_comp, f"run {run}: {sel}")
                 ok_order = all(
                     pos[v] <= pos[u]
@@ -164,7 +159,7 @@ def run_verification(seed: int = 0, runs: int = 200, tol: float = 1e-9, scms: in
 
         if idp_ok:
             for cdag in class_dags:
-                for _ in range(scms):
+                for _ in range(SCMS_PER_DAG):
                     scm = random_scm(rng, cdag)
                     gap = interventional_gap(result, scm, xs, ys)
                     checks["idp numeric soundness"].record(

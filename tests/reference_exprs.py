@@ -1,18 +1,17 @@
-"""Reference computations for the expression engine's closed forms.
+"""Reference computations for the expression engine's removal rewrite.
 
-``conditional_of`` answers a request on a single canonical factor in closed
-form, and ``ident_dag.reduced_q`` answers the whole-scope and one-block
-removals of such a factor in closed form.  This module keeps the generic
-computations they skip: the quotient of the two sums over the request's
-scope, and the removal's quotient q / Q[S] * sum_x Q[S], each simplified by
-the rewrite calculus.  It exists only so that the differential tests can
-compare the closed forms with the paths they replace.
+``exprs.reduced_q`` answers a removal from one canonical factor in closed
+form when S is all of t or x lies inside the last block inside S.  This
+module keeps the generic computation it skips: the removal's quotient
+q / Q[S] * sum_x Q[S], each conditional of Q[S] a quotient of two sums over
+the request's scope, everything simplified by the rewrite calculus.  It
+exists only so that the differential tests can compare the closed form, and
+``exprs.conditional_of``, with the paths written out here.
 """
 
 from __future__ import annotations
 
 from pagid.exprs import Product, Quotient, SumOver, simplify, vsort
-from pagid.exprs import conditional_of as _conditional_of
 
 
 def conditional_of(q, target, given, scope):
@@ -27,11 +26,11 @@ def conditional_of(q, target, given, scope):
 
 def reduced_q(q, blocks, s_union, x, t):
     """Q[t \\ x] from Q[t] held in ``q``, always through the simplified
-    quotient q / Q[S] * sum_x Q[S]; arguments as for ``ident_dag.reduced_q``."""
+    quotient q / Q[S] * sum_x Q[S]; arguments as for ``exprs.reduced_q``."""
     terms, preceding = [], ()
     for block in blocks:
         if set(block) <= s_union:
-            terms.append(_conditional_of(q, block, preceding, scope=t))
+            terms.append(conditional_of(q, block, preceding, scope=t))
         elif set(block) & s_union:
             raise ValueError("definite c-component is not a union of buckets")
         preceding += block

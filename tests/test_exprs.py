@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import reference_exprs
 from conftest import max_value_gap, random_joint_table
-from pagid import exprs, ident_dag
+from pagid import exprs
 from pagid.exprs import (
     Conditional,
     Const,
@@ -429,6 +431,10 @@ def _outcome(compute, *args):
     return e, render_text(e), e._fixed
 
 
+def _nonempty_subsets(items):
+    return [c for k in range(1, len(items) + 1) for c in itertools.combinations(items, k)]
+
+
 @pytest.fixture
 def simplify_calls(monkeypatch):
     """The arguments of every ``exprs.simplify`` call made through the module."""
@@ -439,7 +445,8 @@ def simplify_calls(monkeypatch):
 
 class TestConditionalOfClosedForm:
     """``conditional_of`` on one canonical factor against the quotient of
-    sums it skips (``reference_exprs``)."""
+    sums in ``reference_exprs``: requests shaped like a removal step's give
+    the single factor and mark that the quotient simplifies to."""
 
     @given(single_factors().flatmap(lambda q: st.tuples(st.just(q), _requests(q))))
     @settings(max_examples=400, deadline=None)
@@ -465,10 +472,9 @@ class TestConditionalOfClosedForm:
             (P("A", "B"), (), ("B",), ("A", "B"), "1"),
         ],
     )
-    def test_closed_form_cases(self, q, target, given_, scope, text, simplify_calls):
+    def test_closed_form_cases(self, q, target, given_, scope, text):
         expected = reference_exprs.conditional_of(q, target, given_, scope)
         e = conditional_of(q, target, given_, scope)
-        assert simplify_calls == []
         assert e == expected and render_text(e) == text and e._fixed
 
     @pytest.mark.parametrize(
@@ -500,7 +506,8 @@ class TestConditionalOfClosedForm:
 def removals(draw):
     """(q, blocks, s_union, x, t): one canonical factor q over t, an ordered
     partition of t into blocks, S the union of all of them, of one or of
-    several, and x a nonempty subset of S."""
+    several, and x a nonempty subset of S or, as in every removal step, of
+    one block inside S."""
     q = draw(single_factors())
     t = draw(st.permutations(q.scope if isinstance(q, DistRef) else q.target))
     cuts = draw(st.lists(st.booleans(), min_size=len(t) - 1, max_size=len(t) - 1))
@@ -515,25 +522,44 @@ def removals(draw):
         st.just(indices), st.sampled_from(indices).map(lambda i: (i,)), st.sets(st.sampled_from(indices), min_size=1)
     ))
     s_union = {v for i in chosen for v in blocks[i]}
-    x = draw(_subsets(tuple(v for v in t if v in s_union), 1))
+    x = draw(st.one_of(
+        _subsets(tuple(v for v in t if v in s_union), 1),
+        st.sampled_from(sorted(chosen)).flatmap(lambda i: _subsets(blocks[i], 1)),
+    ))
     return q, blocks, s_union, x, tuple(t)
 
 
-@pytest.fixture
-def removal_simplify_calls(simplify_calls, monkeypatch):
-    """``simplify_calls``, plus the calls ``ident_dag`` makes by its own name."""
-    monkeypatch.setattr(ident_dag, "simplify", lambda e: simplify_calls.append(e) or simplify(e))
-    return simplify_calls
-
-
 class TestReducedQClosedForm:
-    """``ident_dag.reduced_q`` on one canonical factor against the quotient
+    """``exprs.reduced_q`` on one canonical factor against the quotient
     q / Q[S] * sum_x Q[S] it skips (``reference_exprs``)."""
 
     @given(removals())
     @settings(max_examples=400, deadline=None)
     def test_matches_the_simplified_quotient(self, drawn):
-        assert _outcome(ident_dag.reduced_q, *drawn) == _outcome(reference_exprs.reduced_q, *drawn)
+        assert _outcome(exprs.reduced_q, *drawn) == _outcome(reference_exprs.reduced_q, *drawn)
+
+    @pytest.mark.parametrize(
+        "q, t",
+        [
+            (P("A", "B", "C", "D"), ("A", "B", "C", "D")),
+            (P("A", "B", "C", "D", given=("E",), do=("F",)), ("D", "B", "A", "C")),
+        ],
+    )
+    def test_every_removal_over_four_variables(self, q, t):
+        # the draws above seldom give t several blocks: take every ordered
+        # partition of t, every S made of its blocks and every x inside S
+        for cuts in itertools.product((False, True), repeat=len(t) - 1):
+            blocks = [[t[0]]]
+            for v, cut in zip(t[1:], cuts):
+                if cut:
+                    blocks.append([])
+                blocks[-1].append(v)
+            blocks = [tuple(b) for b in blocks]
+            for chosen in _nonempty_subsets(blocks):
+                s_union = {v for b in chosen for v in b}
+                for x in _nonempty_subsets(sorted(s_union)):
+                    drawn = (q, blocks, s_union, x, t)
+                    assert _outcome(exprs.reduced_q, *drawn) == _outcome(reference_exprs.reduced_q, *drawn)
 
     @pytest.mark.parametrize(
         "q, blocks, s_union, x, text",
@@ -548,36 +574,44 @@ class TestReducedQClosedForm:
             (P("A", "B", "C", given=("E",), do=("D",)), [("A",), ("B",), ("C",)], {"B"}, ("B",),
              "P_{d}(a|e) * P_{d}(c|a,b,e)"),
             (P("A", "B", "C", given=("E",)), [("A",), ("B", "C")], {"B", "C"}, ("B",), "P(a,c|e)"),
+            # several blocks, not all of t, and x in the last of them
+            (P("A", "B", "C"), [("A",), ("B",), ("C",)], {"A", "C"}, ("C",), "P(a,b)"),
+            (P("A", "B", "C", "D"), [("A",), ("B",), ("C",), ("D",)], {"A", "C"}, ("C",),
+             "P(a,b) * P(d|a,b,c)"),
+            (P("A", "B", "C", "D", given=("E",)), [("A",), ("B",), ("C", "D")], {"A", "C", "D"}, ("C",),
+             "P(a,b,d|e)"),
+            (P("A", "B", "C", "D", given=("E",), do=("F",)), [("A",), ("B",), ("C",), ("D",)],
+             {"A", "B", "C"}, ("C",), "P_{f}(a,b|e) * P_{f}(d|a,b,c,e)"),
         ],
     )
-    def test_closed_form_cases(self, q, blocks, s_union, x, text, removal_simplify_calls):
+    def test_closed_form_cases(self, q, blocks, s_union, x, text, simplify_calls):
         t = tuple(v for b in blocks for v in b)
         expected = reference_exprs.reduced_q(q, blocks, s_union, x, t)
-        removal_simplify_calls.clear()
-        e = ident_dag.reduced_q(q, blocks, s_union, x, t)
-        assert removal_simplify_calls == []
+        simplify_calls.clear()
+        e = exprs.reduced_q(q, blocks, s_union, x, t)
+        assert simplify_calls == []
         assert e == expected and render_text(e) == text and e._fixed
 
     @pytest.mark.parametrize(
         "q, blocks, s_union, x",
         [
-            # several blocks, not all of t
+            # several blocks, not all of t, and x in an earlier one
             (P("A", "B", "C"), [("A",), ("B",), ("C",)], {"A", "C"}, ("A",)),
             # a product, and a factor over more than t
             (Product((P("A"), P("B", given=("A",)))), [("A",), ("B",)], {"B"}, ("B",)),
             (P("A", "B", "C"), [("A",), ("B",)], {"B"}, ("B",)),
         ],
     )
-    def test_other_inputs_take_the_generic_path(self, q, blocks, s_union, x, removal_simplify_calls):
+    def test_other_inputs_take_the_generic_path(self, q, blocks, s_union, x, simplify_calls):
         t = tuple(v for b in blocks for v in b)
         expected = reference_exprs.reduced_q(q, blocks, s_union, x, t)
-        removal_simplify_calls.clear()
-        assert ident_dag.reduced_q(q, blocks, s_union, x, t) == expected
-        assert removal_simplify_calls
+        simplify_calls.clear()
+        assert exprs.reduced_q(q, blocks, s_union, x, t) == expected
+        assert simplify_calls
 
     def test_a_cut_block_is_refused(self):
         q, blocks, t = P("A", "B", "C", given=("E",)), [("A", "B"), ("C",)], ("A", "B", "C")
-        for reduce in (ident_dag.reduced_q, reference_exprs.reduced_q):
+        for reduce in (exprs.reduced_q, reference_exprs.reduced_q):
             with pytest.raises(ValueError, match="not a union of buckets"):
                 reduce(q, blocks, {"A"}, ("A",), t)
 

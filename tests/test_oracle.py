@@ -150,9 +150,18 @@ class TestScm:
     def test_factors_stay_out_of_equality_and_repr(self):
         d = LatentDag.from_specs(["X", "Y"], ["X -> Y"])
         s1 = random_scm(0, d)
-        s2 = Scm(s1.graph, s1.cards, s1.cpts)
-        assert s1.factors[0] is not s2.factors[0]
+        s2 = random_scm(0, d)
+        assert s1.factors[0] is not s2.factors[0] and s1.cpts["X"] is not s2.cpts["X"]
         assert s1 == s2 and "factors" not in repr(s1)
+
+    def test_equality_compares_every_cpt_exactly(self, bow):
+        assert random_scm(0, bow) == random_scm(0, bow)
+        assert random_scm(0, bow) != random_scm(1, bow)
+        s = random_scm(0, bow)
+        nudged = {v: c.copy() for v, c in s.cpts.items()}
+        nudged["X"][0] = nudged["X"][0][::-1]
+        assert Scm(s.graph, s.cards, nudged) != s
+        assert random_scm(0, bow, card=3) != s and s != "not a model"
 
     def test_joint_guard_refuses_at_evaluation_not_construction(self):
         nodes = [f"N{i}" for i in range(12)]

@@ -1,13 +1,15 @@
 """The removal steps reduce with what their own test derived, skipping the
 checks and re-derivations of the public reducers.  These tests show on the
 catalog and on seeded verification draws that every skipped check would have
-passed and that each step's reduction is the one the checked entry points
-give."""
+passed, that each step's reduction is the one the checked entry points give,
+and that every removal rewrite, closed form or not, is the simplified
+quotient of ``reference_exprs``."""
 
 import numpy as np
 import pytest
 
-from pagid import catalog, ident_dag, ident_pag
+import reference_exprs
+from pagid import catalog, exprs, ident_dag, ident_pag
 from pagid.exprs import expr_size
 from pagid.graphs import find_closure_violation, induced_subgraph
 from pagid.ident_pag import bucket_identifiable, q_reduce_bucket
@@ -48,13 +50,31 @@ def checked_steps(monkeypatch):
     return taken
 
 
+@pytest.fixture
+def referenced_rewrites(monkeypatch):
+    """Check every ``reduced_q`` call of both identification modules against
+    the reference quotient; count the calls."""
+    calls = []
+
+    def checked(q, blocks, s_union, x, t):
+        e = exprs.reduced_q(q, blocks, s_union, x, t)
+        expected = reference_exprs.reduced_q(q, blocks, s_union, x, t)
+        assert e == expected and e._fixed and expected._fixed
+        calls.append(e)
+        return e
+
+    monkeypatch.setattr(ident_pag, "reduced_q", checked)
+    monkeypatch.setattr(ident_dag, "reduced_q", checked)
+    return calls
+
+
 def _queries(nodes):
     """Every single-node query, and the whole rest as the outcome of each node."""
     pairs = [((x,), (y,)) for x in nodes for y in nodes if x != y]
     return pairs + [((x,), tuple(v for v in nodes if v != x)) for x in nodes]
 
 
-def test_catalog_steps_match_the_checked_reducers(checked_steps):
+def test_catalog_steps_match_the_checked_reducers(checked_steps, referenced_rewrites):
     acceptance = (("X1", "X2"), ("Y1", "Y2", "Y3"))
     for pag in (catalog.confounded_chain_pag(), catalog.two_treatment_pag(),
                 catalog.beyond_adjustment_pag(), catalog.circle_pair_pag()):
@@ -67,9 +87,10 @@ def test_catalog_steps_match_the_checked_reducers(checked_steps):
             for seed in (None, 3):
                 ident_dag.id_dag(xs, ys, dag, choice_seed=seed)
     assert checked_steps["bucket"] > 1000 and checked_steps["node"] > 500
+    assert len(referenced_rewrites) >= checked_steps["bucket"] + checked_steps["node"]
 
 
-def test_sampled_steps_match_the_checked_reducers(checked_steps):
+def test_sampled_steps_match_the_checked_reducers(checked_steps, referenced_rewrites):
     rng = np.random.default_rng(20)
     for _ in range(60):
         d, m = _sample_graph(rng)
@@ -84,3 +105,4 @@ def test_sampled_steps_match_the_checked_reducers(checked_steps):
                 for dag in (d, canonical_dag_of_mag(m)):
                     ident_dag.id_dag(*query, dag, choice_seed=choice_seed)
     assert checked_steps["bucket"] > 500 and checked_steps["node"] > 3000
+    assert len(referenced_rewrites) >= checked_steps["bucket"] + checked_steps["node"]
