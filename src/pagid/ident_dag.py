@@ -4,13 +4,15 @@ and the identification driver it shares with the PAG recursion.
 Shared (:func:`identify`, behind both :func:`id_dag` and
 :func:`.ident_pag.idp`): the input checks, pruning to the ancestors of the
 outcome once the treatment is cut, the split into components, reducing Q to
-each component by repeated removals, marginalising the pruned set outside
-the outcome, and the cleanup by :func:`simplify` and independence-certified
-conditioning drops and marginal joins.  Every removal ends in the one
-rewrite :func:`.exprs.reduced_q`, Q[t \\ x] = q / Q[S] * sum_x Q[S], given
-the S and the order that the step's own removability test derived; the
-public :func:`q_reduce` and :func:`.ident_pag.q_reduce_bucket` derive and
-check them again for direct callers.
+each component by repeated removals that start from Q[A] = P(A), A the
+observed (possible) ancestors of the outcome, marginalising the pruned set
+outside the outcome, and the cleanup by :func:`simplify` and
+independence-certified conditioning drops and marginal joins.  Every
+removal ends in the one rewrite :func:`.exprs.reduced_q`,
+Q[t \\ x] = q / Q[S] * sum_x Q[S], given the S and the order that the
+step's own removability test derived; the public :func:`q_reduce` and
+:func:`.ident_pag.q_reduce_bucket` derive and check them again for direct
+callers.
 
 Specific to latent DAGs: ancestors along directed paths, c-components
 (shared-latent connectivity), d-separation as the certificate, and removal
@@ -94,11 +96,29 @@ def identify(g, observed, x, y, *, prune, components, separated, remove, choice_
 
     The caller supplies its graph's parts, looked up at each call:
     ``prune(sub, ys)`` gives the observed (possible) ancestors of ``ys`` in
-    ``sub``, which is ``g`` without ``x``; ``components(h)`` partitions the
-    observed nodes of ``h``; ``separated(g, a, b, z)`` certifies the cleanup
-    rewrites; ``remove(t, c_set, q, rng)`` takes one step from Q[t], held in
-    ``q``, towards Q[c_set] and returns ``(removed, reduced q)`` or a
-    failure value.
+    ``sub``, which is ``g`` or ``g`` without ``x``; ``components(h)``
+    partitions the observed nodes of ``h``; ``separated(g, a, b, z)``
+    certifies the cleanup rewrites; ``remove(t, c_set, q, rng)`` takes one
+    step from Q[t], held in ``q``, towards Q[c_set] and returns
+    ``(removed, reduced q)`` or a failure value.
+
+    The components are those of G[D], D the ancestors of ``y`` in G without
+    ``x``.  Every component's removals start at Q[A] = P(A), A =
+    ``prune(g, y)`` the ancestors of ``y`` in G, not at Q[V] (line 2 of ID;
+    Tian & Pearl, AAAI 2002; with possible ancestors, Jaber, Zhang &
+    Bareinboim, UAI 2018).  As y <= D <= An(y), A is also the ancestral
+    closure of D, so every component lies inside it.  Why Q[A] = P(A), and
+    why the removals from A stay valid:
+
+    - latent DAG: A with its latent ancestors is an ancestral set, and
+      the observed margin of an ancestral set is Q of it, so Q[A] = P(A);
+    - PAG: a set closed under possible ancestors is ancestral in every DAG
+      of the class.  No bucket straddles A, as an ``o-o`` neighbour of a
+      node in A is its possible ancestor, so the buckets inside A are the
+      same in P_t and in P_{t & A}.  Both removal tests (the possible
+      children and the pc-component) can only shrink in an induced
+      subgraph, so any removal sequence from V, restricted to A, is a
+      valid sequence from A.
     """
     x, y = tuple(x), tuple(y)
     x_set, y_set = set(x), set(y)
@@ -109,11 +129,14 @@ def identify(g, observed, x, y, *, prune, components, separated, remove, choice_
         raise ValueError("treatment/outcome outside the observed graph nodes")
     rng = np.random.default_rng(choice_seed) if choice_seed is not None else None
 
-    big_d = prune(induced_subgraph(g, g.sort_nodes(obs - x_set)), g.sort_nodes(y_set))
-    q0: Expr = DistRef(tuple(observed))
+    ys = g.sort_nodes(y_set)
+    a_set = set(prune(g, ys))
+    start = [v for v in observed if v in a_set]
+    big_d = prune(induced_subgraph(g, g.sort_nodes(obs - x_set)), ys)
+    q0: Expr = DistRef(tuple(start))
     parts: list[Expr] = []
     for comp in components(induced_subgraph(g, big_d)):
-        c_set, t, q = set(comp), list(observed), q0
+        c_set, t, q = set(comp), start, q0
         while set(t) != c_set:
             step = remove(t, c_set, q, rng)
             if not isinstance(step, tuple):

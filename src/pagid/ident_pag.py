@@ -2,10 +2,11 @@
 
 The top level is the driver shared with the DAG-side algorithm,
 :func:`.ident_dag.identify`: input checks, ancestral pruning, the component
-split, per-component reduction by repeated removals, marginalisation and
-the certified cleanup.  Specific to PAGs: possible ancestors, composite
-pc-components, definite m-separation as the certificate, and the removal
-step, which removes whole buckets.  A bucket is removable from the current
+split, per-component reduction by repeated removals from Q[A] = P(A), A the
+possible ancestors of the outcome, marginalisation and the certified
+cleanup.  Specific to PAGs: possible ancestors, composite pc-components,
+definite m-separation as the certificate, and the removal step, which
+removes whole buckets.  A bucket is removable from the current
 subgraph when none of its members has, within that subgraph, a possible
 child outside the bucket lying in the same possible c-component.  Each
 removal rewrites the running distribution expression through the

@@ -36,12 +36,13 @@ class Scm:
     the CPT of the k-th node in topological order with its axes in that
     order, shaped to broadcast over the full joint; it is derived from
     ``cpts``, so equality, hashing and the repr ignore it.  Two models are
-    equal when their graphs, cards and every CPT entry are.
+    equal when their graphs, cards and every CPT entry are; the hash reads
+    the graph and the cards only, so equal models hash equal.
     """
 
     graph: LatentDag
     cards: Mapping[str, int]
-    cpts: Mapping[str, np.ndarray] = field(hash=False)
+    cpts: Mapping[str, np.ndarray]
     factors: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -75,6 +76,9 @@ class Scm:
             and self.cpts.keys() == other.cpts.keys()
             and all(np.array_equal(self.cpts[v], other.cpts[v]) for v in self.cpts)
         )
+
+    def __hash__(self) -> int:
+        return hash((self.graph, tuple(sorted(self.cards.items()))))
 
 
 def _full_joint(s: Scm, x: Mapping[str, int]) -> tuple[tuple[str, ...], np.ndarray]:

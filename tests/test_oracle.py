@@ -163,6 +163,11 @@ class TestScm:
         assert Scm(s.graph, s.cards, nudged) != s
         assert random_scm(0, bow, card=3) != s and s != "not a model"
 
+    def test_equal_models_hash_equal(self, bow):
+        s1, s2 = random_scm(0, bow), random_scm(0, bow)
+        assert s1 is not s2 and hash(s1) == hash(s2)
+        assert len({s1, s2, random_scm(1, bow)}) == 2
+
     def test_joint_guard_refuses_at_evaluation_not_construction(self):
         nodes = [f"N{i}" for i in range(12)]
         d = LatentDag(nodes, [], [])
