@@ -35,7 +35,6 @@ in :mod:`.separation`.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -226,14 +225,10 @@ class MixedGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MixedGraph):
             return NotImplemented
-        return set(self.nodes) == set(other.nodes) and {
-            k: v[:2] for k, v in self._edges.items()
-        } == {k: v[:2] for k, v in other._edges.items()}
+        return set(self.nodes) == set(other.nodes) and self._edges == other._edges
 
     def __hash__(self) -> int:
-        return hash(
-            (frozenset(self.nodes), frozenset((k, v[:2]) for k, v in self._edges.items()))
-        )
+        return hash((frozenset(self.nodes), frozenset(self._edges.items())))
 
     def __repr__(self) -> str:
         parts = [
@@ -527,8 +522,9 @@ def _inducing_path(g, i: int, j: int, latent_mask: int) -> bool:
 class LatentDag:
     """Acyclic causal diagram in canonical semi-Markovian form.
 
-    Latent nodes are roots with exactly two observed children, standing for
-    bidirected confounding arcs; the node cap counts the observed nodes only.
+    Latent nodes are roots with exactly two observed children, at most one
+    per pair, standing for bidirected confounding arcs; the node cap counts
+    the observed nodes only.
     """
 
     __slots__ = ("observed", "latent", "_edges", "_parents", "_children", "_index", "_masks", "_anc", "_topo")
@@ -559,30 +555,30 @@ class LatentDag:
             seen.add((p, c))
             self._parents[c].append(p)
             self._children[p].append(c)
+        confounded = set()
+        for u in latent:
+            kids = self._children[u]  # in arc order, for the message
+            if self._parents[u]:
+                raise ValueError(f"latent {u!r} has parents")
+            if len(kids) != 2 or any(c in latent for c in kids):
+                raise ValueError(f"latent {u!r} must have exactly two observed children")
+            if frozenset(kids) in confounded:
+                raise ValueError(f"duplicate edge {kids[0]!r}-{kids[1]!r}")
+            confounded.add(frozenset(kids))
         for d in (self._parents, self._children):
             for v in d:
                 d[v].sort(key=self._index.__getitem__)
-        for u in latent:
-            if self._parents[u]:
-                raise ValueError(f"latent {u!r} has parents")
-            if len(self._children[u]) != 2 or any(c in latent for c in self._children[u]):
-                raise ValueError(f"latent {u!r} must have exactly two observed children")
         self._topo = self._kahn_order()  # raises on cycles
 
     @classmethod
     def from_edges(cls, observed: Sequence[str], edges: Iterable[tuple]) -> "LatentDag":
         """Build from (a, b, mark_a, mark_b, visible) edges: directed ones are
         kept, each ``<->`` becomes a latent root ``U<n>`` (``_`` appended while
-        that is an observed name) over its endpoints, other marks raise, and
-        so does a repeated ``<->`` pair, as in a mixed graph."""
+        that is an observed name) over its endpoints, and other marks raise."""
         arcs: list[tuple[str, str]] = []
         latent: list[str] = []
-        confounded = set()
         for a, b, mark_a, mark_b, _ in edges:
             if (mark_a, mark_b) == (ARROW, ARROW):
-                if frozenset((a, b)) in confounded:
-                    raise ValueError(f"duplicate edge {a!r}-{b!r}")
-                confounded.add(frozenset((a, b)))
                 name = f"U{len(latent) + 1}"
                 while name in observed:
                     name += "_"
@@ -649,13 +645,13 @@ class LatentDag:
 
     def _structure(self) -> tuple:
         """What equality compares: the observed nodes, the observed edges and
-        the multiset of each latent's set of children.  Latent names do not
-        count, as :meth:`from_edges` assigns them in arc order."""
+        the confounded pairs, one per latent.  Latent names do not count, as
+        :meth:`from_edges` assigns them in arc order."""
         latent = set(self.latent)
         return (
             frozenset(self.observed),
             frozenset(e for e in self._edges if e[0] not in latent),
-            frozenset(Counter(frozenset(self._children[u]) for u in self.latent).items()),
+            frozenset(frozenset(self._children[u]) for u in self.latent),
         )
 
     def __eq__(self, other: object) -> bool:

@@ -19,6 +19,10 @@ Specific to latent DAGs: ancestors along directed paths, c-components
 of single nodes that are not confounded with any of their children, scanned
 in reverse topological order.  Such a node has no descendant in its
 c-component, so it is the descendant set that :func:`q_reduce` checks for.
+Steps read a scope t off the input DAG and build no subgraph: the latents
+with both children in t join G[t]'s c-components, and the DAG's order
+restricted to t is topological in G[t], as each edge of G[t] is the DAG's;
+the Q-decomposition takes any topological order (Tian & Pearl, AAAI 2002).
 Non-identifiability is reported as a value carrying the offending node and
 its confounded component.
 """
@@ -69,25 +73,30 @@ def c_components(d: LatentDag) -> tuple[tuple[str, ...], ...]:
 
 def q_reduce(d: LatentDag, t: Iterable[str], x: Iterable[str], q: Expr) -> Expr:
     """Reduce Q[t] to Q[t \\ x] when ``x`` is a descendant set inside its
-    composite confounded component: :func:`.exprs.reduced_q` over the nodes
-    of the subgraph in topological order, after checking that condition.
+    composite confounded component S, that is when no node of ``x`` has a
+    child in S outside ``x``: :func:`.exprs.reduced_q` over the scope's
+    order, after checking that condition.
     """
-    t = tuple(t)
-    x = tuple(x)
+    t, x = tuple(t), tuple(x)
     t_set, x_set = set(t), set(x)
     if not x_set or not x_set < t_set:
         raise ValueError("x must be a nonempty strict subset of t")
-    dt = induced_subgraph(d, t)
-    s_union = set().union(*(comp for comp in c_components(dt) if set(comp) & x_set))
-    ds = induced_subgraph(d, d.sort_nodes(s_union))
-    escaped = set(ds.descendants(x_set)) - x_set
+    comp_of, topo = _scope(d, t_set)
+    s_union = set().union(*(comp_of[v] for v in x))
+    escaped = {c for v in x for c in d.children(v) if c in s_union} - x_set
     if escaped:
         raise ValueError(
             f"{sorted(x_set)} is not a descendant set in its component: "
             f"descendants {sorted(escaped)} escape"
         )
-    topo = [(v,) for v in dt.topological_order() if v in t_set]
-    return reduced_q(q, topo, s_union, x, t)
+    return reduced_q(q, [(v,) for v in topo], s_union, x, t)
+
+
+def _scope(d: LatentDag, t_set: set[str]) -> tuple[dict[str, tuple[str, ...]], list[str]]:
+    """Each node's c-component in G[t], and G[t]'s order (see the module)."""
+    links = (d.children(u) for u in d.latent if t_set.issuperset(d.children(u)))
+    comp_of = {v: comp for comp in partition(d.sort_nodes(t_set), links) for v in comp}
+    return comp_of, [v for v in d.topological_order() if v in t_set]
 
 
 def identify(g, observed, x, y, *, prune, components, separated, remove, choice_seed):
@@ -99,8 +108,9 @@ def identify(g, observed, x, y, *, prune, components, separated, remove, choice_
     ``sub``, which is ``g`` or ``g`` without ``x``; ``components(h)``
     partitions the observed nodes of ``h``; ``separated(g, a, b, z)``
     certifies the cleanup rewrites; ``remove(t, c_set, q, rng)`` takes one
-    step from Q[t], held in ``q``, towards Q[c_set] and returns
-    ``(removed, reduced q)`` or a failure value.
+    step from Q[t], held in ``q``, towards Q[c_set], over the components and
+    a (partial) topological order of G[t], and returns ``(removed, reduced
+    q)`` or a failure value.
 
     The components are those of G[D], D the ancestors of ``y`` in G without
     ``x``.  Every component's removals start at Q[A] = P(A), A =
@@ -120,7 +130,6 @@ def identify(g, observed, x, y, *, prune, components, separated, remove, choice_
       subgraph, so any removal sequence from V, restricted to A, is a
       valid sequence from A.
     """
-    x, y = tuple(x), tuple(y)
     x_set, y_set = set(x), set(y)
     obs = set(observed)
     if not x_set or not y_set or x_set & y_set:
@@ -181,23 +190,13 @@ def _observed_ancestors(sub: LatentDag, ys: tuple[str, ...]) -> tuple[str, ...]:
 
 def _remove_node(d: LatentDag, t: list[str], c_set: set[str], q: Expr, rng):
     """Remove the first node of ``t \\ c_set`` in the scan order that shares
-    its c-component with none of its children.
-
-    A node with no child in its component has no descendant there, which is
-    what :func:`q_reduce` checks, so the reduction reuses this step's
-    components and order.  The subgraph itself stays: answers follow its Kahn
-    order, which is not always ``d``'s order restricted to ``t`` (C -> B -> A
-    on {A, C}).
-    """
-    dt = induced_subgraph(d, t)
-    comp_of = {v: comp for comp in c_components(dt) for v in comp}
-    t_set = set(t)
-    topo = [v for v in dt.topological_order() if v in t_set]
+    its c-component with none of its children."""
+    comp_of, topo = _scope(d, set(t))
     scan = [v for v in reversed(topo) if v not in c_set]
     if rng is not None:
         scan = [scan[i] for i in rng.permutation(len(scan))]
     for b in scan:
-        if not set(comp_of[b]) & set(dt.children(b)):
+        if not set(comp_of[b]) & set(d.children(b)):
             return (b,), reduced_q(q, [(v,) for v in topo], set(comp_of[b]), (b,), tuple(t))
     b = scan[0]
     return Fail(node=b, component=comp_of[b], scope=tuple(t), target=d.sort_nodes(c_set))

@@ -23,7 +23,6 @@ from pagid.graphs import (
     LatentDag,
     Mag,
     Pag,
-    flagged_edges,
     induced_subgraph,
     mag_violation,
     parse_edge,
@@ -70,7 +69,7 @@ def _class_dags(p):
         if mag_violation(m) is None:
             members = equivalence_class(m)
             q = pag_of_class(members)
-            if q == p and flagged_edges(q) == flagged_edges(p):
+            if q == p:  # equality compares the visible flags too
                 return tuple(canonical_dag_of_mag(mm) for mm in members)
     return ()
 
@@ -195,7 +194,8 @@ def test_no_stray_variables_on_a_ten_node_dag():
     )
     xs, ys = ("V10", "V2"), ("V7", "V9")
     res = ident_dag.id_dag(xs, ys, d)
-    assert render_text(res) == "sum_{v6,v8} [P(v6,v8,v9) * P(v7|v10,v6,v8,v9)]"
+    assert render_text(res) == "sum_{v8} [P(v7|v10,v8,v9) * P(v8,v9)]"
     assert set(res.free_vars()) <= set(xs) | set(ys)
-    for seed in range(3):
+    # against oracle.truncated, the interventional truth, on random models
+    for seed in range(10):
         assert interventional_gap(res, random_scm(seed, d), xs, ys) <= TOL

@@ -15,8 +15,11 @@ from pagid.graphs import (
     induced_subgraph,
     mag_of_dag,
     mag_violation,
+    parse_edge,
     possible_ancestors,
 )
+from pagid.exprs import render_text
+from pagid.ident_pag import Fail, idp
 from pagid.oracle import random_latent_dag
 
 
@@ -83,6 +86,16 @@ class TestMixedGraph:
         assert g.mark_at("A", "B") is CIRCLE
         assert g.mark_at("B", "A") is ARROW
 
+    def test_visible_flags_count_in_equality(self):
+        # the flag changes the answer, so it must change equality too
+        flagged = Pag(["X", "Y"], [parse_edge("pag", "X --> Y visible")])
+        bare = Pag(["X", "Y"], [parse_edge("pag", "X --> Y")])
+        assert render_text(idp(["X"], ["Y"], flagged)) == "P(y|x)"
+        assert isinstance(idp(["X"], ["Y"], bare), Fail)
+        assert flagged != bare and len({flagged, bare}) == 2
+        assert flagged == Pag(["X", "Y"], [parse_edge("pag", "X --> Y visible")])
+        assert hash(flagged) == hash(Pag(["X", "Y"], [parse_edge("pag", "X --> Y visible")]))
+
 
 class TestLatentDagEquality:
     def test_confounding_arc_order_does_not_count(self):
@@ -95,9 +108,11 @@ class TestLatentDagEquality:
         base = LatentDag.from_specs(["A", "B", "C"], ["A -> C", "A <-> B"])
         assert base != LatentDag.from_specs(["A", "B", "C"], ["C -> A", "A <-> B"])
         assert base != LatentDag.from_specs(["A", "B", "C"], ["A -> C", "A <-> C"])
-        # each latent counts: two confounders of one pair are not one
+
+    def test_constructor_refuses_two_latents_over_one_pair(self):
         arcs = [("A", "C")] + [(u, v) for u in ("U1", "U2") for v in "AB"]
-        assert base != LatentDag(["A", "B", "C"], ["U1", "U2"], arcs)
+        with pytest.raises(ValueError, match="duplicate edge 'A'-'B'"):
+            LatentDag(["A", "B", "C"], ["U1", "U2"], arcs)
 
 
 class TestInducedSubgraph:

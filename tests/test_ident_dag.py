@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pagid import catalog, ident_dag
 from pagid.exprs import DistRef, render_text
 from pagid.graphs import LatentDag, induced_subgraph
 from pagid.ident_dag import Fail, c_components, id_dag, q_reduce
 from pagid.oracle import random_latent_dag, random_scm
-from pagid.verify import interventional_gap
+from pagid.verify import _sample_graph, interventional_gap
 
 
 class TestCComponents:
@@ -116,10 +119,27 @@ class TestIdDag:
             assert interventional_gap(res, random_scm(rng, d), xs, ys) <= 1e-9
 
 
-def reverse_topo_candidates(d, t, c_set):
-    dt = induced_subgraph(d, t)
-    topo = [v for v in dt.topological_order() if v in set(t)]
-    return [v for v in reversed(topo) if v not in c_set]
+def test_scope_matches_the_induced_subgraph():
+    # the removal step reads G[t]'s components and order off the whole DAG;
+    # the rebuilt subgraph stays the reference.  Under 0.1 s of tier-1 time
+    rng = np.random.default_rng(0)
+    dags = [catalog.confounded_chain_dag(), catalog.confounded_chain_dag_alt(), catalog.bow_dag()]
+    dags += [_sample_graph(rng)[0] for _ in range(30)]
+    # sampled edges run forward in node order; reversed, the order must come
+    # from the edges and not from the node list
+    dags += [LatentDag(d.observed[::-1], d.latent, d.edges()) for d in dags]
+    checked = 0
+    for d in dags:
+        for k in range(1, len(d.observed) + 1):
+            for t in itertools.combinations(d.observed, k):
+                dt = induced_subgraph(d, t)
+                comp_of, topo = ident_dag._scope(d, set(t))
+                assert {v: comp for comp in c_components(dt) for v in comp} == comp_of
+                assert sorted(topo) == sorted(t)
+                position = {v: i for i, v in enumerate(topo)}
+                assert all(position[p] < position[c] for p, c in dt.edges() if p in position)
+                checked += 1
+    assert checked > 1800
 
 
 class TestRemovalGuarantees:
