@@ -69,7 +69,7 @@ def adjust_set(p: MixedGraph, x: Iterable[str], y: Iterable[str]) -> tuple[str, 
     return p.sort_nodes(anc - forb - xs - ys)
 
 
-def gac(p: Pag, x: Iterable[str], y: Iterable[str]) -> tuple[str, ...] | Fail:
+def gac(x: Iterable[str], y: Iterable[str], p: Pag) -> tuple[str, ...] | Fail:
     """Adjustment set for (x, y), or a :class:`Fail` certificate.
 
     Succeeds iff the graph is amenable (every proper possibly directed path

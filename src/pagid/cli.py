@@ -200,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gac":
             _, g = _load(args.graph, args.kinds)
             treat, outcome = _split_nodes(args.treat), _split_nodes(args.outcome)
-            result = adjustment.gac(g, treat, outcome)
+            result = adjustment.gac(treat, outcome, g)
             if isinstance(result, adjustment.Fail):
                 return _emit_query_result(result, adjustment.Fail, args.format, started)
             formula = adjustment.adjustment_formula(result, treat, outcome)

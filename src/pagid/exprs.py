@@ -19,9 +19,11 @@ Nodes are immutable, so facts about a node are stored on it, outside its
   rewrite calculus, and normalisation returns a marked node as it is.  The
   mark is truthful because ``simplify`` only returns a node that one more
   normalisation pass left unchanged.  Only :func:`simplify` and
-  :func:`reduced_q` set the mark: the closed form of a removal marks its
-  factor or product of two factors, the node ``simplify`` returns for the
-  removal's quotient q / Q[S] * sum_x Q[S], for the same reason.
+  :func:`reduced_q` set the mark: the closed form of a removal marks the
+  factor chain it returns, the node ``simplify`` returns for the removal's
+  quotient q / Q[S] * sum_x Q[S], for the same reason.  It also reads the
+  mark: it takes a product for a factor chain only when marked, because
+  ``simplify`` would first merge the factors of an unmarked one.
 
 No cache outlives the node it describes: there is no memo keyed by
 expression content, so one query costs the same whether or not others ran
@@ -540,6 +542,24 @@ def conditional_of(q: Expr, target: Iterable[str], given: Iterable[str], scope: 
     return simplify(Quotient(num, den))
 
 
+def _chain(q: Expr, t: set[str]) -> list[tuple] | None:
+    """(factor, do, C_k, H_k) of each factor of ``q`` in chain order when
+    ``q`` is a factor chain over ``t`` (see :func:`reduced_q`), else None."""
+    if _is_canonical(q):
+        factors = [q]
+    elif isinstance(q, Product) and q._fixed and all(map(_is_canonical, q.factors)):
+        factors = q.factors
+    else:
+        return None
+    chain = sorted(((f, *_as_factor(f)) for f in factors), key=lambda f: len(t.intersection(f[3])))
+    earlier = set()
+    for _, do, c, h in chain:
+        if do != chain[0][1] or t.intersection(h) != earlier:
+            return None
+        earlier.update(c)
+    return chain if earlier == t else None
+
+
 def reduced_q(
     q: Expr, blocks: Iterable[tuple[str, ...]], s_union: set[str], x: tuple[str, ...], t: tuple[str, ...]
 ) -> Expr:
@@ -556,40 +576,50 @@ def reduced_q(
     :func:`.ident_dag.q_reduce` and :func:`.ident_pag.q_reduce_bucket` are
     the checked entry points.
 
-    When ``q`` is one canonical factor P_D(T | G) (see :func:`_is_canonical`)
-    with T = t, each conditional of Q[S] is P_D(B | Pre u G), Pre the blocks
-    before B.  If S is all of t, Q[S] is all of q by the chain rule; take B
-    = t and Pre empty.  Otherwise, if ``x`` lies inside the last block B
-    inside S, only B's conditional mentions ``x``, and the others cancel
-    between q / Q[S] and the sum.  Either way the result is q over
-    P_D(B | Pre u G) times P_D(B \\ x | Pre u G): the quotient rule and
-    the chain rule make it P_D(t \\ B \\ Pre | B u Pre u G) *
-    P_D(Pre u (B \\ x) | G), factors with an empty target dropped.  That is
-    the node ``simplify`` returns for the quotient, in its factor order,
+    When ``q`` is a factor chain over t whose factors the blocks fit, the
+    result is read off the chain and no quotient is built.  A chain is one
+    canonical factor (see :func:`_is_canonical`), or a product of them that
+    :func:`simplify` has marked as its fixed point, P_D(C_1 | H_1) * ... *
+    P_D(C_n | H_n) over one D, where the C_k partition t and each H_k meets t
+    in exactly C_<k, the targets before it.  The mark is load-bearing:
+    ``simplify`` would first merge the factors of an unmarked product, and
+    its quotient would not be the one below.  If S is all of t, Q[S] is q
+    whatever the blocks, so the chain's factors serve as the blocks: B = C_n
+    and Pre = C_<n.  Otherwise B is the last block inside S and Pre the
+    blocks before it.  If ``x`` lies inside B, only B's
+    conditional mentions ``x``, and the others cancel between q / Q[S] and
+    the sum, so the result is q / q(B | Pre) * q(B \\ x | Pre).  When B lies
+    inside one C_k and C_<k <= Pre <= C_<k u C_k, both conditionals come from
+    the k-th factor alone: with Pre_k = Pre n C_k, the result is the other
+    factors unchanged times P_D(C_k \\ B \\ Pre_k | B u Pre_k u H_k) *
+    P_D(Pre_k u (B \\ x) | H_k), factors with an empty target dropped.  That
+    is the node ``simplify`` returns for the quotient, in its factor order,
     marked as a fixed point because one more normalisation pass leaves it
-    unchanged (a single factor is canonical, and no rule applies to the two
-    factors).  Every other input builds the quotient and simplifies it.
+    unchanged: no two of its factors chain-merge, as no two of q's did.  Every
+    other input builds the quotient and simplifies it.
     """
     inside, preceding = [], ()
     for block in blocks:
-        if set(block) <= s_union:
+        if s_union.issuperset(block):
             inside.append((block, preceding))
-        elif set(block) & s_union:
+        elif not s_union.isdisjoint(block):
             raise ValueError("definite c-component is not a union of buckets")
         preceding += block
-    if _is_canonical(q):
-        do, big_t, g = _as_factor(q)
-        block, before = inside[-1]
-        if sum(len(b) for b, _ in inside) == len(big_t):
-            block, before = big_t, ()
-        if set(big_t) == set(t) and set(x) <= set(block):
-            factors = (
-                (vsort(set(big_t).difference(block, before)), vsort(block + before + g)),
-                (vsort(set(block).difference(x).union(before)), g),
-            )
-            out = _rebuild([_from_factor(do, target, given) for target, given in factors if target], [])
-            object.__setattr__(out, "_fixed", True)
-            return out
+    chain = _chain(q, set(t))
+    if chain:
+        if sum(len(b) for b, _ in inside) == len(t):
+            block, before = set(chain[-1][2]), set(t).difference(chain[-1][2])
+        else:
+            block, before = map(set, inside[-1])
+        for k, (_, do, c, h) in enumerate(chain):
+            pre = before.intersection(c)
+            if block <= set(c) and set(x) <= block and before - pre == set(h).intersection(t):
+                split = ((vsort(set(c) - block - pre), vsort(block | pre | set(h))),
+                         (vsort(pre | block.difference(x)), h))
+                rest = [f for j, (f, *_) in enumerate(chain) if j != k]
+                out = _rebuild(rest + [_from_factor(do, *f) for f in split if f[0]], [])
+                object.__setattr__(out, "_fixed", True)
+                return out
     terms = [conditional_of(q, block, before, scope=t) for block, before in inside]
     q_s = terms[0] if len(terms) == 1 else Product(tuple(terms))
     return simplify(Product((Quotient(q, q_s), SumOver(x, q_s))))

@@ -174,7 +174,7 @@ def run_verification(seed: int = 0, runs: int = 200, tol: float = 1e-9, quiet: b
                     agree, f"run {run}: {xs}->{ys} on {cdag!r}"
                 )
 
-        adj = adjustment.gac(pag, xs, ys)
+        adj = adjustment.gac(xs, ys, pag)
         if not isinstance(adj, adjustment.Fail):
             checks["adjustment implies idp"].record(
                 idp_ok, f"run {run}: {xs}->{ys} adjustable but idp failed"

@@ -1,8 +1,11 @@
 """Reference computations for the expression engine's removal rewrite.
 
-``exprs.reduced_q`` answers a removal from one canonical factor in closed
-form when S is all of t or x lies inside the last block inside S.  This
-module keeps the generic computation it skips: the removal's quotient
+``exprs.reduced_q`` answers a removal from a factor chain in closed form:
+one canonical factor, or a product of them marked as a ``simplify`` fixed
+point, whose targets partition t and whose conditioning sets meet t in the
+earlier targets.  It does so when S is all of t and x lies inside the last
+factor's target, or when x lies inside the last block inside S and that
+block fits one factor.  This module keeps the generic computation it skips: the removal's quotient
 q / Q[S] * sum_x Q[S], each conditional of Q[S] a quotient of two sums over
 the request's scope, everything simplified by the rewrite calculus.  It
 exists only so that the differential tests can compare the closed form, and

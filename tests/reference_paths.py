@@ -330,7 +330,7 @@ def _possibly_directed(g: MixedGraph, path) -> bool:
     return all(g.mark_at(a, b) is not ARROW for a, b in zip(path, path[1:]))
 
 
-def gac(p: MixedGraph, x, y):
+def gac(x, y, p: MixedGraph):
     """``("set", z)`` or ``(reason, first failing path)``, from every proper
     path materialised up front."""
     xs, ys = set(x), set(y)

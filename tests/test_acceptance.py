@@ -69,7 +69,7 @@ def test_criterion_2_chain_full_effect_expression_and_values():
 
 def test_criterion_3_decomposition_beats_adjustment():
     pag = beyond_adjustment_pag()
-    adjustment_verdict = gac(pag, ["X"], ["Y"])
+    adjustment_verdict = gac(["X"], ["Y"], pag)
     result = idp(["X"], ["Y"], pag)
     ok = isinstance(adjustment_verdict, GacFail) and not isinstance(result, IdpFail)
     # brute-force the class from a tail completion of the single circle mark

@@ -47,28 +47,28 @@ class TestAdjustSet:
 class TestGac:
     def test_single_visible_edge_empty_set(self):
         g = Pag.from_specs(["X", "Y"], ["X --> Y visible"], check_visibility=False)
-        result = gac(g, ["X"], ["Y"])
+        result = gac(["X"], ["Y"], g)
         assert result == ()
         assert render_text(adjustment_formula(result, ["X"], ["Y"])) == "P(y|x)"
 
     def test_ring_pag_fails(self, ring_pag):
-        result = gac(ring_pag, ["X"], ["Y"])
+        result = gac(["X"], ["Y"], ring_pag)
         assert isinstance(result, Fail)
         assert result.reason == "blocking"
         assert result.path[0] == "X" and result.path[-1] == "Y"
 
     def test_invisible_edge_is_not_amenable(self):
         g = Pag.from_specs(["X", "Y"], ["X o-> Y"])
-        result = gac(g, ["X"], ["Y"])
+        result = gac(["X"], ["Y"], g)
         assert isinstance(result, Fail)
         assert result.reason == "amenability"
 
     def test_chain_pag_backdoor(self, chain_pag):
-        result = gac(chain_pag, ["X"], ["V4"])
+        result = gac(["X"], ["V4"], chain_pag)
         assert result == ("V1", "V2")
 
     def test_adjustment_formula_matches_ground_truth(self, chain_dag, chain_dag_alt, chain_pag):
-        z = gac(chain_pag, ["X"], ["V4"])
+        z = gac(["X"], ["V4"], chain_pag)
         formula = adjustment_formula(z, ["X"], ["V4"])
         for i, dag in enumerate((chain_dag, chain_dag_alt)):
             for s in range(5):
@@ -86,7 +86,7 @@ class TestGac:
             return
         perm = [nodes[i] for i in rng.permutation(len(nodes))]
         xs, ys = (perm[0],), (perm[1],)
-        result = gac(pag, xs, ys)
+        result = gac(xs, ys, pag)
         if isinstance(result, Fail):
             return
         assert not isinstance(idp(xs, ys, pag), IdpFail)

@@ -392,6 +392,7 @@ class TestConditionalOf:
 
 
 FACTOR_VARS = ("A", "B", "C", "D")
+CHAIN_VARS = FACTOR_VARS + ("E",)
 OUTSIDE = "Z"  # a name no drawn factor mentions
 
 
@@ -502,14 +503,11 @@ class TestConditionalOfClosedForm:
         assert e == reference_exprs.conditional_of(q, ("B",), ("A",), ("A", "B"))
 
 
-@st.composite
-def removals(draw):
-    """(q, blocks, s_union, x, t): one canonical factor q over t, an ordered
-    partition of t into blocks, S the union of all of them, of one or of
+def _draw_removal(draw, t):
+    """(blocks, s_union, x) for Q[t]: an ordered partition of ``t``, in the
+    order given, into blocks, S the union of all of them, of one or of
     several, and x a nonempty subset of S or, as in every removal step, of
     one block inside S."""
-    q = draw(single_factors())
-    t = draw(st.permutations(q.scope if isinstance(q, DistRef) else q.target))
     cuts = draw(st.lists(st.booleans(), min_size=len(t) - 1, max_size=len(t) - 1))
     blocks = [[t[0]]]
     for v, cut in zip(t[1:], cuts):
@@ -526,16 +524,60 @@ def removals(draw):
         _subsets(tuple(v for v in t if v in s_union), 1),
         st.sampled_from(sorted(chosen)).flatmap(lambda i: _subsets(blocks[i], 1)),
     ))
-    return q, blocks, s_union, x, tuple(t)
+    return blocks, s_union, x
+
+
+@st.composite
+def removals(draw):
+    """(q, blocks, s_union, x, t): one canonical factor q over t, and a
+    removal from it drawn by ``_draw_removal``."""
+    q = draw(single_factors())
+    t = draw(st.permutations(q.scope if isinstance(q, DistRef) else q.target))
+    return (q, *_draw_removal(draw, t), tuple(t))
+
+
+@st.composite
+def chains(draw):
+    """(q, blocks, s_union, x, t): q a product of 1-4 canonical factors
+    P_D(C_k | H_k) over ``CHAIN_VARS``, the C_k partitioning t, H_k made of
+    C_<k (now and then only part of it) and givens from outside t, and a
+    removal from q drawn by ``_draw_removal``, with t in chain order or
+    shuffled.  Half the products are ``simplify`` fixed points, half are left
+    unmerged and unmarked."""
+    names = draw(st.permutations(CHAIN_VARS))
+    size = draw(st.integers(1, len(names)))
+    t, rest = tuple(names[:size]), names[size:]
+    roles = draw(st.lists(st.sampled_from("gdn"), min_size=len(rest), max_size=len(rest)))
+    outside, do = (tuple(v for v, r in zip(rest, roles) if r == role) for role in "gd")
+    starts = draw(st.sets(st.integers(1, size - 1), max_size=3)) if size > 1 else set()
+    bounds = [0, *sorted(starts), size]
+    factors, context = [], ()
+    for lo, hi in zip(bounds, bounds[1:]):
+        earlier = t[:lo] if draw(st.integers(0, 3)) else draw(_subsets(t[:lo], 0))
+        context = context if draw(st.booleans()) else draw(_subsets(outside, 0))
+        factors.append(P(*t[lo:hi], given=earlier + context, do=do))
+    factors = draw(st.permutations(factors))
+    q = factors[0] if len(factors) == 1 else Product(tuple(factors))
+    if draw(st.booleans()):
+        q = simplify(q)
+    order = tuple(draw(st.one_of(st.just(t), st.permutations(t))))
+    return (q, *_draw_removal(draw, order), order)
 
 
 class TestReducedQClosedForm:
-    """``exprs.reduced_q`` on one canonical factor against the quotient
-    q / Q[S] * sum_x Q[S] it skips (``reference_exprs``)."""
+    """``exprs.reduced_q`` on factor chains, one canonical factor or a
+    product of them marked by ``simplify``, against the quotient
+    q / Q[S] * sum_x Q[S] it skips (``reference_exprs``); unmarked products
+    take the generic path, as ``simplify`` would merge their factors first."""
 
     @given(removals())
     @settings(max_examples=400, deadline=None)
     def test_matches_the_simplified_quotient(self, drawn):
+        assert _outcome(exprs.reduced_q, *drawn) == _outcome(reference_exprs.reduced_q, *drawn)
+
+    @given(chains())
+    @settings(max_examples=400, deadline=None)
+    def test_chains_match_the_simplified_quotient(self, drawn):
         assert _outcome(exprs.reduced_q, *drawn) == _outcome(reference_exprs.reduced_q, *drawn)
 
     @pytest.mark.parametrize(
@@ -582,6 +624,14 @@ class TestReducedQClosedForm:
              "P(a,b,d|e)"),
             (P("A", "B", "C", "D", given=("E",), do=("F",)), [("A",), ("B",), ("C",), ("D",)],
              {"A", "B", "C"}, ("C",), "P_{f}(a,b|e) * P_{f}(d|a,b,c,e)"),
+            # chains of two factors, as simplify leaves them: B inside the
+            # first factor's target, after part of it or before the second
+            (simplify(Product((P("V1", "V2"), P("V4", given=("V1", "V2", "V3"))))),
+             [("V1",), ("V2",), ("V4",)], {"V2"}, ("V2",), "P(v1) * P(v4|v1,v2,v3)"),
+            (simplify(Product((P("V1", given=("V2", "V6")), P("V2")))), [("V2",), ("V1",)], {"V2"}, ("V2",),
+             "P(v1|v2,v6)"),
+            (simplify(Product((P("V1"), P("V3", given=("V1", "V2"))))), [("V1",), ("V3",)], {"V1"}, ("V1",),
+             "P(v3|v1,v2)"),
         ],
     )
     def test_closed_form_cases(self, q, blocks, s_union, x, text, simplify_calls):

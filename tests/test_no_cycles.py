@@ -56,7 +56,7 @@ def assert_no_cyclic_garbage(call) -> None:
 def test_library_queries_leave_no_cycles():
     for pag, xs, ys in PAG_QUERIES:
         assert_no_cyclic_garbage(lambda: ident_pag.idp(xs, ys, pag))
-        assert_no_cyclic_garbage(lambda: adjustment.gac(pag, xs, ys))
+        assert_no_cyclic_garbage(lambda: adjustment.gac(xs, ys, pag))
     for dag, xs, ys in DAG_QUERIES:
         assert_no_cyclic_garbage(lambda: ident_dag.id_dag(xs, ys, dag))
 

@@ -152,7 +152,7 @@ class TestSeparation:
 
 def gac_outcome(p, xs, ys):
     """``gac`` in the reference oracle's shape: ("set", z) or (reason, path)."""
-    result = gac(p, xs, ys)
+    result = gac(xs, ys, p)
     return (result.reason, result.path) if isinstance(result, Fail) else ("set", result)
 
 
@@ -172,7 +172,7 @@ def assert_definite_paths_match(g, rng, sample=False):
     random_sets = list(set_queries(rng, nodes, 4 if sample else 10)) if len(nodes) >= 3 else []
     for xs, ys in [([a], [b]) for a, b in pairs] + [(xs, ys) for xs, ys, _ in random_sets]:
         assert list(proper_paths(g, xs, ys, lambda path, w: True)) == ref.proper_simple_paths(g, xs, ys)
-        assert gac_outcome(g, xs, ys) == ref.gac(g, xs, ys)
+        assert gac_outcome(g, xs, ys) == ref.gac(xs, ys, g)
     for xs, ys, zs in queries + random_sets:
         assert definitely_m_separated(g, xs, ys, zs) == ref.definitely_m_separated(g, xs, ys, zs)
 
