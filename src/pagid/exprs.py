@@ -18,12 +18,13 @@ Nodes are immutable, so facts about a node are stored on it, outside its
 * a node that :func:`simplify` returns is marked as a fixed point of the
   rewrite calculus, and normalisation returns a marked node as it is.  The
   mark is truthful because ``simplify`` only returns a node that one more
-  normalisation pass left unchanged.  Only :func:`simplify` and
-  :func:`reduced_q` set the mark: the closed form of a removal marks the
-  factor chain it returns, the node ``simplify`` returns for the removal's
-  quotient q / Q[S] * sum_x Q[S], for the same reason.  It also reads the
-  mark: it takes a product for a factor chain only when marked, because
-  ``simplify`` would first merge the factors of an unmarked one.
+  normalisation pass left unchanged.  Only :func:`simplify`,
+  :func:`q_of_joint` and :func:`reduced_q` set the mark: the closed forms
+  of a start and of a removal mark the factor chain they return, the node
+  ``simplify`` returns for the product or quotient it stands for, for the
+  same reason.  :func:`reduced_q` also reads the mark: it takes a product
+  for a factor chain only when marked, because ``simplify`` would first
+  merge the factors of an unmarked one.
 
 No cache outlives the node it describes: there is no memo keyed by
 expression content, so one query costs the same whether or not others ran
@@ -32,6 +33,7 @@ before it in the same process.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
@@ -558,6 +560,29 @@ def _chain(q: Expr, t: set[str]) -> list[tuple] | None:
             return None
         earlier.update(c)
     return chain if earlier == t else None
+
+
+def q_of_joint(order: Iterable[str], s_union: set[str]) -> Expr:
+    """Q[S] from Q[t] = P(t), t the nodes of ``order``, a topological order of
+    G[t], and S = ``s_union`` a union of c-components of G[t], in closed form.
+
+    Q[S] is the product of P(v | the nodes before v) over v in S (Tian &
+    Pearl, AAAI 2002, Lemma 2).  Each maximal run R of consecutive members of
+    S merges into one factor P(R | the nodes before R), and the factors,
+    sorted by :func:`_rebuild`, form a factor chain over S (see
+    :func:`reduced_q`).  It is the node :func:`simplify` returns for the
+    product, marked as a fixed point: two factors would chain-merge only if
+    no node outside S stood between their runs.
+    """
+    factors, before = [], ()
+    for inside, run in itertools.groupby(order, s_union.__contains__):
+        run = tuple(run)
+        if inside:
+            factors.append(_from_factor((), run, vsort(before)))
+        before += run
+    out = _rebuild(factors, [])
+    object.__setattr__(out, "_fixed", True)
+    return out
 
 
 def reduced_q(

@@ -4,9 +4,9 @@ and the identification driver it shares with the PAG recursion.
 Shared (:func:`identify`, behind both :func:`id_dag` and
 :func:`.ident_pag.idp`): the input checks, pruning to the ancestors of the
 outcome once the treatment is cut, the split into components, reducing Q to
-each component by repeated removals that start from Q[A] = P(A), A the
-observed (possible) ancestors of the outcome, marginalising the pruned set
-outside the outcome, and the cleanup by :func:`simplify` and
+each component by repeated removals from a start inside A, the observed
+(possible) ancestors of the outcome, marginalising the pruned set outside
+the outcome, and the cleanup by :func:`simplify` and
 independence-certified conditioning drops and marginal joins.  Every
 removal ends in the one rewrite :func:`.exprs.reduced_q`,
 Q[t \\ x] = q / Q[S] * sum_x Q[S], given the S and the order that the
@@ -15,10 +15,12 @@ step's own removability test derived; the public :func:`q_reduce` and
 callers.
 
 Specific to latent DAGs: ancestors along directed paths, c-components
-(shared-latent connectivity), d-separation as the certificate, and removal
-of single nodes that are not confounded with any of their children, scanned
-in reverse topological order.  Such a node has no descendant in its
-c-component, so it is the descendant set that :func:`q_reduce` checks for.
+(shared-latent connectivity), d-separation as the certificate, a start at
+Q[S], S the component's c-component of G[A], read off P(A) in closed form
+by :func:`.exprs.q_of_joint`, and removal of single nodes that are not
+confounded with any of their children, scanned in reverse topological
+order.  Such a node has no descendant in its c-component, so it is the
+descendant set that :func:`q_reduce` checks for.
 Steps read a scope t off the input DAG and build no subgraph: the latents
 with both children in t join G[t]'s c-components, and the DAG's order
 restricted to t is topological in G[t], as each edge of G[t] is the DAG's;
@@ -35,12 +37,12 @@ from typing import Iterable
 import numpy as np
 
 from .exprs import (
-    DistRef,
     Expr,
     Product,
     SumOver,
     drop_certified_givens,
     join_certified_marginals,
+    q_of_joint,
     reduced_q,
     simplify,
 )
@@ -99,26 +101,29 @@ def _scope(d: LatentDag, t_set: set[str]) -> tuple[dict[str, tuple[str, ...]], l
     return comp_of, [v for v in d.topological_order() if v in t_set]
 
 
-def identify(g, observed, x, y, *, prune, components, separated, remove, choice_seed):
+def identify(g, observed, x, y, *, prune, components, start, separated, remove, choice_seed):
     """Effect of ``x`` on ``y`` in ``g``, whose observed nodes are
     ``observed``, or the failure value of the first removal that gets stuck.
 
     The caller supplies its graph's parts, looked up at each call:
     ``prune(sub, ys)`` gives the observed (possible) ancestors of ``ys`` in
     ``sub``, which is ``g`` or ``g`` without ``x``; ``components(h)``
-    partitions the observed nodes of ``h``; ``separated(g, a, b, z)``
+    partitions the observed nodes of ``h``; ``start(a, comps)`` gives, for
+    each component, the scope t (a list in ``observed`` order) its removals
+    start from and Q[t], given A as the list ``a``; ``separated(g, a, b, z)``
     certifies the cleanup rewrites; ``remove(t, c_set, q, rng)`` takes one
     step from Q[t], held in ``q``, towards Q[c_set], over the components and
     a (partial) topological order of G[t], and returns ``(removed, reduced
     q)`` or a failure value.
 
     The components are those of G[D], D the ancestors of ``y`` in G without
-    ``x``.  Every component's removals start at Q[A] = P(A), A =
-    ``prune(g, y)`` the ancestors of ``y`` in G, not at Q[V] (line 2 of ID;
-    Tian & Pearl, AAAI 2002; with possible ancestors, Jaber, Zhang &
-    Bareinboim, UAI 2018).  As y <= D <= An(y), A is also the ancestral
-    closure of D, so every component lies inside it.  Why Q[A] = P(A), and
-    why the removals from A stay valid:
+    ``x``.  Every component's removals start inside A = ``prune(g, y)``,
+    the ancestors of ``y`` in G, not at Q[V] (line 2 of ID; Tian & Pearl,
+    AAAI 2002; with possible ancestors, Jaber, Zhang & Bareinboim, UAI
+    2018): :func:`.ident_pag.idp` starts each at Q[A] = P(A),
+    :func:`id_dag` at Q[S], S its c-component of G[A].  As y <= D <= An(y),
+    A is also the ancestral closure of D, so every component lies inside
+    it.  Why Q[A] = P(A), and why the removals from A stay valid:
 
     - latent DAG: A with its latent ancestors is an ancestral set, and
       the observed margin of an ancestral set is Q of it, so Q[A] = P(A);
@@ -129,6 +134,16 @@ def identify(g, observed, x, y, *, prune, components, separated, remove, choice_
       children and the pc-component) can only shrink in an induced
       subgraph, so any removal sequence from V, restricted to A, is a
       valid sequence from A.
+
+    Why :func:`id_dag` may start at Q[S] instead: a component of G[D] lies
+    inside one c-component S of G[A], as D <= A.  S stays a c-component of
+    G[t] for every t between S and A, so the topologically last node of
+    t \\ S, whose children in G[t] all lie in S, is removable, and the
+    removals from A can reach S, where Q[S] is the product of P(v | the
+    nodes of A before v) over S (Tian & Pearl, AAAI 2002, Lemma 2).
+    Removability only grows as the scope shrinks, so every order of
+    removals gets stuck at the same scope, and the verdict and the failure
+    value of the default scan stay the same.
     """
     x_set, y_set = set(x), set(y)
     obs = set(observed)
@@ -140,12 +155,12 @@ def identify(g, observed, x, y, *, prune, components, separated, remove, choice_
 
     ys = g.sort_nodes(y_set)
     a_set = set(prune(g, ys))
-    start = [v for v in observed if v in a_set]
+    ancestors = [v for v in observed if v in a_set]
     big_d = prune(induced_subgraph(g, g.sort_nodes(obs - x_set)), ys)
-    q0: Expr = DistRef(tuple(start))
+    comps = components(induced_subgraph(g, big_d))
     parts: list[Expr] = []
-    for comp in components(induced_subgraph(g, big_d)):
-        c_set, t, q = set(comp), start, q0
+    for comp, (t, q) in zip(comps, start(ancestors, comps)):
+        c_set = set(comp)
         while set(t) != c_set:
             step = remove(t, c_set, q, rng)
             if not isinstance(step, tuple):
@@ -178,6 +193,7 @@ def id_dag(
         d, d.observed, x, y,
         prune=_observed_ancestors,
         components=c_components,
+        start=lambda a, comps: _c_component_starts(d, a, comps),
         separated=d_separated,
         remove=lambda t, c_set, q, rng: _remove_node(d, t, c_set, q, rng),
         choice_seed=choice_seed,
@@ -186,6 +202,13 @@ def id_dag(
 
 def _observed_ancestors(sub: LatentDag, ys: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(v for v in sub.ancestors(ys) if v in sub.observed)
+
+
+def _c_component_starts(d: LatentDag, a: list[str], comps) -> list[tuple[list[str], Expr]]:
+    """Each component starts at Q[S], S its c-component of G[A]."""
+    comp_of, topo = _scope(d, set(a))
+    s_sets = [set(comp_of[comp[0]]) for comp in comps]
+    return [([v for v in a if v in s], q_of_joint(topo, s)) for s in s_sets]
 
 
 def _remove_node(d: LatentDag, t: list[str], c_set: set[str], q: Expr, rng):

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .exprs import Expr, expr_size, reduced_q, render_text
+from .exprs import DistRef, Expr, expr_size, reduced_q, render_text
 from .graphs import MixedGraph, Pag, induced_subgraph, possible_ancestors
 from .ident_dag import identify
 from .separation import definitely_m_separated
@@ -140,6 +140,7 @@ def idp(
         p, p.nodes, x, y,
         prune=possible_ancestors,
         components=cpc_components,
+        start=lambda a, comps: [(a, DistRef(tuple(a)))] * len(comps),
         separated=definitely_m_separated,
         remove=lambda t, c_set, q, rng: _remove_bucket(p, t, c_set, q, rng, trace),
         choice_seed=choice_seed,

@@ -1,12 +1,13 @@
-"""Every component's reduction starts at Q[A] = P(A), A the observed
-(possible) ancestors of the outcome, not at Q[V].
+"""Every component's reduction starts inside A, the observed (possible)
+ancestors of the outcome, not at Q[V]: ``idp`` at Q[A] = P(A), ``id_dag`` at
+Q[S], S the component's c-component of G[A].
 
 Differential tests against ``reference_ident``, which starts every
 component at Q[V]: on seeded verification draws, on every induced subgraph
 of the catalog graphs and on the ladder families up to 8 nodes, the two give
 the same verdicts and the same failure values, and every pair of answers
 takes the same value on random models of the DAGs the graph describes.  Two
-motivating cases are pinned."""
+motivating cases and one answer with a stray free variable are pinned."""
 
 import itertools
 
@@ -174,15 +175,16 @@ def removals(monkeypatch):
 
 
 def test_treatment_outside_the_outcome_ancestors(removals):
-    # V7 is no ancestor of V6: one removal for each component of {V6, V8};
-    # from Q[V], 20 removals grew the running expression to 279 nodes
+    # V7 is no ancestor of V6, and {V6} is a c-component of G[{V6, V8}], so
+    # the reduction starts at Q[V6] and takes no step; from Q[A] it took two
+    # removals, and from Q[V] 20 grew the running expression to 279 nodes
     d = LatentDag.from_specs(
         [f"V{i}" for i in range(1, 12)],
         ["V2 -> V11", "V4 -> V5", "V5 -> V11", "V8 -> V6", "V10 -> V9", "V11 -> V9",
          "V3 <-> V9", "V4 <-> V6", "V5 <-> V11", "V9 <-> V11"],
     )
     assert render_text(ident_dag.id_dag(["V7"], ["V6"], d)) == "P(v6)"
-    assert [removed for removed, _ in removals] == [("V8",), ("V6",)]
+    assert removals == []
 
 
 def test_no_stray_variables_on_a_ten_node_dag():
@@ -199,3 +201,22 @@ def test_no_stray_variables_on_a_ten_node_dag():
     # against oracle.truncated, the interventional truth, on random models
     for seed in range(10):
         assert interventional_gap(res, random_scm(seed, d), xs, ys) <= TOL
+
+
+def test_stray_variable_answer():
+    # v2 is still free in this answer.  V2's one child is the treatment V3,
+    # so do(V2, V3) has the effect of do(V3) on V5 and V6, and the gap below
+    # checks the answer at every value of v2
+    d = LatentDag.from_specs(
+        [f"V{i}" for i in range(1, 7)],
+        ["V1 -> V3", "V1 -> V4", "V1 -> V5", "V1 -> V6", "V2 -> V3", "V3 -> V5", "V4 -> V5",
+         "V4 -> V6", "V2 <-> V3", "V3 <-> V6", "V4 <-> V5"],
+    )
+    res = ident_dag.id_dag(["V3"], ["V5", "V6"], d)
+    assert render_text(res) == (
+        "sum_{v1,v4} [[P(v1) * P(v4,v5|v1,v3) * sum_{v3} "
+        "[P(v2,v3|v1) * P(v6|v1,v2,v3,v4,v5)] / P(v2|v1)]]"
+    )
+    assert set(res.free_vars()) == {"V2", "V3", "V5", "V6"}
+    for seed in range(10):
+        assert interventional_gap(res, random_scm(seed, d), ("V2", "V3"), ("V5", "V6")) <= TOL

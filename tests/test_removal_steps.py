@@ -4,7 +4,9 @@ catalog and on seeded verification draws that every skipped check would have
 passed, that each step's reduction is the one the checked entry points give,
 that every removal rewrite, closed form or not, is the simplified quotient
 of ``reference_exprs``, and that few of the steps' rewrites take the generic
-path."""
+path.  ``id_dag`` starts most components at their own Q[S] and takes few
+steps, so the DAG queries also run through ``reference_ident``, whose Q[V]
+start calls the same removal step thousands of times."""
 
 import itertools
 
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import reference_exprs
+import reference_ident
 from pagid import catalog, exprs, ident_dag, ident_pag
 from pagid.exprs import expr_size
 from pagid.graphs import find_closure_violation, induced_subgraph
@@ -25,9 +28,17 @@ from pagid.verify import _sample_graph, _sample_query
 def checked_steps(monkeypatch, referenced_rewrites):
     """Spy on both removal steps; count the steps taken, each checked, and
     the steps' own ``reduced_q`` calls that took the generic path (not those
-    of the checked reducers)."""
+    of the checked reducers, nor those of ``reference_ident.id_dag``, whose
+    Q[V] start is no production path)."""
     taken = {"bucket": 0, "node": 0, "generic": 0}
     remove_bucket, remove_node = ident_pag._remove_bucket, ident_dag._remove_node
+    reference_id_dag = reference_ident.id_dag
+
+    def reference_run(*args, **kwargs):
+        generic = taken["generic"]
+        result = reference_id_dag(*args, **kwargs)
+        taken["generic"] = generic
+        return result
 
     def bucket_step(p, t, c_set, q, rng, trace):
         before = len(referenced_rewrites)
@@ -56,6 +67,7 @@ def checked_steps(monkeypatch, referenced_rewrites):
 
     monkeypatch.setattr(ident_pag, "_remove_bucket", bucket_step)
     monkeypatch.setattr(ident_dag, "_remove_node", node_step)
+    monkeypatch.setattr(reference_ident, "id_dag", reference_run)
     return taken
 
 
@@ -108,6 +120,7 @@ def test_catalog_steps_match_the_checked_reducers(checked_steps, referenced_rewr
         for xs, ys in _queries(dag.observed):
             for seed in (None, 3):
                 ident_dag.id_dag(xs, ys, dag, choice_seed=seed)
+                reference_ident.id_dag(xs, ys, dag, choice_seed=seed)
     assert checked_steps["bucket"] > 1000 and checked_steps["node"] > 500
     assert len(referenced_rewrites) >= checked_steps["bucket"] + checked_steps["node"]
 
@@ -126,8 +139,11 @@ def test_sampled_steps_match_the_checked_reducers(checked_steps, referenced_rewr
                 ident_pag.idp(*query, pag, choice_seed=choice_seed)
                 for dag in (d, canonical_dag_of_mag(m)):
                     ident_dag.id_dag(*query, dag, choice_seed=choice_seed)
+            # the shuffled Q[V] start takes the steps the Q[S] start skips
+            reference_ident.id_dag(*query, d, choice_seed=seed)
     assert checked_steps["bucket"] > 500 and checked_steps["node"] > 3000
     assert len(referenced_rewrites) >= checked_steps["bucket"] + checked_steps["node"]
-    # the closed form answers all but a few hundred of the steps' ~10,000
-    # rewrites (244 here; 2,175 when it took one canonical factor only)
+    # the closed form answers all but a few hundred of the production steps'
+    # rewrites (103 here; 244 when id_dag started every component at Q[A],
+    # 2,175 when the closed form took one canonical factor only)
     assert checked_steps["generic"] <= 300
