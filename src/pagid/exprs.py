@@ -565,9 +565,13 @@ def _chain(q: Expr, t: set[str]) -> list[tuple] | None:
 def q_of_joint(order: Iterable[str], s_union: set[str]) -> Expr:
     """Q[S] from Q[t] = P(t), t the nodes of ``order``, a topological order of
     G[t], and S = ``s_union`` a union of c-components of G[t], in closed form.
+    For a PAG, ``order`` lists the buckets of a partial order of P_t one
+    after another, and S is a union of composite pc-components of P_t.
 
     Q[S] is the product of P(v | the nodes before v) over v in S (Tian &
-    Pearl, AAAI 2002, Lemma 2).  Each maximal run R of consecutive members of
+    Pearl, AAAI 2002, Lemma 2), and for a PAG the product of P(B | the
+    buckets before B) over the buckets B inside S (Jaber, Zhang &
+    Bareinboim, UAI 2018).  Each maximal run R of consecutive members of
     S merges into one factor P(R | the nodes before R), and the factors,
     sorted by :func:`_rebuild`, form a factor chain over S (see
     :func:`reduced_q`).  It is the node :func:`simplify` returns for the

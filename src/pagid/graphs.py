@@ -463,20 +463,28 @@ def find_closure_violation(g: MixedGraph) -> tuple[str, str, str] | None:
 
     Whenever A*->B with a circle at B toward C and A, C adjacent, the A-C
     edge must have an arrowhead at C; and if additionally A -> B, the A-C
-    edge must not be bidirected.  Returns a violating (A, B, C) or None.
+    edge must not be bidirected.  Returns a violating (A, B, C) or None:
+    the first B in node order, its first A, and the lowest C.  One pass
+    over node masks: for B and each A with an arrowhead at B, the
+    candidate C are the neighbours of A with a circle at B.
     """
-    for b in g.nodes:
-        for a, c in itertools.permutations(g.neighbors(b), 2):
-            if g.mark_at(b, a) is not ARROW:
-                continue
-            if g.mark_at(b, c) is not CIRCLE:
-                continue
-            if not g.adjacent(a, c):
-                continue
-            if g.mark_at(c, a) is not ARROW:
-                return (a, b, c)
-            if g.is_directed_edge(a, b) and g.mark_at(a, c) is ARROW:
-                return (a, b, c)
+    index, nodes = g._index, g.nodes
+    circle = [0] * len(nodes)
+    for (a, b), (ma, mb, _) in g._edges.items():
+        if ma is CIRCLE:
+            circle[index[a]] |= 1 << index[b]
+        if mb is CIRCLE:
+            circle[index[b]] |= 1 << index[a]
+    adj = adjacency_masks(g)
+    for j, (_, head_b, _) in enumerate(adj):
+        for i in bits(head_b):
+            nbr_a, head_a, out_a = adj[i]
+            cs = circle[j] & nbr_a
+            bad = cs & ~out_a
+            if not (head_a | circle[i]) >> j & 1:  # a tail at A: A -> B
+                bad |= cs & head_a
+            if bad:
+                return nodes[i], nodes[j], nodes[(bad & -bad).bit_length() - 1]
     return None
 
 

@@ -21,7 +21,9 @@ by :func:`.exprs.q_of_joint`, and removal of single nodes that are not
 confounded with any of their children, scanned in reverse topological
 order.  Such a node has no descendant in its c-component, so it is the
 descendant set that :func:`q_reduce` checks for.
-Steps read a scope t off the input DAG and build no subgraph: the latents
+Nothing reads a subgraph: D is the set of observed ancestors of the outcome
+along directed paths that avoid the treatment, and the components and the
+steps read a scope t off the input DAG: the latents
 with both children in t join G[t]'s c-components, and the DAG's order
 restricted to t is topological in G[t], as each edge of G[t] is the DAG's;
 the Q-decomposition takes any topological order (Tian & Pearl, AAAI 2002).
@@ -46,7 +48,7 @@ from .exprs import (
     reduced_q,
     simplify,
 )
-from .graphs import LatentDag, induced_subgraph, partition
+from .graphs import LatentDag, _close, adjacency_masks, mask_of, names_of, partition
 from .separation import d_separated
 
 
@@ -106,9 +108,10 @@ def identify(g, observed, x, y, *, prune, components, start, separated, remove, 
     ``observed``, or the failure value of the first removal that gets stuck.
 
     The caller supplies its graph's parts, looked up at each call:
-    ``prune(sub, ys)`` gives the observed (possible) ancestors of ``ys`` in
-    ``sub``, which is ``g`` or ``g`` without ``x``; ``components(h)``
-    partitions the observed nodes of ``h``; ``start(a, comps)`` gives, for
+    ``prune(ys, avoid)`` gives the observed (possible) ancestors of ``ys``
+    in ``g`` along paths that avoid the set ``avoid``, which is empty or
+    ``x``; ``components(big_d)`` partitions the list ``big_d`` into the
+    components of the subgraph over it; ``start(a, comps)`` gives, for
     each component, the scope t (a list in ``observed`` order) its removals
     start from and Q[t], given A as the list ``a``; ``separated(g, a, b, z)``
     certifies the cleanup rewrites; ``remove(t, c_set, q, rng)`` takes one
@@ -117,13 +120,14 @@ def identify(g, observed, x, y, *, prune, components, start, separated, remove, 
     q)`` or a failure value.
 
     The components are those of G[D], D the ancestors of ``y`` in G without
-    ``x``.  Every component's removals start inside A = ``prune(g, y)``,
+    ``x``.  Every component's removals start inside A = ``prune(y, {})``,
     the ancestors of ``y`` in G, not at Q[V] (line 2 of ID; Tian & Pearl,
     AAAI 2002; with possible ancestors, Jaber, Zhang & Bareinboim, UAI
-    2018): :func:`.ident_pag.idp` starts each at Q[A] = P(A),
-    :func:`id_dag` at Q[S], S its c-component of G[A].  As y <= D <= An(y),
-    A is also the ancestral closure of D, so every component lies inside
-    it.  Why Q[A] = P(A), and why the removals from A stay valid:
+    2018): :func:`id_dag` starts each at Q[S], S its c-component of G[A],
+    and :func:`.ident_pag.idp` at Q[C], C its composite pc-component of
+    P_A.  As y <= D <= An(y), A is also the ancestral closure of D, so every
+    component lies inside it.  Why Q[A] = P(A), and why the removals from A
+    stay valid:
 
     - latent DAG: A with its latent ancestors is an ancestral set, and
       the observed margin of an ancestral set is Q of it, so Q[A] = P(A);
@@ -141,7 +145,20 @@ def identify(g, observed, x, y, *, prune, components, start, separated, remove, 
     t \\ S, whose children in G[t] all lie in S, is removable, and the
     removals from A can reach S, where Q[S] is the product of P(v | the
     nodes of A before v) over S (Tian & Pearl, AAAI 2002, Lemma 2).
-    Removability only grows as the scope shrinks, so every order of
+
+    Why :func:`.ident_pag.idp` may start at Q[C]: two nodes in one
+    c-component of any DAG of the class, restricted to A, lie in one
+    pc-component of P_A, so C, a component's block of ``cpc_components``
+    of P_A (a component of P_D lies in one, as D <= A), is a union of
+    c-components of every DAG of the class, and Q[C] is the product of
+    P(B | the buckets before B) over the buckets B inside C of a partial
+    order of P_A.  The removals from A reach C: for any t between C and A,
+    every possible child of the last bucket of t \\ C in P_t's order lies in
+    that bucket or in C, and its pc-component lies in its own cpc block of
+    P_A, since cpc blocks only split in induced subgraphs, which keep their
+    parent's visibility flags; so that bucket is removable.
+
+    In both, removability only grows as the scope shrinks, so every order of
     removals gets stuck at the same scope, and the verdict and the failure
     value of the default scan stay the same.
     """
@@ -154,10 +171,10 @@ def identify(g, observed, x, y, *, prune, components, start, separated, remove, 
     rng = np.random.default_rng(choice_seed) if choice_seed is not None else None
 
     ys = g.sort_nodes(y_set)
-    a_set = set(prune(g, ys))
+    a_set = set(prune(ys, set()))
     ancestors = [v for v in observed if v in a_set]
-    big_d = prune(induced_subgraph(g, g.sort_nodes(obs - x_set)), ys)
-    comps = components(induced_subgraph(g, big_d))
+    big_d = prune(ys, x_set)
+    comps = components(big_d)
     parts: list[Expr] = []
     for comp, (t, q) in zip(comps, start(ancestors, comps)):
         c_set = set(comp)
@@ -191,8 +208,8 @@ def id_dag(
     """
     return identify(
         d, d.observed, x, y,
-        prune=_observed_ancestors,
-        components=c_components,
+        prune=lambda ys, avoid: _observed_ancestors(d, ys, avoid),
+        components=lambda big_d: tuple(dict.fromkeys(_scope(d, set(big_d))[0].values())),
         start=lambda a, comps: _c_component_starts(d, a, comps),
         separated=d_separated,
         remove=lambda t, c_set, q, rng: _remove_node(d, t, c_set, q, rng),
@@ -200,8 +217,12 @@ def id_dag(
     )
 
 
-def _observed_ancestors(sub: LatentDag, ys: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(v for v in sub.ancestors(ys) if v in sub.observed)
+def _observed_ancestors(d: LatentDag, ys: Iterable[str], avoid: Iterable[str] = ()) -> tuple[str, ...]:
+    """Observed ancestors of ``ys`` along directed paths that avoid
+    ``avoid``: those of G without ``avoid``, with no subgraph built."""
+    cut = ~mask_of(d, avoid)
+    parents = [head & cut for _, head, _ in adjacency_masks(d)]
+    return names_of(d.nodes, _close(parents, mask_of(d, ys)) & ((1 << len(d.observed)) - 1))
 
 
 def _c_component_starts(d: LatentDag, a: list[str], comps) -> list[tuple[list[str], Expr]]:

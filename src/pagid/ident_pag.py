@@ -2,17 +2,21 @@
 
 The top level is the driver shared with the DAG-side algorithm,
 :func:`.ident_dag.identify`: input checks, ancestral pruning, the component
-split, per-component reduction by repeated removals from Q[A] = P(A), A the
-possible ancestors of the outcome, marginalisation and the certified
+split, per-component reduction by repeated removals from a start inside A,
+the possible ancestors of the outcome, marginalisation and the certified
 cleanup.  Specific to PAGs: possible ancestors, composite pc-components,
-definite m-separation as the certificate, and the removal step, which
-removes whole buckets.  A bucket is removable from the current
-subgraph when none of its members has, within that subgraph, a possible
-child outside the bucket lying in the same possible c-component.  Each
-removal rewrites the running distribution expression through the
-bucket-level reduction, choosing the smaller of the reductions under two
-partial orders; the final form is cleaned up by independence-certified
-conditioning drops so that only treatment and outcome symbols remain free.
+definite m-separation as the certificate, the start and the removal step,
+which removes whole buckets.  Each component starts at Q[C], C its composite
+pc-component of P_A: the product of P(B | the buckets before B) over the
+buckets B inside C in a partial order of P_A, read off P(A) in closed form
+by :func:`.exprs.q_of_joint` (Jaber, Zhang & Bareinboim, UAI 2018).  A
+bucket is removable from the current subgraph when none of its members
+has, within that subgraph, a possible child outside the bucket lying in the
+same possible c-component.  Each removal rewrites the running distribution
+expression through the bucket-level reduction, choosing the smaller of the
+reductions under two partial orders; the final form is cleaned up by
+independence-certified conditioning drops so that only treatment and
+outcome symbols remain free.
 
 A step proves its bucket removable once and reduces with what it derived:
 the definite c-component S is computed once for both partial orders, and
@@ -28,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .exprs import DistRef, Expr, expr_size, reduced_q, render_text
+from .exprs import Expr, expr_size, q_of_joint, reduced_q, render_text
 from .graphs import MixedGraph, Pag, induced_subgraph, possible_ancestors
 from .ident_dag import identify
 from .separation import definitely_m_separated
@@ -138,13 +142,22 @@ def idp(
     """
     return identify(
         p, p.nodes, x, y,
-        prune=possible_ancestors,
-        components=cpc_components,
-        start=lambda a, comps: [(a, DistRef(tuple(a)))] * len(comps),
+        prune=lambda ys, avoid: possible_ancestors(induced_subgraph(p, p.sort_nodes(set(p.nodes) - avoid)), ys),
+        components=lambda big_d: cpc_components(induced_subgraph(p, big_d)),
+        start=lambda a, comps: _cpc_starts(p, a, comps),
         separated=definitely_m_separated,
         remove=lambda t, c_set, q, rng: _remove_bucket(p, t, c_set, q, rng, trace),
         choice_seed=choice_seed,
     )
+
+
+def _cpc_starts(p: Pag, a: list[str], comps) -> list[tuple[list[str], Expr]]:
+    """Each component starts at Q[C], C its composite pc-component of P_A."""
+    p_a = induced_subgraph(p, a)
+    order = [v for b in _pto_with_preference(p_a, None).buckets for v in b]
+    block_of = {v: set(block) for block in cpc_components(p_a) for v in block}
+    c_sets = [block_of[comp[0]] for comp in comps]
+    return [([v for v in a if v in c], q_of_joint(order, c)) for c in c_sets]
 
 
 def _remove_bucket(p: Pag, t: list[str], c_set: set[str], q: Expr, rng, trace: list[TraceStep] | None):

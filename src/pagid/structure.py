@@ -131,14 +131,19 @@ def pc_component(g: MixedGraph, seed: Iterable[str]) -> tuple[str, ...]:
     """Possible c-component of ``seed``: nodes connected to it by a path whose
     non-endpoints are all colliders and whose edges are all invisible."""
     starts = mask_of(g, seed)
+    reached, _ = reach(_invisible_masks(g), starts, -1, 0)
+    return names_of(g.nodes, reached | starts)
+
+
+def _invisible_masks(g: MixedGraph) -> list[tuple[int, int, int]]:
+    """:func:`.graphs.adjacency_masks` without the visible edges."""
     index = g._index
     adj = list(adjacency_masks(g))
     for a, b in visible_edges(g):
         i, j = index[a], index[b]
         adj[i] = tuple(m & ~(1 << j) for m in adj[i])
         adj[j] = tuple(m & ~(1 << i) for m in adj[j])
-    reached, _ = reach(adj, starts, -1, 0)
-    return names_of(g.nodes, reached | starts)
+    return adj
 
 
 def dc_component(g: MixedGraph, seed: Iterable[str]) -> tuple[str, ...]:
@@ -150,7 +155,9 @@ def dc_component(g: MixedGraph, seed: Iterable[str]) -> tuple[str, ...]:
 def cpc_components(g: MixedGraph) -> tuple[tuple[str, ...], ...]:
     """Unique partition into composite pc-components (transitive closure of
     the pc-component relation)."""
-    return partition(g.nodes, (pc_component(g, [v]) for v in g.nodes))
+    adj = _invisible_masks(g)
+    pcs = (reach(adj, 1 << i, -1, 0)[0] | 1 << i for i in range(len(g.nodes)))
+    return partition(g.nodes, (names_of(g.nodes, pc) for pc in pcs))
 
 
 def possible_children(g: MixedGraph, xs: Iterable[str]) -> tuple[str, ...]:

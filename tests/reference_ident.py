@@ -1,10 +1,12 @@
 """Reference identification that starts every component at Q[V].
 
-``ident_dag.identify`` starts each component's reduction at Q[A] = P(A), A
-the observed (possible) ancestors of the outcome.  This module keeps the
-version that starts at the whole observed distribution P(V) and removes
-every node outside A one step at a time, with the production removal steps
-and cleanup, so that the differential tests can compare the verdicts, the
+``ident_dag.identify`` starts each component's reduction inside A, the
+observed (possible) ancestors of the outcome, at the closed-form Q of the
+component's c-component of G[A] (``id_dag``) or composite pc-component of
+P_A (``idp``).  This module keeps the version that starts at the whole
+observed distribution P(V) and removes every node or bucket outside the
+component one step at a time, with the production removal steps and
+cleanup, so that the differential tests can compare the verdicts, the
 failure values and the values of the answers of the two.
 """
 

@@ -6,7 +6,9 @@ adjustment criterion, onto the pruned ``separation.proper_paths``.  They are
 exponential in the graph size and exist only so that the differential tests
 can compare the production searches against an independent path-by-path
 reading of each definition.  Ancestor sets are recomputed here by plain
-search rather than read from the cached masks under test.
+search rather than read from the cached masks under test.  The closure
+check walks every adjacent triple, as ``graphs.find_closure_violation`` did
+before it moved onto node masks.
 """
 
 from __future__ import annotations
@@ -174,6 +176,24 @@ def cpc_components(g: MixedGraph, visible) -> set[frozenset]:
                 for u in merged:
                     groups[u] = merged
     return {frozenset(c) for c in groups.values()}
+
+
+def find_closure_violation(g: MixedGraph) -> tuple[str, str, str] | None:
+    """The first violating (A, B, C) triple of the PAG closure property, by
+    B in node order and then by ordered neighbour pair, or None."""
+    for b in g.nodes:
+        for a, c in itertools.permutations(g.neighbors(b), 2):
+            if g.mark_at(b, a) is not ARROW:
+                continue
+            if g.mark_at(b, c) is not CIRCLE:
+                continue
+            if not g.adjacent(a, c):
+                continue
+            if g.mark_at(c, a) is not ARROW:
+                return (a, b, c)
+            if g.is_directed_edge(a, b) and g.mark_at(a, c) is ARROW:
+                return (a, b, c)
+    return None
 
 
 def mag_violation(g: MixedGraph) -> str | None:

@@ -1,6 +1,7 @@
 """Every component's reduction starts inside A, the observed (possible)
-ancestors of the outcome, not at Q[V]: ``idp`` at Q[A] = P(A), ``id_dag`` at
-Q[S], S the component's c-component of G[A].
+ancestors of the outcome, not at Q[V]: ``idp`` at Q[C], C the component's
+composite pc-component of P_A, ``id_dag`` at Q[S], S its c-component of
+G[A].
 
 Differential tests against ``reference_ident``, which starts every
 component at Q[V]: on seeded verification draws, on every induced subgraph

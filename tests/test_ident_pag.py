@@ -5,20 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pagid.exprs import DistRef, render_text
-from pagid.graphs import induced_subgraph
+from conftest import max_value_gap
+from pagid import catalog, ident_pag
+from pagid.exprs import Conditional, DistRef, Product, render_text, simplify
+from pagid.graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, Pag, induced_subgraph, mag_of_dag, possible_ancestors
 from pagid.ident_dag import Fail as DagFail
 from pagid.ident_dag import id_dag
 from pagid.ident_pag import Fail, TraceStep, bucket_identifiable, idp, q_reduce_bucket
 from pagid.oracle import (
     canonical_dag_of_mag,
     class_of_dag,
+    equivalence_class,
+    joint,
+    pag_of_class,
     random_latent_dag,
     random_scm,
 )
 from pagid.separation import definite_status_interior, m_separated
-from pagid.structure import buckets, pc_component, possible_children, pto
-from pagid.verify import expression_gap, interventional_gap
+from pagid.structure import _pto_with_preference, buckets, cpc_components, pc_component, possible_children, pto
+from pagid.verify import _sample_graph, expression_gap, interventional_gap
 
 
 class TestBucketIdentifiable:
@@ -250,3 +255,97 @@ class TestBucketIndependence:
                     )
                     for m in members:
                         assert m_separated(m, bucket, group, given)
+
+
+def _start_pags():
+    """(PAG, a latent DAG of its class): the catalog PAGs, 120 seeded class
+    PAGs and the MAGs of 20 random 8-12-node DAGs read as PAGs, each also
+    with its node list reversed, which moves the partial order's ties and
+    the runs of C."""
+    rng = np.random.default_rng(0)
+    pairs = []
+    for pag in (catalog.confounded_chain_pag(), catalog.two_treatment_pag(),
+                catalog.beyond_adjustment_pag(), catalog.circle_pair_pag()):
+        # a member MAG: circles at o-> tails become tails, o-o edges point
+        # forward in node order; each catalog circle component is one edge
+        m = Mag(pag.nodes, [
+            (a, b, TAIL if ma is CIRCLE else ma, (ARROW if ma is CIRCLE else TAIL) if mb is CIRCLE else mb, False)
+            for a, b, ma, mb, _ in pag.edges()
+        ])
+        assert pag_of_class(equivalence_class(m)) == pag
+        pairs.append((pag, canonical_dag_of_mag(m)))
+    for _ in range(120):
+        d, m = _sample_graph(rng)
+        pairs.append((pag_of_class(equivalence_class(m)), d))
+    # the draws reach 6 nodes; at 8-12, as in the cap12 benchmark, C splits
+    # into more runs
+    for _ in range(20):
+        nodes = [f"V{i}" for i in range(1, int(rng.integers(8, 13)))]
+        pairs_of = list(itertools.combinations(nodes, 2))
+        specs = [f"{a} -> {b}" for a, b in pairs_of if rng.random() < 0.3]
+        specs += [f"{a} <-> {b}" for a, b in pairs_of if rng.random() < 0.06]
+        d = LatentDag.from_specs(nodes, specs)
+        m = mag_of_dag(d)
+        pairs.append((Pag(m.nodes, m.edges()), d))
+    return pairs + [(Pag(p.nodes[::-1], p.edges()), d) for p, d in pairs]
+
+
+def test_component_starts_match_the_product_and_the_removals():
+    # every composite pc-component C of P_A, A = PossAn(y): the closed-form
+    # Q[C] is the simplified product of P(B | the buckets before B) over the
+    # buckets B inside C, and takes the value of removing A \ C from P(A)
+    # bucket by bucket with the checked q_reduce_bucket, on the observed
+    # joint of a random model of a DAG in the class.  The walk takes the last
+    # bucket outside C each time, which the checked reducer refuses unless it
+    # is removable, as the identify docstring argues.  About 2 s of tier-1
+    # time
+    rng = np.random.default_rng(1)
+    checked, walked, unequal, runs = 0, 0, 0, 0
+    for p, d in _start_pags():
+        tables = {(): joint(random_scm(rng, d))}
+        for y in p.nodes:
+            a = list(possible_ancestors(p, [y]))
+            p_a = induced_subgraph(p, a)
+            order = _pto_with_preference(p_a, None).buckets
+            blocks = cpc_components(p_a)
+            for c, (t, q) in zip(blocks, ident_pag._cpc_starts(p, a, blocks)):
+                c_set = set(c)
+                assert t == list(c)
+                factors, before = [], ()
+                for b in order:
+                    if c_set.issuperset(b):
+                        factors.append(Conditional(b, before, DistRef(b + before)) if before else DistRef(b))
+                    before += b
+                assert q == simplify(Product(tuple(factors))) and q._fixed
+                runs += isinstance(q, Product)
+                walk, q_walk = list(a), DistRef(tuple(a))
+                while set(walk) != c_set:
+                    p_t = induced_subgraph(p, walk)
+                    order_t = pto(p_t)
+                    bucket = [b for b in order_t.buckets if c_set.isdisjoint(b)][-1]
+                    q_walk = q_reduce_bucket(p_t, bucket, q_walk, order_t)
+                    walk = [v for v in walk if v not in bucket]
+                if q_walk != q:
+                    assert max_value_gap(q, q_walk, tables) <= 1e-12
+                    unequal += 1
+                walked += len(a) > len(c)
+                checked += 1
+    # 1,582 components; 320 walks take a step, 16 of them end in another
+    # form of Q[C]; 106 starts have more than one run
+    assert checked > 1500 and walked > 300 and unequal > 10 and runs > 100
+
+
+def test_cap12_bucket_walk_is_gone(monkeypatch):
+    # the 9-node PAG of the cap12 benchmark's op g5, whose idp query took 21
+    # bucket steps from Q[A]: V1 is no possible ancestor of V2 or V5, and
+    # every component now starts at its own Q[C]
+    p = Pag.from_specs(
+        [f"V{i}" for i in range(1, 10)],
+        ["V1 <-> V9", "V2 <-- V6 visible", "V2 <-- V9 visible", "V3 --> V6", "V3 <-- V7",
+         "V4 <-- V7", "V4 <-- V8", "V5 <-- V9 visible", "V6 <-- V7", "V8 --> V9"],
+    )
+    calls = []
+    remove_bucket = ident_pag._remove_bucket
+    monkeypatch.setattr(ident_pag, "_remove_bucket", lambda *args: calls.append(args) or remove_bucket(*args))
+    assert render_text(idp(["V1"], ["V2", "V5"], p)) == "P(v2,v5)"
+    assert calls == []

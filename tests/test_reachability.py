@@ -20,11 +20,13 @@ from pagid.adjustment import Fail, gac
 from pagid.cli import main, serialize_graph
 from pagid.graphs import (
     ARROW,
+    CIRCLE,
     TAIL,
     LatentDag,
     Mag,
     MixedGraph,
     Pag,
+    find_closure_violation,
     induced_subgraph,
     mag_of_dag,
     mag_violation,
@@ -228,6 +230,41 @@ class TestProjectionAndValidation:
         for family, n in ladder(8, FAMILIES[:3]):
             g = ladder_pag(family, n)
             assert mag_violation(g) == ref.mag_violation(g)
+
+    def test_closure_violation_matches_reference_on_random_marks(self):
+        # random marks over random skeletons of 2-12 nodes in shuffled node
+        # order, circles from rare to common: valid graphs, graphs that break
+        # the arrowhead rule and graphs that break only the A -> B rule
+        rng = np.random.default_rng(19)
+        marks = (TAIL, ARROW, CIRCLE)
+        found, directed_only = 0, 0
+        for _ in range(1500):
+            n = int(rng.integers(2, 13))
+            nodes = [f"V{i}" for i in rng.permutation(n) + 1]
+            density, circles = rng.random(), rng.random() * 0.6
+            weights = [(1 - circles) / 2, (1 - circles) / 2, circles]
+            edges = [
+                (a, b, *(marks[i] for i in rng.choice(3, 2, p=weights)), False)
+                for a, b in itertools.combinations(nodes, 2) if rng.random() < density
+            ]
+            g = MixedGraph(nodes, edges)
+            expected = ref.find_closure_violation(g)
+            assert find_closure_violation(g) == expected
+            if expected is not None:
+                a, b, c = expected
+                found += 1
+                directed_only += g.mark_at(c, a) is ARROW
+        # 705 violations, 62 of them of the A -> B rule alone
+        assert found > 500 and directed_only > 20
+
+    def test_closure_violation_matches_reference_on_subgraphs(self):
+        graphs = [pag_of_class(equivalence_class(draw(seed)[1])) for seed in range(20)]
+        graphs += catalog_pags() + [ladder_pag(f, n) for f, n in ladder(8)]
+        for g in graphs:
+            for r in range(1, min(len(g.nodes), 7) + 1):
+                for keep in itertools.combinations(g.nodes, r):
+                    sub = induced_subgraph(g, keep)
+                    assert find_closure_violation(sub) is ref.find_closure_violation(sub) is None
 
 
 class TestComponents:

@@ -4,9 +4,10 @@ catalog and on seeded verification draws that every skipped check would have
 passed, that each step's reduction is the one the checked entry points give,
 that every removal rewrite, closed form or not, is the simplified quotient
 of ``reference_exprs``, and that few of the steps' rewrites take the generic
-path.  ``id_dag`` starts most components at their own Q[S] and takes few
-steps, so the DAG queries also run through ``reference_ident``, whose Q[V]
-start calls the same removal step thousands of times."""
+path.  ``id_dag`` and ``idp`` start most components at their own Q[S] and
+Q[C] and take few steps, so the queries also run through
+``reference_ident``, whose Q[V] start calls the same removal steps
+thousands of times."""
 
 import itertools
 
@@ -28,17 +29,18 @@ from pagid.verify import _sample_graph, _sample_query
 def checked_steps(monkeypatch, referenced_rewrites):
     """Spy on both removal steps; count the steps taken, each checked, and
     the steps' own ``reduced_q`` calls that took the generic path (not those
-    of the checked reducers, nor those of ``reference_ident.id_dag``, whose
-    Q[V] start is no production path)."""
+    of the checked reducers, nor those of ``reference_ident``, whose Q[V]
+    start is no production path)."""
     taken = {"bucket": 0, "node": 0, "generic": 0}
     remove_bucket, remove_node = ident_pag._remove_bucket, ident_dag._remove_node
-    reference_id_dag = reference_ident.id_dag
 
-    def reference_run(*args, **kwargs):
-        generic = taken["generic"]
-        result = reference_id_dag(*args, **kwargs)
-        taken["generic"] = generic
-        return result
+    def uncounted(reference):
+        def run(*args, **kwargs):
+            generic = taken["generic"]
+            result = reference(*args, **kwargs)
+            taken["generic"] = generic
+            return result
+        return run
 
     def bucket_step(p, t, c_set, q, rng, trace):
         before = len(referenced_rewrites)
@@ -67,7 +69,8 @@ def checked_steps(monkeypatch, referenced_rewrites):
 
     monkeypatch.setattr(ident_pag, "_remove_bucket", bucket_step)
     monkeypatch.setattr(ident_dag, "_remove_node", node_step)
-    monkeypatch.setattr(reference_ident, "id_dag", reference_run)
+    monkeypatch.setattr(reference_ident, "id_dag", uncounted(reference_ident.id_dag))
+    monkeypatch.setattr(reference_ident, "idp", uncounted(reference_ident.idp))
     return taken
 
 
@@ -116,11 +119,16 @@ def test_catalog_steps_match_the_checked_reducers(checked_steps, referenced_rewr
         for xs, ys in queries:
             for seed in (None, 3):
                 ident_pag.idp(xs, ys, pag, choice_seed=seed)
+                # the Q[V] start takes the steps the Q[C] start skips; on
+                # single-node outcomes and the whole rest, within seconds
+                if len(ys) != 2:
+                    reference_ident.idp(xs, ys, pag, choice_seed=seed)
     for dag in (catalog.confounded_chain_dag(), catalog.confounded_chain_dag_alt(), catalog.bow_dag()):
         for xs, ys in _queries(dag.observed):
             for seed in (None, 3):
                 ident_dag.id_dag(xs, ys, dag, choice_seed=seed)
                 reference_ident.id_dag(xs, ys, dag, choice_seed=seed)
+    # 2,064 bucket steps, 538 of them production ones (1,402 node steps, 24)
     assert checked_steps["bucket"] > 1000 and checked_steps["node"] > 500
     assert len(referenced_rewrites) >= checked_steps["bucket"] + checked_steps["node"]
 
@@ -139,11 +147,15 @@ def test_sampled_steps_match_the_checked_reducers(checked_steps, referenced_rewr
                 ident_pag.idp(*query, pag, choice_seed=choice_seed)
                 for dag in (d, canonical_dag_of_mag(m)):
                     ident_dag.id_dag(*query, dag, choice_seed=choice_seed)
-            # the shuffled Q[V] start takes the steps the Q[S] start skips
+            # the shuffled Q[V] start takes the steps the Q[S] and Q[C]
+            # starts skip
+            reference_ident.idp(*query, pag, choice_seed=seed)
             reference_ident.id_dag(*query, d, choice_seed=seed)
+    # 1,847 bucket steps, 48 of them production ones (5,621 node steps, 140)
     assert checked_steps["bucket"] > 500 and checked_steps["node"] > 3000
     assert len(referenced_rewrites) >= checked_steps["bucket"] + checked_steps["node"]
     # the closed form answers all but a few hundred of the production steps'
-    # rewrites (103 here; 244 when id_dag started every component at Q[A],
-    # 2,175 when the closed form took one canonical factor only)
+    # rewrites (58 here; 103 when idp started every component at Q[A], 244
+    # when id_dag did too, 2,175 when the closed form took one canonical
+    # factor only)
     assert checked_steps["generic"] <= 300
