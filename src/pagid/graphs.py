@@ -3,9 +3,12 @@
 Edges carry one mark per endpoint (tail / arrow / circle) plus a visibility
 flag that is meaningful only on directed edges.  All graph values are
 immutable after construction; every operation here is a pure function.
-Derived tables (index adjacency with marks, per-node ancestor masks) are
-filled lazily into slots of the instance they describe; a :class:`Pag`
-settles its visible-edge set when it is built.
+Derived tables are filled lazily into slots of the instance they describe:
+one pass over the edge entries fills the adjacency with marks and the
+per-node parent and circle masks (:func:`adjacency_masks`,
+:func:`mark_masks`), from which ancestry, the closure and ancestral checks
+and visibility all read.  A :class:`Pag` settles its visible-edge set when
+it is built, walking no kernel.
 
 Each graph kind has one builder, its constructor; :meth:`LatentDag.from_edges`
 alone turns confounding arcs into latent roots.  Induced subgraphs of mixed
@@ -24,10 +27,10 @@ passed *into* and left through an arrowhead is a collider and must lie in
 cutting out the stretch between the first and last visit of the first node
 that repeats; a start that recurs loses its prefix, and the walk ends at its
 first arrival at the target.  Where ``noncollider_ok`` is empty (inducing
-paths here, collider paths and pc-components in :mod:`.structure`) both
-visits of a repeated interior node are colliders, so the joined node is a
-collider from ``collider_ok`` too.  :func:`_inducing_path` on a DAG also
-passes latents, which are roots and so always non-colliders; the first-repeat
+paths here, pc-components in :mod:`.structure`) both visits of a
+repeated interior node are colliders, so the joined node is a collider
+from ``collider_ok`` too.  :func:`_inducing_path` on a DAG also passes
+latents, which are roots and so always non-colliders; the first-repeat
 cut keeps their two path neighbours distinct.  m- and d-separation are argued
 in :mod:`.separation`.
 """
@@ -116,7 +119,7 @@ def check_nodes(named: Sequence[str], latent: Sequence[str] = ()) -> None:
 class MixedGraph:
     """Nodes plus per-edge endpoint marks; at most one edge per node pair."""
 
-    __slots__ = ("nodes", "_index", "_edges", "_adj", "_masks", "_anc", "_visible")
+    __slots__ = ("nodes", "_index", "_edges", "_adj", "_masks", "_marks", "_anc", "_visible")
     _grammar = "pag"  # the parse_edge kind read by from_specs
 
     def __init__(
@@ -207,18 +210,6 @@ class MixedGraph:
         entries = ((a, b, *marks) for (a, b), marks in self._edges.items())
         return tuple(sorted(entries, key=lambda e: (index[e[0]], index[e[1]])))
 
-    def directed_edges(self) -> tuple[tuple[str, str], ...]:
-        """All x -> y edges as (x, y) pairs, read off the edge entries unsorted."""
-        return tuple(
-            (a, b) if ma is TAIL else (b, a)
-            for (a, b), (ma, mb, _) in self._edges.items()
-            if ma is not mb and CIRCLE not in (ma, mb)
-        )
-
-    def parents(self, v: str) -> tuple[str, ...]:
-        """Strict parents: nodes u with u -> v."""
-        return tuple(u for u in self._adj[v] if self.is_directed_edge(u, v))
-
     def sort_nodes(self, items: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(items, key=self._index.__getitem__))
 
@@ -251,6 +242,8 @@ class Pag(MixedGraph):
     edge is flagged too, so the flags are complete.  An induced subgraph
     restricts its parent without this constructor and takes the copied flags
     as its visible set, as its own graphical set lies inside its parent's.
+    The closure and ancestral checks and visibility read one mask table,
+    filled once, in closed form.
     """
 
     def __init__(self, nodes, edges=(), *, check_visibility: bool = False):
@@ -351,37 +344,68 @@ def mask_of(g, names: Iterable[str]) -> int:
 
 def adjacency_masks(g) -> tuple[tuple[int, int, int], ...]:
     """Per node index: (neighbours, neighbours w with an arrowhead at this
-    node on the edge to w, neighbours w with an arrowhead at w).  Cached."""
+    node on the edge to w, neighbours w with an arrowhead at w).  Cached,
+    and filled with :func:`mark_masks` in one pass over the edge entries."""
     if g._masks is None:
         index = g._index
-        nbr, head, out = ([0] * len(index) for _ in range(3))
+        n = len(index)
+        nbr, head, out = [0] * n, [0] * n, [0] * n
         if isinstance(g, LatentDag):
-            marked = ((p, c, False, True) for p, c in g.edges())
-        else:
-            marked = ((a, b, ma is ARROW, mb is ARROW) for a, b, ma, mb, _ in g.edges())
-        for a, b, head_a, head_b in marked:
-            i, j = index[a], index[b]
-            nbr[i] |= 1 << j
-            nbr[j] |= 1 << i
-            if head_a:
-                head[i] |= 1 << j
-                out[j] |= 1 << i
-            if head_b:
+            for p, c in g._edges:
+                i, j = index[p], index[c]
+                nbr[i] |= 1 << j
+                nbr[j] |= 1 << i
                 head[j] |= 1 << i
                 out[i] |= 1 << j
+            g._marks = (tuple(head), (0,) * n)
+        else:
+            parents, circle = [0] * n, [0] * n
+            for (a, b), (ma, mb, _) in g._edges.items():
+                i, j = index[a], index[b]
+                nbr[i] |= 1 << j
+                nbr[j] |= 1 << i
+                if ma is ARROW:
+                    head[i] |= 1 << j
+                    out[j] |= 1 << i
+                    if mb is TAIL:
+                        parents[i] |= 1 << j
+                elif ma is CIRCLE:
+                    circle[i] |= 1 << j
+                if mb is ARROW:
+                    head[j] |= 1 << i
+                    out[i] |= 1 << j
+                    if ma is TAIL:
+                        parents[j] |= 1 << i
+                elif mb is CIRCLE:
+                    circle[j] |= 1 << i
+            g._marks = (tuple(parents), tuple(circle))
         g._masks = tuple(zip(nbr, head, out))
     return g._masks
 
 
+def mark_masks(g) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per node index: the mask of its parents (u with u -> v), and that of
+    the neighbours w with a circle at this node on the edge to w.  Filled
+    with :func:`adjacency_masks`; on a :class:`LatentDag` a node's parents
+    are its arrowhead neighbours and there are no circles."""
+    if g._masks is None:
+        adjacency_masks(g)
+    return g._marks
+
+
 def ancestor_masks(g) -> tuple[int, ...]:
     """Per node index: the mask of its ancestors along directed edges,
-    itself included.  Cached; terminates on cyclic input as well."""
+    itself included.  Cached; terminates on cyclic input as well.  One
+    Warshall pass over the parent masks: after step k, a node that has k
+    among its ancestors has k's ancestors too; parentless nodes add nothing."""
     if g._anc is None:
-        index = g._index
-        parents = [0] * len(index)
-        for u, v in g.edges() if isinstance(g, LatentDag) else g.directed_edges():
-            parents[index[v]] |= 1 << index[u]
-        g._anc = tuple(_close(parents, 1 << v) for v in range(len(parents)))
+        parents = mark_masks(g)[0]
+        an = [pa | 1 << v for v, pa in enumerate(parents)]
+        for k, pa in enumerate(parents):
+            if pa:
+                row, bit = an[k], 1 << k
+                an = [a | row if a & bit else a for a in an]
+        g._anc = tuple(an)
     return g._anc
 
 
@@ -468,20 +492,14 @@ def find_closure_violation(g: MixedGraph) -> tuple[str, str, str] | None:
     over node masks: for B and each A with an arrowhead at B, the
     candidate C are the neighbours of A with a circle at B.
     """
-    index, nodes = g._index, g.nodes
-    circle = [0] * len(nodes)
-    for (a, b), (ma, mb, _) in g._edges.items():
-        if ma is CIRCLE:
-            circle[index[a]] |= 1 << index[b]
-        if mb is CIRCLE:
-            circle[index[b]] |= 1 << index[a]
-    adj = adjacency_masks(g)
+    adj, nodes = adjacency_masks(g), g.nodes
+    parents, circle = mark_masks(g)
     for j, (_, head_b, _) in enumerate(adj):
         for i in bits(head_b):
             nbr_a, head_a, out_a = adj[i]
             cs = circle[j] & nbr_a
             bad = cs & ~out_a
-            if not (head_a | circle[i]) >> j & 1:  # a tail at A: A -> B
+            if parents[j] >> i & 1:  # A -> B
                 bad |= cs & head_a
             if bad:
                 return nodes[i], nodes[j], nodes[(bad & -bad).bit_length() - 1]
@@ -490,9 +508,11 @@ def find_closure_violation(g: MixedGraph) -> tuple[str, str, str] | None:
 
 def ancestral_violation(g: MixedGraph) -> str | None:
     """Describe a directed or almost directed cycle among the definite marks
-    of ``g``, or None; the first bidirected edge in node order is named."""
+    of ``g``, or None; the first bidirected edge in node order is named.
+    A directed cycle exists iff some edge u -> v has v among u's ancestors."""
     an, index = ancestor_masks(g), g._index
-    if any(an[u] >> v & 1 for v, mask in enumerate(an) for u in bits(mask & ~(1 << v))):
+    parents = mark_masks(g)[0]
+    if any(an[u] >> v & 1 for v, pa in enumerate(parents) for u in bits(pa)):
         return "directed cycle"
     cyclic = [
         (index[a], index[b])
@@ -535,7 +555,7 @@ class LatentDag:
     the observed nodes only.
     """
 
-    __slots__ = ("observed", "latent", "_edges", "_parents", "_children", "_index", "_masks", "_anc", "_topo")
+    __slots__ = ("observed", "latent", "_edges", "_parents", "_children", "_index", "_masks", "_marks", "_anc", "_topo")
 
     def __init__(
         self,

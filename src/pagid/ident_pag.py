@@ -152,12 +152,15 @@ def idp(
 
 
 def _cpc_starts(p: Pag, a: list[str], comps) -> list[tuple[list[str], Expr]]:
-    """Each component starts at Q[C], C its composite pc-component of P_A."""
+    """Each component starts at Q[C], C its composite pc-component of P_A.
+    The components partition D <= A, so when they cover as many nodes as A,
+    D = A and they are P_A's blocks themselves."""
     p_a = induced_subgraph(p, a)
     order = [v for b in _pto_with_preference(p_a, None).buckets for v in b]
-    block_of = {v: set(block) for block in cpc_components(p_a) for v in block}
-    c_sets = [block_of[comp[0]] for comp in comps]
-    return [([v for v in a if v in c], q_of_joint(order, c)) for c in c_sets]
+    if sum(map(len, comps)) < len(a):
+        block_of = {v: block for block in cpc_components(p_a) for v in block}
+        comps = [block_of[comp[0]] for comp in comps]
+    return [(list(c), q_of_joint(order, set(c))) for c in comps]
 
 
 def _remove_bucket(p: Pag, t: list[str], c_set: set[str], q: Expr, rng, trace: list[TraceStep] | None):

@@ -1,16 +1,17 @@
 """PAG analytics: edge visibility, buckets, the partial topological order,
 and the possible/definite/composite component notions used by identification.
 
-All functions accept a full PAG or any of its induced subgraphs.  Collider
-paths for visibility and pc-component paths run on the reachability kernel
-:func:`.graphs.reach` with every non-collider refused, so the kernel's walks
-have only colliders inside.  A walk becomes a simple path by joining the
-first and last visit of the first node that repeats: both visits are
-colliders, so the joined node is a collider from the same allowed set.  A
-repeated start is cut off, and the walk is cut at its first arrival at the
-target; for visibility that arrival is into the target, because an interior
-visit of it is a collider visit.  A :class:`.graphs.Pag` settles its
-visible-edge set when it is built; :func:`visible_edges` reads it.
+All functions accept a full PAG or any of its induced subgraphs.
+Visibility and composite pc-components are closed forms on the node masks
+of :func:`.graphs.adjacency_masks` and :func:`.graphs.mark_masks`, each
+argued in its docstring; neither walks the kernel.  pc-component paths run
+on the reachability kernel :func:`.graphs.reach` with every non-collider
+refused, so the kernel's walks have only colliders inside.  A walk becomes a
+simple path by joining the first and last visit of the first node that
+repeats: both visits are colliders, so the joined node is a collider from
+the same allowed set, and a repeated start is cut off.  A
+:class:`.graphs.Pag` settles its visible-edge set when it is built;
+:func:`visible_edges` reads it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import ARROW, CIRCLE, MixedGraph, Pag, _close, adjacency_masks, find_closure_violation, flagged_edges, mask_of, names_of, partition, reach
+from .graphs import ARROW, CIRCLE, MixedGraph, Pag, _close, adjacency_masks, bits, find_closure_violation, flagged_edges, mark_masks, mask_of, names_of, partition, reach
 
 
 def graphical_visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
@@ -26,16 +27,33 @@ def graphical_visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
 
     x -> y is visible when some node z not adjacent to y either has an edge
     into x, or reaches x by a collider path into x whose every collider is a
-    parent of y.
+    parent of y (Zhang, JMLR 9, 2008).  Closed form, one pass per child y
+    over :func:`.graphs.adjacency_masks`: with Pa the parents of y and far
+    the nodes other than y not adjacent to y, the seeds are the members of
+    Pa with an edge into them from far, and the visible parents are the
+    seeds closed under bidirected edges inside Pa.  That is what the
+    kernel's walk from far, with the parents of y as the allowed colliders
+    and no non-colliders, reaches into: it leaves a far start along any
+    edge, and goes on only from a node of Pa that it entered through an
+    arrowhead, along an edge with arrowheads at both ends; Pa, inside the
+    neighbours of y, is disjoint from far.
     """
-    adj, index = adjacency_masks(g), g._index
+    adj, nodes = adjacency_masks(g), g.nodes
+    everything = (1 << len(nodes)) - 1
+    bidirected = [head & out for _, head, out in adj]
     out = set()
-    for x, y in g.directed_edges():
-        i, j = index[x], index[y]
-        far = ~adj[j][0] & ~(1 << i | 1 << j) & ((1 << len(adj)) - 1)
-        _, reached_into = reach(adj, far, mask_of(g, g.parents(y)), 0)
-        if reached_into >> i & 1:
-            out.add((x, y))
+    for j, pa in enumerate(mark_masks(g)[0]):
+        if not pa:
+            continue
+        far = everything & ~adj[j][0] & ~(1 << j)
+        seen = frontier = sum(1 << i for i in bits(pa) if adj[i][1] & far)
+        while frontier:
+            step = 0
+            for i in bits(frontier):
+                step |= bidirected[i]
+            frontier = step & pa & ~seen
+            seen |= frontier
+        out.update((nodes[i], nodes[j]) for i in bits(seen))
     return frozenset(out)
 
 
@@ -154,10 +172,23 @@ def dc_component(g: MixedGraph, seed: Iterable[str]) -> tuple[str, ...]:
 
 def cpc_components(g: MixedGraph) -> tuple[tuple[str, ...], ...]:
     """Unique partition into composite pc-components (transitive closure of
-    the pc-component relation)."""
-    adj = _invisible_masks(g)
-    pcs = (reach(adj, 1 << i, -1, 0)[0] | 1 << i for i in range(len(g.nodes)))
-    return partition(g.nodes, (names_of(g.nodes, pc) for pc in pcs))
+    the pc-component relation); members in node order, blocks by first
+    member.
+
+    The blocks are the connected components of the invisible edges.  A
+    single invisible edge is a collider path with no interior, so its ends
+    share a pc-component, and every pc path runs over invisible edges.
+    Each block starts at the lowest node not yet placed and is closed under
+    invisible adjacency.
+    """
+    steps = [nbr for nbr, _, _ in _invisible_masks(g)]
+    left = (1 << len(g.nodes)) - 1
+    blocks = []
+    while left:
+        block = _close(steps, left & -left)
+        blocks.append(names_of(g.nodes, block))
+        left &= ~block
+    return tuple(blocks)
 
 
 def possible_children(g: MixedGraph, xs: Iterable[str]) -> tuple[str, ...]:

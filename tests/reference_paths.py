@@ -8,14 +8,38 @@ can compare the production searches against an independent path-by-path
 reading of each definition.  Ancestor sets are recomputed here by plain
 search rather than read from the cached masks under test.  The closure
 check walks every adjacent triple, as ``graphs.find_closure_violation`` did
-before it moved onto node masks.
+before it moved onto node masks.  At the end, the kernel forms of
+visibility, composite pc-components and the directed-cycle test keep the
+per-edge, per-node and per-pair shape that their closed forms replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from pagid.graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, MixedGraph
+from pagid.graphs import (
+    ARROW,
+    CIRCLE,
+    TAIL,
+    LatentDag,
+    Mag,
+    MixedGraph,
+    adjacency_masks,
+    ancestor_masks,
+    bits,
+    mask_of,
+    names_of,
+    partition,
+    reach,
+)
+from pagid.structure import _invisible_masks
+
+
+def parents(g, v) -> list[str]:
+    """Parents of ``v``: a DAG's own, or a mixed graph's u with u -> v."""
+    if isinstance(g, LatentDag):
+        return list(g.parents(v))
+    return [u for u in g.neighbors(v) if g.is_directed_edge(u, v)]
 
 
 def ancestors(g, targets) -> set[str]:
@@ -24,7 +48,7 @@ def ancestors(g, targets) -> set[str]:
     frontier = list(targets)
     while frontier:
         v = frontier.pop()
-        for u in g.parents(v):
+        for u in parents(g, v):
             if u not in out:
                 out.add(u)
                 frontier.append(u)
@@ -134,14 +158,15 @@ def collider_path_into(g: MixedGraph, z: str, x: str, allowed) -> bool:
 
 def graphical_visible_edges(g: MixedGraph) -> frozenset:
     out = set()
-    for x, y in g.directed_edges():
-        parents_y = set(g.parents(y))
-        if any(
-            collider_path_into(g, z, x, parents_y)
-            for z in g.nodes
-            if z not in (x, y) and not g.adjacent(z, y)
-        ):
-            out.add((x, y))
+    for y in g.nodes:
+        parents_y = set(parents(g, y))
+        for x in parents_y:
+            if any(
+                collider_path_into(g, z, x, parents_y)
+                for z in g.nodes
+                if z not in (x, y) and not g.adjacent(z, y)
+            ):
+                out.add((x, y))
     return frozenset(out)
 
 
@@ -370,3 +395,49 @@ def gac(x, y, p: MixedGraph):
         if not _possibly_directed(p, path) and not _blocked(p, path, z, open_collider):
             return "blocking", path
     return "set", p.sort_nodes(z)
+
+
+# The kernel forms that ``graphs`` and ``structure`` ran before a Pag was
+# settled in closed form on its mask table: one reach per directed edge for
+# visibility, one reach per node and a union-find for the composite
+# pc-components, and a scan over every ancestor pair for directed cycles.
+
+
+def kernel_visible_edges(g: MixedGraph) -> frozenset:
+    """One reach per directed edge x -> y: from the nodes not adjacent to y,
+    with the parents of y as the allowed colliders, into x."""
+    adj, index = adjacency_masks(g), g._index
+    out = set()
+    for y in g.nodes:
+        parents_y = parents(g, y)
+        for x in parents_y:
+            i, j = index[x], index[y]
+            far = ~adj[j][0] & ~(1 << i | 1 << j) & ((1 << len(adj)) - 1)
+            _, reached_into = reach(adj, far, mask_of(g, parents_y), 0)
+            if reached_into >> i & 1:
+                out.add((x, y))
+    return frozenset(out)
+
+
+def kernel_cpc_components(g: MixedGraph) -> tuple:
+    """Each node's pc-component by its own reach, joined by ``partition``."""
+    adj = _invisible_masks(g)
+    pcs = (reach(adj, 1 << i, -1, 0)[0] | 1 << i for i in range(len(g.nodes)))
+    return partition(g.nodes, (names_of(g.nodes, pc) for pc in pcs))
+
+
+def pair_scan_ancestral_violation(g: MixedGraph) -> str | None:
+    """``graphs.ancestral_violation`` with its directed-cycle test as a scan
+    over every node and each of its other ancestors."""
+    an, index = ancestor_masks(g), g._index
+    if any(an[u] >> v & 1 for v, mask in enumerate(an) for u in bits(mask & ~(1 << v))):
+        return "directed cycle"
+    cyclic = [
+        (index[a], index[b])
+        for (a, b), (ma, mb, _) in g._edges.items()
+        if ma is mb is ARROW and (an[index[a]] >> index[b] | an[index[b]] >> index[a]) & 1
+    ]
+    if not cyclic:
+        return None
+    i, j = min(cyclic)
+    return f"almost directed cycle at {g.nodes[i]!r}<->{g.nodes[j]!r}"

@@ -1,5 +1,5 @@
-"""Golden answers of both query engines, ``id_dag`` and ``idp``, diffed byte
-for byte.
+"""Golden answers of both query engines, ``id_dag`` and ``idp``, and golden
+composite pc-components, diffed byte for byte.
 
 The queries are those of ``test_removal_steps._queries``.  ``id_dag`` is
 asked of the catalog DAGs and of both latent DAGs (the drawn one and the
@@ -7,11 +7,15 @@ canonical DAG of its MAG) of 20 seed-7 verification draws; ``idp`` of the
 catalog PAGs and of the class PAGs of the same draws.  Each line of
 ``tests/data/<engine>_answers.txt`` holds the draw (``-`` for the catalog),
 the graph, the treatment, the outcome and the answer text or the failure's
-``describe()``, separated by tabs.  Regenerate a file, when an answer is
-meant to change, with::
+``describe()``, separated by tabs.  Each line of ``tests/data/components.txt``
+holds the draw, the graph and its ``cpc_components`` blocks as ``pagid
+components`` prints them, for the catalog PAGs, the same class PAGs and the
+four ladder families of ``test_reachability`` at 4-12 nodes.  Regenerate a
+file, when an answer is meant to change, with::
 
     PYTHONPATH=src python tests/test_id_dag_answers.py id_dag > tests/data/id_dag_answers.txt
     PYTHONPATH=src python tests/test_id_dag_answers.py idp > tests/data/idp_answers.txt
+    PYTHONPATH=src python tests/test_id_dag_answers.py components > tests/data/components.txt
 """
 
 import sys
@@ -23,7 +27,9 @@ import pytest
 from pagid import catalog, ident_dag, ident_pag
 from pagid.exprs import render_text
 from pagid.oracle import canonical_dag_of_mag, equivalence_class, pag_of_class
+from pagid.structure import cpc_components
 from pagid.verify import _sample_graph
+from test_reachability import FAMILIES, ladder, ladder_pag
 from test_removal_steps import _queries
 
 DATA = Path(__file__).parent / "data"
@@ -67,10 +73,29 @@ def answers_text(engine: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_answers_match_the_golden_file(engine):
-    assert answers_text(engine) == (DATA / f"{engine}_answers.txt").read_text()
+def components_text() -> str:
+    graphs = list(_pags())
+    graphs += [("-", f"{family}_{n}", ladder_pag(family, n)) for family, n in ladder(12, FAMILIES)]
+    lines = []
+    for draw, name, g in graphs:
+        blocks = " ".join("{" + ",".join(comp) + "}" for comp in cpc_components(g))
+        lines.append("\t".join((draw, name, blocks)))
+    return "\n".join(lines) + "\n"
+
+
+# id: (golden file stem, the function that writes its text)
+GOLDEN = {
+    "id_dag": ("id_dag_answers", lambda: answers_text("id_dag")),
+    "idp": ("idp_answers", lambda: answers_text("idp")),
+    "components": ("components", components_text),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_answers_match_the_golden_file(name):
+    stem, text = GOLDEN[name]
+    assert text() == (DATA / f"{stem}.txt").read_text()
 
 
 if __name__ == "__main__":
-    sys.stdout.write(answers_text(sys.argv[1]))
+    sys.stdout.write(GOLDEN[sys.argv[1]][1]())

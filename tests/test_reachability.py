@@ -7,6 +7,7 @@ synthetic density families (complete bidirected, bidirected chain and cycle,
 circle clique).
 """
 
+import collections
 import itertools
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_paths as ref
-from pagid import catalog
+from pagid import catalog, graphs, structure
 from pagid.adjustment import Fail, gac
 from pagid.cli import main, serialize_graph
 from pagid.graphs import (
@@ -26,10 +27,12 @@ from pagid.graphs import (
     Mag,
     MixedGraph,
     Pag,
+    ancestral_violation,
     find_closure_violation,
     induced_subgraph,
     mag_of_dag,
     mag_violation,
+    reach,
 )
 from pagid.oracle import equivalence_class, pag_of_class
 from pagid.separation import d_separated, definitely_m_separated, m_separated, proper_paths
@@ -232,22 +235,8 @@ class TestProjectionAndValidation:
             assert mag_violation(g) == ref.mag_violation(g)
 
     def test_closure_violation_matches_reference_on_random_marks(self):
-        # random marks over random skeletons of 2-12 nodes in shuffled node
-        # order, circles from rare to common: valid graphs, graphs that break
-        # the arrowhead rule and graphs that break only the A -> B rule
-        rng = np.random.default_rng(19)
-        marks = (TAIL, ARROW, CIRCLE)
         found, directed_only = 0, 0
-        for _ in range(1500):
-            n = int(rng.integers(2, 13))
-            nodes = [f"V{i}" for i in rng.permutation(n) + 1]
-            density, circles = rng.random(), rng.random() * 0.6
-            weights = [(1 - circles) / 2, (1 - circles) / 2, circles]
-            edges = [
-                (a, b, *(marks[i] for i in rng.choice(3, 2, p=weights)), False)
-                for a, b in itertools.combinations(nodes, 2) if rng.random() < density
-            ]
-            g = MixedGraph(nodes, edges)
+        for g in random_marked_graphs():
             expected = ref.find_closure_violation(g)
             assert find_closure_violation(g) == expected
             if expected is not None:
@@ -258,13 +247,81 @@ class TestProjectionAndValidation:
         assert found > 500 and directed_only > 20
 
     def test_closure_violation_matches_reference_on_subgraphs(self):
-        graphs = [pag_of_class(equivalence_class(draw(seed)[1])) for seed in range(20)]
-        graphs += catalog_pags() + [ladder_pag(f, n) for f, n in ladder(8)]
-        for g in graphs:
-            for r in range(1, min(len(g.nodes), 7) + 1):
-                for keep in itertools.combinations(g.nodes, r):
-                    sub = induced_subgraph(g, keep)
-                    assert find_closure_violation(sub) is ref.find_closure_violation(sub) is None
+        for sub in small_subgraphs():
+            assert find_closure_violation(sub) is ref.find_closure_violation(sub) is None
+
+
+def random_marked_graphs():
+    """1,500 random marks over random skeletons of 2-12 nodes in shuffled
+    node order, circles from rare to common: valid graphs, graphs that break
+    the arrowhead rule and graphs that break only the A -> B rule, cyclic
+    and almost cyclic graphs among them."""
+    rng = np.random.default_rng(19)
+    marks = (TAIL, ARROW, CIRCLE)
+    for _ in range(1500):
+        n = int(rng.integers(2, 13))
+        nodes = [f"V{i}" for i in rng.permutation(n) + 1]
+        density, circles = rng.random(), rng.random() * 0.6
+        weights = [(1 - circles) / 2, (1 - circles) / 2, circles]
+        edges = [
+            (a, b, *(marks[i] for i in rng.choice(3, 2, p=weights)), False)
+            for a, b in itertools.combinations(nodes, 2) if rng.random() < density
+        ]
+        yield MixedGraph(nodes, edges)
+
+
+def small_subgraphs():
+    """Every induced subgraph of at most 7 nodes of 20 seeded class PAGs, the
+    catalog PAGs and the ladder PAGs of 4-8 nodes."""
+    pags = [pag_of_class(equivalence_class(draw(seed)[1])) for seed in range(20)]
+    pags += catalog_pags() + [ladder_pag(f, n) for f, n in ladder(8)]
+    for g in pags:
+        for r in range(1, min(len(g.nodes), 7) + 1):
+            for keep in itertools.combinations(g.nodes, r):
+                yield induced_subgraph(g, keep)
+
+
+class TestClosedForms:
+    """The closed forms that settle a PAG against the kernel forms they
+    replaced (``reference_paths``): visibility by its one pass per child,
+    composite pc-components as invisible-edge components, and the
+    directed-cycle test by one test per directed edge."""
+
+    @staticmethod
+    def assert_kernel_forms_match(g):
+        assert graphical_visible_edges(g) == ref.kernel_visible_edges(g)
+        assert cpc_components(g) == ref.kernel_cpc_components(g)
+        assert ancestral_violation(g) == ref.pair_scan_ancestral_violation(g)
+
+    def test_match_kernel_forms_on_random_marks(self):
+        seen = collections.Counter()
+        for g in random_marked_graphs():
+            self.assert_kernel_forms_match(g)
+            seen[(ancestral_violation(g) or "acyclic").split(" at ")[0]] += 1
+            seen["visible"] += bool(graphical_visible_edges(g))
+        # 128 directed and 132 almost directed cycles; 597 graphs with a visible edge
+        assert min(seen.values()) > 100
+
+    def test_match_kernel_forms_on_subgraphs(self):
+        for sub in small_subgraphs():
+            self.assert_kernel_forms_match(sub)
+
+    def test_building_a_pag_walks_no_kernel(self, monkeypatch):
+        pags = catalog_pags() + [ladder_pag(f, 12) for f in FAMILIES]
+        pags += [pag_of_class(equivalence_class(draw(seed)[1])) for seed in range(5)]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return reach(*args)
+
+        monkeypatch.setattr(graphs, "reach", counted)
+        monkeypatch.setattr(structure, "reach", counted)
+        for g in pags:
+            Pag(g.nodes, g.edges(), check_visibility=True)
+        assert calls == []
+        pc_component(pags[0], pags[0].nodes[:1])
+        assert calls
 
 
 class TestComponents:
