@@ -12,8 +12,9 @@ an enumerated class is built once, as the :class:`.graphs.Mag` it tests.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -38,6 +39,13 @@ class Scm:
     ``cpts``, so equality, hashing and the repr ignore it.  Two models are
     equal when their graphs, cards and every CPT entry are; the hash reads
     the graph and the cards only, so equal models hash equal.
+
+    Construction checks every CPT for its shape, for a negative entry and
+    for a row that misses one by more than ``CPT_ROW_TOL``.  The sign and
+    row checks run batched, once per card over the rows of all CPTs.  When
+    the batch cannot pass every CPT, the per-node checks run in topological
+    order and raise for the first faulty node, shape before sign before rows,
+    with the messages the per-node checks always gave.
     """
 
     graph: LatentDag
@@ -48,22 +56,18 @@ class Scm:
     def __post_init__(self):
         order = self.graph.topological_order()
         axis = {v: i for i, v in enumerate(order)}
+        dims = [(*self.graph.parents(v), v) for v in order]
+        wants = [tuple(self.cards[d] for d in ds) for ds in dims]
+        cpts = [np.asarray(self.cpts[v], dtype=float) for v in order]
+        if not _cpts_pass(cpts, wants):
+            for v, cpt, want in zip(order, cpts, wants):
+                _check_cpt(v, cpt, want)
         factors = []
-        for v in order:
-            cpt = np.asarray(self.cpts[v], dtype=float)
-            dims = (*self.graph.parents(v), v)
-            want = tuple(self.cards[d] for d in dims)
-            if cpt.shape != want:
-                raise ValueError(f"CPT shape for {v!r}: {cpt.shape} != {want}")
-            if (cpt < 0).any():
-                raise ValueError(f"negative CPT entry for {v!r}")
-            # absolute tolerance only; written so that a NaN row fails too
-            if not np.abs(cpt.sum(axis=-1) - 1.0).max() <= CPT_ROW_TOL:
-                raise ValueError(f"CPT rows for {v!r} do not sum to 1")
+        for cpt, ds, want in zip(cpts, dims, wants):
             shape = [1] * len(order)
-            for d, card in zip(dims, want):
+            for d, card in zip(ds, want):
                 shape[axis[d]] = card
-            arranged = np.transpose(cpt, sorted(range(len(dims)), key=lambda i: axis[dims[i]]))
+            arranged = np.transpose(cpt, sorted(range(len(ds)), key=lambda i: axis[ds[i]]))
             factors.append(arranged.reshape(shape))
         object.__setattr__(self, "factors", tuple(factors))
 
@@ -81,9 +85,45 @@ class Scm:
         return hash((self.graph, tuple(sorted(self.cards.items()))))
 
 
-def _full_joint(s: Scm, x: Mapping[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Joint over all nodes with the CPTs of the intervened ``x`` dropped and
-    their values clamped."""
+def _check_cpt(v: str, cpt: np.ndarray, want: tuple[int, ...]) -> None:
+    """The checks on the CPT of one node, in the order they report."""
+    if cpt.shape != want:
+        raise ValueError(f"CPT shape for {v!r}: {cpt.shape} != {want}")
+    if (cpt < 0).any():
+        raise ValueError(f"negative CPT entry for {v!r}")
+    # absolute tolerance only; written so that a NaN row fails too
+    if not np.abs(cpt.sum(axis=-1) - 1.0).max() <= CPT_ROW_TOL:
+        raise ValueError(f"CPT rows for {v!r} do not sum to 1")
+
+
+def _cpts_pass(cpts: Sequence[np.ndarray], wants: Sequence[tuple[int, ...]]) -> bool:
+    """True when every CPT passes :func:`_check_cpt`, with one sign and one
+    row check per card over the stacked rows of its CPTs.
+
+    False leaves the verdict to :func:`_check_cpt`.  An empty CPT or one not
+    in C order gives False too: stacked, its rows could sum in another
+    grouping than its own ``sum(axis=-1)`` uses.  A C-ordered CPT's rows sum
+    the same either way.
+    """
+    rows_by_card: dict[int, list[np.ndarray]] = {}
+    for cpt, want in zip(cpts, wants):
+        if cpt.shape != want or not cpt.size or not cpt.flags.c_contiguous:
+            return False
+        rows_by_card.setdefault(want[-1], []).append(cpt.reshape(-1, want[-1]))
+    for blocks in rows_by_card.values():
+        rows = np.concatenate(blocks)
+        # as in _check_cpt, a NaN row fails the comparison
+        if (rows < 0).any() or not np.abs(rows.sum(axis=-1) - 1.0).max() <= CPT_ROW_TOL:
+            return False
+    return True
+
+
+def _product(s: Scm, x: Collection[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Product over all nodes of the CPT factors of the nodes outside the
+    intervened ``x``."""
+    for v in x:
+        if v not in s.graph.observed:
+            raise ValueError(f"intervention on unknown observed node {v!r}")
     order = s.graph.topological_order()
     states = 1
     for v in order:
@@ -94,11 +134,35 @@ def _full_joint(s: Scm, x: Mapping[str, int]) -> tuple[tuple[str, ...], np.ndarr
     for v, factor in zip(order, s.factors):
         if v not in x:
             out = out * factor
+    return order, out
+
+
+def _clamp(s: Scm, order: tuple[str, ...], out: np.ndarray, x: Mapping[str, int]) -> np.ndarray:
+    """``out`` with each node of ``x`` clamped to its value."""
     for v, val in x.items():
         keep = np.zeros(s.cards[v])
         keep[val] = 1.0
         out = out * keep.reshape([s.cards[v] if u == v else 1 for u in order])
-    return order, out
+    return out
+
+
+def _full_joint(s: Scm, x: Mapping[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Joint over all nodes with the CPTs of the intervened ``x`` dropped and
+    their values clamped."""
+    order, out = _product(s, x)
+    return order, _clamp(s, order, out, x)
+
+
+def _observed_table(s: Scm, order: tuple[str, ...], arr: np.ndarray, x: Collection[str]) -> JointTable:
+    """The joint ``arr`` over ``order`` summed to the observed nodes outside
+    ``x``, sorted by name."""
+    drop = set(s.graph.latent) | set(x)
+    axes = tuple(i for i, v in enumerate(order) if v in drop)
+    keep = tuple(v for v in order if v not in drop)
+    marg = arr.sum(axis=axes) if axes else arr
+    keep_sorted = tuple(sorted(keep, key=lambda v: (v.lower(), v)))
+    perm = [keep.index(v) for v in keep_sorted]
+    return JointTable(keep_sorted, tuple(s.cards[v] for v in keep_sorted), np.transpose(marg, perm))
 
 
 def joint(s: Scm) -> JointTable:
@@ -108,17 +172,22 @@ def joint(s: Scm) -> JointTable:
 
 def truncated(s: Scm, x: Mapping[str, int]) -> JointTable:
     """Exact interventional distribution: drop intervened CPTs, clamp values."""
-    for v in x:
-        if v not in s.graph.observed:
-            raise ValueError(f"intervention on unknown observed node {v!r}")
     order, arr = _full_joint(s, x)
-    drop = set(s.graph.latent) | set(x)
-    axes = tuple(i for i, v in enumerate(order) if v in drop)
-    keep = tuple(v for v in order if v not in drop)
-    marg = arr.sum(axis=axes) if axes else arr
-    keep_sorted = tuple(sorted(keep, key=lambda v: (v.lower(), v)))
-    perm = [keep.index(v) for v in keep_sorted]
-    return JointTable(keep_sorted, tuple(s.cards[v] for v in keep_sorted), np.transpose(marg, perm))
+    return _observed_table(s, order, arr, x)
+
+
+def truncations(s: Scm, x_vars: Sequence[str]) -> Iterator[tuple[tuple[int, ...], JointTable]]:
+    """``(vals, truncated(s, dict(zip(x_vars, vals))))`` for every value
+    ``vals`` of ``x_vars``, in ``itertools.product`` order.
+
+    The product of the factors outside ``x_vars`` is built once and clamped
+    per value, so each table is bitwise the one :func:`truncated` returns.
+    The checks run when the first table is drawn.
+    """
+    order, prod = _product(s, x_vars)
+    for vals in itertools.product(*(range(s.cards[v]) for v in x_vars)):
+        x = dict(zip(x_vars, vals))
+        yield vals, _observed_table(s, order, _clamp(s, order, prod, x), x)
 
 
 def canonical_dag_of_mag(m: Mag) -> LatentDag:
@@ -250,14 +319,22 @@ def random_latent_dag(
 
 
 def random_scm(seed: int | np.random.Generator, d: LatentDag, card: int = 2) -> Scm:
-    """Random CPTs with Dirichlet(1, ..., 1) rows, floored away from zero."""
+    """Random CPTs with Dirichlet(1, ..., 1) rows, floored away from zero.
+
+    One ``rng.dirichlet`` call draws the rows of every CPT, node after node
+    in ``d.nodes`` order.  numpy draws the rows of one call in sequence, so
+    the CPTs and the generator state afterwards are those of one call per
+    node in that order; the floor and the normalisation act row by row.
+    """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     cards = {v: card for v in d.nodes}
-    cpts = {}
-    for v in d.nodes:
-        shape = tuple(cards[p] for p in d.parents(v)) + (cards[v],)
-        rows = rng.dirichlet(np.ones(cards[v]), size=int(np.prod(shape[:-1], dtype=int)))
-        rows = np.clip(rows, CPT_FLOOR, None)
-        rows = rows / rows.sum(axis=-1, keepdims=True)
-        cpts[v] = rows.reshape(shape)
+    shapes = [tuple(cards[p] for p in d.parents(v)) + (card,) for v in d.nodes]
+    sizes = [math.prod(shape[:-1]) for shape in shapes]
+    rows = rng.dirichlet(np.ones(card), size=sum(sizes))
+    rows = np.clip(rows, CPT_FLOOR, None)
+    rows = rows / rows.sum(axis=-1, keepdims=True)
+    cpts, start = {}, 0
+    for v, shape, size in zip(d.nodes, shapes, sizes):
+        cpts[v] = rows[start:start + size].reshape(shape)
+        start += size
     return Scm(d, cards, cpts)

@@ -115,17 +115,6 @@ def _status(g: MixedGraph, prev: str, v: str, nxt: str) -> str | None:
     return None
 
 
-def definite_status_interior(g: MixedGraph, path: list[str]) -> list[str] | None:
-    """Per-interior-node statuses, or None when some node has no definite status.
-
-    A node is a definite collider when both path edges point into it, and a
-    definite non-collider when one path edge carries a tail at it, or both
-    carry circles while its path neighbours are non-adjacent.
-    """
-    statuses = [_status(g, *triple) for triple in zip(path, path[1:], path[2:])]
-    return None if None in statuses else statuses
-
-
 def open_definite_step(g: MixedGraph, zs: set[str], open_collider: set[str]):
     """``extend`` for :func:`proper_paths` that keeps the definite status
     paths open given ``zs``: each interior collider lies in ``open_collider``

@@ -9,7 +9,6 @@ per check and renders a summary table.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import time
@@ -20,7 +19,7 @@ import numpy as np
 from . import adjustment, ident_dag, ident_pag
 from .exprs import Expr, _align, evaluate_table
 from .graphs import LatentDag, Mag, induced_subgraph, mag_of_dag, possible_ancestors
-from .oracle import canonical_dag_of_mag, equivalence_class, joint, pag_of_class, random_latent_dag, random_scm, truncated
+from .oracle import canonical_dag_of_mag, equivalence_class, joint, pag_of_class, random_latent_dag, random_scm, truncations
 from .ident_dag import c_components
 from .structure import pc_component, pto
 
@@ -53,8 +52,8 @@ def interventional_gap(expr: Expr, scm, x_vars, y_vars) -> float:
     x_vars = tuple(x_vars)
     y_sorted = tuple(sorted(y_vars, key=lambda v: (v.lower(), v)))
     truth = np.empty(tuple(scm.cards[v] for v in x_vars + y_sorted))
-    for x_vals in itertools.product(*(range(scm.cards[v]) for v in x_vars)):
-        truth[x_vals] = truncated(scm, dict(zip(x_vars, x_vals))).array_for(y_sorted)
+    for x_vals, table in truncations(scm, x_vars):
+        truth[x_vals] = table.array_for(y_sorted)
     _, (got, want) = _align([(evars, arr), (x_vars + y_sorted, truth)])
     return float(np.abs(got - want).max(initial=0.0))
 

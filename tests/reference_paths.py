@@ -316,6 +316,12 @@ def possible_descendants(g: MixedGraph, sources) -> set[str]:
 
 
 def definite_status_interior(g: MixedGraph, path):
+    """Per-interior-node statuses, or None when some node has no definite status.
+
+    A node is a definite collider when both path edges point into it, and a
+    definite non-collider when one path edge carries a tail at it, or both
+    carry circles while its path neighbours are non-adjacent.
+    """
     statuses = []
     for prev, v, nxt in zip(path, path[1:], path[2:]):
         m_prev, m_nxt = g.mark_at(v, prev), g.mark_at(v, nxt)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import max_value_gap
+from reference_paths import definite_status_interior
 from pagid import catalog, ident_pag
 from pagid.exprs import Conditional, DistRef, Product, render_text, simplify
 from pagid.graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, Pag, induced_subgraph, mag_of_dag, possible_ancestors
@@ -21,7 +22,7 @@ from pagid.oracle import (
     random_latent_dag,
     random_scm,
 )
-from pagid.separation import definite_status_interior, m_separated
+from pagid.separation import m_separated
 from pagid.structure import _pto_with_preference, buckets, cpc_components, pc_component, possible_children, pto
 from pagid.verify import _sample_graph, expression_gap, interventional_gap
 

