@@ -11,8 +11,12 @@ and visibility all read.  A :class:`Pag` settles its visible-edge set when
 it is built, walking no kernel.
 
 Each graph kind has one builder, its constructor; :meth:`LatentDag.from_edges`
-alone turns confounding arcs into latent roots.  Induced subgraphs of mixed
-graphs restrict their parent instead of building anew.
+alone turns confounding arcs into latent roots.  Identification and
+verification read a subgraph as a node mask on its parent's one table: a
+closure (:func:`_close`) or a component split (:func:`_blocks`, which takes
+the place of a union-find) stays inside a ``within`` mask.
+:func:`induced_subgraph` stays for the API and the tests; it restricts a
+mixed graph's entries instead of building anew.
 
 Every path search in the package runs on one reachability kernel,
 :func:`reach`, except those of ``definitely_m_separated`` and the
@@ -186,24 +190,6 @@ class MixedGraph:
         marks = self._edges[key]
         return marks[0] if key[0] == v else marks[1]
 
-    def is_visible(self, a: str, b: str) -> bool:
-        return self._edges[self._key(a, b)][2]
-
-    def is_directed_edge(self, a: str, b: str) -> bool:
-        """True iff the edge is a -> b (tail at a, arrow at b)."""
-        return (
-            self.adjacent(a, b)
-            and self.mark_at(a, b) is TAIL
-            and self.mark_at(b, a) is ARROW
-        )
-
-    def is_circle_circle(self, a: str, b: str) -> bool:
-        return (
-            self.adjacent(a, b)
-            and self.mark_at(a, b) is CIRCLE
-            and self.mark_at(b, a) is CIRCLE
-        )
-
     def edges(self) -> tuple[tuple[str, str, EdgeMark, EdgeMark, bool], ...]:
         """All edges as (a, b, mark_a, mark_b, visible), in node order."""
         index = self._index
@@ -213,13 +199,19 @@ class MixedGraph:
     def sort_nodes(self, items: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(items, key=self._index.__getitem__))
 
+    def _structure(self) -> tuple:
+        """What equality compares, whatever the node order: the nodes, and
+        each edge as its names in sorted order, each with its mark, and the flag."""
+        edges = ((a, b, *m) if a < b else (b, a, m[1], m[0], m[2]) for (a, b), m in self._edges.items())
+        return frozenset(self.nodes), frozenset(edges)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MixedGraph):
             return NotImplemented
-        return set(self.nodes) == set(other.nodes) and self._edges == other._edges
+        return self._structure() == other._structure()
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.nodes), frozenset(self._edges.items())))
+        return hash(self._structure())
 
     def __repr__(self) -> str:
         parts = [
@@ -312,26 +304,6 @@ def names_of(nodes: Sequence[str], mask: int) -> tuple[str, ...]:
     return tuple(nodes[i] for i in bits(mask))
 
 
-def partition(nodes: Sequence[str], links: Iterable[Iterable[str]]) -> tuple[tuple[str, ...], ...]:
-    """Classes of ``nodes`` once the members of each group in ``links`` are
-    joined (union-find); members in node order, classes by first member."""
-    parent = {v: v for v in nodes}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for first, *rest in links:
-        for v in rest:
-            parent[find(v)] = find(first)
-    classes: dict[str, list[str]] = {}
-    for v in nodes:
-        classes.setdefault(find(v), []).append(v)
-    return tuple(tuple(members) for members in classes.values())
-
-
 def mask_of(g, names: Iterable[str]) -> int:
     """Mask of ``names`` in ``g``; unknown names raise ValueError."""
     mask = 0
@@ -409,16 +381,29 @@ def ancestor_masks(g) -> tuple[int, ...]:
     return g._anc
 
 
-def _close(steps: Sequence[int], mask: int) -> int:
-    """``mask`` plus every node reachable from it, node ``u`` stepping to ``steps[u]``."""
+def _close(steps: Sequence[int], mask: int, within: int = -1) -> int:
+    """``mask`` plus every node of ``within`` reachable from it inside
+    ``within``, node ``u`` stepping to ``steps[u]``."""
     frontier = mask
     while frontier:
         nxt = 0
         for u in bits(frontier):
             nxt |= steps[u]
-        frontier = nxt & ~mask
+        frontier = nxt & within & ~mask
         mask |= frontier
     return mask
+
+
+def _blocks(steps: Sequence[int], within: int) -> list[int]:
+    """The components of ``within`` under the symmetric ``steps``, each
+    closed inside ``within`` from its lowest node not yet placed: blocks come
+    by first member, and ``names_of`` lists each in node order."""
+    blocks = []
+    while within:
+        block = _close(steps, within & -within, within)
+        blocks.append(block)
+        within &= ~block
+    return blocks
 
 
 def reach(adj, starts: int, collider_ok: int, noncollider_ok: int) -> tuple[int, int]:
@@ -472,8 +457,12 @@ def possible_ancestors(g: MixedGraph, y: Iterable[str]) -> tuple[str, ...]:
     arrowhead pointing back toward the source; the edge-local test makes a
     plain reverse reachability search exact.
     """
-    steps = [nbr & ~arrow for nbr, _, arrow in adjacency_masks(g)]
-    return names_of(g.nodes, _close(steps, mask_of(g, y)))
+    return names_of(g.nodes, _possible_ancestors(g, mask_of(g, y), -1))
+
+
+def _possible_ancestors(g: MixedGraph, y: int, within: int) -> int:
+    """:func:`possible_ancestors` of the mask ``y`` in the subgraph over ``within``."""
+    return _close([nbr & ~arrow for nbr, _, arrow in adjacency_masks(g)], y, within)
 
 
 def possible_descendants(g: MixedGraph, x: Iterable[str]) -> tuple[str, ...]:

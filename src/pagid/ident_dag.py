@@ -48,7 +48,7 @@ from .exprs import (
     reduced_q,
     simplify,
 )
-from .graphs import LatentDag, _close, adjacency_masks, mask_of, names_of, partition
+from .graphs import LatentDag, _blocks, _close, adjacency_masks, bits, mark_masks, mask_of, names_of
 from .separation import d_separated
 
 
@@ -72,7 +72,16 @@ class Fail:
 
 def c_components(d: LatentDag) -> tuple[tuple[str, ...], ...]:
     """Partition of the observed nodes by shared-latent connectivity."""
-    return partition(d.observed, (d.children(u) for u in d.latent))
+    return tuple(names_of(d.nodes, b) for b in _blocks(_confounded(d), (1 << len(d.observed)) - 1))
+
+
+def _confounded(d: LatentDag) -> list[int]:
+    """Per node index: the observed nodes that share a latent parent with it."""
+    steps = [0] * len(d.nodes)
+    for _, _, kids in adjacency_masks(d)[len(d.observed):]:
+        for c in bits(kids):
+            steps[c] |= kids
+    return steps
 
 
 def q_reduce(d: LatentDag, t: Iterable[str], x: Iterable[str], q: Expr) -> Expr:
@@ -98,8 +107,8 @@ def q_reduce(d: LatentDag, t: Iterable[str], x: Iterable[str], q: Expr) -> Expr:
 
 def _scope(d: LatentDag, t_set: set[str]) -> tuple[dict[str, tuple[str, ...]], list[str]]:
     """Each node's c-component in G[t], and G[t]'s order (see the module)."""
-    links = (d.children(u) for u in d.latent if t_set.issuperset(d.children(u)))
-    comp_of = {v: comp for comp in partition(d.sort_nodes(t_set), links) for v in comp}
+    comps = (names_of(d.nodes, b) for b in _blocks(_confounded(d), mask_of(d, t_set)))
+    comp_of = {v: comp for comp in comps for v in comp}
     return comp_of, [v for v in d.topological_order() if v in t_set]
 
 
@@ -220,9 +229,8 @@ def id_dag(
 def _observed_ancestors(d: LatentDag, ys: Iterable[str], avoid: Iterable[str] = ()) -> tuple[str, ...]:
     """Observed ancestors of ``ys`` along directed paths that avoid
     ``avoid``: those of G without ``avoid``, with no subgraph built."""
-    cut = ~mask_of(d, avoid)
-    parents = [head & cut for _, head, _ in adjacency_masks(d)]
-    return names_of(d.nodes, _close(parents, mask_of(d, ys)) & ((1 << len(d.observed)) - 1))
+    reached = _close(mark_masks(d)[0], mask_of(d, ys), ~mask_of(d, avoid))
+    return names_of(d.nodes, reached & ((1 << len(d.observed)) - 1))
 
 
 def _c_component_starts(d: LatentDag, a: list[str], comps) -> list[tuple[list[str], Expr]]:

@@ -1,30 +1,27 @@
 """Identification of interventional distributions given a PAG.
 
 The top level is the driver shared with the DAG-side algorithm,
-:func:`.ident_dag.identify`: input checks, ancestral pruning, the component
-split, per-component reduction by repeated removals from a start inside A,
-the possible ancestors of the outcome, marginalisation and the certified
-cleanup.  Specific to PAGs: possible ancestors, composite pc-components,
-definite m-separation as the certificate, the start and the removal step,
-which removes whole buckets.  Each component starts at Q[C], C its composite
-pc-component of P_A: the product of P(B | the buckets before B) over the
-buckets B inside C in a partial order of P_A, read off P(A) in closed form
-by :func:`.exprs.q_of_joint` (Jaber, Zhang & Bareinboim, UAI 2018).  A
-bucket is removable from the current subgraph when none of its members
-has, within that subgraph, a possible child outside the bucket lying in the
-same possible c-component.  Each removal rewrites the running distribution
-expression through the bucket-level reduction, choosing the smaller of the
-reductions under two partial orders; the final form is cleaned up by
-independence-certified conditioning drops so that only treatment and
-outcome symbols remain free.
+:func:`.ident_dag.identify`.  Specific to PAGs: possible ancestors,
+composite pc-components, definite m-separation as the certificate, the
+start and the removal step, which removes whole buckets.  Each component
+starts at Q[C], C its composite pc-component of P_A: the product of
+P(B | the buckets before B) over the buckets B inside C in a partial order
+of P_A, read off P(A) in closed form by :func:`.exprs.q_of_joint` (Jaber,
+Zhang & Bareinboim, UAI 2018).  A bucket is removable from the current
+scope when none of its members has, within that scope, a possible child
+outside the bucket lying in the same possible c-component.  Each removal
+rewrites the running expression through the bucket-level reduction,
+keeping the smaller of the reductions under two partial orders.
 
-A step proves its bucket removable once and reduces with what it derived:
-the definite c-component S is computed once for both partial orders, and
-:func:`q_reduce_bucket`, the checked entry point for direct callers, is not
-called to prove it again.  Candidates are the partial order's own buckets,
-so they skip :func:`bucket_identifiable`'s bucket and subset guards.  Every
-:class:`.graphs.Pag`, induced subgraphs included, is a valid PAG by
-construction.
+No restricted copy of P is built.  P without x, P_D, P_A and each scope P_t
+are node masks, and every test reads P's one table ANDed with its mask
+through the ``within`` kernels of :mod:`.structure`, which is the test on
+the induced subgraph.  A step proves its bucket removable once and reduces
+with what it derived: the definite c-component S serves both partial
+orders, and the checked entry points for direct callers,
+:func:`bucket_identifiable` and :func:`q_reduce_bucket`, are not called.
+Every :class:`.graphs.Pag`, and so every scope of one, is a valid PAG by
+construction, so the partial order checks no closure.
 """
 
 from __future__ import annotations
@@ -33,18 +30,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .exprs import Expr, expr_size, q_of_joint, reduced_q, render_text
-from .graphs import MixedGraph, Pag, induced_subgraph, possible_ancestors
+from .graphs import MixedGraph, Pag, _possible_ancestors, bits, mask_of, names_of
 from .ident_dag import identify
 from .separation import definitely_m_separated
-from .structure import (
-    PartialOrder,
-    _pto_with_preference,
-    buckets,
-    cpc_components,
-    dc_component,
-    pc_component,
-    possible_children,
-)
+from .structure import PartialOrder, _child_masks, _cpc, _dc, _order, _pc, buckets, dc_component
 
 
 @dataclass(frozen=True)
@@ -88,23 +77,25 @@ def bucket_identifiable(p_t: MixedGraph, x: Iterable[str]) -> tuple[bool, tuple[
     True when no member of ``x`` has a possible child outside ``x`` in the
     same possible c-component; otherwise False with a witness pair.
     """
-    x = tuple(x)
     x_set = set(x)
     if x_set not in [set(b) for b in buckets(p_t)]:
         raise ValueError(f"{sorted(x_set)} is not a bucket of the graph")
     if not x_set < set(p_t.nodes):
         raise ValueError("bucket must be a strict subset of the graph nodes")
-    witness = _blocking_child(p_t, x)
+    witness = _blocking_child(p_t, mask_of(p_t, x_set), -1)
     return witness is None, witness
 
 
-def _blocking_child(p_t: MixedGraph, x: tuple[str, ...]) -> tuple[str, str] | None:
-    """The first (member, child) pair that blocks removing bucket ``x``, or None."""
-    for member in x:
-        pc = set(pc_component(p_t, [member]))
-        for child in possible_children(p_t, [member]):
-            if child not in x and child in pc:
-                return member, child
+def _blocking_child(p: MixedGraph, bucket: int, within: int) -> tuple[str, str] | None:
+    """The first (member, child) pair, in node order, that blocks removing
+    ``bucket`` from the subgraph over ``within``, or None: a possible child
+    outside the bucket in the member's pc-component."""
+    children = _child_masks(p)
+    for u in bits(bucket):
+        hit = children[u] & within & ~bucket
+        hit = hit and hit & _pc(p, 1 << u, within)
+        if hit:
+            return p.nodes[u], p.nodes[(hit & -hit).bit_length() - 1]
     return None
 
 
@@ -142,8 +133,8 @@ def idp(
     """
     return identify(
         p, p.nodes, x, y,
-        prune=lambda ys, avoid: possible_ancestors(induced_subgraph(p, p.sort_nodes(set(p.nodes) - avoid)), ys),
-        components=lambda big_d: cpc_components(induced_subgraph(p, big_d)),
+        prune=lambda ys, avoid: names_of(p.nodes, _possible_ancestors(p, mask_of(p, ys), ~mask_of(p, avoid))),
+        components=lambda big_d: [names_of(p.nodes, b) for b in _cpc(p, mask_of(p, big_d))],
         start=lambda a, comps: _cpc_starts(p, a, comps),
         separated=definitely_m_separated,
         remove=lambda t, c_set, q, rng: _remove_bucket(p, t, c_set, q, rng, trace),
@@ -155,24 +146,24 @@ def _cpc_starts(p: Pag, a: list[str], comps) -> list[tuple[list[str], Expr]]:
     """Each component starts at Q[C], C its composite pc-component of P_A.
     The components partition D <= A, so when they cover as many nodes as A,
     D = A and they are P_A's blocks themselves."""
-    p_a = induced_subgraph(p, a)
-    order = [v for b in _pto_with_preference(p_a, None).buckets for v in b]
+    within = mask_of(p, a)
+    order = [v for b in _order(p, within) for v in names_of(p.nodes, b)]
     if sum(map(len, comps)) < len(a):
-        block_of = {v: block for block in cpc_components(p_a) for v in block}
-        comps = [block_of[comp[0]] for comp in comps]
+        blocks = _cpc(p, within)
+        comps = [names_of(p.nodes, b) for comp in comps for b in blocks if b & mask_of(p, comp)]
     return [(list(c), q_of_joint(order, set(c))) for c in comps]
 
 
 def _remove_bucket(p: Pag, t: list[str], c_set: set[str], q: Expr, rng, trace: list[TraceStep] | None):
-    p_t = induced_subgraph(p, t)
-    order = _pto_with_preference(p_t, None)
-    candidates = [b for b in order.buckets if set(b) <= set(t) - c_set]
+    scope = mask_of(p, t)
+    order = _order(p, scope)
+    candidates = [b for b in order if not b & mask_of(p, c_set)]
     sequence = list(reversed(candidates))
     if rng is not None:
         sequence = [candidates[i] for i in rng.permutation(len(candidates))]
     witness = None
     for pick in sequence:
-        wit = _blocking_child(p_t, pick)
+        wit = _blocking_child(p, pick, scope)
         if wit is None:
             break
         witness = witness or wit
@@ -180,13 +171,13 @@ def _remove_bucket(p: Pag, t: list[str], c_set: set[str], q: Expr, rng, trace: l
         return Fail(scope=tuple(t), component=p.sort_nodes(c_set), witness=witness)
     # Any valid partial order is sound; also try the one that postpones
     # the removed bucket and keep whichever reduction came out smaller.
-    s_union, scope = set(dc_component(p_t, pick)), tuple(p_t.nodes)
-    reduced = reduced_q(q, order.buckets, s_union, pick, scope)
-    late_order = _pto_with_preference(p_t, pick)
+    bucket, s_union = names_of(p.nodes, pick), set(names_of(p.nodes, _dc(p, pick, scope)))
+    reduced = reduced_q(q, [names_of(p.nodes, b) for b in order], s_union, bucket, tuple(t))
+    late_order = _order(p, scope, pick)
     if late_order != order:
-        alternative = reduced_q(q, late_order.buckets, s_union, pick, scope)
+        alternative = reduced_q(q, [names_of(p.nodes, b) for b in late_order], s_union, bucket, tuple(t))
         if expr_size(alternative) < expr_size(reduced):
             reduced = alternative
     if trace is not None:
-        trace.append(TraceStep(scope=tuple(p_t.nodes), bucket=pick, reduced=reduced))
-    return pick, reduced
+        trace.append(TraceStep(scope=tuple(t), bucket=bucket, reduced=reduced))
+    return bucket, reduced

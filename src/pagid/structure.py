@@ -4,9 +4,19 @@ and the possible/definite/composite component notions used by identification.
 All functions accept a full PAG or any of its induced subgraphs.
 Visibility and composite pc-components are closed forms on the node masks
 of :func:`.graphs.adjacency_masks` and :func:`.graphs.mark_masks`, each
-argued in its docstring; neither walks the kernel.  pc-component paths run
-on the reachability kernel :func:`.graphs.reach` with every non-collider
-refused, so the kernel's walks have only colliders inside.  A walk becomes a
+argued in its docstring; neither walks the kernel.
+
+The buckets, the partial order, pc, dc and the cpc blocks each have one
+kernel, a private function that takes a ``within`` node mask and reads the
+graph's own table ANDed with it.  On a :class:`.graphs.Pag` that is the
+public function on the induced subgraph over the mask, as a restriction
+keeps its parent's marks and visibility flags; the public functions are the
+kernels with every node within.  Buckets and cpc blocks are the
+:func:`.graphs._blocks` components of the ``o-o`` and the invisible edges.
+
+pc-component paths run on the reachability kernel :func:`.graphs.reach`
+with every non-collider refused, so the kernel's walks have only colliders
+inside.  A walk becomes a
 simple path by joining the first and last visit of the first node that
 repeats: both visits are colliders, so the joined node is a collider from
 the same allowed set, and a repeated start is cut off.  A
@@ -19,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import ARROW, CIRCLE, MixedGraph, Pag, _close, adjacency_masks, bits, find_closure_violation, flagged_edges, mark_masks, mask_of, names_of, partition, reach
+from .graphs import MixedGraph, Pag, _blocks, _close, adjacency_masks, bits, find_closure_violation, flagged_edges, mark_masks, mask_of, names_of, reach
 
 
 def graphical_visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
@@ -46,14 +56,8 @@ def graphical_visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
         if not pa:
             continue
         far = everything & ~adj[j][0] & ~(1 << j)
-        seen = frontier = sum(1 << i for i in bits(pa) if adj[i][1] & far)
-        while frontier:
-            step = 0
-            for i in bits(frontier):
-                step |= bidirected[i]
-            frontier = step & pa & ~seen
-            seen |= frontier
-        out.update((nodes[i], nodes[j]) for i in bits(seen))
+        seeds = sum(1 << i for i in bits(pa) if adj[i][1] & far)
+        out.update((nodes[i], nodes[j]) for i in bits(_close(bidirected, seeds, pa)))
     return frozenset(out)
 
 
@@ -73,8 +77,14 @@ def visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
 
 def buckets(g: MixedGraph) -> tuple[tuple[str, ...], ...]:
     """Partition of the nodes into circle-connected components."""
-    circle_pairs = (pair for pair, (ma, mb, _) in g._edges.items() if (ma, mb) == (CIRCLE, CIRCLE))
-    return partition(g.nodes, circle_pairs)
+    return tuple(names_of(g.nodes, b) for b in _buckets(g, (1 << len(g.nodes)) - 1))
+
+
+def _buckets(g: MixedGraph, within: int) -> list[int]:
+    """:func:`buckets` of the subgraph over ``within``, as masks."""
+    circle = mark_masks(g)[1]
+    circle_circle = [sum(1 << j for j in bits(c) if circle[j] >> i & 1) for i, c in enumerate(circle)]
+    return _blocks(circle_circle, within)
 
 
 @dataclass(frozen=True)
@@ -108,49 +118,41 @@ def pto(g: MixedGraph) -> PartialOrder:
         violation = find_closure_violation(g)
         if violation is not None:
             raise ValueError(f"arrowhead closure violated at triple {violation}")
-    return _pto_with_preference(g, None)
+    return PartialOrder(tuple(names_of(g.nodes, b) for b in _order(g, (1 << len(g.nodes)) - 1)))
 
 
-def _pto_with_preference(g: MixedGraph, extract_first: tuple[str, ...] | None) -> PartialOrder:
-    """Partial order extraction, optionally pulling one bucket forward.
-
-    ``extract_first`` is taken whenever it is extractable, which places it as
-    late as possible in the resulting order; every extraction choice yields a
-    sound order, so callers may pick whichever produces a simpler reduction.
-    """
-    remaining = list(buckets(g))
-    removed: set[str] = set()
-    extracted: list[tuple[str, ...]] = []
+def _order(g: MixedGraph, within: int, first: int = 0) -> list[int]:
+    """:func:`pto`'s bucket masks over ``within``.  A bucket is extractable
+    when no member has a possible child left outside it.  The bucket
+    ``first`` is taken whenever it is extractable, which places it as late
+    as possible in the order; every extraction choice yields a sound order,
+    so callers may pick whichever produces a simpler reduction."""
+    children, nodes = _child_masks(g), g.nodes
+    remaining = _buckets(g, within)
+    least = {b: min(names_of(nodes, b)) for b in remaining}
+    extracted: list[int] = []
     while remaining:
-        candidates = []
-        for b in remaining:
-            members = set(b)
-            ok = all(
-                g.mark_at(u, w) is ARROW
-                for u in b
-                for w in g.neighbors(u)
-                if w not in members and w not in removed
-            )
-            if ok:
-                candidates.append(b)
+        candidates = [b for b in remaining if not any(children[u] & within & ~b for u in bits(b))]
         if not candidates:
             raise ValueError("no extractable bucket; input is not a valid PAG")
-        if extract_first is not None and extract_first in candidates:
-            pick = extract_first
-        else:
-            pick = max(candidates, key=lambda b: min(b))
+        pick = first if first in candidates else max(candidates, key=least.__getitem__)
         extracted.append(pick)
         remaining.remove(pick)
-        removed.update(pick)
-    return PartialOrder(tuple(reversed(extracted)))
+        within &= ~pick
+    return extracted[::-1]
 
 
 def pc_component(g: MixedGraph, seed: Iterable[str]) -> tuple[str, ...]:
     """Possible c-component of ``seed``: nodes connected to it by a path whose
     non-endpoints are all colliders and whose edges are all invisible."""
-    starts = mask_of(g, seed)
-    reached, _ = reach(_invisible_masks(g), starts, -1, 0)
-    return names_of(g.nodes, reached | starts)
+    return names_of(g.nodes, _pc(g, mask_of(g, seed), -1))
+
+
+def _pc(g: MixedGraph, seed: int, within: int) -> int:
+    """:func:`pc_component` of the mask ``seed`` in the subgraph over
+    ``within``: walks pass only colliders inside it, and keep ends inside it."""
+    reached, _ = reach(_invisible_masks(g), seed, within, 0)
+    return reached & within | seed
 
 
 def _invisible_masks(g: MixedGraph) -> list[tuple[int, int, int]]:
@@ -166,8 +168,12 @@ def _invisible_masks(g: MixedGraph) -> list[tuple[int, int, int]]:
 
 def dc_component(g: MixedGraph, seed: Iterable[str]) -> tuple[str, ...]:
     """Definite c-component: transitive closure of bidirected edges."""
-    bidirected = [head & out for _, head, out in adjacency_masks(g)]
-    return names_of(g.nodes, _close(bidirected, mask_of(g, seed)))
+    return names_of(g.nodes, _dc(g, mask_of(g, seed), -1))
+
+
+def _dc(g: MixedGraph, seed: int, within: int) -> int:
+    """:func:`dc_component` of the mask ``seed`` in the subgraph over ``within``."""
+    return _close([head & out for _, head, out in adjacency_masks(g)], seed, within)
 
 
 def cpc_components(g: MixedGraph) -> tuple[tuple[str, ...], ...]:
@@ -178,28 +184,24 @@ def cpc_components(g: MixedGraph) -> tuple[tuple[str, ...], ...]:
     The blocks are the connected components of the invisible edges.  A
     single invisible edge is a collider path with no interior, so its ends
     share a pc-component, and every pc path runs over invisible edges.
-    Each block starts at the lowest node not yet placed and is closed under
-    invisible adjacency.
     """
-    steps = [nbr for nbr, _, _ in _invisible_masks(g)]
-    left = (1 << len(g.nodes)) - 1
-    blocks = []
-    while left:
-        block = _close(steps, left & -left)
-        blocks.append(names_of(g.nodes, block))
-        left &= ~block
-    return tuple(blocks)
+    return tuple(names_of(g.nodes, b) for b in _cpc(g, (1 << len(g.nodes)) - 1))
+
+
+def _cpc(g: MixedGraph, within: int) -> list[int]:
+    """:func:`cpc_components` of the subgraph over ``within``, as masks."""
+    return _blocks([nbr for nbr, _, _ in _invisible_masks(g)], within)
 
 
 def possible_children(g: MixedGraph, xs: Iterable[str]) -> tuple[str, ...]:
     """Nodes adjacent to some member of ``xs`` by an edge not into that member."""
-    xs = list(xs)
-    for v in xs:
-        if not g.has_node(v):
-            raise ValueError(f"unknown node {v!r}")
-    out = set()
-    for x in xs:
-        for w in g.neighbors(x):
-            if g.mark_at(x, w) is not ARROW:
-                out.add(w)
-    return g.sort_nodes(out)
+    children, out = _child_masks(g), 0
+    for u in bits(mask_of(g, xs)):
+        out |= children[u]
+    return names_of(g.nodes, out)
+
+
+def _child_masks(g: MixedGraph) -> list[int]:
+    """Per node u: its possible children, the neighbours w with no
+    arrowhead at u on the edge to w."""
+    return [nbr & ~head for nbr, head, _ in adjacency_masks(g)]

@@ -18,10 +18,10 @@ import numpy as np
 
 from . import adjustment, ident_dag, ident_pag
 from .exprs import Expr, _align, evaluate_table
-from .graphs import LatentDag, Mag, induced_subgraph, mag_of_dag, possible_ancestors
+from .graphs import LatentDag, Mag, _possible_ancestors, mag_of_dag, mask_of, names_of
 from .oracle import canonical_dag_of_mag, equivalence_class, joint, pag_of_class, random_latent_dag, random_scm, truncations
-from .ident_dag import c_components
-from .structure import pc_component, pto
+from .ident_dag import _observed_ancestors, _scope
+from .structure import _order, _pc
 
 MAX_MAG_EDGES = 9
 SCMS_PER_DAG = 5  # random models per class DAG in the numeric soundness check
@@ -129,17 +129,17 @@ def run_verification(seed: int = 0, runs: int = 200, tol: float = 1e-9, quiet: b
         for _ in range(2):
             size = int(rng.integers(2, len(obs) + 1))
             sel = sorted([obs[i] for i in rng.permutation(len(obs))][:size])
-            sub_pag = induced_subgraph(pag, pag.sort_nodes(sel))
-            order = pto(sub_pag)
-            pos = {v: order.position(v) for v in sel}
-            possible_anc = {v: set(possible_ancestors(sub_pag, [v])) for v in sel}
-            pc_of = {v: set(pc_component(sub_pag, [v])) for v in sel}
+            # P[sel] and each class DAG's G[sel] as node masks
+            within, outside = mask_of(pag, sel), set(obs) - set(sel)
+            pos = {v: i for i, b in enumerate(_order(pag, within)) for v in names_of(obs, b)}
+            possible_anc = {v: set(names_of(obs, _possible_ancestors(pag, mask_of(pag, [v]), within))) for v in sel}
+            pc_of = {v: set(names_of(obs, _pc(pag, mask_of(pag, [v]), within))) for v in sel}
             for cdag in class_dags:
-                sub_dag = induced_subgraph(cdag, sel)
-                anc = {v: set(sub_dag.ancestors([v])) & set(sel) for v in sel}
+                anc = {v: set(_observed_ancestors(cdag, [v], outside)) for v in sel}
                 ok_anc = all(anc[v] <= possible_anc[v] for v in sel)
                 checks["ancestor subsumption"].record(ok_anc, f"run {run}: {sel}")
-                ok_comp = all(set(comp) <= pc_of[a] for comp in c_components(sub_dag) for a in comp)
+                comp_of = _scope(cdag, set(sel))[0]
+                ok_comp = all(set(comp_of[a]) <= pc_of[a] for a in sel)
                 checks["component subsumption"].record(ok_comp, f"run {run}: {sel}")
                 ok_order = all(
                     pos[v] <= pos[u]

@@ -11,6 +11,8 @@ check walks every adjacent triple, as ``graphs.find_closure_violation`` did
 before it moved onto node masks.  At the end, the kernel forms of
 visibility, composite pc-components and the directed-cycle test keep the
 per-edge, per-node and per-pair shape that their closed forms replaced.
+The union-find ``partition`` that the package's one component kernel
+replaced, and the edge predicates that only tests read, live here too.
 """
 
 from __future__ import annotations
@@ -29,17 +31,51 @@ from pagid.graphs import (
     bits,
     mask_of,
     names_of,
-    partition,
     reach,
 )
 from pagid.structure import _invisible_masks
+
+
+def is_directed_edge(g, a, b) -> bool:
+    """True iff ``g`` has the edge a -> b (tail at a, arrow at b)."""
+    return g.adjacent(a, b) and g.mark_at(a, b) is TAIL and g.mark_at(b, a) is ARROW
+
+
+def is_circle_circle(g, a, b) -> bool:
+    """True iff ``g`` has the edge a o-o b."""
+    return g.adjacent(a, b) and g.mark_at(a, b) is CIRCLE and g.mark_at(b, a) is CIRCLE
+
+
+def is_visible(g, a, b) -> bool:
+    """The visible flag stored on the edge between a and b."""
+    return g._edges[g._key(a, b)][2]
+
+
+def partition(nodes, links) -> tuple:
+    """Classes of ``nodes`` once the members of each group in ``links`` are
+    joined (union-find); members in node order, classes by first member."""
+    parent = {v: v for v in nodes}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for first, *rest in links:
+        for v in rest:
+            parent[find(v)] = find(first)
+    classes: dict = {}
+    for v in nodes:
+        classes.setdefault(find(v), []).append(v)
+    return tuple(tuple(members) for members in classes.values())
 
 
 def parents(g, v) -> list[str]:
     """Parents of ``v``: a DAG's own, or a mixed graph's u with u -> v."""
     if isinstance(g, LatentDag):
         return list(g.parents(v))
-    return [u for u in g.neighbors(v) if g.is_directed_edge(u, v)]
+    return [u for u in g.neighbors(v) if is_directed_edge(g, u, v)]
 
 
 def ancestors(g, targets) -> set[str]:
@@ -216,7 +252,7 @@ def find_closure_violation(g: MixedGraph) -> tuple[str, str, str] | None:
                 continue
             if g.mark_at(c, a) is not ARROW:
                 return (a, b, c)
-            if g.is_directed_edge(a, b) and g.mark_at(a, c) is ARROW:
+            if is_directed_edge(g, a, b) and g.mark_at(a, c) is ARROW:
                 return (a, b, c)
     return None
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pagid import ident_pag
+from reference_paths import is_circle_circle, is_visible
 from pagid.catalog import (
     beyond_adjustment_pag,
     confounded_chain_dag,
@@ -30,12 +31,12 @@ def save(tmp_path, name, kind, graph):
 class TestParsing:
     def test_circle_edge(self):
         kind, g = parse_graph("pag\nedge: V3 o-o V4\n")
-        assert kind == "pag" and g.is_circle_circle("V3", "V4")
+        assert kind == "pag" and is_circle_circle(g, "V3", "V4")
 
     def test_visible_directed_edge_parses(self):
         text = "pag\nedge: V1 o-> X\nedge: X --> V3 visible\n"
         _, g = parse_graph(text)
-        assert g.is_visible("X", "V3")
+        assert is_visible(g, "X", "V3")
 
     def test_roundtrip_is_byte_identical(self, tmp_path):
         for kind, graph in (

@@ -21,6 +21,7 @@ from pagid.graphs import (
 from pagid.exprs import render_text
 from pagid.ident_pag import Fail, idp
 from pagid.oracle import random_latent_dag
+from reference_paths import is_visible
 
 
 def brute_force_inducing_pairs(d):
@@ -115,6 +116,23 @@ class TestLatentDagEquality:
             LatentDag(["A", "B", "C"], ["U1", "U2"], arcs)
 
 
+class TestMixedGraphEquality:
+    def test_node_order_does_not_count(self):
+        specs = ["A --> B", "B <-> C"]
+        first = Mag.from_specs(["A", "B", "C"], specs)
+        second = Mag.from_specs(["C", "B", "A"], specs)
+        assert first.nodes != second.nodes
+        assert first == second and hash(first) == hash(second)
+        pag = Pag.from_specs(["A", "B", "C"], ["A o-> B", "B <-> C"], check_visibility=False)
+        assert pag == Pag.from_specs(["C", "B", "A"], ["B <-o A", "C <-> B"], check_visibility=False)
+
+    def test_marks_at_their_endpoints_still_count(self):
+        base = Pag.from_specs(["A", "B", "C"], ["A o-> B", "B <-> C"], check_visibility=False)
+        flipped = Pag.from_specs(["C", "B", "A"], ["B o-> A", "B <-> C"], check_visibility=False)
+        assert base != flipped
+        assert Mag.from_specs(["A", "B"], ["A --> B"]) != Mag.from_specs(["B", "A"], ["B --> A"])
+
+
 class TestInducedSubgraph:
     def test_chain_pag_subgraph_drops_inner_chain(self, chain_pag):
         sub = induced_subgraph(chain_pag, ["V1", "V2", "X", "V4"])
@@ -123,7 +141,7 @@ class TestInducedSubgraph:
             ("V2", "X"): (CIRCLE, ARROW),
             ("X", "V4"): (TAIL, ARROW),
         }
-        assert sub.is_visible("X", "V4")  # flag carried verbatim
+        assert is_visible(sub, "X", "V4")  # flag carried verbatim
 
     def test_full_node_set_is_identity(self, twin_pag):
         assert induced_subgraph(twin_pag, twin_pag.nodes) == twin_pag

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_paths as ref
 from pagid import catalog, ident_dag
 from pagid.exprs import Conditional, DistRef, Product, render_text, simplify
 from pagid.graphs import LatentDag, induced_subgraph
@@ -120,8 +121,10 @@ class TestIdDag:
 
 
 def test_scope_matches_the_induced_subgraph():
-    # the removal step reads G[t]'s components and order off the whole DAG;
-    # the rebuilt subgraph stays the reference.  Under 0.1 s of tier-1 time
+    # the removal step reads G[t]'s components and order off the whole DAG,
+    # and verify reads ancestors in G[t] off it too; the rebuilt subgraph,
+    # with a union-find over its latents' children, stays the reference.
+    # Under 0.2 s of tier-1 time
     rng = np.random.default_rng(0)
     dags = [catalog.confounded_chain_dag(), catalog.confounded_chain_dag_alt(), catalog.bow_dag()]
     dags += [_sample_graph(rng)[0] for _ in range(30)]
@@ -134,7 +137,12 @@ def test_scope_matches_the_induced_subgraph():
             for t in itertools.combinations(d.observed, k):
                 dt = induced_subgraph(d, t)
                 comp_of, topo = ident_dag._scope(d, set(t))
+                assert c_components(dt) == ref.partition(dt.observed, (dt.children(u) for u in dt.latent))
                 assert {v: comp for comp in c_components(dt) for v in comp} == comp_of
+                outside = set(d.observed) - set(t)
+                for v in t:
+                    in_dt = tuple(u for u in dt.ancestors([v]) if u in t)
+                    assert ident_dag._observed_ancestors(d, [v], outside) == in_dt
                 assert sorted(topo) == sorted(t)
                 position = {v: i for i, v in enumerate(topo)}
                 assert all(position[p] < position[c] for p, c in dt.edges() if p in position)

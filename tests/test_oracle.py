@@ -397,7 +397,7 @@ class TestPagOfClass:
     def test_confounded_chain_recovers_catalog_pag(self, chain_dag, chain_pag):
         _, pag = class_of_dag(chain_dag)
         assert pag == chain_pag
-        assert pag.is_visible("X", "V3") and pag.is_visible("X", "V4")
+        assert ref.is_visible(pag, "X", "V3") and ref.is_visible(pag, "X", "V4")
 
     def test_both_chain_variants_share_the_class(self, chain_dag, chain_dag_alt):
         members, _ = class_of_dag(chain_dag)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pagid.graphs import ARROW, LatentDag, Mag, mag_of_dag
+from reference_paths import is_directed_edge
 from pagid.oracle import class_of_dag, random_latent_dag
 from pagid.separation import d_separated, definitely_m_separated, m_separated
 
@@ -19,7 +20,7 @@ def brute_force_m_separated(g, xs, ys, zs):
     while frontier:
         v = frontier.pop()
         for u in g.neighbors(v):
-            if u not in anc and g.is_directed_edge(u, v):
+            if u not in anc and is_directed_edge(g, u, v):
                 anc.add(u)
                 frontier.append(u)
 

@@ -29,6 +29,7 @@ from pagid.graphs import (
 from pagid.oracle import equivalence_class, pag_of_class
 from pagid.structure import pto
 from pagid.verify import _sample_graph
+from reference_paths import is_directed_edge
 
 _KINDS = {"pag": Pag.from_specs, "mixed": MixedGraph.from_specs, "mag": Mag.from_specs,
           "dag": LatentDag.from_specs}
@@ -207,7 +208,7 @@ class TestNoFalseRefusal:
     def test_ancestor_table_from_edge_entries(self):
         for pag in _seeded_pags(30, seed=7) + _CATALOG_PAGS:
             for g in (pag, MixedGraph(pag.nodes, pag.edges())):
-                parents = {v: {u for u in g.nodes if g.is_directed_edge(u, v)} for v in g.nodes}
+                parents = {v: {u for u in g.nodes if is_directed_edge(g, u, v)} for v in g.nodes}
                 for i, v in enumerate(g.nodes):
                     closure, frontier = {v}, {v}
                     while frontier:
