@@ -22,7 +22,6 @@ from .exprs import (
     render_latex,
     render_text,
     simplify,
-    to_json,
 )
 from .graphs import (
     ARROW,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .exprs import Conditional, DistRef, Expr, Product, SumOver, simplify, vsort
-from .graphs import ARROW, MixedGraph, Pag, possible_ancestors, possible_descendants
+from .graphs import ARROW, MixedGraph, Pag, adjacency_masks, possible_ancestors, possible_descendants
 from .separation import open_definite_step, proper_paths
 from .structure import visible_edges
 
@@ -43,7 +43,8 @@ class Fail:
 def _possibly_directed_step(g: MixedGraph):
     """``extend`` for :func:`.separation.proper_paths` that keeps the possibly
     directed paths: no edge has an arrowhead at its near end."""
-    return lambda path, w: g.mark_at(path[-1], w) is not ARROW
+    adj = adjacency_masks(g)
+    return lambda path, w: not adj[path[-1]][1] >> w & 1
 
 
 def forbidden_set(p: MixedGraph, x: Iterable[str], y: Iterable[str]) -> tuple[str, ...]:

@@ -34,7 +34,6 @@ before it in the same process.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -105,25 +104,20 @@ ONE = Const(1.0)
 
 @_node
 class DistRef(Expr):
-    """Joint probability of ``scope`` under intervention on ``do``."""
+    """Observational joint probability of ``scope``."""
 
     scope: tuple[str, ...]
-    do: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "scope", vsort(self.scope))
-        object.__setattr__(self, "do", vsort(self.do))
-        if set(self.scope) & set(self.do):
-            raise ValueError("scope and interventions overlap")
         if not self.scope:
             raise ValueError("empty distribution scope")
-        free = vsort(self.scope + self.do) if self.do else self.scope
-        self._seal(free, (self.scope, self.do))
+        self._seal(self.scope, (self.scope,))
 
 
 @_node
 class Conditional(Expr):
-    """Conditional factor ``P_do(target | given)`` of the distribution ``base``."""
+    """Conditional factor ``P(target | given)`` of the distribution ``base``."""
 
     target: tuple[str, ...]
     given: tuple[str, ...]
@@ -141,8 +135,7 @@ class Conditional(Expr):
         missing = (set(self.target) | set(self.given)) - set(self.base.free_vars())
         if missing:
             raise ValueError(f"conditional over variables missing from base: {sorted(missing)}")
-        free = vsort(self.target + self.given + self.base.do)
-        self._seal(free, (self.target, self.given, self.base))
+        self._seal(vsort(self.target + self.given), (self.target, self.given, self.base))
 
 
 @_node
@@ -215,6 +208,7 @@ class JointTable:
         return float(self.probs[idx])
 
 
+# a DistRef reads the observational table, the entry under ()
 Tables = Mapping[tuple[str, ...], JointTable]
 
 
@@ -252,11 +246,10 @@ def evaluate_table(e: Expr, tables: Tables) -> tuple[tuple[str, ...], np.ndarray
     if isinstance(e, Const):
         return (), np.asarray(e.value, dtype=float)
     if isinstance(e, DistRef):
-        table = tables.get(e.do)
+        table = tables.get(())
         if table is None:
-            raise KeyError(f"missing table for interventions {e.do}")
-        want = vsort(e.scope + tuple(v for v in e.do if v in table.variables))
-        return want, table.array_for(want)
+            raise KeyError("missing table for the observational distribution")
+        return e.scope, table.array_for(e.scope)
     if isinstance(e, Conditional):
         bvars, barr = evaluate_table(e.base, tables)
         tg = vsort(e.target + e.given)
@@ -310,12 +303,12 @@ def evaluate(e: Expr, tables: Tables, assignment: Mapping[str, int]) -> float:
 # simplification
 
 
-def _as_factor(e: Expr) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]] | None:
-    """(do, target, given) when ``e`` is a canonical conditional factor."""
+def _as_factor(e: Expr) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    """(target, given) when ``e`` is a canonical conditional factor."""
     if isinstance(e, DistRef):
-        return (e.do, e.scope, ())
+        return (e.scope, ())
     if isinstance(e, Conditional):
-        return (e.base.do, e.target, e.given)
+        return (e.target, e.given)
     return None
 
 
@@ -326,12 +319,12 @@ def _is_canonical(e: Expr) -> bool:
     )
 
 
-def _from_factor(do: tuple[str, ...], target: tuple[str, ...], given: tuple[str, ...]) -> Expr:
+def _from_factor(target: tuple[str, ...], given: tuple[str, ...]) -> Expr:
     if not target:
         return ONE
     if not given:
-        return DistRef(target, do)
-    return Conditional(target, given, DistRef(vsort(target + given), do))
+        return DistRef(target)
+    return Conditional(target, given, DistRef(vsort(target + given)))
 
 
 def _flatten(e: Expr, num: list[Expr], den: list[Expr], invert: bool = False) -> None:
@@ -363,14 +356,12 @@ def _apply_quotient_rule(num: list[Expr], den: list[Expr]) -> bool:
         fd = _as_factor(d)
         if fd is None:
             continue
-        do_d, b, g = fd
+        b, g = fd
         for n in num:
             fn = _as_factor(n)
             if fn is None:
                 continue
-            do_n, a, c = fn
-            if do_n != do_d:
-                continue
+            a, c = fn
             sa, sb, sc, sg = set(a), set(b), set(c), set(g)
             if not (sb <= sa and sc <= sg and (sg - sc) <= sa):
                 continue
@@ -378,9 +369,9 @@ def _apply_quotient_rule(num: list[Expr], den: list[Expr]) -> bool:
             num.remove(n)
             den.remove(d)
             if rest:
-                num.append(_from_factor(do_n, rest, vsort(sb | sg)))
+                num.append(_from_factor(rest, vsort(sb | sg)))
             if sg - sc:
-                num.append(_from_factor(do_n, vsort(sg - sc), c))
+                num.append(_from_factor(vsort(sg - sc), c))
             return True
     return False
 
@@ -391,16 +382,16 @@ def _apply_chain_merge(entries: list[Expr]) -> bool:
         f1 = _as_factor(first)
         if f1 is None:
             continue
-        do1, t1, g1 = f1
+        t1, g1 = f1
         for j, second in enumerate(entries):
             if i == j:
                 continue
             f2 = _as_factor(second)
-            if f2 is None or f2[0] != do1:
+            if f2 is None:
                 continue
-            _, t2, g2 = f2
+            t2, g2 = f2
             if set(g2) == set(t1) | set(g1):
-                merged = _from_factor(do1, vsort(t1 + t2), g1)
+                merged = _from_factor(vsort(t1 + t2), g1)
                 for k in sorted((i, j), reverse=True):
                     del entries[k]
                 entries.append(merged)
@@ -411,9 +402,8 @@ def _apply_chain_merge(entries: list[Expr]) -> bool:
 def _sort_key(e: Expr) -> tuple:
     f = _as_factor(e)
     if f is not None:
-        do, t, g = f
-        return (0, t, g, do, "")
-    return (1, (), (), (), render_text(e))
+        return (0, *f, "")
+    return (1, (), (), render_text(e))
 
 
 def _rebuild(num: list[Expr], den: list[Expr]) -> Expr:
@@ -436,7 +426,7 @@ def _norm(e: Expr) -> Expr:
     if e._fixed or isinstance(e, Const) or _is_canonical(e):
         return e
     if isinstance(e, Conditional):
-        return _from_factor(e.base.do, e.target, e.given)
+        return _from_factor(e.target, e.given)
     if isinstance(e, (Product, Quotient)):
         num: list[Expr] = []
         den: list[Expr] = []
@@ -475,11 +465,11 @@ def _norm(e: Expr) -> Expr:
                 if len(holders) != 1:
                     continue
                 f = _as_factor(holders[0])
-                if f is None or v not in f[1]:
+                if f is None or v not in f[0]:
                     continue
-                do, t, g = f
+                t, g = f
                 num.remove(holders[0])
-                reduced = _from_factor(do, tuple(x for x in t if x != v), g)
+                reduced = _from_factor(tuple(x for x in t if x != v), g)
                 if not isinstance(reduced, Const):
                     num.append(reduced)
                 sum_vars.discard(v)
@@ -534,7 +524,7 @@ def conditional_of(q: Expr, target: Iterable[str], given: Iterable[str], scope: 
     """Conditional of the distribution denoted by ``q`` over ``scope``.
 
     Built as a quotient of sums over ``scope`` and simplified; extra free
-    variables of ``q`` (intervention arguments) pass through untouched.
+    variables of ``q`` (givens outside ``scope``) pass through untouched.
     """
     target, given, scope = vsort(target), vsort(given), vsort(scope)
     over_num = vsort(set(scope) - set(target) - set(given))
@@ -545,7 +535,7 @@ def conditional_of(q: Expr, target: Iterable[str], given: Iterable[str], scope: 
 
 
 def _chain(q: Expr, t: set[str]) -> list[tuple] | None:
-    """(factor, do, C_k, H_k) of each factor of ``q`` in chain order when
+    """(factor, C_k, H_k) of each factor of ``q`` in chain order when
     ``q`` is a factor chain over ``t`` (see :func:`reduced_q`), else None."""
     if _is_canonical(q):
         factors = [q]
@@ -553,10 +543,10 @@ def _chain(q: Expr, t: set[str]) -> list[tuple] | None:
         factors = q.factors
     else:
         return None
-    chain = sorted(((f, *_as_factor(f)) for f in factors), key=lambda f: len(t.intersection(f[3])))
+    chain = sorted(((f, *_as_factor(f)) for f in factors), key=lambda f: len(t.intersection(f[2])))
     earlier = set()
-    for _, do, c, h in chain:
-        if do != chain[0][1] or t.intersection(h) != earlier:
+    for _, c, h in chain:
+        if t.intersection(h) != earlier:
             return None
         earlier.update(c)
     return chain if earlier == t else None
@@ -582,7 +572,7 @@ def q_of_joint(order: Iterable[str], s_union: set[str]) -> Expr:
     for inside, run in itertools.groupby(order, s_union.__contains__):
         run = tuple(run)
         if inside:
-            factors.append(_from_factor((), run, vsort(before)))
+            factors.append(_from_factor(run, vsort(before)))
         before += run
     out = _rebuild(factors, [])
     object.__setattr__(out, "_fixed", True)
@@ -608,8 +598,8 @@ def reduced_q(
     When ``q`` is a factor chain over t whose factors the blocks fit, the
     result is read off the chain and no quotient is built.  A chain is one
     canonical factor (see :func:`_is_canonical`), or a product of them that
-    :func:`simplify` has marked as its fixed point, P_D(C_1 | H_1) * ... *
-    P_D(C_n | H_n) over one D, where the C_k partition t and each H_k meets t
+    :func:`simplify` has marked as its fixed point, P(C_1 | H_1) * ... *
+    P(C_n | H_n), where the C_k partition t and each H_k meets t
     in exactly C_<k, the targets before it.  The mark is load-bearing:
     ``simplify`` would first merge the factors of an unmarked product, and
     its quotient would not be the one below.  If S is all of t, Q[S] is q
@@ -620,8 +610,8 @@ def reduced_q(
     the sum, so the result is q / q(B | Pre) * q(B \\ x | Pre).  When B lies
     inside one C_k and C_<k <= Pre <= C_<k u C_k, both conditionals come from
     the k-th factor alone: with Pre_k = Pre n C_k, the result is the other
-    factors unchanged times P_D(C_k \\ B \\ Pre_k | B u Pre_k u H_k) *
-    P_D(Pre_k u (B \\ x) | H_k), factors with an empty target dropped.  That
+    factors unchanged times P(C_k \\ B \\ Pre_k | B u Pre_k u H_k) *
+    P(Pre_k u (B \\ x) | H_k), factors with an empty target dropped.  That
     is the node ``simplify`` returns for the quotient, in its factor order,
     marked as a fixed point because one more normalisation pass leaves it
     unchanged: no two of its factors chain-merge, as no two of q's did.  Every
@@ -637,16 +627,16 @@ def reduced_q(
     chain = _chain(q, set(t))
     if chain:
         if sum(len(b) for b, _ in inside) == len(t):
-            block, before = set(chain[-1][2]), set(t).difference(chain[-1][2])
+            block, before = set(chain[-1][1]), set(t).difference(chain[-1][1])
         else:
             block, before = map(set, inside[-1])
-        for k, (_, do, c, h) in enumerate(chain):
+        for k, (_, c, h) in enumerate(chain):
             pre = before.intersection(c)
             if block <= set(c) and set(x) <= block and before - pre == set(h).intersection(t):
                 split = ((vsort(set(c) - block - pre), vsort(block | pre | set(h))),
                          (vsort(pre | block.difference(x)), h))
                 rest = [f for j, (f, *_) in enumerate(chain) if j != k]
-                out = _rebuild(rest + [_from_factor(do, *f) for f in split if f[0]], [])
+                out = _rebuild(rest + [_from_factor(*f) for f in split if f[0]], [])
                 object.__setattr__(out, "_fixed", True)
                 return out
     terms = [conditional_of(q, block, before, scope=t) for block, before in inside]
@@ -697,7 +687,7 @@ def _drops_to_fixed_point(cur: Expr, certify, droppable: Callable[[str], bool]) 
 
 
 def _drop_givens(node: Expr, certify, droppable: Callable[[str], bool]) -> Expr:
-    if isinstance(node, Conditional) and not node.base.do:
+    if isinstance(node, Conditional):
         given = list(node.given)
         changed = True
         while changed:
@@ -709,7 +699,7 @@ def _drop_givens(node: Expr, certify, droppable: Callable[[str], bool]) -> Expr:
                 if certify(node.target, v, rest):
                     given.remove(v)
                     changed = True
-        return _from_factor((), node.target, tuple(given))
+        return _from_factor(node.target, tuple(given))
     if isinstance(node, Product):
         return Product(tuple(_drop_givens(f, certify, droppable) for f in node.factors))
     if isinstance(node, Quotient):
@@ -739,11 +729,7 @@ def _join_marginals(node: Expr, certify) -> Expr:
         changed = True
         while changed:
             changed = False
-            marginals = [
-                (i, f)
-                for i, f in enumerate(factors)
-                if isinstance(f, DistRef) and not f.do
-            ]
+            marginals = [(i, f) for i, f in enumerate(factors) if isinstance(f, DistRef)]
             for (i, a), (j, b) in ((p, q) for p in marginals for q in marginals if p[0] < q[0]):
                 if set(a.scope) & set(b.scope):
                     continue
@@ -769,12 +755,11 @@ def _render_var(v: str) -> str:
     return v.lower()
 
 
-def _render_factor_text(do, target, given) -> str:
-    head = "P" if not do else "P_{" + ",".join(_render_var(v) for v in do) + "}"
+def _render_factor_text(target, given) -> str:
     body = ",".join(_render_var(v) for v in target)
     if given:
         body += "|" + ",".join(_render_var(v) for v in given)
-    return f"{head}({body})"
+    return f"P({body})"
 
 
 def render_text(e: Expr) -> str:
@@ -809,12 +794,11 @@ def _latex_var(v: str) -> str:
 def render_latex(e: Expr) -> str:
     f = _as_factor(e)
     if f is not None:
-        do, target, given = f
-        head = "P" if not do else "P_{" + ",".join(_latex_var(v) for v in do) + "}"
+        target, given = f
         body = ",".join(_latex_var(v) for v in target)
         if given:
             body += r" \mid " + ",".join(_latex_var(v) for v in given)
-        return f"{head}({body})"
+        return f"P({body})"
     if isinstance(e, Const):
         return "1" if e.value == 1.0 else repr(e.value)
     if isinstance(e, Product):
@@ -831,12 +815,12 @@ def to_json_dict(e: Expr):
     """JSON tree with lowercase kind tags and sorted variable lists."""
     f = _as_factor(e)
     if f is not None:
-        do, target, given = f
+        target, given = f
         return {
             "kind": "conditional" if given else "dist",
             "target": [_render_var(v) for v in target],
             "given": [_render_var(v) for v in given],
-            "do": [_render_var(v) for v in do],
+            "do": [],
         }
     if isinstance(e, Const):
         return {"kind": "const", "value": e.value}
@@ -848,6 +832,3 @@ def to_json_dict(e: Expr):
         return {"kind": "sum", "vars": [_render_var(v) for v in e.vars], "body": to_json_dict(e.body)}
     raise TypeError(f"not an expression: {e!r}")
 
-
-def to_json(e: Expr) -> str:
-    return json.dumps(to_json_dict(e), sort_keys=True)

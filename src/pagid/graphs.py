@@ -3,12 +3,14 @@
 Edges carry one mark per endpoint (tail / arrow / circle) plus a visibility
 flag that is meaningful only on directed edges.  All graph values are
 immutable after construction; every operation here is a pure function.
-Derived tables are filled lazily into slots of the instance they describe:
-one pass over the edge entries fills the adjacency with marks and the
-per-node parent and circle masks (:func:`adjacency_masks`,
-:func:`mark_masks`), from which ancestry, the closure and ancestral checks
-and visibility all read.  A :class:`Pag` settles its visible-edge set when
-it is built, walking no kernel.
+Each graph holds one adjacency, a table of per-node bitmasks: the
+neighbours, the arrowhead marks, the parents and the circle marks
+(:func:`adjacency_masks`, :func:`mark_masks`).  A mixed graph fills it
+lazily, in one pass over its edge entries; a :class:`LatentDag` fills it
+when built, in the pass that validates its arcs.  Every name-level query
+(neighbours, parents, children, the topological order) reads it, and so do
+ancestry, the closure and ancestral checks and visibility.  A :class:`Pag`
+settles its visible-edge set when it is built, walking no kernel.
 
 Each graph kind has one builder, its constructor; :meth:`LatentDag.from_edges`
 alone turns confounding arcs into latent roots.  Identification and
@@ -20,9 +22,9 @@ mixed graph's entries instead of building anew.
 
 Every path search in the package runs on one reachability kernel,
 :func:`reach`, except those of ``definitely_m_separated`` and the
-adjustment criterion, which share one pruned simple-path search,
-:func:`.separation.proper_paths`, for the reasons given in
-:mod:`.separation`.  The kernel is a stack search over (node,
+adjustment criterion, which share one pruned simple-path search over node
+indices on the same table, :func:`.separation.proper_paths`, for the
+reasons given in :mod:`.separation`.  The kernel is a stack search over (node,
 arrived-with-arrowhead) states on int bitmasks (Bayes-ball reachability,
 Shachter 1998; van der Zander, Liskiewicz & Textor, AIJ 2019).  A node
 passed *into* and left through an arrowhead is a collider and must lie in
@@ -123,7 +125,7 @@ def check_nodes(named: Sequence[str], latent: Sequence[str] = ()) -> None:
 class MixedGraph:
     """Nodes plus per-edge endpoint marks; at most one edge per node pair."""
 
-    __slots__ = ("nodes", "_index", "_edges", "_adj", "_masks", "_marks", "_anc", "_visible")
+    __slots__ = ("nodes", "_index", "_edges", "_masks", "_marks", "_anc", "_visible")
     _grammar = "pag"  # the parse_edge kind read by from_specs
 
     def __init__(
@@ -136,12 +138,9 @@ class MixedGraph:
         self.nodes = nodes
         self._index = {v: i for i, v in enumerate(nodes)}
         self._edges: dict[tuple[str, str], tuple[EdgeMark, EdgeMark, bool]] = {}
-        self._adj: dict[str, list[str]] = {v: [] for v in nodes}
         self._masks = self._anc = self._visible = None
         for a, b, mark_a, mark_b, visible in edges:
             self._add_edge(a, b, mark_a, mark_b, visible)
-        for v in self._adj:
-            self._adj[v].sort(key=self._index.__getitem__)
 
     def _add_edge(self, a: str, b: str, mark_a: EdgeMark, mark_b: EdgeMark, visible: bool) -> None:
         if a not in self._index or b not in self._index:
@@ -157,8 +156,6 @@ class MixedGraph:
             self._edges[key] = (mark_b, mark_a, visible)
         if visible and not self._is_directed_marks(*self._edges[key][:2]):
             raise ValueError(f"visible flag on non-directed edge {a!r}-{b!r}")
-        self._adj[a].append(b)
-        self._adj[b].append(a)
 
     @staticmethod
     def _is_directed_marks(mark_first: EdgeMark, mark_second: EdgeMark) -> bool:
@@ -182,7 +179,8 @@ class MixedGraph:
         return self._key(a, b) in self._edges if a != b else False
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        return tuple(self._adj[v])
+        """Neighbours of ``v`` in node order, read off :func:`adjacency_masks`."""
+        return names_of(self.nodes, adjacency_masks(self)[self._index[v]][0])
 
     def mark_at(self, v: str, other: str) -> EdgeMark:
         """Mark at endpoint ``v`` on the edge between ``v`` and ``other``."""
@@ -317,40 +315,32 @@ def mask_of(g, names: Iterable[str]) -> int:
 def adjacency_masks(g) -> tuple[tuple[int, int, int], ...]:
     """Per node index: (neighbours, neighbours w with an arrowhead at this
     node on the edge to w, neighbours w with an arrowhead at w).  Cached,
-    and filled with :func:`mark_masks` in one pass over the edge entries."""
+    and filled with :func:`mark_masks` in one pass over a mixed graph's edge
+    entries; a :class:`LatentDag` fills both when it is built."""
     if g._masks is None:
         index = g._index
         n = len(index)
         nbr, head, out = [0] * n, [0] * n, [0] * n
-        if isinstance(g, LatentDag):
-            for p, c in g._edges:
-                i, j = index[p], index[c]
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
+        parents, circle = [0] * n, [0] * n
+        for (a, b), (ma, mb, _) in g._edges.items():
+            i, j = index[a], index[b]
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+            if ma is ARROW:
+                head[i] |= 1 << j
+                out[j] |= 1 << i
+                if mb is TAIL:
+                    parents[i] |= 1 << j
+            elif ma is CIRCLE:
+                circle[i] |= 1 << j
+            if mb is ARROW:
                 head[j] |= 1 << i
                 out[i] |= 1 << j
-            g._marks = (tuple(head), (0,) * n)
-        else:
-            parents, circle = [0] * n, [0] * n
-            for (a, b), (ma, mb, _) in g._edges.items():
-                i, j = index[a], index[b]
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
-                if ma is ARROW:
-                    head[i] |= 1 << j
-                    out[j] |= 1 << i
-                    if mb is TAIL:
-                        parents[i] |= 1 << j
-                elif ma is CIRCLE:
-                    circle[i] |= 1 << j
-                if mb is ARROW:
-                    head[j] |= 1 << i
-                    out[i] |= 1 << j
-                    if ma is TAIL:
-                        parents[j] |= 1 << i
-                elif mb is CIRCLE:
-                    circle[j] |= 1 << i
-            g._marks = (tuple(parents), tuple(circle))
+                if ma is TAIL:
+                    parents[j] |= 1 << i
+            elif mb is CIRCLE:
+                circle[j] |= 1 << i
+        g._marks = (tuple(parents), tuple(circle))
         g._masks = tuple(zip(nbr, head, out))
     return g._masks
 
@@ -519,10 +509,11 @@ def mag_violation(g: MixedGraph) -> str | None:
     problem = ancestral_violation(g)
     if problem:
         return problem
-    index = g._index
-    for a, b in itertools.combinations(g.nodes, 2):
-        if not g.adjacent(a, b) and _inducing_path(g, index[a], index[b], 0):
-            return f"inducing path between non-adjacent {a!r} and {b!r}"
+    nodes, adj = g.nodes, adjacency_masks(g)
+    for i, (nbr, _, _) in enumerate(adj):
+        for j in bits(~nbr & (1 << len(nodes)) - (2 << i)):
+            if _inducing_path(g, i, j, 0):
+                return f"inducing path between non-adjacent {nodes[i]!r} and {nodes[j]!r}"
     return None
 
 
@@ -544,7 +535,7 @@ class LatentDag:
     the observed nodes only.
     """
 
-    __slots__ = ("observed", "latent", "_edges", "_parents", "_children", "_index", "_masks", "_marks", "_anc", "_topo")
+    __slots__ = ("observed", "latent", "_edges", "_index", "_masks", "_marks", "_anc", "_topo")
 
     def __init__(
         self,
@@ -558,33 +549,33 @@ class LatentDag:
         check_nodes(observed, latent)
         self.observed = observed
         self.latent = latent
-        self._index = {v: i for i, v in enumerate(names)}
+        self._index = index = {v: i for i, v in enumerate(names)}
         self._edges = tuple(edges)
-        self._masks = self._anc = None
-        self._parents: dict[str, list[str]] = {v: [] for v in names}
-        self._children: dict[str, list[str]] = {v: [] for v in names}
-        seen = set()
+        self._anc = None
+        n = len(names)
+        nbr, parents, children = [0] * n, [0] * n, [0] * n
         for p, c in self._edges:
-            if p not in self._index or c not in self._index:
+            if p not in index or c not in index:
                 raise ValueError(f"unknown node in edge {p!r}->{c!r}")
-            if (p, c) in seen or (c, p) in seen or p == c:
+            i, j = index[p], index[c]
+            if i == j or nbr[i] >> j & 1:
                 raise ValueError(f"bad edge {p!r}->{c!r}")
-            seen.add((p, c))
-            self._parents[c].append(p)
-            self._children[p].append(c)
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+            parents[j] |= 1 << i
+            children[i] |= 1 << j
+        self._masks = tuple(zip(nbr, parents, children))
+        self._marks = (tuple(parents), (0,) * n)
         confounded = set()
-        for u in latent:
-            kids = self._children[u]  # in arc order, for the message
-            if self._parents[u]:
-                raise ValueError(f"latent {u!r} has parents")
-            if len(kids) != 2 or any(c in latent for c in kids):
-                raise ValueError(f"latent {u!r} must have exactly two observed children")
-            if frozenset(kids) in confounded:
-                raise ValueError(f"duplicate edge {kids[0]!r}-{kids[1]!r}")
-            confounded.add(frozenset(kids))
-        for d in (self._parents, self._children):
-            for v in d:
-                d[v].sort(key=self._index.__getitem__)
+        for u in range(len(observed), n):
+            if parents[u]:
+                raise ValueError(f"latent {names[u]!r} has parents")
+            if children[u].bit_count() != 2 or children[u] >> len(observed):
+                raise ValueError(f"latent {names[u]!r} must have exactly two observed children")
+            if children[u] in confounded:
+                a, b = (c for p, c in self._edges if p == names[u])  # arc order, for the message
+                raise ValueError(f"duplicate edge {a!r}-{b!r}")
+            confounded.add(children[u])
         self._topo = self._kahn_order()  # raises on cycles
 
     @classmethod
@@ -620,10 +611,10 @@ class LatentDag:
         return self.observed + self.latent
 
     def parents(self, v: str) -> tuple[str, ...]:
-        return tuple(self._parents[v])
+        return names_of(self.nodes, self._marks[0][self._index[v]])
 
     def children(self, v: str) -> tuple[str, ...]:
-        return tuple(self._children[v])
+        return names_of(self.nodes, self._masks[self._index[v]][2])
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         return self._edges
@@ -636,29 +627,23 @@ class LatentDag:
         return self._topo
 
     def _kahn_order(self) -> tuple[str, ...]:
-        indeg = {v: len(self._parents[v]) for v in self.nodes}
-        ready = [v for v in self.nodes if indeg[v] == 0]
-        out: list[str] = []
+        """Kahn's order in one pass over the parent masks: the lowest-index
+        ready node goes next, and a child is ready once its parents are placed."""
+        names, parents = self.nodes, self._marks[0]
+        ready = sum(1 << v for v, pa in enumerate(parents) if not pa)
+        placed, out = 0, []
         while ready:
-            v = ready.pop(0)
-            out.append(v)
-            for c in self._children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-            ready.sort(key=self._index.__getitem__)
-        if len(out) != len(self.nodes):
+            low = ready & -ready
+            ready ^= low
+            placed |= low
+            v = low.bit_length() - 1
+            out.append(names[v])
+            for c in bits(self._masks[v][2]):
+                if not parents[c] & ~placed:
+                    ready |= 1 << c
+        if len(out) != len(names):
             raise ValueError("cycle in DAG")
         return tuple(out)
-
-    def ancestors(self, targets: Iterable[str]) -> tuple[str, ...]:
-        """Ancestors of ``targets`` (directed paths), including the targets."""
-        return ancestors_in(self, targets)
-
-    def descendants(self, sources: Iterable[str]) -> tuple[str, ...]:
-        """Descendants of ``sources`` (directed paths), including the sources."""
-        mask = mask_of(self, sources)
-        return tuple(v for v, anc in zip(self.nodes, ancestor_masks(self)) if anc & mask)
 
     def _structure(self) -> tuple:
         """What equality compares: the observed nodes, the observed edges and
@@ -668,7 +653,7 @@ class LatentDag:
         return (
             frozenset(self.observed),
             frozenset(e for e in self._edges if e[0] not in latent),
-            frozenset(frozenset(self._children[u]) for u in self.latent),
+            frozenset(frozenset(self.children(u)) for u in self.latent),
         )
 
     def __eq__(self, other: object) -> bool:
@@ -715,7 +700,6 @@ def induced_subgraph(g, a: Iterable[str]):
     sub.nodes = g.sort_nodes(keep)
     sub._index = {v: i for i, v in enumerate(sub.nodes)}
     sub._edges = {k: e for k, e in g._edges.items() if k[0] in keep and k[1] in keep}
-    sub._adj = {v: [w for w in g._adj[v] if w in keep] for v in sub.nodes}
     sub._masks = sub._anc = None
     sub._visible = flagged_edges(sub) if isinstance(g, Pag) else None
     return sub

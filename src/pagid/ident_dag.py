@@ -96,7 +96,11 @@ def q_reduce(d: LatentDag, t: Iterable[str], x: Iterable[str], q: Expr) -> Expr:
         raise ValueError("x must be a nonempty strict subset of t")
     comp_of, topo = _scope(d, t_set)
     s_union = set().union(*(comp_of[v] for v in x))
-    escaped = {c for v in x for c in d.children(v) if c in s_union} - x_set
+    adj, x_mask = adjacency_masks(d), mask_of(d, x)
+    children = 0
+    for v in bits(x_mask):
+        children |= adj[v][2]
+    escaped = names_of(d.nodes, children & mask_of(d, s_union) & ~x_mask)
     if escaped:
         raise ValueError(
             f"{sorted(x_set)} is not a descendant set in its component: "
@@ -247,8 +251,9 @@ def _remove_node(d: LatentDag, t: list[str], c_set: set[str], q: Expr, rng):
     scan = [v for v in reversed(topo) if v not in c_set]
     if rng is not None:
         scan = [scan[i] for i in rng.permutation(len(scan))]
+    adj = adjacency_masks(d)
     for b in scan:
-        if not set(comp_of[b]) & set(d.children(b)):
+        if not mask_of(d, comp_of[b]) & adj[d._index[b]][2]:
             return (b,), reduced_q(q, [(v,) for v in topo], set(comp_of[b]), (b,), tuple(t))
     b = scan[0]
     return Fail(node=b, component=comp_of[b], scope=tuple(t), target=d.sort_nodes(c_set))

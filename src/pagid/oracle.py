@@ -14,11 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Collection, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .exprs import JointTable
+from .exprs import JointTable, vsort
 from .graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, Pag, adjacency_masks, mag_of_dag, mag_violation
 from .separation import separated_mask
 
@@ -153,16 +153,17 @@ def _full_joint(s: Scm, x: Mapping[str, int]) -> tuple[tuple[str, ...], np.ndarr
     return order, _clamp(s, order, out, x)
 
 
-def _observed_table(s: Scm, order: tuple[str, ...], arr: np.ndarray, x: Collection[str]) -> JointTable:
-    """The joint ``arr`` over ``order`` summed to the observed nodes outside
-    ``x``, sorted by name."""
+def _observed_table(s: Scm, order: tuple[str, ...], x: Collection[str]) -> Callable[[np.ndarray], JointTable]:
+    """The map from a joint over ``order`` to its table over the observed
+    nodes outside ``x``, in :func:`.exprs.vsort` order.  The summed axes
+    and the permutation are worked out once, here."""
     drop = set(s.graph.latent) | set(x)
     axes = tuple(i for i, v in enumerate(order) if v in drop)
     keep = tuple(v for v in order if v not in drop)
-    marg = arr.sum(axis=axes) if axes else arr
-    keep_sorted = tuple(sorted(keep, key=lambda v: (v.lower(), v)))
+    keep_sorted = vsort(keep)
     perm = [keep.index(v) for v in keep_sorted]
-    return JointTable(keep_sorted, tuple(s.cards[v] for v in keep_sorted), np.transpose(marg, perm))
+    cards = tuple(s.cards[v] for v in keep_sorted)
+    return lambda arr: JointTable(keep_sorted, cards, np.transpose(arr.sum(axis=axes) if axes else arr, perm))
 
 
 def joint(s: Scm) -> JointTable:
@@ -173,21 +174,22 @@ def joint(s: Scm) -> JointTable:
 def truncated(s: Scm, x: Mapping[str, int]) -> JointTable:
     """Exact interventional distribution: drop intervened CPTs, clamp values."""
     order, arr = _full_joint(s, x)
-    return _observed_table(s, order, arr, x)
+    return _observed_table(s, order, x)(arr)
 
 
 def truncations(s: Scm, x_vars: Sequence[str]) -> Iterator[tuple[tuple[int, ...], JointTable]]:
     """``(vals, truncated(s, dict(zip(x_vars, vals))))`` for every value
     ``vals`` of ``x_vars``, in ``itertools.product`` order.
 
-    The product of the factors outside ``x_vars`` is built once and clamped
-    per value, so each table is bitwise the one :func:`truncated` returns.
+    The product of the factors outside ``x_vars`` and the summed axes and
+    permutation of the tables are worked out once; each value only clamps
+    the product, so each table is bitwise the one :func:`truncated` returns.
     The checks run when the first table is drawn.
     """
     order, prod = _product(s, x_vars)
+    table = _observed_table(s, order, x_vars)
     for vals in itertools.product(*(range(s.cards[v]) for v in x_vars)):
-        x = dict(zip(x_vars, vals))
-        yield vals, _observed_table(s, order, _clamp(s, order, prod, x), x)
+        yield vals, table(_clamp(s, order, prod, dict(zip(x_vars, vals))))
 
 
 def canonical_dag_of_mag(m: Mag) -> LatentDag:

@@ -22,7 +22,9 @@ Definite status does not survive the walk shortcut (whether a circle-circle
 node is a definite non-collider depends on its two path neighbours being
 non-adjacent, and joining a walk changes those neighbours), so the test runs
 on :func:`proper_paths`, a depth-first search over simple paths that takes a
-step only when ``extend(path, w)`` allows it.  Being open and of definite
+step only when ``extend(path, w)`` allows it.  It walks node indices on the
+graph's mask table, its step rules read the arrowhead and circle masks, and
+it yields each path as a tuple of names.  Being open and of definite
 status is prefix-closed: a node's status depends only on its two path
 neighbours, so the step that leaves it settles it, and a blocked or
 undetermined prefix has no open extension.  Pruning there cuts whole
@@ -37,14 +39,12 @@ from __future__ import annotations
 from typing import Iterable
 
 from .graphs import (
-    ARROW,
-    CIRCLE,
-    TAIL,
     LatentDag,
     MixedGraph,
     adjacency_masks,
     ancestor_masks,
     bits,
+    mark_masks,
     mask_of,
     possible_ancestors,
     reach,
@@ -80,53 +80,60 @@ def separated_mask(g, x: int, y: int, z: int) -> int:
 
 
 def proper_paths(g: MixedGraph, sources: Iterable[str], targets: Iterable[str], extend):
-    """Yield, as tuples, the simple paths from a source to a target whose
-    later nodes avoid the sources, exploring ``path + [w]`` only when the
-    prefix-closed ``extend(path, w)`` allows it.
+    """Yield, as tuples of names, the simple paths from a source to a target
+    whose later nodes avoid the sources, exploring ``path + [w]`` only when
+    the prefix-closed ``extend(path, w)`` allows it; ``path`` and ``w`` are
+    node indices on :func:`.graphs.adjacency_masks`.
 
     Depth-first preorder: sources by name, neighbours in node order, and a
     prefix ending at a target before its extensions through that target.
     """
-    sources, targets = set(sources), set(targets)
-    for start in sorted(sources):
-        path, pending = [start], [iter(g.neighbors(start))]
+    nodes, adj = g.nodes, adjacency_masks(g)
+    sources = sorted(set(sources))
+    src, tgt = mask_of(g, sources), mask_of(g, targets)
+    for start in sources:
+        s = g._index[start]
+        # ``blocked`` holds the sources and the path; each pending iterator
+        # lists a node's neighbours outside it when the node was entered
+        path, blocked, pending = [s], src, [bits(adj[s][0] & ~src)]
         while pending:
             for w in pending[-1]:
-                if w in path or w in sources or not extend(path, w):
+                if not extend(path, w):
                     continue
                 path.append(w)
-                if w in targets:
-                    yield tuple(path)
-                pending.append(iter(g.neighbors(w)))
+                blocked |= 1 << w
+                if tgt >> w & 1:
+                    yield tuple(nodes[i] for i in path)
+                pending.append(bits(adj[w][0] & ~blocked))
                 break
             else:
                 pending.pop()
-                path.pop()
+                blocked ^= 1 << path.pop()
 
 
-def _status(g: MixedGraph, prev: str, v: str, nxt: str) -> str | None:
-    """Status of ``v`` between its path neighbours ``prev`` and ``nxt``:
-    "collider", "noncollider", or None when it is not definite."""
-    m_prev, m_nxt = g.mark_at(v, prev), g.mark_at(v, nxt)
-    if m_prev is ARROW and m_nxt is ARROW:
-        return "collider"
-    if TAIL in (m_prev, m_nxt) or (m_prev is m_nxt is CIRCLE and not g.adjacent(prev, nxt)):
-        return "noncollider"
-    return None
-
-
-def open_definite_step(g: MixedGraph, zs: set[str], open_collider: set[str]):
+def open_definite_step(g: MixedGraph, zs: Iterable[str], open_collider: Iterable[str]):
     """``extend`` for :func:`proper_paths` that keeps the definite status
     paths open given ``zs``: each interior collider lies in ``open_collider``
-    and each interior non-collider outside ``zs``."""
+    and each interior non-collider outside ``zs``.
 
-    def extend(path: list[str], w: str) -> bool:
+    The middle node v of prev - v - w is a collider when both marks at v are
+    arrowheads, and a definite non-collider when one of them is a tail, or
+    both are circles and prev and w are not adjacent; otherwise its status
+    is not definite and the step is refused.
+    """
+    adj, circle = adjacency_masks(g), mark_masks(g)[1]
+    z, open_c = mask_of(g, zs), mask_of(g, open_collider)
+
+    def extend(path: list[int], w: int) -> bool:
         if len(path) < 2:
             return True
-        status = _status(g, path[-2], path[-1], w)
-        if status == "collider":
-            return path[-1] in open_collider
-        return status is not None and path[-1] not in zs
+        prev, v = path[-2], path[-1]
+        pair, head, circ = 1 << prev | 1 << w, adj[v][1], circle[v]
+        if head & pair == pair:
+            return bool(open_c >> v & 1)
+        if z >> v & 1:
+            return False
+        return bool(pair & ~(head | circ)) or (circ & pair == pair and not adj[prev][0] >> w & 1)
 
     return extend
 

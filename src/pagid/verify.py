@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import adjustment, ident_dag, ident_pag
-from .exprs import Expr, _align, evaluate_table
+from .exprs import Expr, _align, evaluate_table, vsort
 from .graphs import LatentDag, Mag, _possible_ancestors, mag_of_dag, mask_of, names_of
 from .oracle import canonical_dag_of_mag, equivalence_class, joint, pag_of_class, random_latent_dag, random_scm, truncations
 from .ident_dag import _observed_ancestors, _scope
@@ -50,7 +50,7 @@ def interventional_gap(expr: Expr, scm, x_vars, y_vars) -> float:
     if stray:
         raise AssertionError(f"expression mentions non-query variables {sorted(stray)}")
     x_vars = tuple(x_vars)
-    y_sorted = tuple(sorted(y_vars, key=lambda v: (v.lower(), v)))
+    y_sorted = vsort(y_vars)
     truth = np.empty(tuple(scm.cards[v] for v in x_vars + y_sorted))
     for x_vals, table in truncations(scm, x_vars):
         truth[x_vals] = table.array_for(y_sorted)

@@ -12,7 +12,10 @@ before it moved onto node masks.  At the end, the kernel forms of
 visibility, composite pc-components and the directed-cycle test keep the
 per-edge, per-node and per-pair shape that their closed forms replaced.
 The union-find ``partition`` that the package's one component kernel
-replaced, and the edge predicates that only tests read, live here too.
+replaced, and the edge predicates that only tests read, live here too, as
+do the name-keyed neighbour, parent and child lists and the Kahn order on
+them that the graphs kept before the mask table became their one adjacency;
+every search here walks those lists, not the table under test.
 """
 
 from __future__ import annotations
@@ -71,11 +74,58 @@ def partition(nodes, links) -> tuple:
     return tuple(tuple(members) for members in classes.values())
 
 
+def _node_order(g, lists: dict) -> dict:
+    index = {v: i for i, v in enumerate(g.nodes)}
+    for members in lists.values():
+        members.sort(key=index.__getitem__)
+    return lists
+
+
+def neighbor_lists(g: MixedGraph) -> dict[str, list[str]]:
+    """Each node's neighbours in node order, keyed by name and read off the
+    edge entries, not off the mask table under test."""
+    lists: dict[str, list[str]] = {v: [] for v in g.nodes}
+    for a, b, *_ in g.edges():
+        lists[a].append(b)
+        lists[b].append(a)
+    return _node_order(g, lists)
+
+
+def dag_lists(d: LatentDag) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """Each node's parents and children in node order, keyed by name and
+    read off the arcs, as ``LatentDag`` kept them before its one table."""
+    parent_lists: dict[str, list[str]] = {v: [] for v in d.nodes}
+    child_lists: dict[str, list[str]] = {v: [] for v in d.nodes}
+    for p, c in d.edges():
+        parent_lists[c].append(p)
+        child_lists[p].append(c)
+    return _node_order(d, parent_lists), _node_order(d, child_lists)
+
+
+def kahn_order(d: LatentDag) -> tuple[str, ...]:
+    """Kahn's order on the name-keyed lists: of the ready nodes, kept sorted
+    by node index, the first goes next."""
+    parent_lists, child_lists = dag_lists(d)
+    index = {v: i for i, v in enumerate(d.nodes)}
+    indeg = {v: len(parent_lists[v]) for v in d.nodes}
+    ready = [v for v in d.nodes if indeg[v] == 0]
+    out: list[str] = []
+    while ready:
+        v = ready.pop(0)
+        out.append(v)
+        for c in child_lists[v]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                ready.append(c)
+        ready.sort(key=index.__getitem__)
+    return tuple(out)
+
+
 def parents(g, v) -> list[str]:
     """Parents of ``v``: a DAG's own, or a mixed graph's u with u -> v."""
     if isinstance(g, LatentDag):
-        return list(g.parents(v))
-    return [u for u in g.neighbors(v) if is_directed_edge(g, u, v)]
+        return dag_lists(g)[0][v]
+    return [u for u in neighbor_lists(g)[v] if is_directed_edge(g, u, v)]
 
 
 def ancestors(g, targets) -> set[str]:
@@ -129,7 +179,7 @@ def _dag_arrows(d: LatentDag):
 def m_separated(g: MixedGraph, xs, ys, zs) -> bool:
     xs, ys, zs = set(xs), set(ys), set(zs)
     open_collider = ancestors(g, zs)
-    neigh = {v: list(g.neighbors(v)) for v in g.nodes}
+    neigh = neighbor_lists(g)
     arrow_at = lambda v, u: g.mark_at(v, u) is ARROW  # noqa: E731
     return not any(_connects(p, arrow_at, zs, open_collider) for p in _paths(neigh, xs, ys))
 
@@ -165,7 +215,7 @@ def _collider_walk(neigh, arrow_at, start, target, interior_ok, into_target=Fals
 
 def has_inducing_path(g: MixedGraph, x: str, y: str) -> bool:
     ok = ancestors(g, [x]) | ancestors(g, [y])
-    neigh = {v: list(g.neighbors(v)) for v in g.nodes}
+    neigh = neighbor_lists(g)
     arrow_at = lambda v, u: g.mark_at(v, u) is ARROW  # noqa: E731
     return _collider_walk(
         neigh, arrow_at, x, y, lambda p, v, n: arrow_at(v, p) and arrow_at(v, n) and v in ok
@@ -183,7 +233,7 @@ def dag_inducing_path(d: LatentDag, x: str, y: str) -> bool:
 
 
 def collider_path_into(g: MixedGraph, z: str, x: str, allowed) -> bool:
-    neigh = {v: list(g.neighbors(v)) for v in g.nodes}
+    neigh = neighbor_lists(g)
     arrow_at = lambda v, u: g.mark_at(v, u) is ARROW  # noqa: E731
     return _collider_walk(
         neigh, arrow_at, z, x,
@@ -209,10 +259,11 @@ def graphical_visible_edges(g: MixedGraph) -> frozenset:
 def pc_component(g: MixedGraph, seed, visible) -> set[str]:
     """Nodes joined to ``seed`` by a collider path over invisible edges."""
     reached = set(seed)
+    neigh = neighbor_lists(g)
 
     def step(path):
         v = path[-1]
-        for w in g.neighbors(v):
+        for w in neigh[v]:
             if w in path or (v, w) in visible or (w, v) in visible:
                 continue
             if len(path) >= 2 and not (
@@ -242,8 +293,9 @@ def cpc_components(g: MixedGraph, visible) -> set[frozenset]:
 def find_closure_violation(g: MixedGraph) -> tuple[str, str, str] | None:
     """The first violating (A, B, C) triple of the PAG closure property, by
     B in node order and then by ordered neighbour pair, or None."""
+    neigh = neighbor_lists(g)
     for b in g.nodes:
-        for a, c in itertools.permutations(g.neighbors(b), 2):
+        for a, c in itertools.permutations(neigh[b], 2):
             if g.mark_at(b, a) is not ARROW:
                 continue
             if g.mark_at(b, c) is not CIRCLE:
@@ -284,8 +336,9 @@ def mag_of_dag_edges(d: LatentDag) -> tuple:
 
 def unshielded_colliders(g: MixedGraph) -> frozenset:
     out = set()
+    neigh = neighbor_lists(g)
     for b in g.nodes:
-        for a, c in itertools.combinations(g.neighbors(b), 2):
+        for a, c in itertools.combinations(neigh[b], 2):
             if not g.adjacent(a, c) and g.mark_at(b, a) is ARROW and g.mark_at(b, c) is ARROW:
                 out.add((min(a, c), b, max(a, c)))
     return frozenset(out)
@@ -329,9 +382,10 @@ def possible_ancestors(g: MixedGraph, targets) -> set[str]:
     """Nodes with a possibly directed path into some target, targets included."""
     out = set(targets)
     frontier = list(targets)
+    neigh = neighbor_lists(g)
     while frontier:
         v = frontier.pop()
-        for u in g.neighbors(v):
+        for u in neigh[v]:
             if u not in out and g.mark_at(u, v) is not ARROW:
                 out.add(u)
                 frontier.append(u)
@@ -342,9 +396,10 @@ def possible_descendants(g: MixedGraph, sources) -> set[str]:
     """Nodes reached from some source by a possibly directed path, sources included."""
     out = set(sources)
     frontier = list(sources)
+    neigh = neighbor_lists(g)
     while frontier:
         v = frontier.pop()
-        for w in g.neighbors(v):
+        for w in neigh[v]:
             if w not in out and g.mark_at(v, w) is not ARROW:
                 out.add(w)
                 frontier.append(w)
@@ -389,7 +444,7 @@ def definitely_m_separated(g: MixedGraph, xs, ys, zs) -> bool:
     """Every definite status path between ``xs`` and ``ys`` is blocked."""
     xs, ys, zs = set(xs), set(ys), set(zs)
     open_collider = possible_ancestors(g, zs)
-    neigh = {v: list(g.neighbors(v)) for v in g.nodes}
+    neigh = neighbor_lists(g)
     return all(_blocked(g, path, zs, open_collider) for path in _paths(neigh, xs, ys))
 
 
@@ -399,9 +454,10 @@ def proper_simple_paths(g: MixedGraph, xs, ys) -> list[tuple[str, ...]]:
     prefix reaching ``ys`` before its extensions."""
     xs, ys = set(xs), set(ys)
     out: list[tuple[str, ...]] = []
+    neigh = neighbor_lists(g)
 
     def extend(path):
-        for w in g.neighbors(path[-1]):
+        for w in neigh[path[-1]]:
             if w in path or w in xs:
                 continue
             if w in ys:

@@ -26,7 +26,6 @@ from pagid.exprs import (
     render_latex,
     render_text,
     simplify,
-    to_json,
     to_json_dict,
 )
 from pagid.separation import definitely_m_separated
@@ -34,11 +33,11 @@ from pagid.separation import definitely_m_separated
 TWIN_VARS = ("V1", "V2", "X1", "X2", "Y1", "Y2", "Y3")
 
 
-def P(*target, given=(), do=()):
+def P(*target, given=()):
     target = tuple(target)
     if not given:
-        return DistRef(target, tuple(do))
-    return Conditional(target, tuple(given), DistRef(target + tuple(given), tuple(do)))
+        return DistRef(target)
+    return Conditional(target, tuple(given), DistRef(target + tuple(given)))
 
 
 def _fresh(e):
@@ -46,7 +45,7 @@ def _fresh(e):
     if isinstance(e, Const):
         return Const(e.value)
     if isinstance(e, DistRef):
-        return DistRef(e.scope, e.do)
+        return DistRef(e.scope)
     if isinstance(e, Conditional):
         return Conditional(e.target, e.given, _fresh(e.base))
     if isinstance(e, Product):
@@ -75,9 +74,9 @@ def _reference_free_vars(e):
     if isinstance(e, Const):
         return set()
     if isinstance(e, DistRef):
-        return set(e.scope) | set(e.do)
+        return set(e.scope)
     if isinstance(e, Conditional):
-        return set(e.target) | set(e.given) | set(e.base.do)
+        return set(e.target) | set(e.given)
     if isinstance(e, Product):
         return set().union(*(_reference_free_vars(f) for f in e.factors))
     if isinstance(e, Quotient):
@@ -176,20 +175,9 @@ class TestEvaluate:
         assert evaluate(e, {(): t}, {"A": 1, "B": 0}) == 0.0
 
     def test_missing_table(self):
-        e = DistRef(("A",), ("B",))
+        e = DistRef(("A",))
         with pytest.raises(KeyError, match="missing table"):
-            evaluate(e, {}, {"A": 0, "B": 0})
-
-    def test_interventional_reference_reads_regime_table(self, bow):
-        # a table registered under an interventions key serves P_x directly
-        from pagid.oracle import random_scm, truncated
-
-        scm = random_scm(4, bow)
-        regime = truncated(scm, {"X": 1})
-        e = DistRef(("Y",), ("X",))
-        for y in (0, 1):
-            got = evaluate(e, {("X",): regime}, {"X": 1, "Y": y})
-            assert got == pytest.approx(regime.prob({"Y": y}), abs=1e-12)
+            evaluate(e, {}, {"A": 0})
 
     def test_assignment_out_of_range(self):
         t = JointTable(("A",), (2,), np.array([0.5, 0.5]))
@@ -286,7 +274,7 @@ class TestSimplify:
             simplify(e)
 
     def test_canonical_conditional_is_its_own_normal_form(self):
-        c = P("A", "B", given=("C",), do=("D",))
+        c = P("A", "B", given=("C",))
         assert _norm(c) is c
         assert simplify(c) is c and c._fixed
 
@@ -397,13 +385,13 @@ OUTSIDE = "Z"  # a name no drawn factor mentions
 
 
 def single_factors():
-    """A ``DistRef`` or a canonical ``Conditional``, with or without ``do``:
-    each of ``FACTOR_VARS`` is in the target, the given, ``do`` or none."""
-    roles = st.lists(st.sampled_from("tgdn"), min_size=len(FACTOR_VARS), max_size=len(FACTOR_VARS))
+    """A ``DistRef`` or a canonical ``Conditional``: each of ``FACTOR_VARS``
+    is in the target, the given or neither."""
+    roles = st.lists(st.sampled_from("tgn"), min_size=len(FACTOR_VARS), max_size=len(FACTOR_VARS))
 
     def build(roles):
         pick = lambda role: tuple(v for v, r in zip(FACTOR_VARS, roles) if r == role)
-        return P(*pick("t"), given=pick("g"), do=pick("d"))
+        return P(*pick("t"), given=pick("g"))
 
     return roles.filter(lambda r: "t" in r).map(build)
 
@@ -465,7 +453,7 @@ class TestConditionalOfClosedForm:
             (P("A", "B", "C"), ("A", "B", "C"), (), ("A", "B", "C"), "P(a,b,c)"),
             # scope = target
             (P("A", "B", "C"), ("A", "B"), (), ("A", "B"), "P(a,b|c)"),
-            (P("A", "B", given=("C",), do=("D",)), ("B",), (), ("B",), "P_{d}(b|a,c)"),
+            (P("A", "B", given=("C",)), ("B",), (), ("B",), "P(b|a,c)"),
             # givens outside the factor, or in its conditioning set
             (P("A", "B"), ("A",), ("Z",), ("A", "Z"), "P(a|b)"),
             (P("A", "B", given=("C",)), ("A",), ("B", "C"), ("A", "B", "C"), "P(a|b,c)"),
@@ -539,7 +527,7 @@ def removals(draw):
 @st.composite
 def chains(draw):
     """(q, blocks, s_union, x, t): q a product of 1-4 canonical factors
-    P_D(C_k | H_k) over ``CHAIN_VARS``, the C_k partitioning t, H_k made of
+    P(C_k | H_k) over ``CHAIN_VARS``, the C_k partitioning t, H_k made of
     C_<k (now and then only part of it) and givens from outside t, and a
     removal from q drawn by ``_draw_removal``, with t in chain order or
     shuffled.  Half the products are ``simplify`` fixed points, half are left
@@ -547,15 +535,14 @@ def chains(draw):
     names = draw(st.permutations(CHAIN_VARS))
     size = draw(st.integers(1, len(names)))
     t, rest = tuple(names[:size]), names[size:]
-    roles = draw(st.lists(st.sampled_from("gdn"), min_size=len(rest), max_size=len(rest)))
-    outside, do = (tuple(v for v, r in zip(rest, roles) if r == role) for role in "gd")
+    outside = tuple(v for v in rest if draw(st.booleans()))
     starts = draw(st.sets(st.integers(1, size - 1), max_size=3)) if size > 1 else set()
     bounds = [0, *sorted(starts), size]
     factors, context = [], ()
     for lo, hi in zip(bounds, bounds[1:]):
         earlier = t[:lo] if draw(st.integers(0, 3)) else draw(_subsets(t[:lo], 0))
         context = context if draw(st.booleans()) else draw(_subsets(outside, 0))
-        factors.append(P(*t[lo:hi], given=earlier + context, do=do))
+        factors.append(P(*t[lo:hi], given=earlier + context))
     factors = draw(st.permutations(factors))
     q = factors[0] if len(factors) == 1 else Product(tuple(factors))
     if draw(st.booleans()):
@@ -584,7 +571,7 @@ class TestReducedQClosedForm:
         "q, t",
         [
             (P("A", "B", "C", "D"), ("A", "B", "C", "D")),
-            (P("A", "B", "C", "D", given=("E",), do=("F",)), ("D", "B", "A", "C")),
+            (P("A", "B", "C", "D", given=("E",)), ("D", "B", "A", "C")),
         ],
     )
     def test_every_removal_over_four_variables(self, q, t):
@@ -608,13 +595,13 @@ class TestReducedQClosedForm:
         [
             # every block inside S
             (P("A", "B", "C"), [("A",), ("B",), ("C",)], {"A", "B", "C"}, ("C",), "P(a,b)"),
-            (P("A", "B", given=("C",), do=("D",)), [("A", "B")], {"A", "B"}, ("B",), "P_{d}(a|c)"),
+            (P("A", "B", given=("C",)), [("A", "B")], {"A", "B"}, ("B",), "P(a|c)"),
             # one block: first, middle, last, and x a strict part of it
             (P("A", "B", "C"), [("A",), ("B",), ("C",)], {"A"}, ("A",), "P(b,c|a)"),
             (P("A", "B", "C"), [("A",), ("B",), ("C",)], {"B"}, ("B",), "P(a) * P(c|a,b)"),
             (P("A", "B", "C"), [("A",), ("B",), ("C",)], {"C"}, ("C",), "P(a,b)"),
-            (P("A", "B", "C", given=("E",), do=("D",)), [("A",), ("B",), ("C",)], {"B"}, ("B",),
-             "P_{d}(a|e) * P_{d}(c|a,b,e)"),
+            (P("A", "B", "C", given=("E",)), [("A",), ("B",), ("C",)], {"B"}, ("B",),
+             "P(a|e) * P(c|a,b,e)"),
             (P("A", "B", "C", given=("E",)), [("A",), ("B", "C")], {"B", "C"}, ("B",), "P(a,c|e)"),
             # several blocks, not all of t, and x in the last of them
             (P("A", "B", "C"), [("A",), ("B",), ("C",)], {"A", "C"}, ("C",), "P(a,b)"),
@@ -622,8 +609,8 @@ class TestReducedQClosedForm:
              "P(a,b) * P(d|a,b,c)"),
             (P("A", "B", "C", "D", given=("E",)), [("A",), ("B",), ("C", "D")], {"A", "C", "D"}, ("C",),
              "P(a,b,d|e)"),
-            (P("A", "B", "C", "D", given=("E",), do=("F",)), [("A",), ("B",), ("C",), ("D",)],
-             {"A", "B", "C"}, ("C",), "P_{f}(a,b|e) * P_{f}(d|a,b,c,e)"),
+            (P("A", "B", "C", "D", given=("E",)), [("A",), ("B",), ("C",), ("D",)],
+             {"A", "B", "C"}, ("C",), "P(a,b|e) * P(d|a,b,c,e)"),
             # chains of two factors, as simplify leaves them: B inside the
             # first factor's target, after part of it or before the second
             (simplify(Product((P("V1", "V2"), P("V4", given=("V1", "V2", "V3"))))),
@@ -690,8 +677,7 @@ class TestRendering:
 
     def test_json_is_sorted_and_stable(self):
         e = simplify(SumOver(("V1",), Product((P("Y", given=("X", "V1")), P("V1")))))
-        blob = to_json(e)
-        assert blob == to_json(simplify(e))
+        assert to_json_dict(e) == to_json_dict(simplify(e))
         tree = to_json_dict(e)
         assert tree["kind"] == "sum" and tree["vars"] == ["v1"]
 

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,11 +8,14 @@ from hypothesis import strategies as st
 from pagid.graphs import (
     ARROW,
     CIRCLE,
+    MAX_NODES,
     TAIL,
+    TOKEN_OF_MARKS,
     LatentDag,
     Mag,
     MixedGraph,
     Pag,
+    ancestors_in,
     induced_subgraph,
     mag_of_dag,
     mag_violation,
@@ -21,6 +25,7 @@ from pagid.graphs import (
 from pagid.exprs import render_text
 from pagid.ident_pag import Fail, idp
 from pagid.oracle import random_latent_dag
+import reference_paths
 from reference_paths import is_visible
 
 
@@ -38,7 +43,7 @@ def brute_force_inducing_pairs(d):
     latent = set(d.latent)
     pairs = set()
     for x, y in itertools.combinations(d.observed, 2):
-        anc = set(d.ancestors([x])) | set(d.ancestors([y]))
+        anc = set(ancestors_in(d, [x])) | set(ancestors_in(d, [y]))
 
         def paths(path):
             v = path[-1]
@@ -308,3 +313,74 @@ class TestValidation:
     def test_node_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             MixedGraph([f"N{i}" for i in range(13)], [])
+
+    @pytest.mark.parametrize(
+        "latent, arcs, message",
+        [
+            ([], [("A", "Q")], "unknown node in edge 'A'->'Q'"),
+            ([], [("A", "A")], "bad edge 'A'->'A'"),
+            ([], [("A", "B"), ("B", "A")], "bad edge 'B'->'A'"),
+            ([], [("A", "B"), ("A", "B")], "bad edge 'A'->'B'"),
+            (["U"], [("A", "U"), ("U", "B"), ("U", "C")], "latent 'U' has parents"),
+            (["U", "W"], [("U", "A"), ("U", "W"), ("W", "B"), ("W", "C")],
+             "latent 'U' must have exactly two observed children"),
+            (["U"], [("U", "A"), ("U", "B"), ("U", "C")], "latent 'U' must have exactly two observed children"),
+            (["U", "W"], [("U", "A"), ("U", "C"), ("W", "C"), ("W", "A")], "duplicate edge 'C'-'A'"),
+            ([], [("A", "B"), ("B", "C"), ("C", "A")], "cycle in DAG"),
+        ],
+    )
+    def test_latent_dag_constructor_messages(self, latent, arcs, message):
+        with pytest.raises(ValueError) as err:
+            LatentDag(["A", "B", "C"], latent, arcs)
+        assert str(err.value) == message
+
+
+POOL = [f"{head}{k}" for head in "ABVXYZ" for k in range(1, 4)]
+
+
+def _shuffled_dag(rng):
+    """(observed, latent, arcs) of a random DAG over 1-12 observed nodes
+    with up to four latent pairs, its node lists and arcs shuffled."""
+    n = int(rng.integers(1, MAX_NODES + 1))
+    names = [POOL[i] for i in rng.choice(len(POOL), size=n, replace=False)]
+    rank, prob = rng.permutation(n), float(rng.uniform(0.1, 0.7))
+    arcs = [(a, b) for (i, a), (j, b) in itertools.permutations(enumerate(names), 2)
+            if rank[i] < rank[j] and rng.random() < prob]
+    pairs = list(itertools.combinations(names, 2))
+    latent = [f"U{k}" for k in range(int(rng.integers(0, min(4, len(pairs)) + 1)))]
+    for u, pick in zip(latent, rng.permutation(len(pairs))):
+        arcs += [(u, pairs[pick][0]), (u, pairs[pick][1])]
+    shuffle = lambda items: [items[i] for i in rng.permutation(len(items))]  # noqa: E731
+    return shuffle(names), shuffle(latent), shuffle(arcs)
+
+
+class TestOneAdjacency:
+    """Every name-level query reads the one mask table: it must give what
+    the name-keyed lists it replaced gave (``reference_paths``)."""
+
+    def test_dag_order_and_lists_match_the_name_keyed_reference(self):
+        rng = np.random.default_rng(23)
+        sizes, latents = set(), set()
+        for _ in range(300):
+            observed, latent, arcs = _shuffled_dag(rng)
+            d = LatentDag(observed, latent, arcs)
+            sizes.add(len(observed))
+            latents.add(len(latent))
+            parent_lists, child_lists = reference_paths.dag_lists(d)
+            assert d.topological_order() == reference_paths.kahn_order(d)
+            assert {v: list(d.parents(v)) for v in d.nodes} == parent_lists
+            assert {v: list(d.children(v)) for v in d.nodes} == child_lists
+        assert sizes == set(range(1, MAX_NODES + 1)) and latents == set(range(5))
+
+    def test_neighbours_match_the_name_keyed_reference(self):
+        rng = np.random.default_rng(29)
+        marks = list(TOKEN_OF_MARKS)
+        for _ in range(300):
+            observed, latent, arcs = _shuffled_dag(rng)
+            pairs = {frozenset(arc) for arc in arcs if arc[0] in observed}
+            pairs |= {frozenset(c for u, c in arcs if u == lat) for lat in latent}
+            edges = [(*sorted(pair), *marks[rng.integers(len(marks))], False) for pair in pairs]
+            g = MixedGraph(observed, edges)
+            assert {v: list(g.neighbors(v)) for v in g.nodes} == reference_paths.neighbor_lists(g)
+            sub = induced_subgraph(g, [v for v in observed if rng.random() < 0.7])
+            assert {v: list(sub.neighbors(v)) for v in sub.nodes} == reference_paths.neighbor_lists(sub)

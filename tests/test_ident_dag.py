@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import reference_paths as ref
 from pagid import catalog, ident_dag
 from pagid.exprs import Conditional, DistRef, Product, render_text, simplify
-from pagid.graphs import LatentDag, induced_subgraph
+from pagid.graphs import LatentDag, ancestors_in, induced_subgraph
 from pagid.ident_dag import Fail, c_components, id_dag, q_reduce
 from pagid.oracle import random_latent_dag, random_scm
 from pagid.verify import _sample_graph, interventional_gap
@@ -141,7 +141,7 @@ def test_scope_matches_the_induced_subgraph():
                 assert {v: comp for comp in c_components(dt) for v in comp} == comp_of
                 outside = set(d.observed) - set(t)
                 for v in t:
-                    in_dt = tuple(u for u in dt.ancestors([v]) if u in t)
+                    in_dt = tuple(u for u in ancestors_in(dt, [v]) if u in t)
                     assert ident_dag._observed_ancestors(d, [v], outside) == in_dt
                 assert sorted(topo) == sorted(t)
                 position = {v: i for i, v in enumerate(topo)}
@@ -167,7 +167,7 @@ class TestRemovalGuarantees:
         size_c = int(rng.integers(1, len(t)))
         c = sorted([t[i] for i in rng.permutation(len(t))][:size_c])
         dt = induced_subgraph(d, t)
-        a = set(v for v in dt.ancestors(c) if v in set(t))
+        a = set(v for v in ancestors_in(dt, c) if v in set(t))
         if a == set(t):
             return
         comps = {v: comp for comp in c_components(dt) for v in comp}

@@ -140,3 +140,15 @@ class TestDefiniteSeparation:
         assert definite_status_interior(g, ["A", "B", "C"]) is None
         unshielded = MixedGraph.from_specs(["A", "B", "C"], ["A o-o B", "B o-o C"])
         assert definite_status_interior(unshielded, ["A", "B", "C"]) == ["noncollider"]
+
+    def test_shielded_circle_node_closes_the_path(self):
+        # X - A - B - C - Y has B circle-circle with A, C adjacent, so it is
+        # no definite status path; X - A - C - Y is blocked at the collider A
+        from pagid.graphs import MixedGraph
+        from reference_paths import definitely_m_separated as reference
+
+        specs = ["X --> A", "A --o B", "B o-- C", "C --> A", "C --> Y"]
+        g = MixedGraph.from_specs(["X", "A", "B", "C", "Y"], specs)
+        assert definitely_m_separated(g, ["X"], ["Y"], []) and reference(g, ["X"], ["Y"], [])
+        unshielded = MixedGraph.from_specs(["X", "A", "B", "C", "Y"], specs[:3] + specs[4:])
+        assert not definitely_m_separated(unshielded, ["X"], ["Y"], [])
