@@ -208,21 +208,8 @@ class JointTable:
         return float(self.probs[idx])
 
 
-# a DistRef reads the observational table, the entry under ()
-Tables = Mapping[tuple[str, ...], JointTable]
-
-
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def _cards_from_tables(tables: Tables) -> dict[str, int]:
-    cards: dict[str, int] = {}
-    for table in tables.values():
-        for v, c in zip(table.variables, table.cards):
-            if cards.setdefault(v, c) != c:
-                raise ValueError(f"inconsistent cardinality for {v!r}")
-    return cards
 
 
 def _align(entries: list[tuple[tuple[str, ...], np.ndarray]]) -> tuple[tuple[str, ...], list[np.ndarray]]:
@@ -237,8 +224,9 @@ def _align(entries: list[tuple[tuple[str, ...], np.ndarray]]) -> tuple[tuple[str
     return union, out
 
 
-def evaluate_table(e: Expr, tables: Tables) -> tuple[tuple[str, ...], np.ndarray]:
-    """Evaluate ``e`` at every joint assignment of its free variables.
+def evaluate_table(e: Expr, table: JointTable) -> tuple[tuple[str, ...], np.ndarray]:
+    """Evaluate ``e`` at every joint assignment of its free variables, each
+    distribution read off the observational ``table``.
 
     Returns the sorted free-variable tuple and an array with one axis per
     variable.  Conditionals with zero-mass conditioning events evaluate to 0.
@@ -246,12 +234,9 @@ def evaluate_table(e: Expr, tables: Tables) -> tuple[tuple[str, ...], np.ndarray
     if isinstance(e, Const):
         return (), np.asarray(e.value, dtype=float)
     if isinstance(e, DistRef):
-        table = tables.get(())
-        if table is None:
-            raise KeyError("missing table for the observational distribution")
         return e.scope, table.array_for(e.scope)
     if isinstance(e, Conditional):
-        bvars, barr = evaluate_table(e.base, tables)
+        bvars, barr = evaluate_table(e.base, table)
         tg = vsort(e.target + e.given)
         num_vars = tuple(v for v in bvars if v in set(tg))
         num = barr.sum(axis=tuple(i for i, v in enumerate(bvars) if v not in set(tg))) if bvars else barr
@@ -263,7 +248,7 @@ def evaluate_table(e: Expr, tables: Tables) -> tuple[tuple[str, ...], np.ndarray
             out = np.where(den_a > 0, num_a / np.where(den_a > 0, den_a, 1.0), 0.0)
         return union, out
     if isinstance(e, Product):
-        entries = [evaluate_table(f, tables) for f in e.factors]
+        entries = [evaluate_table(f, table) for f in e.factors]
         if not entries:
             return (), np.asarray(1.0)
         union, arrays = _align(entries)
@@ -272,12 +257,12 @@ def evaluate_table(e: Expr, tables: Tables) -> tuple[tuple[str, ...], np.ndarray
             out = out * a
         return union, out
     if isinstance(e, Quotient):
-        union, (num, den) = _align([evaluate_table(e.num, tables), evaluate_table(e.den, tables)])
+        union, (num, den) = _align([evaluate_table(e.num, table), evaluate_table(e.den, table)])
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(den != 0, num / np.where(den != 0, den, 1.0), 0.0)
         return union, out
     if isinstance(e, SumOver):
-        bvars, barr = evaluate_table(e.body, tables)
+        bvars, barr = evaluate_table(e.body, table)
         missing = set(e.vars) - set(bvars)
         if missing:
             raise ValueError(f"summation variables absent from body value: {sorted(missing)}")
@@ -286,13 +271,13 @@ def evaluate_table(e: Expr, tables: Tables) -> tuple[tuple[str, ...], np.ndarray
     raise TypeError(f"not an expression: {e!r}")
 
 
-def evaluate(e: Expr, tables: Tables, assignment: Mapping[str, int]) -> float:
+def evaluate(e: Expr, table: JointTable, assignment: Mapping[str, int]) -> float:
     """Value of ``e`` at a full assignment of its free variables."""
-    vars_, arr = evaluate_table(e, tables)
+    vars_, arr = evaluate_table(e, table)
     missing = [v for v in vars_ if v not in assignment]
     if missing:
         raise ValueError(f"assignment missing variables {missing}")
-    cards = _cards_from_tables(tables)
+    cards = dict(zip(table.variables, table.cards))
     for v in vars_:
         if v in cards and not 0 <= assignment[v] < cards[v]:
             raise ValueError(f"assignment for {v!r} out of range")

@@ -32,20 +32,21 @@ passed *into* and left through an arrowhead is a collider and must lie in
 ``noncollider_ok``.  The kernel finds walks; a walk becomes a simple path by
 cutting out the stretch between the first and last visit of the first node
 that repeats; a start that recurs loses its prefix, and the walk ends at its
-first arrival at the target.  Where ``noncollider_ok`` is empty (inducing
-paths here, pc-components in :mod:`.structure`) both visits of a
-repeated interior node are colliders, so the joined node is a collider
-from ``collider_ok`` too.  :func:`_inducing_path` on a DAG also passes
-latents, which are roots and so always non-colliders; the first-repeat
-cut keeps their two path neighbours distinct.  m- and d-separation are argued
-in :mod:`.separation`.
+first arrival at the target.  Where ``noncollider_ok`` is empty
+(pc-components in :mod:`.structure`) both visits of a repeated interior
+node are colliders, so the joined node is a collider from ``collider_ok``
+too.  m- and d-separation are argued in :mod:`.separation`.  An inducing
+path, whose interior is all colliders, needs no walk: :func:`_inducing`
+reads it as a closure over bidirected edges, and the maximality check and
+the projection of a latent DAG (:func:`mag_of_dag`, each latent read as a
+bidirected edge) share it.
 """
 
 from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_NODES = 12
 
@@ -361,14 +362,18 @@ def ancestor_masks(g) -> tuple[int, ...]:
     Warshall pass over the parent masks: after step k, a node that has k
     among its ancestors has k's ancestors too; parentless nodes add nothing."""
     if g._anc is None:
-        parents = mark_masks(g)[0]
-        an = [pa | 1 << v for v, pa in enumerate(parents)]
-        for k, pa in enumerate(parents):
-            if pa:
-                row, bit = an[k], 1 << k
-                an = [a | row if a & bit else a for a in an]
-        g._anc = tuple(an)
+        g._anc = _ancestors(mark_masks(g)[0])
     return g._anc
+
+
+def _ancestors(parents: Sequence[int]) -> tuple[int, ...]:
+    """:func:`ancestor_masks` of the parent masks ``parents``."""
+    an = [pa | 1 << v for v, pa in enumerate(parents)]
+    for k, pa in enumerate(parents):
+        if pa:
+            row, bit = an[k], 1 << k
+            an = [a | row if a & bit else a for a in an]
+    return tuple(an)
 
 
 def _close(steps: Sequence[int], mask: int, within: int = -1) -> int:
@@ -488,20 +493,28 @@ def find_closure_violation(g: MixedGraph) -> tuple[str, str, str] | None:
 def ancestral_violation(g: MixedGraph) -> str | None:
     """Describe a directed or almost directed cycle among the definite marks
     of ``g``, or None; the first bidirected edge in node order is named.
-    A directed cycle exists iff some edge u -> v has v among u's ancestors."""
-    an, index = ancestor_masks(g), g._index
-    parents = mark_masks(g)[0]
-    if any(an[u] >> v & 1 for v, pa in enumerate(parents) for u in bits(pa)):
+    A directed cycle exists iff some edge u -> v has v among u's ancestors,
+    and an almost directed one iff some node has a bidirected neighbour
+    among its ancestors."""
+    an = ancestor_masks(g)
+    if _directed_cycle(mark_masks(g)[0], an):
         return "directed cycle"
-    cyclic = [
-        (index[a], index[b])
-        for (a, b), (ma, mb, _) in g._edges.items()
-        if ma is mb is ARROW and (an[index[a]] >> index[b] | an[index[b]] >> index[a]) & 1
-    ]
+    cyclic = [(min(u, v), max(u, v)) for u, v in _almost_cycles(adjacency_masks(g), an)]
     if not cyclic:
         return None
     i, j = min(cyclic)
     return f"almost directed cycle at {g.nodes[i]!r}<->{g.nodes[j]!r}"
+
+
+def _directed_cycle(parents: Sequence[int], an: Sequence[int]) -> bool:
+    """True when some node is an ancestor of one of its parents."""
+    return any(an[u] >> v & 1 for v, pa in enumerate(parents) for u in bits(pa))
+
+
+def _almost_cycles(adj, an: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The bidirected edges (u, v) of the table ``adj`` with u among the
+    ancestors ``an[v]`` of v."""
+    return ((u, v) for v, (_, head, out) in enumerate(adj) for u in bits(head & out & an[v]))
 
 
 def mag_violation(g: MixedGraph) -> str | None:
@@ -509,22 +522,43 @@ def mag_violation(g: MixedGraph) -> str | None:
     problem = ancestral_violation(g)
     if problem:
         return problem
-    nodes, adj = g.nodes, adjacency_masks(g)
+    pair = _inducing_pair(adjacency_masks(g), ancestor_masks(g))
+    if pair is None:
+        return None
+    i, j = pair
+    return f"inducing path between non-adjacent {g.nodes[i]!r} and {g.nodes[j]!r}"
+
+
+def _inducing_pair(adj, an: Sequence[int]) -> tuple[int, int] | None:
+    """The first non-adjacent pair (i, j), i < j, joined by an inducing path,
+    or None; ``adj`` is a table as :func:`adjacency_masks` gives, ``an`` its
+    ancestor masks."""
+    n = len(adj)
+    bidirected = [head & out for _, head, out in adj]
+    out = [out for _, _, out in adj]
     for i, (nbr, _, _) in enumerate(adj):
-        for j in bits(~nbr & (1 << len(nodes)) - (2 << i)):
-            if _inducing_path(g, i, j, 0):
-                return f"inducing path between non-adjacent {nodes[i]!r} and {nodes[j]!r}"
+        for j in bits(~nbr & (1 << n) - (2 << i)):
+            if _inducing(bidirected, out, an, i, j):
+                return i, j
     return None
 
 
-def _inducing_path(g, i: int, j: int, latent_mask: int) -> bool:
-    """Inducing path between nodes i and j relative to ``latent_mask``: every
-    interior node outside it is a collider and an ancestor of an endpoint.
-    Interior latents pass as non-colliders; in a :class:`LatentDag` they are
-    roots, so never colliders."""
-    an = ancestor_masks(g)
-    reached, _ = reach(adjacency_masks(g), 1 << i, an[i] | an[j], latent_mask)
-    return bool(reached >> j & 1)
+def _inducing(bidirected: Sequence[int], out: Sequence[int], an: Sequence[int], i: int, j: int) -> bool:
+    """True when non-adjacent nodes i and j are joined by an inducing path:
+    ``out[v]`` masks the nodes with an arrowhead on their edge from v,
+    ``bidirected[v]`` those joined to v by an arrowhead at both ends.
+
+    An inducing path i *-> w1 <-> ... <-> wk <-* j has only colliders
+    inside, each in A = An(i) | An(j), so two colliders in a row share a
+    bidirected edge.  Such a path exists iff the closure under bidirected
+    edges inside A of i's arrowhead neighbours in A meets ``out[j]``.  A walk
+    of that shape shortens to a path of it: cut the stretch between two
+    visits of a node, and a visit of i or j starts or ends a shorter one.
+    This is :func:`reach` from i with the colliders in A and no
+    non-colliders allowed, in closed form.
+    """
+    within = an[i] | an[j]
+    return bool(_close(bidirected, out[i] & within, within) & out[j])
 
 
 class LatentDag:
@@ -710,14 +744,25 @@ def mag_of_dag(d: LatentDag) -> Mag:
 
     Observed X, Y become adjacent iff the DAG has an inducing path between
     them relative to the latents; the mark at X is a tail iff X is an
-    ancestor of Y.
+    ancestor of Y.  A latent is a root with two observed children, so it is
+    a non-collider wherever a path passes it, between two arrowheads: the
+    test is :func:`_inducing` on the observed nodes, each latent read as a
+    bidirected edge between its children.  Either end of such an edge, or
+    of a directed one, is adjacent to the other end directly.
     """
     an, index = ancestor_masks(d), d._index
-    latent = mask_of(d, d.latent)
+    n = len(d.observed)
+    children = [out & (1 << n) - 1 for _, _, out in adjacency_masks(d)]
+    bidirected = [0] * n
+    for pair in children[n:]:
+        a, b = bits(pair)
+        bidirected[a] |= 1 << b
+        bidirected[b] |= 1 << a
+    out = [ch | bi for ch, bi in zip(children, bidirected)]
     edges = []
     for x, y in itertools.combinations(d.observed, 2):
         i, j = index[x], index[y]
-        if not _inducing_path(d, i, j, latent):
+        if not (out[i] >> j & 1 or out[j] >> i & 1 or _inducing(bidirected, out, an, i, j)):
             continue
         mark_x = TAIL if an[j] >> i & 1 else ARROW
         mark_y = TAIL if an[i] >> j & 1 else ARROW

@@ -5,8 +5,22 @@ Provides discrete structural models with exact joints and truncated
 Markov equivalence class enumeration by separation-model comparison, and
 seeded random generators.  Everything here is deliberately exhaustive; the
 size guards keep it at desk scale.  Latent DAGs are built by
-:meth:`.graphs.LatentDag.from_edges` from marked edges, and each member of
-an enumerated class is built once, as the :class:`.graphs.Mag` it tests.
+:meth:`.graphs.LatentDag.from_edges` from marked edges.
+
+The class enumeration tests each candidate on node masks and builds only
+its members, each once, as a :class:`.graphs.Mag`.  A candidate's
+separation model is read with one bit-sliced walk per source i: every
+state of :func:`.graphs.reach`'s walk, (w, arrived through an arrowhead)
+or (w, plain), holds a mask over all 2**n conditioning sets at once, bit z
+standing for the walk under Z = z.  A step between two states is taken
+under z iff the walk under z may take it: the start leaves along every
+edge under every z; a collider pass at w needs z to meet De(w), a
+non-collider pass needs w outside z, and both tests are fixed masks over
+z.  So a step moves each bit exactly as the walk under its own z would,
+the bits never mix, and the fixpoint holds bit z in a state iff the walk
+under z enters it: each z-slice is that walk, and node y is m-separated
+from i by z iff no state of y holds bit z.  The cost is one fixpoint over
+2**n-bit integers per source instead of 2**n walks.
 """
 
 from __future__ import annotations
@@ -19,8 +33,23 @@ from typing import Callable, Collection, Iterator, Mapping, Sequence
 import numpy as np
 
 from .exprs import JointTable, vsort
-from .graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, Pag, adjacency_masks, mag_of_dag, mag_violation
-from .separation import separated_mask
+from .graphs import (
+    ARROW,
+    CIRCLE,
+    TAIL,
+    LatentDag,
+    Mag,
+    MixedGraph,
+    Pag,
+    _almost_cycles,
+    _ancestors,
+    _directed_cycle,
+    _inducing_pair,
+    adjacency_masks,
+    ancestor_masks,
+    bits,
+    mag_of_dag,
+)
 
 MAX_JOINT_STATES = 1 << 20
 MAX_CLASS_EDGES = 10
@@ -198,26 +227,98 @@ def canonical_dag_of_mag(m: Mag) -> LatentDag:
     return LatentDag.from_edges(m.nodes, m.edges())
 
 
-def _separation_signature(g: Mag) -> Iterator[tuple[int, int, int]]:
-    """The separation model of ``g``, one walk per source and conditioning set.
+def _slices(n: int) -> tuple[int, tuple[int, ...]]:
+    """The conditioning sets of ``n`` nodes as bit positions: returns the
+    mask of all 2**n sets and, per node k, the mask of the sets z that hold
+    k.  That mask is the block of 2**k clear bits then 2**k set ones,
+    repeated; multiplying one block by a ones-every-block pattern repeats it
+    without carries."""
+    every = (1 << (1 << n)) - 1
+    return every, tuple(
+        ((1 << (1 << k)) - 1 << (1 << k)) * (every // ((1 << (2 << k)) - 1)) for k in range(n)
+    )
 
-    Yields ``(i, z, sep)`` for each node index ``i`` and each mask ``z`` of
-    the other nodes, ``z`` ascending: ``sep`` masks the nodes ``y`` that
-    ``z`` m-separates from node ``i``, among the candidates: ``y`` later than
-    ``i``, outside ``z`` and not adjacent to ``i``.  A pair ``(i, z)`` with
-    no candidate is skipped.  Adjacent nodes are never m-separated and
-    m-separation is symmetric, so over MAGs that share a skeleton (and so
-    the candidates and the order), equal sequences are equal models.
+
+def _sliced_walk(adj, anz: Sequence[int], inz: Sequence[int], i: int, start: int) -> list[int]:
+    """Per node w, the mask of the conditioning sets z in ``start`` under
+    which :func:`.graphs.reach`'s walk from node ``i``, colliders open in
+    An(z) and non-colliders outside z, enters w.
+
+    ``inz[w]`` masks the sets that hold w and ``anz[w]`` those that meet
+    De(w); each state keeps the sets under which it was entered, and the
+    work mask holds the nodes with sets not yet passed on.  The start's own
+    departures, under all of ``start``, cover any later one, so it counts as
+    entered under all of them from the outset.
     """
-    everyone = (1 << len(g.nodes)) - 1
-    for i, (nbr, _, _) in enumerate(adjacency_masks(g)):
-        later = everyone & ~((2 << i) - 1) & ~nbr
-        if not later:
-            continue
-        for z in range(everyone + 1):
-            targets = later & ~z
-            if targets and not z >> i & 1:
-                yield i, z, separated_mask(g, 1 << i, targets, z)
+    into, plain = [0] * len(adj), [0] * len(adj)
+    new_into, new_plain = [0] * len(adj), [0] * len(adj)
+    into[i] = plain[i] = start
+    work, _, out = adj[i]
+    for w in bits(work):
+        if out >> w & 1:
+            into[w] = new_into[w] = start
+        else:
+            plain[w] = new_plain[w] = start
+    while work:
+        low = work & -work
+        work ^= low
+        w = low.bit_length() - 1
+        arrived, passing = new_into[w], new_plain[w]
+        new_into[w] = new_plain[w] = 0
+        nbr, head, out = adj[w]
+        # an arrival into w leaving through an arrowhead at w is a collider
+        # pass; every other departure is a non-collider pass
+        to_rest = (arrived | passing) & ~inz[w]
+        to_head = arrived & anz[w] | passing & ~inz[w]
+        while nbr:
+            bit = nbr & -nbr
+            nbr ^= bit
+            u = bit.bit_length() - 1
+            flow = to_head if head & bit else to_rest
+            if out & bit:
+                flow &= ~into[u]
+                if flow:
+                    into[u] |= flow
+                    new_into[u] |= flow
+                    work |= bit
+            else:
+                flow &= ~plain[u]
+                if flow:
+                    plain[u] |= flow
+                    new_plain[u] |= flow
+                    work |= bit
+    return [a | b for a, b in zip(into, plain)]
+
+
+def _sliced_model(adj, an: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """The separation model of the graph with mask table ``adj`` and
+    ancestor masks ``an``, one :func:`_sliced_walk` per source.
+
+    Yields ``(i, y, seps)`` for each node index ``i`` and each later node
+    ``y`` not adjacent to it, ``i`` then ``y`` ascending: ``seps`` masks the
+    conditioning sets z, none holding ``i`` or ``y``, that m-separate them.
+    Adjacent nodes are never m-separated and m-separation is symmetric, so
+    over graphs that share a skeleton (and so the pairs and the order),
+    equal sequences are equal models.
+    """
+    n = len(adj)
+    every, inz = _slices(n)
+    anz = [0] * n
+    for k, ancestors in enumerate(an):
+        for w in bits(ancestors):
+            anz[w] |= inz[k]
+    for i, (nbr, _, _) in enumerate(adj):
+        later = ~nbr & (1 << n) - (2 << i)
+        if later:
+            start = every & ~inz[i]
+            reached = _sliced_walk(adj, anz, inz, i, start)
+            for y in bits(later):
+                yield i, y, start & ~inz[y] & ~reached[y]
+
+
+def _sliced_signature(g: MixedGraph) -> Iterator[tuple[int, int, int]]:
+    """:func:`_sliced_model` of ``g``."""
+    return _sliced_model(adjacency_masks(g), ancestor_masks(g))
 
 
 def equivalence_class(m: Mag) -> tuple[Mag, ...]:
@@ -227,9 +328,15 @@ def equivalence_class(m: Mag) -> tuple[Mag, ...]:
     model comparison only if its unshielded colliders (a necessary
     condition) match those of ``m``; they are read off its mark tuple over
     the unshielded triples of the shared skeleton, before any graph is built,
-    and the first triple that differs rejects it.
-    The model comparison walks the :func:`_separation_signature` of the
-    candidate against that of ``m`` and rejects at the first difference.
+    and the first triple that differs rejects it.  A survivor is tested on
+    the arrowhead, parent and ancestor masks that its marks give on the
+    skeleton's node indices: it must be ancestral and maximal
+    (:func:`.graphs._inducing_pair`), and its :func:`_sliced_model` must
+    equal that of ``m``, compared source by source and rejected at the first
+    difference.  Each z-slice of a sliced walk is :func:`.graphs.reach`'s
+    walk under that z (see the module docstring), so this is the model that
+    one walk per (source, z) reads.  Only a member is built, as a
+    :class:`.graphs.Mag`.
     """
     skeleton = [(a, b) for a, b, *_ in m.edges()]
     if len(skeleton) > MAX_CLASS_EDGES:
@@ -247,7 +354,10 @@ def equivalence_class(m: Mag) -> tuple[Mag, ...]:
         for (k, side_k, a), (l, side_l, c) in itertools.combinations(ends[b], 2)
         if not m.adjacent(a, c)
     ]
-    reference_sig = tuple(_separation_signature(m))
+    n, index = len(m.nodes), m._index
+    ends_of = [(index[a], index[b]) for a, b in skeleton]
+    nbr = [mask for mask, _, _ in adjacency_masks(m)]
+    reference = tuple(_sliced_signature(m))
     options = ((TAIL, ARROW), (ARROW, TAIL), (ARROW, ARROW))
     members = []
     for marks in itertools.product(options, repeat=len(skeleton)):
@@ -255,12 +365,26 @@ def equivalence_class(m: Mag) -> tuple[Mag, ...]:
             if (marks[k][side_k] is ARROW and marks[l][side_l] is ARROW) != collider:
                 break
         else:
-            edges = [(a, b, ma, mb, False) for (a, b), (ma, mb) in zip(skeleton, marks)]
-            candidate = Mag(m.nodes, edges, validate=False)
-            if mag_violation(candidate) is None and all(
-                got == want for got, want in zip(_separation_signature(candidate), reference_sig)
+            head, out, parents = [0] * n, [0] * n, [0] * n
+            for (a, b), (ma, mb) in zip(ends_of, marks):
+                if ma is ARROW:
+                    head[a] |= 1 << b
+                    out[b] |= 1 << a
+                else:
+                    parents[b] |= 1 << a
+                if mb is ARROW:
+                    head[b] |= 1 << a
+                    out[a] |= 1 << b
+                else:
+                    parents[a] |= 1 << b
+            an, adj = _ancestors(parents), tuple(zip(nbr, head, out))
+            if _directed_cycle(parents, an) or any(_almost_cycles(adj, an)):
+                continue
+            if _inducing_pair(adj, an) is None and all(
+                got == want for got, want in zip(_sliced_model(adj, an), reference)
             ):
-                members.append(candidate)
+                edges = [(a, b, ma, mb, False) for (a, b), (ma, mb) in zip(skeleton, marks)]
+                members.append(Mag(m.nodes, edges, validate=False))
     return tuple(members)
 
 

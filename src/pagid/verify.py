@@ -44,8 +44,7 @@ class Check:
 
 def interventional_gap(expr: Expr, scm, x_vars, y_vars) -> float:
     """Largest deviation of ``expr`` from the truncated-factorisation P_x(y)."""
-    tables = {(): joint(scm)}
-    evars, arr = evaluate_table(expr, tables)
+    evars, arr = evaluate_table(expr, joint(scm))
     stray = set(evars) - set(x_vars) - set(y_vars)
     if stray:
         raise AssertionError(f"expression mentions non-query variables {sorted(stray)}")
@@ -60,8 +59,8 @@ def interventional_gap(expr: Expr, scm, x_vars, y_vars) -> float:
 
 def expression_gap(e1: Expr, e2: Expr, scm) -> float:
     """Largest pointwise deviation between two expressions on one table."""
-    tables = {(): joint(scm)}
-    _, (a1, a2) = _align([evaluate_table(e1, tables), evaluate_table(e2, tables)])
+    table = joint(scm)
+    _, (a1, a2) = _align([evaluate_table(e1, table), evaluate_table(e2, table)])
     return float(np.abs(a1 - a2).max(initial=0.0))
 
 

@@ -13,6 +13,7 @@ from pagid.catalog import (
     two_treatment_pag,
 )
 from pagid.exprs import JointTable, evaluate_table
+from pagid.graphs import ARROW, TAIL, LatentDag
 
 
 @pytest.fixture
@@ -58,13 +59,24 @@ def random_joint_table(rng, variables, card=2):
     return JointTable(variables, shape, probs)
 
 
-def max_value_gap(e1, e2, tables):
-    """Largest pointwise difference between two expressions on ``tables``."""
-    v1, a1 = evaluate_table(e1, tables)
-    v2, a2 = evaluate_table(e2, tables)
-    cards = {}
-    for table in tables.values():
-        cards.update(zip(table.variables, table.cards))
+def wide_latent_dag(rng, n, density):
+    """A random latent DAG over ``n`` observed nodes ``V1``..``Vn``: each pair
+    is joined with probability ``density``, by an arc forward in a shuffled
+    causal order (7 in 10) or by a confounding arc."""
+    order = [f"V{i + 1}" for i in rng.permutation(n)]
+    edges = [
+        (a, b, TAIL, ARROW, False) if rng.random() < 0.7 else (a, b, ARROW, ARROW, False)
+        for a, b in itertools.combinations(order, 2)
+        if rng.random() < density
+    ]
+    return LatentDag.from_edges([f"V{i + 1}" for i in range(n)], edges)
+
+
+def max_value_gap(e1, e2, table):
+    """Largest pointwise difference between two expressions on ``table``."""
+    v1, a1 = evaluate_table(e1, table)
+    v2, a2 = evaluate_table(e2, table)
+    cards = dict(zip(table.variables, table.cards))
     union = sorted(set(v1) | set(v2), key=lambda v: (v.lower(), v))
     gap = 0.0
     for vals in itertools.product(*(range(cards[v]) for v in union)):

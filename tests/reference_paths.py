@@ -10,7 +10,11 @@ search rather than read from the cached masks under test.  The closure
 check walks every adjacent triple, as ``graphs.find_closure_violation`` did
 before it moved onto node masks.  At the end, the kernel forms of
 visibility, composite pc-components and the directed-cycle test keep the
-per-edge, per-node and per-pair shape that their closed forms replaced.
+per-edge, per-node and per-pair shape that their closed forms replaced, and
+so do the maximality test (one walk per non-adjacent pair) and the
+separation model of a class candidate (one walk per source and
+conditioning set) that ``graphs.mag_violation`` and
+``oracle.equivalence_class`` read before their closed and sliced forms.
 The union-find ``partition`` that the package's one component kernel
 replaced, and the edge predicates that only tests read, live here too, as
 do the name-keyed neighbour, parent and child lists and the Kahn order on
@@ -31,11 +35,13 @@ from pagid.graphs import (
     MixedGraph,
     adjacency_masks,
     ancestor_masks,
+    ancestral_violation,
     bits,
     mask_of,
     names_of,
     reach,
 )
+from pagid.separation import separated_mask
 from pagid.structure import _invisible_masks
 
 
@@ -539,3 +545,38 @@ def pair_scan_ancestral_violation(g: MixedGraph) -> str | None:
         return None
     i, j = min(cyclic)
     return f"almost directed cycle at {g.nodes[i]!r}<->{g.nodes[j]!r}"
+
+
+def kernel_mag_violation(g: MixedGraph) -> str | None:
+    """``graphs.mag_violation`` with its maximality test as one reach per
+    non-adjacent pair: from one end, colliders open in the ancestors of
+    either end and no non-colliders, into the other."""
+    problem = ancestral_violation(g)
+    if problem:
+        return problem
+    nodes, adj, an = g.nodes, adjacency_masks(g), ancestor_masks(g)
+    for i, (nbr, _, _) in enumerate(adj):
+        for j in bits(~nbr & (1 << len(nodes)) - (2 << i)):
+            if reach(adj, 1 << i, an[i] | an[j], 0)[0] >> j & 1:
+                return f"inducing path between non-adjacent {nodes[i]!r} and {nodes[j]!r}"
+    return None
+
+
+def kernel_separation_signature(g: MixedGraph):
+    """The separation model of ``g``, one walk per source and conditioning set.
+
+    Yields ``(i, z, sep)`` for each node index ``i`` and each mask ``z`` of
+    the other nodes, ``z`` ascending: ``sep`` masks the nodes ``y`` that
+    ``z`` m-separates from node ``i``, among the candidates: ``y`` later than
+    ``i``, outside ``z`` and not adjacent to ``i``.  A pair ``(i, z)`` with
+    no candidate is skipped.
+    """
+    everyone = (1 << len(g.nodes)) - 1
+    for i, (nbr, _, _) in enumerate(adjacency_masks(g)):
+        later = everyone & ~((2 << i) - 1) & ~nbr
+        if not later:
+            continue
+        for z in range(everyone + 1):
+            targets = later & ~z
+            if targets and not z >> i & 1:
+                yield i, z, separated_mask(g, 1 << i, targets, z)

@@ -131,8 +131,8 @@ def test_criterion_6_expression_engine_soundness():
     worst = 0.0
     for e, variables in cases:
         for _ in range(50):
-            tables = {(): random_joint_table(rng, variables)}
-            worst = max(worst, max_value_gap(e, simplify(e), tables))
+            table = random_joint_table(rng, variables)
+            worst = max(worst, max_value_gap(e, simplify(e), table))
         assert simplify(simplify(e)) == simplify(e)
     ok = worst <= 1e-12
     report(6, ok, f"50 random tables per case, worst rewrite deviation {worst:.2e}")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,9 @@ from pagid.catalog import (
 )
 from pagid.cli import ParseError, main, parse_graph, serialize_graph
 from pagid.graphs import EDGE_TOKENS, LatentDag, Mag, Pag
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def write(tmp_path, name, text):
@@ -192,6 +196,12 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert out == serialize_graph("pag", confounded_chain_pag())
+
+    def test_pag_of_dag_at_twelve_nodes(self, capsys):
+        # V1..V10 -> V11 and an isolated V12: 10 MAG edges, a class of 1,024
+        code = main(["pag-of-dag", "--graph", str(DATA / "collider_star12.dag")])
+        assert code == 0
+        assert capsys.readouterr().out == (DATA / "collider_star12.pag").read_text()
 
     def test_usage_error_exit_code(self, tmp_path, capsys):
         path = save(tmp_path, "twin.pag", "pag", two_treatment_pag())

@@ -160,29 +160,29 @@ class TestEvaluate:
         e = DistRef(("A", "B"))
         for a in (0, 1):
             for b in (0, 1):
-                assert evaluate(e, {(): t}, {"A": a, "B": b}) == pytest.approx(0.25)
+                assert evaluate(e, t, {"A": a, "B": b}) == pytest.approx(0.25)
 
     def test_total_mass(self):
         rng = np.random.default_rng(3)
         t = random_joint_table(rng, ("A", "B", "C"))
         e = SumOver(("A", "B", "C"), DistRef(("A", "B", "C")))
-        assert evaluate(e, {(): t}, {}) == pytest.approx(1.0, abs=1e-12)
+        assert evaluate(e, t, {}) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_mass_conditional_returns_zero(self):
         probs = np.array([[0.5, 0.5], [0.0, 0.0]])
         t = JointTable(("A", "B"), (2, 2), probs)
         e = P("B", given=("A",))
-        assert evaluate(e, {(): t}, {"A": 1, "B": 0}) == 0.0
+        assert evaluate(e, t, {"A": 1, "B": 0}) == 0.0
 
-    def test_missing_table(self):
-        e = DistRef(("A",))
-        with pytest.raises(KeyError, match="missing table"):
-            evaluate(e, {}, {"A": 0})
+    def test_variable_missing_from_the_table(self):
+        t = JointTable(("A",), (2,), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="lacks variables"):
+            evaluate(DistRef(("A", "B")), t, {"A": 0, "B": 0})
 
     def test_assignment_out_of_range(self):
         t = JointTable(("A",), (2,), np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="range"):
-            evaluate(DistRef(("A",)), {(): t}, {"A": 5})
+            evaluate(DistRef(("A",)), t, {"A": 5})
 
 
 class TestSimplify:
@@ -307,15 +307,15 @@ class TestSimplify:
     @settings(max_examples=50, deadline=None)
     def test_rewrites_preserve_value(self, seed, tree):
         rng = np.random.default_rng(seed)
-        tables = {(): random_joint_table(rng, TWIN_VARS)}
+        table = random_joint_table(rng, TWIN_VARS)
         for e in _expression_corpus(None, None, None):
-            assert max_value_gap(e, simplify(e), tables) <= 1e-12
+            assert max_value_gap(e, simplify(e), table) <= 1e-12
         once = _unless_refused(simplify, tree)
         if once is not None:
             # quotients of drawn trees reach values in the hundreds, so the
             # rounding bound scales with the largest value
-            scale = max(1.0, float(np.abs(evaluate_table(tree, tables)[1]).max()))
-            assert max_value_gap(tree, once, tables) <= 1e-12 * scale
+            scale = max(1.0, float(np.abs(evaluate_table(tree, table)[1]).max()))
+            assert max_value_gap(tree, once, table) <= 1e-12 * scale
 
     def test_first_twin_reduction_equals_direct_marginal(self, twin_pag):
         # evaluating the unsimplified quotient-sum form on a class model
@@ -332,8 +332,8 @@ class TestSimplify:
         rhs = Product((Quotient(DistRef(TWIN_VARS), cond), SumOver(("Y3",), cond)))
         marginal = DistRef(("V1", "V2", "X1", "X2", "Y1", "Y2"))
         for seed in range(5):
-            tables = {(): joint(random_scm(seed, cdag))}
-            assert max_value_gap(rhs, marginal, tables) <= 1e-12
+            table = joint(random_scm(seed, cdag))
+            assert max_value_gap(rhs, marginal, table) <= 1e-12
 
 
 def _expression_corpus(twin_pag, chain_pag, ring_pag):

@@ -303,7 +303,7 @@ def test_component_starts_match_the_product_and_the_removals():
     rng = np.random.default_rng(1)
     checked, walked, unequal, runs = 0, 0, 0, 0
     for p, d in _start_pags():
-        tables = {(): joint(random_scm(rng, d))}
+        table = joint(random_scm(rng, d))
         for y in p.nodes:
             a = list(possible_ancestors(p, [y]))
             p_a = induced_subgraph(p, a)
@@ -327,7 +327,7 @@ def test_component_starts_match_the_product_and_the_removals():
                     q_walk = q_reduce_bucket(p_t, bucket, q_walk, order_t)
                     walk = [v for v in walk if v not in bucket]
                 if q_walk != q:
-                    assert max_value_gap(q, q_walk, tables) <= 1e-12
+                    assert max_value_gap(q, q_walk, table) <= 1e-12
                     unequal += 1
                 walked += len(a) > len(c)
                 checked += 1

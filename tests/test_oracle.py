@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_paths as ref
-from pagid.graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, bits, mag_of_dag
+from conftest import wide_latent_dag
+from pagid import catalog
+from pagid.graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, MixedGraph, bits, mag_of_dag
 from pagid.oracle import (
     CPT_FLOOR,
     CPT_ROW_TOL,
+    MAX_CLASS_EDGES,
     MAX_JOINT_STATES,
     Scm,
     _full_joint,
-    _separation_signature,
+    _sliced_signature,
     canonical_dag_of_mag,
     class_of_dag,
     equivalence_class,
@@ -135,13 +138,45 @@ def outcome(build):
 
 
 def decoded_signature(g):
-    """The (x, y, Z) triples that ``_separation_signature`` masks encode."""
+    """The (x, y, Z) triples that ``_sliced_signature`` masks encode."""
     nodes = g.nodes
     return frozenset(
         (nodes[i], nodes[j], tuple(nodes[k] for k in bits(z)))
-        for i, z, sep in _separation_signature(g)
+        for i, j, seps in _sliced_signature(g)
+        for z in bits(seps)
+    )
+
+
+def decoded_walks(g):
+    """The (x, y, Z) triples of the one-walk-per-(source, Z) reference."""
+    nodes = g.nodes
+    return frozenset(
+        (nodes[i], nodes[j], tuple(nodes[k] for k in bits(z)))
+        for i, z, sep in ref.kernel_separation_signature(g)
         for j in bits(sep)
     )
+
+
+def collider_survivors(m):
+    """Every tail/arrow assignment over the skeleton of ``m`` with the
+    unshielded colliders of ``m``: the candidates whose separation model
+    ``equivalence_class`` reads, members and rejects alike."""
+    want = ref.unshielded_colliders(m)
+    options = ((TAIL, ARROW), (ARROW, TAIL), (ARROW, ARROW))
+    skeleton = [(a, b) for a, b, *_ in m.edges()]
+    for marks in itertools.product(options, repeat=len(skeleton)):
+        g = MixedGraph(m.nodes, [(a, b, ma, mb, False) for (a, b), (ma, mb) in zip(skeleton, marks)])
+        if ref.unshielded_colliders(g) == want:
+            yield g
+
+
+def wide_mag(rng, n):
+    """The MAG of a random latent DAG over ``n`` observed nodes, drawn until
+    it has at most ``MAX_CLASS_EDGES`` edges."""
+    while True:
+        m = mag_of_dag(wide_latent_dag(rng, n, 2.5 / n))
+        if len(m.edges()) <= MAX_CLASS_EDGES:
+            return m
 
 
 class TestScm:
@@ -378,6 +413,42 @@ class TestEquivalenceClass:
         nodes = [f"N{i}" for i in range(12)]
         with pytest.raises(ValueError, match="guard"):
             equivalence_class(Mag.from_specs(nodes, specs))
+
+
+class TestSlicedModel:
+    """The sliced separation model against one reach walk per source and
+    conditioning set, decoded to (x, y, Z) triples."""
+
+    def test_matches_the_walks_on_every_candidate_of_drawn_classes(self):
+        rng = np.random.default_rng(31)
+        candidates = members = 0
+        for draw in range(150):
+            _, m = _sample_graph(rng)
+            cls = set(equivalence_class(m))
+            for g in collider_survivors(m):
+                assert decoded_signature(g) == decoded_walks(g), (draw, g)
+                candidates += 1
+                members += g in cls
+        # rejects too, so that a model that tells members apart is not enough
+        assert members > 1000 and candidates - members > 1000
+
+    def test_matches_the_walks_on_catalog_mags(self):
+        for d in (catalog.confounded_chain_dag(), catalog.confounded_chain_dag_alt(), catalog.bow_dag()):
+            for g in collider_survivors(mag_of_dag(d)):
+                assert decoded_signature(g) == decoded_walks(g), g
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_matches_the_walks_at_seven_to_twelve_nodes(self, n):
+        for seed in (n, n + 100):
+            m = wide_mag(np.random.default_rng(seed), n)
+            assert decoded_signature(m) == decoded_walks(m), m
+
+    def test_collider_star_class_at_twelve_nodes(self):
+        m = mag_of_dag(LatentDag.from_specs([f"V{i}" for i in range(1, 13)], [f"V{i} -> V11" for i in range(1, 11)]))
+        members = equivalence_class(m)
+        # every tail/arrow choice at V1..V10, in enumeration order
+        assert len(members) == 1024 and members[0] == m
+        assert all(g.mark_at("V11", f"V{i}") is ARROW for g in members for i in range(1, 11))
 
 
 class TestPagOfClass:

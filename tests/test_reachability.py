@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_paths as ref
+from conftest import wide_latent_dag
 from pagid import catalog, graphs, structure
 from pagid.adjustment import Fail, gac
 from pagid.cli import main, serialize_graph
@@ -234,6 +235,24 @@ class TestProjectionAndValidation:
             g = ladder_pag(family, n)
             assert mag_violation(g) == ref.mag_violation(g)
 
+    def test_maximality_matches_the_walk_per_pair(self):
+        # random marks reach the maximality test rarely, the planted graphs
+        # mostly; the first pair named must agree as well
+        non_maximal = 0
+        for g in itertools.chain(random_marked_graphs(), planted_inducing_graphs()):
+            got = mag_violation(g)
+            assert got == ref.kernel_mag_violation(g), g
+            non_maximal += got is not None and got.startswith("inducing path")
+        assert non_maximal > 300
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_mag_of_dag_matches_reference_at_seven_to_twelve_nodes(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            d = wide_latent_dag(rng, n, 3 / n)
+            got = tuple((a, b, ma, mb) for a, b, ma, mb, _ in mag_of_dag(d).edges())
+            assert got == ref.mag_of_dag_edges(d), d
+
     def test_closure_violation_matches_reference_on_random_marks(self):
         found, directed_only = 0, 0
         for g in random_marked_graphs():
@@ -268,6 +287,36 @@ def random_marked_graphs():
             for a, b in itertools.combinations(nodes, 2) if rng.random() < density
         ]
         yield MixedGraph(nodes, edges)
+
+
+def planted_inducing_graphs():
+    """500 ancestral-leaning graphs of 4-12 nodes, each with a planted
+    inducing path a <-> d <-> c <-> b, c -> a and d -> b, between the
+    non-adjacent a and b: edges point forward in a random causal order, so
+    only a bidirected edge between an ancestor pair spoils ancestrality."""
+    rng = np.random.default_rng(23)
+    for _ in range(500):
+        n = int(rng.integers(4, 13))
+        order = [f"V{i}" for i in rng.permutation(n) + 1]
+        c, d, a, b = (order[k] for k in sorted(rng.choice(n, 4, replace=False)))
+        planted = {
+            frozenset((c, a)): (c, a, TAIL, ARROW, False),
+            frozenset((d, b)): (d, b, TAIL, ARROW, False),
+            frozenset((a, d)): (a, d, ARROW, ARROW, False),
+            frozenset((c, b)): (c, b, ARROW, ARROW, False),
+            frozenset((c, d)): (c, d, ARROW, ARROW, False),
+            frozenset((a, b)): None,
+        }
+        density, bidirected = rng.uniform(0.1, 0.4), rng.uniform(0.2, 0.6)
+        edges = []
+        for u, v in itertools.combinations(order, 2):
+            key = frozenset((u, v))
+            if key in planted:
+                if planted[key]:
+                    edges.append(planted[key])
+            elif rng.random() < density:
+                edges.append((u, v, ARROW if rng.random() < bidirected else TAIL, ARROW, False))
+        yield MixedGraph(sorted(order, key=lambda v: int(v[1:])), edges)
 
 
 def small_subgraphs():

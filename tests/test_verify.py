@@ -15,7 +15,7 @@ from pagid.verify import expression_gap, interventional_gap
 
 
 def loop_interventional_gap(expr, scm, x_vars, y_vars):
-    evars, arr = evaluate_table(expr, {(): joint(scm)})
+    evars, arr = evaluate_table(expr, joint(scm))
     y_sorted = tuple(sorted(y_vars, key=lambda v: (v.lower(), v)))
     gap = 0.0
     for x_vals in itertools.product(*(range(scm.cards[v]) for v in x_vars)):
@@ -29,9 +29,9 @@ def loop_interventional_gap(expr, scm, x_vars, y_vars):
 
 
 def loop_expression_gap(e1, e2, scm):
-    tables = {(): joint(scm)}
-    v1, a1 = evaluate_table(e1, tables)
-    v2, a2 = evaluate_table(e2, tables)
+    table = joint(scm)
+    v1, a1 = evaluate_table(e1, table)
+    v2, a2 = evaluate_table(e2, table)
     union = sorted(set(v1) | set(v2), key=lambda v: (v.lower(), v))
     gap = 0.0
     for vals in itertools.product(*(range(scm.cards[v]) for v in union)):
