@@ -5,12 +5,14 @@ adjustment set, and the definite-status blocking test.  By completeness of
 the criterion, the canonical set works whenever any set does, so a failure
 here certifies that no adjustment set exists.
 
-Proper paths from x to y come from :func:`.separation.proper_paths` under
-two prefix-closed step rules.  Amenability and the forbidden set walk the
-possibly directed paths (no edge has an arrowhead at its near end); blocking
-walks the definite-status paths left open by the canonical set.  Each rule
-cuts whole subtrees of one depth-first search, so a :class:`Fail` names the
-first failing proper path in that search's order.
+The forbidden set is two closures on the mask table (see
+:func:`forbidden_set`).  The two tests that need a witness path get it from
+:func:`.separation.proper_paths` under a prefix-closed step rule:
+amenability walks the proper possibly directed paths (no edge has an
+arrowhead at its near end), and blocking walks the definite-status paths
+left open by the canonical set.  Each rule cuts whole subtrees of one
+depth-first search, so a :class:`Fail` names the first failing proper path
+in that search's order.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .exprs import Conditional, DistRef, Expr, Product, SumOver, simplify, vsort
-from .graphs import ARROW, MixedGraph, Pag, adjacency_masks, possible_ancestors, possible_descendants
+from .graphs import ARROW, MixedGraph, Pag, _close, _possible_ancestors, adjacency_masks, bits, mask_of, names_of, possible_ancestors
 from .separation import open_definite_step, proper_paths
 from .structure import visible_edges
 
@@ -49,16 +51,33 @@ def _possibly_directed_step(g: MixedGraph):
 
 def forbidden_set(p: MixedGraph, x: Iterable[str], y: Iterable[str]) -> tuple[str, ...]:
     """Possible descendants of the non-treatment nodes lying on proper
-    possibly directed paths from ``x`` to ``y``."""
+    possibly directed paths from ``x`` to ``y``, in closed form.
+
+    Let W be the nodes that x's possible children outside x reach by
+    possibly directed steps outside x and that are possible ancestors of y
+    by such steps; the forbidden set is PossDe(W).  Every non-source node v
+    on a proper possibly directed path lies in W: the path before v reaches
+    it from a possible child of its source, and the path after v leads into
+    y, both outside x.  Conversely, for w in W take possibly directed walks
+    from a source to w and from w into y, both outside x after the source.
+    Loop erasure keeps a walk's first and last nodes and some of its steps,
+    each in its direction, so it turns them into possibly directed paths A
+    (source to w) and B (w into y).  Let t be the first node of A on B; w is
+    one, and the source is not.  A up to t, then B from t, is a proper
+    possibly directed path through t, and A from t puts w in PossDe(t).  So
+    the path nodes lie in W and W in their possible descendants, and both
+    sets have the same PossDe.
+    """
     xs, ys = set(x), set(y)
     if xs & ys:
         raise ValueError("treatment and outcome overlap")
-    on_causal: set[str] = set()
-    for path in proper_paths(p, xs, ys, _possibly_directed_step(p)):
-        on_causal.update(path[1:])
-    if not on_causal:
-        return ()
-    return possible_descendants(p, p.sort_nodes(on_causal))
+    rest, y_mask = ~mask_of(p, sorted(xs)), mask_of(p, ys)
+    steps = [nbr & ~head for nbr, head, _ in adjacency_masks(p)]
+    children = 0
+    for u in bits(~rest):
+        children |= steps[u]
+    on_causal = _close(steps, children & rest, rest) & _possible_ancestors(p, y_mask, rest)
+    return names_of(p.nodes, _close(steps, on_causal))
 
 
 def adjust_set(p: MixedGraph, x: Iterable[str], y: Iterable[str]) -> tuple[str, ...]:

@@ -3,14 +3,17 @@
 Edges carry one mark per endpoint (tail / arrow / circle) plus a visibility
 flag that is meaningful only on directed edges.  All graph values are
 immutable after construction; every operation here is a pure function.
-Each graph holds one adjacency, a table of per-node bitmasks: the
+Each graph is stored once, as a table of per-node bitmasks: the
 neighbours, the arrowhead marks, the parents and the circle marks
-(:func:`adjacency_masks`, :func:`mark_masks`).  A mixed graph fills it
-lazily, in one pass over its edge entries; a :class:`LatentDag` fills it
-when built, in the pass that validates its arcs.  Every name-level query
-(neighbours, parents, children, the topological order) reads it, and so do
-ancestry, the closure and ancestral checks and visibility.  A :class:`Pag`
-settles its visible-edge set when it is built, walking no kernel.
+(:func:`adjacency_masks`, :func:`mark_masks`), and on a mixed graph the
+visible flags (:func:`flag_masks`).  Every graph kind fills it when built,
+in the pass that validates its edges; a :class:`LatentDag` also keeps its
+arcs, in input order, as its latents are named in that order.  Every query
+(adjacency, marks, the edge list, neighbours, parents, children, the
+topological order, equality) reads it, and so do ancestry, the closure and
+ancestral checks and visibility; no module but this one reads the table
+directly.  A :class:`Pag` settles its visible-edge set into its flags when
+it is built, walking no kernel.
 
 Each graph kind has one builder, its constructor; :meth:`LatentDag.from_edges`
 alone turns confounding arcs into latent roots.  Identification and
@@ -18,7 +21,7 @@ verification read a subgraph as a node mask on its parent's one table: a
 closure (:func:`_close`) or a component split (:func:`_blocks`, which takes
 the place of a union-find) stays inside a ``within`` mask.
 :func:`induced_subgraph` stays for the API and the tests; it restricts a
-mixed graph's entries instead of building anew.
+mixed graph's table onto the kept nodes instead of building anew.
 
 Every path search in the package runs on one reachability kernel,
 :func:`reach`, except those of ``definitely_m_separated`` and the
@@ -60,6 +63,9 @@ class EdgeMark(Enum):
 TAIL = EdgeMark.TAIL
 ARROW = EdgeMark.ARROW
 CIRCLE = EdgeMark.CIRCLE
+
+# An endpoint's mark from its (arrowhead, circle) bits on the mask table.
+_MARK_OF_BITS = (TAIL, ARROW, CIRCLE)
 
 # Edge spec tokens, mapped to (mark at left node, mark at right node);
 # which of them a graph kind accepts is decided by parse_edge.
@@ -124,9 +130,16 @@ def check_nodes(named: Sequence[str], latent: Sequence[str] = ()) -> None:
 
 
 class MixedGraph:
-    """Nodes plus per-edge endpoint marks; at most one edge per node pair."""
+    """Nodes plus per-edge endpoint marks; at most one edge per node pair.
 
-    __slots__ = ("nodes", "_index", "_edges", "_masks", "_marks", "_anc", "_visible")
+    The graph is its mask table, filled by the constructor in the pass that
+    validates the edges: per node index, :func:`adjacency_masks` (the
+    neighbours, and those with an arrowhead at either end), :func:`mark_masks`
+    (the parents and the circles) and :func:`flag_masks` (the neighbours
+    across an edge that carries the visible flag).  Every query reads it.
+    """
+
+    __slots__ = ("nodes", "_index", "_masks", "_marks", "_flags", "_anc")
     _grammar = "pag"  # the parse_edge kind read by from_specs
 
     def __init__(
@@ -137,33 +150,43 @@ class MixedGraph:
         nodes = tuple(nodes)
         check_nodes(nodes)
         self.nodes = nodes
-        self._index = {v: i for i, v in enumerate(nodes)}
-        self._edges: dict[tuple[str, str], tuple[EdgeMark, EdgeMark, bool]] = {}
-        self._masks = self._anc = self._visible = None
+        self._index = index = {v: i for i, v in enumerate(nodes)}
+        self._anc = None
+        n = len(nodes)
+        nbr, head, out, parents, circle, flags = ([0] * n for _ in range(6))
         for a, b, mark_a, mark_b, visible in edges:
-            self._add_edge(a, b, mark_a, mark_b, visible)
-
-    def _add_edge(self, a: str, b: str, mark_a: EdgeMark, mark_b: EdgeMark, visible: bool) -> None:
-        if a not in self._index or b not in self._index:
-            raise ValueError(f"unknown node in edge {a!r}-{b!r}")
-        if a == b:
-            raise ValueError(f"self-loop at {a!r}")
-        key = self._key(a, b)
-        if key in self._edges:
-            raise ValueError(f"duplicate edge {a!r}-{b!r}")
-        if key == (a, b):
-            self._edges[key] = (mark_a, mark_b, visible)
-        else:
-            self._edges[key] = (mark_b, mark_a, visible)
-        if visible and not self._is_directed_marks(*self._edges[key][:2]):
-            raise ValueError(f"visible flag on non-directed edge {a!r}-{b!r}")
-
-    @staticmethod
-    def _is_directed_marks(mark_first: EdgeMark, mark_second: EdgeMark) -> bool:
-        return {mark_first, mark_second} == {TAIL, ARROW}
-
-    def _key(self, a: str, b: str) -> tuple[str, str]:
-        return (a, b) if self._index[a] < self._index[b] else (b, a)
+            if a not in index or b not in index:
+                raise ValueError(f"unknown node in edge {a!r}-{b!r}")
+            if a == b:
+                raise ValueError(f"self-loop at {a!r}")
+            i, j = index[a], index[b]
+            if nbr[i] >> j & 1:
+                raise ValueError(f"duplicate edge {a!r}-{b!r}")
+            if visible and {mark_a, mark_b} != {TAIL, ARROW}:
+                raise ValueError(f"visible flag on non-directed edge {a!r}-{b!r}")
+            bit_i, bit_j = 1 << i, 1 << j
+            nbr[i] |= bit_j
+            nbr[j] |= bit_i
+            if mark_a is ARROW:
+                head[i] |= bit_j
+                out[j] |= bit_i
+                if mark_b is TAIL:
+                    parents[i] |= bit_j
+            elif mark_a is CIRCLE:
+                circle[i] |= bit_j
+            if mark_b is ARROW:
+                head[j] |= bit_i
+                out[i] |= bit_j
+                if mark_a is TAIL:
+                    parents[j] |= bit_i
+            elif mark_b is CIRCLE:
+                circle[j] |= bit_i
+            if visible:
+                flags[i] |= bit_j
+                flags[j] |= bit_i
+        self._masks = tuple(zip(nbr, head, out))
+        self._marks = (tuple(parents), tuple(circle))
+        self._flags = tuple(flags)
 
     @classmethod
     def from_specs(cls, nodes: Sequence[str], specs: Iterable[str]) -> "MixedGraph":
@@ -177,23 +200,31 @@ class MixedGraph:
         return v in self._index
 
     def adjacent(self, a: str, b: str) -> bool:
-        return self._key(a, b) in self._edges if a != b else False
+        return a != b and bool(self._masks[self._index[a]][0] >> self._index[b] & 1)
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         """Neighbours of ``v`` in node order, read off :func:`adjacency_masks`."""
-        return names_of(self.nodes, adjacency_masks(self)[self._index[v]][0])
+        return names_of(self.nodes, self._masks[self._index[v]][0])
 
     def mark_at(self, v: str, other: str) -> EdgeMark:
-        """Mark at endpoint ``v`` on the edge between ``v`` and ``other``."""
-        key = self._key(v, other)
-        marks = self._edges[key]
-        return marks[0] if key[0] == v else marks[1]
+        """Mark at endpoint ``v`` on the edge between ``v`` and ``other``;
+        KeyError when they are not adjacent."""
+        i, j = self._index[v], self._index[other]
+        nbr, head, _ = self._masks[i]
+        if not nbr >> j & 1:
+            raise KeyError((v, other) if i < j else (other, v))
+        return _MARK_OF_BITS[head >> j & 1 | (self._marks[1][i] >> j & 1) << 1]
 
     def edges(self) -> tuple[tuple[str, str, EdgeMark, EdgeMark, bool], ...]:
-        """All edges as (a, b, mark_a, mark_b, visible), in node order."""
-        index = self._index
-        entries = ((a, b, *marks) for (a, b), marks in self._edges.items())
-        return tuple(sorted(entries, key=lambda e: (index[e[0]], index[e[1]])))
+        """All edges as (a, b, mark_a, mark_b, visible), a before b in node
+        order, by a and then b."""
+        nodes, adj, circle, flags = self.nodes, self._masks, self._marks[1], self._flags
+        return tuple(
+            (nodes[i], nodes[j], _MARK_OF_BITS[adj[i][1] >> j & 1 | (circle[i] >> j & 1) << 1],
+             _MARK_OF_BITS[adj[j][1] >> i & 1 | (circle[j] >> i & 1) << 1], bool(flags[i] >> j & 1))
+            for i, (nbr, _, _) in enumerate(adj)
+            for j in bits(nbr >> i + 1 << i + 1)
+        )
 
     def sort_nodes(self, items: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(items, key=self._index.__getitem__))
@@ -201,7 +232,7 @@ class MixedGraph:
     def _structure(self) -> tuple:
         """What equality compares, whatever the node order: the nodes, and
         each edge as its names in sorted order, each with its mark, and the flag."""
-        edges = ((a, b, *m) if a < b else (b, a, m[1], m[0], m[2]) for (a, b), m in self._edges.items())
+        edges = ((a, b, ma, mb, vis) if a < b else (b, a, mb, ma, vis) for a, b, ma, mb, vis in self.edges())
         return frozenset(self.nodes), frozenset(edges)
 
     def __eq__(self, other: object) -> bool:
@@ -226,15 +257,15 @@ class Pag(MixedGraph):
 
     A PAG's tails and arrowheads hold in every MAG of its class, so its
     arrowheads are closed and its definite marks have no directed or almost
-    directed cycle; every induced subgraph keeps both.  Construction then
-    computes the graphically visible directed edges
+    directed cycle; every induced subgraph keeps both.  Construction fills
+    the mask table, then computes the graphically visible directed edges
     (:func:`.structure.graphical_visible_edges`).  With ``check_visibility``
     the given flags must equal that set; otherwise every graphically visible
-    edge is flagged too, so the flags are complete.  An induced subgraph
-    restricts its parent without this constructor and takes the copied flags
-    as its visible set, as its own graphical set lies inside its parent's.
-    The closure and ancestral checks and visibility read one mask table,
-    filled once, in closed form.
+    edge is flagged too, so the flags are complete and are the graph's
+    visible set.  An induced subgraph restricts its parent's table without
+    this constructor and keeps the restricted flags as its visible set, as
+    its own graphical set lies inside its parent's.  The closure and
+    ancestral checks and visibility read the table, in closed form.
     """
 
     def __init__(self, nodes, edges=(), *, check_visibility: bool = False):
@@ -245,19 +276,15 @@ class Pag(MixedGraph):
         problem = ancestral_violation(self)
         if problem:
             raise ValueError(problem)
-        from .structure import graphical_visible_edges
+        from .structure import _graphical_visible
 
-        computed = graphical_visible_edges(self)
-        flagged = flagged_edges(self)
-        if check_visibility and computed != flagged:
+        computed = _graphical_visible(self)
+        if check_visibility and computed != self._flags:
             raise ValueError(
-                f"visibility flags {sorted(flagged)} disagree with the "
-                f"graphical condition {sorted(computed)}"
+                f"visibility flags {sorted(flagged_edges(self))} disagree with the "
+                f"graphical condition {sorted(_directed_pairs(self, computed))}"
             )
-        for x, y in computed - flagged:
-            key = self._key(x, y)
-            self._edges[key] = (*self._edges[key][:2], True)
-        self._visible = computed | flagged
+        self._flags = tuple(f | v for f, v in zip(self._flags, computed))
 
     @classmethod
     def from_specs(cls, nodes, specs, *, check_visibility: bool = True) -> "Pag":
@@ -285,8 +312,14 @@ class Mag(MixedGraph):
 
 def flagged_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
     """Directed edges (x, y) of ``g`` that carry a visible flag."""
+    return _directed_pairs(g, g._flags)
+
+
+def _directed_pairs(g: MixedGraph, masks: Sequence[int]) -> frozenset[tuple[str, str]]:
+    """The directed edges x -> y of ``g``, as name pairs, with x in ``masks[y]``."""
+    nodes = g.nodes
     return frozenset(
-        (a, b) if ma is TAIL else (b, a) for (a, b), (ma, _, vis) in g._edges.items() if vis
+        (nodes[i], nodes[j]) for j, (mask, pa) in enumerate(zip(masks, g._marks[0])) for i in bits(mask & pa)
     )
 
 
@@ -315,45 +348,23 @@ def mask_of(g, names: Iterable[str]) -> int:
 
 def adjacency_masks(g) -> tuple[tuple[int, int, int], ...]:
     """Per node index: (neighbours, neighbours w with an arrowhead at this
-    node on the edge to w, neighbours w with an arrowhead at w).  Cached,
-    and filled with :func:`mark_masks` in one pass over a mixed graph's edge
-    entries; a :class:`LatentDag` fills both when it is built."""
-    if g._masks is None:
-        index = g._index
-        n = len(index)
-        nbr, head, out = [0] * n, [0] * n, [0] * n
-        parents, circle = [0] * n, [0] * n
-        for (a, b), (ma, mb, _) in g._edges.items():
-            i, j = index[a], index[b]
-            nbr[i] |= 1 << j
-            nbr[j] |= 1 << i
-            if ma is ARROW:
-                head[i] |= 1 << j
-                out[j] |= 1 << i
-                if mb is TAIL:
-                    parents[i] |= 1 << j
-            elif ma is CIRCLE:
-                circle[i] |= 1 << j
-            if mb is ARROW:
-                head[j] |= 1 << i
-                out[i] |= 1 << j
-                if ma is TAIL:
-                    parents[j] |= 1 << i
-            elif mb is CIRCLE:
-                circle[j] |= 1 << i
-        g._marks = (tuple(parents), tuple(circle))
-        g._masks = tuple(zip(nbr, head, out))
+    node on the edge to w, neighbours w with an arrowhead at w).  Every
+    graph kind fills it when it is built."""
     return g._masks
 
 
 def mark_masks(g) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per node index: the mask of its parents (u with u -> v), and that of
-    the neighbours w with a circle at this node on the edge to w.  Filled
-    with :func:`adjacency_masks`; on a :class:`LatentDag` a node's parents
-    are its arrowhead neighbours and there are no circles."""
-    if g._masks is None:
-        adjacency_masks(g)
+    the neighbours w with a circle at this node on the edge to w.  On a
+    :class:`LatentDag` a node's parents are its arrowhead neighbours and
+    there are no circles."""
     return g._marks
+
+
+def flag_masks(g: MixedGraph) -> tuple[int, ...]:
+    """Per node index of a mixed graph: the neighbours joined to it by an
+    edge that carries the visible flag; the marks tell tail from head."""
+    return g._flags
 
 
 def ancestor_masks(g) -> tuple[int, ...]:
@@ -706,12 +717,13 @@ class LatentDag:
 def induced_subgraph(g, a: Iterable[str]):
     """Induced subgraph over ``a``, in the parent's node order.
 
-    A mixed graph is restricted, not rebuilt: it copies the parent's
-    validated edge entries (marks and flags) and adjacency lists, and a
-    :class:`Pag`'s visible set is its copied flags, which are complete (see
-    :class:`Pag`).  Over every node the graph itself is returned.  A
-    :class:`LatentDag` is rebuilt, with the latents whose children are both
-    kept, as its topological order must be recomputed.
+    A mixed graph is restricted, not rebuilt: each mask of the parent's
+    validated table (adjacency, marks and flags) is mapped onto the kept
+    indices, and a :class:`Pag` keeps the restricted flags as its visible
+    set, which is complete (see :class:`Pag`).  Over every node the graph
+    itself is returned.  A :class:`LatentDag` is rebuilt, with the latents
+    whose children are both kept, as its topological order must be
+    recomputed.
     """
     a = list(a)
     if isinstance(g, LatentDag):
@@ -727,15 +739,20 @@ def induced_subgraph(g, a: Iterable[str]):
     for v in a:
         if not g.has_node(v):
             raise ValueError(f"unknown node {v!r}")
-    keep = set(a)
-    if len(keep) == len(g.nodes):
+    kept = sorted({g._index[v] for v in a})
+    if len(kept) == len(g.nodes):
         return g
+
+    def restrict(mask: int) -> int:
+        return sum(1 << k for k, i in enumerate(kept) if mask >> i & 1)
+
     sub = object.__new__(type(g))
-    sub.nodes = g.sort_nodes(keep)
-    sub._index = {v: i for i, v in enumerate(sub.nodes)}
-    sub._edges = {k: e for k, e in g._edges.items() if k[0] in keep and k[1] in keep}
-    sub._masks = sub._anc = None
-    sub._visible = flagged_edges(sub) if isinstance(g, Pag) else None
+    sub.nodes = tuple(g.nodes[i] for i in kept)
+    sub._index = {v: k for k, v in enumerate(sub.nodes)}
+    sub._masks = tuple(tuple(map(restrict, g._masks[i])) for i in kept)
+    sub._marks = tuple(tuple(restrict(masks[i]) for i in kept) for masks in g._marks)
+    sub._flags = tuple(restrict(g._flags[i]) for i in kept)
+    sub._anc = None
     return sub
 
 

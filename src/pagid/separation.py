@@ -1,18 +1,30 @@
 """Separation tests for DAGs, MAGs and PAGs.
 
 m- and d-separation run on the reachability kernel :func:`.graphs.reach`:
-from ``xs``, colliders may be passed when they are ancestors of ``zs`` and
+from ``xs``, colliders may be passed when they lie in ``zs`` and
 non-colliders when they are outside ``zs``, and the sets are separated iff
-no member of ``ys`` is reached.  A connecting walk of this kind yields a
-connecting path.  Take the first node v that repeats and join its first
-arrival to its last departure.  If v is a non-collider there and lies in
-``zs``, every visit of v was a collider, so the joined v is a collider:
-contradiction.  If v is a collider there, one of its visits was a collider,
-so v is an ancestor of ``zs``; or else the walk leaves v on a directed edge
-and follows directed edges through non-colliders until it meets a collider,
-an ancestor of ``zs``.  It cannot follow them all the way back into v,
-since an ancestral graph and a DAG have no directed cycle.  A repeated start
-is cut off, and the walk is cut at its first member of ``ys``.
+no member of ``ys`` is reached.  On walks this reaches the nodes that
+opening every collider in An(``zs``), the rule for paths, reaches.  Suppose
+a walk passes a collider c in An(zs) but not in zs.  Let c -> d1 -> ... ->
+dk be a shortest directed path from c into zs: only dk lies in zs.  Detour
+there and back: arrive into c, go down to dk and come back up, and leave c
+as before.  Each pass of c and of d1 .. d(k-1) on the detour is a
+non-collider pass, outside zs; the turn at dk, into it and back out
+through the same arrowhead, is a collider pass in zs; and the walk's later
+steps keep their marks.
+
+A connecting walk of this kind yields a connecting path, whose colliders
+lie in An(zs): a collider in zs is one.  Take the first node v that repeats
+and join its first arrival to its last departure.  If v is a non-collider
+there and lies in ``zs``, every visit of v was a collider, so the joined v
+is a collider: contradiction.  If v is a collider there, one of its visits
+was a collider, so v is an ancestor of ``zs``; or else the walk leaves v on
+a directed edge and follows directed edges through non-colliders until it
+meets a collider, an ancestor of ``zs``.  It cannot follow them all the way
+back into v, since an ancestral graph and a DAG have no directed cycle.  The
+joined walk's colliders lie in An(``zs``), and the same argument goes on
+from there.  A repeated start is cut off, and the walk is cut at its first
+member of ``ys``.
 
 The PAG test looks only at definite status paths, opening colliders that
 are *possible* ancestors of the conditioning set, so a separation verdict is
@@ -42,7 +54,6 @@ from .graphs import (
     LatentDag,
     MixedGraph,
     adjacency_masks,
-    ancestor_masks,
     bits,
     mark_masks,
     mask_of,
@@ -70,12 +81,9 @@ def _separated(g, xs: Iterable[str], ys: Iterable[str], zs: Iterable[str]) -> bo
 
 def separated_mask(g, x: int, y: int, z: int) -> int:
     """Mask of the members of ``y`` that ``z`` separates from ``x``: those
-    that one walk from ``x`` does not reach.  Node masks in, mask out."""
-    an = ancestor_masks(g)
-    open_collider = 0
-    for i in bits(z):
-        open_collider |= an[i]
-    reached, _ = reach(adjacency_masks(g), x, open_collider, ~z)
+    that one walk from ``x``, colliders in ``z`` and non-colliders outside
+    it, does not reach.  Node masks in, mask out."""
+    reached, _ = reach(adjacency_masks(g), x, z, ~z)
     return y & ~reached
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import MixedGraph, Pag, _blocks, _close, adjacency_masks, bits, find_closure_violation, flagged_edges, mark_masks, mask_of, names_of, reach
+from .graphs import MixedGraph, Pag, _blocks, _close, _directed_pairs, adjacency_masks, bits, find_closure_violation, flag_masks, mark_masks, mask_of, names_of, reach
 
 
 def graphical_visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
@@ -37,28 +37,38 @@ def graphical_visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
 
     x -> y is visible when some node z not adjacent to y either has an edge
     into x, or reaches x by a collider path into x whose every collider is a
-    parent of y (Zhang, JMLR 9, 2008).  Closed form, one pass per child y
-    over :func:`.graphs.adjacency_masks`: with Pa the parents of y and far
-    the nodes other than y not adjacent to y, the seeds are the members of
-    Pa with an edge into them from far, and the visible parents are the
-    seeds closed under bidirected edges inside Pa.  That is what the
-    kernel's walk from far, with the parents of y as the allowed colliders
-    and no non-colliders, reaches into: it leaves a far start along any
-    edge, and goes on only from a node of Pa that it entered through an
-    arrowhead, along an edge with arrowheads at both ends; Pa, inside the
-    neighbours of y, is disjoint from far.
+    parent of y (Zhang, JMLR 9, 2008).  Read off :func:`_graphical_visible`.
     """
-    adj, nodes = adjacency_masks(g), g.nodes
-    everything = (1 << len(nodes)) - 1
+    return _directed_pairs(g, _graphical_visible(g))
+
+
+def _graphical_visible(g: MixedGraph) -> tuple[int, ...]:
+    """Per node index, the neighbours joined to it by a graphically visible
+    edge, as :func:`.graphs.flag_masks` holds the flagged ones.
+
+    Closed form, one pass per child y over :func:`.graphs.adjacency_masks`:
+    with Pa the parents of y and far the nodes other than y not adjacent to
+    y, the seeds are the members of Pa with an edge into them from far, and
+    the visible parents are the seeds closed under bidirected edges inside
+    Pa.  That is what the kernel's walk from far, with the parents of y as
+    the allowed colliders and no non-colliders, reaches into: it leaves a
+    far start along any edge, and goes on only from a node of Pa that it
+    entered through an arrowhead, along an edge with arrowheads at both
+    ends; Pa, inside the neighbours of y, is disjoint from far.
+    """
+    adj = adjacency_masks(g)
+    everything = (1 << len(adj)) - 1
     bidirected = [head & out for _, head, out in adj]
-    out = set()
+    visible = [0] * len(adj)
     for j, pa in enumerate(mark_masks(g)[0]):
         if not pa:
             continue
         far = everything & ~adj[j][0] & ~(1 << j)
         seeds = sum(1 << i for i in bits(pa) if adj[i][1] & far)
-        out.update((nodes[i], nodes[j]) for i in bits(_close(bidirected, seeds, pa)))
-    return frozenset(out)
+        for i in bits(_close(bidirected, seeds, pa)):
+            visible[i] |= 1 << j
+            visible[j] |= 1 << i
+    return tuple(visible)
 
 
 def visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
@@ -67,12 +77,18 @@ def visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
 
     A :class:`.graphs.Pag` settles this set when it is built and carries it
     in its flags, so an induced subgraph keeps every edge visible in its
-    parent; for a PAG this returns the stored set.  Other mixed graphs
-    compute the same union on first use and cache it.
+    parent; for a PAG this reads the flags.  Other mixed graphs compute the
+    union on each call.
     """
-    if g._visible is None:
-        g._visible = graphical_visible_edges(g) | flagged_edges(g)
-    return g._visible
+    return _directed_pairs(g, _visible_masks(g))
+
+
+def _visible_masks(g: MixedGraph) -> tuple[int, ...]:
+    """:func:`visible_edges` as masks: per node index, the neighbours joined
+    to it by a visible edge."""
+    if isinstance(g, Pag):
+        return flag_masks(g)
+    return tuple(f | v for f, v in zip(flag_masks(g), _graphical_visible(g)))
 
 
 def buckets(g: MixedGraph) -> tuple[tuple[str, ...], ...]:
@@ -157,13 +173,9 @@ def _pc(g: MixedGraph, seed: int, within: int) -> int:
 
 def _invisible_masks(g: MixedGraph) -> list[tuple[int, int, int]]:
     """:func:`.graphs.adjacency_masks` without the visible edges."""
-    index = g._index
-    adj = list(adjacency_masks(g))
-    for a, b in visible_edges(g):
-        i, j = index[a], index[b]
-        adj[i] = tuple(m & ~(1 << j) for m in adj[i])
-        adj[j] = tuple(m & ~(1 << i) for m in adj[j])
-    return adj
+    return [
+        (nbr & ~vis, head & ~vis, out & ~vis) for (nbr, head, out), vis in zip(adjacency_masks(g), _visible_masks(g))
+    ]
 
 
 def dc_component(g: MixedGraph, seed: Iterable[str]) -> tuple[str, ...]:

@@ -19,7 +19,13 @@ The union-find ``partition`` that the package's one component kernel
 replaced, and the edge predicates that only tests read, live here too, as
 do the name-keyed neighbour, parent and child lists and the Kahn order on
 them that the graphs kept before the mask table became their one adjacency;
-every search here walks those lists, not the table under test.
+every search here walks those lists, not the table under test.  The last
+forms are the walk that opened colliders in the ancestors of the
+conditioning set, which ``separation.separated_mask`` ran before it opened
+them in the set alone; the forbidden set read off the proper possibly
+directed paths, before ``adjustment.forbidden_set`` became two closures;
+and the name-keyed edge store (``EdgeDict``) that a mixed graph kept next
+to its mask table before the table became its one store.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ from pagid.graphs import (
     names_of,
     reach,
 )
-from pagid.separation import separated_mask
+from pagid.adjustment import _possibly_directed_step
+from pagid.separation import proper_paths, separated_mask
 from pagid.structure import _invisible_masks
 
 
@@ -57,7 +64,7 @@ def is_circle_circle(g, a, b) -> bool:
 
 def is_visible(g, a, b) -> bool:
     """The visible flag stored on the edge between a and b."""
-    return g._edges[g._key(a, b)][2]
+    return any(vis for u, v, _, _, vis in g.edges() if {u, v} == {a, b})
 
 
 def partition(nodes, links) -> tuple:
@@ -538,7 +545,7 @@ def pair_scan_ancestral_violation(g: MixedGraph) -> str | None:
         return "directed cycle"
     cyclic = [
         (index[a], index[b])
-        for (a, b), (ma, mb, _) in g._edges.items()
+        for a, b, ma, mb, _ in g.edges()
         if ma is mb is ARROW and (an[index[a]] >> index[b] | an[index[b]] >> index[a]) & 1
     ]
     if not cyclic:
@@ -580,3 +587,77 @@ def kernel_separation_signature(g: MixedGraph):
             targets = later & ~z
             if targets and not z >> i & 1:
                 yield i, z, separated_mask(g, 1 << i, targets, z)
+
+
+def ancestor_table(g) -> list[int]:
+    """Per node index, the mask of its ancestors, itself included, each by
+    plain search."""
+    return [mask_of(g, ancestors(g, [v])) for v in g.nodes]
+
+
+def reach_opening_ancestors(g, x: int, z: int, an) -> tuple[int, int]:
+    """``graphs.reach`` from the mask ``x`` given the mask ``z`` as
+    ``separation.separated_mask`` ran it before it opened colliders in ``z``
+    alone: colliders open in An(z), non-colliders outside z.  ``an`` is the
+    :func:`ancestor_table` of ``g``."""
+    open_collider = 0
+    for i in bits(z):
+        open_collider |= an[i]
+    return reach(adjacency_masks(g), x, open_collider, ~z)
+
+
+def forbidden_set(p: MixedGraph, x, y) -> tuple[str, ...]:
+    """``adjustment.forbidden_set`` as it read the paths: the possible
+    descendants of the non-source nodes on the proper possibly directed
+    paths that ``separation.proper_paths`` enumerates."""
+    on_causal: set[str] = set()
+    for path in proper_paths(p, set(x), set(y), _possibly_directed_step(p)):
+        on_causal.update(path[1:])
+    return p.sort_nodes(possible_descendants(p, on_causal))
+
+
+class EdgeDict:
+    """The name-keyed edge store a ``MixedGraph`` kept before its mask table
+    became its only one: per node pair, keyed in node order, the two marks
+    and the visible flag, with the queries read off it."""
+
+    def __init__(self, nodes, edges):
+        self.nodes = tuple(nodes)
+        self.index = {v: i for i, v in enumerate(self.nodes)}
+        self.entries = {}
+        for a, b, ma, mb, vis in edges:
+            key = self.key(a, b)
+            self.entries[key] = (ma, mb, vis) if key == (a, b) else (mb, ma, vis)
+
+    def key(self, a, b):
+        return (a, b) if self.index[a] < self.index[b] else (b, a)
+
+    def adjacent(self, a, b) -> bool:
+        return a != b and self.key(a, b) in self.entries
+
+    def mark_at(self, v, other):
+        key = self.key(v, other)
+        marks = self.entries[key]
+        return marks[0] if key[0] == v else marks[1]
+
+    def neighbors(self, v) -> tuple[str, ...]:
+        return tuple(w for w in self.nodes if self.adjacent(v, w))
+
+    def edges(self) -> tuple:
+        entries = ((a, b, *marks) for (a, b), marks in self.entries.items())
+        return tuple(sorted(entries, key=lambda e: (self.index[e[0]], self.index[e[1]])))
+
+    def flagged_edges(self) -> frozenset:
+        return frozenset((a, b) if ma is TAIL else (b, a) for (a, b), (ma, _, vis) in self.entries.items() if vis)
+
+    def structure(self) -> tuple:
+        """What graph equality compares: the nodes, and each edge with its
+        names in sorted order."""
+        edges = ((a, b, *m) if a < b else (b, a, m[1], m[0], m[2]) for (a, b), m in self.entries.items())
+        return frozenset(self.nodes), frozenset(edges)
+
+    def restrict(self, keep) -> "EdgeDict":
+        """The store of the subgraph induced on ``keep``, in this node order."""
+        keep = set(keep)
+        nodes = [v for v in self.nodes if v in keep]
+        return EdgeDict(nodes, [e for e in self.edges() if e[0] in keep and e[1] in keep])

@@ -1,14 +1,18 @@
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_paths as ref
+from pagid import catalog
 from pagid.adjustment import Fail, adjust_set, adjustment_formula, forbidden_set, gac
 from pagid.exprs import render_text
 from pagid.graphs import Pag
 from pagid.ident_pag import Fail as IdpFail
 from pagid.ident_pag import idp
-from pagid.oracle import canonical_dag_of_mag, class_of_dag, random_latent_dag, random_scm
-from pagid.verify import interventional_gap
+from pagid.oracle import canonical_dag_of_mag, class_of_dag, equivalence_class, pag_of_class, random_latent_dag, random_scm
+from pagid.verify import _sample_graph, interventional_gap
 
 
 def visible_chain():
@@ -29,6 +33,26 @@ class TestForbiddenSet:
 
     def test_visible_chain(self):
         assert forbidden_set(visible_chain(), ["X"], ["Y"]) == ("W", "Y")
+
+    def test_closures_match_the_path_version(self):
+        """Every disjoint x and y of one or two nodes on the catalog PAGs and
+        400 seeded class PAGs: 31,972 queries, ~2 s with the class builds."""
+        pags = [
+            catalog.two_treatment_pag(),
+            catalog.confounded_chain_pag(),
+            catalog.beyond_adjustment_pag(),
+            catalog.circle_pair_pag(),
+        ]
+        pags += [pag_of_class(equivalence_class(_sample_graph(np.random.default_rng(s))[1])) for s in range(400)]
+        forbidden = 0
+        for p in pags:
+            sets = [c for r in (1, 2) for c in itertools.combinations(p.nodes, r)]
+            for xs, ys in itertools.product(sets, repeat=2):
+                if not set(xs) & set(ys):
+                    got = forbidden_set(p, xs, ys)
+                    assert got == ref.forbidden_set(p, xs, ys), (p, xs, ys)
+                    forbidden += bool(got)
+        assert forbidden > 10_000
 
 
 class TestAdjustSet:

@@ -1,10 +1,14 @@
-"""One builder per graph kind, and subgraphs that restrict their parent.
+"""One builder per graph kind, one store per graph, and subgraphs that
+restrict their parent.
 
 ``LatentDag.from_edges`` is the one place a confounding arc becomes a
 latent; graph files, ``from_specs``, the canonical DAG of a MAG and random
-DAGs all go through it.  ``induced_subgraph`` of a mixed graph copies its
-parent's validated tables instead of re-running the constructor; the old
-rebuild is kept here as the reference it must equal.
+DAGs all go through it.  A mixed graph stores its edges only in the mask
+table its constructor fills, and only ``graphs.py`` reads that table; the
+name-keyed edge store it replaced is the reference its queries must equal
+(``reference_paths.EdgeDict``).  ``induced_subgraph`` of a mixed graph
+restricts its parent's validated table instead of re-running the
+constructor; the old rebuild is kept here as the reference it must equal.
 """
 
 import ast
@@ -17,6 +21,7 @@ import pytest
 import pagid.cli
 import pagid.graphs
 import pagid.structure
+import reference_paths as ref
 from pagid import catalog
 from pagid.cli import parse_graph, serialize_graph
 from pagid.graphs import (
@@ -29,6 +34,7 @@ from pagid.graphs import (
     Pag,
     adjacency_masks,
     ancestor_masks,
+    flagged_edges,
     induced_subgraph,
     mag_of_dag,
 )
@@ -173,6 +179,113 @@ class TestSubgraphsRestrictTheirParent:
                     assert visible_edges(sub) == visible_edges(pag) & set(
                         itertools.permutations(keep, 2)
                     )
+
+
+def _random_marked_graphs(count=300):
+    """``count`` mixed graphs of 1-12 nodes in shuffled node order, each
+    edge given with its ends in random order and carrying a mark pair drawn
+    from all nine, a directed edge its visible flag half the time, with the
+    edge specs that built them."""
+    rng = np.random.default_rng(41)
+    marks = (TAIL, ARROW, CIRCLE)
+    for _ in range(count):
+        nodes = [f"V{i}" for i in rng.permutation(int(rng.integers(1, 13))) + 1]
+        density = rng.random()
+        edges = []
+        for a, b in itertools.combinations(nodes, 2):
+            if rng.random() < density:
+                ma, mb = (marks[i] for i in rng.integers(0, 3, 2))
+                vis = {ma, mb} == {TAIL, ARROW} and bool(rng.random() < 0.5)
+                edges.append((a, b, ma, mb, vis) if rng.random() < 0.5 else (b, a, mb, ma, vis))
+        yield MixedGraph(nodes, edges), edges, rng
+
+
+class TestOneStore:
+    """Every query of a mixed graph, read off its mask table, against the
+    name-keyed edge store, on random graphs and an induced subgraph of each."""
+
+    @staticmethod
+    def assert_store_matches(g, store):
+        assert g.nodes == store.nodes
+        assert g.edges() == store.edges()
+        for a, b in itertools.product(g.nodes, repeat=2):
+            assert g.adjacent(a, b) == store.adjacent(a, b)
+            if store.adjacent(a, b):
+                assert g.mark_at(a, b) is store.mark_at(a, b)
+            else:
+                with pytest.raises(KeyError):
+                    g.mark_at(a, b)
+        assert {v: g.neighbors(v) for v in g.nodes} == {v: store.neighbors(v) for v in store.nodes}
+        assert flagged_edges(g) == store.flagged_edges()
+        assert visible_edges(g) == store.flagged_edges() | ref.graphical_visible_edges(store)
+
+    def test_queries_match_the_edge_store(self):
+        seen = set()
+        for g, edges, rng in _random_marked_graphs():
+            store = ref.EdgeDict(g.nodes, edges)
+            self.assert_store_matches(g, store)
+            keep = [v for v in g.nodes if rng.random() < 0.6]
+            self.assert_store_matches(induced_subgraph(g, keep), store.restrict(keep))
+            seen.update((ma, mb, vis) for _, _, ma, mb, vis in edges)
+        assert len(seen) == 11  # nine mark pairs, two of them also flagged
+
+    def test_equality_and_hash_match_the_edge_store(self):
+        for g, edges, rng in _random_marked_graphs():
+            nodes = [g.nodes[i] for i in rng.permutation(len(g.nodes))]
+            same = MixedGraph(nodes, [(b, a, mb, ma, vis) for a, b, ma, mb, vis in reversed(edges)])
+            assert same == g and hash(same) == hash(g)
+            if not edges:
+                continue
+            k = int(rng.integers(len(edges)))
+            a, b, ma, mb, vis = edges[k]
+            changed = (a, b, ma, mb, not vis) if {ma, mb} == {TAIL, ARROW} else (a, b, mb, ma, False)
+            other = edges[:k] + [changed] + edges[k + 1:]
+            want = ref.EdgeDict(g.nodes, edges).structure() == ref.EdgeDict(g.nodes, other).structure()
+            assert (MixedGraph(nodes, other) == g) == want
+            keep = g.nodes[: len(g.nodes) // 2 + 1]
+            sub = induced_subgraph(g, keep)
+            rebuilt = MixedGraph(keep, [e for e in edges if e[0] in keep and e[1] in keep])
+            assert sub == rebuilt and hash(sub) == hash(rebuilt)
+
+
+def test_pags_read_visibility_off_their_flags(monkeypatch):
+    """A PAG and its subgraphs answer visibility and components from the
+    flags the constructor completed, never from the graphical condition."""
+
+    def refuse(*_):
+        raise AssertionError("visibility recomputed on a PAG")
+
+    pags = [make() for make in CATALOG_PAGS] + [_sampled_class(seed)[1] for seed in range(5)]
+    monkeypatch.setattr(pagid.structure, "_graphical_visible", refuse)
+    for pag in pags:
+        for keep in (pag.nodes, pag.nodes[1:], pag.nodes[::2]):
+            sub = induced_subgraph(pag, keep)
+            assert flagged_edges(sub) == visible_edges(sub)
+            pagid.structure.cpc_components(sub)
+            pagid.structure.pc_component(sub, sub.nodes[:1])
+
+
+def _table_reads(source):
+    """Lines of ``source`` that read a graph's ``_masks``, ``_marks`` or ``_flags``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ("_masks", "_marks", "_flags")
+    )
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "graphs.py"), ids=lambda p: p.name
+)
+def test_only_graphs_reads_the_mask_table(path):
+    """Outside graphs.py no module reads a graph's table but through
+    ``adjacency_masks``, ``mark_masks`` and ``flag_masks``, so the table's
+    layout is known in one module."""
+    assert _table_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_table_check_sees_reads():
+    assert _table_reads("a = g._masks\nb = g._index\nc = g._flags[0]\nd = m._marks\n") == [1, 3, 4]
 
 
 def _calls_and_latent_names(source):

@@ -150,6 +150,27 @@ class TestSeparation:
             for xs, ys, zs in separation_queries(d.observed):
                 assert d_separated(d, xs, ys, zs) == ref.d_separated(d, xs, ys, zs)
 
+    def test_walks_open_colliders_in_z_as_in_its_ancestors(self):
+        """``reach`` with the colliders open in Z against ``reach`` with them
+        open in An(Z), from every node, on 200 random latent DAGs of 1-12
+        observed nodes and their MAGs: every Z where the graph has at most 9
+        nodes, latents included, and 30 random Z per source above that
+        (~3 s)."""
+        rng = np.random.default_rng(37)
+        exhaustive = 0
+        for _ in range(200):
+            d = wide_latent_dag(rng, int(rng.integers(1, 13)), rng.uniform(0.1, 0.7))
+            for g in (d, mag_of_dag(d)):
+                n = len(g.nodes)
+                adj, an = graphs.adjacency_masks(g), ref.ancestor_table(g)
+                exhaustive += n <= 9
+                zs = range(1 << n) if n <= 9 else [int(z) for z in rng.integers(0, 1 << n, 30)]
+                for i in range(n):
+                    for z in zs:
+                        z &= ~(1 << i)
+                        assert reach(adj, 1 << i, z, ~z) == ref.reach_opening_ancestors(g, 1 << i, z, an)
+        assert exhaustive > 100
+
     def test_overlapping_sets_are_refused(self):
         g = Mag.from_specs(["A", "B"], ["A --> B"])
         with pytest.raises(ValueError, match="overlapping"):
