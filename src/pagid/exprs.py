@@ -174,7 +174,12 @@ class SumOver(Expr):
 
 @dataclass(frozen=True)
 class JointTable:
-    """Dense probability table over named discrete variables."""
+    """Dense probability table over named discrete variables.
+
+    ``probs`` has one trailing axis per variable; any axes before them are
+    model axes, and each model's table is checked and read on its own.  With
+    no model axis this is one table.
+    """
 
     variables: tuple[str, ...]
     cards: tuple[int, ...]
@@ -183,29 +188,37 @@ class JointTable:
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "probs", probs)
-        if probs.shape != tuple(self.cards):
+        lead = probs.ndim - len(self.cards)
+        if lead < 0 or probs.shape[lead:] != tuple(self.cards):
             raise ValueError(f"table shape {probs.shape} != cards {self.cards}")
         if len(self.variables) != len(self.cards):
             raise ValueError("variables/cards length mismatch")
         if (probs < -1e-15).any():
             raise ValueError("negative probability entry")
-        if abs(float(probs.sum()) - 1.0) > MASS_TOL:
-            raise ValueError(f"table mass {probs.sum()} != 1")
+        mass = np.asarray(probs.sum(axis=tuple(range(lead, probs.ndim))))
+        off = np.abs(mass - 1.0) > MASS_TOL
+        if off.any():
+            raise ValueError(f"table mass {mass[off][0]} != 1")
 
     def array_for(self, variables: tuple[str, ...]) -> np.ndarray:
-        """Marginal array with axes ordered as ``variables``."""
+        """Marginal array with axes ordered as ``variables``, after the
+        model axes."""
         keep = set(variables)
         missing = keep - set(self.variables)
         if missing:
             raise ValueError(f"table lacks variables {sorted(missing)}")
-        drop_axes = tuple(i for i, v in enumerate(self.variables) if v not in keep)
+        n = len(self.variables)
+        drop_axes = tuple(i - n for i, v in enumerate(self.variables) if v not in keep)
         arr = self.probs.sum(axis=drop_axes) if drop_axes else self.probs
         kept = [v for v in self.variables if v in keep]
-        return np.transpose(arr, [kept.index(v) for v in variables])
+        lead = arr.ndim - len(kept)
+        return np.transpose(arr, [*range(lead), *(lead + kept.index(v) for v in variables)])
 
-    def prob(self, assignment: Mapping[str, int]) -> float:
-        idx = tuple(assignment[v] for v in self.variables)
-        return float(self.probs[idx])
+    def prob(self, assignment: Mapping[str, int]) -> float | np.ndarray:
+        """The probability of a full assignment: a float, or with model axes
+        an array of one per model."""
+        value = self.probs[(..., *(assignment[v] for v in self.variables))]
+        return float(value) if value.ndim == 0 else value
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +226,16 @@ class JointTable:
 
 
 def _align(entries: list[tuple[tuple[str, ...], np.ndarray]]) -> tuple[tuple[str, ...], list[np.ndarray]]:
+    """The union of the entries' variables, in :func:`vsort` order, and each
+    array with one trailing axis per union variable (length one where it
+    lacks the variable), after the model axes it has."""
     union = vsort(v for vars_, _ in entries for v in vars_)
     out = []
     for vars_, arr in entries:
-        shape = tuple(arr.shape[vars_.index(v)] if v in vars_ else 1 for v in union)
+        lead = arr.ndim - len(vars_)
+        shape = arr.shape[:lead] + tuple(arr.shape[lead + vars_.index(v)] if v in vars_ else 1 for v in union)
         if vars_:
-            perm = [vars_.index(v) for v in union if v in vars_]
+            perm = [*range(lead), *(lead + vars_.index(v) for v in union if v in vars_)]
             arr = np.transpose(arr, perm)
         out.append(arr.reshape(shape))
     return union, out
@@ -228,8 +245,10 @@ def evaluate_table(e: Expr, table: JointTable) -> tuple[tuple[str, ...], np.ndar
     """Evaluate ``e`` at every joint assignment of its free variables, each
     distribution read off the observational ``table``.
 
-    Returns the sorted free-variable tuple and an array with one axis per
-    variable.  Conditionals with zero-mass conditioning events evaluate to 0.
+    Returns the sorted free-variable tuple and an array with one trailing
+    axis per variable, after the table's model axes (a constant has none, and
+    broadcasts over them).  Each model's values are those its own table
+    gives.  Conditionals with zero-mass conditioning events evaluate to 0.
     """
     if isinstance(e, Const):
         return (), np.asarray(e.value, dtype=float)
@@ -238,10 +257,11 @@ def evaluate_table(e: Expr, table: JointTable) -> tuple[tuple[str, ...], np.ndar
     if isinstance(e, Conditional):
         bvars, barr = evaluate_table(e.base, table)
         tg = vsort(e.target + e.given)
+        n = len(bvars)
         num_vars = tuple(v for v in bvars if v in set(tg))
-        num = barr.sum(axis=tuple(i for i, v in enumerate(bvars) if v not in set(tg))) if bvars else barr
+        num = barr.sum(axis=tuple(i - n for i, v in enumerate(bvars) if v not in set(tg))) if bvars else barr
         den_keep = set(e.given)
-        den = barr.sum(axis=tuple(i for i, v in enumerate(bvars) if v not in den_keep)) if bvars else barr
+        den = barr.sum(axis=tuple(i - n for i, v in enumerate(bvars) if v not in den_keep)) if bvars else barr
         den_vars = tuple(v for v in bvars if v in den_keep)
         (union, (num_a, den_a)) = _align([(num_vars, num), (den_vars, den)])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -266,13 +286,14 @@ def evaluate_table(e: Expr, table: JointTable) -> tuple[tuple[str, ...], np.ndar
         missing = set(e.vars) - set(bvars)
         if missing:
             raise ValueError(f"summation variables absent from body value: {sorted(missing)}")
-        axes = tuple(i for i, v in enumerate(bvars) if v in set(e.vars))
+        axes = tuple(i - len(bvars) for i, v in enumerate(bvars) if v in set(e.vars))
         return tuple(v for v in bvars if v not in set(e.vars)), barr.sum(axis=axes)
     raise TypeError(f"not an expression: {e!r}")
 
 
-def evaluate(e: Expr, table: JointTable, assignment: Mapping[str, int]) -> float:
-    """Value of ``e`` at a full assignment of its free variables."""
+def evaluate(e: Expr, table: JointTable, assignment: Mapping[str, int]) -> float | np.ndarray:
+    """Value of ``e`` at a full assignment of its free variables: a float, or
+    with model axes an array of one per model."""
     vars_, arr = evaluate_table(e, table)
     missing = [v for v in vars_ if v not in assignment]
     if missing:
@@ -281,7 +302,8 @@ def evaluate(e: Expr, table: JointTable, assignment: Mapping[str, int]) -> float
     for v in vars_:
         if v in cards and not 0 <= assignment[v] < cards[v]:
             raise ValueError(f"assignment for {v!r} out of range")
-    return float(arr[tuple(assignment[v] for v in vars_)])
+    value = arr[(..., *(assignment[v] for v in vars_))]
+    return float(value) if value.ndim == 0 else value
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,9 @@ class MixedGraph:
                 raise ValueError(f"duplicate edge {a!r}-{b!r}")
             if visible and {mark_a, mark_b} != {TAIL, ARROW}:
                 raise ValueError(f"visible flag on non-directed edge {a!r}-{b!r}")
+            if mark_a is TAIL and mark_b is TAIL:
+                # no graph kind has one, and no edge token spells one
+                raise ValueError(f"undirected edge {a!r}-{b!r} not supported")
             bit_i, bit_j = 1 << i, 1 << j
             nbr[i] |= bit_j
             nbr[j] |= bit_i
@@ -236,8 +239,17 @@ class MixedGraph:
         return frozenset(self.nodes), frozenset(edges)
 
     def __eq__(self, other: object) -> bool:
+        """:meth:`_structure` equality.  Over one node tuple the neighbour,
+        arrowhead, circle and flag masks spell the same edges, each mark and
+        flag, so they are compared instead."""
         if not isinstance(other, MixedGraph):
             return NotImplemented
+        if self.nodes == other.nodes:
+            return (
+                self._masks == other._masks
+                and self._marks[1] == other._marks[1]
+                and self._flags == other._flags
+            )
         return self._structure() == other._structure()
 
     def __hash__(self) -> int:
@@ -299,11 +311,9 @@ class Mag(MixedGraph):
 
     def __init__(self, nodes, edges=(), *, validate: bool = True):
         super().__init__(nodes, edges)
-        for a, b, ma, mb, _ in self.edges():
-            if CIRCLE in (ma, mb):
-                raise ValueError(f"circle mark in MAG edge {a!r}-{b!r}")
-            if ma is TAIL and mb is TAIL:
-                raise ValueError(f"undirected MAG edge {a!r}-{b!r} not supported")
+        if any(self._marks[1]):
+            a, b = next((a, b) for a, b, ma, mb, _ in self.edges() if CIRCLE in (ma, mb))
+            raise ValueError(f"circle mark in MAG edge {a!r}-{b!r}")
         if validate:
             problem = mag_violation(self)
             if problem:

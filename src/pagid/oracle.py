@@ -61,46 +61,61 @@ CPT_ROW_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Scm:
-    """Discrete structural model over a latent DAG with explicit CPTs.
+    """Discrete structural model over a latent DAG with explicit CPTs, or a
+    batch of ``models`` such models over one graph.
 
     ``cpts[v]`` has one axis per parent of ``v`` (in graph parent order)
-    plus a final axis for ``v``; every row sums to one.  ``factors[k]`` is
-    the CPT of the k-th node in topological order with its axes in that
-    order, shaped to broadcast over the full joint; it is derived from
-    ``cpts``, so equality, hashing and the repr ignore it.  Two models are
-    equal when their graphs, cards and every CPT entry are; the hash reads
-    the graph and the cards only, so equal models hash equal.
+    plus a final axis for ``v``; every row sums to one.  In a batch each CPT
+    has a leading model axis before those; everything below reads a CPT's
+    trailing axes, so a batch holds its models side by side and each model is
+    computed exactly as it would be alone.  ``factors[k]`` is the CPT of the
+    k-th node in topological order with its axes in that order, shaped to
+    broadcast over the full joint; it is derived from ``cpts``, so equality,
+    hashing and the repr ignore it.  Two models are equal when their graphs,
+    cards and every CPT entry are; the hash reads the graph and the cards
+    only, so equal models hash equal.
 
     Construction checks every CPT for its shape, for a negative entry and
     for a row that misses one by more than ``CPT_ROW_TOL``.  The sign and
     row checks run batched, once per card over the rows of all CPTs.  When
     the batch cannot pass every CPT, the per-node checks run in topological
     order and raise for the first faulty node, shape before sign before rows,
-    with the messages the per-node checks always gave.
+    with the messages the per-node checks always gave; in a batch the shape
+    they want starts with the model axis.
     """
 
     graph: LatentDag
     cards: Mapping[str, int]
     cpts: Mapping[str, np.ndarray]
+    models: int | None = None
     factors: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.models is not None and self.models < 1:
+            raise ValueError(f"a batch needs at least one model, not {self.models!r}")
+        lead = self.lead
         order = self.graph.topological_order()
-        axis = {v: i for i, v in enumerate(order)}
+        axis = {v: len(lead) + i for i, v in enumerate(order)}
         dims = [(*self.graph.parents(v), v) for v in order]
-        wants = [tuple(self.cards[d] for d in ds) for ds in dims]
+        wants = [lead + tuple(self.cards[d] for d in ds) for ds in dims]
         cpts = [np.asarray(self.cpts[v], dtype=float) for v in order]
         if not _cpts_pass(cpts, wants):
             for v, cpt, want in zip(order, cpts, wants):
                 _check_cpt(v, cpt, want)
         factors = []
-        for cpt, ds, want in zip(cpts, dims, wants):
-            shape = [1] * len(order)
-            for d, card in zip(ds, want):
-                shape[axis[d]] = card
-            arranged = np.transpose(cpt, sorted(range(len(ds)), key=lambda i: axis[ds[i]]))
+        for cpt, ds in zip(cpts, dims):
+            shape = [*lead, *[1] * len(order)]
+            for d in ds:
+                shape[axis[d]] = self.cards[d]
+            perm = sorted(range(len(ds)), key=lambda i: axis[ds[i]])
+            arranged = np.transpose(cpt, [*range(len(lead)), *(len(lead) + i for i in perm)])
             factors.append(arranged.reshape(shape))
         object.__setattr__(self, "factors", tuple(factors))
+
+    @property
+    def lead(self) -> tuple[int, ...]:
+        """The shape of the model axes: ``()`` for one model."""
+        return () if self.models is None else (self.models,)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scm):
@@ -151,7 +166,8 @@ def _cpts_pass(cpts: Sequence[np.ndarray], wants: Sequence[tuple[int, ...]]) -> 
 
 def _product(s: Scm, x: Collection[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """Product over all nodes of the CPT factors of the nodes outside the
-    intervened ``x``."""
+    intervened ``x``, after the model axes.  The guard bounds the states of
+    one model."""
     for v in x:
         if v not in s.graph.observed:
             raise ValueError(f"intervention on unknown observed node {v!r}")
@@ -161,7 +177,7 @@ def _product(s: Scm, x: Collection[str]) -> tuple[tuple[str, ...], np.ndarray]:
         states *= s.cards[v]
     if states > MAX_JOINT_STATES:
         raise ValueError(f"joint state space {states} exceeds guard {MAX_JOINT_STATES}")
-    out = np.ones(tuple(s.cards[v] for v in order))
+    out = np.ones(s.lead + tuple(s.cards[v] for v in order))
     for v, factor in zip(order, s.factors):
         if v not in x:
             out = out * factor
@@ -187,18 +203,21 @@ def _full_joint(s: Scm, x: Mapping[str, int]) -> tuple[tuple[str, ...], np.ndarr
 def _observed_table(s: Scm, order: tuple[str, ...], x: Collection[str]) -> Callable[[np.ndarray], JointTable]:
     """The map from a joint over ``order`` to its table over the observed
     nodes outside ``x``, in :func:`.exprs.vsort` order.  The summed axes
-    and the permutation are worked out once, here."""
+    and the permutation are worked out once, here; both count from the
+    right, past the model axes."""
     drop = set(s.graph.latent) | set(x)
-    axes = tuple(i for i, v in enumerate(order) if v in drop)
+    axes = tuple(i - len(order) for i, v in enumerate(order) if v in drop)
     keep = tuple(v for v in order if v not in drop)
     keep_sorted = vsort(keep)
-    perm = [keep.index(v) for v in keep_sorted]
+    lead = len(s.lead)
+    perm = [*range(lead), *(lead + keep.index(v) for v in keep_sorted)]
     cards = tuple(s.cards[v] for v in keep_sorted)
     return lambda arr: JointTable(keep_sorted, cards, np.transpose(arr.sum(axis=axes) if axes else arr, perm))
 
 
 def joint(s: Scm) -> JointTable:
-    """Exact observational distribution over the observed variables."""
+    """Exact observational distribution over the observed variables (one
+    table per model of a batch, on its leading axis)."""
     return truncated(s, {})
 
 
@@ -442,23 +461,29 @@ def random_latent_dag(
     return LatentDag.from_edges(observed, edges)
 
 
-def random_scm(seed: int | np.random.Generator, d: LatentDag, card: int = 2) -> Scm:
-    """Random CPTs with Dirichlet(1, ..., 1) rows, floored away from zero.
+def random_scm(seed: int | np.random.Generator, d: LatentDag, card: int = 2, size: int | None = None) -> Scm:
+    """Random CPTs with Dirichlet(1, ..., 1) rows, floored away from zero:
+    one model, or with ``size=k`` a batch of k models (see :class:`Scm`).
 
-    One ``rng.dirichlet`` call draws the rows of every CPT, node after node
-    in ``d.nodes`` order.  numpy draws the rows of one call in sequence, so
-    the CPTs and the generator state afterwards are those of one call per
-    node in that order; the floor and the normalisation act row by row.
+    One ``rng.dirichlet`` call draws the rows of every CPT of every model,
+    model after model, node after node in ``d.nodes`` order.  numpy draws
+    the rows of one call in sequence, so the CPTs and the generator state
+    afterwards are those of one call per node and model in that order; the
+    floor and the normalisation act row by row.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     cards = {v: card for v in d.nodes}
     shapes = [tuple(cards[p] for p in d.parents(v)) + (card,) for v in d.nodes]
     sizes = [math.prod(shape[:-1]) for shape in shapes]
-    rows = rng.dirichlet(np.ones(card), size=sum(sizes))
+    lead = () if size is None else (size,)
+    rows = rng.dirichlet(np.ones(card), size=math.prod(lead) * sum(sizes))
     rows = np.clip(rows, CPT_FLOOR, None)
     rows = rows / rows.sum(axis=-1, keepdims=True)
+    rows = rows.reshape(*lead, sum(sizes), card)
     cpts, start = {}, 0
-    for v, shape, size in zip(d.nodes, shapes, sizes):
-        cpts[v] = rows[start:start + size].reshape(shape)
-        start += size
-    return Scm(d, cards, cpts)
+    for v, shape, n in zip(d.nodes, shapes, sizes):
+        # a batch's slice strides over the models: copied, so that every CPT
+        # is C-ordered for the batched row check
+        cpts[v] = np.ascontiguousarray(rows[..., start:start + n, :].reshape(*lead, *shape))
+        start += n
+    return Scm(d, cards, cpts, size)

@@ -13,6 +13,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,34 +35,59 @@ class Check:
     violations: int = 0
     notes: list[str] = field(default_factory=list)
 
-    def record(self, ok: bool, note: str = "") -> None:
+    def record(self, ok: bool, note: Callable[[], str] | None = None) -> None:
+        """Count a trial; a violation keeps the text ``note()`` gives while
+        fewer than five notes are kept.  The note is formatted then only:
+        most read a graph's repr, and most trials pass."""
         self.trials += 1
         if not ok:
             self.violations += 1
-            if note and len(self.notes) < 5:
-                self.notes.append(note)
+            if note is not None and len(self.notes) < 5:
+                self.notes.append(note())
 
 
-def interventional_gap(expr: Expr, scm, x_vars, y_vars) -> float:
-    """Largest deviation of ``expr`` from the truncated-factorisation P_x(y)."""
-    evars, arr = evaluate_table(expr, joint(scm))
+Value = tuple[tuple[str, ...], np.ndarray]  # an expression's value, as evaluate_table gives it
+
+
+def _values(exprs: Sequence[Expr | Value], scm) -> list[Value]:
+    """Each expression's value on ``joint(scm)``; a value passes as it is,
+    and the joint is built only when some expression needs it."""
+    table = joint(scm) if any(isinstance(e, Expr) for e in exprs) else None
+    return [evaluate_table(e, table) if isinstance(e, Expr) else e for e in exprs]
+
+
+def _gaps(scm, union: tuple[str, ...], a: np.ndarray, b: np.ndarray):
+    """Largest deviation between two aligned arrays, per model of ``scm``:
+    a float for one model, an array of one per model for a batch."""
+    gaps = np.abs(a - b).max(axis=tuple(range(-len(union), 0)), initial=0.0)
+    return float(gaps) if not scm.lead else np.broadcast_to(gaps, scm.lead)
+
+
+def interventional_gap(expr: Expr | Value, scm, x_vars, y_vars):
+    """Largest deviation of ``expr`` from the truncated-factorisation P_x(y),
+    per model of ``scm`` (see :func:`_gaps`).
+
+    ``expr`` may come evaluated, as its value on ``joint(scm)``, so that a
+    caller that also compares it with another expression evaluates it once.
+    """
+    ((evars, arr),) = _values([expr], scm)
     stray = set(evars) - set(x_vars) - set(y_vars)
     if stray:
         raise AssertionError(f"expression mentions non-query variables {sorted(stray)}")
     x_vars = tuple(x_vars)
     y_sorted = vsort(y_vars)
-    truth = np.empty(tuple(scm.cards[v] for v in x_vars + y_sorted))
+    truth = np.empty(scm.lead + tuple(scm.cards[v] for v in x_vars + y_sorted))
     for x_vals, table in truncations(scm, x_vars):
-        truth[x_vals] = table.array_for(y_sorted)
-    _, (got, want) = _align([(evars, arr), (x_vars + y_sorted, truth)])
-    return float(np.abs(got - want).max(initial=0.0))
+        truth[(..., *x_vals) + (slice(None),) * len(y_sorted)] = table.array_for(y_sorted)
+    union, (got, want) = _align([(evars, arr), (x_vars + y_sorted, truth)])
+    return _gaps(scm, union, got, want)
 
 
-def expression_gap(e1: Expr, e2: Expr, scm) -> float:
-    """Largest pointwise deviation between two expressions on one table."""
-    table = joint(scm)
-    _, (a1, a2) = _align([evaluate_table(e1, table), evaluate_table(e2, table)])
-    return float(np.abs(a1 - a2).max(initial=0.0))
+def expression_gap(e1: Expr | Value, e2: Expr | Value, scm):
+    """Largest pointwise deviation between two expressions, each given or
+    evaluated on ``joint(scm)``, per model of ``scm`` (see :func:`_gaps`)."""
+    union, (a1, a2) = _align(_values([e1, e2], scm))
+    return _gaps(scm, union, a1, a2)
 
 
 def _sample_graph(rng) -> tuple[LatentDag, Mag]:
@@ -121,7 +147,7 @@ def run_verification(seed: int = 0, runs: int = 200, tol: float = 1e-9, quiet: b
 
         for mm, cdag in zip(members, class_dags):
             checks["projection roundtrip"].record(
-                mag_of_dag(cdag) == mm, f"run {run}: roundtrip mismatch for {mm!r}"
+                mag_of_dag(cdag) == mm, lambda: f"run {run}: roundtrip mismatch for {mm!r}"
             )
 
         obs = list(pag.nodes)
@@ -136,17 +162,17 @@ def run_verification(seed: int = 0, runs: int = 200, tol: float = 1e-9, quiet: b
             for cdag in class_dags:
                 anc = {v: set(_observed_ancestors(cdag, [v], outside)) for v in sel}
                 ok_anc = all(anc[v] <= possible_anc[v] for v in sel)
-                checks["ancestor subsumption"].record(ok_anc, f"run {run}: {sel}")
+                checks["ancestor subsumption"].record(ok_anc, lambda: f"run {run}: {sel}")
                 comp_of = _scope(cdag, set(sel))[0]
                 ok_comp = all(set(comp_of[a]) <= pc_of[a] for a in sel)
-                checks["component subsumption"].record(ok_comp, f"run {run}: {sel}")
+                checks["component subsumption"].record(ok_comp, lambda: f"run {run}: {sel}")
                 ok_order = all(
                     pos[v] <= pos[u]
                     for u in sel
                     for v in anc[u]
                     if v != u
                 )
-                checks["partial order validity"].record(ok_order, f"run {run}: {sel}")
+                checks["partial order validity"].record(ok_order, lambda: f"run {run}: {sel}")
 
         query = _sample_query(rng, list(pag.nodes))
         if query is None:
@@ -157,25 +183,28 @@ def run_verification(seed: int = 0, runs: int = 200, tol: float = 1e-9, quiet: b
 
         if idp_ok:
             for cdag in class_dags:
-                for _ in range(SCMS_PER_DAG):
-                    scm = random_scm(rng, cdag)
-                    gap = interventional_gap(result, scm, xs, ys)
-                    checks["idp numeric soundness"].record(
-                        gap <= tol, f"run {run}: {xs}->{ys} gap {gap:.2e}"
-                    )
                 dag_result = ident_dag.id_dag(xs, ys, cdag)
                 agree = not isinstance(dag_result, ident_dag.Fail)
+                # the soundness models, then the agreement model, in one
+                # draw: the stream of one draw per model in that order
+                models = random_scm(rng, cdag, size=SCMS_PER_DAG + agree)
+                table = joint(models)
+                answer = evaluate_table(result, table)
+                for gap in interventional_gap(answer, models, xs, ys)[:SCMS_PER_DAG]:
+                    checks["idp numeric soundness"].record(
+                        gap <= tol, lambda: f"run {run}: {xs}->{ys} gap {gap:.2e}"
+                    )
                 if agree:
-                    scm = random_scm(rng, cdag)
-                    agree = expression_gap(result, dag_result, scm) <= tol
+                    dag_answer = evaluate_table(dag_result, table)
+                    agree = expression_gap(answer, dag_answer, models)[SCMS_PER_DAG] <= tol
                 checks["idp/id-dag agreement"].record(
-                    agree, f"run {run}: {xs}->{ys} on {cdag!r}"
+                    agree, lambda: f"run {run}: {xs}->{ys} on {cdag!r}"
                 )
 
         adj = adjustment.gac(xs, ys, pag)
         if not isinstance(adj, adjustment.Fail):
             checks["adjustment implies idp"].record(
-                idp_ok, f"run {run}: {xs}->{ys} adjustable but idp failed"
+                idp_ok, lambda: f"run {run}: {xs}->{ys} adjustable but idp failed"
             )
 
     elapsed = time.perf_counter() - started

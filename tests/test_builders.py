@@ -185,7 +185,8 @@ def _random_marked_graphs(count=300):
     """``count`` mixed graphs of 1-12 nodes in shuffled node order, each
     edge given with its ends in random order and carrying a mark pair drawn
     from all nine, a directed edge its visible flag half the time, with the
-    edge specs that built them."""
+    edge specs that built them.  A pair drawn with a tail at both ends, which
+    no mixed graph takes, is left non-adjacent."""
     rng = np.random.default_rng(41)
     marks = (TAIL, ARROW, CIRCLE)
     for _ in range(count):
@@ -196,7 +197,9 @@ def _random_marked_graphs(count=300):
             if rng.random() < density:
                 ma, mb = (marks[i] for i in rng.integers(0, 3, 2))
                 vis = {ma, mb} == {TAIL, ARROW} and bool(rng.random() < 0.5)
-                edges.append((a, b, ma, mb, vis) if rng.random() < 0.5 else (b, a, mb, ma, vis))
+                edge = (a, b, ma, mb, vis) if rng.random() < 0.5 else (b, a, mb, ma, vis)
+                if (ma, mb) != (TAIL, TAIL):
+                    edges.append(edge)
         yield MixedGraph(nodes, edges), edges, rng
 
 
@@ -227,7 +230,7 @@ class TestOneStore:
             keep = [v for v in g.nodes if rng.random() < 0.6]
             self.assert_store_matches(induced_subgraph(g, keep), store.restrict(keep))
             seen.update((ma, mb, vis) for _, _, ma, mb, vis in edges)
-        assert len(seen) == 11  # nine mark pairs, two of them also flagged
+        assert len(seen) == 10  # eight mark pairs, two of them also flagged
 
     def test_equality_and_hash_match_the_edge_store(self):
         for g, edges, rng in _random_marked_graphs():
@@ -246,6 +249,69 @@ class TestOneStore:
             sub = induced_subgraph(g, keep)
             rebuilt = MixedGraph(keep, [e for e in edges if e[0] in keep and e[1] in keep])
             assert sub == rebuilt and hash(sub) == hash(rebuilt)
+
+
+    def test_equality_over_one_node_tuple_is_structure_equality(self):
+        """Graphs over the same node tuple compare their masks; the verdict
+        must be that of :meth:`MixedGraph._structure`, on random pairs: the
+        same edges given in another order and orientation, one edge's flag,
+        marks or presence changed, an induced subgraph against its rebuild,
+        and a class PAG against the mixed graph of its edges."""
+        verdicts = []
+
+        def check(g, h):
+            want = g._structure() == h._structure()
+            assert (g == h) is want and (h == g) is want and (g != h) is not want
+            verdicts.append(want)
+
+        for g, edges, rng in _random_marked_graphs():
+            check(g, MixedGraph(g.nodes, [(b, a, mb, ma, vis) for a, b, ma, mb, vis in reversed(edges)]))
+            for k in rng.permutation(len(edges))[:3]:
+                a, b, ma, mb, vis = edges[k]
+                options = [(a, b, mb, ma, False), (a, b, ARROW, ARROW, False), (a, b, CIRCLE, ARROW, False)]
+                if {ma, mb} == {TAIL, ARROW}:
+                    options.append((a, b, ma, mb, not vis))
+                changed = options[int(rng.integers(len(options)))]
+                check(g, MixedGraph(g.nodes, edges[:k] + [changed] + edges[k + 1:]))
+                check(g, MixedGraph(g.nodes, edges[:k] + edges[k + 1:]))
+            keep = [v for v in g.nodes if rng.random() < 0.7]
+            check(induced_subgraph(g, keep), MixedGraph(keep, [e for e in edges if e[0] in keep and e[1] in keep]))
+        for seed in SAMPLE_SEEDS:
+            members, pag = _sampled_class(seed)
+            check(pag, MixedGraph(pag.nodes, pag.edges()))
+            check(pag, MixedGraph(pag.nodes, [(a, b, ma, mb, False) for a, b, ma, mb, _ in pag.edges()]))
+            for m in members:
+                check(m, mag_of_dag(canonical_dag_of_mag(m)))
+                check(pag, m)
+        assert verdicts.count(True) > 300 and verdicts.count(False) > 300
+
+
+class TestTwoTailEdges:
+    """No graph kind has an edge with a tail at both ends, and no edge token
+    spells one: every mixed graph refuses it when built, as its repr and
+    file form could not render it."""
+
+    @pytest.mark.parametrize("kind", [MixedGraph, Pag, Mag])
+    def test_refused_when_built(self, kind):
+        edges = [("A", "B", TAIL, ARROW, False), ("C", "B", TAIL, TAIL, False)]
+        with pytest.raises(ValueError, match="^undirected edge 'C'-'B' not supported$"):
+            kind(["A", "B", "C"], edges)
+
+    def test_mag_names_the_first_circle_edge(self):
+        """``Mag`` refuses circles off the circle masks and names the first
+        edge, in edge order, with a circle, as the per-edge scan did."""
+        named = 0
+        for g, edges, _ in _random_marked_graphs():
+            want = next((f"circle mark in MAG edge {a!r}-{b!r}" for a, b, ma, mb, _ in g.edges() if CIRCLE in (ma, mb)), None)
+            unflagged = [(a, b, ma, mb, False) for a, b, ma, mb, _ in edges]
+            try:
+                Mag(g.nodes, unflagged, validate=False)
+            except ValueError as exc:
+                assert str(exc) == want
+                named += 1
+            else:
+                assert want is None
+        assert named > 200
 
 
 def test_pags_read_visibility_off_their_flags(monkeypatch):

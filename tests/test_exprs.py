@@ -153,6 +153,23 @@ class TestJointTable:
         t = JointTable(("A", "B"), (2, 2), np.array([[0.1, 0.2], [0.3, 0.4]]))
         np.testing.assert_allclose(t.array_for(("B",)), [0.4, 0.6])
 
+    def test_leading_axes_are_models_each_checked_and_read_alone(self):
+        rng = np.random.default_rng(5)
+        tables = [random_joint_table(rng, ("A", "B", "C"), card=3) for _ in range(4)]
+        batch = JointTable(("A", "B", "C"), (3, 3, 3), np.stack([t.probs for t in tables]))
+        e = Conditional(("A",), ("C",), DistRef(("A", "C")))
+        values = evaluate_table(e, batch)[1]
+        for m, t in enumerate(tables):
+            assert np.array_equal(batch.array_for(("C", "A"))[m], t.array_for(("C", "A")))
+            assert np.array_equal(values[m], evaluate_table(e, t)[1])
+            assert batch.prob({"A": 1, "B": 2, "C": 0})[m] == t.prob({"A": 1, "B": 2, "C": 0})
+            assert evaluate(e, batch, {"A": 2, "C": 1})[m] == evaluate(e, t, {"A": 2, "C": 1})
+        off = np.stack([tables[0].probs, tables[1].probs * 0.9])
+        with pytest.raises(ValueError, match="table mass 0.9"):
+            JointTable(("A", "B", "C"), (3, 3, 3), off)
+        with pytest.raises(ValueError, match="table shape"):
+            JointTable(("A", "B", "C"), (3, 3, 3), batch.probs[..., :2])
+
 
 class TestEvaluate:
     def test_uniform_pair(self):

@@ -540,3 +540,96 @@ class TestRandomGenerators:
             random_latent_dag(0, 9, 0, 0.4)
         with pytest.raises(ValueError):
             random_latent_dag(0, 4, 5, 0.4)
+
+
+def loop_check_batch(d, cpts):
+    """The sign and row checks of :func:`loop_check_cpts` on a batch: node by
+    node in topological order, sign before rows, each over every model."""
+    for v in d.topological_order():
+        if any((cpt < 0).any() for cpt in cpts[v]):
+            raise ValueError(f"negative CPT entry for {v!r}")
+        if not all(np.abs(cpt.sum(axis=-1) - 1.0).max() <= CPT_ROW_TOL for cpt in cpts[v]):
+            raise ValueError(f"CPT rows for {v!r} do not sum to 1")
+
+
+class TestModelBatch:
+    """A batch of models, one leading model axis on every array, against the
+    same models drawn and computed one at a time: every CPT, joint and
+    truncation bitwise, and the CPT checks with their per-node messages."""
+
+    def test_each_model_is_bitwise_the_model_alone(self):
+        meta = np.random.default_rng(43)
+        seen = set()
+        for _ in range(150):
+            d = random_latent_dag(meta, int(meta.integers(1, 7)), int(meta.integers(0, 4)), float(meta.uniform(0.2, 0.8)))
+            card, size = int(meta.integers(2, 4)), int(meta.integers(1, 7))
+            seed = int(meta.integers(2**32))
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            batch = random_scm(rng, d, card=card, size=size)
+            singles = [random_scm(ref_rng, d, card=card) for _ in range(size)]
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert batch.models == size and batch.lead == (size,)
+            table = joint(batch)
+            x_vars = tuple(v for v in d.observed if meta.random() < 0.35)[:2]
+            tables = list(truncations(batch, x_vars))
+            for m, s in enumerate(singles):
+                for v in d.nodes:
+                    assert batch.cpts[v][m].shape == s.cpts[v].shape and np.array_equal(batch.cpts[v][m], s.cpts[v])
+                want = joint(s)
+                assert table.variables == want.variables and np.array_equal(table.probs[m], want.probs)
+                for (vals, got), (want_vals, want_table) in zip(tables, truncations(s, x_vars), strict=True):
+                    assert vals == want_vals and got.variables == want_table.variables
+                    assert np.array_equal(got.probs[m], want_table.probs)
+            seen.update({("card", card), ("size", size), ("latent", bool(d.latent)), ("x", len(x_vars))})
+        assert seen >= {("card", 2), ("card", 3), ("size", 1), ("size", 6), ("latent", True), ("x", 0), ("x", 2)}
+
+    def test_stacked_mixed_card_models_compute_as_alone(self):
+        rng = np.random.default_rng(47)
+        for _ in range(60):
+            d = random_latent_dag(rng, int(rng.integers(1, 6)), int(rng.integers(0, 4)), 0.5)
+            cards = {v: int(rng.integers(2, 4)) for v in d.nodes}
+            shapes = {v: tuple(cards[u] for u in (*d.parents(v), v)) for v in d.nodes}
+            singles = [
+                Scm(d, cards, {v: rng.dirichlet(np.ones(shape[-1]), size=shape[:-1]) for v, shape in shapes.items()})
+                for _ in range(int(rng.integers(1, 5)))
+            ]
+            batch = Scm(d, cards, {v: np.stack([s.cpts[v] for s in singles]) for v in d.nodes}, models=len(singles))
+            x = {v: int(rng.integers(cards[v])) for v in d.observed if rng.random() < 0.4}
+            order, arr = _full_joint(batch, x)
+            got = truncated(batch, x)
+            for m, s in enumerate(singles):
+                want_order, want = _full_joint(s, x)
+                assert order == want_order and np.array_equal(arr[m], want)
+                want_table = truncated(s, x)
+                assert got.variables == want_table.variables and np.array_equal(got.probs[m], want_table.probs)
+
+    def test_faulty_cpt_in_a_batch_raises_the_per_node_message(self):
+        rng = np.random.default_rng(53)
+        kinds = ("negative", "nan", "inside", "outside", "negative+outside")
+        named = set()
+        for _ in range(200):
+            d = random_latent_dag(rng, int(rng.integers(1, 6)), int(rng.integers(0, 4)), 0.5)
+            size = int(rng.integers(1, 7))
+            batch = random_scm(rng, d, card=int(rng.integers(2, 4)), size=size)
+            cpts = {v: np.array(c) for v, c in batch.cpts.items()}
+            for i in rng.permutation(len(d.nodes))[: int(rng.integers(1, 3))]:
+                v, m = d.nodes[i], int(rng.integers(size))
+                cpts[v][m] = plant_fault(rng, cpts[v][m], kinds[int(rng.integers(len(kinds)))])
+            # the per-node checks over the model axis: the first faulty node in
+            # topological order, sign before rows
+            want = outcome(lambda: loop_check_batch(d, cpts))
+            assert outcome(lambda: Scm(d, batch.cards, cpts, models=size)) == want
+            named.add(want and want.split(" for ")[0])
+        assert named == {None, "negative CPT entry", "CPT rows"}
+
+    def test_batch_shape_is_checked_per_node(self, bow):
+        batch = random_scm(0, bow, size=3)
+        cpts = dict(batch.cpts)
+        cpts["X"] = cpts["X"][:2]
+        with pytest.raises(ValueError, match=r"CPT shape for 'X': \(2, 2, 2\) != \(3, 2, 2\)"):
+            Scm(bow, batch.cards, cpts, models=3)
+        with pytest.raises(ValueError, match="CPT shape for"):
+            Scm(bow, batch.cards, batch.cpts)
+        with pytest.raises(ValueError, match="at least one model"):
+            Scm(bow, batch.cards, batch.cpts, models=0)
+        assert random_scm(0, bow, size=1) != random_scm(0, bow)

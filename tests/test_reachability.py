@@ -283,7 +283,7 @@ class TestProjectionAndValidation:
                 a, b, c = expected
                 found += 1
                 directed_only += g.mark_at(c, a) is ARROW
-        # 705 violations, 62 of them of the A -> B rule alone
+        # 669 violations, 72 of them of the A -> B rule alone
         assert found > 500 and directed_only > 20
 
     def test_closure_violation_matches_reference_on_subgraphs(self):
@@ -295,7 +295,8 @@ def random_marked_graphs():
     """1,500 random marks over random skeletons of 2-12 nodes in shuffled
     node order, circles from rare to common: valid graphs, graphs that break
     the arrowhead rule and graphs that break only the A -> B rule, cyclic
-    and almost cyclic graphs among them."""
+    and almost cyclic graphs among them.  A pair drawn with a tail at both
+    ends, which no mixed graph takes, is left non-adjacent."""
     rng = np.random.default_rng(19)
     marks = (TAIL, ARROW, CIRCLE)
     for _ in range(1500):
@@ -307,7 +308,7 @@ def random_marked_graphs():
             (a, b, *(marks[i] for i in rng.choice(3, 2, p=weights)), False)
             for a, b in itertools.combinations(nodes, 2) if rng.random() < density
         ]
-        yield MixedGraph(nodes, edges)
+        yield MixedGraph(nodes, [e for e in edges if e[2:4] != (TAIL, TAIL)])
 
 
 def planted_inducing_graphs():

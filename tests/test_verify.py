@@ -2,16 +2,31 @@
 definitions, on random SCMs."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pagid.ident_pag
+import pagid.verify
+
 from pagid.exprs import Conditional, DistRef, evaluate_table, vsort
+from pagid.graphs import LatentDag, MixedGraph
 from pagid.ident_dag import Fail, id_dag
-from pagid.oracle import joint, random_latent_dag, random_scm, truncated
-from pagid.verify import expression_gap, interventional_gap
+from pagid.ident_pag import Fail as IdpFail
+from pagid.ident_pag import idp
+from pagid.oracle import (
+    canonical_dag_of_mag,
+    equivalence_class,
+    joint,
+    pag_of_class,
+    random_latent_dag,
+    random_scm,
+    truncated,
+)
+from pagid.verify import _sample_graph, _sample_query, expression_gap, interventional_gap, run_verification
 
 
 def loop_interventional_gap(expr, scm, x_vars, y_vars):
@@ -77,3 +92,131 @@ def test_stray_variables_are_refused():
     scm = random_scm(4, d)
     with pytest.raises(AssertionError, match="non-query variables"):
         interventional_gap(naive(("V1", "V2"), ("V3",)), scm, ("V1",), ("V3",))
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "verify_seed0_runs200.txt"
+
+
+def test_seed0_table_equals_the_golden_file(capsys):
+    run_verification(seed=0, runs=200)
+    assert capsys.readouterr().out == GOLDEN.read_text()
+
+
+def test_batch_gaps_are_each_model_alone():
+    """Each model's gaps in a batch, the answer given as an expression or as
+    its value on the batch joint, against the model drawn alone, on the
+    graphs, queries and answers of the verify pipeline."""
+    rng = np.random.default_rng(59)
+    compared = set()
+    for _ in range(40):
+        _, m = _sample_graph(rng)
+        members = equivalence_class(m)
+        query = _sample_query(rng, list(m.nodes))
+        if query is None:
+            continue
+        xs, ys = query
+        pag = pag_of_class(members)
+        answer = idp(xs, ys, pag)
+        answers = [naive(xs, ys)] + ([] if isinstance(answer, IdpFail) else [answer])
+        for mm in members[:3]:
+            d = canonical_dag_of_mag(mm)
+            dag_answer = id_dag(xs, ys, d)
+            exprs = answers + ([dag_answer] if not isinstance(dag_answer, Fail) else [])
+            card, size = int(rng.integers(2, 4)), int(rng.integers(1, 7))
+            seed = int(rng.integers(2**32))
+            batch = random_scm(np.random.default_rng(seed), d, card=card, size=size)
+            ref_rng = np.random.default_rng(seed)
+            singles = [random_scm(ref_rng, d, card=card) for _ in range(size)]
+            table = joint(batch)
+            values = [evaluate_table(e, table) for e in exprs]
+            for e, value in zip(exprs, values):
+                for given in (e, value):
+                    try:
+                        gaps = interventional_gap(given, batch, xs, ys)
+                    except AssertionError:
+                        with pytest.raises(AssertionError, match="non-query variables"):
+                            interventional_gap(e, singles[0], xs, ys)
+                        break
+                    assert gaps.shape == (size,)
+                    assert [float(g) for g in gaps] == [interventional_gap(e, s, xs, ys) for s in singles]
+            for (e1, v1), (e2, v2) in itertools.product(zip(exprs, values), repeat=2):
+                want = [expression_gap(e1, e2, s) for s in singles]
+                assert [float(g) for g in expression_gap(e1, e2, batch)] == want
+                assert [float(g) for g in expression_gap(v1, v2, batch)] == want
+            compared.update({("card", card), ("size", size), ("answers", len(exprs))})
+    assert compared >= {("card", 2), ("card", 3), ("size", 1), ("size", 6), ("answers", 3)}
+
+
+def forced(monkeypatch, case):
+    """Patch the pipeline so that checks fail: ``naive`` answers every query
+    with P(y | x), ``fail`` with a failure, and ``roundtrip`` gives every
+    class member an edgeless canonical DAG."""
+    if case == "naive":
+        monkeypatch.setattr(pagid.ident_pag, "idp", lambda xs, ys, pag: naive(xs, ys))
+    elif case == "fail":
+        monkeypatch.setattr(pagid.ident_pag, "idp", lambda xs, ys, pag: IdpFail((), (), ()))
+    else:
+        monkeypatch.setattr(pagid.verify, "canonical_dag_of_mag", lambda m: LatentDag(m.nodes, [], []))
+
+
+# (case, seed, runs) -> {check: (trials, violations, notes)}, as the
+# pipeline formatted every note eagerly
+FORCED = {
+    ("naive", 3, 4): {
+        "idp numeric soundness": (205, 90, [
+            "run 0: ('V2', 'V5')->('V1', 'V3') gap 1.69e-01",
+            "run 0: ('V2', 'V5')->('V1', 'V3') gap 7.38e-02",
+            "run 0: ('V2', 'V5')->('V1', 'V3') gap 3.54e-01",
+            "run 0: ('V2', 'V5')->('V1', 'V3') gap 3.33e-02",
+            "run 0: ('V2', 'V5')->('V1', 'V3') gap 1.91e-01",
+        ]),
+        "idp/id-dag agreement": (41, 18, [
+            "run 0: ('V2', 'V5')->('V1', 'V3') on LatentDag(observed=['V1', 'V2', 'V3', 'V4', 'V5', 'V6'], latent=[], V1->V4, V3->V2, V2->V5)",
+            "run 0: ('V2', 'V5')->('V1', 'V3') on LatentDag(observed=['V1', 'V2', 'V3', 'V4', 'V5', 'V6'], latent=['U1'], V1->V4, U1->V2, U1->V3, V2->V5)",
+            "run 0: ('V2', 'V5')->('V1', 'V3') on LatentDag(observed=['V1', 'V2', 'V3', 'V4', 'V5', 'V6'], latent=[], V4->V1, V3->V2, V2->V5)",
+            "run 0: ('V2', 'V5')->('V1', 'V3') on LatentDag(observed=['V1', 'V2', 'V3', 'V4', 'V5', 'V6'], latent=['U1'], V4->V1, U1->V2, U1->V3, V2->V5)",
+            "run 0: ('V2', 'V5')->('V1', 'V3') on LatentDag(observed=['V1', 'V2', 'V3', 'V4', 'V5', 'V6'], latent=['U1'], U1->V1, U1->V4, V3->V2, V2->V5)",
+        ]),
+    },
+    ("fail", 0, 40): {
+        "adjustment implies idp": (7, 7, [
+            "run 6: ('V1', 'V6')->('V4',) adjustable but idp failed",
+            "run 19: ('V2',)->('V1',) adjustable but idp failed",
+            "run 22: ('V3',)->('V5',) adjustable but idp failed",
+            "run 26: ('V3',)->('V1',) adjustable but idp failed",
+            "run 27: ('V5',)->('V2', 'V4') adjustable but idp failed",
+        ]),
+    },
+    ("roundtrip", 2, 2): {
+        "projection roundtrip": (7, 6, [
+            "run 0: roundtrip mismatch for Mag(V1 --> V3, V1 --> V6, V2 --> V3, V3 --> V4, V4 <-> V6)",
+            "run 0: roundtrip mismatch for Mag(V1 --> V3, V1 --> V6, V2 <-> V3, V3 --> V4, V4 <-> V6)",
+            "run 0: roundtrip mismatch for Mag(V1 --> V3, V1 <-> V6, V2 --> V3, V3 --> V4, V4 <-> V6)",
+            "run 0: roundtrip mismatch for Mag(V1 --> V3, V1 <-> V6, V2 <-> V3, V3 --> V4, V4 <-> V6)",
+            "run 0: roundtrip mismatch for Mag(V1 <-> V3, V1 --> V6, V2 --> V3, V3 --> V4, V4 <-> V6)",
+        ]),
+    },
+}
+
+
+@pytest.mark.parametrize("case", FORCED)
+def test_forced_violations_keep_their_notes(monkeypatch, case):
+    forced(monkeypatch, case[0])
+    renders = []
+    for cls in (MixedGraph, LatentDag):
+        monkeypatch.setattr(cls, "__repr__", lambda g, real=cls.__repr__: renders.append(g) or real(g))
+    checks = run_verification(seed=case[1], runs=case[2], quiet=True)
+    got = {c.name: (c.trials, c.violations, c.notes) for c in checks if c.violations}
+    assert got == FORCED[case]
+    # a graph is rendered for each note kept, and for no other check
+    assert len(renders) == sum("Dag(" in note or "Mag(" in note for _, _, notes in got.values() for note in notes)
+
+
+def test_passing_checks_format_no_note(monkeypatch):
+    def refuse(g):
+        raise AssertionError("a graph was rendered for a passing check")
+
+    for cls in (MixedGraph, LatentDag):
+        monkeypatch.setattr(cls, "__repr__", refuse)
+    checks = run_verification(seed=0, runs=30, quiet=True)
+    assert sum(c.trials for c in checks) > 1000 and not any(c.violations for c in checks)
