@@ -3,10 +3,11 @@
 File format: a header line (``pag``, ``dag`` or ``mag``), an optional
 ``nodes:`` line fixing the node order, and one ``edge:`` line per edge,
 read by :func:`.graphs.parse_edge` under the rules of the header's kind:
-tokens ``-->  <--  <->  o->  <-o  o-o  o--  --o`` (only ``->``, ``<-`` and
-``<->`` in dag files, no circles in mag files).  A trailing ``visible`` tag
-is accepted on directed pag edges and cross-checked against the graphical
-condition.  ``#`` starts a comment.
+tokens ``-->  <--  <->  o->  <-o  o-o`` (only ``->``, ``<-`` and ``<->``
+in dag files, no circles in mag files; ``o--`` and ``--o`` parse, but a
+:class:`.graphs.Pag` refuses a tail facing a circle).  A trailing
+``visible`` tag is accepted on directed pag edges and cross-checked against
+the graphical condition.  ``#`` starts a comment.
 
 The argument parser is built once, at import.  ``main(argv)`` only parses
 ``argv`` against it and keeps no other state, so it is safe to call

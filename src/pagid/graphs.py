@@ -278,10 +278,21 @@ class Pag(MixedGraph):
     this constructor and keeps the restricted flags as its visible set, as
     its own graphical set lies inside its parent's.  The closure and
     ancestral checks and visibility read the table, in closed form.
+
+    A tail facing a circle is refused first: a MAG has no undirected edge,
+    so a tail that every member shares forces an arrowhead at the other end
+    of that edge in every member.
     """
 
     def __init__(self, nodes, edges=(), *, check_visibility: bool = False):
         super().__init__(nodes, edges)
+        for i, ((nbr, head, out), circle) in enumerate(zip(self._masks, self._marks[1])):
+            # a tail at i and no arrowhead at the far end, so a circle there:
+            # no mixed graph has an edge with two tails
+            facing = nbr & ~head & ~circle & ~out
+            if facing:
+                j = next(bits(facing))
+                raise ValueError(f"tail facing a circle in edge {self.nodes[i]!r} --o {self.nodes[j]!r}")
         violation = find_closure_violation(self)
         if violation is not None:
             raise ValueError(f"arrowhead closure violated at triple {violation}")

@@ -200,16 +200,16 @@ def _full_joint(s: Scm, x: Mapping[str, int]) -> tuple[tuple[str, ...], np.ndarr
     return order, _clamp(s, order, out, x)
 
 
-def _observed_table(s: Scm, order: tuple[str, ...], x: Collection[str]) -> Callable[[np.ndarray], JointTable]:
+def _observed_table(s: Scm, order: tuple[str, ...], x: Collection[str], values: int = 0) -> Callable[[np.ndarray], JointTable]:
     """The map from a joint over ``order`` to its table over the observed
     nodes outside ``x``, in :func:`.exprs.vsort` order.  The summed axes
     and the permutation are worked out once, here; both count from the
-    right, past the model axes."""
+    right, past the model axes and ``values`` more leading axes."""
     drop = set(s.graph.latent) | set(x)
     axes = tuple(i - len(order) for i, v in enumerate(order) if v in drop)
     keep = tuple(v for v in order if v not in drop)
     keep_sorted = vsort(keep)
-    lead = len(s.lead)
+    lead = len(s.lead) + values
     perm = [*range(lead), *(lead + keep.index(v) for v in keep_sorted)]
     cards = tuple(s.cards[v] for v in keep_sorted)
     return lambda arr: JointTable(keep_sorted, cards, np.transpose(arr.sum(axis=axes) if axes else arr, perm))
@@ -227,19 +227,31 @@ def truncated(s: Scm, x: Mapping[str, int]) -> JointTable:
     return _observed_table(s, order, x)(arr)
 
 
-def truncations(s: Scm, x_vars: Sequence[str]) -> Iterator[tuple[tuple[int, ...], JointTable]]:
-    """``(vals, truncated(s, dict(zip(x_vars, vals))))`` for every value
-    ``vals`` of ``x_vars``, in ``itertools.product`` order.
+def interventional(s: Scm, x_vars: Sequence[str]) -> JointTable:
+    """Every truncation of ``s`` on ``x_vars`` as one table: after the model
+    axes come one value axis per variable of ``x_vars``, then the observed
+    nodes outside them, so that the slice at ``vals`` is
+    ``truncated(s, dict(zip(x_vars, vals)))``, bitwise.
 
-    The product of the factors outside ``x_vars`` and the summed axes and
-    permutation of the tables are worked out once; each value only clamps
-    the product, so each table is bitwise the one :func:`truncated` returns.
-    The checks run when the first table is drawn.
+    One product of the factors outside ``x_vars`` is clamped against all
+    values at once, each x axis multiplied by an identity against its value
+    axis, and summed and transposed once.  Each (model, value) block of the
+    clamped product is laid out in memory as :func:`truncated`'s joint for
+    that value, so numpy sums it in the same order.  The guard bounds the
+    states times the values of ``x_vars`` of one model.
     """
+    x_vars = tuple(x_vars)
     order, prod = _product(s, x_vars)
-    table = _observed_table(s, order, x_vars)
-    for vals in itertools.product(*(range(s.cards[v]) for v in x_vars)):
-        yield vals, table(_clamp(s, order, prod, dict(zip(x_vars, vals))))
+    lead, n = len(s.lead), len(x_vars)
+    states = math.prod(prod.shape[lead:]) * math.prod(s.cards[v] for v in x_vars)
+    if states > MAX_JOINT_STATES:
+        raise ValueError(f"interventional state space {states} exceeds guard {MAX_JOINT_STATES}")
+    arr = prod.reshape(s.lead + (1,) * n + prod.shape[lead:])
+    for k, v in enumerate(x_vars):
+        shape = [1] * arr.ndim
+        shape[lead + k] = shape[lead + n + order.index(v)] = s.cards[v]
+        arr = arr * np.eye(s.cards[v]).reshape(shape)
+    return _observed_table(s, order, x_vars, n)(arr)
 
 
 def canonical_dag_of_mag(m: Mag) -> LatentDag:

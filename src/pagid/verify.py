@@ -13,15 +13,15 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import adjustment, ident_dag, ident_pag
 from .exprs import Expr, _align, evaluate_table, vsort
-from .graphs import LatentDag, Mag, _possible_ancestors, mag_of_dag, mask_of, names_of
-from .oracle import canonical_dag_of_mag, equivalence_class, joint, pag_of_class, random_latent_dag, random_scm, truncations
-from .ident_dag import _observed_ancestors, _scope
+from .graphs import LatentDag, Mag, _blocks, _close, _possible_ancestors, bits, mag_of_dag, mark_masks, mask_of
+from .ident_dag import _confounded
+from .oracle import canonical_dag_of_mag, equivalence_class, interventional, joint, pag_of_class, random_latent_dag, random_scm
 from .structure import _order, _pc
 
 MAX_MAG_EDGES = 9
@@ -65,7 +65,8 @@ def _gaps(scm, union: tuple[str, ...], a: np.ndarray, b: np.ndarray):
 
 def interventional_gap(expr: Expr | Value, scm, x_vars, y_vars):
     """Largest deviation of ``expr`` from the truncated-factorisation P_x(y),
-    per model of ``scm`` (see :func:`_gaps`).
+    per model of ``scm`` (see :func:`_gaps`), read for every value of x off
+    one :func:`.oracle.interventional` table.
 
     ``expr`` may come evaluated, as its value on ``joint(scm)``, so that a
     caller that also compares it with another expression evaluates it once.
@@ -76,9 +77,7 @@ def interventional_gap(expr: Expr | Value, scm, x_vars, y_vars):
         raise AssertionError(f"expression mentions non-query variables {sorted(stray)}")
     x_vars = tuple(x_vars)
     y_sorted = vsort(y_vars)
-    truth = np.empty(scm.lead + tuple(scm.cards[v] for v in x_vars + y_sorted))
-    for x_vals, table in truncations(scm, x_vars):
-        truth[(..., *x_vals) + (slice(None),) * len(y_sorted)] = table.array_for(y_sorted)
+    truth = interventional(scm, x_vars).array_for(y_sorted)
     union, (got, want) = _align([(evars, arr), (x_vars + y_sorted, truth)])
     return _gaps(scm, union, got, want)
 
@@ -112,6 +111,33 @@ def _sample_query(rng, nodes) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     n_y = int(rng.integers(1, min(2, len(rest)) + 1))
     ys = tuple(sorted(rest[:n_y]))
     return xs, ys
+
+
+def _subsumption(pag, dag_steps, within: int) -> Iterator[tuple[bool, bool, bool]]:
+    """Per class DAG, given as its parent and :func:`.ident_dag._confounded`
+    masks: whether, over the selected nodes ``within``, each node's ancestors
+    in G[sel] lie inside its possible ancestors in P[sel], its c-component
+    inside its pc-component, and its ancestors in no later bucket of P[sel]'s
+    order than its own.
+
+    A canonical DAG's observed nodes sit at the PAG's node indices and its
+    latents are parentless, so its ancestors in G[sel] close over the
+    parents inside ``within``.  The PAG side is worked out once, per node
+    index; each inclusion is a mask test.
+    """
+    upto, seen = {}, 0  # per node, the buckets up to its own
+    for bucket in _order(pag, within):
+        seen |= bucket
+        upto.update(dict.fromkeys(bits(bucket), seen))
+    possible_anc = {v: _possible_ancestors(pag, 1 << v, within) for v in bits(within)}
+    pc_of = {v: _pc(pag, 1 << v, within) for v in bits(within)}
+    for parents, confounded in dag_steps:
+        anc = {v: _close(parents, 1 << v, within) for v in bits(within)}
+        yield (
+            all(not anc[v] & ~possible_anc[v] for v in anc),
+            all(not block & ~pc_of[v] for block in _blocks(confounded, within) for v in bits(block)),
+            all(not anc[v] & ~upto[v] for v in anc),
+        )
 
 
 def run_verification(seed: int = 0, runs: int = 200, tol: float = 1e-9, quiet: bool = False):
@@ -151,27 +177,13 @@ def run_verification(seed: int = 0, runs: int = 200, tol: float = 1e-9, quiet: b
             )
 
         obs = list(pag.nodes)
+        dag_steps = [(mark_masks(cdag)[0], _confounded(cdag)) for cdag in class_dags]
         for _ in range(2):
             size = int(rng.integers(2, len(obs) + 1))
             sel = sorted([obs[i] for i in rng.permutation(len(obs))][:size])
-            # P[sel] and each class DAG's G[sel] as node masks
-            within, outside = mask_of(pag, sel), set(obs) - set(sel)
-            pos = {v: i for i, b in enumerate(_order(pag, within)) for v in names_of(obs, b)}
-            possible_anc = {v: set(names_of(obs, _possible_ancestors(pag, mask_of(pag, [v]), within))) for v in sel}
-            pc_of = {v: set(names_of(obs, _pc(pag, mask_of(pag, [v]), within))) for v in sel}
-            for cdag in class_dags:
-                anc = {v: set(_observed_ancestors(cdag, [v], outside)) for v in sel}
-                ok_anc = all(anc[v] <= possible_anc[v] for v in sel)
+            for ok_anc, ok_comp, ok_order in _subsumption(pag, dag_steps, mask_of(pag, sel)):
                 checks["ancestor subsumption"].record(ok_anc, lambda: f"run {run}: {sel}")
-                comp_of = _scope(cdag, set(sel))[0]
-                ok_comp = all(set(comp_of[a]) <= pc_of[a] for a in sel)
                 checks["component subsumption"].record(ok_comp, lambda: f"run {run}: {sel}")
-                ok_order = all(
-                    pos[v] <= pos[u]
-                    for u in sel
-                    for v in anc[u]
-                    if v != u
-                )
                 checks["partial order validity"].record(ok_order, lambda: f"run {run}: {sel}")
 
         query = _sample_query(rng, list(pag.nodes))

@@ -220,6 +220,17 @@ class TestCommands:
         assert captured.err == "error: treatment/outcome outside the observed graph nodes\n"
 
     @pytest.mark.parametrize(
+        "command", [["components"], ["idp", "--treat", "A", "--outcome", "C"], ["gac", "--treat", "A", "--outcome", "C"]]
+    )
+    def test_tail_facing_a_circle_is_refused(self, tmp_path, capsys, command):
+        path = write(tmp_path, "tail.pag", "pag\nnodes: A B C\nedge: A --o B\nedge: B --> C\n")
+        code = main([command[0], "--graph", path, *command[1:]])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tail facing a circle in edge 'A' --o 'B'\n"
+
+    @pytest.mark.parametrize(
         "exc",
         [
             RuntimeError("simplification did not reach a fixed point"),

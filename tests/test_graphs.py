@@ -302,6 +302,17 @@ class TestValidation:
                 check_visibility=False,
             )
 
+    @pytest.mark.parametrize("spec,edge", [("A --o B", "'A' --o 'B'"), ("A o-- B", "'B' --o 'A'")])
+    def test_pag_refuses_a_tail_facing_a_circle(self, spec, edge):
+        # no MAG has an undirected edge, so a tail shared by a whole class
+        # faces an arrowhead; a bare mixed graph keeps the marks as given
+        specs = [spec, "B --> C"]
+        with pytest.raises(ValueError) as refused:
+            Pag.from_specs(["A", "B", "C"], specs)
+        assert str(refused.value) == f"tail facing a circle in edge {edge}"
+        marks = {(a, b): (ma, mb) for a, b, ma, mb, _ in MixedGraph.from_specs(["A", "B", "C"], specs).edges()}
+        assert marks[("A", "B")] == ((TAIL, CIRCLE) if spec == "A --o B" else (CIRCLE, TAIL))
+
     def test_pag_visibility_cross_check(self):
         with pytest.raises(ValueError, match="visibility"):
             Pag.from_specs(["A", "B"], ["A --> B visible"])

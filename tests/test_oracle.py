@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import reference_paths as ref
 from conftest import wide_latent_dag
+from reference_oracle import truncations
 from pagid import catalog
 from pagid.graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, MixedGraph, bits, mag_of_dag
 from pagid.oracle import (
@@ -20,12 +21,12 @@ from pagid.oracle import (
     canonical_dag_of_mag,
     class_of_dag,
     equivalence_class,
+    interventional,
     joint,
     pag_of_class,
     random_latent_dag,
     random_scm,
     truncated,
-    truncations,
 )
 from pagid.verify import _sample_graph
 
@@ -633,3 +634,57 @@ class TestModelBatch:
         with pytest.raises(ValueError, match="at least one model"):
             Scm(bow, batch.cards, batch.cpts, models=0)
         assert random_scm(0, bow, size=1) != random_scm(0, bow)
+
+
+class TestInterventional:
+    """Every truncation as one table, against :func:`truncated` and the
+    reference :func:`truncations`, one value at a time."""
+
+    def test_each_value_slice_is_bitwise_truncated(self):
+        meta = np.random.default_rng(61)
+        seen = set()
+        for _ in range(200):
+            n_obs = int(meta.integers(1, 7))
+            d = random_latent_dag(meta, n_obs, int(meta.integers(0, 4)), float(meta.uniform(0.2, 0.8)))
+            card, size = int(meta.integers(2, 4)), [None, 1, 3, 6][int(meta.integers(4))]
+            s = random_scm(meta, d, card=card, size=size)
+            perm = [d.observed[i] for i in meta.permutation(n_obs)]
+            n_x = int(meta.integers(0, min(2, n_obs - 1) + 1))
+            x_vars, rest = tuple(perm[:n_x]), perm[n_x:]
+            ys = tuple(rest[: int(meta.integers(0, len(rest)))])  # a strict subset, in random order
+            table = interventional(s, x_vars)
+            values = list(itertools.product(*(range(s.cards[v]) for v in x_vars)))
+            wants = [truncated(s, dict(zip(x_vars, vals))) for vals in values]
+            assert table.variables == wants[0].variables and table.cards == wants[0].cards
+            assert table.probs.shape == s.lead + tuple(s.cards[v] for v in x_vars) + table.cards
+            marginal = table.array_for(ys)
+            for vals, want, (ref_vals, ref) in zip(values, wants, truncations(s, x_vars), strict=True):
+                at = (slice(None),) * len(s.lead) + vals
+                assert vals == ref_vals
+                assert np.array_equal(table.probs[at], want.probs) and np.array_equal(table.probs[at], ref.probs)
+                assert np.array_equal(marginal[at], want.array_for(ys))
+            if not x_vars:
+                alone = joint(s)
+                assert table.variables == alone.variables and np.array_equal(table.probs, alone.probs)
+            childless = not any(v in d.parents(c) for v in x_vars for c in d.nodes)
+            seen.update({("x", n_x), ("card", card), ("size", size), ("latent", bool(d.latent))})
+            seen.add(("childless", n_x > 0 and childless))
+        assert seen == {("x", k) for k in (0, 1, 2)} | {("card", 2), ("card", 3)} | {
+            ("size", k) for k in (None, 1, 3, 6)
+        } | {(key, flag) for key in ("latent", "childless") for flag in (True, False)}
+
+    def test_keeps_the_guards(self, bow):
+        s = random_scm(0, bow)
+        for x_vars in ((bow.latent[0],), ("X", "nowhere")):
+            want = outcome(lambda: truncated(s, dict.fromkeys(x_vars, 0)))
+            assert want.startswith("intervention on unknown observed node")
+            assert outcome(lambda: interventional(s, x_vars)) == want
+        nodes = [f"N{i}" for i in range(12)]
+        big = Scm(LatentDag(nodes, [], []), {v: 4 for v in nodes}, {v: np.full(4, 0.25) for v in nodes})
+        assert "exceeds guard" in outcome(lambda: interventional(big, ()))
+        # 4**10 states fit the guard, but not once per value of N0
+        edge = Scm(LatentDag(nodes[:10], [], []), {v: 4 for v in nodes}, {v: np.full(4, 0.25) for v in nodes[:10]})
+        assert outcome(lambda: truncated(edge, {"N0": 1})) is None
+        assert outcome(lambda: interventional(edge, ("N0",))) == (
+            f"interventional state space {4 ** 11} exceeds guard {MAX_JOINT_STATES}"
+        )

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pagid.ident_dag
 import pagid.ident_pag
+import pagid.oracle
 import pagid.verify
 
 from pagid.exprs import Conditional, DistRef, evaluate_table, vsort
-from pagid.graphs import LatentDag, MixedGraph
-from pagid.ident_dag import Fail, id_dag
+from pagid.graphs import LatentDag, MixedGraph, _possible_ancestors, mark_masks, mask_of, names_of
+from pagid.ident_dag import Fail, _confounded, _observed_ancestors, _scope, id_dag
 from pagid.ident_pag import Fail as IdpFail
 from pagid.ident_pag import idp
 from pagid.oracle import (
@@ -26,7 +28,15 @@ from pagid.oracle import (
     random_scm,
     truncated,
 )
-from pagid.verify import _sample_graph, _sample_query, expression_gap, interventional_gap, run_verification
+from pagid.structure import _order, _pc
+from pagid.verify import (
+    _sample_graph,
+    _sample_query,
+    _subsumption,
+    expression_gap,
+    interventional_gap,
+    run_verification,
+)
 
 
 def loop_interventional_gap(expr, scm, x_vars, y_vars):
@@ -147,14 +157,111 @@ def test_batch_gaps_are_each_model_alone():
     assert compared >= {("card", 2), ("card", 3), ("size", 1), ("size", 6), ("answers", 3)}
 
 
+def loop_subsumption(pag, class_dags, sel):
+    """The three subsumption verdicts per class DAG, as the pipeline once
+    read them on node names: a DAG's observed ancestors in G[sel] and its
+    c-components of G[sel], against possible ancestors, pc-components and
+    bucket positions in P[sel]."""
+    obs = list(pag.nodes)
+    within, outside = mask_of(pag, sel), set(obs) - set(sel)
+    pos = {v: i for i, b in enumerate(_order(pag, within)) for v in names_of(obs, b)}
+    possible_anc = {v: set(names_of(obs, _possible_ancestors(pag, mask_of(pag, [v]), within))) for v in sel}
+    pc_of = {v: set(names_of(obs, _pc(pag, mask_of(pag, [v]), within))) for v in sel}
+    verdicts = []
+    for cdag in class_dags:
+        anc = {v: set(_observed_ancestors(cdag, [v], outside)) for v in sel}
+        comp_of = _scope(cdag, set(sel))[0]
+        verdicts.append((
+            all(anc[v] <= possible_anc[v] for v in sel),
+            all(set(comp_of[a]) <= pc_of[a] for a in sel),
+            all(pos[v] <= pos[u] for u in sel for v in anc[u] if v != u),
+        ))
+    return verdicts
+
+
+def test_mask_subsumption_equals_its_name_loop():
+    """On the pipeline's draws and both its selections per draw, and with
+    each draw's class DAGs held against the previous draw's PAG as well (so
+    that verdicts also come out false), the mask checks give the verdicts of
+    :func:`loop_subsumption` for every class DAG."""
+    rng = np.random.default_rng(67)
+    verdicts, previous = set(), None
+    for _ in range(60):
+        _, m = _sample_graph(rng)
+        members = equivalence_class(m)
+        pag = pag_of_class(members)
+        class_dags = [canonical_dag_of_mag(mm) for mm in members]
+        steps = [(mark_masks(cdag)[0], _confounded(cdag)) for cdag in class_dags]
+        obs = list(pag.nodes)
+        pags = [pag] + ([previous] if previous is not None and previous.nodes == pag.nodes else [])
+        for _ in range(2):
+            size = int(rng.integers(2, len(obs) + 1))
+            sel = sorted([obs[i] for i in rng.permutation(len(obs))][:size])
+            for p in pags:
+                got = list(_subsumption(p, steps, mask_of(p, sel)))
+                assert got == loop_subsumption(p, class_dags, sel)
+                verdicts.update((k, ok) for row in got for k, ok in enumerate(row))
+        previous = pag
+    assert verdicts == {(k, ok) for k in range(3) for ok in (True, False)}
+
+
+def test_verification_cost_shape(monkeypatch):
+    """Each interventional_gap call builds one product of factors and
+    clamps no value alone, and the pipeline reads no DAG ancestors or scopes
+    on names outside id_dag."""
+    made, per_gap, calls = {"_product": 0, "_clamp": 0}, [], {"inside": 0, "outside": 0}
+    depth = [0]
+    for name in made:
+        def count(*args, real=getattr(pagid.oracle, name), name=name):
+            made[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(pagid.oracle, name, count)
+
+    def gap(*args, real=pagid.verify.interventional_gap):
+        before = dict(made)
+        try:
+            return real(*args)
+        finally:
+            per_gap.append(tuple(made[k] - before[k] for k in made))
+
+    def dag_answer(*args, real=pagid.ident_dag.id_dag, **kwargs):
+        depth[0] += 1
+        try:
+            return real(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(pagid.verify, "interventional_gap", gap)
+    monkeypatch.setattr(pagid.ident_dag, "id_dag", dag_answer)
+    for name in ("_observed_ancestors", "_scope"):
+        def spy(*args, real=getattr(pagid.ident_dag, name), **kwargs):
+            calls["inside" if depth[0] else "outside"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pagid.ident_dag, name, spy)
+        # a name bound in verify itself would go round the module's
+        monkeypatch.setattr(pagid.verify, name, spy, raising=False)
+    run_verification(seed=0, runs=20, quiet=True)
+    assert len(per_gap) > 20 and set(per_gap) == {(1, 0)}
+    assert calls["outside"] == 0 and calls["inside"] > 0
+
+
 def forced(monkeypatch, case):
     """Patch the pipeline so that checks fail: ``naive`` answers every query
-    with P(y | x), ``fail`` with a failure, and ``roundtrip`` gives every
-    class member an edgeless canonical DAG."""
+    with P(y | x), ``fail`` with a failure, ``subsumption`` shrinks the PAG's
+    possible ancestors and pc-components to the node itself and reverses its
+    bucket order, and ``roundtrip`` gives every class member an edgeless
+    canonical DAG."""
     if case == "naive":
         monkeypatch.setattr(pagid.ident_pag, "idp", lambda xs, ys, pag: naive(xs, ys))
     elif case == "fail":
         monkeypatch.setattr(pagid.ident_pag, "idp", lambda xs, ys, pag: IdpFail((), (), ()))
+    elif case == "subsumption":
+        order = pagid.verify._order
+        monkeypatch.setattr(pagid.verify, "_possible_ancestors", lambda g, y, within: y)
+        monkeypatch.setattr(pagid.verify, "_pc", lambda g, seed, within: seed)
+        monkeypatch.setattr(pagid.verify, "_order", lambda g, within, first=0: order(g, within)[::-1])
     else:
         monkeypatch.setattr(pagid.verify, "canonical_dag_of_mag", lambda m: LatentDag(m.nodes, [], []))
 
@@ -186,6 +293,11 @@ FORCED = {
             "run 26: ('V3',)->('V1',) adjustable but idp failed",
             "run 27: ('V5',)->('V2', 'V4') adjustable but idp failed",
         ]),
+    },
+    ("subsumption", 3, 4): {
+        "ancestor subsumption": (74, 40, ["run 0: ['V1', 'V4']"] * 5),
+        "component subsumption": (74, 24, ["run 0: ['V1', 'V4']"] * 5),
+        "partial order validity": (74, 12, ["run 3: ['V2', 'V3', 'V4', 'V5']"] * 5),
     },
     ("roundtrip", 2, 2): {
         "projection roundtrip": (7, 6, [
