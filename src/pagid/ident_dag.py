@@ -2,28 +2,28 @@
 and the identification driver it shares with the PAG recursion.
 
 Shared (:func:`identify`, behind both :func:`id_dag` and
-:func:`.ident_pag.idp`): the input checks, pruning to the ancestors of the
-outcome once the treatment is cut, the split into components, reducing Q to
-each component by repeated removals from a start inside A, the observed
-(possible) ancestors of the outcome, marginalising the pruned set outside
-the outcome, and the cleanup by :func:`simplify` and
-independence-certified conditioning drops and marginal joins.  Every
-removal ends in the one rewrite :func:`.exprs.reduced_q`,
+:func:`.ident_pag.idp`), on node masks of the graph's one table: the input
+checks; A, the observed (possible) ancestors of the outcome, and D, those
+along paths that avoid the treatment; the split of D into components; each
+component's start at Q of the block of A that holds it, read off P(A) in
+closed form by :func:`.exprs.q_of_joint`; the repeated removals from that
+start; marginalising D outside the outcome; and the cleanup by
+:func:`simplify` and independence-certified conditioning drops and marginal
+joins.  Every removal ends in the one rewrite :func:`.exprs.reduced_q`,
 Q[t \\ x] = q / Q[S] * sum_x Q[S], given the S and the order that the
 step's own removability test derived; the public :func:`q_reduce` and
 :func:`.ident_pag.q_reduce_bucket` derive and check them again for direct
 callers.
 
-Specific to latent DAGs: ancestors along directed paths, c-components
-(shared-latent connectivity), d-separation as the certificate, a start at
-Q[S], S the component's c-component of G[A], read off P(A) in closed form
-by :func:`.exprs.q_of_joint`, and removal of single nodes that are not
-confounded with any of their children, scanned in reverse topological
+Specific to latent DAGs: the blocks are c-components (shared-latent
+connectivity) and single nodes in the DAG's topological order,
+d-separation is the certificate, and a step removes a single node that is
+not confounded with any of its children, scanned in reverse topological
 order.  Such a node has no descendant in its c-component, so it is the
-descendant set that :func:`q_reduce` checks for.
-Nothing reads a subgraph: D is the set of observed ancestors of the outcome
-along directed paths that avoid the treatment, and the components and the
-steps read a scope t off the input DAG: the latents
+descendant set that :func:`q_reduce` checks for.  Nothing reads a
+subgraph: a node's parents are its neighbours without its children, so
+the possible ancestors on the DAG's table are its ancestors, and the
+components and the steps read a scope t off the input DAG: the latents
 with both children in t join G[t]'s c-components, and the DAG's order
 restricted to t is topological in G[t], as each edge of G[t] is the DAG's;
 the Q-decomposition takes any topological order (Tian & Pearl, AAAI 2002).
@@ -48,7 +48,7 @@ from .exprs import (
     reduced_q,
     simplify,
 )
-from .graphs import LatentDag, _blocks, _close, adjacency_masks, bits, mark_masks, mask_of, names_of
+from .graphs import LatentDag, _blocks, _possible_ancestors, adjacency_masks, bits, mask_of, names_of
 from .separation import d_separated
 
 
@@ -116,29 +116,33 @@ def _scope(d: LatentDag, t_set: set[str]) -> tuple[dict[str, tuple[str, ...]], l
     return comp_of, [v for v in d.topological_order() if v in t_set]
 
 
-def identify(g, observed, x, y, *, prune, components, start, separated, remove, choice_seed):
+def identify(g, observed, x, y, *, components, order, separated, remove, choice_seed):
     """Effect of ``x`` on ``y`` in ``g``, whose observed nodes are
     ``observed``, or the failure value of the first removal that gets stuck.
 
-    The caller supplies its graph's parts, looked up at each call:
-    ``prune(ys, avoid)`` gives the observed (possible) ancestors of ``ys``
-    in ``g`` along paths that avoid the set ``avoid``, which is empty or
-    ``x``; ``components(big_d)`` partitions the list ``big_d`` into the
-    components of the subgraph over it; ``start(a, comps)`` gives, for
-    each component, the scope t (a list in ``observed`` order) its removals
-    start from and Q[t], given A as the list ``a``; ``separated(g, a, b, z)``
-    certifies the cleanup rewrites; ``remove(t, c_set, q, rng)`` takes one
-    step from Q[t], held in ``q``, towards Q[c_set], over the components and
-    a (partial) topological order of G[t], and returns ``(removed, reduced
-    q)`` or a failure value.
+    The driver reads A, the observed (possible) ancestors of ``y``, and D,
+    those along paths that avoid ``x``, off ``g``'s mask table with
+    :func:`.graphs._possible_ancestors`; on a :class:`LatentDag` a node's
+    neighbours without its children are its parents, so there they are
+    the ancestors along directed paths.  The caller supplies its graph's
+    parts, each on node masks: ``components(within)`` splits a mask into
+    the components of the subgraph over it, and ``order(within)`` lists
+    that subgraph's blocks (nodes or buckets) in a (partial) topological
+    order; ``separated(g, a, b, z)`` certifies the cleanup rewrites; and
+    ``remove(t, c_set, q, rng)`` takes one step from Q[t], held in ``q``,
+    towards Q[c_set], over the components and a (partial) topological
+    order of G[t], and returns ``(removed, reduced q)`` or a failure value.
+    Each component of D starts at Q[t], t the block of ``components(A)``
+    that meets it, read off P(A) along ``order(A)`` by
+    :func:`.exprs.q_of_joint`.
 
     The components are those of G[D], D the ancestors of ``y`` in G without
-    ``x``.  Every component's removals start inside A = ``prune(y, {})``,
-    the ancestors of ``y`` in G, not at Q[V] (line 2 of ID; Tian & Pearl,
-    AAAI 2002; with possible ancestors, Jaber, Zhang & Bareinboim, UAI
-    2018): :func:`id_dag` starts each at Q[S], S its c-component of G[A],
-    and :func:`.ident_pag.idp` at Q[C], C its composite pc-component of
-    P_A.  As y <= D <= An(y), A is also the ancestral closure of D, so every
+    ``x``.  Every component's removals start inside A, the ancestors of
+    ``y`` in G, not at Q[V] (line 2 of ID; Tian & Pearl, AAAI 2002; with
+    possible ancestors, Jaber, Zhang & Bareinboim, UAI 2018):
+    :func:`id_dag` starts each at Q[S], S its c-component of G[A], and
+    :func:`.ident_pag.idp` at Q[C], C its composite pc-component of P_A.
+    As y <= D <= An(y), A is also the ancestral closure of D, so every
     component lies inside it.  Why Q[A] = P(A), and why the removals from A
     stay valid:
 
@@ -183,14 +187,16 @@ def identify(g, observed, x, y, *, prune, components, start, separated, remove, 
         raise ValueError("treatment/outcome outside the observed graph nodes")
     rng = np.random.default_rng(choice_seed) if choice_seed is not None else None
 
-    ys = g.sort_nodes(y_set)
-    a_set = set(prune(ys, set()))
-    ancestors = [v for v in observed if v in a_set]
-    big_d = prune(ys, x_set)
-    comps = components(big_d)
+    nodes, kept, y_mask = g.nodes, mask_of(g, obs), mask_of(g, y_set)
+    a = _possible_ancestors(g, y_mask, -1) & kept
+    d = _possible_ancestors(g, y_mask, ~mask_of(g, x_set)) & kept
+    comps = components(d)
+    blocks = comps if d == a else components(a)  # with no x in A, D = A
+    joint_order = [v for b in order(a) for v in names_of(nodes, b)]
     parts: list[Expr] = []
-    for comp, (t, q) in zip(comps, start(ancestors, comps)):
-        c_set = set(comp)
+    for comp in comps:
+        t = list(names_of(nodes, next(b for b in blocks if b & comp)))
+        q, c_set = q_of_joint(joint_order, set(t)), set(names_of(nodes, comp))
         while set(t) != c_set:
             step = remove(t, c_set, q, rng)
             if not isinstance(step, tuple):
@@ -199,9 +205,8 @@ def identify(g, observed, x, y, *, prune, components, start, separated, remove, 
             t = [v for v in t if v not in removed]
         parts.append(q)
     expr = parts[0] if len(parts) == 1 else Product(tuple(parts))
-    leftover = set(big_d) - y_set
-    if leftover:
-        expr = SumOver(tuple(leftover), expr)
+    if d & ~y_mask:
+        expr = SumOver(names_of(nodes, d & ~y_mask), expr)
     expr = simplify(expr)
     eligible = set(expr.free_vars()) - x_set - y_set
     expr = drop_certified_givens(
@@ -221,27 +226,12 @@ def id_dag(
     """
     return identify(
         d, d.observed, x, y,
-        prune=lambda ys, avoid: _observed_ancestors(d, ys, avoid),
-        components=lambda big_d: tuple(dict.fromkeys(_scope(d, set(big_d))[0].values())),
-        start=lambda a, comps: _c_component_starts(d, a, comps),
+        components=lambda within: _blocks(_confounded(d), within),
+        order=lambda within: [b for b in (1 << d._index[v] for v in d.topological_order()) if b & within],
         separated=d_separated,
         remove=lambda t, c_set, q, rng: _remove_node(d, t, c_set, q, rng),
         choice_seed=choice_seed,
     )
-
-
-def _observed_ancestors(d: LatentDag, ys: Iterable[str], avoid: Iterable[str] = ()) -> tuple[str, ...]:
-    """Observed ancestors of ``ys`` along directed paths that avoid
-    ``avoid``: those of G without ``avoid``, with no subgraph built."""
-    reached = _close(mark_masks(d)[0], mask_of(d, ys), ~mask_of(d, avoid))
-    return names_of(d.nodes, reached & ((1 << len(d.observed)) - 1))
-
-
-def _c_component_starts(d: LatentDag, a: list[str], comps) -> list[tuple[list[str], Expr]]:
-    """Each component starts at Q[S], S its c-component of G[A]."""
-    comp_of, topo = _scope(d, set(a))
-    s_sets = [set(comp_of[comp[0]]) for comp in comps]
-    return [([v for v in a if v in s], q_of_joint(topo, s)) for s in s_sets]
 
 
 def _remove_node(d: LatentDag, t: list[str], c_set: set[str], q: Expr, rng):

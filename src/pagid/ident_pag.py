@@ -1,17 +1,18 @@
 """Identification of interventional distributions given a PAG.
 
 The top level is the driver shared with the DAG-side algorithm,
-:func:`.ident_dag.identify`.  Specific to PAGs: possible ancestors,
-composite pc-components, definite m-separation as the certificate, the
-start and the removal step, which removes whole buckets.  Each component
-starts at Q[C], C its composite pc-component of P_A: the product of
-P(B | the buckets before B) over the buckets B inside C in a partial order
-of P_A, read off P(A) in closed form by :func:`.exprs.q_of_joint` (Jaber,
-Zhang & Bareinboim, UAI 2018).  A bucket is removable from the current
-scope when none of its members has, within that scope, a possible child
-outside the bucket lying in the same possible c-component.  Each removal
-rewrites the running expression through the bucket-level reduction,
-keeping the smaller of the reductions under two partial orders.
+:func:`.ident_dag.identify`, which derives P_A, P_D, the components and
+each component's start from P's mask table.  Specific to PAGs: the blocks
+are composite pc-components and buckets in a partial order, definite
+m-separation is the certificate, and the removal step removes whole
+buckets.  With those blocks, each component starts at Q[C], C its
+composite pc-component of P_A: the product of P(B | the buckets before B)
+over the buckets B inside C in a partial order of P_A (Jaber, Zhang &
+Bareinboim, UAI 2018).  A bucket is removable from the current scope when
+none of its members has, within that scope, a possible child outside the
+bucket lying in the same possible c-component.  Each removal rewrites the
+running expression through the bucket-level reduction, keeping the
+smaller of the reductions under two partial orders.
 
 No restricted copy of P is built.  P without x, P_D, P_A and each scope P_t
 are node masks, and every test reads P's one table ANDed with its mask
@@ -29,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .exprs import Expr, expr_size, q_of_joint, reduced_q, render_text
-from .graphs import MixedGraph, Pag, _possible_ancestors, bits, mask_of, names_of
+from .exprs import Expr, expr_size, reduced_q, render_text
+from .graphs import MixedGraph, Pag, bits, mask_of, names_of
 from .ident_dag import identify
 from .separation import definitely_m_separated
 from .structure import PartialOrder, _child_masks, _cpc, _dc, _order, _pc, buckets, dc_component
@@ -133,25 +134,12 @@ def idp(
     """
     return identify(
         p, p.nodes, x, y,
-        prune=lambda ys, avoid: names_of(p.nodes, _possible_ancestors(p, mask_of(p, ys), ~mask_of(p, avoid))),
-        components=lambda big_d: [names_of(p.nodes, b) for b in _cpc(p, mask_of(p, big_d))],
-        start=lambda a, comps: _cpc_starts(p, a, comps),
+        components=lambda within: _cpc(p, within),
+        order=lambda within: _order(p, within),
         separated=definitely_m_separated,
         remove=lambda t, c_set, q, rng: _remove_bucket(p, t, c_set, q, rng, trace),
         choice_seed=choice_seed,
     )
-
-
-def _cpc_starts(p: Pag, a: list[str], comps) -> list[tuple[list[str], Expr]]:
-    """Each component starts at Q[C], C its composite pc-component of P_A.
-    The components partition D <= A, so when they cover as many nodes as A,
-    D = A and they are P_A's blocks themselves."""
-    within = mask_of(p, a)
-    order = [v for b in _order(p, within) for v in names_of(p.nodes, b)]
-    if sum(map(len, comps)) < len(a):
-        blocks = _cpc(p, within)
-        comps = [names_of(p.nodes, b) for comp in comps for b in blocks if b & mask_of(p, comp)]
-    return [(list(c), q_of_joint(order, set(c))) for c in comps]
 
 
 def _remove_bucket(p: Pag, t: list[str], c_set: set[str], q: Expr, rng, trace: list[TraceStep] | None):

@@ -12,6 +12,7 @@ from pagid.catalog import (
     confounded_chain_pag,
     two_treatment_pag,
 )
+from pagid import ident_dag
 from pagid.exprs import JointTable, evaluate_table
 from pagid.graphs import ARROW, TAIL, LatentDag
 
@@ -85,3 +86,24 @@ def max_value_gap(e1, e2, table):
         x2 = float(a2[tuple(bound[v] for v in v2)])
         gap = max(gap, abs(x1 - x2))
     return gap
+
+
+def driver_starts(monkeypatch, module, remove):
+    """Spy on the starts the shared driver derives: ``starts`` gets each
+    start's order of A, its set and its Q, and ``steps`` the scope and Q of
+    every call of ``module``'s removal step ``remove``."""
+    starts, steps = [], []
+    q_of_joint, real = ident_dag.q_of_joint, getattr(module, remove)
+
+    def start(order, s_union):
+        q = q_of_joint(order, s_union)
+        starts.append((list(order), set(s_union), q))
+        return q
+
+    def step(g, t, c_set, q, *rest):
+        steps.append((list(t), q))
+        return real(g, t, c_set, q, *rest)
+
+    monkeypatch.setattr(ident_dag, "q_of_joint", start)
+    monkeypatch.setattr(module, remove, step)
+    return starts, steps

@@ -7,7 +7,9 @@ P_A (``idp``).  This module keeps the version that starts at the whole
 observed distribution P(V) and removes every node or bucket outside the
 component one step at a time, with the production removal steps and
 cleanup, so that the differential tests can compare the verdicts, the
-failure values and the values of the answers of the two.
+failure values and the values of the answers of the two.  Its DAG prune,
+:func:`_observed_ancestors`, reads ancestors on node names; the tests hold
+the driver's mask closure against it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from pagid import ident_dag, ident_pag
 from pagid.exprs import DistRef, Product, SumOver, drop_certified_givens, join_certified_marginals, simplify
-from pagid.graphs import induced_subgraph, possible_ancestors
+from pagid.graphs import _close, induced_subgraph, mark_masks, mask_of, names_of, possible_ancestors
 from pagid.separation import d_separated, definitely_m_separated
 from pagid.structure import cpc_components
 
@@ -72,9 +74,16 @@ def id_dag(x, y, d, *, choice_seed=None):
     """``ident_dag.id_dag`` through the reference :func:`identify`."""
     return identify(
         d, d.observed, x, y,
-        prune=ident_dag._observed_ancestors,
+        prune=_observed_ancestors,
         components=ident_dag.c_components,
         separated=d_separated,
         remove=lambda t, c_set, q, rng: ident_dag._remove_node(d, t, c_set, q, rng),
         choice_seed=choice_seed,
     )
+
+
+def _observed_ancestors(d, ys, avoid=()):
+    """Observed ancestors of ``ys`` along directed paths that avoid
+    ``avoid``: those of G without ``avoid``, with no subgraph built."""
+    reached = _close(mark_masks(d)[0], mask_of(d, ys), ~mask_of(d, avoid))
+    return names_of(d.nodes, reached & ((1 << len(d.observed)) - 1))

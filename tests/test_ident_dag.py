@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_paths as ref
-from pagid import catalog, ident_dag
+from conftest import driver_starts
+from reference_ident import _observed_ancestors
+from pagid import catalog, ident_dag, ident_pag
 from pagid.exprs import Conditional, DistRef, Product, render_text, simplify
-from pagid.graphs import LatentDag, ancestors_in, induced_subgraph
+from pagid.graphs import LatentDag, _possible_ancestors, ancestors_in, induced_subgraph, mask_of, names_of
 from pagid.ident_dag import Fail, c_components, id_dag, q_reduce
-from pagid.oracle import random_latent_dag, random_scm
+from pagid.oracle import equivalence_class, pag_of_class, random_latent_dag, random_scm
 from pagid.verify import _sample_graph, interventional_gap
 
 
@@ -142,12 +144,15 @@ def test_scope_matches_the_induced_subgraph():
                 outside = set(d.observed) - set(t)
                 for v in t:
                     in_dt = tuple(u for u in ancestors_in(dt, [v]) if u in t)
-                    assert ident_dag._observed_ancestors(d, [v], outside) == in_dt
+                    assert _observed_ancestors(d, [v], outside) == in_dt
+                    # the driver's prune: a DAG's possible parents are its parents
+                    closed = _possible_ancestors(d, mask_of(d, [v]), ~mask_of(d, outside))
+                    assert names_of(d.nodes, closed & mask_of(d, d.observed)) == in_dt
                 assert sorted(topo) == sorted(t)
                 position = {v: i for i, v in enumerate(topo)}
                 assert all(position[p] < position[c] for p, c in dt.edges() if p in position)
                 checked += 1
-    assert checked > 1800
+    assert checked > 1800 and sum(bool(d.latent) for d in dags) > 30
 
 
 class TestRemovalGuarantees:
@@ -217,45 +222,99 @@ def _start_dags():
     return dags + [LatentDag(d.observed[::-1], d.latent, d.edges()) for d in dags]
 
 
-def test_component_starts_match_the_product_and_the_removals():
-    # every c-component S of G[A], A = An(y): the closed-form Q[S] is the
-    # simplified product of P(v | the nodes of A before v) over S, and what
-    # removing A \ S from P(A) node by node with the checked q_reduce gives.
-    # Under 1 s of tier-1 time
-    checked, runs = 0, 0
-    for d in _start_dags():
+def test_component_starts_match_the_product_and_the_removals(monkeypatch):
+    # the start the driver derives for each component of D, over the queries
+    # (x, y) of single nodes: Q[S], S the component's c-component of G[A],
+    # A = An(y).  The closed-form Q[S] is the simplified product of
+    # P(v | the nodes of A before v) over S, and what removing A \ S from
+    # P(A) node by node with the checked q_reduce gives; a first removal
+    # step from it gets S in node order.  About 1.5 s of tier-1 time
+    starts, steps = driver_starts(monkeypatch, ident_dag, "_remove_node")
+    checked, runs, stepped, seen = 0, 0, 0, set()
+    for k, d in enumerate(_start_dags()):
         for y in d.observed:
-            a_set = set(ident_dag._observed_ancestors(d, (y,)))
+            a_set = set(_observed_ancestors(d, (y,)))
             a = [v for v in d.observed if v in a_set]
             comp_of, topo = ident_dag._scope(d, a_set)
-            comps = list(dict.fromkeys(comp_of.values()))
-            for s, (t, q) in zip(comps, ident_dag._c_component_starts(d, a, comps)):
-                s_set = set(s)
-                assert t == [v for v in a if v in s_set]
-                factors = [
-                    Conditional((v,), topo[:i], DistRef((v, *topo[:i]))) if i else DistRef((v,))
-                    for i, v in enumerate(topo) if v in s_set
-                ]
-                assert q == simplify(Product(tuple(factors))) and q._fixed
-                runs += isinstance(q, Product)
-                walk, q_walk = list(a), DistRef(tuple(a))
-                while set(walk) != s_set:
-                    walk_comp_of, walk_topo = ident_dag._scope(d, set(walk))
-                    b = next(v for v in reversed(walk_topo) if v not in s_set
-                             and not set(walk_comp_of[v]) & set(d.children(v)))
-                    q_walk = q_reduce(d, walk, (b,), q_walk)
-                    walk.remove(b)
-                assert q == q_walk
-                checked += 1
-    # 2,614 components, 120 of them split into more than one run
-    assert checked > 2000 and runs > 100
+            for x in d.observed:
+                if x == y:
+                    continue
+                del starts[:], steps[:]
+                id_dag([x], [y], d)
+                first = {}
+                for t, q in steps:
+                    first.setdefault(id(q), t)
+                for order, s_set, q in starts:
+                    assert order == topo and set(comp_of[min(s_set)]) == s_set
+                    if id(q) in first:
+                        assert first[id(q)] == [v for v in a if v in s_set]
+                        stepped += 1
+                    if (k, y, frozenset(s_set)) in seen:
+                        continue
+                    seen.add((k, y, frozenset(s_set)))
+                    factors = [
+                        Conditional((v,), topo[:i], DistRef((v, *topo[:i]))) if i else DistRef((v,))
+                        for i, v in enumerate(topo) if v in s_set
+                    ]
+                    assert q == simplify(Product(tuple(factors))) and q._fixed
+                    runs += isinstance(q, Product)
+                    walk, q_walk = list(a), DistRef(tuple(a))
+                    while set(walk) != s_set:
+                        walk_comp_of, walk_topo = ident_dag._scope(d, set(walk))
+                        b = next(v for v in reversed(walk_topo) if v not in s_set
+                                 and not set(walk_comp_of[v]) & set(d.children(v)))
+                        q_walk = q_reduce(d, walk, (b,), q_walk)
+                        walk.remove(b)
+                    assert q == q_walk
+                    checked += 1
+    # 2,606 of the 2,614 c-components of some G[A] are started, 120 of them
+    # split into more than one run; 676 starts take a removal step
+    assert checked > 2000 and runs > 100 and stepped > 600
 
 
 def test_complete_dag_takes_no_removal_step(monkeypatch):
+    # nor does it read a scope: the driver reads D's components and A's
+    # order off the DAG's table, and only a removal step calls _scope
     nodes = [f"V{i}" for i in range(1, 13)]
     d = LatentDag.from_specs(nodes, [f"{a} -> {b}" for a, b in itertools.combinations(nodes, 2)])
-    calls = []
-    remove_node = ident_dag._remove_node
+    calls, scopes = [], []
+    remove_node, scope = ident_dag._remove_node, ident_dag._scope
     monkeypatch.setattr(ident_dag, "_remove_node", lambda *args: calls.append(args) or remove_node(*args))
+    monkeypatch.setattr(ident_dag, "_scope", lambda *args: scopes.append(args) or scope(*args))
     assert render_text(id_dag(["V1"], ["V12"], d)) == "P(v12|v1)"
-    assert calls == []
+    assert calls == [] and scopes == []
+
+
+def test_each_query_closes_a_and_d_once(monkeypatch):
+    # idp and id_dag read A and D with one possible-ancestor closure each on
+    # the graph's table, both before the first removal step (the spy sits
+    # where the identification modules look the closure up, so the cleanup's
+    # separation certificates are not counted)
+    closures, at_step = [0], []
+    real = _possible_ancestors
+
+    def closure(*args):
+        closures[0] += 1
+        return real(*args)
+
+    for module in (ident_dag, ident_pag):
+        monkeypatch.setattr(module, "_possible_ancestors", closure, raising=False)
+    for module, name in ((ident_dag, "_remove_node"), (ident_pag, "_remove_bucket")):
+        def step(*args, real=getattr(module, name)):
+            at_step.append(closures[0])
+            return real(*args)
+
+        monkeypatch.setattr(module, name, step)
+    rng = np.random.default_rng(5)
+    stepped = {id_dag: 0, ident_pag.idp: 0}
+    for _ in range(40):
+        d, m = _sample_graph(rng)
+        p = pag_of_class(equivalence_class(m))
+        for x, y in itertools.permutations(d.observed, 2):
+            for answer, g in ((id_dag, d), (ident_pag.idp, p)):
+                closures[0], at_step[:] = 0, []
+                answer([x], [y], g)
+                assert closures[0] == 2 and set(at_step) <= {2}
+                stepped[answer] += bool(at_step)
+    # 39 id_dag and 235 idp queries take a step
+    assert min(stepped.values()) > 30

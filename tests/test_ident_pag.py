@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import max_value_gap
+from conftest import driver_starts, max_value_gap
 from reference_paths import definite_status_interior
 from pagid import catalog, ident_pag
 from pagid.exprs import Conditional, DistRef, Product, render_text, simplify
@@ -291,49 +291,67 @@ def _start_pags():
     return pairs + [(Pag(p.nodes[::-1], p.edges()), d) for p, d in pairs]
 
 
-def test_component_starts_match_the_product_and_the_removals():
-    # every composite pc-component C of P_A, A = PossAn(y): the closed-form
-    # Q[C] is the simplified product of P(B | the buckets before B) over the
-    # buckets B inside C, and takes the value of removing A \ C from P(A)
-    # bucket by bucket with the checked q_reduce_bucket, on the observed
-    # joint of a random model of a DAG in the class.  The walk takes the last
-    # bucket outside C each time, which the checked reducer refuses unless it
-    # is removable, as the identify docstring argues.  About 2 s of tier-1
-    # time
+def test_component_starts_match_the_product_and_the_removals(monkeypatch):
+    # the start the driver derives for each component of P_D, over the
+    # queries (x, y) of single nodes: Q[C], C the component's composite
+    # pc-component of P_A, A = PossAn(y).  The closed-form Q[C] is the
+    # simplified product of P(B | the buckets before B) over the buckets B
+    # inside C, and takes the value of removing A \ C from P(A) bucket by
+    # bucket with the checked q_reduce_bucket, on the observed joint of a
+    # random model of a DAG in the class; a first removal step from it gets
+    # C in node order.  The walk takes the last bucket outside C each time,
+    # which the checked reducer refuses unless it is removable, as the
+    # identify docstring argues.  About 2 s of tier-1 time
+    starts, steps = driver_starts(monkeypatch, ident_pag, "_remove_bucket")
     rng = np.random.default_rng(1)
-    checked, walked, unequal, runs = 0, 0, 0, 0
-    for p, d in _start_pags():
+    checked, walked, unequal, runs, stepped, seen = 0, 0, 0, 0, 0, set()
+    for k, (p, d) in enumerate(_start_pags()):
         table = joint(random_scm(rng, d))
         for y in p.nodes:
             a = list(possible_ancestors(p, [y]))
             p_a = induced_subgraph(p, a)
             order = [names_of(p.nodes, b) for b in _order(p, mask_of(p, a))]
             blocks = cpc_components(p_a)
-            for c, (t, q) in zip(blocks, ident_pag._cpc_starts(p, a, blocks)):
-                c_set = set(c)
-                assert t == list(c)
-                factors, before = [], ()
-                for b in order:
-                    if c_set.issuperset(b):
-                        factors.append(Conditional(b, before, DistRef(b + before)) if before else DistRef(b))
-                    before += b
-                assert q == simplify(Product(tuple(factors))) and q._fixed
-                runs += isinstance(q, Product)
-                walk, q_walk = list(a), DistRef(tuple(a))
-                while set(walk) != c_set:
-                    p_t = induced_subgraph(p, walk)
-                    order_t = pto(p_t)
-                    bucket = [b for b in order_t.buckets if c_set.isdisjoint(b)][-1]
-                    q_walk = q_reduce_bucket(p_t, bucket, q_walk, order_t)
-                    walk = [v for v in walk if v not in bucket]
-                if q_walk != q:
-                    assert max_value_gap(q, q_walk, table) <= 1e-12
-                    unequal += 1
-                walked += len(a) > len(c)
-                checked += 1
-    # 1,582 components; 320 walks take a step, 16 of them end in another
-    # form of Q[C]; 106 starts have more than one run
-    assert checked > 1500 and walked > 300 and unequal > 10 and runs > 100
+            for x in p.nodes:
+                if x == y:
+                    continue
+                del starts[:], steps[:]
+                idp([x], [y], p)
+                first = {}
+                for t, q in steps:
+                    first.setdefault(id(q), t)
+                for joint_order, c_set, q in starts:
+                    c = p.sort_nodes(c_set)
+                    assert joint_order == [v for b in order for v in b] and c in blocks
+                    if id(q) in first:
+                        assert first[id(q)] == list(c)
+                        stepped += 1
+                    if (k, y, c) in seen:
+                        continue
+                    seen.add((k, y, c))
+                    factors, before = [], ()
+                    for b in order:
+                        if c_set.issuperset(b):
+                            factors.append(Conditional(b, before, DistRef(b + before)) if before else DistRef(b))
+                        before += b
+                    assert q == simplify(Product(tuple(factors))) and q._fixed
+                    runs += isinstance(q, Product)
+                    walk, q_walk = list(a), DistRef(tuple(a))
+                    while set(walk) != c_set:
+                        p_t = induced_subgraph(p, walk)
+                        order_t = pto(p_t)
+                        bucket = [b for b in order_t.buckets if c_set.isdisjoint(b)][-1]
+                        q_walk = q_reduce_bucket(p_t, bucket, q_walk, order_t)
+                        walk = [v for v in walk if v not in bucket]
+                    if q_walk != q:
+                        assert max_value_gap(q, q_walk, table) <= 1e-12
+                        unequal += 1
+                    walked += len(a) > len(c)
+                    checked += 1
+    # all 1,582 components of some P_A are started; 320 walks take a step,
+    # 16 of them end in another form of Q[C]; 106 starts have more than one
+    # run; the driver takes 2,465 first steps from a start
+    assert checked > 1500 and walked > 300 and unequal > 10 and runs > 100 and stepped > 2000
 
 
 def test_cap12_bucket_walk_is_gone(monkeypatch):

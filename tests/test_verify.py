@@ -16,7 +16,7 @@ import pagid.verify
 
 from pagid.exprs import Conditional, DistRef, evaluate_table, vsort
 from pagid.graphs import LatentDag, MixedGraph, _possible_ancestors, mark_masks, mask_of, names_of
-from pagid.ident_dag import Fail, _confounded, _observed_ancestors, _scope, id_dag
+from pagid.ident_dag import Fail, _confounded, _scope, id_dag
 from pagid.ident_pag import Fail as IdpFail
 from pagid.ident_pag import idp
 from pagid.oracle import (
@@ -37,6 +37,7 @@ from pagid.verify import (
     interventional_gap,
     run_verification,
 )
+from reference_ident import _observed_ancestors
 
 
 def loop_interventional_gap(expr, scm, x_vars, y_vars):
@@ -207,9 +208,9 @@ def test_mask_subsumption_equals_its_name_loop():
 
 def test_verification_cost_shape(monkeypatch):
     """Each interventional_gap call builds one product of factors and
-    clamps no value alone, and the pipeline reads no DAG ancestors or scopes
-    on names outside id_dag."""
-    made, per_gap, calls = {"_product": 0, "_clamp": 0}, [], {"inside": 0, "outside": 0}
+    clamps no value alone, and the pipeline reads no DAG scope on names
+    outside id_dag; id_dag's own ancestor closures show that it ran."""
+    made, per_gap, calls = {"_product": 0, "_clamp": 0}, [], {"inside": 0, "outside": 0, "closures": 0}
     depth = [0]
     for name in made:
         def count(*args, real=getattr(pagid.oracle, name), name=name):
@@ -234,17 +235,22 @@ def test_verification_cost_shape(monkeypatch):
 
     monkeypatch.setattr(pagid.verify, "interventional_gap", gap)
     monkeypatch.setattr(pagid.ident_dag, "id_dag", dag_answer)
-    for name in ("_observed_ancestors", "_scope"):
-        def spy(*args, real=getattr(pagid.ident_dag, name), **kwargs):
-            calls["inside" if depth[0] else "outside"] += 1
-            return real(*args, **kwargs)
 
-        monkeypatch.setattr(pagid.ident_dag, name, spy)
-        # a name bound in verify itself would go round the module's
-        monkeypatch.setattr(pagid.verify, name, spy, raising=False)
+    def scope(*args, real=pagid.ident_dag._scope):
+        calls["inside" if depth[0] else "outside"] += 1
+        return real(*args)
+
+    def closure(*args, real=pagid.ident_dag._possible_ancestors):
+        calls["closures"] += depth[0] > 0
+        return real(*args)
+
+    monkeypatch.setattr(pagid.ident_dag, "_scope", scope)
+    # a name bound in verify itself would go round the module's
+    monkeypatch.setattr(pagid.verify, "_scope", scope, raising=False)
+    monkeypatch.setattr(pagid.ident_dag, "_possible_ancestors", closure)
     run_verification(seed=0, runs=20, quiet=True)
     assert len(per_gap) > 20 and set(per_gap) == {(1, 0)}
-    assert calls["outside"] == 0 and calls["inside"] > 0
+    assert calls["outside"] == 0 and calls["closures"] > 0
 
 
 def forced(monkeypatch, case):
