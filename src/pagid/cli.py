@@ -2,17 +2,23 @@
 
 File format: a header line (``pag``, ``dag`` or ``mag``), an optional
 ``nodes:`` line fixing the node order, and one ``edge:`` line per edge,
-read by :func:`.graphs.parse_edge` under the rules of the header's kind:
+read by :func:`.graphs.read_edge` under the rules of the header's kind:
 tokens ``-->  <--  <->  o->  <-o  o-o`` (only ``->``, ``<-`` and ``<->``
 in dag files, no circles in mag files; ``o--`` and ``--o`` parse, but a
 :class:`.graphs.Pag` refuses a tail facing a circle).  A trailing
 ``visible`` tag is accepted on directed pag edges and cross-checked against
-the graphical condition.  ``#`` starts a comment.
+the graphical condition.  ``#`` starts a comment.  A file is read in one
+pass by :func:`.graphs.read_graph`: each edge line is entered into the
+graph's table as it is read, and the kind's checks run on the filled table.
 
-The argument parser is built once, at import.  ``main(argv)`` only parses
-``argv`` against it and keeps no other state, so it is safe to call
+The argument parser is built once, at import, with one subparser per
+command.  ``main(argv)`` keeps no other state, so it is safe to call
 repeatedly in one process: each call prints and returns exactly what a fresh
-``pagid`` run would.
+``pagid`` run would.  Argv whose first item names a command goes straight
+to that command's subparser, which is what the top-level parser would hand
+the rest to; only argv that names no command (none at all, ``-h``, an
+unknown command, a leading ``--``) goes through the top-level parser, so
+help, usage and ``error:`` lines are the same either way.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import time
 
 from . import adjustment, ident_dag, ident_pag
 from .exprs import render_latex, render_text, to_json_dict
-from .graphs import TOKEN_OF_MARKS, LatentDag, Mag, Pag, parse_edge
+from .graphs import TOKEN_OF_MARKS, read_graph
 from .ident_dag import c_components
 from .oracle import class_of_dag
 from .structure import cpc_components, pto
@@ -36,49 +42,10 @@ class ParseError(ValueError):
 
 
 def parse_graph(text: str):
-    """Parse a graph file; returns (kind, graph) with kind in pag|dag|mag.
-
-    Each edge line is read by :func:`.graphs.parse_edge`; its errors get the
-    line number in front.  Only what a file adds is checked here: the header,
-    the line syntax and edge lines naming a node missing from ``nodes:``;
-    the graph's constructor decides the rest."""
-    kind = None
-    nodes: list[str] | None = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if kind is None:
-            if line not in ("pag", "dag", "mag"):
-                raise ParseError(f"line {lineno}: header must be pag, dag or mag")
-            kind = line
-        elif line.startswith("nodes:"):
-            if nodes is not None:
-                raise ParseError(f"line {lineno}: duplicate nodes line")
-            nodes = line[len("nodes:"):].split()
-        elif line.startswith("edge:"):
-            try:
-                edges.append(parse_edge(kind, line[len("edge:"):]))
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-        else:
-            raise ParseError(f"line {lineno}: expected 'nodes:' or 'edge:'")
-    if kind is None:
-        raise ParseError("empty graph file")
-
-    seen = list(dict.fromkeys(v for edge in edges for v in edge[:2]))
-    order = nodes if nodes is not None else seen
-    for v in seen:
-        if v not in order:
-            raise ParseError(f"edge references node {v!r} missing from nodes line")
-
+    """Parse a graph file by :func:`.graphs.read_graph`; returns (kind, graph)
+    with kind in pag|dag|mag, and raises its errors as ParseError."""
     try:
-        if kind == "dag":
-            return kind, LatentDag.from_edges(tuple(order), edges)
-        if kind == "mag":
-            return kind, Mag(tuple(order), edges)
-        return kind, Pag(tuple(order), edges, check_visibility=True)
+        return read_graph(text)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -152,7 +119,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and, by command name, its subparsers."""
     parser = _Parser(
         prog="pagid",
         description="Causal effect identification from partial ancestral graphs.",
@@ -179,15 +147,27 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--runs", type=int, default=200)
     p_ver.add_argument("--tol", type=float, default=1e-9)
-    return parser
+    # a subparser called directly names its command as the top level would
+    for name, command in sub.choices.items():
+        command.set_defaults(command=name)
+    return parser, sub.choices
 
 
-# built once at import; parse_args reads it and leaves it unchanged
-_PARSER = _build_parser()
+# built once at import; parse_args reads them and leaves them unchanged
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, classifying each argument once: argv
+    that starts with a command goes straight to that command's parser."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return _PARSER.parse_args(argv)
+    return command.parse_args(argv[1:])
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
     try:
         if args.command == "idp":

@@ -15,8 +15,19 @@ ancestral checks and visibility; no module but this one reads the table
 directly.  A :class:`Pag` settles its visible-edge set into its flags when
 it is built, walking no kernel.
 
-Each graph kind has one builder, its constructor; :meth:`LatentDag.from_edges`
-alone turns confounding arcs into latent roots.  Identification and
+One edge-token table, :data:`EDGE_TOKENS`, maps each token to its marks,
+the graph file kinds that accept it and the table rows its edge sets at
+either end.  :func:`read_edge` and :func:`parse_edge` read edge specs by
+it, :data:`TOKEN_OF_MARKS` writes edges back with it, a mixed graph's
+constructor fills its table by it, and :meth:`LatentDag.from_edges` reads a
+marked edge as the dag-file token of its marks: an arc, or for ``<->`` a
+latent root (:func:`_arc_of`).
+
+Each graph kind has one builder, its constructor, and a graph file one
+reader, :func:`read_graph`, which enters each edge into the table as it
+reads the edge's line and then runs the constructor's checks on the filled
+table (each kind's ``_settle``).  :meth:`LatentDag.from_edges` and the
+reader alone turn confounding arcs into latent roots.  Identification and
 verification read a subgraph as a node mask on its parent's one table: a
 closure (:func:`_close`) or a component split (:func:`_blocks`, which takes
 the place of a union-find) stays inside a ``within`` mask.
@@ -49,7 +60,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 MAX_NODES = 12
 
@@ -67,52 +78,105 @@ CIRCLE = EdgeMark.CIRCLE
 # An endpoint's mark from its (arrowhead, circle) bits on the mask table.
 _MARK_OF_BITS = (TAIL, ARROW, CIRCLE)
 
-# Edge spec tokens, mapped to (mark at left node, mark at right node);
-# which of them a graph kind accepts is decided by parse_edge.
-EDGE_TOKENS: Mapping[str, tuple[EdgeMark, EdgeMark]] = {
-    "-->": (TAIL, ARROW),
-    "<--": (ARROW, TAIL),
-    "<->": (ARROW, ARROW),
-    "o->": (CIRCLE, ARROW),
-    "<-o": (ARROW, CIRCLE),
-    "o-o": (CIRCLE, CIRCLE),
-    "o--": (CIRCLE, TAIL),
-    "--o": (TAIL, CIRCLE),
-    "->": (TAIL, ARROW),
-    "<-": (ARROW, TAIL),
+# The rows of the mask table, per node index: the neighbours, those with an
+# arrowhead at this node, those with an arrowhead at their own end, the
+# parents, those with a circle at this node, and the visible flags.
+_NBR, _HEAD, _OUT, _PARENTS, _CIRCLES, _FLAGS = range(6)
+
+
+class EdgeToken(NamedTuple):
+    """An edge token: its marks at the left and the right node, the graph
+    file kinds that accept it, and the table rows in which the left node
+    gains the right one (``left``) and the right node the left (``right``)."""
+
+    marks: tuple[EdgeMark, EdgeMark]
+    kinds: frozenset[str]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+
+
+def _rows_at(here: EdgeMark, there: EdgeMark) -> tuple[int, ...]:
+    """The rows in which an endpoint with mark ``here`` gains the far end,
+    whose mark is ``there``."""
+    rows = [_NBR]
+    if here is ARROW:
+        rows.append(_HEAD)
+        if there is TAIL:
+            rows.append(_PARENTS)
+    elif here is CIRCLE:
+        rows.append(_CIRCLES)
+    if there is ARROW:
+        rows.append(_OUT)
+    return tuple(rows)
+
+
+def _token(left: EdgeMark, right: EdgeMark, kinds: str) -> EdgeToken:
+    return EdgeToken((left, right), frozenset(kinds.split()), _rows_at(left, right), _rows_at(right, left))
+
+
+# The one edge-token table: every reader of an edge spec and every fill of a
+# mixed graph's mask table reads it.
+EDGE_TOKENS: Mapping[str, EdgeToken] = {
+    "-->": _token(TAIL, ARROW, "pag mag"),
+    "<--": _token(ARROW, TAIL, "pag mag"),
+    "<->": _token(ARROW, ARROW, "pag mag dag"),
+    "o->": _token(CIRCLE, ARROW, "pag"),
+    "<-o": _token(ARROW, CIRCLE, "pag"),
+    "o-o": _token(CIRCLE, CIRCLE, "pag"),
+    "o--": _token(CIRCLE, TAIL, "pag"),
+    "--o": _token(TAIL, CIRCLE, "pag"),
+    "->": _token(TAIL, ARROW, "dag"),
+    "<-": _token(ARROW, TAIL, "dag"),
 }
 
 # Mark pair -> the first token listed for it ("-->", not the dag-only "->").
 TOKEN_OF_MARKS: Mapping[tuple[EdgeMark, EdgeMark], str] = {
-    marks: tok for tok, marks in reversed(EDGE_TOKENS.items())
+    token.marks: name for name, token in reversed(EDGE_TOKENS.items())
 }
+_EDGE_OF_MARKS = {marks: EDGE_TOKENS[name] for marks, name in TOKEN_OF_MARKS.items()}
+_DAG_EDGE_OF_MARKS = {token.marks: token for token in EDGE_TOKENS.values() if "dag" in token.kinds}
 
 
 def parse_edge(kind: str, spec: str) -> tuple[str, str, EdgeMark, EdgeMark, bool]:
     """Read ``"A <tok> B [visible]"`` under the rules of graph ``kind`` (pag,
     mag or dag) into (a, b, mark at a, mark at b, visible).
 
-    The one edge grammar, shared by graph files and every ``from_specs``:
-    ``->`` and ``<-`` are dag-only, a dag takes only those and ``<->``, the
-    ``visible`` tag is pag-only and a mag has no circles.  Raises ValueError.
+    The one edge grammar, shared by graph files (:func:`read_graph`) and
+    every ``from_specs``, is :func:`read_edge`'s lookup in the one token
+    table, :data:`EDGE_TOKENS`: a token is known if listed there and allowed
+    in the file kinds it names, so ``->`` and ``<-`` are dag-only and a dag
+    takes only those and ``<->``; the ``visible`` tag is pag-only and a mag
+    has no circles.  Raises ValueError.
     """
+    a, b, token, visible = read_edge(kind, spec)
+    return a, b, token.marks[0], token.marks[1], visible
+
+
+def read_edge(kind: str, spec: str) -> tuple[str, str, EdgeToken, bool]:
+    """:func:`parse_edge`, giving the token's :data:`EDGE_TOKENS` entry in
+    place of its marks."""
     parts = spec.split()
-    visible = len(parts) == 4 and parts[3] == "visible"
-    if len(parts) != 3 + visible:
+    if len(parts) == 3:
+        a, name, b = parts
+        visible = False
+    elif len(parts) == 4 and parts[3] == "visible":
+        a, name, b, _ = parts
+        visible = True
+    else:
         raise ValueError("expected 'edge: A <tok> B [visible]'")
-    a, token, b = parts[:3]
-    if token not in EDGE_TOKENS:
-        raise ValueError(f"unknown edge token {token!r}")
-    if token in ("->", "<-") and kind != "dag":
-        raise ValueError(f"token {token!r} is dag-only")
-    if token not in ("->", "<-", "<->") and kind == "dag":
-        raise ValueError(f"token {token!r} not allowed in dag files")
+    token = EDGE_TOKENS.get(name)
+    if token is None:
+        raise ValueError(f"unknown edge token {name!r}")
+    accepted = kind in token.kinds
+    if not accepted and kind == "dag":
+        raise ValueError(f"token {name!r} not allowed in dag files")
+    if not accepted and "dag" in token.kinds:
+        raise ValueError(f"token {name!r} is dag-only")
     if visible and kind != "pag":
         raise ValueError("'visible' tag is pag-only")
-    mark_a, mark_b = EDGE_TOKENS[token]
-    if CIRCLE in (mark_a, mark_b) and kind == "mag":
+    if not accepted:  # what a mag refuses beyond those: circles
         raise ValueError("circle marks not allowed in mag files")
-    return a, b, mark_a, mark_b, visible
+    return a, b, token, visible
 
 
 def check_nodes(named: Sequence[str], latent: Sequence[str] = ()) -> None:
@@ -127,6 +191,68 @@ def check_nodes(named: Sequence[str], latent: Sequence[str] = ()) -> None:
     for v in named:
         if lowered.setdefault(v.lower(), v) != v:
             raise ValueError(f"node names {lowered[v.lower()]!r} and {v!r} collide when lowercased")
+
+
+def _empty_rows(n: int) -> list[list[int]]:
+    return [[0] * n for _ in range(6)]
+
+
+def _add_edge(rows, i: int, j: int, a: str, b: str, token: EdgeToken | None, visible: bool) -> str | None:
+    """Enter a mixed graph's edge ``a <token> b`` (node indices i, j) into
+    the table ``rows`` by its token's rows, and its visible flag; returns
+    what refuses it instead, if anything.  A ``None`` token stands for two
+    tails: no graph kind has that edge, and no token spells it."""
+    if i == j:
+        return f"self-loop at {a!r}"
+    if rows[_NBR][i] >> j & 1:
+        return f"duplicate edge {a!r}-{b!r}"
+    if visible and (token is None or {*token.marks} != {TAIL, ARROW}):
+        return f"visible flag on non-directed edge {a!r}-{b!r}"
+    if token is None:
+        return f"undirected edge {a!r}-{b!r} not supported"
+    bit_i, bit_j = 1 << i, 1 << j
+    for row in token.left:
+        rows[row][i] |= bit_j
+    for row in token.right:
+        rows[row][j] |= bit_i
+    if visible:
+        rows[_FLAGS][i] |= bit_j
+        rows[_FLAGS][j] |= bit_i
+    return None
+
+
+def _add_arc(rows, i: int, j: int, p: str, c: str) -> str | None:
+    """Enter a latent DAG's arc ``p -> c`` (node indices i, j) into the
+    table ``rows``; returns what refuses it instead, if anything.  A DAG's
+    arrowhead row is its parent row, so only the parent row is filled."""
+    nbr = rows[_NBR]
+    if i == j or nbr[i] >> j & 1:
+        return f"bad edge {p!r}->{c!r}"
+    bit_i, bit_j = 1 << i, 1 << j
+    nbr[i] |= bit_j
+    nbr[j] |= bit_i
+    rows[_OUT][i] |= bit_j
+    rows[_PARENTS][j] |= bit_i
+    return None
+
+
+def _arc_of(token: EdgeToken, a: str, b: str) -> tuple[str, str] | None:
+    """A dag edge ``a <token> b`` as its arc (parent, child), or None for
+    ``<->``, which stands for a latent root over a and b."""
+    if token.marks[0] is TAIL:
+        return a, b
+    if token.marks[1] is TAIL:
+        return b, a
+    return None
+
+
+def _latent_name(k: int, observed: Sequence[str]) -> str:
+    """The name of a DAG's ``k``-th latent: ``U<k>``, with ``_`` appended
+    while that is an observed name."""
+    name = f"U{k}"
+    while name in observed:
+        name += "_"
+    return name
 
 
 class MixedGraph:
@@ -149,47 +275,25 @@ class MixedGraph:
     ):
         nodes = tuple(nodes)
         check_nodes(nodes)
-        self.nodes = nodes
-        self._index = index = {v: i for i, v in enumerate(nodes)}
-        self._anc = None
-        n = len(nodes)
-        nbr, head, out, parents, circle, flags = ([0] * n for _ in range(6))
+        index = {v: i for i, v in enumerate(nodes)}
+        rows = _empty_rows(len(nodes))
         for a, b, mark_a, mark_b, visible in edges:
             if a not in index or b not in index:
                 raise ValueError(f"unknown node in edge {a!r}-{b!r}")
-            if a == b:
-                raise ValueError(f"self-loop at {a!r}")
-            i, j = index[a], index[b]
-            if nbr[i] >> j & 1:
-                raise ValueError(f"duplicate edge {a!r}-{b!r}")
-            if visible and {mark_a, mark_b} != {TAIL, ARROW}:
-                raise ValueError(f"visible flag on non-directed edge {a!r}-{b!r}")
-            if mark_a is TAIL and mark_b is TAIL:
-                # no graph kind has one, and no edge token spells one
-                raise ValueError(f"undirected edge {a!r}-{b!r} not supported")
-            bit_i, bit_j = 1 << i, 1 << j
-            nbr[i] |= bit_j
-            nbr[j] |= bit_i
-            if mark_a is ARROW:
-                head[i] |= bit_j
-                out[j] |= bit_i
-                if mark_b is TAIL:
-                    parents[i] |= bit_j
-            elif mark_a is CIRCLE:
-                circle[i] |= bit_j
-            if mark_b is ARROW:
-                head[j] |= bit_i
-                out[i] |= bit_j
-                if mark_a is TAIL:
-                    parents[j] |= bit_i
-            elif mark_b is CIRCLE:
-                circle[j] |= bit_i
-            if visible:
-                flags[i] |= bit_j
-                flags[j] |= bit_i
+            problem = _add_edge(rows, index[a], index[b], a, b, _EDGE_OF_MARKS.get((mark_a, mark_b)), visible)
+            if problem:
+                raise ValueError(problem)
+        self._set_table(nodes, index, rows)
+
+    def _set_table(self, nodes: tuple[str, ...], index: dict[str, int], rows: list[list[int]]) -> None:
+        """Take the filled ``rows`` as the graph's table."""
+        nbr, head, out, parents, circles, flags = rows
+        self.nodes = nodes
+        self._index = index
         self._masks = tuple(zip(nbr, head, out))
-        self._marks = (tuple(parents), tuple(circle))
+        self._marks = (tuple(parents), tuple(circles))
         self._flags = tuple(flags)
+        self._anc = None
 
     @classmethod
     def from_specs(cls, nodes: Sequence[str], specs: Iterable[str]) -> "MixedGraph":
@@ -286,6 +390,10 @@ class Pag(MixedGraph):
 
     def __init__(self, nodes, edges=(), *, check_visibility: bool = False):
         super().__init__(nodes, edges)
+        self._settle(check_visibility)
+
+    def _settle(self, check_visibility: bool) -> None:
+        """The checks on the filled table, then the visible set."""
         for i, ((nbr, head, out), circle) in enumerate(zip(self._masks, self._marks[1])):
             # a tail at i and no arrowhead at the far end, so a circle there:
             # no mixed graph has an edge with two tails
@@ -322,6 +430,10 @@ class Mag(MixedGraph):
 
     def __init__(self, nodes, edges=(), *, validate: bool = True):
         super().__init__(nodes, edges)
+        self._settle(validate)
+
+    def _settle(self, validate: bool) -> None:
+        """The checks on the filled table."""
         if any(self._marks[1]):
             a, b = next((a, b) for a, b, ma, mb, _ in self.edges() if CIRCLE in (ma, mb))
             raise ValueError(f"circle mark in MAG edge {a!r}-{b!r}")
@@ -506,11 +618,14 @@ def find_closure_violation(g: MixedGraph) -> tuple[str, str, str] | None:
     edge must not be bidirected.  Returns a violating (A, B, C) or None:
     the first B in node order, its first A, and the lowest C.  One pass
     over node masks: for B and each A with an arrowhead at B, the
-    candidate C are the neighbours of A with a circle at B.
+    candidate C are the neighbours of A with a circle at B, so a B without
+    circles has none.
     """
     adj, nodes = adjacency_masks(g), g.nodes
     parents, circle = mark_masks(g)
     for j, (_, head_b, _) in enumerate(adj):
+        if not circle[j]:
+            continue
         for i in bits(head_b):
             nbr_a, head_a, out_a = adj[i]
             cs = circle[j] & nbr_a
@@ -540,13 +655,24 @@ def ancestral_violation(g: MixedGraph) -> str | None:
 
 def _directed_cycle(parents: Sequence[int], an: Sequence[int]) -> bool:
     """True when some node is an ancestor of one of its parents."""
-    return any(an[u] >> v & 1 for v, pa in enumerate(parents) for u in bits(pa))
+    for v, pa in enumerate(parents):
+        while pa:
+            low = pa & -pa
+            pa ^= low
+            if an[low.bit_length() - 1] >> v & 1:
+                return True
+    return False
 
 
 def _almost_cycles(adj, an: Sequence[int]) -> Iterator[tuple[int, int]]:
     """The bidirected edges (u, v) of the table ``adj`` with u among the
     ancestors ``an[v]`` of v."""
-    return ((u, v) for v, (_, head, out) in enumerate(adj) for u in bits(head & out & an[v]))
+    for v, (_, head, out) in enumerate(adj):
+        cyclic = head & out & an[v]
+        while cyclic:
+            low = cyclic & -cyclic
+            cyclic ^= low
+            yield low.bit_length() - 1, v
 
 
 def mag_violation(g: MixedGraph) -> str | None:
@@ -611,59 +737,68 @@ class LatentDag:
     ):
         observed = tuple(observed)
         latent = tuple(latent)
-        names = observed + latent
         check_nodes(observed, latent)
-        self.observed = observed
-        self.latent = latent
-        self._index = index = {v: i for i, v in enumerate(names)}
-        self._edges = tuple(edges)
-        self._anc = None
-        n = len(names)
-        nbr, parents, children = [0] * n, [0] * n, [0] * n
-        for p, c in self._edges:
+        index = {v: i for i, v in enumerate(observed + latent)}
+        edges = tuple(edges)
+        rows = _empty_rows(len(index))
+        for p, c in edges:
             if p not in index or c not in index:
                 raise ValueError(f"unknown node in edge {p!r}->{c!r}")
-            i, j = index[p], index[c]
-            if i == j or nbr[i] >> j & 1:
-                raise ValueError(f"bad edge {p!r}->{c!r}")
-            nbr[i] |= 1 << j
-            nbr[j] |= 1 << i
-            parents[j] |= 1 << i
-            children[i] |= 1 << j
+            problem = _add_arc(rows, index[p], index[c], p, c)
+            if problem:
+                raise ValueError(problem)
+        self._settle(observed, latent, index, edges, rows)
+
+    def _settle(
+        self,
+        observed: tuple[str, ...],
+        latent: tuple[str, ...],
+        index: dict[str, int],
+        edges: tuple[tuple[str, str], ...],
+        rows: list[list[int]],
+    ) -> None:
+        """Take the filled ``rows`` as the table, then check the latents and
+        find the topological order, which raises on a cycle."""
+        nbr, _, children, parents = rows[:4]
+        names = observed + latent
+        self.observed = observed
+        self.latent = latent
+        self._index = index
+        self._edges = edges
+        self._anc = None
         self._masks = tuple(zip(nbr, parents, children))
-        self._marks = (tuple(parents), (0,) * n)
+        self._marks = (tuple(parents), (0,) * len(names))
         confounded = set()
-        for u in range(len(observed), n):
+        for u in range(len(observed), len(names)):
             if parents[u]:
                 raise ValueError(f"latent {names[u]!r} has parents")
             if children[u].bit_count() != 2 or children[u] >> len(observed):
                 raise ValueError(f"latent {names[u]!r} must have exactly two observed children")
             if children[u] in confounded:
-                a, b = (c for p, c in self._edges if p == names[u])  # arc order, for the message
+                a, b = (c for p, c in edges if p == names[u])  # arc order, for the message
                 raise ValueError(f"duplicate edge {a!r}-{b!r}")
             confounded.add(children[u])
-        self._topo = self._kahn_order()  # raises on cycles
+        self._topo = self._kahn_order()
 
     @classmethod
     def from_edges(cls, observed: Sequence[str], edges: Iterable[tuple]) -> "LatentDag":
-        """Build from (a, b, mark_a, mark_b, visible) edges: directed ones are
+        """Build from (a, b, mark_a, mark_b, visible) edges, read as the
+        dag-file token of their marks (:data:`EDGE_TOKENS`): directed ones are
         kept, each ``<->`` becomes a latent root ``U<n>`` (``_`` appended while
         that is an observed name) over its endpoints, and other marks raise."""
         arcs: list[tuple[str, str]] = []
         latent: list[str] = []
         for a, b, mark_a, mark_b, _ in edges:
-            if (mark_a, mark_b) == (ARROW, ARROW):
-                name = f"U{len(latent) + 1}"
-                while name in observed:
-                    name += "_"
+            token = _DAG_EDGE_OF_MARKS.get((mark_a, mark_b))
+            if token is None:
+                raise ValueError(f"edge {a!r}-{b!r} is neither directed nor bidirected")
+            arc = _arc_of(token, a, b)
+            if arc is None:
+                name = _latent_name(len(latent) + 1, observed)
                 latent.append(name)
                 arcs += [(name, a), (name, b)]
-            elif (mark_a, mark_b) == (TAIL, ARROW):
-                arcs.append((a, b))
-            elif (mark_a, mark_b) == (ARROW, TAIL):
-                arcs.append((b, a))
             else:
-                raise ValueError(f"edge {a!r}-{b!r} is neither directed nor bidirected")
+                arcs.append(arc)
         return cls(observed, latent, arcs)
 
     @classmethod
@@ -695,7 +830,7 @@ class LatentDag:
     def _kahn_order(self) -> tuple[str, ...]:
         """Kahn's order in one pass over the parent masks: the lowest-index
         ready node goes next, and a child is ready once its parents are placed."""
-        names, parents = self.nodes, self._marks[0]
+        names, masks, parents = self.nodes, self._masks, self._marks[0]
         ready = sum(1 << v for v, pa in enumerate(parents) if not pa)
         placed, out = 0, []
         while ready:
@@ -704,9 +839,12 @@ class LatentDag:
             placed |= low
             v = low.bit_length() - 1
             out.append(names[v])
-            for c in bits(self._masks[v][2]):
-                if not parents[c] & ~placed:
-                    ready |= 1 << c
+            kids = masks[v][2]
+            while kids:
+                kid = kids & -kids
+                kids ^= kid
+                if not parents[kid.bit_length() - 1] & ~placed:
+                    ready |= kid
         if len(out) != len(names):
             raise ValueError("cycle in DAG")
         return tuple(out)
@@ -733,6 +871,143 @@ class LatentDag:
     def __repr__(self) -> str:
         arcs = ", ".join(f"{p}->{c}" for p, c in self._edges)
         return f"LatentDag(observed={list(self.observed)}, latent={list(self.latent)}, {arcs})"
+
+
+def read_graph(text: str):
+    """Read a graph file into (kind, graph), in one pass over its lines.
+
+    A file is a header line (``pag``, ``dag`` or ``mag``), at most one
+    ``nodes:`` line fixing the node order, and one ``edge:`` line per edge,
+    read by :func:`read_edge` under the rules of the header's kind; ``#``
+    starts a comment, and lines break where :meth:`str.splitlines` breaks.
+
+    Each edge is entered as its line is read: into the mask table by its
+    token's rows (:func:`_add_edge`), or in a dag file as an arc
+    (:func:`_add_arc`) or, for ``<->``, a latent to be named once the
+    observed nodes are known.  Nodes take their ``nodes:`` line's indices,
+    or first-seen ones without it; rows filled before a late ``nodes:`` line
+    are renumbered into its order (:func:`_renumber`).  A line's own error
+    raises at once and names the line.  The graph's errors wait for the end,
+    as a later line may hold an error of its own, and come in the order the
+    constructors raise them: a node missing from the ``nodes:`` line, then
+    :func:`check_nodes`, the first edge refused, and the kind's checks on
+    the filled table.  Once an edge is refused or a node is found missing,
+    nothing more is entered.  Raises ValueError.
+    """
+    kind = named = missing = None
+    fault = None  # the first refused edge's message, or (latent number, node) for a dag
+    index: dict[str, int] = {}
+    rows = _empty_rows(0)
+    arcs: list = []  # a dag's arcs in order, each latent's two held open
+    pairs: list[tuple[int, str, str]] = []  # a dag's <-> edges: arc position, ends
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if kind is None:
+            if line not in ("pag", "dag", "mag"):
+                raise ValueError(f"line {lineno}: header must be pag, dag or mag")
+            kind = line
+        elif line.startswith("edge:"):
+            try:
+                a, b, token, visible = read_edge(kind, line[len("edge:"):])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+            if a not in index or b not in index:
+                for v in (a, b):
+                    if v not in index:
+                        _place(index, rows, v)
+                        if named is not None and missing is None:
+                            missing = v
+            if fault is not None or missing is not None:
+                continue
+            if kind != "dag":
+                fault = _add_edge(rows, index[a], index[b], a, b, token, visible)
+                continue
+            arc = _arc_of(token, a, b)
+            if arc is None:
+                if a == b:
+                    fault = (len(pairs), b)
+                pairs.append((len(arcs), a, b))
+                arcs += (None, None)
+            else:
+                arcs.append(arc)
+                fault = _add_arc(rows, index[arc[0]], index[arc[1]], *arc)
+        elif line.startswith("nodes:"):
+            if named is not None:
+                raise ValueError(f"line {lineno}: duplicate nodes line")
+            named = tuple(line[len("nodes:"):].split())
+            seen, old = index, rows
+            index, rows = {v: i for i, v in enumerate(named)}, _empty_rows(len(named))
+            if seen:
+                missing = _renumber(seen, old, index, rows)
+        else:
+            raise ValueError(f"line {lineno}: expected 'nodes:' or 'edge:'")
+    if kind is None:
+        raise ValueError("empty graph file")
+    if missing is not None:
+        raise ValueError(f"edge references node {missing!r} missing from nodes line")
+    nodes = named if named is not None else tuple(index)
+    if kind == "dag":
+        return kind, _read_dag(nodes, index, rows, arcs, pairs, fault)
+    check_nodes(nodes)
+    if fault is not None:
+        raise ValueError(fault)
+    g = object.__new__(Pag if kind == "pag" else Mag)
+    g._set_table(nodes, index, rows)
+    g._settle(True)  # a pag file's flags are checked, a mag file's MAG validated
+    return kind, g
+
+
+def _place(index: dict[str, int], rows: list[list[int]], v: str) -> None:
+    """Give node ``v`` the next index and an empty row in each table row."""
+    index[v] = len(rows[_NBR])
+    for row in rows:
+        row.append(0)
+
+
+def _renumber(seen: dict[str, int], old: list[list[int]], index: dict[str, int], rows: list[list[int]]) -> str | None:
+    """Move the table ``old``, filled under the first-seen index ``seen``,
+    into ``rows`` under ``index``, a late ``nodes:`` line's.  The nodes the
+    line lacks are placed after its own, first-seen first; the first of them
+    is returned."""
+    missing = [v for v in seen if v not in index]
+    for v in missing:
+        _place(index, rows, v)
+    moved = [index[v] for v in seen]  # by first-seen index
+    for k, i in enumerate(moved):
+        for row, old_row in zip(rows, old):
+            row[i] = sum(1 << moved[m] for m in bits(old_row[k]))
+    return missing[0] if missing else None
+
+
+def _read_dag(
+    observed: tuple[str, ...],
+    index: dict[str, int],
+    rows: list[list[int]],
+    arcs: list,
+    pairs: list[tuple[int, str, str]],
+    fault,
+) -> LatentDag:
+    """Finish a dag file's graph: name its latents after the observed
+    nodes, raise the node rules' error or the first refused arc, and enter
+    the latents' arcs."""
+    latent = tuple(_latent_name(k, observed) for k in range(1, len(pairs) + 1))
+    check_nodes(observed, latent)
+    if isinstance(fault, tuple):
+        fault = f"bad edge {latent[fault[0]]!r}->{fault[1]!r}"
+    if fault is not None:
+        raise ValueError(fault)
+    for row in rows:
+        row += [0] * len(latent)
+    for u, ((at, a, b), name) in enumerate(zip(pairs, latent), start=len(observed)):
+        index[name] = u
+        _add_arc(rows, u, index[a], name, a)
+        _add_arc(rows, u, index[b], name, b)
+        arcs[at:at + 2] = (name, a), (name, b)
+    g = object.__new__(LatentDag)
+    g._settle(observed, latent, index, tuple(arcs), rows)
+    return g
 
 
 def induced_subgraph(g, a: Iterable[str]):

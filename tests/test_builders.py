@@ -1,14 +1,16 @@
 """One builder per graph kind, one store per graph, and subgraphs that
 restrict their parent.
 
-``LatentDag.from_edges`` is the one place a confounding arc becomes a
-latent; graph files, ``from_specs``, the canonical DAG of a MAG and random
-DAGs all go through it.  A mixed graph stores its edges only in the mask
-table its constructor fills, and only ``graphs.py`` reads that table; the
-name-keyed edge store it replaced is the reference its queries must equal
-(``reference_paths.EdgeDict``).  ``induced_subgraph`` of a mixed graph
-restricts its parent's validated table instead of re-running the
-constructor; the old rebuild is kept here as the reference it must equal.
+``LatentDag.from_edges`` and the graph-file reader ``graphs.read_graph``
+are the only places a confounding arc becomes a latent, by one rule
+(``graphs._arc_of``); ``from_specs``, the canonical DAG of a MAG and random
+DAGs all go through ``from_edges``.  A mixed graph stores its edges only in
+the mask table its constructor or the file reader fills, and only
+``graphs.py`` reads that table; the name-keyed edge store it replaced is
+the reference its queries must equal (``reference_paths.EdgeDict``).
+``induced_subgraph`` of a mixed graph restricts its parent's validated
+table instead of re-running the constructor; the old rebuild is kept here
+as the reference it must equal.
 """
 
 import ast
@@ -67,14 +69,13 @@ def _dag_spec(a, b, mark_a, mark_b):
 class TestOneLatentBuilder:
     def test_dag_file_reads_each_edge_line_once(self, monkeypatch):
         calls = []
-        real = pagid.graphs.parse_edge
+        real = pagid.graphs.read_edge
 
         def spy(kind, spec):
             calls.append(spec)
             return real(kind, spec)
 
-        monkeypatch.setattr(pagid.cli, "parse_edge", spy)
-        monkeypatch.setattr(pagid.graphs, "parse_edge", spy)
+        monkeypatch.setattr(pagid.graphs, "read_edge", spy)
         for make in CATALOG_DAGS:
             want = make()
             text = serialize_graph("dag", want)
@@ -377,7 +378,7 @@ def _calls_and_latent_names(source):
 )
 def test_latents_are_made_only_in_graphs(path):
     """Outside graphs.py no module builds a LatentDag or names a latent, so
-    the arc-to-latent decision stays in LatentDag.from_edges."""
+    the arc-to-latent decision stays in graphs.py."""
     assert _calls_and_latent_names(path.read_text(encoding="utf-8")) == []
 
 
