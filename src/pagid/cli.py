@@ -7,9 +7,9 @@ tokens ``-->  <--  <->  o->  <-o  o-o`` (only ``->``, ``<-`` and ``<->``
 in dag files, no circles in mag files; ``o--`` and ``--o`` parse, but a
 :class:`.graphs.Pag` refuses a tail facing a circle).  A trailing
 ``visible`` tag is accepted on directed pag edges and cross-checked against
-the graphical condition.  ``#`` starts a comment.  A file is read in one
-pass by :func:`.graphs.read_graph`: each edge line is entered into the
-graph's table as it is read, and the kind's checks run on the filled table.
+the graphical condition.  ``#`` starts a comment.  A file is read by
+:func:`.graphs.read_graph`: each edge line becomes its token, and the
+kind's builder fills the graph's table by the tokens and checks it.
 
 The argument parser is built once, at import, with one subparser per
 command.  ``main(argv)`` keeps no other state, so it is safe to call

@@ -18,16 +18,16 @@ it is built, walking no kernel.
 One edge-token table, :data:`EDGE_TOKENS`, maps each token to its marks,
 the graph file kinds that accept it and the table rows its edge sets at
 either end.  :func:`read_edge` and :func:`parse_edge` read edge specs by
-it, :data:`TOKEN_OF_MARKS` writes edges back with it, a mixed graph's
-constructor fills its table by it, and :meth:`LatentDag.from_edges` reads a
-marked edge as the dag-file token of its marks: an arc, or for ``<->`` a
-latent root (:func:`_arc_of`).
+it, :data:`TOKEN_OF_MARKS` writes edges back with it, a mixed graph fills
+its table by it (:meth:`MixedGraph._fill`), and a latent DAG reads each
+edge's token as an arc or, for ``<->``, a latent root
+(:meth:`LatentDag._read`, behind :meth:`LatentDag.from_edges`).
 
 Each graph kind has one builder, its constructor, and a graph file one
-reader, :func:`read_graph`, which enters each edge into the table as it
-reads the edge's line and then runs the constructor's checks on the filled
-table (each kind's ``_settle``).  :meth:`LatentDag.from_edges` and the
-reader alone turn confounding arcs into latent roots.  Identification and
+reader, :func:`read_graph`, which reads the edge lines into tokens and
+hands them to the kind's ``_read``: the constructor's own fill and checks,
+less the lookup of each edge's token by its marks.  :meth:`LatentDag._read`
+alone turns confounding arcs into latent roots.  Identification and
 verification read a subgraph as a node mask on its parent's one table: a
 closure (:func:`_close`) or a component split (:func:`_blocks`, which takes
 the place of a union-find) stays inside a ``within`` mask.
@@ -69,6 +69,10 @@ class EdgeMark(Enum):
     TAIL = "-"
     ARROW = ">"
     CIRCLE = "o"
+
+    # members compare by identity, so they may hash by it: C-level, where
+    # Enum's own __hash__ hashes the name in Python on every mark-pair lookup
+    __hash__ = object.__hash__
 
 
 TAIL = EdgeMark.TAIL
@@ -193,68 +197,6 @@ def check_nodes(named: Sequence[str], latent: Sequence[str] = ()) -> None:
             raise ValueError(f"node names {lowered[v.lower()]!r} and {v!r} collide when lowercased")
 
 
-def _empty_rows(n: int) -> list[list[int]]:
-    return [[0] * n for _ in range(6)]
-
-
-def _add_edge(rows, i: int, j: int, a: str, b: str, token: EdgeToken | None, visible: bool) -> str | None:
-    """Enter a mixed graph's edge ``a <token> b`` (node indices i, j) into
-    the table ``rows`` by its token's rows, and its visible flag; returns
-    what refuses it instead, if anything.  A ``None`` token stands for two
-    tails: no graph kind has that edge, and no token spells it."""
-    if i == j:
-        return f"self-loop at {a!r}"
-    if rows[_NBR][i] >> j & 1:
-        return f"duplicate edge {a!r}-{b!r}"
-    if visible and (token is None or {*token.marks} != {TAIL, ARROW}):
-        return f"visible flag on non-directed edge {a!r}-{b!r}"
-    if token is None:
-        return f"undirected edge {a!r}-{b!r} not supported"
-    bit_i, bit_j = 1 << i, 1 << j
-    for row in token.left:
-        rows[row][i] |= bit_j
-    for row in token.right:
-        rows[row][j] |= bit_i
-    if visible:
-        rows[_FLAGS][i] |= bit_j
-        rows[_FLAGS][j] |= bit_i
-    return None
-
-
-def _add_arc(rows, i: int, j: int, p: str, c: str) -> str | None:
-    """Enter a latent DAG's arc ``p -> c`` (node indices i, j) into the
-    table ``rows``; returns what refuses it instead, if anything.  A DAG's
-    arrowhead row is its parent row, so only the parent row is filled."""
-    nbr = rows[_NBR]
-    if i == j or nbr[i] >> j & 1:
-        return f"bad edge {p!r}->{c!r}"
-    bit_i, bit_j = 1 << i, 1 << j
-    nbr[i] |= bit_j
-    nbr[j] |= bit_i
-    rows[_OUT][i] |= bit_j
-    rows[_PARENTS][j] |= bit_i
-    return None
-
-
-def _arc_of(token: EdgeToken, a: str, b: str) -> tuple[str, str] | None:
-    """A dag edge ``a <token> b`` as its arc (parent, child), or None for
-    ``<->``, which stands for a latent root over a and b."""
-    if token.marks[0] is TAIL:
-        return a, b
-    if token.marks[1] is TAIL:
-        return b, a
-    return None
-
-
-def _latent_name(k: int, observed: Sequence[str]) -> str:
-    """The name of a DAG's ``k``-th latent: ``U<k>``, with ``_`` appended
-    while that is an observed name."""
-    name = f"U{k}"
-    while name in observed:
-        name += "_"
-    return name
-
-
 class MixedGraph:
     """Nodes plus per-edge endpoint marks; at most one edge per node pair.
 
@@ -273,27 +215,55 @@ class MixedGraph:
         nodes: Sequence[str],
         edges: Iterable[tuple[str, str, EdgeMark, EdgeMark, bool]] = (),
     ):
+        tokens = _EDGE_OF_MARKS.get
+        self._fill(nodes, ((a, b, tokens((mark_a, mark_b)), visible) for a, b, mark_a, mark_b, visible in edges))
+
+    def _fill(self, nodes: Sequence[str], edges: Iterable[tuple[str, str, EdgeToken | None, bool]]) -> None:
+        """Check the nodes, then validate each (a, b, token, visible) edge and
+        enter it into the table by its token's rows.  A ``None`` token stands
+        for two tails: no graph kind has that edge, and no token spells it."""
         nodes = tuple(nodes)
         check_nodes(nodes)
         index = {v: i for i, v in enumerate(nodes)}
-        rows = _empty_rows(len(nodes))
-        for a, b, mark_a, mark_b, visible in edges:
+        rows = [[0] * len(nodes) for _ in range(6)]
+        nbr, flags = rows[_NBR], rows[_FLAGS]
+        for a, b, token, visible in edges:
             if a not in index or b not in index:
                 raise ValueError(f"unknown node in edge {a!r}-{b!r}")
-            problem = _add_edge(rows, index[a], index[b], a, b, _EDGE_OF_MARKS.get((mark_a, mark_b)), visible)
-            if problem:
-                raise ValueError(problem)
-        self._set_table(nodes, index, rows)
-
-    def _set_table(self, nodes: tuple[str, ...], index: dict[str, int], rows: list[list[int]]) -> None:
-        """Take the filled ``rows`` as the graph's table."""
-        nbr, head, out, parents, circles, flags = rows
+            if a == b:
+                raise ValueError(f"self-loop at {a!r}")
+            i, j = index[a], index[b]
+            if nbr[i] >> j & 1:
+                raise ValueError(f"duplicate edge {a!r}-{b!r}")
+            if visible and (token is None or {*token.marks} != {TAIL, ARROW}):
+                raise ValueError(f"visible flag on non-directed edge {a!r}-{b!r}")
+            if token is None:
+                raise ValueError(f"undirected edge {a!r}-{b!r} not supported")
+            bit_i, bit_j = 1 << i, 1 << j
+            for row in token.left:
+                rows[row][i] |= bit_j
+            for row in token.right:
+                rows[row][j] |= bit_i
+            if visible:
+                flags[i] |= bit_j
+                flags[j] |= bit_i
+        _, head, out, parents, circles, _ = rows
         self.nodes = nodes
         self._index = index
         self._masks = tuple(zip(nbr, head, out))
         self._marks = (tuple(parents), tuple(circles))
         self._flags = tuple(flags)
         self._anc = None
+
+    @classmethod
+    def _read(cls, nodes: Sequence[str], edges: Iterable[tuple[str, str, EdgeToken, bool]]):
+        """A :class:`Pag` or :class:`Mag` from a graph file's (a, b, token,
+        visible) edges, checked as the file's kind is: a pag file's flags
+        against the graphical condition, a mag file's graph as a MAG."""
+        graph = cls.__new__(cls)
+        graph._fill(nodes, edges)
+        graph._settle(True)
+        return graph
 
     @classmethod
     def from_specs(cls, nodes: Sequence[str], specs: Iterable[str]) -> "MixedGraph":
@@ -618,14 +588,11 @@ def find_closure_violation(g: MixedGraph) -> tuple[str, str, str] | None:
     edge must not be bidirected.  Returns a violating (A, B, C) or None:
     the first B in node order, its first A, and the lowest C.  One pass
     over node masks: for B and each A with an arrowhead at B, the
-    candidate C are the neighbours of A with a circle at B, so a B without
-    circles has none.
+    candidate C are the neighbours of A with a circle at B.
     """
     adj, nodes = adjacency_masks(g), g.nodes
     parents, circle = mark_masks(g)
     for j, (_, head_b, _) in enumerate(adj):
-        if not circle[j]:
-            continue
         for i in bits(head_b):
             nbr_a, head_a, out_a = adj[i]
             cs = circle[j] & nbr_a
@@ -655,24 +622,13 @@ def ancestral_violation(g: MixedGraph) -> str | None:
 
 def _directed_cycle(parents: Sequence[int], an: Sequence[int]) -> bool:
     """True when some node is an ancestor of one of its parents."""
-    for v, pa in enumerate(parents):
-        while pa:
-            low = pa & -pa
-            pa ^= low
-            if an[low.bit_length() - 1] >> v & 1:
-                return True
-    return False
+    return any(an[u] >> v & 1 for v, pa in enumerate(parents) for u in bits(pa))
 
 
 def _almost_cycles(adj, an: Sequence[int]) -> Iterator[tuple[int, int]]:
     """The bidirected edges (u, v) of the table ``adj`` with u among the
     ancestors ``an[v]`` of v."""
-    for v, (_, head, out) in enumerate(adj):
-        cyclic = head & out & an[v]
-        while cyclic:
-            low = cyclic & -cyclic
-            cyclic ^= low
-            yield low.bit_length() - 1, v
+    return ((u, v) for v, (_, head, out) in enumerate(adj) for u in bits(head & out & an[v]))
 
 
 def mag_violation(g: MixedGraph) -> str | None:
@@ -737,68 +693,72 @@ class LatentDag:
     ):
         observed = tuple(observed)
         latent = tuple(latent)
-        check_nodes(observed, latent)
-        index = {v: i for i, v in enumerate(observed + latent)}
-        edges = tuple(edges)
-        rows = _empty_rows(len(index))
-        for p, c in edges:
-            if p not in index or c not in index:
-                raise ValueError(f"unknown node in edge {p!r}->{c!r}")
-            problem = _add_arc(rows, index[p], index[c], p, c)
-            if problem:
-                raise ValueError(problem)
-        self._settle(observed, latent, index, edges, rows)
-
-    def _settle(
-        self,
-        observed: tuple[str, ...],
-        latent: tuple[str, ...],
-        index: dict[str, int],
-        edges: tuple[tuple[str, str], ...],
-        rows: list[list[int]],
-    ) -> None:
-        """Take the filled ``rows`` as the table, then check the latents and
-        find the topological order, which raises on a cycle."""
-        nbr, _, children, parents = rows[:4]
         names = observed + latent
+        check_nodes(observed, latent)
         self.observed = observed
         self.latent = latent
-        self._index = index
-        self._edges = edges
+        self._index = index = {v: i for i, v in enumerate(names)}
+        self._edges = tuple(edges)
         self._anc = None
+        n = len(names)
+        nbr, parents, children = [0] * n, [0] * n, [0] * n
+        for p, c in self._edges:
+            if p not in index or c not in index:
+                raise ValueError(f"unknown node in edge {p!r}->{c!r}")
+            i, j = index[p], index[c]
+            if i == j or nbr[i] >> j & 1:
+                raise ValueError(f"bad edge {p!r}->{c!r}")
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+            parents[j] |= 1 << i
+            children[i] |= 1 << j
         self._masks = tuple(zip(nbr, parents, children))
-        self._marks = (tuple(parents), (0,) * len(names))
+        self._marks = (tuple(parents), (0,) * n)
         confounded = set()
-        for u in range(len(observed), len(names)):
+        for u in range(len(observed), n):
             if parents[u]:
                 raise ValueError(f"latent {names[u]!r} has parents")
             if children[u].bit_count() != 2 or children[u] >> len(observed):
                 raise ValueError(f"latent {names[u]!r} must have exactly two observed children")
             if children[u] in confounded:
-                a, b = (c for p, c in edges if p == names[u])  # arc order, for the message
+                a, b = (c for p, c in self._edges if p == names[u])  # arc order, for the message
                 raise ValueError(f"duplicate edge {a!r}-{b!r}")
             confounded.add(children[u])
-        self._topo = self._kahn_order()
+        self._topo = self._kahn_order()  # raises on cycles
 
     @classmethod
     def from_edges(cls, observed: Sequence[str], edges: Iterable[tuple]) -> "LatentDag":
-        """Build from (a, b, mark_a, mark_b, visible) edges, read as the
-        dag-file token of their marks (:data:`EDGE_TOKENS`): directed ones are
-        kept, each ``<->`` becomes a latent root ``U<n>`` (``_`` appended while
-        that is an observed name) over its endpoints, and other marks raise."""
-        arcs: list[tuple[str, str]] = []
-        latent: list[str] = []
-        for a, b, mark_a, mark_b, _ in edges:
+        """Build from (a, b, mark_a, mark_b, visible) edges, each read as the
+        dag-file token of its marks (:data:`EDGE_TOKENS`) by :meth:`_read`;
+        marks that no dag token has raise."""
+        tokens = []
+        for a, b, mark_a, mark_b, visible in edges:
             token = _DAG_EDGE_OF_MARKS.get((mark_a, mark_b))
             if token is None:
                 raise ValueError(f"edge {a!r}-{b!r} is neither directed nor bidirected")
-            arc = _arc_of(token, a, b)
-            if arc is None:
-                name = _latent_name(len(latent) + 1, observed)
+            tokens.append((a, b, token, visible))
+        return cls._read(observed, tokens)
+
+    @classmethod
+    def _read(cls, observed: Sequence[str], edges: Iterable[tuple[str, str, EdgeToken, bool]]) -> "LatentDag":
+        """Build from (a, b, token, visible) dag edges, as a graph file and
+        :meth:`from_edges` give them: a token with a tail is an arc, and each
+        ``<->`` becomes a latent root ``U<n>`` (``_`` appended while that is
+        an observed name) over its endpoints."""
+        arcs: list[tuple[str, str]] = []
+        latent: list[str] = []
+        for a, b, token, _ in edges:
+            mark_a, mark_b = token.marks
+            if mark_a is TAIL:
+                arcs.append((a, b))
+            elif mark_b is TAIL:
+                arcs.append((b, a))
+            else:
+                name = f"U{len(latent) + 1}"
+                while name in observed:
+                    name += "_"
                 latent.append(name)
                 arcs += [(name, a), (name, b)]
-            else:
-                arcs.append(arc)
         return cls(observed, latent, arcs)
 
     @classmethod
@@ -874,32 +834,21 @@ class LatentDag:
 
 
 def read_graph(text: str):
-    """Read a graph file into (kind, graph), in one pass over its lines.
+    """Read a graph file into (kind, graph).
 
     A file is a header line (``pag``, ``dag`` or ``mag``), at most one
     ``nodes:`` line fixing the node order, and one ``edge:`` line per edge,
-    read by :func:`read_edge` under the rules of the header's kind; ``#``
-    starts a comment, and lines break where :meth:`str.splitlines` breaks.
-
-    Each edge is entered as its line is read: into the mask table by its
-    token's rows (:func:`_add_edge`), or in a dag file as an arc
-    (:func:`_add_arc`) or, for ``<->``, a latent to be named once the
-    observed nodes are known.  Nodes take their ``nodes:`` line's indices,
-    or first-seen ones without it; rows filled before a late ``nodes:`` line
-    are renumbered into its order (:func:`_renumber`).  A line's own error
-    raises at once and names the line.  The graph's errors wait for the end,
-    as a later line may hold an error of its own, and come in the order the
-    constructors raise them: a node missing from the ``nodes:`` line, then
-    :func:`check_nodes`, the first edge refused, and the kind's checks on
-    the filled table.  Once an edge is refused or a node is found missing,
-    nothing more is entered.  Raises ValueError.
+    read by :func:`read_edge` under the rules of the header's kind into
+    (a, b, token, visible); ``#`` starts a comment, and lines break where
+    :meth:`str.splitlines` breaks.  The nodes are the ``nodes:`` line's, or
+    the edges' in first-seen order without one, and the kind's builder
+    (:meth:`MixedGraph._read`, :meth:`LatentDag._read`) fills the table by
+    each edge's token and runs the kind's checks.  Errors come in that
+    order: a line's own error, naming the line; a node missing from the
+    ``nodes:`` line; then the builder's.  Raises ValueError.
     """
-    kind = named = missing = None
-    fault = None  # the first refused edge's message, or (latent number, node) for a dag
-    index: dict[str, int] = {}
-    rows = _empty_rows(0)
-    arcs: list = []  # a dag's arcs in order, each latent's two held open
-    pairs: list[tuple[int, str, str]] = []  # a dag's <-> edges: arc position, ends
+    kind = named = None
+    edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -910,104 +859,25 @@ def read_graph(text: str):
             kind = line
         elif line.startswith("edge:"):
             try:
-                a, b, token, visible = read_edge(kind, line[len("edge:"):])
+                edges.append(read_edge(kind, line[len("edge:"):]))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
-            if a not in index or b not in index:
-                for v in (a, b):
-                    if v not in index:
-                        _place(index, rows, v)
-                        if named is not None and missing is None:
-                            missing = v
-            if fault is not None or missing is not None:
-                continue
-            if kind != "dag":
-                fault = _add_edge(rows, index[a], index[b], a, b, token, visible)
-                continue
-            arc = _arc_of(token, a, b)
-            if arc is None:
-                if a == b:
-                    fault = (len(pairs), b)
-                pairs.append((len(arcs), a, b))
-                arcs += (None, None)
-            else:
-                arcs.append(arc)
-                fault = _add_arc(rows, index[arc[0]], index[arc[1]], *arc)
         elif line.startswith("nodes:"):
             if named is not None:
                 raise ValueError(f"line {lineno}: duplicate nodes line")
-            named = tuple(line[len("nodes:"):].split())
-            seen, old = index, rows
-            index, rows = {v: i for i, v in enumerate(named)}, _empty_rows(len(named))
-            if seen:
-                missing = _renumber(seen, old, index, rows)
+            named = line[len("nodes:"):].split()
         else:
             raise ValueError(f"line {lineno}: expected 'nodes:' or 'edge:'")
     if kind is None:
         raise ValueError("empty graph file")
-    if missing is not None:
-        raise ValueError(f"edge references node {missing!r} missing from nodes line")
-    nodes = named if named is not None else tuple(index)
-    if kind == "dag":
-        return kind, _read_dag(nodes, index, rows, arcs, pairs, fault)
-    check_nodes(nodes)
-    if fault is not None:
-        raise ValueError(fault)
-    g = object.__new__(Pag if kind == "pag" else Mag)
-    g._set_table(nodes, index, rows)
-    g._settle(True)  # a pag file's flags are checked, a mag file's MAG validated
-    return kind, g
-
-
-def _place(index: dict[str, int], rows: list[list[int]], v: str) -> None:
-    """Give node ``v`` the next index and an empty row in each table row."""
-    index[v] = len(rows[_NBR])
-    for row in rows:
-        row.append(0)
-
-
-def _renumber(seen: dict[str, int], old: list[list[int]], index: dict[str, int], rows: list[list[int]]) -> str | None:
-    """Move the table ``old``, filled under the first-seen index ``seen``,
-    into ``rows`` under ``index``, a late ``nodes:`` line's.  The nodes the
-    line lacks are placed after its own, first-seen first; the first of them
-    is returned."""
-    missing = [v for v in seen if v not in index]
-    for v in missing:
-        _place(index, rows, v)
-    moved = [index[v] for v in seen]  # by first-seen index
-    for k, i in enumerate(moved):
-        for row, old_row in zip(rows, old):
-            row[i] = sum(1 << moved[m] for m in bits(old_row[k]))
-    return missing[0] if missing else None
-
-
-def _read_dag(
-    observed: tuple[str, ...],
-    index: dict[str, int],
-    rows: list[list[int]],
-    arcs: list,
-    pairs: list[tuple[int, str, str]],
-    fault,
-) -> LatentDag:
-    """Finish a dag file's graph: name its latents after the observed
-    nodes, raise the node rules' error or the first refused arc, and enter
-    the latents' arcs."""
-    latent = tuple(_latent_name(k, observed) for k in range(1, len(pairs) + 1))
-    check_nodes(observed, latent)
-    if isinstance(fault, tuple):
-        fault = f"bad edge {latent[fault[0]]!r}->{fault[1]!r}"
-    if fault is not None:
-        raise ValueError(fault)
-    for row in rows:
-        row += [0] * len(latent)
-    for u, ((at, a, b), name) in enumerate(zip(pairs, latent), start=len(observed)):
-        index[name] = u
-        _add_arc(rows, u, index[a], name, a)
-        _add_arc(rows, u, index[b], name, b)
-        arcs[at:at + 2] = (name, a), (name, b)
-    g = object.__new__(LatentDag)
-    g._settle(observed, latent, index, tuple(arcs), rows)
-    return g
+    seen = dict.fromkeys(v for a, b, _, _ in edges for v in (a, b))
+    if named is None:
+        named = seen
+    for v in seen:
+        if v not in named:
+            raise ValueError(f"edge references node {v!r} missing from nodes line")
+    builder = LatentDag if kind == "dag" else Pag if kind == "pag" else Mag
+    return kind, builder._read(tuple(named), edges)
 
 
 def induced_subgraph(g, a: Iterable[str]):

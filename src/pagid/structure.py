@@ -61,18 +61,13 @@ def _graphical_visible(g: MixedGraph) -> tuple[int, ...]:
     bidirected = [head & out for _, head, out in adj]
     visible = [0] * len(adj)
     for j, pa in enumerate(mark_masks(g)[0]):
+        if not pa:
+            continue
         far = everything & ~adj[j][0] & ~(1 << j)
-        seeds, rest = 0, pa
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if adj[low.bit_length() - 1][1] & far:
-                seeds |= low
-        if seeds:
-            reached = _close(bidirected, seeds, pa)
-            visible[j] |= reached
-            for i in bits(reached):
-                visible[i] |= 1 << j
+        seeds = sum(1 << i for i in bits(pa) if adj[i][1] & far)
+        for i in bits(_close(bidirected, seeds, pa)):
+            visible[i] |= 1 << j
+            visible[j] |= 1 << i
     return tuple(visible)
 
 

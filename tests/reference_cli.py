@@ -4,9 +4,10 @@ using it.
 :func:`parse_graph` reads a file in two passes: every ``edge:`` line into a
 marked-edge tuple by :func:`pagid.graphs.parse_edge`, then the whole list
 into the kind's constructor, which fills and checks the mask table.
-:func:`pagid.cli.parse_graph` fills the table in the pass that reads the
-lines (:func:`pagid.graphs.read_graph`); the differential tests hold its
-graphs and its error texts against this one's.
+:func:`pagid.cli.parse_graph` (:func:`pagid.graphs.read_graph`) reads each
+edge line into its token and fills the table by the tokens, without the
+marks in between; the differential tests hold its graphs and its error
+texts against this one's.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """One builder per graph kind, one store per graph, and subgraphs that
 restrict their parent.
 
-``LatentDag.from_edges`` and the graph-file reader ``graphs.read_graph``
-are the only places a confounding arc becomes a latent, by one rule
-(``graphs._arc_of``); ``from_specs``, the canonical DAG of a MAG and random
-DAGs all go through ``from_edges``.  A mixed graph stores its edges only in
-the mask table its constructor or the file reader fills, and only
+``LatentDag._read`` is the one place a confounding arc becomes a latent;
+graph files reach it directly, and ``from_specs``, the canonical DAG of a
+MAG and random DAGs through ``LatentDag.from_edges``.  A mixed graph stores
+its edges only in the mask table its constructor fills, and only
 ``graphs.py`` reads that table; the name-keyed edge store it replaced is
 the reference its queries must equal (``reference_paths.EdgeDict``).
 ``induced_subgraph`` of a mixed graph restricts its parent's validated

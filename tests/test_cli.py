@@ -503,11 +503,11 @@ def _without_nodes_line(text):
 
 
 class TestParseFuzz:
-    """The one-pass reader gives the reference reader's graph, or its exact
+    """The token reader gives the reference reader's graph, or its exact
     error text, on fuzzed and on valid files.  On a 2-core x86 host, 300
-    fuzzed texts through both readers take about 2 s, and the 108 valid
+    fuzzed texts through both readers take about 2.5 s, and the 108 valid
     files, three ways each (as written, with the ``nodes:`` line last and
-    without it), about 0.15 s."""
+    without it), about 0.1 s."""
 
     @settings(max_examples=300, deadline=None)
     @given(_graph_texts())
