@@ -34,26 +34,23 @@ the place of a union-find) stays inside a ``within`` mask.
 :func:`induced_subgraph` stays for the API and the tests; it restricts a
 mixed graph's table onto the kept nodes instead of building anew.
 
-Every path search in the package runs on one reachability kernel,
-:func:`reach`, except those of ``definitely_m_separated`` and the
-adjustment criterion, which share one pruned simple-path search over node
-indices on the same table, :func:`.separation.proper_paths`, for the
-reasons given in :mod:`.separation`.  The kernel is a stack search over (node,
-arrived-with-arrowhead) states on int bitmasks (Bayes-ball reachability,
-Shachter 1998; van der Zander, Liskiewicz & Textor, AIJ 2019).  A node
-passed *into* and left through an arrowhead is a collider and must lie in
-``collider_ok``; any other pass makes it a non-collider, which must lie in
-``noncollider_ok``.  The kernel finds walks; a walk becomes a simple path by
-cutting out the stretch between the first and last visit of the first node
-that repeats; a start that recurs loses its prefix, and the walk ends at its
-first arrival at the target.  Where ``noncollider_ok`` is empty
-(pc-components in :mod:`.structure`) both visits of a repeated interior
-node are colliders, so the joined node is a collider from ``collider_ok``
-too.  m- and d-separation are argued in :mod:`.separation`.  An inducing
-path, whose interior is all colliders, needs no walk: :func:`_inducing`
-reads it as a closure over bidirected edges, and the maximality check and
-the projection of a latent DAG (:func:`mag_of_dag`, each latent read as a
-bidirected edge) share it.
+The package has one walk kernel, :func:`sliced_walk`: Bayes-ball
+reachability (Shachter 1998; van der Zander, Liskiewicz & Textor, AIJ 2019)
+over (node, arrived through an arrowhead) states on int bitmasks, run under
+many slices at once, each slice with its own masks of the nodes that may be
+passed as colliders and as non-colliders.  m- and d-separation run it on
+one slice (:mod:`.separation`, where its walks are argued to give paths),
+and the brute-force class enumeration on all 2**n conditioning sets at once
+(:mod:`.oracle`).  ``definitely_m_separated`` and the adjustment criterion
+share one pruned simple-path search over node indices on the same table,
+:func:`.separation.proper_paths`, for the reasons given in
+:mod:`.separation`.  A path whose interior is all colliders needs no walk:
+two colliders in a row share a bidirected edge, so such paths are closures
+(:func:`_close`) over bidirected edges.  :func:`_inducing` reads inducing
+paths that way, for the maximality check and for the projection of a latent
+DAG (:func:`mag_of_dag`, each latent read as a bidirected edge by
+:func:`_confounded`); so do visibility (:func:`_graphical_visible`) and the
+pc-components of :mod:`.structure`.
 """
 
 from __future__ import annotations
@@ -207,7 +204,7 @@ class MixedGraph:
     across an edge that carries the visible flag).  Every query reads it.
     """
 
-    __slots__ = ("nodes", "_index", "_masks", "_marks", "_flags", "_anc")
+    __slots__ = ("nodes", "_index", "_masks", "_marks", "_flags")
     _grammar = "pag"  # the parse_edge kind read by from_specs
 
     def __init__(
@@ -253,7 +250,6 @@ class MixedGraph:
         self._masks = tuple(zip(nbr, head, out))
         self._marks = (tuple(parents), tuple(circles))
         self._flags = tuple(flags)
-        self._anc = None
 
     @classmethod
     def _read(cls, nodes: Sequence[str], edges: Iterable[tuple[str, str, EdgeToken, bool]]):
@@ -345,7 +341,7 @@ class Pag(MixedGraph):
     arrowheads are closed and its definite marks have no directed or almost
     directed cycle; every induced subgraph keeps both.  Construction fills
     the mask table, then computes the graphically visible directed edges
-    (:func:`.structure.graphical_visible_edges`).  With ``check_visibility``
+    (:func:`_graphical_visible`).  With ``check_visibility``
     the given flags must equal that set; otherwise every graphically visible
     edge is flagged too, so the flags are complete and are the graph's
     visible set.  An induced subgraph restricts its parent's table without
@@ -377,8 +373,6 @@ class Pag(MixedGraph):
         problem = ancestral_violation(self)
         if problem:
             raise ValueError(problem)
-        from .structure import _graphical_visible
-
         computed = _graphical_visible(self)
         if check_visibility and computed != self._flags:
             raise ValueError(
@@ -472,12 +466,10 @@ def flag_masks(g: MixedGraph) -> tuple[int, ...]:
 
 def ancestor_masks(g) -> tuple[int, ...]:
     """Per node index: the mask of its ancestors along directed edges,
-    itself included.  Cached; terminates on cyclic input as well.  One
-    Warshall pass over the parent masks: after step k, a node that has k
-    among its ancestors has k's ancestors too; parentless nodes add nothing."""
-    if g._anc is None:
-        g._anc = _ancestors(mark_masks(g)[0])
-    return g._anc
+    itself included; terminates on cyclic input as well.  One Warshall
+    pass over the parent masks: after step k, a node that has k among its
+    ancestors has k's ancestors too; parentless nodes add nothing."""
+    return _ancestors(mark_masks(g)[0])
 
 
 def _ancestors(parents: Sequence[int]) -> tuple[int, ...]:
@@ -515,39 +507,73 @@ def _blocks(steps: Sequence[int], within: int) -> list[int]:
     return blocks
 
 
-def reach(adj, starts: int, collider_ok: int, noncollider_ok: int) -> tuple[int, int]:
-    """Walk reachability from ``starts`` over (node, arrived-into) states.
+def sliced_walk(adj, starts: int, slices: int, collider: Sequence[int], noncollider: Sequence[int]) -> list[int]:
+    """Per node index w, the mask of the slices in ``slices`` under which
+    the walk from the nodes of ``starts`` enters w; a start counts as
+    entered under all of them.
 
-    A start may leave along any edge.  A node arrived at through an
-    arrowhead and left through an arrowhead is a collider and may be passed
-    only if it is in ``collider_ok``; any other pass is a non-collider pass
-    and needs ``noncollider_ok``.  Returns the masks of nodes reached by at
-    least one step and of those reached through an arrowhead.
+    The walk runs on the mask table ``adj`` (:func:`adjacency_masks`) over
+    (node, arrived through an arrowhead) and (node, arrived otherwise)
+    states.  A start leaves along every edge.  A node w entered through an
+    arrowhead and left through an arrowhead at w is passed as a collider,
+    which slice s allows when bit s of ``collider[w]`` is set; any other
+    departure passes w as a non-collider, which needs bit s of
+    ``noncollider[w]``.
+
+    Each state holds a mask of slices, those under which it was entered.  A
+    step passes a state's slices on to the next state ANDed with the
+    allowing mask of the pass it makes, so bit s moves exactly as the walk
+    under slice s's own masks would move, and no bit ever moves into another
+    slice: the fixpoint holds bit s in a state iff slice s's walk enters
+    it.  Each slice is thus a separate walk, and one fixpoint over
+    ``slices``-wide integers does the work of one walk per slice.  The work
+    mask holds the nodes with slices not yet passed on.  A start's own
+    departures, under all of ``slices``, cover any later one, so it counts
+    as entered under all of them from the outset.
     """
-    seen_into = seen_plain = 0
-    stack = [(v, adj[v][0]) for v in bits(starts)]
-    while stack:
-        v, moves = stack.pop()
-        arrow = adj[v][2]
-        fresh = moves & arrow & ~seen_into
-        seen_into |= fresh
-        while fresh:
-            low = fresh & -fresh
-            fresh ^= low
-            w = low.bit_length() - 1
-            nbr, head, _ = adj[w]
-            step = (head if collider_ok & low else 0) | (nbr & ~head if noncollider_ok & low else 0)
-            if step:
-                stack.append((w, step))
-        fresh = moves & ~arrow & ~seen_plain
-        seen_plain |= fresh
-        while fresh:
-            low = fresh & -fresh
-            fresh ^= low
-            if noncollider_ok & low:
-                w = low.bit_length() - 1
-                stack.append((w, adj[w][0]))
-    return seen_into | seen_plain, seen_into
+    n = len(adj)
+    into, plain = [0] * n, [0] * n
+    new_into, new_plain = [0] * n, [0] * n
+    work = 0
+    for s in bits(starts):
+        into[s] = plain[s] = slices
+        nbr, _, out = adj[s]
+        for w in bits(nbr & ~starts):
+            if out >> w & 1:
+                into[w] = new_into[w] = slices
+            else:
+                plain[w] = new_plain[w] = slices
+            work |= 1 << w
+    while work:
+        low = work & -work
+        work ^= low
+        w = low.bit_length() - 1
+        arrived, passing = new_into[w], new_plain[w]
+        new_into[w] = new_plain[w] = 0
+        nbr, head, out = adj[w]
+        # an arrival into w leaving through an arrowhead at w is a collider
+        # pass; every other departure is a non-collider pass
+        to_rest = (arrived | passing) & noncollider[w]
+        to_head = arrived & collider[w] | passing & noncollider[w]
+        nbr = (head if to_head else 0) | (nbr & ~head if to_rest else 0)
+        while nbr:
+            bit = nbr & -nbr
+            nbr ^= bit
+            u = bit.bit_length() - 1
+            flow = to_head if head & bit else to_rest
+            if out & bit:
+                flow &= ~into[u]
+                if flow:
+                    into[u] |= flow
+                    new_into[u] |= flow
+                    work |= bit
+            else:
+                flow &= ~plain[u]
+                if flow:
+                    plain[u] |= flow
+                    new_plain[u] |= flow
+                    work |= bit
+    return [a | b for a, b in zip(into, plain)]
 
 
 def ancestors_in(g, targets: Iterable[str]) -> tuple[str, ...]:
@@ -610,7 +636,11 @@ def ancestral_violation(g: MixedGraph) -> str | None:
     A directed cycle exists iff some edge u -> v has v among u's ancestors,
     and an almost directed one iff some node has a bidirected neighbour
     among its ancestors."""
-    an = ancestor_masks(g)
+    return _ancestral_violation(g, ancestor_masks(g))
+
+
+def _ancestral_violation(g: MixedGraph, an: Sequence[int]) -> str | None:
+    """:func:`ancestral_violation` of ``g``, whose ancestor masks are ``an``."""
     if _directed_cycle(mark_masks(g)[0], an):
         return "directed cycle"
     cyclic = [(min(u, v), max(u, v)) for u, v in _almost_cycles(adjacency_masks(g), an)]
@@ -633,10 +663,11 @@ def _almost_cycles(adj, an: Sequence[int]) -> Iterator[tuple[int, int]]:
 
 def mag_violation(g: MixedGraph) -> str | None:
     """Return a description of an ancestrality/maximality failure, or None."""
-    problem = ancestral_violation(g)
+    an = ancestor_masks(g)
+    problem = _ancestral_violation(g, an)
     if problem:
         return problem
-    pair = _inducing_pair(adjacency_masks(g), ancestor_masks(g))
+    pair = _inducing_pair(adjacency_masks(g), an)
     if pair is None:
         return None
     i, j = pair
@@ -668,11 +699,51 @@ def _inducing(bidirected: Sequence[int], out: Sequence[int], an: Sequence[int], 
     edges inside A of i's arrowhead neighbours in A meets ``out[j]``.  A walk
     of that shape shortens to a path of it: cut the stretch between two
     visits of a node, and a visit of i or j starts or ends a shorter one.
-    This is :func:`reach` from i with the colliders in A and no
-    non-colliders allowed, in closed form.
+    This is what a walk from i with the colliders in A and no non-colliders
+    allowed reaches, in closed form.
     """
     within = an[i] | an[j]
     return bool(_close(bidirected, out[i] & within, within) & out[j])
+
+
+def _graphical_visible(g: MixedGraph) -> tuple[int, ...]:
+    """Per node index, the neighbours joined to it by a graphically visible
+    edge, as :func:`flag_masks` holds the flagged ones.
+
+    Closed form, one pass per child y over :func:`adjacency_masks`: with Pa
+    the parents of y and far the nodes other than y not adjacent to y, the
+    seeds are the members of Pa with an edge into them from far, and the
+    visible parents are the seeds closed under bidirected edges inside Pa.
+    That is what a walk from far, with the parents of y as the allowed
+    colliders and no non-colliders, reaches into: it leaves a far start
+    along any edge, and goes on only from a node of Pa that it entered
+    through an arrowhead, along an edge with arrowheads at both ends; Pa,
+    inside the neighbours of y, is disjoint from far.
+    """
+    adj = adjacency_masks(g)
+    everything = (1 << len(adj)) - 1
+    bidirected = [head & out for _, head, out in adj]
+    visible = [0] * len(adj)
+    for j, pa in enumerate(mark_masks(g)[0]):
+        if not pa:
+            continue
+        far = everything & ~adj[j][0] & ~(1 << j)
+        seeds = sum(1 << i for i in bits(pa) if adj[i][1] & far)
+        for i in bits(_close(bidirected, seeds, pa)):
+            visible[i] |= 1 << j
+            visible[j] |= 1 << i
+    return tuple(visible)
+
+
+def _confounded(d: LatentDag) -> list[int]:
+    """Per node index of ``d``: the observed nodes that share a latent
+    parent with it, itself among them when it has one; a latent's row is
+    empty.  Each latent reads as a bidirected edge between its children."""
+    steps = [0] * len(d.nodes)
+    for _, _, kids in adjacency_masks(d)[len(d.observed):]:
+        for c in bits(kids):
+            steps[c] |= kids
+    return steps
 
 
 class LatentDag:
@@ -683,7 +754,7 @@ class LatentDag:
     the observed nodes only.
     """
 
-    __slots__ = ("observed", "latent", "_edges", "_index", "_masks", "_marks", "_anc", "_topo")
+    __slots__ = ("observed", "latent", "_edges", "_index", "_masks", "_marks", "_topo")
 
     def __init__(
         self,
@@ -699,7 +770,6 @@ class LatentDag:
         self.latent = latent
         self._index = index = {v: i for i, v in enumerate(names)}
         self._edges = tuple(edges)
-        self._anc = None
         n = len(names)
         nbr, parents, children = [0] * n, [0] * n, [0] * n
         for p, c in self._edges:
@@ -918,7 +988,6 @@ def induced_subgraph(g, a: Iterable[str]):
     sub._masks = tuple(tuple(map(restrict, g._masks[i])) for i in kept)
     sub._marks = tuple(tuple(restrict(masks[i]) for i in kept) for masks in g._marks)
     sub._flags = tuple(restrict(g._flags[i]) for i in kept)
-    sub._anc = None
     return sub
 
 
@@ -930,18 +999,16 @@ def mag_of_dag(d: LatentDag) -> Mag:
     ancestor of Y.  A latent is a root with two observed children, so it is
     a non-collider wherever a path passes it, between two arrowheads: the
     test is :func:`_inducing` on the observed nodes, each latent read as a
-    bidirected edge between its children.  Either end of such an edge, or
-    of a directed one, is adjacent to the other end directly.
+    bidirected edge between its children by :func:`_confounded`.  Either
+    end of such an edge, or of a directed one, is adjacent to the other end
+    directly.  A row of :func:`_confounded` holds the node's own bit too,
+    which changes no answer for a pair i, j tested: i's bit meets ``out[j]``
+    only if j has an edge into i, and j's bit joins the closure only from a
+    bidirected neighbour of j, which ``out[j]`` holds already.
     """
     an, index = ancestor_masks(d), d._index
-    n = len(d.observed)
-    children = [out & (1 << n) - 1 for _, _, out in adjacency_masks(d)]
-    bidirected = [0] * n
-    for pair in children[n:]:
-        a, b = bits(pair)
-        bidirected[a] |= 1 << b
-        bidirected[b] |= 1 << a
-    out = [ch | bi for ch, bi in zip(children, bidirected)]
+    bidirected = _confounded(d)
+    out = [children | bi for (_, _, children), bi in zip(adjacency_masks(d), bidirected)]
     edges = []
     for x, y in itertools.combinations(d.observed, 2):
         i, j = index[x], index[y]

@@ -48,7 +48,7 @@ from .exprs import (
     reduced_q,
     simplify,
 )
-from .graphs import LatentDag, _blocks, _possible_ancestors, adjacency_masks, bits, mask_of, names_of
+from .graphs import LatentDag, _blocks, _confounded, _possible_ancestors, adjacency_masks, bits, mask_of, names_of
 from .separation import d_separated
 
 
@@ -73,15 +73,6 @@ class Fail:
 def c_components(d: LatentDag) -> tuple[tuple[str, ...], ...]:
     """Partition of the observed nodes by shared-latent connectivity."""
     return tuple(names_of(d.nodes, b) for b in _blocks(_confounded(d), (1 << len(d.observed)) - 1))
-
-
-def _confounded(d: LatentDag) -> list[int]:
-    """Per node index: the observed nodes that share a latent parent with it."""
-    steps = [0] * len(d.nodes)
-    for _, _, kids in adjacency_masks(d)[len(d.observed):]:
-        for c in bits(kids):
-            steps[c] |= kids
-    return steps
 
 
 def q_reduce(d: LatentDag, t: Iterable[str], x: Iterable[str], q: Expr) -> Expr:

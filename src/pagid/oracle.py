@@ -9,20 +9,14 @@ size guards keep it at desk scale.  Latent DAGs are built by
 
 The class enumeration tests each candidate on node masks and builds only
 its members, each once, as a :class:`.graphs.Mag`.  A candidate's
-separation model is read with one bit-sliced walk per source i: every
-state of :func:`.graphs.reach`'s walk, (w, arrived through an arrowhead)
-or (w, plain), holds a mask over all 2**n conditioning sets at once, bit z
-standing for the walk under Z = z.  A step between two states is taken
-under z iff the walk under z may take it: the start leaves along every
-edge under every z; a collider pass at w needs w in z, a non-collider pass
-needs w outside z, and both tests are fixed masks over z.  Opening the
-colliders in An(z) instead reaches no more on walks: a walk can go down a
-shortest directed path from such a collider into z and come back, and
-every pass on that detour but the turn in z is a non-collider pass (see
-:mod:`.separation`).  So a step moves each bit exactly as the walk under
-its own z would, the bits never mix, and the fixpoint holds bit z in a
-state iff the walk under z enters it: each z-slice is that walk, and node
-y is m-separated from i by z iff no state of y holds bit z.  The cost is
+separation model is read with one :func:`.graphs.sliced_walk` per source
+i, run under all 2**n conditioning sets at once: bit z of node w's
+collider mask is set iff w lies in z, and of its non-collider mask iff it
+does not (:func:`_slices`).  The kernel's slices are separate walks (see
+its docstring), so slice z is the walk that opens the colliders in z and
+the non-colliders outside it; opening the colliders in An(z) instead
+reaches no more on walks (see :mod:`.separation`).  Node y is
+m-separated from i by z iff the walk under z never enters y.  The cost is
 one fixpoint over 2**n-bit integers per source instead of 2**n walks.
 """
 
@@ -42,7 +36,6 @@ from .graphs import (
     TAIL,
     LatentDag,
     Mag,
-    MixedGraph,
     Pag,
     _almost_cycles,
     _ancestors,
@@ -51,6 +44,7 @@ from .graphs import (
     adjacency_masks,
     bits,
     mag_of_dag,
+    sliced_walk,
 )
 
 MAX_JOINT_STATES = 1 << 20
@@ -272,59 +266,9 @@ def _slices(n: int) -> tuple[int, tuple[int, ...]]:
     )
 
 
-def _sliced_walk(adj, inz: Sequence[int], i: int, start: int) -> list[int]:
-    """Per node w, the mask of the conditioning sets z in ``start`` under
-    which :func:`.graphs.reach`'s walk from node ``i``, colliders open in z
-    and non-colliders outside z, enters w.
-
-    ``inz[w]`` masks the sets that hold w; each state keeps the sets under which it was entered, and the
-    work mask holds the nodes with sets not yet passed on.  The start's own
-    departures, under all of ``start``, cover any later one, so it counts as
-    entered under all of them from the outset.
-    """
-    into, plain = [0] * len(adj), [0] * len(adj)
-    new_into, new_plain = [0] * len(adj), [0] * len(adj)
-    into[i] = plain[i] = start
-    work, _, out = adj[i]
-    for w in bits(work):
-        if out >> w & 1:
-            into[w] = new_into[w] = start
-        else:
-            plain[w] = new_plain[w] = start
-    while work:
-        low = work & -work
-        work ^= low
-        w = low.bit_length() - 1
-        arrived, passing = new_into[w], new_plain[w]
-        new_into[w] = new_plain[w] = 0
-        nbr, head, out = adj[w]
-        # an arrival into w leaving through an arrowhead at w is a collider
-        # pass; every other departure is a non-collider pass
-        to_rest = (arrived | passing) & ~inz[w]
-        to_head = arrived & inz[w] | passing & ~inz[w]
-        while nbr:
-            bit = nbr & -nbr
-            nbr ^= bit
-            u = bit.bit_length() - 1
-            flow = to_head if head & bit else to_rest
-            if out & bit:
-                flow &= ~into[u]
-                if flow:
-                    into[u] |= flow
-                    new_into[u] |= flow
-                    work |= bit
-            else:
-                flow &= ~plain[u]
-                if flow:
-                    plain[u] |= flow
-                    new_plain[u] |= flow
-                    work |= bit
-    return [a | b for a, b in zip(into, plain)]
-
-
 def _sliced_model(adj) -> Iterator[tuple[int, int, int]]:
     """The separation model of the graph with mask table ``adj``, one
-    :func:`_sliced_walk` per source.
+    :func:`.graphs.sliced_walk` per source over the conditioning sets.
 
     Yields ``(i, y, seps)`` for each node index ``i`` and each later node
     ``y`` not adjacent to it, ``i`` then ``y`` ascending: ``seps`` masks the
@@ -335,18 +279,14 @@ def _sliced_model(adj) -> Iterator[tuple[int, int, int]]:
     """
     n = len(adj)
     every, inz = _slices(n)
+    outz = [~held for held in inz]
     for i, (nbr, _, _) in enumerate(adj):
         later = ~nbr & (1 << n) - (2 << i)
         if later:
             start = every & ~inz[i]
-            reached = _sliced_walk(adj, inz, i, start)
+            entered = sliced_walk(adj, 1 << i, start, inz, outz)
             for y in bits(later):
-                yield i, y, start & ~inz[y] & ~reached[y]
-
-
-def _sliced_signature(g: MixedGraph) -> Iterator[tuple[int, int, int]]:
-    """:func:`_sliced_model` of ``g``."""
-    return _sliced_model(adjacency_masks(g))
+                yield i, y, start & ~inz[y] & ~entered[y]
 
 
 def equivalence_class(m: Mag) -> tuple[Mag, ...]:
@@ -361,8 +301,8 @@ def equivalence_class(m: Mag) -> tuple[Mag, ...]:
     skeleton's node indices: it must be ancestral and maximal
     (:func:`.graphs._inducing_pair`), and its :func:`_sliced_model` must
     equal that of ``m``, compared source by source and rejected at the first
-    difference.  Each z-slice of a sliced walk is :func:`.graphs.reach`'s
-    walk under that z (see the module docstring), so this is the model that
+    difference.  Each z-slice of :func:`.graphs.sliced_walk` is the walk
+    under that z alone (see the module docstring), so this is the model that
     one walk per (source, z) reads.  Only a member is built, as a
     :class:`.graphs.Mag`.
     """
@@ -385,7 +325,7 @@ def equivalence_class(m: Mag) -> tuple[Mag, ...]:
     n, index = len(m.nodes), m._index
     ends_of = [(index[a], index[b]) for a, b in skeleton]
     nbr = [mask for mask, _, _ in adjacency_masks(m)]
-    reference = tuple(_sliced_signature(m))
+    reference = tuple(_sliced_model(adjacency_masks(m)))
     options = ((TAIL, ARROW), (ARROW, TAIL), (ARROW, ARROW))
     members = []
     for marks in itertools.product(options, repeat=len(skeleton)):

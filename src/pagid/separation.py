@@ -1,17 +1,17 @@
 """Separation tests for DAGs, MAGs and PAGs.
 
-m- and d-separation run on the reachability kernel :func:`.graphs.reach`:
-from ``xs``, colliders may be passed when they lie in ``zs`` and
-non-colliders when they are outside ``zs``, and the sets are separated iff
-no member of ``ys`` is reached.  On walks this reaches the nodes that
-opening every collider in An(``zs``), the rule for paths, reaches.  Suppose
-a walk passes a collider c in An(zs) but not in zs.  Let c -> d1 -> ... ->
-dk be a shortest directed path from c into zs: only dk lies in zs.  Detour
-there and back: arrive into c, go down to dk and come back up, and leave c
-as before.  Each pass of c and of d1 .. d(k-1) on the detour is a
-non-collider pass, outside zs; the turn at dk, into it and back out
-through the same arrowhead, is a collider pass in zs; and the walk's later
-steps keep their marks.
+m- and d-separation run one slice of the walk kernel
+:func:`.graphs.sliced_walk`: from ``xs``, colliders may be passed when they
+lie in ``zs`` and non-colliders when they are outside ``zs``, and the sets
+are separated iff the walk enters no member of ``ys``.  On walks this
+reaches the nodes that opening every collider in An(``zs``), the rule for
+paths, reaches.  Suppose a walk passes a collider c in An(zs) but not in
+zs.  Let c -> d1 -> ... -> dk be a shortest directed path from c into zs:
+only dk lies in zs.  Detour there and back: arrive into c, go down to dk
+and come back up, and leave c as before.  Each pass of c and of d1 ..
+d(k-1) on the detour is a non-collider pass, outside zs; the turn at dk,
+into it and back out through the same arrowhead, is a collider pass in zs;
+and the walk's later steps keep their marks.
 
 A connecting walk of this kind yields a connecting path, whose colliders
 lie in An(zs): a collider in zs is one.  Take the first node v that repeats
@@ -58,7 +58,7 @@ from .graphs import (
     mark_masks,
     mask_of,
     possible_ancestors,
-    reach,
+    sliced_walk,
 )
 
 
@@ -81,10 +81,13 @@ def _separated(g, xs: Iterable[str], ys: Iterable[str], zs: Iterable[str]) -> bo
 
 def separated_mask(g, x: int, y: int, z: int) -> int:
     """Mask of the members of ``y`` that ``z`` separates from ``x``: those
-    that one walk from ``x``, colliders in ``z`` and non-colliders outside
-    it, does not reach.  Node masks in, mask out."""
-    reached, _ = reach(adjacency_masks(g), x, z, ~z)
-    return y & ~reached
+    that the walk from ``x``, colliders in ``z`` and non-colliders outside
+    it, does not enter, read as the one slice of
+    :func:`.graphs.sliced_walk`.  Node masks in, mask out."""
+    adj = adjacency_masks(g)
+    collider = [z >> w & 1 for w in range(len(adj))]
+    entered = sliced_walk(adj, x, 1, collider, [c ^ 1 for c in collider])
+    return sum(1 << w for w in bits(y) if not entered[w])
 
 
 def proper_paths(g: MixedGraph, sources: Iterable[str], targets: Iterable[str], extend):

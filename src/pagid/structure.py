@@ -2,9 +2,10 @@
 and the possible/definite/composite component notions used by identification.
 
 All functions accept a full PAG or any of its induced subgraphs.
-Visibility and composite pc-components are closed forms on the node masks
-of :func:`.graphs.adjacency_masks` and :func:`.graphs.mark_masks`, each
-argued in its docstring; neither walks the kernel.
+Visibility (:func:`.graphs._graphical_visible`), pc-components and
+composite pc-components are closed forms on the node masks of
+:func:`.graphs.adjacency_masks` and :func:`.graphs.mark_masks`, each
+argued in its docstring; none walks the kernel.
 
 The buckets, the partial order, pc, dc and the cpc blocks each have one
 kernel, a private function that takes a ``within`` node mask and reads the
@@ -12,16 +13,10 @@ graph's own table ANDed with it.  On a :class:`.graphs.Pag` that is the
 public function on the induced subgraph over the mask, as a restriction
 keeps its parent's marks and visibility flags; the public functions are the
 kernels with every node within.  Buckets and cpc blocks are the
-:func:`.graphs._blocks` components of the ``o-o`` and the invisible edges.
-
-pc-component paths run on the reachability kernel :func:`.graphs.reach`
-with every non-collider refused, so the kernel's walks have only colliders
-inside.  A walk becomes a
-simple path by joining the first and last visit of the first node that
-repeats: both visits are colliders, so the joined node is a collider from
-the same allowed set, and a repeated start is cut off.  A
-:class:`.graphs.Pag` settles its visible-edge set when it is built;
-:func:`visible_edges` reads it.
+:func:`.graphs._blocks` components of the ``o-o`` and the invisible edges,
+and a pc-component is a :func:`.graphs._close` closure over the invisible
+bidirected edges (:func:`_pc`).  A :class:`.graphs.Pag` settles its
+visible-edge set when it is built; :func:`visible_edges` reads it.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import MixedGraph, Pag, _blocks, _close, _directed_pairs, adjacency_masks, bits, find_closure_violation, flag_masks, mark_masks, mask_of, names_of, reach
+from .graphs import MixedGraph, Pag, _blocks, _close, _directed_pairs, _graphical_visible, adjacency_masks, bits, find_closure_violation, flag_masks, mark_masks, mask_of, names_of
 
 
 def graphical_visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
@@ -37,38 +32,10 @@ def graphical_visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
 
     x -> y is visible when some node z not adjacent to y either has an edge
     into x, or reaches x by a collider path into x whose every collider is a
-    parent of y (Zhang, JMLR 9, 2008).  Read off :func:`_graphical_visible`.
+    parent of y (Zhang, JMLR 9, 2008).  Read off
+    :func:`.graphs._graphical_visible`.
     """
     return _directed_pairs(g, _graphical_visible(g))
-
-
-def _graphical_visible(g: MixedGraph) -> tuple[int, ...]:
-    """Per node index, the neighbours joined to it by a graphically visible
-    edge, as :func:`.graphs.flag_masks` holds the flagged ones.
-
-    Closed form, one pass per child y over :func:`.graphs.adjacency_masks`:
-    with Pa the parents of y and far the nodes other than y not adjacent to
-    y, the seeds are the members of Pa with an edge into them from far, and
-    the visible parents are the seeds closed under bidirected edges inside
-    Pa.  That is what the kernel's walk from far, with the parents of y as
-    the allowed colliders and no non-colliders, reaches into: it leaves a
-    far start along any edge, and goes on only from a node of Pa that it
-    entered through an arrowhead, along an edge with arrowheads at both
-    ends; Pa, inside the neighbours of y, is disjoint from far.
-    """
-    adj = adjacency_masks(g)
-    everything = (1 << len(adj)) - 1
-    bidirected = [head & out for _, head, out in adj]
-    visible = [0] * len(adj)
-    for j, pa in enumerate(mark_masks(g)[0]):
-        if not pa:
-            continue
-        far = everything & ~adj[j][0] & ~(1 << j)
-        seeds = sum(1 << i for i in bits(pa) if adj[i][1] & far)
-        for i in bits(_close(bidirected, seeds, pa)):
-            visible[i] |= 1 << j
-            visible[j] |= 1 << i
-    return tuple(visible)
 
 
 def visible_edges(g: MixedGraph) -> frozenset[tuple[str, str]]:
@@ -166,9 +133,26 @@ def pc_component(g: MixedGraph, seed: Iterable[str]) -> tuple[str, ...]:
 
 def _pc(g: MixedGraph, seed: int, within: int) -> int:
     """:func:`pc_component` of the mask ``seed`` in the subgraph over
-    ``within``: walks pass only colliders inside it, and keep ends inside it."""
-    reached, _ = reach(_invisible_masks(g), seed, within, 0)
-    return reached & within | seed
+    ``within``, in closed form over the invisible edges.
+
+    A path from the seed whose interior is all colliders, each with an
+    arrowhead at it on both of its path edges, is an edge from a seed node
+    into the first collider c1, then c1 <-> c2 <-> ... <-> ck, then an edge
+    from ck, with an arrowhead at ck, to the end.  So the component is the seed,
+    its neighbours, and the arrowhead neighbours of C, the closure inside
+    ``within`` under bidirected edges of the seed's arrowhead neighbours
+    in ``within``; a walk of that shape shortens to a path of it, as in
+    :func:`.graphs._inducing`.  The ends are kept inside ``within``.
+    """
+    adj = _invisible_masks(g)
+    near = heads = 0
+    for s in bits(seed):
+        near |= adj[s][0]
+        heads |= adj[s][2]
+    colliders = _close([head & out for _, head, out in adj], heads & within, within)
+    for c in bits(colliders):
+        near |= adj[c][1]
+    return near & within | seed
 
 
 def _invisible_masks(g: MixedGraph) -> list[tuple[int, int, int]]:

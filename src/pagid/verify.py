@@ -19,8 +19,7 @@ import numpy as np
 
 from . import adjustment, ident_dag, ident_pag
 from .exprs import Expr, _align, evaluate_table, vsort
-from .graphs import LatentDag, Mag, _blocks, _close, _possible_ancestors, bits, mag_of_dag, mark_masks, mask_of
-from .ident_dag import _confounded
+from .graphs import LatentDag, Mag, _blocks, _close, _confounded, _possible_ancestors, bits, mag_of_dag, mark_masks, mask_of
 from .oracle import canonical_dag_of_mag, equivalence_class, interventional, joint, pag_of_class, random_latent_dag, random_scm
 from .structure import _order, _pc
 
@@ -114,7 +113,7 @@ def _sample_query(rng, nodes) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
 
 
 def _subsumption(pag, dag_steps, within: int) -> Iterator[tuple[bool, bool, bool]]:
-    """Per class DAG, given as its parent and :func:`.ident_dag._confounded`
+    """Per class DAG, given as its parent and :func:`.graphs._confounded`
     masks: whether, over the selected nodes ``within``, each node's ancestors
     in G[sel] lie inside its possible ancestors in P[sel], its c-component
     inside its pc-component, and its ancestors in no later bucket of P[sel]'s

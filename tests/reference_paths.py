@@ -1,12 +1,12 @@
 """Simple-path reference oracles for the package's path searches.
 
 These are the enumerating searches that ``pagid`` used before its path
-searches moved onto ``graphs.reach`` and, for definite status paths and the
-adjustment criterion, onto the pruned ``separation.proper_paths``.  They are
+searches moved onto a reachability walk and, for definite status paths and
+the adjustment criterion, onto the pruned ``separation.proper_paths``.  They are
 exponential in the graph size and exist only so that the differential tests
 can compare the production searches against an independent path-by-path
 reading of each definition.  Ancestor sets are recomputed here by plain
-search rather than read from the cached masks under test.  The closure
+search rather than read from the masks under test.  The closure
 check walks every adjacent triple, as ``graphs.find_closure_violation`` did
 before it moved onto node masks.  At the end, the kernel forms of
 visibility, composite pc-components and the directed-cycle test keep the
@@ -25,7 +25,10 @@ conditioning set, which ``separation.separated_mask`` ran before it opened
 them in the set alone; the forbidden set read off the proper possibly
 directed paths, before ``adjustment.forbidden_set`` became two closures;
 and the name-keyed edge store (``EdgeDict``) that a mixed graph kept next
-to its mask table before the table became its one store.
+to its mask table before the table became its one store.  The walk
+itself, ``reach``, is kept too: it is the one-walk kernel that separation and
+pc-components ran before ``graphs.sliced_walk`` became the one walk and
+pc-components a closure, and every kernel form here walks it.
 """
 
 from __future__ import annotations
@@ -45,10 +48,9 @@ from pagid.graphs import (
     bits,
     mask_of,
     names_of,
-    reach,
 )
 from pagid.adjustment import _possibly_directed_step
-from pagid.separation import proper_paths, separated_mask
+from pagid.separation import proper_paths
 from pagid.structure import _invisible_masks
 
 
@@ -508,6 +510,41 @@ def gac(x, y, p: MixedGraph):
     return "set", p.sort_nodes(z)
 
 
+def reach(adj, starts: int, collider_ok: int, noncollider_ok: int) -> tuple[int, int]:
+    """Walk reachability from ``starts`` over (node, arrived-into) states.
+
+    A start may leave along any edge.  A node arrived at through an
+    arrowhead and left through an arrowhead is a collider and may be passed
+    only if it is in ``collider_ok``; any other pass is a non-collider pass
+    and needs ``noncollider_ok``.  Returns the masks of nodes reached by at
+    least one step and of those reached through an arrowhead.
+    """
+    seen_into = seen_plain = 0
+    stack = [(v, adj[v][0]) for v in bits(starts)]
+    while stack:
+        v, moves = stack.pop()
+        arrow = adj[v][2]
+        fresh = moves & arrow & ~seen_into
+        seen_into |= fresh
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            w = low.bit_length() - 1
+            nbr, head, _ = adj[w]
+            step = (head if collider_ok & low else 0) | (nbr & ~head if noncollider_ok & low else 0)
+            if step:
+                stack.append((w, step))
+        fresh = moves & ~arrow & ~seen_plain
+        seen_plain |= fresh
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            if noncollider_ok & low:
+                w = low.bit_length() - 1
+                stack.append((w, adj[w][0]))
+    return seen_into | seen_plain, seen_into
+
+
 # The kernel forms that ``graphs`` and ``structure`` ran before a Pag was
 # settled in closed form on its mask table: one reach per directed edge for
 # visibility, one reach per node and a union-find for the composite
@@ -578,15 +615,15 @@ def kernel_separation_signature(g: MixedGraph):
     ``i``, outside ``z`` and not adjacent to ``i``.  A pair ``(i, z)`` with
     no candidate is skipped.
     """
-    everyone = (1 << len(g.nodes)) - 1
-    for i, (nbr, _, _) in enumerate(adjacency_masks(g)):
+    everyone, adj = (1 << len(g.nodes)) - 1, adjacency_masks(g)
+    for i, (nbr, _, _) in enumerate(adj):
         later = everyone & ~((2 << i) - 1) & ~nbr
         if not later:
             continue
         for z in range(everyone + 1):
             targets = later & ~z
             if targets and not z >> i & 1:
-                yield i, z, separated_mask(g, 1 << i, targets, z)
+                yield i, z, targets & ~reach(adj, 1 << i, z, ~z)[0]
 
 
 def ancestor_table(g) -> list[int]:
@@ -596,7 +633,7 @@ def ancestor_table(g) -> list[int]:
 
 
 def reach_opening_ancestors(g, x: int, z: int, an) -> tuple[int, int]:
-    """``graphs.reach`` from the mask ``x`` given the mask ``z`` as
+    """:func:`reach` from the mask ``x`` given the mask ``z`` as
     ``separation.separated_mask`` ran it before it opened colliders in ``z``
     alone: colliders open in An(z), non-colliders outside z.  ``an`` is the
     :func:`ancestor_table` of ``g``."""

@@ -322,6 +322,8 @@ def test_pags_read_visibility_off_their_flags(monkeypatch):
         raise AssertionError("visibility recomputed on a PAG")
 
     pags = [make() for make in CATALOG_PAGS] + [_sampled_class(seed)[1] for seed in range(5)]
+    # the binding that structure._visible_masks reads; Pag._settle reads
+    # graphs' own, so building PAGs is left as it is
     monkeypatch.setattr(pagid.structure, "_graphical_visible", refuse)
     for pag in pags:
         for keep in (pag.nodes, pag.nodes[1:], pag.nodes[::2]):
@@ -352,6 +354,29 @@ def test_only_graphs_reads_the_mask_table(path):
 
 def test_the_table_check_sees_reads():
     assert _table_reads("a = g._masks\nb = g._index\nc = g._flags[0]\nd = m._marks\n") == [1, 3, 4]
+
+
+def _function_imports(source):
+    """Lines of ``source`` that import inside a function body."""
+    return sorted({
+        node.lineno
+        for func in ast.walk(ast.parse(source))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_inside_a_function(path):
+    """Every module imports at its top, once, so no call pays for an import
+    statement and the import graph is read off the module heads."""
+    assert _function_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_import_check_sees_nested_imports():
+    source = "import a\ndef f():\n    from .b import c\n    def g():\n        import d\n"
+    assert _function_imports(source) == [3, 5]
 
 
 def _calls_and_latent_names(source):

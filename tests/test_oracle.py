@@ -9,7 +9,7 @@ import reference_paths as ref
 from conftest import wide_latent_dag
 from reference_oracle import truncations
 from pagid import catalog
-from pagid.graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, MixedGraph, bits, mag_of_dag
+from pagid.graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, MixedGraph, adjacency_masks, bits, mag_of_dag
 from pagid.oracle import (
     CPT_FLOOR,
     CPT_ROW_TOL,
@@ -17,7 +17,7 @@ from pagid.oracle import (
     MAX_JOINT_STATES,
     Scm,
     _full_joint,
-    _sliced_signature,
+    _sliced_model,
     canonical_dag_of_mag,
     class_of_dag,
     equivalence_class,
@@ -139,11 +139,11 @@ def outcome(build):
 
 
 def decoded_signature(g):
-    """The (x, y, Z) triples that ``_sliced_signature`` masks encode."""
+    """The (x, y, Z) triples that ``_sliced_model``'s masks encode."""
     nodes = g.nodes
     return frozenset(
         (nodes[i], nodes[j], tuple(nodes[k] for k in bits(z)))
-        for i, j, seps in _sliced_signature(g)
+        for i, j, seps in _sliced_model(adjacency_masks(g))
         for z in bits(seps)
     )
 
@@ -417,8 +417,8 @@ class TestEquivalenceClass:
 
 
 class TestSlicedModel:
-    """The sliced separation model against one reach walk per source and
-    conditioning set, decoded to (x, y, Z) triples."""
+    """The sliced separation model against one reference ``reach`` walk per
+    source and conditioning set, decoded to (x, y, Z) triples."""
 
     def test_matches_the_walks_on_every_candidate_of_drawn_classes(self):
         rng = np.random.default_rng(31)

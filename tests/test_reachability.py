@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import reference_paths as ref
 from conftest import wide_latent_dag
-from pagid import catalog, graphs, structure
+from pagid import catalog, graphs, oracle, separation
 from pagid.adjustment import Fail, gac
 from pagid.cli import main, serialize_graph
 from pagid.graphs import (
@@ -33,11 +33,11 @@ from pagid.graphs import (
     induced_subgraph,
     mag_of_dag,
     mag_violation,
-    reach,
+    sliced_walk,
 )
 from pagid.oracle import equivalence_class, pag_of_class
 from pagid.separation import d_separated, definitely_m_separated, m_separated, proper_paths
-from pagid.structure import cpc_components, graphical_visible_edges, pc_component, visible_edges
+from pagid.structure import _invisible_masks, _pc, cpc_components, graphical_visible_edges, pc_component, visible_edges
 from pagid.verify import _sample_graph
 
 FAMILIES = ("complete_bidirected", "bidirected_chain", "bidirected_cycle", "circle_clique")
@@ -112,6 +112,35 @@ def assert_components_match(g):
     assert {frozenset(c) for c in cpc_components(g)} == ref.cpc_components(g, vis)
 
 
+def walked(adj, starts, collider, noncollider):
+    """The nodes that one slice of ``sliced_walk`` enters from ``starts``,
+    as a mask, with the colliders allowed in the mask ``collider`` and the
+    non-colliders in ``noncollider``."""
+    n = len(adj)
+    entered = sliced_walk(
+        adj, starts, 1, [collider >> w & 1 for w in range(n)], [noncollider >> w & 1 for w in range(n)]
+    )
+    return sum(1 << w for w, slices in enumerate(entered) if slices)
+
+
+def kernel_graphs(rng, count):
+    """``count`` random latent DAGs of 1-12 observed nodes, each with its MAG
+    and that MAG read as a PAG, then 30 seeded class PAGs, whose circles the
+    others lack."""
+    for _ in range(count):
+        d = wide_latent_dag(rng, int(rng.integers(1, 13)), rng.uniform(0.1, 0.7))
+        m = mag_of_dag(d)
+        yield from (d, m, Pag(m.nodes, m.edges()))
+    for seed in range(30):
+        yield pag_of_class(equivalence_class(draw(seed)[1]))
+
+
+def random_mask(rng, n):
+    """A mask over ``n`` bits, each set with one probability drawn per mask."""
+    density = rng.random()
+    return sum(1 << w for w in range(n) if rng.random() < density)
+
+
 class TestSeparation:
     @given(st.integers(0, 100_000))
     @settings(max_examples=30, deadline=None)
@@ -151,11 +180,11 @@ class TestSeparation:
                 assert d_separated(d, xs, ys, zs) == ref.d_separated(d, xs, ys, zs)
 
     def test_walks_open_colliders_in_z_as_in_its_ancestors(self):
-        """``reach`` with the colliders open in Z against ``reach`` with them
-        open in An(Z), from every node, on 200 random latent DAGs of 1-12
-        observed nodes and their MAGs: every Z where the graph has at most 9
-        nodes, latents included, and 30 random Z per source above that
-        (~3 s)."""
+        """One slice of ``sliced_walk`` with the colliders open in Z against
+        the reference ``reach`` with them open in An(Z), from every node, on
+        200 random latent DAGs of 1-12 observed nodes and their MAGs: every
+        Z where the graph has at most 9 nodes, latents included, and 30
+        random Z per source above that (~7 s on a 2-core x86 host)."""
         rng = np.random.default_rng(37)
         exhaustive = 0
         for _ in range(200):
@@ -168,7 +197,8 @@ class TestSeparation:
                 for i in range(n):
                     for z in zs:
                         z &= ~(1 << i)
-                        assert reach(adj, 1 << i, z, ~z) == ref.reach_opening_ancestors(g, 1 << i, z, an)
+                        reached, _ = ref.reach_opening_ancestors(g, 1 << i, z, an)
+                        assert walked(adj, 1 << i, z, ~z) == reached | 1 << i
         assert exhaustive > 100
 
     def test_overlapping_sets_are_refused(self):
@@ -378,21 +408,93 @@ class TestClosedForms:
             self.assert_kernel_forms_match(sub)
 
     def test_building_a_pag_walks_no_kernel(self, monkeypatch):
+        """Building PAGs, their pc-components and their composite ones walk
+        no kernel; m- and d-separation and the class enumeration walk the
+        one kernel, ``sliced_walk``."""
         pags = catalog_pags() + [ladder_pag(f, 12) for f in FAMILIES]
         pags += [pag_of_class(equivalence_class(draw(seed)[1])) for seed in range(5)]
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return reach(*args)
+            return sliced_walk(*args)
 
-        monkeypatch.setattr(graphs, "reach", counted)
-        monkeypatch.setattr(structure, "reach", counted)
+        for module in (graphs, separation, oracle):
+            monkeypatch.setattr(module, "sliced_walk", counted)
         for g in pags:
             Pag(g.nodes, g.edges(), check_visibility=True)
+            for v in g.nodes:
+                pc_component(g, [v])
+            pc_component(g, g.nodes[::2])
+            cpc_components(g)
         assert calls == []
-        pc_component(pags[0], pags[0].nodes[:1])
-        assert calls
+        m_separated(pags[0], pags[0].nodes[:1], pags[0].nodes[1:2], [])
+        assert len(calls) == 1
+        d, m = draw(0)
+        d_separated(d, d.observed[:1], d.observed[1:], [])
+        assert len(calls) == 2
+        equivalence_class(m)
+        assert len(calls) > 2
+
+
+class TestWalkKernel:
+    """The one walk kernel against the reference ``reach``: one slice, many
+    slices each against its own walk, and the closure that pc-components
+    read in place of a walk."""
+
+    def test_one_slice_matches_reach(self):
+        """Random multi-node starts with arbitrary collider and non-collider
+        masks, 20 per graph, on 300 random latent DAGs of 1-12 observed
+        nodes (latents included), their MAGs and those read as PAGs, and on
+        30 class PAGs (~1.2 s)."""
+        rng = np.random.default_rng(41)
+        for g in kernel_graphs(rng, 300):
+            adj, n = graphs.adjacency_masks(g), len(g.nodes)
+            for _ in range(20):
+                starts, collider, noncollider = (random_mask(rng, n) for _ in range(3))
+                reached, _ = ref.reach(adj, starts, collider, noncollider)
+                assert walked(adj, starts, collider, noncollider) == reached | starts, g
+
+    def test_slices_are_separate_walks(self):
+        """1-70 slices at once, each with its own arbitrary collider and
+        non-collider masks and some left out of ``slices``, against one
+        reference walk per slice, on 100 random latent DAGs, their MAGs and
+        those read as PAGs, and on 30 class PAGs (~0.5 s)."""
+        rng = np.random.default_rng(43)
+        for g in kernel_graphs(rng, 100):
+            adj, n = graphs.adjacency_masks(g), len(g.nodes)
+            k = int(rng.integers(1, 71))
+            slices, starts = random_mask(rng, k), random_mask(rng, n)
+            collider = [random_mask(rng, k) for _ in range(n)]
+            noncollider = [random_mask(rng, k) for _ in range(n)]
+            entered = sliced_walk(adj, starts, slices, collider, noncollider)
+            assert not any(e & ~slices for e in entered)
+            for s in range(k):
+                got = sum(1 << w for w, e in enumerate(entered) if e >> s & 1)
+                if not slices >> s & 1:
+                    assert got == 0
+                    continue
+                col = sum(1 << w for w, c in enumerate(collider) if c >> s & 1)
+                non = sum(1 << w for w, c in enumerate(noncollider) if c >> s & 1)
+                assert got == ref.reach(adj, starts, col, non)[0] | starts, (g, s)
+
+    def test_pc_closure_matches_the_walk(self):
+        """``_pc`` from random multi-node seeds inside random ``within``
+        masks against the reference walk over the invisible edges, with
+        colliders allowed in ``within`` and no non-colliders, 10 per graph,
+        on the mixed graphs above and the 1,500 random marked graphs of 2-12
+        nodes (~1.5 s)."""
+        rng = np.random.default_rng(47)
+        mixed = (g for g in kernel_graphs(rng, 200) if isinstance(g, MixedGraph))
+        checked = 0
+        for g in itertools.chain(mixed, random_marked_graphs()):
+            adj, n = _invisible_masks(g), len(g.nodes)
+            for _ in range(10):
+                seed, within = random_mask(rng, n), random_mask(rng, n)
+                reached, _ = ref.reach(adj, seed, within, 0)
+                assert _pc(g, seed, within) == reached & within | seed, g
+                checked += seed.bit_count() > 1 and reached & within & ~seed != 0
+        assert checked > 3000
 
 
 class TestComponents:

@@ -15,8 +15,8 @@ import pagid.oracle
 import pagid.verify
 
 from pagid.exprs import Conditional, DistRef, evaluate_table, vsort
-from pagid.graphs import LatentDag, MixedGraph, _possible_ancestors, mark_masks, mask_of, names_of
-from pagid.ident_dag import Fail, _confounded, _scope, id_dag
+from pagid.graphs import LatentDag, MixedGraph, _confounded, _possible_ancestors, mark_masks, mask_of, names_of
+from pagid.ident_dag import Fail, _scope, id_dag
 from pagid.ident_pag import Fail as IdpFail
 from pagid.ident_pag import idp
 from pagid.oracle import (
