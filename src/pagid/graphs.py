@@ -27,7 +27,13 @@ Each graph kind has one builder, its constructor, and a graph file one
 reader, :func:`read_graph`, which reads the edge lines into tokens and
 hands them to the kind's ``_read``: the constructor's own fill and checks,
 less the lookup of each edge's token by its marks.  :meth:`LatentDag._read`
-alone turns confounding arcs into latent roots.  Identification and
+turns confounding arcs into latent roots.  Code whose table holds by
+construction what the constructor checks hands over the table instead:
+the members and the PAG of a class (:meth:`MixedGraph._of_table`, then the
+kind's own checks where it has any), the projection of a latent DAG
+(:func:`mag_of_dag`, then the MAG checks) and the canonical DAG of a MAG
+(:meth:`LatentDag._of_mag`, which names its latents by the rule of
+``_read``, :func:`_latent_name`).  Identification and
 verification read a subgraph as a node mask on its parent's one table: a
 closure (:func:`_close`) or a component split (:func:`_blocks`, which takes
 the place of a union-find) stays inside a ``within`` mask.
@@ -55,9 +61,8 @@ pc-components of :mod:`.structure`.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 MAX_NODES = 12
 
@@ -259,6 +264,18 @@ class MixedGraph:
         graph = cls.__new__(cls)
         graph._fill(nodes, edges)
         graph._settle(True)
+        return graph
+
+    @classmethod
+    def _of_table(cls, nodes: tuple[str, ...], index: dict[str, int], masks, marks, flags) -> "MixedGraph":
+        """A graph of this kind that is the given table, as :meth:`_fill`
+        leaves it, with no check run: for a caller whose table holds by
+        construction what ``_fill`` checks (known nodes, no self-loop, one
+        edge per pair, no edge with two tails).  ``index`` maps ``nodes``
+        to their positions and may be shared with another graph over the
+        same nodes; a kind's own checks are its ``_settle``."""
+        graph = object.__new__(cls)
+        graph.nodes, graph._index, graph._masks, graph._marks, graph._flags = nodes, index, masks, marks, flags
         return graph
 
     @classmethod
@@ -735,6 +752,16 @@ def _graphical_visible(g: MixedGraph) -> tuple[int, ...]:
     return tuple(visible)
 
 
+def _latent_name(k: int, taken: Collection[str]) -> str:
+    """The name of a DAG's k-th latent, counting from 1: ``U<k>``, with
+    ``_`` appended while ``taken`` holds it.  Names for different k differ
+    before their ``_`` suffixes, so they never collide with each other."""
+    name = f"U{k}"
+    while name in taken:
+        name += "_"
+    return name
+
+
 def _confounded(d: LatentDag) -> list[int]:
     """Per node index of ``d``: the observed nodes that share a latent
     parent with it, itself among them when it has one; a latent's row is
@@ -797,6 +824,49 @@ class LatentDag:
         self._topo = self._kahn_order()  # raises on cycles
 
     @classmethod
+    def _of_mag(cls, m: MixedGraph) -> "LatentDag":
+        """The canonical DAG of the MAG ``m`` (see
+        :func:`.oracle.canonical_dag_of_mag`), filled from its masks: the
+        arcs and the latents come in ``m.edges()`` order, each edge read off
+        the parent masks as an arc or, with neither end a parent of the
+        other, as a latent root after ``m``'s nodes.  Only the cycle check
+        of :meth:`_kahn_order` runs."""
+        observed = m.nodes
+        adj = m._masks
+        parents = list(m._marks[0])
+        children = [out & ~head for _, head, out in adj]
+        nbr = [pa | kids for pa, kids in zip(parents, children)]
+        arcs: list[tuple[str, str]] = []
+        latent: list[str] = []
+        for i, (around, _, _) in enumerate(adj):
+            a = observed[i]
+            for j in bits(around >> i + 1 << i + 1):
+                b = observed[j]
+                if parents[j] >> i & 1:
+                    arcs.append((a, b))
+                elif parents[i] >> j & 1:
+                    arcs.append((b, a))
+                else:
+                    name = _latent_name(len(latent) + 1, m._index)
+                    u = 1 << len(observed) + len(latent)
+                    latent.append(name)
+                    arcs += [(name, a), (name, b)]
+                    pair = 1 << i | 1 << j
+                    nbr.append(pair)
+                    parents.append(0)
+                    children.append(pair)
+                    for k in (i, j):
+                        nbr[k] |= u
+                        parents[k] |= u
+        dag = object.__new__(cls)
+        dag.observed, dag.latent, dag._edges = observed, tuple(latent), tuple(arcs)
+        dag._index = {v: k for k, v in enumerate(observed + dag.latent)}
+        dag._masks = tuple(zip(nbr, parents, children))
+        dag._marks = (tuple(parents), (0,) * len(nbr))
+        dag._topo = dag._kahn_order()  # raises on cycles
+        return dag
+
+    @classmethod
     def from_edges(cls, observed: Sequence[str], edges: Iterable[tuple]) -> "LatentDag":
         """Build from (a, b, mark_a, mark_b, visible) edges, each read as the
         dag-file token of its marks (:data:`EDGE_TOKENS`) by :meth:`_read`;
@@ -824,9 +894,7 @@ class LatentDag:
             elif mark_b is TAIL:
                 arcs.append((b, a))
             else:
-                name = f"U{len(latent) + 1}"
-                while name in observed:
-                    name += "_"
+                name = _latent_name(len(latent) + 1, observed)
                 latent.append(name)
                 arcs += [(name, a), (name, b)]
         return cls(observed, latent, arcs)
@@ -982,13 +1050,14 @@ def induced_subgraph(g, a: Iterable[str]):
     def restrict(mask: int) -> int:
         return sum(1 << k for k, i in enumerate(kept) if mask >> i & 1)
 
-    sub = object.__new__(type(g))
-    sub.nodes = tuple(g.nodes[i] for i in kept)
-    sub._index = {v: k for k, v in enumerate(sub.nodes)}
-    sub._masks = tuple(tuple(map(restrict, g._masks[i])) for i in kept)
-    sub._marks = tuple(tuple(restrict(masks[i]) for i in kept) for masks in g._marks)
-    sub._flags = tuple(restrict(g._flags[i]) for i in kept)
-    return sub
+    nodes = tuple(g.nodes[i] for i in kept)
+    return type(g)._of_table(
+        nodes,
+        {v: k for k, v in enumerate(nodes)},
+        tuple(tuple(map(restrict, g._masks[i])) for i in kept),
+        tuple(tuple(restrict(masks[i]) for i in kept) for masks in g._marks),
+        tuple(restrict(g._flags[i]) for i in kept),
+    )
 
 
 def mag_of_dag(d: LatentDag) -> Mag:
@@ -1005,16 +1074,36 @@ def mag_of_dag(d: LatentDag) -> Mag:
     which changes no answer for a pair i, j tested: i's bit meets ``out[j]``
     only if j has an edge into i, and j's bit joins the closure only from a
     bidirected neighbour of j, which ``out[j]`` holds already.
+
+    The observed nodes are the DAG's first indices, so the MAG's table is
+    filled at the same indices, pair by pair: an arrowhead at each end that
+    is not an ancestor of the other.  No pair gets two tails, as the DAG is
+    acyclic, and each pair is filled once, so the table holds what
+    :meth:`MixedGraph._fill` checks; the MAG checks (:func:`mag_violation`)
+    run on it as on any MAG built.
     """
-    an, index = ancestor_masks(d), d._index
+    an = ancestor_masks(d)
     bidirected = _confounded(d)
     out = [children | bi for (_, _, children), bi in zip(adjacency_masks(d), bidirected)]
-    edges = []
-    for x, y in itertools.combinations(d.observed, 2):
-        i, j = index[x], index[y]
-        if not (out[i] >> j & 1 or out[j] >> i & 1 or _inducing(bidirected, out, an, i, j)):
-            continue
-        mark_x = TAIL if an[j] >> i & 1 else ARROW
-        mark_y = TAIL if an[i] >> j & 1 else ARROW
-        edges.append((x, y, mark_x, mark_y, False))
-    return Mag(d.sort_nodes(d.observed), edges)
+    n = len(d.observed)
+    nbr, head, arrow_out = [0] * n, [0] * n, [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not (out[i] >> j & 1 or out[j] >> i & 1 or _inducing(bidirected, out, an, i, j)):
+                continue
+            bit_i, bit_j = 1 << i, 1 << j
+            nbr[i] |= bit_j
+            nbr[j] |= bit_i
+            if not an[j] & bit_i:  # i is no ancestor of j: an arrowhead at i
+                head[i] |= bit_j
+                arrow_out[j] |= bit_i
+            if not an[i] & bit_j:
+                head[j] |= bit_i
+                arrow_out[i] |= bit_j
+    none = (0,) * n
+    # a parent has an arrowhead at this end and a tail at its own
+    parents = tuple(h & ~o for h, o in zip(head, arrow_out))
+    index = {v: i for i, v in enumerate(d.observed)}
+    mag = Mag._of_table(d.observed, index, tuple(zip(nbr, head, arrow_out)), (parents, none), none)
+    mag._settle(True)
+    return mag

@@ -4,20 +4,28 @@ Provides discrete structural models with exact joints and truncated
 (interventional) distributions, the canonical DAG of a MAG, brute-force
 Markov equivalence class enumeration by separation-model comparison, and
 seeded random generators.  Everything here is deliberately exhaustive; the
-size guards keep it at desk scale.  Latent DAGs are built by
+size guards keep it at desk scale.  Random latent DAGs are built by
 :meth:`.graphs.LatentDag.from_edges` from marked edges.
 
-The class enumeration tests each candidate on node masks and builds only
-its members, each once, as a :class:`.graphs.Mag`.  A candidate's
-separation model is read with one :func:`.graphs.sliced_walk` per source
-i, run under all 2**n conditioning sets at once: bit z of node w's
-collider mask is set iff w lies in z, and of its non-collider mask iff it
-does not (:func:`_slices`).  The kernel's slices are separate walks (see
+A class is enumerated on node masks and never through names.  The edges of
+the skeleton are marked one at a time, and an assignment is cut off at its
+first mark that breaks an unshielded collider of the reference
+(:func:`_collider_survivors`); the survivors come in the order of the full
+product of marks, and each is tested on the masks its marks give.  A
+candidate's separation model is read with one :func:`.graphs.sliced_walk`
+per source i, run under all 2**n conditioning sets at once: bit z of node
+w's collider mask is set iff w lies in z, and of its non-collider mask iff
+it does not (:func:`_slices`).  The kernel's slices are separate walks (see
 its docstring), so slice z is the walk that opens the colliders in z and
 the non-colliders outside it; opening the colliders in An(z) instead
 reaches no more on walks (see :mod:`.separation`).  Node y is
 m-separated from i by z iff the walk under z never enters y.  The cost is
 one fixpoint over 2**n-bit integers per source instead of 2**n walks.
+
+What follows a class reads its members' tables as well: each member is the
+table its tests computed, the PAG's marks are the AND and OR of the
+members' arrowhead masks (:func:`pag_of_class`), and a member's canonical
+DAG is filled from its masks (:func:`canonical_dag_of_mag`).
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ import numpy as np
 from .exprs import JointTable, vsort
 from .graphs import (
     ARROW,
-    CIRCLE,
     TAIL,
     LatentDag,
     Mag,
@@ -249,9 +256,23 @@ def interventional(s: Scm, x_vars: Sequence[str]) -> JointTable:
 
 
 def canonical_dag_of_mag(m: Mag) -> LatentDag:
-    """Directed edges kept; every bidirected edge becomes a fresh latent root
-    ``U<n>``, named by :meth:`.graphs.LatentDag.from_edges`."""
-    return LatentDag.from_edges(m.nodes, m.edges())
+    """The canonical DAG of the MAG ``m``: its directed edges kept, and each
+    bidirected edge a fresh latent root ``U<n>`` (``_`` appended while that
+    is a node of ``m``), as :meth:`.graphs.LatentDag.from_edges` builds it
+    from ``m.edges()``, arcs and latents in that order.
+
+    The table is read off ``m``'s masks and filled at ``m``'s node indices,
+    the latents after them (:meth:`.graphs.LatentDag._of_mag`), with none
+    of the constructor's checks but the cycle check of
+    :meth:`.graphs.LatentDag._kahn_order`.  On a MAG they cannot fail: a
+    MAG has one edge per pair over distinct checked nodes, so no arc
+    repeats, loops or names an unknown node; its directed part is acyclic,
+    so the order exists; each bidirected pair gets exactly one latent, a
+    root with those two observed children; and every latent name is fresh,
+    unlike any node of ``m`` by its ``_`` suffix and unlike any other
+    latent by its number.
+    """
+    return LatentDag._of_mag(m)
 
 
 def _slices(n: int) -> tuple[int, tuple[int, ...]]:
@@ -289,93 +310,138 @@ def _sliced_model(adj) -> Iterator[tuple[int, int, int]]:
                 yield i, y, start & ~inz[y] & ~entered[y]
 
 
-def equivalence_class(m: Mag) -> tuple[Mag, ...]:
-    """All MAGs over the skeleton of ``m`` with the same separation model.
+def _collider_survivors(m: Mag) -> Iterator[tuple[list[int], list[int], list[int]]]:
+    """The tail/arrow assignments over the skeleton of ``m`` with the
+    unshielded colliders of ``m``, in :func:`itertools.product` order over
+    its edges (each edge's marks ``-->``, ``<--``, ``<->``, the first edge
+    slowest), each as its arrowhead, out and parent masks
+    (:func:`.graphs.adjacency_masks`, :func:`.graphs.mark_masks`).
 
-    Enumerates every tail/arrow assignment.  A candidate goes on to the full
-    model comparison only if its unshielded colliders (a necessary
-    condition) match those of ``m``; they are read off its mark tuple over
-    the unshielded triples of the shared skeleton, before any graph is built,
-    and the first triple that differs rejects it.  A survivor is tested on
-    the arrowhead, parent and ancestor masks that its marks give on the
-    skeleton's node indices: it must be ancestral and maximal
-    (:func:`.graphs._inducing_pair`), and its :func:`_sliced_model` must
-    equal that of ``m``, compared source by source and rejected at the first
-    difference.  Each z-slice of :func:`.graphs.sliced_walk` is the walk
-    under that z alone (see the module docstring), so this is the model that
-    one walk per (source, z) reads.  Only a member is built, as a
-    :class:`.graphs.Mag`.
+    The edges are marked one at a time, in ``m.edges()`` order, each
+    prefix's marks held as one int with bit 2k (2k + 1) set for an arrowhead
+    at the first (second) end of edge k.  An unshielded triple a *-* b *-* c
+    is tested as soon as its later edge is marked: under each mark of that
+    edge it asks for an arrowhead or a tail at b on the earlier edge, or
+    refuses the mark outright (a tail at b where ``m`` has a collider), so
+    each (edge, mark) step is one masked comparison, and a prefix that
+    breaks a triple is dropped with every assignment that extends it.  Each
+    level keeps its prefixes in order and extends each under the three
+    marks in turn, so the assignments that survive come in product order;
+    no other is lost, as every triple is tested once all its marks are set.
+    An edgeless ``m`` has one assignment, the empty one.
     """
-    skeleton = [(a, b) for a, b, *_ in m.edges()]
-    if len(skeleton) > MAX_CLASS_EDGES:
-        raise ValueError(
-            f"{len(skeleton)} edges exceeds the enumeration guard {MAX_CLASS_EDGES}"
-        )
-    ends: dict[str, list[tuple[int, int, str]]] = {v: [] for v in m.nodes}
-    for k, (a, b) in enumerate(skeleton):
-        ends[a].append((k, 0, b))
-        ends[b].append((k, 1, a))
-    ref = [(ma, mb) for _, _, ma, mb, _ in m.edges()]
-    triples = [
-        (k, side_k, l, side_l, ref[k][side_k] is ARROW and ref[l][side_l] is ARROW)
-        for b in m.nodes
-        for (k, side_k, a), (l, side_l, c) in itertools.combinations(ends[b], 2)
-        if not m.adjacent(a, c)
-    ]
-    n, index = len(m.nodes), m._index
-    ends_of = [(index[a], index[b]) for a, b in skeleton]
+    adj = adjacency_masks(m)
+    n = len(adj)
+    ends_of = [(i, j) for i, (nbr, _, _) in enumerate(adj) for j in bits(nbr >> i + 1 << i + 1)]
+    at: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # per node: (edge, its end's bit)
+    for k, (a, b) in enumerate(ends_of):
+        at[a].append((k, 2 * k))
+        at[b].append((k, 2 * k + 1))
+    # per edge l: the (earlier end's bit, l's end's bit, collider in m) of
+    # each unshielded triple whose later edge is l
+    triples: list[list[tuple[int, int, bool]]] = [[] for _ in ends_of]
+    for b, incident in enumerate(at):
+        head_b = adj[b][1]
+        for (k, end_k), (l, end_l) in itertools.combinations(incident, 2):
+            a, c = (ends_of[e][0] ^ ends_of[e][1] ^ b for e in (k, l))
+            if not adj[a][0] >> c & 1:
+                triples[l].append((end_k, end_l, bool(head_b >> a & 1 and head_b >> c & 1)))
+    prefixes = [0]
+    for l, rules in enumerate(triples):
+        steps = []
+        for arrows in (2 << 2 * l, 1 << 2 * l, 3 << 2 * l):  # -->, <--, <->
+            care = want = 0
+            for end_k, end_l, collider in rules:
+                if arrows >> end_l & 1:
+                    care |= 1 << end_k
+                    want |= collider << end_k
+                elif collider:
+                    break
+            else:
+                steps.append((arrows, care, want))
+        prefixes = [p | arrows for p in prefixes for arrows, care, want in steps if p & care == want]
+    for marks in prefixes:
+        head, out = [0] * n, [0] * n
+        for a, b in ends_of:
+            if marks & 1:
+                head[a] |= 1 << b
+                out[b] |= 1 << a
+            if marks & 2:
+                head[b] |= 1 << a
+                out[a] |= 1 << b
+            marks >>= 2
+        # a parent has an arrowhead at this end and a tail at its own
+        yield head, out, [h & ~o for h, o in zip(head, out)]
+
+
+def equivalence_class(m: Mag) -> tuple[Mag, ...]:
+    """All MAGs over the skeleton of ``m`` with the same separation model,
+    in :func:`itertools.product` order over the marks of its edges.
+
+    The candidates are the tail/arrow assignments with the unshielded
+    colliders of ``m`` (a necessary condition), which
+    :func:`_collider_survivors` enumerates without walking the others.  A
+    candidate is tested on the arrowhead, parent and ancestor masks that its
+    marks give on the skeleton's node indices: it must be ancestral and
+    maximal (:func:`.graphs._inducing_pair`), and its :func:`_sliced_model`
+    must equal that of ``m``, compared source by source and rejected at the
+    first difference.  Each z-slice of :func:`.graphs.sliced_walk` is the
+    walk under that z alone (see the module docstring), so this is the
+    model that one walk per (source, z) reads.  Each member is the table
+    its tests read, taken as a :class:`.graphs.Mag` over ``m``'s nodes: the
+    tests are the MAG checks.
+    """
+    if len(m.edges()) > MAX_CLASS_EDGES:
+        raise ValueError(f"{len(m.edges())} edges exceeds the enumeration guard {MAX_CLASS_EDGES}")
     nbr = [mask for mask, _, _ in adjacency_masks(m)]
     reference = tuple(_sliced_model(adjacency_masks(m)))
-    options = ((TAIL, ARROW), (ARROW, TAIL), (ARROW, ARROW))
+    none = (0,) * len(nbr)
     members = []
-    for marks in itertools.product(options, repeat=len(skeleton)):
-        for k, side_k, l, side_l, collider in triples:
-            if (marks[k][side_k] is ARROW and marks[l][side_l] is ARROW) != collider:
-                break
-        else:
-            # filled inline: a shared table builder made enumeration 10-15% slower
-            head, out, parents = [0] * n, [0] * n, [0] * n
-            for (a, b), (ma, mb) in zip(ends_of, marks):
-                if ma is ARROW:
-                    head[a] |= 1 << b
-                    out[b] |= 1 << a
-                else:
-                    parents[b] |= 1 << a
-                if mb is ARROW:
-                    head[b] |= 1 << a
-                    out[a] |= 1 << b
-                else:
-                    parents[a] |= 1 << b
-            an, adj = _ancestors(parents), tuple(zip(nbr, head, out))
-            if _directed_cycle(parents, an) or any(_almost_cycles(adj, an)):
-                continue
-            if _inducing_pair(adj, an) is None and all(
-                got == want for got, want in zip(_sliced_model(adj), reference)
-            ):
-                edges = [(a, b, ma, mb, False) for (a, b), (ma, mb) in zip(skeleton, marks)]
-                members.append(Mag(m.nodes, edges, validate=False))
+    for head, out, parents in _collider_survivors(m):
+        an, adj = _ancestors(parents), tuple(zip(nbr, head, out))
+        if _directed_cycle(parents, an) or any(_almost_cycles(adj, an)):
+            continue
+        if _inducing_pair(adj, an) is None and all(
+            got == want for got, want in zip(_sliced_model(adj), reference)
+        ):
+            members.append(Mag._of_table(m.nodes, m._index, adj, (tuple(parents), none), none))
     return tuple(members)
 
 
 def pag_of_class(members: Sequence[Mag]) -> Pag:
-    """Invariant marks across the class; circles elsewhere; visibility
-    settled by :class:`.graphs.Pag`."""
+    """The PAG of a class: the marks that every member shares, circles
+    elsewhere, the visible flags settled by :class:`.graphs.Pag`.
+
+    The marks are read off the members' arrowhead masks: the AND over the
+    members holds the invariant arrowheads, the OR every arrowhead some
+    member has, so an end outside the OR is an invariant tail and one in
+    the OR and not the AND a circle.  The out masks combine the same way,
+    so a tail that every member has at u, facing an arrowhead that every
+    member has at v, makes u a parent of v.  The members must share the
+    node tuple and the neighbour masks.
+    """
     if not members:
         raise ValueError("empty equivalence class")
-    skeleton = [(a, b) for a, b, *_ in members[0].edges()]
-    for other in members[1:]:
-        if [(a, b) for a, b, *_ in other.edges()] != skeleton or set(other.nodes) != set(
-            members[0].nodes
-        ):
+    first = members[0]
+    tables = [adjacency_masks(g) for g in members]
+    nbr = [mask for mask, _, _ in tables[0]]
+    for other, adj in zip(members[1:], tables[1:]):
+        if other.nodes != first.nodes or [mask for mask, _, _ in adj] != nbr:
             raise ValueError("equivalence class members disagree on the skeleton")
-    edges = []
-    for a, b in skeleton:
-        marks_a = {g.mark_at(a, b) for g in members}
-        marks_b = {g.mark_at(b, a) for g in members}
-        ma = marks_a.pop() if len(marks_a) == 1 else CIRCLE
-        mb = marks_b.pop() if len(marks_b) == 1 else CIRCLE
-        edges.append((a, b, ma, mb, False))
-    return Pag(members[0].nodes, edges)
+    head_all, head_any = list(nbr), [0] * len(nbr)
+    out_all, out_any = list(nbr), [0] * len(nbr)
+    for adj in tables:
+        for i, (_, head, out) in enumerate(adj):
+            head_all[i] &= head
+            head_any[i] |= head
+            out_all[i] &= out
+            out_any[i] |= out
+    parents = tuple(always & ~sometimes for always, sometimes in zip(head_all, out_any))
+    circles = tuple(some & ~every for some, every in zip(head_any, head_all))
+    none = (0,) * len(nbr)
+    pag = Pag._of_table(first.nodes, first._index, tuple(zip(nbr, head_all, out_all)), (parents, circles), none)
+    pag._settle(False)
+    return pag
 
 
 def class_of_dag(d: LatentDag) -> tuple[tuple[Mag, ...], Pag]:

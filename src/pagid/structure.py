@@ -15,8 +15,9 @@ keeps its parent's marks and visibility flags; the public functions are the
 kernels with every node within.  Buckets and cpc blocks are the
 :func:`.graphs._blocks` components of the ``o-o`` and the invisible edges,
 and a pc-component is a :func:`.graphs._close` closure over the invisible
-bidirected edges (:func:`_pc`).  A :class:`.graphs.Pag` settles its
-visible-edge set when it is built; :func:`visible_edges` reads it.
+bidirected edges (:func:`_pc`, or :func:`_pcs` for each node of a mask).
+A :class:`.graphs.Pag` settles its visible-edge set when it is built;
+:func:`visible_edges` reads it.
 """
 
 from __future__ import annotations
@@ -133,7 +134,22 @@ def pc_component(g: MixedGraph, seed: Iterable[str]) -> tuple[str, ...]:
 
 def _pc(g: MixedGraph, seed: int, within: int) -> int:
     """:func:`pc_component` of the mask ``seed`` in the subgraph over
-    ``within``, in closed form over the invisible edges.
+    ``within``, in closed form over the invisible edges (:func:`_pc_in`)."""
+    adj = _invisible_masks(g)
+    return _pc_in(adj, [head & out for _, head, out in adj], seed, within)
+
+
+def _pcs(g: MixedGraph, within: int) -> dict[int, int]:
+    """Per node index v of ``within``, ``_pc(g, 1 << v, within)``, with
+    the invisible masks and their bidirected edges read once."""
+    adj = _invisible_masks(g)
+    bidirected = [head & out for _, head, out in adj]
+    return {v: _pc_in(adj, bidirected, 1 << v, within) for v in bits(within)}
+
+
+def _pc_in(adj: list[tuple[int, int, int]], bidirected: list[int], seed: int, within: int) -> int:
+    """The pc-component of the mask ``seed`` inside ``within`` on the
+    invisible masks ``adj``, whose bidirected edges are ``bidirected``.
 
     A path from the seed whose interior is all colliders, each with an
     arrowhead at it on both of its path edges, is an edge from a seed node
@@ -144,12 +160,11 @@ def _pc(g: MixedGraph, seed: int, within: int) -> int:
     in ``within``; a walk of that shape shortens to a path of it, as in
     :func:`.graphs._inducing`.  The ends are kept inside ``within``.
     """
-    adj = _invisible_masks(g)
     near = heads = 0
     for s in bits(seed):
         near |= adj[s][0]
         heads |= adj[s][2]
-    colliders = _close([head & out for _, head, out in adj], heads & within, within)
+    colliders = _close(bidirected, heads & within, within)
     for c in bits(colliders):
         near |= adj[c][1]
     return near & within | seed

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import adjustment, ident_dag, ident_pag
 from .exprs import Expr, _align, evaluate_table, vsort
-from .graphs import LatentDag, Mag, _blocks, _close, _confounded, _possible_ancestors, bits, mag_of_dag, mark_masks, mask_of
+from .graphs import LatentDag, Mag, _ancestors, _blocks, _confounded, _possible_ancestors, bits, mag_of_dag, mark_masks, mask_of
 from .oracle import canonical_dag_of_mag, equivalence_class, interventional, joint, pag_of_class, random_latent_dag, random_scm
-from .structure import _order, _pc
+from .structure import _order, _pcs
 
 MAX_MAG_EDGES = 9
 SCMS_PER_DAG = 5  # random models per class DAG in the numeric soundness check
@@ -120,22 +120,24 @@ def _subsumption(pag, dag_steps, within: int) -> Iterator[tuple[bool, bool, bool
     order than its own.
 
     A canonical DAG's observed nodes sit at the PAG's node indices and its
-    latents are parentless, so its ancestors in G[sel] close over the
-    parents inside ``within``.  The PAG side is worked out once, per node
-    index; each inclusion is a mask test.
+    latents are parentless, so its ancestors in G[sel] are one
+    :func:`.graphs._ancestors` pass over its parent masks ANDed with
+    ``within``.  The PAG side is worked out once, per node index; each
+    inclusion is a mask test.
     """
     upto, seen = {}, 0  # per node, the buckets up to its own
     for bucket in _order(pag, within):
         seen |= bucket
         upto.update(dict.fromkeys(bits(bucket), seen))
-    possible_anc = {v: _possible_ancestors(pag, 1 << v, within) for v in bits(within)}
-    pc_of = {v: _pc(pag, 1 << v, within) for v in bits(within)}
+    selected = list(bits(within))
+    possible_anc = {v: _possible_ancestors(pag, 1 << v, within) for v in selected}
+    pc_of = _pcs(pag, within)
     for parents, confounded in dag_steps:
-        anc = {v: _close(parents, 1 << v, within) for v in bits(within)}
+        an = _ancestors([pa & within for pa in parents])
         yield (
-            all(not anc[v] & ~possible_anc[v] for v in anc),
+            all(not an[v] & ~possible_anc[v] for v in selected),
             all(not block & ~pc_of[v] for block in _blocks(confounded, within) for v in bits(block)),
-            all(not anc[v] & ~upto[v] for v in anc),
+            all(not an[v] & ~upto[v] for v in selected),
         )
 
 

@@ -1,9 +1,11 @@
 """One builder per graph kind, one store per graph, and subgraphs that
 restrict their parent.
 
-``LatentDag._read`` is the one place a confounding arc becomes a latent;
-graph files reach it directly, and ``from_specs``, the canonical DAG of a
-MAG and random DAGs through ``LatentDag.from_edges``.  A mixed graph stores
+Latents are made in ``graphs.py`` only and named by one rule there
+(``_latent_name``): ``LatentDag._read`` turns confounding arcs into latents
+for graph files directly, and for ``from_specs`` and random DAGs through
+``LatentDag.from_edges``; ``LatentDag._of_mag`` fills the canonical DAG of
+a MAG from its masks, which must equal the ``from_specs`` DAG.  A mixed graph stores
 its edges only in the mask table its constructor fills, and only
 ``graphs.py`` reads that table; the name-keyed edge store it replaced is
 the reference its queries must equal (``reference_paths.EdgeDict``).

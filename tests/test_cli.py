@@ -215,6 +215,14 @@ class TestCommands:
         assert code == 0
         assert capsys.readouterr().out == (DATA / "collider_star12.pag").read_text()
 
+    def test_pag_of_dag_at_the_class_guard(self, capsys):
+        # a 10-edge MAG, one edge induced, whose PAG has visible and
+        # invisible directed edges, a bidirected one, o-> and o-o; the
+        # checked-in PAG is the output of the product-loop enumeration
+        code = main(["pag-of-dag", "--graph", str(DATA / "induced_mag10.dag")])
+        assert code == 0
+        assert capsys.readouterr().out == (DATA / "induced_mag10.pag").read_text()
+
     def test_usage_error_exit_code(self, tmp_path, capsys):
         path = save(tmp_path, "twin.pag", "pag", two_treatment_pag())
         code = main(["idp", "--graph", path, "--treat", "X1", "--outcome", "X1"])
@@ -505,7 +513,7 @@ def _without_nodes_line(text):
 class TestParseFuzz:
     """The token reader gives the reference reader's graph, or its exact
     error text, on fuzzed and on valid files.  On a 2-core x86 host, 300
-    fuzzed texts through both readers take about 2.5 s, and the 108 valid
+    fuzzed texts through both readers take about 2.5 s, and the 110 valid
     files, three ways each (as written, with the ``nodes:`` line last and
     without it), about 0.1 s."""
 
@@ -529,7 +537,7 @@ class TestParseFuzz:
     @pytest.mark.parametrize("move", [None, _nodes_line_last, _without_nodes_line], ids=["as-written", "nodes-last", "no-nodes"])
     def test_valid_files_match_the_reference(self, move):
         texts = _valid_files()
-        assert len(texts) == 108
+        assert len(texts) == 110
         for text in texts:
             if move is not None:
                 text = move(text)

@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 
 import reference_paths as ref
 from conftest import wide_latent_dag
+import reference_oracle
 from reference_oracle import truncations
 from pagid import catalog
-from pagid.graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, MixedGraph, adjacency_masks, bits, mag_of_dag
+from pagid.graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, MixedGraph, adjacency_masks, bits, flag_masks, mag_of_dag, mark_masks
 from pagid.oracle import (
     CPT_FLOOR,
     CPT_ROW_TOL,
     MAX_CLASS_EDGES,
     MAX_JOINT_STATES,
     Scm,
+    _collider_survivors,
     _full_joint,
     _sliced_model,
     canonical_dag_of_mag,
@@ -495,6 +497,128 @@ class TestPagOfClass:
             marks_b = {m.mark_at(b, a) for m in members}
             assert (ma is CIRCLE) == (len(marks_a) > 1)
             assert (mb is CIRCLE) == (len(marks_b) > 1)
+
+
+def table(g):
+    """A mixed graph as its kind, nodes and mask table."""
+    return type(g), g.nodes, g._index, adjacency_masks(g), mark_masks(g), flag_masks(g)
+
+
+def dag_table(d):
+    """A latent DAG as everything it holds and renders."""
+    return (d.observed, d.latent, d.edges(), d._index, adjacency_masks(d), mark_masks(d),
+            d.topological_order(), repr(d))
+
+
+def class_inputs():
+    """The MAGs the mask-built class is held against the product loop on:
+    ``_sample_graph``'s draws for seeds 0-299 (up to verify's 9-edge guard),
+    the MAG of every catalog DAG, two ``wide_mag`` draws per size from 7 to
+    12 nodes (up to ``MAX_CLASS_EDGES``), and edgeless MAGs of one and
+    three nodes."""
+    mags = [_sample_graph(np.random.default_rng(seed))[1] for seed in range(300)]
+    mags += [mag_of_dag(d) for d in (catalog.confounded_chain_dag(), catalog.confounded_chain_dag_alt(), catalog.bow_dag())]
+    mags += [wide_mag(np.random.default_rng(seed), n) for n in range(7, 13) for seed in (n, n + 100)]
+    return mags + [Mag(["X"]), Mag(["A", "B", "C"])]
+
+
+def random_dag(rng):
+    """A latent DAG over 2-12 observed nodes ``V1``.. with 0-8 latents: arcs
+    forward in a shuffled order, and latents over distinct drawn pairs."""
+    n = int(rng.integers(2, 13))
+    names = [f"V{i + 1}" for i in range(n)]
+    order = [names[i] for i in rng.permutation(n)]
+    prob = float(rng.uniform(0.1, 0.5))
+    edges = [(a, b, TAIL, ARROW, False) for a, b in itertools.combinations(order, 2) if rng.random() < prob]
+    pairs = list(itertools.combinations(names, 2))
+    for pick in rng.choice(len(pairs), size=min(int(rng.integers(0, 9)), len(pairs)), replace=False):
+        edges.append((*pairs[pick], ARROW, ARROW, False))
+    return LatentDag.from_edges(names, edges)
+
+
+class TestMaskTables:
+    """The class enumeration and what ``verify`` builds from its members,
+    on mask tables, against the name-level code they replaced
+    (``reference_oracle``).  Times are on a 2-core x86 host."""
+
+    def test_class_equals_the_product_loop(self):
+        # about 2.7 s: both enumerations over 317 MAGs, 10,542 members
+        compared = set()
+        for m in class_inputs():
+            got, want = equivalence_class(m), reference_oracle.equivalence_class(m)
+            assert [table(g) for g in got] == [table(g) for g in want], m
+            compared.add(len(m.edges()))
+        assert compared >= {0, 1, 9, MAX_CLASS_EDGES}
+
+    def test_survivors_are_the_collider_survivors_in_product_order(self):
+        # about 2.5 s, nearly all of it in the reference, which builds every
+        # assignment as a graph: seeds 0-49 of class_inputs, the catalog and
+        # the edgeless MAGs
+        inputs = class_inputs()
+        survivors = 0
+        for m in inputs[:50] + inputs[300:303] + inputs[-2:]:
+            got = [(head, out, list(parents)) for head, out, parents in _collider_survivors(m)]
+            want = [
+                ([h for _, h, _ in adjacency_masks(g)], [o for _, _, o in adjacency_masks(g)], list(mark_masks(g)[0]))
+                for g in collider_survivors(m)
+            ]
+            assert got == want, m
+            survivors += len(got)
+        assert survivors > 4000
+
+    def test_edgeless_mag_is_its_own_class(self):
+        for m in (Mag(["X"]), Mag(["A", "B", "C"])):
+            assert len(list(_collider_survivors(m))) == 1
+            assert equivalence_class(m) == (m,)
+
+    def test_canonical_dags_equal_the_edge_built_ones(self):
+        # about 1.5 s: the 9,340 members of the classes of seeds 0-299, and
+        # MAGs whose node names force the ``_`` suffix
+        mags = [g for m in class_inputs()[:300] for g in equivalence_class(m)]
+        mags += [
+            Mag.from_specs(["U1", "V", "W"], ["U1 <-> V", "V <-> W"]),
+            Mag.from_specs(["U1_", "U1", "U2", "X"], ["U1_ <-> U1", "U1 --> U2", "U2 <-> X", "U1_ <-> X"]),
+        ]
+        latents = set()
+        for m in mags:
+            got, want = canonical_dag_of_mag(m), LatentDag.from_edges(m.nodes, m.edges())
+            assert dag_table(got) == dag_table(want) and got == want, m
+            latents.update(got.latent)
+        assert {"U1_", "U1__", "U2_"} <= latents
+
+    def test_canonical_dag_refuses_a_directed_cycle(self):
+        cycle = [("A", "B", TAIL, ARROW, False), ("B", "C", TAIL, ARROW, False), ("A", "C", ARROW, TAIL, False)]
+        m = Mag(["A", "B", "C"], cycle, validate=False)
+        with pytest.raises(ValueError, match="cycle in DAG"):
+            canonical_dag_of_mag(m)
+
+    def test_projection_equals_the_edge_built_one(self):
+        # about 1.3 s: 3,000 random latent DAGs, then the canonical DAGs of
+        # the 3,423 class members of seeds 0-99
+        rng = np.random.default_rng(2031)
+        dags = [random_dag(rng) for _ in range(3000)]
+        dags += [canonical_dag_of_mag(g) for m in class_inputs()[:100] for g in equivalence_class(m)]
+        sizes = set()
+        for d in dags:
+            got, want = mag_of_dag(d), reference_oracle.mag_of_dag(d)
+            assert table(got) == table(want) and got == want, d
+            sizes.add((len(d.observed), len(d.latent)))
+        assert {(2, 0), (12, 8)} <= sizes and len(dags) > 4000
+
+    def test_pag_equals_the_name_built_one(self):
+        # about 0.8 s: the class of each of seeds 0-299 and the catalog MAGs
+        for m in class_inputs()[:303]:
+            members = equivalence_class(m)
+            got, want = pag_of_class(members), reference_oracle.pag_of_class(members)
+            assert table(got) == table(want), m
+
+    def test_pag_errors_are_kept(self):
+        with pytest.raises(ValueError, match="empty"):
+            pag_of_class([])
+        with pytest.raises(ValueError, match="skeleton"):
+            pag_of_class([Mag.from_specs(["X", "Y"], ["X --> Y"]), Mag(["X", "Y"])])
+        with pytest.raises(ValueError, match="skeleton"):
+            pag_of_class([Mag(["X", "Y"]), Mag(["X", "Y", "Z"])])
 
 
 class TestRandomGenerators:

@@ -15,7 +15,7 @@ import pagid.oracle
 import pagid.verify
 
 from pagid.exprs import Conditional, DistRef, evaluate_table, vsort
-from pagid.graphs import LatentDag, MixedGraph, _confounded, _possible_ancestors, mark_masks, mask_of, names_of
+from pagid.graphs import LatentDag, MixedGraph, _confounded, _possible_ancestors, bits, mark_masks, mask_of, names_of
 from pagid.ident_dag import Fail, _scope, id_dag
 from pagid.ident_pag import Fail as IdpFail
 from pagid.ident_pag import idp
@@ -266,7 +266,7 @@ def forced(monkeypatch, case):
     elif case == "subsumption":
         order = pagid.verify._order
         monkeypatch.setattr(pagid.verify, "_possible_ancestors", lambda g, y, within: y)
-        monkeypatch.setattr(pagid.verify, "_pc", lambda g, seed, within: seed)
+        monkeypatch.setattr(pagid.verify, "_pcs", lambda g, within: {v: 1 << v for v in bits(within)})
         monkeypatch.setattr(pagid.verify, "_order", lambda g, within, first=0: order(g, within)[::-1])
     else:
         monkeypatch.setattr(pagid.verify, "canonical_dag_of_mag", lambda m: LatentDag(m.nodes, [], []))
