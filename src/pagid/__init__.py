@@ -57,7 +57,6 @@ from .structure import (
     cpc_components,
     dc_component,
     pc_component,
-    possible_children,
     pto,
     visible_edges,
 )

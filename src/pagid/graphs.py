@@ -26,19 +26,21 @@ edge's token as an arc or, for ``<->``, a latent root
 Each graph kind has one builder, its constructor, and a graph file one
 reader, :func:`read_graph`, which reads the edge lines into tokens and
 hands them to the kind's ``_read``: the constructor's own fill and checks,
-less the lookup of each edge's token by its marks.  :meth:`LatentDag._read`
-turns confounding arcs into latent roots.  Code whose table holds by
+less the lookup of each edge's token by its marks.  Every latent DAG is
+built by its constructor, after one arc-to-latent rule,
+:meth:`LatentDag._read`, has read its edges: a graph file's, and through
+:meth:`LatentDag.from_edges` those of ``from_specs``, the random DAGs and
+the canonical DAG of a MAG.  Mixed-graph code whose table holds by
 construction what the constructor checks hands over the table instead:
 the members and the PAG of a class (:meth:`MixedGraph._of_table`, then the
-kind's own checks where it has any), the projection of a latent DAG
-(:func:`mag_of_dag`, then the MAG checks) and the canonical DAG of a MAG
-(:meth:`LatentDag._of_mag`, which names its latents by the rule of
-``_read``, :func:`_latent_name`).  Identification and
+kind's own checks where it has any) and the projection of a latent DAG
+(:func:`mag_of_dag`, then the MAG checks).  Identification and
 verification read a subgraph as a node mask on its parent's one table: a
 closure (:func:`_close`) or a component split (:func:`_blocks`, which takes
 the place of a union-find) stays inside a ``within`` mask.
 :func:`induced_subgraph` stays for the API and the tests; it restricts a
-mixed graph's table onto the kept nodes instead of building anew.
+mixed graph's table onto the kept nodes instead of building anew, and
+hands a latent DAG's kept arcs to its constructor.
 
 The package has one walk kernel, :func:`sliced_walk`: Bayes-ball
 reachability (Shachter 1998; van der Zander, Liskiewicz & Textor, AIJ 2019)
@@ -62,7 +64,7 @@ pc-components of :mod:`.structure`.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 MAX_NODES = 12
 
@@ -752,16 +754,6 @@ def _graphical_visible(g: MixedGraph) -> tuple[int, ...]:
     return tuple(visible)
 
 
-def _latent_name(k: int, taken: Collection[str]) -> str:
-    """The name of a DAG's k-th latent, counting from 1: ``U<k>``, with
-    ``_`` appended while ``taken`` holds it.  Names for different k differ
-    before their ``_`` suffixes, so they never collide with each other."""
-    name = f"U{k}"
-    while name in taken:
-        name += "_"
-    return name
-
-
 def _confounded(d: LatentDag) -> list[int]:
     """Per node index of ``d``: the observed nodes that share a latent
     parent with it, itself among them when it has one; a latent's row is
@@ -824,49 +816,6 @@ class LatentDag:
         self._topo = self._kahn_order()  # raises on cycles
 
     @classmethod
-    def _of_mag(cls, m: MixedGraph) -> "LatentDag":
-        """The canonical DAG of the MAG ``m`` (see
-        :func:`.oracle.canonical_dag_of_mag`), filled from its masks: the
-        arcs and the latents come in ``m.edges()`` order, each edge read off
-        the parent masks as an arc or, with neither end a parent of the
-        other, as a latent root after ``m``'s nodes.  Only the cycle check
-        of :meth:`_kahn_order` runs."""
-        observed = m.nodes
-        adj = m._masks
-        parents = list(m._marks[0])
-        children = [out & ~head for _, head, out in adj]
-        nbr = [pa | kids for pa, kids in zip(parents, children)]
-        arcs: list[tuple[str, str]] = []
-        latent: list[str] = []
-        for i, (around, _, _) in enumerate(adj):
-            a = observed[i]
-            for j in bits(around >> i + 1 << i + 1):
-                b = observed[j]
-                if parents[j] >> i & 1:
-                    arcs.append((a, b))
-                elif parents[i] >> j & 1:
-                    arcs.append((b, a))
-                else:
-                    name = _latent_name(len(latent) + 1, m._index)
-                    u = 1 << len(observed) + len(latent)
-                    latent.append(name)
-                    arcs += [(name, a), (name, b)]
-                    pair = 1 << i | 1 << j
-                    nbr.append(pair)
-                    parents.append(0)
-                    children.append(pair)
-                    for k in (i, j):
-                        nbr[k] |= u
-                        parents[k] |= u
-        dag = object.__new__(cls)
-        dag.observed, dag.latent, dag._edges = observed, tuple(latent), tuple(arcs)
-        dag._index = {v: k for k, v in enumerate(observed + dag.latent)}
-        dag._masks = tuple(zip(nbr, parents, children))
-        dag._marks = (tuple(parents), (0,) * len(nbr))
-        dag._topo = dag._kahn_order()  # raises on cycles
-        return dag
-
-    @classmethod
     def from_edges(cls, observed: Sequence[str], edges: Iterable[tuple]) -> "LatentDag":
         """Build from (a, b, mark_a, mark_b, visible) edges, each read as the
         dag-file token of its marks (:data:`EDGE_TOKENS`) by :meth:`_read`;
@@ -882,9 +831,11 @@ class LatentDag:
     @classmethod
     def _read(cls, observed: Sequence[str], edges: Iterable[tuple[str, str, EdgeToken, bool]]) -> "LatentDag":
         """Build from (a, b, token, visible) dag edges, as a graph file and
-        :meth:`from_edges` give them: a token with a tail is an arc, and each
-        ``<->`` becomes a latent root ``U<n>`` (``_`` appended while that is
-        an observed name) over its endpoints."""
+        :meth:`from_edges` give them, by the one arc-to-latent rule: a token
+        with a tail is an arc, and the k-th ``<->`` becomes the latent root
+        ``U<k>`` over its endpoints, with ``_`` appended while that is an
+        observed name (names for different k differ before their suffixes,
+        so no two latents share one).  The constructor fills the table."""
         arcs: list[tuple[str, str]] = []
         latent: list[str] = []
         for a, b, token, _ in edges:
@@ -894,7 +845,9 @@ class LatentDag:
             elif mark_b is TAIL:
                 arcs.append((b, a))
             else:
-                name = _latent_name(len(latent) + 1, observed)
+                name = f"U{len(latent) + 1}"
+                while name in observed:
+                    name += "_"
                 latent.append(name)
                 arcs += [(name, a), (name, b)]
         return cls(observed, latent, arcs)

@@ -23,9 +23,10 @@ m-separated from i by z iff the walk under z never enters y.  The cost is
 one fixpoint over 2**n-bit integers per source instead of 2**n walks.
 
 What follows a class reads its members' tables as well: each member is the
-table its tests computed, the PAG's marks are the AND and OR of the
-members' arrowhead masks (:func:`pag_of_class`), and a member's canonical
-DAG is filled from its masks (:func:`canonical_dag_of_mag`).
+table its tests computed, and the PAG's marks are the AND and OR of the
+members' arrowhead masks (:func:`pag_of_class`).  A member's canonical DAG
+is built as every latent DAG is, by :meth:`.graphs.LatentDag.from_edges`
+from its edges (:func:`canonical_dag_of_mag`).
 """
 
 from __future__ import annotations
@@ -258,21 +259,12 @@ def interventional(s: Scm, x_vars: Sequence[str]) -> JointTable:
 def canonical_dag_of_mag(m: Mag) -> LatentDag:
     """The canonical DAG of the MAG ``m``: its directed edges kept, and each
     bidirected edge a fresh latent root ``U<n>`` (``_`` appended while that
-    is a node of ``m``), as :meth:`.graphs.LatentDag.from_edges` builds it
-    from ``m.edges()``, arcs and latents in that order.
-
-    The table is read off ``m``'s masks and filled at ``m``'s node indices,
-    the latents after them (:meth:`.graphs.LatentDag._of_mag`), with none
-    of the constructor's checks but the cycle check of
-    :meth:`.graphs.LatentDag._kahn_order`.  On a MAG they cannot fail: a
-    MAG has one edge per pair over distinct checked nodes, so no arc
-    repeats, loops or names an unknown node; its directed part is acyclic,
-    so the order exists; each bidirected pair gets exactly one latent, a
-    root with those two observed children; and every latent name is fresh,
-    unlike any node of ``m`` by its ``_`` suffix and unlike any other
-    latent by its number.
+    is a node of ``m``), built by :meth:`.graphs.LatentDag.from_edges` from
+    ``m.edges()``, arcs and latents in that order.  Raises ValueError where
+    ``m`` is no MAG the constructor accepts as a DAG: an edge with a circle,
+    or a directed cycle.
     """
-    return LatentDag._of_mag(m)
+    return LatentDag.from_edges(m.nodes, m.edges())
 
 
 def _slices(n: int) -> tuple[int, tuple[int, ...]]:

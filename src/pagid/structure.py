@@ -204,14 +204,6 @@ def _cpc(g: MixedGraph, within: int) -> list[int]:
     return _blocks([nbr for nbr, _, _ in _invisible_masks(g)], within)
 
 
-def possible_children(g: MixedGraph, xs: Iterable[str]) -> tuple[str, ...]:
-    """Nodes adjacent to some member of ``xs`` by an edge not into that member."""
-    children, out = _child_masks(g), 0
-    for u in bits(mask_of(g, xs)):
-        out |= children[u]
-    return names_of(g.nodes, out)
-
-
 def _child_masks(g: MixedGraph) -> list[int]:
     """Per node u: its possible children, the neighbours w with no
     arrowhead at u on the edge to w."""

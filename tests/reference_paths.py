@@ -16,7 +16,9 @@ separation model of a class candidate (one walk per source and
 conditioning set) that ``graphs.mag_violation`` and
 ``oracle.equivalence_class`` read before their closed and sliced forms.
 The union-find ``partition`` that the package's one component kernel
-replaced, and the edge predicates that only tests read, live here too, as
+replaced, and the edge predicates that only tests read (among them
+``possible_children``, which ``structure`` exported with no caller in the
+package), live here too, as
 do the name-keyed neighbour, parent and child lists and the Kahn order on
 them that the graphs kept before the mask table became their one adjacency;
 every search here walks those lists, not the table under test.  The last
@@ -419,6 +421,13 @@ def possible_descendants(g: MixedGraph, sources) -> set[str]:
                 out.add(w)
                 frontier.append(w)
     return out
+
+
+def possible_children(g: MixedGraph, xs) -> tuple[str, ...]:
+    """Nodes adjacent to some member of ``xs`` by an edge not into that
+    member, in node order."""
+    neigh = neighbor_lists(g)
+    return g.sort_nodes({w for u in xs for w in neigh[u] if g.mark_at(u, w) is not ARROW})
 
 
 def definite_status_interior(g: MixedGraph, path):

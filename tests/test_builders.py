@@ -1,11 +1,11 @@
 """One builder per graph kind, one store per graph, and subgraphs that
 restrict their parent.
 
-Latents are made in ``graphs.py`` only and named by one rule there
-(``_latent_name``): ``LatentDag._read`` turns confounding arcs into latents
-for graph files directly, and for ``from_specs`` and random DAGs through
-``LatentDag.from_edges``; ``LatentDag._of_mag`` fills the canonical DAG of
-a MAG from its masks, which must equal the ``from_specs`` DAG.  A mixed graph stores
+Latents are made in ``graphs.py`` only, by one arc-to-latent rule there,
+``LatentDag._read``: it reads graph files directly, and ``from_specs``,
+random DAGs and the canonical DAG of a MAG through ``LatentDag.from_edges``,
+and every latent DAG's table is filled by one ``LatentDag.__init__`` call,
+which runs all of its checks.  A mixed graph stores
 its edges only in the mask table its constructor fills, and only
 ``graphs.py`` reads that table; the name-keyed edge store it replaced is
 the reference its queries must equal (``reference_paths.EdgeDict``).
@@ -109,6 +109,41 @@ class TestOneLatentBuilder:
     def test_from_edges_rejects_other_mark_pairs(self, marks):
         with pytest.raises(ValueError, match="neither directed nor bidirected"):
             LatentDag.from_edges(["A", "B"], [("A", "B", *marks, False)])
+
+    def test_canonical_dag_refuses_circle_marks(self):
+        pag = Pag.from_specs(["A", "B", "C"], ["A o-o B", "B o-> C"])
+        with pytest.raises(ValueError, match="neither directed nor bidirected"):
+            canonical_dag_of_mag(pag)
+
+    def test_every_builder_runs_the_constructor_once_per_dag(self, monkeypatch):
+        texts = [serialize_graph("dag", make()) for make in CATALOG_DAGS]
+        members = _sampled_class(0)[0]
+        mags = [m for seed in range(3) for m in _sampled_class(seed)[0]]
+        big = random_latent_dag(3, 6, 3, 0.5)
+        builders = {
+            "dag file": [lambda t=t: parse_graph(t)[1] for t in texts],
+            "from_specs": [
+                lambda m=m: LatentDag.from_specs(m.nodes, [_dag_spec(a, b, ma, mb) for a, b, ma, mb, _ in m.edges()])
+                for m in members
+            ],
+            "from_edges": [lambda m=m: LatentDag.from_edges(m.nodes, m.edges()) for m in members],
+            "random_latent_dag": [lambda seed=seed: random_latent_dag(seed, 5, 3, 0.4) for seed in range(10)],
+            "canonical_dag_of_mag": [lambda m=m: canonical_dag_of_mag(m) for m in mags],
+            "induced_subgraph": [lambda k=k: induced_subgraph(big, big.observed[:k]) for k in range(1, 7)],
+        }
+        built_by_init = []
+        real = LatentDag.__init__
+
+        def spy(self, *args, **kwargs):
+            built_by_init.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(LatentDag, "__init__", spy)
+        for name, builds in builders.items():
+            built_by_init.clear()
+            dags = [build() for build in builds]
+            assert all(type(d) is LatentDag for d in dags), name
+            assert list(map(id, built_by_init)) == list(map(id, dags)), name
 
 
 def _rebuilt_subgraph(g, keep):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import driver_starts, max_value_gap
-from reference_paths import definite_status_interior
+from reference_paths import definite_status_interior, possible_children
 from pagid import catalog, ident_pag
 from pagid.exprs import Conditional, DistRef, Product, render_text, simplify
 from pagid.graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, Pag, induced_subgraph, mag_of_dag, mask_of, names_of, possible_ancestors
@@ -23,7 +23,7 @@ from pagid.oracle import (
     random_scm,
 )
 from pagid.separation import m_separated
-from pagid.structure import _order, buckets, cpc_components, pc_component, possible_children, pto
+from pagid.structure import _order, buckets, cpc_components, pc_component, pto
 from pagid.verify import _sample_graph, expression_gap, interventional_gap
 
 

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from reference_paths import possible_children
 from pagid import catalog, graphs, ident_pag
 from pagid.graphs import ARROW, Pag, _possible_ancestors, induced_subgraph, mask_of, names_of, possible_ancestors
 from pagid.ident_pag import Fail, TraceStep, idp
@@ -28,7 +29,6 @@ from pagid.structure import (
     cpc_components,
     dc_component,
     pc_component,
-    possible_children,
     pto,
 )
 from pagid.verify import _sample_graph, run_verification

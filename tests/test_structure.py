@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_paths import possible_children
 from pagid.graphs import ARROW, Mag, MixedGraph, Pag, induced_subgraph
 from pagid.oracle import class_of_dag, random_latent_dag
 from pagid.structure import (
@@ -12,7 +13,6 @@ from pagid.structure import (
     dc_component,
     graphical_visible_edges,
     pc_component,
-    possible_children,
     pto,
     visible_edges,
 )
