@@ -8,6 +8,12 @@ drops are *not* algebraic and only happen through
 :func:`drop_certified_givens`, where the caller supplies an independence
 certificate.
 
+Every removal step ends in :func:`reduced_q`.  From a factor chain it reads
+the result off the chain when ``x`` lies in one block that fits one factor,
+and when S is a suffix of the block order it simplifies only the small
+product q(t \\ S) * sum_x q(S | t \\ S); other inputs build the quotient of
+sums through :func:`conditional_of`.
+
 Nodes are immutable, so facts about a node are stored on it, outside its
 ``eq`` and ``repr``:
 
@@ -602,27 +608,41 @@ def reduced_q(
     :func:`.ident_dag.q_reduce` and :func:`.ident_pag.q_reduce_bucket` are
     the checked entry points.
 
-    When ``q`` is a factor chain over t whose factors the blocks fit, the
-    result is read off the chain and no quotient is built.  A chain is one
-    canonical factor (see :func:`_is_canonical`), or a product of them that
-    :func:`simplify` has marked as its fixed point, P(C_1 | H_1) * ... *
-    P(C_n | H_n), where the C_k partition t and each H_k meets t
-    in exactly C_<k, the targets before it.  The mark is load-bearing:
-    ``simplify`` would first merge the factors of an unmarked product, and
-    its quotient would not be the one below.  If S is all of t, Q[S] is q
-    whatever the blocks, so the chain's factors serve as the blocks: B = C_n
-    and Pre = C_<n.  Otherwise B is the last block inside S and Pre the
-    blocks before it.  If ``x`` lies inside B, only B's
-    conditional mentions ``x``, and the others cancel between q / Q[S] and
-    the sum, so the result is q / q(B | Pre) * q(B \\ x | Pre).  When B lies
-    inside one C_k and C_<k <= Pre <= C_<k u C_k, both conditionals come from
-    the k-th factor alone: with Pre_k = Pre n C_k, the result is the other
-    factors unchanged times P(C_k \\ B \\ Pre_k | B u Pre_k u H_k) *
+    When ``q`` is a factor chain over t, the removals below are answered
+    from the chain and build no quotient.  A chain is one canonical factor
+    (see :func:`_is_canonical`), or a product of them that :func:`simplify`
+    has marked as its fixed point, P(C_1 | H_1) * ... * P(C_n | H_n), where
+    the C_k partition t and each H_k meets t in exactly C_<k, the targets
+    before it.  The mark is load-bearing: ``simplify`` would first merge the
+    factors of an unmarked product, and its quotient would not be the one
+    below.
+
+    The rewrite needs one block B holding ``x`` and the nodes Pre before it
+    with Q[S] = q(B | Pre) * (conditionals free of ``x``), as those cancel
+    between q / Q[S] and the sum.  If S is all of t, Q[S] is q whatever the
+    blocks, so B = C_n and Pre = C_<n.  If S is a suffix of the order, the
+    blocks inside it being the last ones, Q[S] = q(S | t \\ S) by the chain
+    rule whatever blocks lie in S, so B = S and Pre = t \\ S.  Otherwise B
+    is the last block inside S and Pre the blocks before it.  With ``x``
+    inside B, the result is q / q(B | Pre) * q(B \\ x | Pre).  When B lies
+    inside one C_k and C_<k <= Pre <= C_<k u C_k, both conditionals come
+    from the k-th factor alone: with Pre_k = Pre n C_k, the result is the
+    other factors unchanged times P(C_k \\ B \\ Pre_k | B u Pre_k u H_k) *
     P(Pre_k u (B \\ x) | H_k), factors with an empty target dropped.  That
     is the node ``simplify`` returns for the quotient, in its factor order,
     marked as a fixed point because one more normalisation pass leaves it
-    unchanged: no two of its factors chain-merge, as no two of q's did.  Every
-    other input builds the quotient and simplifies it.
+    unchanged: no two of its factors chain-merge, as no two of q's did.
+
+    A suffix S that spans factors still needs no quotient: q / Q[S] is
+    q(t \\ S), free of ``x``, so Q[t \\ x] = q(t \\ S) * sum_x q(S | t \\ S).
+    When t \\ S cuts the chain at one factor k, C_<k <= t \\ S <= C_<k u C_k,
+    q(t \\ S) is the factors before k times P((t \\ S) n C_k | H_k), and
+    q(S | t \\ S) is P(C_k \\ (t \\ S) | (t \\ S) u H_k) times the factors
+    after k; only that small product is simplified.  When it cuts no factor
+    and ``x`` is all of S, the result is sum_x q, simplified.  Every other
+    input builds the quotient and simplifies it: a q that is no chain, an S
+    with a block after it whose last block does not hold ``x`` inside one
+    factor, and a suffix S that cuts no factor while ``x`` is not all of S.
     """
     inside, preceding = [], ()
     for block in blocks:
@@ -633,8 +653,12 @@ def reduced_q(
         preceding += block
     chain = _chain(q, set(t))
     if chain:
-        if sum(len(b) for b, _ in inside) == len(t):
+        head = set(inside[0][1])
+        suffix = len(head) + sum(len(b) for b, _ in inside) == len(t)
+        if suffix and not head:
             block, before = set(chain[-1][1]), set(t).difference(chain[-1][1])
+        elif suffix:
+            block, before = set(t) - head, head
         else:
             block, before = map(set, inside[-1])
         for k, (_, c, h) in enumerate(chain):
@@ -646,6 +670,16 @@ def reduced_q(
                 out = _rebuild(rest + [_from_factor(*f) for f in split if f[0]], [])
                 object.__setattr__(out, "_fixed", True)
                 return out
+        if suffix:
+            earlier = set()
+            for k, (_, c, h) in enumerate(chain):
+                if earlier <= head <= earlier.union(c):
+                    q_pre = [f for f, *_ in chain[:k]] + [_from_factor(vsort(head.intersection(c)), h)]
+                    q_post = [_from_factor(vsort(set(c) - head), vsort(head.union(h)))] + [f for f, *_ in chain[k + 1:]]
+                    return simplify(Product((*q_pre, SumOver(x, Product(tuple(q_post))))))
+                earlier.update(c)
+            if set(x) == set(t) - head:
+                return simplify(SumOver(x, q))
     terms = [conditional_of(q, block, before, scope=t) for block, before in inside]
     q_s = terms[0] if len(terms) == 1 else Product(tuple(terms))
     return simplify(Product((Quotient(q, q_s), SumOver(x, q_s))))

@@ -1,14 +1,21 @@
 """Reference computations for the expression engine's removal rewrite.
 
-``exprs.reduced_q`` answers a removal from a factor chain in closed form:
-one canonical factor, or a product of them marked as a ``simplify`` fixed
-point, whose targets partition t and whose conditioning sets meet t in the
-earlier targets.  It does so when S is all of t and x lies inside the last
-factor's target, or when x lies inside the last block inside S and that
-block fits one factor.  This module keeps the generic computation it skips: the removal's quotient
-q / Q[S] * sum_x Q[S], each conditional of Q[S] a quotient of two sums over
-the request's scope, everything simplified by the rewrite calculus.  It
-exists only so that the differential tests can compare the closed form, and
+``exprs.reduced_q`` answers a removal from a factor chain without the
+quotient: one canonical factor, or a product of them marked as a
+``simplify`` fixed point, whose targets partition t and whose conditioning
+sets meet t in the earlier targets.  It reads the result off the chain when S
+is all of t and x lies inside the last factor's target, when S is a suffix
+of the block order and fits one factor, or when x lies inside the last block
+inside S and that block fits one factor.  For any other suffix S it
+simplifies q(t \\ S) * sum_x q(S | t \\ S), read off the chain when t \\ S
+cuts one factor, or sum_x q when it cuts none and x is all of S.  Only three
+kinds of input still take the quotient: a q that is no chain, an S with a
+block after it whose last block fits no factor or misses part of x, and a
+suffix S whose t \\ S cuts no factor while x is not all of S.  This module
+keeps the generic computation: the removal's quotient q / Q[S] * sum_x Q[S],
+each conditional of Q[S] a quotient of two sums over the request's scope,
+everything simplified by the rewrite calculus.  It exists only so that the
+differential tests can compare the closed forms, and
 ``exprs.conditional_of``, with the paths written out here.
 """
 

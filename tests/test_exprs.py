@@ -449,6 +449,15 @@ def simplify_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def quotient_calls(monkeypatch):
+    """The arguments of every ``exprs.conditional_of`` call made through the
+    module: a removal reaches it only on the generic quotient path."""
+    calls = []
+    monkeypatch.setattr(exprs, "conditional_of", lambda *a, **k: calls.append(a) or conditional_of(*a, **k))
+    return calls
+
+
 class TestConditionalOfClosedForm:
     """``conditional_of`` on one canonical factor against the quotient of
     sums in ``reference_exprs``: requests shaped like a removal step's give
@@ -568,11 +577,26 @@ def chains(draw):
     return (q, *_draw_removal(draw, order), order)
 
 
+# factor chains over A, B, C, D, each factor with its own context outside
+# them, so that simplify keeps the factors apart
+TWO_FACTORS = simplify(Product((P("A", "B", given=("E",)), P("C", "D", given=("A", "B", "F")))))
+THREE_FACTORS = simplify(Product((
+    P("A", given=("E",)), P("B", "C", given=("A", "F")), P("D", given=("A", "B", "C", "G")),
+)))
+
+# P(v1) * sum_{v3} [P(v3,v4|v1) * P(z|v1,v3,v4,x)], a removal's result on
+# beyond_adjustment_pag that idp reduces again
+RING_STEP = simplify(Product((
+    P("V1"), SumOver(("V3",), Product((P("V3", "V4", given=("V1",)), P("Z", given=("V1", "V3", "V4", "X"))))),
+)))
+
+
 class TestReducedQClosedForm:
     """``exprs.reduced_q`` on factor chains, one canonical factor or a
     product of them marked by ``simplify``, against the quotient
     q / Q[S] * sum_x Q[S] it skips (``reference_exprs``); unmarked products
-    take the generic path, as ``simplify`` would merge their factors first."""
+    and other non-chains take the generic path, as ``simplify`` would merge
+    the factors of an unmarked product first."""
 
     @given(removals())
     @settings(max_examples=400, deadline=None)
@@ -589,11 +613,19 @@ class TestReducedQClosedForm:
         [
             (P("A", "B", "C", "D"), ("A", "B", "C", "D")),
             (P("A", "B", "C", "D", given=("E",)), ("D", "B", "A", "C")),
+            # chains of two and three factors, t in chain order and not, so
+            # that t \ S cuts the chain at every factor and at none
+            (TWO_FACTORS, ("A", "B", "C", "D")),
+            (TWO_FACTORS, ("D", "C", "B", "A")),
+            (THREE_FACTORS, ("A", "B", "C", "D")),
+            (THREE_FACTORS, ("C", "A", "D", "B")),
         ],
     )
     def test_every_removal_over_four_variables(self, q, t):
-        # the draws above seldom give t several blocks: take every ordered
+        # about 0.7 s for the six inputs, nearly all of it in the reference.
+        # The draws above seldom give t several blocks: take every ordered
         # partition of t, every S made of its blocks and every x inside S
+        assert exprs._chain(q, set(t))
         for cuts in itertools.product((False, True), repeat=len(t) - 1):
             blocks = [[t[0]]]
             for v, cut in zip(t[1:], cuts):
@@ -636,14 +668,28 @@ class TestReducedQClosedForm:
              "P(v1|v2,v6)"),
             (simplify(Product((P("V1"), P("V3", given=("V1", "V2"))))), [("V1",), ("V3",)], {"V1"}, ("V1",),
              "P(v3|v1,v2)"),
+            # S a suffix of the blocks, from the worked examples' removals:
+            # S as one block inside one factor, S = x with no factor cut at
+            # t \ S, and t \ S cutting the first factor
+            (P("V1", "V2", "X1", "X2", "Y1", "Y2"), [("V1",), ("V2",), ("X1",), ("X2",), ("Y1",), ("Y2",)],
+             {"X1", "X2", "Y1", "Y2"}, ("X2",), "P(v1,v2,x1,y1,y2)"),
+            (simplify(Product((P("V1", "V2"), P("Y1", "Y2", given=("V1", "V2", "X1"))))),
+             [("V1",), ("Y1",), ("Y2",), ("V2",)], {"V2"}, ("V2",), "sum_{v2} [P(v1,v2) * P(y1,y2|v1,v2,x1)]"),
+            (simplify(Product((P("V1", "V3", "V4"), P("Z", given=("V1", "V3", "V4", "X"))))),
+             [("V1",), ("V3",), ("V4",), ("Z",)], {"V3", "V4", "Z"}, ("V3",),
+             "P(v1) * sum_{v3} [P(v3,v4|v1) * P(z|v1,v3,v4,x)]"),
         ],
     )
-    def test_closed_form_cases(self, q, blocks, s_union, x, text, simplify_calls):
+    def test_closed_form_cases(self, q, blocks, s_union, x, text, simplify_calls, quotient_calls):
+        # under 0.1 s for the 17 rows.  No row builds the quotient; a result
+        # with a sum in it comes from simplifying the small product
+        # q(t \ S) * sum_x q(S | t \ S) once, any other straight off the chain
         t = tuple(v for b in blocks for v in b)
         expected = reference_exprs.reduced_q(q, blocks, s_union, x, t)
         simplify_calls.clear()
         e = exprs.reduced_q(q, blocks, s_union, x, t)
-        assert simplify_calls == []
+        assert quotient_calls == []
+        assert len(simplify_calls) == ("sum_" in text)
         assert e == expected and render_text(e) == text and e._fixed
 
     @pytest.mark.parametrize(
@@ -654,14 +700,18 @@ class TestReducedQClosedForm:
             # a product, and a factor over more than t
             (Product((P("A"), P("B", given=("A",)))), [("A",), ("B",)], {"B"}, ("B",)),
             (P("A", "B", "C"), [("A",), ("B",)], {"B"}, ("B",)),
+            # the worked examples' one non-chain q, a factor times a sum, with
+            # S after and before the other blocks
+            (RING_STEP, [("V1",), ("V4",), ("Z",)], {"V1"}, ("V1",)),
+            (RING_STEP, [("V4",), ("Z",), ("V1",)], {"V1"}, ("V1",)),
         ],
     )
-    def test_other_inputs_take_the_generic_path(self, q, blocks, s_union, x, simplify_calls):
+    def test_other_inputs_take_the_generic_path(self, q, blocks, s_union, x, quotient_calls):
+        # under 0.03 s for the five rows
         t = tuple(v for b in blocks for v in b)
         expected = reference_exprs.reduced_q(q, blocks, s_union, x, t)
-        simplify_calls.clear()
         assert exprs.reduced_q(q, blocks, s_union, x, t) == expected
-        assert simplify_calls
+        assert quotient_calls
 
     def test_a_cut_block_is_refused(self):
         q, blocks, t = P("A", "B", "C", given=("E",)), [("A", "B"), ("C",)], ("A", "B", "C")

@@ -3,8 +3,9 @@ checks and re-derivations of the public reducers.  These tests show on the
 catalog and on seeded verification draws that every skipped check would have
 passed, that each step's reduction is the one the checked entry points give,
 that every removal rewrite, closed form or not, is the simplified quotient
-of ``reference_exprs``, and that few of the steps' rewrites take the generic
-path.  ``id_dag`` and ``idp`` start most components at their own Q[S] and
+of ``reference_exprs``, that few of the steps' rewrites take the generic
+path, and that on the worked examples only a q that is no factor chain
+does.  ``id_dag`` and ``idp`` start most components at their own Q[S] and
 Q[C] and take few steps, so the queries also run through
 ``reference_ident``, whose Q[V] start calls the same removal steps
 thousands of times."""
@@ -17,7 +18,7 @@ import pytest
 import reference_exprs
 import reference_ident
 from pagid import catalog, exprs, ident_dag, ident_pag
-from pagid.exprs import expr_size
+from pagid.exprs import expr_size, render_text
 from pagid.graphs import find_closure_violation, induced_subgraph, mask_of, names_of
 from pagid.ident_pag import bucket_identifiable, q_reduce_bucket
 from pagid.oracle import canonical_dag_of_mag, equivalence_class, pag_of_class
@@ -156,7 +157,37 @@ def test_sampled_steps_match_the_checked_reducers(checked_steps, referenced_rewr
     assert checked_steps["bucket"] > 500 and checked_steps["node"] > 3000
     assert len(referenced_rewrites) >= checked_steps["bucket"] + checked_steps["node"]
     # the closed form answers all but a few hundred of the production steps'
-    # rewrites (58 here; 103 when idp started every component at Q[A], 244
-    # when id_dag did too, 2,175 when the closed form took one canonical
-    # factor only)
+    # rewrites (16 here; 58 when it took x inside one chain factor only, 103
+    # when idp started every component at Q[A] as well, 244 when id_dag did
+    # too, 2,175 when the closed form took one canonical factor only)
     assert checked_steps["generic"] <= 300
+
+
+@pytest.mark.parametrize(
+    "pag, query, reached, answer, steps",
+    [
+        (catalog.two_treatment_pag(), (("X1", "X2"), ("Y1", "Y2", "Y3")), 0, "P(y1,y2|x1) * P(y3|x2)", [
+            "P(v1,v2,x1,x2,y1,y2)", "P(v1,v2,x1,y1,y2)", "P(v1,v2) * P(y1,y2|v1,v2,x1)",
+            "P(v1) * P(y1,y2|v1,v2,x1)", "P(y1,y2|v1,v2,x1)", "P(v1,v2,x1,x2,y1,y3)", "P(v1,v2,x1,x2,y3)",
+            "P(v1,v2,x2,y3)", "P(v1,v2) * P(y3|v1,v2,x2)", "P(v1) * P(y3|v1,v2,x2)", "P(y3|v1,v2,x2)",
+        ]),
+        (catalog.beyond_adjustment_pag(), (("X",), ("Y",)), 2,
+         "sum_{v2,v4,z} [P(v2) * P(y|v2,v4,x,z) * sum_{v3} [P(v3,v4) * P(z|v3,v4,x)]]", [
+             "P(v1,v2,v3,v4,x)", "P(v1,v2,v3,v4)", "P(v1,v2,v3)", "P(v1,v2)", "P(v2)", "P(v1,v3,v4,x,z)",
+             "P(v1,v3,v4) * P(z|v1,v3,v4,x)", "P(v1) * sum_{v3} [P(v3,v4|v1) * P(z|v1,v3,v4,x)]",
+             "sum_{v3} [P(v3,v4|v1) * P(z|v1,v3,v4,x)]",
+         ]),
+    ],
+)
+def test_worked_examples_build_a_quotient_only_off_chains(monkeypatch, pag, query, reached, answer, steps):
+    # about 0.01 s.  Every removal of the README quick start is answered
+    # from its factor chain; the ring builds its 2 quotient conditionals for
+    # the removal from P(v1) * sum_{v3} [...], which is no chain
+    calls = []
+    conditional_of = exprs.conditional_of
+    monkeypatch.setattr(exprs, "conditional_of", lambda *a, **k: calls.append(a) or conditional_of(*a, **k))
+    trace = []
+    result = ident_pag.idp(*query, pag, trace=trace)
+    assert len(calls) == reached
+    assert render_text(result) == answer
+    assert [render_text(step.reduced) for step in trace] == steps
