@@ -32,14 +32,23 @@ Nodes are immutable, so facts about a node are stored on it, outside its
   for a factor chain only when marked, because ``simplify`` would first
   merge the factors of an unmarked one.
 
+The certified cleanup keeps the marks.  Each pass of
+:func:`drop_certified_givens` and :func:`join_certified_marginals` returns
+the very node it was given wherever nothing below it dropped or joined, so
+only the nodes above a rewrite are new, and the next ``simplify``
+normalises those and returns every marked subtree as it is.
+
 No cache outlives the node it describes: there is no memo keyed by
 expression content, so one query costs the same whether or not others ran
-before it in the same process.
+before it in the same process.  The certificates that the cleanup asks are
+answered by the caller; :func:`.ident_dag.identify` keeps their answers,
+keyed by the variable sets asked, for one query only.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -718,7 +727,8 @@ def drop_certified_givens(
 
 def _drops_to_fixed_point(cur: Expr, certify, droppable: Callable[[str], bool]) -> Expr:
     # drops enable merges that build new factors with droppable givens, so
-    # iterate the pass to a fixed point
+    # iterate the pass to a fixed point; a round rebuilds only the nodes
+    # above a drop, and simplify returns the marked rest as it is
     for _ in range(20):
         nxt = simplify(_drop_givens(cur, certify, droppable))
         if nxt == cur:
@@ -728,6 +738,8 @@ def _drops_to_fixed_point(cur: Expr, certify, droppable: Callable[[str], bool]) 
 
 
 def _drop_givens(node: Expr, certify, droppable: Callable[[str], bool]) -> Expr:
+    """``node`` with the certified givens dropped; a node with nothing
+    dropped below it is returned as it is, keeping its mark."""
     if isinstance(node, Conditional):
         given = list(node.given)
         changed = True
@@ -740,16 +752,24 @@ def _drop_givens(node: Expr, certify, droppable: Callable[[str], bool]) -> Expr:
                 if certify(node.target, v, rest):
                     given.remove(v)
                     changed = True
-        return _from_factor(node.target, tuple(given))
+        return node if len(given) == len(node.given) else _from_factor(node.target, tuple(given))
     if isinstance(node, Product):
-        return Product(tuple(_drop_givens(f, certify, droppable) for f in node.factors))
+        factors = tuple(_drop_givens(f, certify, droppable) for f in node.factors)
+        return node if _same(factors, node.factors) else Product(factors)
     if isinstance(node, Quotient):
-        return Quotient(_drop_givens(node.num, certify, droppable), _drop_givens(node.den, certify, droppable))
+        num, den = _drop_givens(node.num, certify, droppable), _drop_givens(node.den, certify, droppable)
+        return node if num is node.num and den is node.den else Quotient(num, den)
     if isinstance(node, SumOver):
         # a summed variable losing its last free occurrence is a caller
         # error and surfaces through the SumOver constructor
-        return SumOver(node.vars, _drop_givens(node.body, certify, droppable))
+        body = _drop_givens(node.body, certify, droppable)
+        return node if body is node.body else SumOver(node.vars, body)
     return node
+
+
+def _same(new: Iterable[Expr], old: Iterable[Expr]) -> bool:
+    """Whether each of ``new`` is the very node at its place in ``old``."""
+    return all(map(operator.is_, new, old))
 
 
 def join_certified_marginals(
@@ -765,8 +785,11 @@ def join_certified_marginals(
 
 
 def _join_marginals(node: Expr, certify) -> Expr:
+    """``node`` with the certified marginals joined; a node with nothing
+    joined below it is returned as it is, keeping its mark."""
     if isinstance(node, Product):
         factors = [_join_marginals(f, certify) for f in node.factors]
+        joined = False
         changed = True
         while changed:
             changed = False
@@ -775,16 +798,17 @@ def _join_marginals(node: Expr, certify) -> Expr:
                 if set(a.scope) & set(b.scope):
                     continue
                 if certify(a.scope, b.scope):
-                    joined = DistRef(vsort(a.scope + b.scope))
                     factors = [f for k, f in enumerate(factors) if k not in (i, j)]
-                    factors.append(joined)
-                    changed = True
+                    factors.append(DistRef(vsort(a.scope + b.scope)))
+                    joined = changed = True
                     break
-        return Product(tuple(factors))
+        return node if not joined and _same(factors, node.factors) else Product(tuple(factors))
     if isinstance(node, Quotient):
-        return Quotient(_join_marginals(node.num, certify), _join_marginals(node.den, certify))
+        num, den = _join_marginals(node.num, certify), _join_marginals(node.den, certify)
+        return node if num is node.num and den is node.den else Quotient(num, den)
     if isinstance(node, SumOver):
-        return SumOver(node.vars, _join_marginals(node.body, certify))
+        body = _join_marginals(node.body, certify)
+        return node if body is node.body else SumOver(node.vars, body)
     return node
 
 

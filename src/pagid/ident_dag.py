@@ -27,8 +27,10 @@ components and the steps read a scope t off the input DAG: the latents
 with both children in t join G[t]'s c-components, and the DAG's order
 restricted to t is topological in G[t], as each edge of G[t] is the DAG's;
 the Q-decomposition takes any topological order (Tian & Pearl, AAAI 2002).
-Non-identifiability is reported as a value carrying the offending node and
-its confounded component.
+A query reads the latent pairs once, as :func:`.graphs._confounded` rows:
+the components close over them, and each step closes a candidate's
+c-component in G[t] over them inside t.  Non-identifiability is reported
+as a value carrying the offending node and its confounded component.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .exprs import (
     reduced_q,
     simplify,
 )
-from .graphs import LatentDag, _blocks, _confounded, _possible_ancestors, adjacency_masks, bits, mask_of, names_of
+from .graphs import LatentDag, _blocks, _close, _confounded, _possible_ancestors, adjacency_masks, bits, mask_of, names_of
 from .separation import d_separated
 
 
@@ -119,7 +121,9 @@ def identify(g, observed, x, y, *, components, order, separated, remove, choice_
     parts, each on node masks: ``components(within)`` splits a mask into
     the components of the subgraph over it, and ``order(within)`` lists
     that subgraph's blocks (nodes or buckets) in a (partial) topological
-    order; ``separated(g, a, b, z)`` certifies the cleanup rewrites; and
+    order; ``separated(g, a, b, z)`` certifies the cleanup rewrites, and
+    each distinct (a, b, z) is asked once per query, its answer kept in a
+    dict that lives only as long as the query; and
     ``remove(t, c_set, q, rng)`` takes one step from Q[t], held in ``q``,
     towards Q[c_set], over the components and a (partial) topological
     order of G[t], and returns ``(removed, reduced q)`` or a failure value.
@@ -200,10 +204,16 @@ def identify(g, observed, x, y, *, components, order, separated, remove, choice_
         expr = SumOver(names_of(nodes, d & ~y_mask), expr)
     expr = simplify(expr)
     eligible = set(expr.free_vars()) - x_set - y_set
-    expr = drop_certified_givens(
-        expr, lambda target, var, rest: separated(g, target, [var], rest), eligible
-    )
-    return join_certified_marginals(expr, lambda a, b: separated(g, a, b, ()))
+    answers: dict[tuple, bool] = {}  # this query's certificates
+
+    def certified(a: tuple[str, ...], b: tuple[str, ...], z: tuple[str, ...]) -> bool:
+        key = (a, b, z)
+        if key not in answers:
+            answers[key] = separated(g, a, b, z)
+        return answers[key]
+
+    expr = drop_certified_givens(expr, lambda target, var, rest: certified(target, (var,), rest), eligible)
+    return join_certified_marginals(expr, lambda a, b: certified(a, b, ()))
 
 
 def id_dag(
@@ -215,26 +225,33 @@ def id_dag(
     default is a reverse-topological scan.  Any valid choice is sound and the
     verdict does not depend on it.
     """
+    confounded = _confounded(d)
     return identify(
         d, d.observed, x, y,
-        components=lambda within: _blocks(_confounded(d), within),
+        components=lambda within: _blocks(confounded, within),
         order=lambda within: [b for b in (1 << d._index[v] for v in d.topological_order()) if b & within],
         separated=d_separated,
-        remove=lambda t, c_set, q, rng: _remove_node(d, t, c_set, q, rng),
+        remove=lambda t, c_set, q, rng: _remove_node(d, t, c_set, q, rng, confounded),
         choice_seed=choice_seed,
     )
 
 
-def _remove_node(d: LatentDag, t: list[str], c_set: set[str], q: Expr, rng):
+def _remove_node(d: LatentDag, t: list[str], c_set: set[str], q: Expr, rng, confounded: list[int]):
     """Remove the first node of ``t \\ c_set`` in the scan order that shares
-    its c-component with none of its children."""
-    comp_of, topo = _scope(d, set(t))
+    its c-component with none of its children.  A candidate's c-component
+    in G[t] is its closure inside ``t`` over the query's ``confounded``
+    rows (:func:`.graphs._confounded`), read only for the candidates the
+    scan tests."""
+    scope, index = mask_of(d, t), d._index
+    topo = [v for v in d.topological_order() if scope >> index[v] & 1]
     scan = [v for v in reversed(topo) if v not in c_set]
     if rng is not None:
         scan = [scan[i] for i in rng.permutation(len(scan))]
     adj = adjacency_masks(d)
     for b in scan:
-        if not mask_of(d, comp_of[b]) & adj[d._index[b]][2]:
-            return (b,), reduced_q(q, [(v,) for v in topo], set(comp_of[b]), (b,), tuple(t))
+        comp = _close(confounded, 1 << index[b], scope)
+        if not comp & adj[index[b]][2]:
+            return (b,), reduced_q(q, [(v,) for v in topo], set(names_of(d.nodes, comp)), (b,), tuple(t))
     b = scan[0]
-    return Fail(node=b, component=comp_of[b], scope=tuple(t), target=d.sort_nodes(c_set))
+    comp = names_of(d.nodes, _close(confounded, 1 << index[b], scope))
+    return Fail(node=b, component=comp, scope=tuple(t), target=d.sort_nodes(c_set))

@@ -15,12 +15,18 @@ running expression through the bucket-level reduction, keeping the
 smaller of the reductions under two partial orders.
 
 No restricted copy of P is built.  P without x, P_D, P_A and each scope P_t
-are node masks, and every test reads P's one table ANDed with its mask
-through the ``within`` kernels of :mod:`.structure`, which is the test on
-the induced subgraph.  A step proves its bucket removable once and reduces
-with what it derived: the definite c-component S serves both partial
-orders, and the checked entry points for direct callers,
-:func:`bucket_identifiable` and :func:`q_reduce_bucket`, are not called.
+are node masks, and every test reads P's rows ANDed with its mask through
+the ``within`` kernels of :mod:`.structure`, which is the test on the
+induced subgraph.  A query reads those rows off P's table once, into one
+:class:`.structure._ScopeRows` (the possible children, the ``o-o`` edges,
+the invisible edges with their bidirected part, and the name ranks); the
+start's components and order and every step's buckets, early and late
+partial orders, blocking witnesses and definite c-component read them,
+and they are dropped when the query returns.  A step proves its bucket
+removable once and reduces with what it derived: the definite c-component
+S serves both partial orders, and the checked entry points for direct
+callers, :func:`bucket_identifiable` and :func:`q_reduce_bucket`, are not
+called.
 Every :class:`.graphs.Pag`, and so every scope of one, is a valid PAG by
 construction, so the partial order checks no closure.
 """
@@ -34,7 +40,7 @@ from .exprs import Expr, expr_size, reduced_q, render_text
 from .graphs import MixedGraph, Pag, bits, mask_of, names_of
 from .ident_dag import identify
 from .separation import definitely_m_separated
-from .structure import PartialOrder, _child_masks, _cpc, _dc, _order, _pc, buckets, dc_component
+from .structure import PartialOrder, _ScopeRows, buckets, dc_component
 
 
 @dataclass(frozen=True)
@@ -83,20 +89,19 @@ def bucket_identifiable(p_t: MixedGraph, x: Iterable[str]) -> tuple[bool, tuple[
         raise ValueError(f"{sorted(x_set)} is not a bucket of the graph")
     if not x_set < set(p_t.nodes):
         raise ValueError("bucket must be a strict subset of the graph nodes")
-    witness = _blocking_child(p_t, mask_of(p_t, x_set), -1)
+    witness = _blocking_child(_ScopeRows(p_t), mask_of(p_t, x_set), -1)
     return witness is None, witness
 
 
-def _blocking_child(p: MixedGraph, bucket: int, within: int) -> tuple[str, str] | None:
+def _blocking_child(rows: _ScopeRows, bucket: int, within: int) -> tuple[str, str] | None:
     """The first (member, child) pair, in node order, that blocks removing
     ``bucket`` from the subgraph over ``within``, or None: a possible child
-    outside the bucket in the member's pc-component."""
-    children = _child_masks(p)
+    outside the bucket in the member's pc-component, read off ``rows``."""
     for u in bits(bucket):
-        hit = children[u] & within & ~bucket
-        hit = hit and hit & _pc(p, 1 << u, within)
+        hit = rows.children[u] & within & ~bucket
+        hit = hit and hit & rows.pc(1 << u, within)
         if hit:
-            return p.nodes[u], p.nodes[(hit & -hit).bit_length() - 1]
+            return rows.nodes[u], rows.nodes[(hit & -hit).bit_length() - 1]
     return None
 
 
@@ -132,26 +137,30 @@ def idp(
     default walks the partial order backwards); the verdict is invariant to
     that choice.  ``trace`` collects the intermediate reductions.
     """
+    rows = _ScopeRows(p)
     return identify(
         p, p.nodes, x, y,
-        components=lambda within: _cpc(p, within),
-        order=lambda within: _order(p, within),
+        components=rows.cpc,
+        order=rows.order,
         separated=definitely_m_separated,
-        remove=lambda t, c_set, q, rng: _remove_bucket(p, t, c_set, q, rng, trace),
+        remove=lambda t, c_set, q, rng: _remove_bucket(p, t, c_set, q, rng, trace, rows),
         choice_seed=choice_seed,
     )
 
 
-def _remove_bucket(p: Pag, t: list[str], c_set: set[str], q: Expr, rng, trace: list[TraceStep] | None):
-    scope = mask_of(p, t)
-    order = _order(p, scope)
-    candidates = [b for b in order if not b & mask_of(p, c_set)]
+def _remove_bucket(p: Pag, t: list[str], c_set: set[str], q: Expr, rng, trace: list[TraceStep] | None, rows: _ScopeRows):
+    """Remove the first removable bucket of ``t`` outside ``c_set`` in the
+    scan order, reading the scope's buckets, order, pc and dc off the
+    query's ``rows``."""
+    scope, target = mask_of(p, t), mask_of(p, c_set)
+    order = rows.order(scope)
+    candidates = [b for b in order if not b & target]
     sequence = list(reversed(candidates))
     if rng is not None:
         sequence = [candidates[i] for i in rng.permutation(len(candidates))]
     witness = None
     for pick in sequence:
-        wit = _blocking_child(p, pick, scope)
+        wit = _blocking_child(rows, pick, scope)
         if wit is None:
             break
         witness = witness or wit
@@ -159,9 +168,9 @@ def _remove_bucket(p: Pag, t: list[str], c_set: set[str], q: Expr, rng, trace: l
         return Fail(scope=tuple(t), component=p.sort_nodes(c_set), witness=witness)
     # Any valid partial order is sound; also try the one that postpones
     # the removed bucket and keep whichever reduction came out smaller.
-    bucket, s_union = names_of(p.nodes, pick), set(names_of(p.nodes, _dc(p, pick, scope)))
+    bucket, s_union = names_of(p.nodes, pick), set(names_of(p.nodes, rows.dc(pick, scope)))
     reduced = reduced_q(q, [names_of(p.nodes, b) for b in order], s_union, bucket, tuple(t))
-    late_order = _order(p, scope, pick)
+    late_order = rows.order(scope, pick)
     if late_order != order:
         alternative = reduced_q(q, [names_of(p.nodes, b) for b in late_order], s_union, bucket, tuple(t))
         if expr_size(alternative) < expr_size(reduced):

@@ -16,6 +16,9 @@ kernels with every node within.  Buckets and cpc blocks are the
 :func:`.graphs._blocks` components of the ``o-o`` and the invisible edges,
 and a pc-component is a :func:`.graphs._close` closure over the invisible
 bidirected edges (:func:`_pc`, or :func:`_pcs` for each node of a mask).
+Each kernel builds the rows it reads on every call; :class:`_ScopeRows`
+builds them once for the many scopes of one identification query, and
+:func:`_order` and its :meth:`_ScopeRows.order` share one extraction loop.
 A :class:`.graphs.Pag` settles its visible-edge set when it is built;
 :func:`visible_edges` reads it.
 """
@@ -111,19 +114,86 @@ def _order(g: MixedGraph, within: int, first: int = 0) -> list[int]:
     ``first`` is taken whenever it is extractable, which places it as late
     as possible in the order; every extraction choice yields a sound order,
     so callers may pick whichever produces a simpler reduction."""
-    children, nodes = _child_masks(g), g.nodes
-    remaining = _buckets(g, within)
-    least = {b: min(names_of(nodes, b)) for b in remaining}
+    return _extract(_child_masks(g), _name_ranks(g.nodes), _buckets(g, within), within, first)
+
+
+def _extract(children: list[int], rank: list[int], blocks: list[int], within: int, first: int) -> list[int]:
+    """:func:`_order` of the ``blocks`` that partition ``within``, given the
+    possible-children rows ``children`` and each node's ``rank`` in name
+    order.  Each block reads its members' children outside it as one mask,
+    and the blocks wait in falling order of their smallest member name, so
+    the first extractable one is the one whose smallest member is largest."""
+    pending, lead = [], None
+    for b in blocks:
+        kids, least = 0, len(rank)
+        for u in bits(b):
+            kids |= children[u]
+            if rank[u] < least:
+                least = rank[u]
+        if b == first:
+            lead = (b, kids & ~b)
+        else:
+            pending.append((least, b, kids & ~b))
+    pending.sort(reverse=True)
     extracted: list[int] = []
-    while remaining:
-        candidates = [b for b in remaining if not any(children[u] & within & ~b for u in bits(b))]
-        if not candidates:
-            raise ValueError("no extractable bucket; input is not a valid PAG")
-        pick = first if first in candidates else max(candidates, key=least.__getitem__)
+    while pending or lead:
+        if lead and not lead[1] & within:
+            pick, lead = lead[0], None
+        else:
+            for i, (_, _, kids) in enumerate(pending):
+                if not kids & within:
+                    break
+            else:
+                raise ValueError("no extractable bucket; input is not a valid PAG")
+            pick = pending.pop(i)[1]
         extracted.append(pick)
-        remaining.remove(pick)
         within &= ~pick
     return extracted[::-1]
+
+
+def _name_ranks(nodes: tuple[str, ...]) -> list[int]:
+    """Per node index, the position of its name in sorted order."""
+    rank = [0] * len(nodes)
+    for r, i in enumerate(sorted(range(len(nodes)), key=nodes.__getitem__)):
+        rank[i] = r
+    return rank
+
+
+class _ScopeRows:
+    """The rows of one :class:`.graphs.Pag`'s table that the ``within``
+    kernels of its scopes read, built once for the scopes of one
+    identification query, each in one pass over the nodes: the
+    possible-children rows, the ``o-o`` rows, the invisible rows with their
+    bidirected part, and the name ranks.  On a PAG no circle faces a tail,
+    so a circle neighbour with no arrowhead at its own end is an ``o-o``
+    neighbour; a visible edge is directed, so the invisible rows keep every
+    bidirected edge.  The methods are :func:`_order`, :func:`_pc`,
+    :func:`_dc` and :func:`_cpc` on these rows.  Only the ``o-o`` rows, and
+    with them :meth:`order`, need a PAG; the other rows hold on every mixed
+    graph."""
+
+    __slots__ = ("nodes", "children", "circle_circle", "invisible", "bidirected", "linked", "rank")
+
+    def __init__(self, p: Pag):
+        self.nodes = p.nodes
+        self.children = _child_masks(p)
+        self.circle_circle = [c & ~out for c, (_, _, out) in zip(mark_masks(p)[1], adjacency_masks(p))]
+        self.invisible = _invisible_masks(p)
+        self.bidirected = [head & out for _, head, out in self.invisible]
+        self.linked = [nbr for nbr, _, _ in self.invisible]
+        self.rank = _name_ranks(p.nodes)
+
+    def order(self, within: int, first: int = 0) -> list[int]:
+        return _extract(self.children, self.rank, _blocks(self.circle_circle, within), within, first)
+
+    def pc(self, seed: int, within: int) -> int:
+        return _pc_in(self.invisible, self.bidirected, seed, within)
+
+    def dc(self, seed: int, within: int) -> int:
+        return _close(self.bidirected, seed, within)
+
+    def cpc(self, within: int) -> list[int]:
+        return _blocks(self.linked, within)
 
 
 def pc_component(g: MixedGraph, seed: Iterable[str]) -> tuple[str, ...]:

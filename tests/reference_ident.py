@@ -18,9 +18,9 @@ import numpy as np
 
 from pagid import ident_dag, ident_pag
 from pagid.exprs import DistRef, Product, SumOver, drop_certified_givens, join_certified_marginals, simplify
-from pagid.graphs import _close, induced_subgraph, mark_masks, mask_of, names_of, possible_ancestors
+from pagid.graphs import _close, _confounded, induced_subgraph, mark_masks, mask_of, names_of, possible_ancestors
 from pagid.separation import d_separated, definitely_m_separated
-from pagid.structure import cpc_components
+from pagid.structure import _ScopeRows, cpc_components
 
 
 def identify(g, observed, x, y, *, prune, components, separated, remove, choice_seed):
@@ -59,25 +59,29 @@ def identify(g, observed, x, y, *, prune, components, separated, remove, choice_
 
 
 def idp(x, y, p, *, choice_seed=None):
-    """``ident_pag.idp`` through the reference :func:`identify`."""
+    """``ident_pag.idp`` through the reference :func:`identify`, its steps
+    reading one ``_ScopeRows`` of ``p``."""
+    rows = _ScopeRows(p)
     return identify(
         p, p.nodes, x, y,
         prune=possible_ancestors,
         components=cpc_components,
         separated=definitely_m_separated,
-        remove=lambda t, c_set, q, rng: ident_pag._remove_bucket(p, t, c_set, q, rng, None),
+        remove=lambda t, c_set, q, rng: ident_pag._remove_bucket(p, t, c_set, q, rng, None, rows),
         choice_seed=choice_seed,
     )
 
 
 def id_dag(x, y, d, *, choice_seed=None):
-    """``ident_dag.id_dag`` through the reference :func:`identify`."""
+    """``ident_dag.id_dag`` through the reference :func:`identify`, its
+    steps reading one ``_confounded`` table of ``d``."""
+    confounded = _confounded(d)
     return identify(
         d, d.observed, x, y,
         prune=_observed_ancestors,
         components=ident_dag.c_components,
         separated=d_separated,
-        remove=lambda t, c_set, q, rng: ident_dag._remove_node(d, t, c_set, q, rng),
+        remove=lambda t, c_set, q, rng: ident_dag._remove_node(d, t, c_set, q, rng, confounded),
         choice_seed=choice_seed,
     )
 

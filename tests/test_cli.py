@@ -513,7 +513,7 @@ def _without_nodes_line(text):
 class TestParseFuzz:
     """The token reader gives the reference reader's graph, or its exact
     error text, on fuzzed and on valid files.  On a 2-core x86 host, 300
-    fuzzed texts through both readers take about 2.5 s, and the 110 valid
+    fuzzed texts through both readers take about 2.5 s, and the 112 valid
     files, three ways each (as written, with the ``nodes:`` line last and
     without it), about 0.1 s."""
 
@@ -537,7 +537,7 @@ class TestParseFuzz:
     @pytest.mark.parametrize("move", [None, _nodes_line_last, _without_nodes_line], ids=["as-written", "nodes-last", "no-nodes"])
     def test_valid_files_match_the_reference(self, move):
         texts = _valid_files()
-        assert len(texts) == 110
+        assert len(texts) == 112
         for text in texts:
             if move is not None:
                 text = move(text)

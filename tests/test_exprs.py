@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import reference_exprs
 from conftest import max_value_gap, random_joint_table
-from pagid import exprs
+from pagid import catalog, exprs
+from pagid.cli import parse_graph
 from pagid.exprs import (
     Conditional,
     Const,
@@ -28,7 +29,13 @@ from pagid.exprs import (
     simplify,
     to_json_dict,
 )
+from pagid.ident_dag import id_dag
+from pagid.ident_pag import idp
+from pagid.oracle import equivalence_class, pag_of_class
 from pagid.separation import definitely_m_separated
+from pagid.verify import _sample_graph, _sample_query
+from test_dense_queries import DATA, DENSE_QUERIES
+from test_removal_steps import _queries
 
 TWIN_VARS = ("V1", "V2", "X1", "X2", "Y1", "Y2", "Y3")
 
@@ -727,6 +734,91 @@ class TestJoinCertifiedMarginals:
         assert render_text(joined) == "P(a,b)"
         kept = join_certified_marginals(e, lambda a, b: False)
         assert render_text(kept) == "P(a) * P(b)"
+
+
+def _cleanup_answers():
+    """The answers of ``idp`` and ``id_dag`` on the catalog graphs, over the
+    queries of ``test_removal_steps``, on 40 seeded verification draws, and
+    on the two dense 12-node queries of ``test_dense_queries``."""
+    pags = [catalog.confounded_chain_pag(), catalog.two_treatment_pag(),
+            catalog.beyond_adjustment_pag(), catalog.circle_pair_pag()]
+    dags = [catalog.confounded_chain_dag(), catalog.confounded_chain_dag_alt(), catalog.bow_dag()]
+    asked = [(idp, p, q) for p in pags for q in _queries(p.nodes)]
+    asked += [(id_dag, d, q) for d in dags for q in _queries(d.observed)]
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        d, m = _sample_graph(rng)
+        pag = pag_of_class(equivalence_class(m))
+        for _ in range(3):
+            query = _sample_query(rng, list(pag.nodes))
+            if query is not None:
+                asked += [(idp, pag, query), (id_dag, d, query)]
+    for name, (answer, xs, ys) in DENSE_QUERIES.items():
+        asked.append((answer, parse_graph((DATA / name).read_text())[1], (xs, ys)))
+    answers = [answer(*query, g) for answer, g, query in asked]
+    return [e for e in answers if isinstance(e, exprs.Expr)]
+
+
+class TestCleanupSharing:
+    """A cleanup pass returns the very node it was given wherever nothing
+    below it dropped or joined, so the marks that :func:`simplify` set
+    survive, and the next round's ``simplify`` skips those subtrees.  About
+    1 s of tier-1 time on a 2-core x86 host, most of it answering the
+    queries."""
+
+    @pytest.fixture(scope="class")
+    def answers(self):
+        return _cleanup_answers()
+
+    def test_nothing_certified_returns_every_node_as_it_is(self, answers):
+        never = lambda *args: False
+        checked = 0
+        for e in answers:
+            assert e._fixed
+            for sub in _subtrees(e):
+                assert exprs._drop_givens(sub, never, lambda v: True) is sub
+                assert exprs._join_marginals(sub, never) is sub
+                checked += 1
+            assert e._fixed
+        # 525 answers, 2,669 subtrees
+        assert len(answers) > 500 and checked > 2000
+
+    def test_one_drop_rebuilds_only_the_nodes_above_it(self, answers):
+        # for each conditional's (target, first given), certify exactly the
+        # drops of that given from that target: the pass rebuilds the nodes
+        # with such a conditional below them and returns every other node
+        # as it is
+        rebuilt = kept = 0
+        for e in answers:
+            for target, v0 in {(c.target, c.given[0]) for c in _subtrees(e) if isinstance(c, Conditional)}:
+                out = exprs._drop_givens(e, lambda t, v, rest: t == target and v == v0, lambda v: True)
+                hit = lambda c: isinstance(c, Conditional) and c.target == target and v0 in c.given
+                counts = _sharing(e, out, hit)
+                rebuilt, kept = rebuilt + counts[0], kept + counts[1]
+        # 3,060 nodes rebuilt, 1,383 kept
+        assert rebuilt > 2000 and kept > 1000
+
+
+def _sharing(before, after, hit):
+    """Check that ``after`` is ``before`` exactly where no node below
+    ``before`` satisfies ``hit``, and count the nodes (rebuilt, kept)."""
+    if after is before:
+        assert not any(map(hit, _subtrees(before)))
+        return 0, 1
+    if isinstance(before, Product):
+        pairs = zip(before.factors, after.factors, strict=True)
+    elif isinstance(before, Quotient):
+        pairs = ((before.num, after.num), (before.den, after.den))
+    elif isinstance(before, SumOver):
+        pairs = ((before.body, after.body),)
+    else:
+        assert hit(before)
+        return 1, 0
+    rebuilt, kept = 1, 0
+    for b, a in pairs:
+        counts = _sharing(b, a, hit)
+        rebuilt, kept = rebuilt + counts[0], kept + counts[1]
+    return rebuilt, kept
 
 
 class TestRendering:

@@ -1,0 +1,105 @@
+"""The removal steps of one query read tables built once for that query.
+
+``idp`` builds one ``structure._ScopeRows`` per query, and every step reads
+its scope's buckets, early and late partial orders, blocking witnesses and
+definite c-components off it; ``id_dag`` reads one ``graphs._confounded``
+table per query, and each step closes its candidates' c-components over it.
+Over every scope that the queries visit, on the catalog and on 300
+``verify._sample_graph`` draws, each is held against the from-scratch
+kernel: ``structure._order`` and ``structure._dc`` on the scope mask, the
+blocking witness of ``test_scopes.blocking_child_by_names`` on the induced
+subgraph, and ``ident_dag._scope``.  The queries also run through
+``reference_ident``, whose Q[V] start takes many more steps with one table
+each.  About 4 s of tier-1 time on a 2-core x86 host.
+"""
+
+import numpy as np
+import pytest
+
+import reference_ident
+from pagid import catalog, ident_dag, ident_pag
+from pagid.graphs import induced_subgraph, mask_of, names_of
+from pagid.oracle import equivalence_class, pag_of_class
+from pagid.structure import _dc, _order
+from pagid.verify import _sample_graph, _sample_query
+from test_removal_steps import _queries
+from test_scopes import blocking_child_by_names
+
+
+@pytest.fixture
+def checked_tables(monkeypatch):
+    """Spy on both removal steps; check each step's tables against the
+    from-scratch kernels and count the scopes checked."""
+    checked = {"bucket": 0, "node": 0}
+    remove_bucket, remove_node, reduced_q = ident_pag._remove_bucket, ident_dag._remove_node, ident_dag.reduced_q
+    reductions = []
+
+    def bucket_step(p, t, c_set, q, rng, trace, rows):
+        scope, sub = mask_of(p, t), induced_subgraph(p, t)
+        order = rows.order(scope)
+        assert order == _order(p, scope)
+        for b in order:
+            assert rows.order(scope, b) == _order(p, scope, b)
+            assert rows.dc(b, scope) == _dc(p, b, scope)
+            assert ident_pag._blocking_child(rows, b, scope) == blocking_child_by_names(sub, names_of(p.nodes, b))
+        checked["bucket"] += 1
+        return remove_bucket(p, t, c_set, q, rng, trace, rows)
+
+    def reduce(q, blocks, s_union, x, t):
+        reductions.append((blocks, s_union, x, t))
+        return reduced_q(q, blocks, s_union, x, t)
+
+    def node_step(d, t, c_set, q, rng, confounded):
+        del reductions[:]
+        step = remove_node(d, t, c_set, q, rng, confounded)
+        comp_of, topo = ident_dag._scope(d, set(t))
+        if isinstance(step, ident_dag.Fail):
+            assert step.component == comp_of[step.node]
+        else:
+            (b,), _ = step
+            assert not set(comp_of[b]) & set(d.children(b))
+            assert reductions == [([(v,) for v in topo], set(comp_of[b]), (b,), tuple(t))]
+            if rng is None:
+                scan = [v for v in reversed(topo) if v not in c_set]
+                assert b == next(v for v in scan if not set(comp_of[v]) & set(d.children(v)))
+        checked["node"] += 1
+        return step
+
+    monkeypatch.setattr(ident_pag, "_remove_bucket", bucket_step)
+    monkeypatch.setattr(ident_dag, "_remove_node", node_step)
+    monkeypatch.setattr(ident_dag, "reduced_q", reduce)
+    return checked
+
+
+def test_catalog_steps_read_the_scope_kernels(checked_tables):
+    for pag in (catalog.confounded_chain_pag(), catalog.two_treatment_pag(),
+                catalog.beyond_adjustment_pag(), catalog.circle_pair_pag()):
+        for query in _queries(pag.nodes):
+            for seed in (None, 3):
+                ident_pag.idp(*query, pag, choice_seed=seed)
+                if len(query[1]) != 2:
+                    reference_ident.idp(*query, pag, choice_seed=seed)
+    for dag in (catalog.confounded_chain_dag(), catalog.confounded_chain_dag_alt(), catalog.bow_dag()):
+        for query in _queries(dag.observed):
+            for seed in (None, 3):
+                ident_dag.id_dag(*query, dag, choice_seed=seed)
+                reference_ident.id_dag(*query, dag, choice_seed=seed)
+    # 2,252 bucket steps and 1,486 node steps
+    assert checked_tables["bucket"] > 1000 and checked_tables["node"] > 500
+
+
+def test_sampled_steps_read_the_scope_kernels(checked_tables):
+    rng = np.random.default_rng(34)
+    for _ in range(300):
+        d, m = _sample_graph(rng)
+        pag = pag_of_class(equivalence_class(m))
+        for _ in range(3):
+            query = _sample_query(rng, list(pag.nodes))
+            if query is not None:
+                for seed in (None, int(rng.integers(1000))):
+                    ident_pag.idp(*query, pag, choice_seed=seed)
+                    reference_ident.idp(*query, pag, choice_seed=seed)
+                    ident_dag.id_dag(*query, d, choice_seed=seed)
+                    reference_ident.id_dag(*query, d, choice_seed=seed)
+    # 4,932 bucket steps and 8,340 node steps
+    assert checked_tables["bucket"] > 3000 and checked_tables["node"] > 5000

@@ -43,9 +43,9 @@ def checked_steps(monkeypatch, referenced_rewrites):
             return result
         return run
 
-    def bucket_step(p, t, c_set, q, rng, trace):
+    def bucket_step(p, t, c_set, q, rng, trace, rows):
         before = len(referenced_rewrites)
-        step = remove_bucket(p, t, c_set, q, rng, trace)
+        step = remove_bucket(p, t, c_set, q, rng, trace, rows)
         taken["generic"] += sum(referenced_rewrites[before:])
         if isinstance(step, tuple):
             pick, reduced = step
@@ -59,9 +59,9 @@ def checked_steps(monkeypatch, referenced_rewrites):
             taken["bucket"] += 1
         return step
 
-    def node_step(d, t, c_set, q, rng):
+    def node_step(d, t, c_set, q, rng, confounded):
         before = len(referenced_rewrites)
-        step = remove_node(d, t, c_set, q, rng)
+        step = remove_node(d, t, c_set, q, rng, confounded)
         taken["generic"] += sum(referenced_rewrites[before:])
         if isinstance(step, tuple):
             removed, reduced = step

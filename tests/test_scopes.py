@@ -2,10 +2,11 @@
 
 Each ``within`` kernel (the buckets, the partial order with and without a
 preference, pc, dc, the cpc blocks, the possible ancestors and the blocking
-child) against the public function on ``induced_subgraph``, over every
-nonempty node subset of the catalog PAGs and of the seeded class PAGs that
-``test_reachability.small_subgraphs`` draws; and identification and
-verification build no subgraph.  About 2 s of tier-1 time.
+child), from scratch and on the one ``_ScopeRows`` of the graph that an
+``idp`` query builds, against the public function on ``induced_subgraph``,
+over every nonempty node subset of the catalog PAGs and of the seeded class
+PAGs that ``test_reachability.small_subgraphs`` draws; and identification
+and verification build no subgraph.  About 2 s of tier-1 time.
 """
 
 import itertools
@@ -20,6 +21,7 @@ from pagid.graphs import ARROW, Pag, _possible_ancestors, induced_subgraph, mask
 from pagid.ident_pag import Fail, TraceStep, idp
 from pagid.oracle import equivalence_class, pag_of_class
 from pagid.structure import (
+    _ScopeRows,
     _buckets,
     _cpc,
     _dc,
@@ -86,22 +88,23 @@ def _names(g, masks):
 def test_within_kernels_match_the_induced_subgraph():
     checked = 0
     for g in _pags():
+        rows = _ScopeRows(g)
         for r in range(1, len(g.nodes) + 1):
             for keep in itertools.combinations(g.nodes, r):
                 within, sub = mask_of(g, keep), induced_subgraph(g, keep)
                 assert _names(g, _buckets(g, within)) == buckets(sub)
-                assert _names(g, _order(g, within)) == pto(sub).buckets
-                assert _names(g, _cpc(g, within)) == cpc_components(sub)
+                assert _names(g, _order(g, within)) == _names(g, rows.order(within)) == pto(sub).buckets
+                assert _names(g, _cpc(g, within)) == _names(g, rows.cpc(within)) == cpc_components(sub)
                 for b in buckets(sub):
                     bucket = mask_of(g, b)
-                    assert _names(g, _order(g, within, bucket)) == order_by_names(sub, b)
-                    assert ident_pag._blocking_child(g, bucket, within) == blocking_child_by_names(sub, b)
-                    assert names_of(g.nodes, _pc(g, bucket, within)) == pc_component(sub, b)
-                    assert names_of(g.nodes, _dc(g, bucket, within)) == dc_component(sub, b)
+                    assert _names(g, _order(g, within, bucket)) == _names(g, rows.order(within, bucket)) == order_by_names(sub, b)
+                    assert ident_pag._blocking_child(rows, bucket, within) == blocking_child_by_names(sub, b)
+                    assert names_of(g.nodes, _pc(g, bucket, within)) == names_of(g.nodes, rows.pc(bucket, within)) == pc_component(sub, b)
+                    assert names_of(g.nodes, _dc(g, bucket, within)) == names_of(g.nodes, rows.dc(bucket, within)) == dc_component(sub, b)
                 for v in keep:
                     seed = mask_of(g, [v])
-                    assert names_of(g.nodes, _pc(g, seed, within)) == pc_component(sub, [v])
-                    assert names_of(g.nodes, _dc(g, seed, within)) == dc_component(sub, [v])
+                    assert names_of(g.nodes, _pc(g, seed, within)) == names_of(g.nodes, rows.pc(seed, within)) == pc_component(sub, [v])
+                    assert names_of(g.nodes, _dc(g, seed, within)) == names_of(g.nodes, rows.dc(seed, within)) == dc_component(sub, [v])
                     assert names_of(g.nodes, _possible_ancestors(g, seed, within)) == possible_ancestors(sub, [v])
                 checked += 1
     # 1,252 subsets
