@@ -15,18 +15,18 @@ running expression through the bucket-level reduction, keeping the
 smaller of the reductions under two partial orders.
 
 No restricted copy of P is built.  P without x, P_D, P_A and each scope P_t
-are node masks, and every test reads P's rows ANDed with its mask through
-the ``within`` kernels of :mod:`.structure`, which is the test on the
-induced subgraph.  A query reads those rows off P's table once, into one
+are node masks.  A query reads P's rows off its table once, into one
 :class:`.structure._ScopeRows` (the possible children, the ``o-o`` edges,
-the invisible edges with their bidirected part, and the name ranks); the
-start's components and order and every step's buckets, early and late
-partial orders, blocking witnesses and definite c-component read them,
-and they are dropped when the query returns.  A step proves its bucket
-removable once and reduces with what it derived: the definite c-component
-S serves both partial orders, and the checked entry points for direct
-callers, :func:`bucket_identifiable` and :func:`q_reduce_bucket`, are not
-called.
+the invisible edges with their bidirected part, and the name ranks), the
+row table behind every bucket, order and component of :mod:`.structure`;
+each test reads those rows ANDed with its mask, which is the test on the
+induced subgraph.  The start's components and order and every step's
+buckets, early and late partial orders, blocking witnesses and definite
+c-component read them, and they are dropped when the query returns.  A
+step proves its bucket removable once and reduces with what it derived:
+the definite c-component S serves both partial orders, and the checked
+entry points for direct callers, :func:`bucket_identifiable` and
+:func:`q_reduce_bucket`, are not called.
 Every :class:`.graphs.Pag`, and so every scope of one, is a valid PAG by
 construction, so the partial order checks no closure.
 """
@@ -40,7 +40,7 @@ from .exprs import Expr, expr_size, reduced_q, render_text
 from .graphs import MixedGraph, Pag, bits, mask_of, names_of
 from .ident_dag import identify
 from .separation import definitely_m_separated
-from .structure import PartialOrder, _ScopeRows, buckets, dc_component
+from .structure import PartialOrder, _ScopeRows, _every, dc_component
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,12 @@ def bucket_identifiable(p_t: MixedGraph, x: Iterable[str]) -> tuple[bool, tuple[
     True when no member of ``x`` has a possible child outside ``x`` in the
     same possible c-component; otherwise False with a witness pair.
     """
-    x_set = set(x)
-    if x_set not in [set(b) for b in buckets(p_t)]:
+    x_set, rows = set(x), _ScopeRows(p_t)
+    if x_set not in [set(names_of(p_t.nodes, b)) for b in rows.buckets(_every(p_t))]:
         raise ValueError(f"{sorted(x_set)} is not a bucket of the graph")
     if not x_set < set(p_t.nodes):
         raise ValueError("bucket must be a strict subset of the graph nodes")
-    witness = _blocking_child(_ScopeRows(p_t), mask_of(p_t, x_set), -1)
+    witness = _blocking_child(rows, mask_of(p_t, x_set), -1)
     return witness is None, witness
 
 

@@ -21,7 +21,7 @@ from . import adjustment, ident_dag, ident_pag
 from .exprs import Expr, _align, evaluate_table, vsort
 from .graphs import LatentDag, Mag, _ancestors, _blocks, _confounded, _possible_ancestors, bits, mag_of_dag, mark_masks, mask_of
 from .oracle import canonical_dag_of_mag, equivalence_class, interventional, joint, pag_of_class, random_latent_dag, random_scm
-from .structure import _order, _pcs
+from .structure import _ScopeRows
 
 MAX_MAG_EDGES = 9
 SCMS_PER_DAG = 5  # random models per class DAG in the numeric soundness check
@@ -112,7 +112,7 @@ def _sample_query(rng, nodes) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     return xs, ys
 
 
-def _subsumption(pag, dag_steps, within: int) -> Iterator[tuple[bool, bool, bool]]:
+def _subsumption(pag, rows: _ScopeRows, dag_steps, within: int) -> Iterator[tuple[bool, bool, bool]]:
     """Per class DAG, given as its parent and :func:`.graphs._confounded`
     masks: whether, over the selected nodes ``within``, each node's ancestors
     in G[sel] lie inside its possible ancestors in P[sel], its c-component
@@ -122,16 +122,16 @@ def _subsumption(pag, dag_steps, within: int) -> Iterator[tuple[bool, bool, bool
     A canonical DAG's observed nodes sit at the PAG's node indices and its
     latents are parentless, so its ancestors in G[sel] are one
     :func:`.graphs._ancestors` pass over its parent masks ANDed with
-    ``within``.  The PAG side is worked out once, per node index; each
-    inclusion is a mask test.
+    ``within``.  The PAG side reads ``rows``, the PAG's one row table, and
+    is worked out once, per node index; each inclusion is a mask test.
     """
     upto, seen = {}, 0  # per node, the buckets up to its own
-    for bucket in _order(pag, within):
+    for bucket in rows.order(within):
         seen |= bucket
         upto.update(dict.fromkeys(bits(bucket), seen))
     selected = list(bits(within))
     possible_anc = {v: _possible_ancestors(pag, 1 << v, within) for v in selected}
-    pc_of = _pcs(pag, within)
+    pc_of = {v: rows.pc(1 << v, within) for v in selected}
     for parents, confounded in dag_steps:
         an = _ancestors([pa & within for pa in parents])
         yield (
@@ -179,10 +179,11 @@ def run_verification(seed: int = 0, runs: int = 200, tol: float = 1e-9, quiet: b
 
         obs = list(pag.nodes)
         dag_steps = [(mark_masks(cdag)[0], _confounded(cdag)) for cdag in class_dags]
+        rows = _ScopeRows(pag)
         for _ in range(2):
             size = int(rng.integers(2, len(obs) + 1))
             sel = sorted([obs[i] for i in rng.permutation(len(obs))][:size])
-            for ok_anc, ok_comp, ok_order in _subsumption(pag, dag_steps, mask_of(pag, sel)):
+            for ok_anc, ok_comp, ok_order in _subsumption(pag, rows, dag_steps, mask_of(pag, sel)):
                 checks["ancestor subsumption"].record(ok_anc, lambda: f"run {run}: {sel}")
                 checks["component subsumption"].record(ok_comp, lambda: f"run {run}: {sel}")
                 checks["partial order validity"].record(ok_order, lambda: f"run {run}: {sel}")

@@ -53,7 +53,7 @@ from pagid.graphs import (
 )
 from pagid.adjustment import _possibly_directed_step
 from pagid.separation import proper_paths
-from pagid.structure import _invisible_masks
+from pagid.structure import _ScopeRows
 
 
 def is_directed_edge(g, a, b) -> bool:
@@ -578,7 +578,7 @@ def kernel_visible_edges(g: MixedGraph) -> frozenset:
 
 def kernel_cpc_components(g: MixedGraph) -> tuple:
     """Each node's pc-component by its own reach, joined by ``partition``."""
-    adj = _invisible_masks(g)
+    adj = _ScopeRows(g).invisible
     pcs = (reach(adj, 1 << i, -1, 0)[0] | 1 << i for i in range(len(g.nodes)))
     return partition(g.nodes, (names_of(g.nodes, pc) for pc in pcs))
 

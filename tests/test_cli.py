@@ -223,6 +223,16 @@ class TestCommands:
         assert code == 0
         assert capsys.readouterr().out == (DATA / "induced_mag10.pag").read_text()
 
+    @pytest.mark.parametrize("name", ["induced_mag10", "collider_star12"])
+    @pytest.mark.parametrize("command", ["pto", "components"])
+    def test_checked_in_order_and_components(self, capsys, name, command):
+        # induced_mag10.pag has the o-o bucket {V3,V7}, visible and
+        # invisible directed edges and a bidirected one; collider_star12.pag
+        # has 12 nodes, ten o-> edges and an isolated node
+        code = main([command, "--graph", str(DATA / f"{name}.pag")])
+        assert code == 0
+        assert capsys.readouterr().out == (DATA / f"{name}.{command}").read_text()
+
     def test_usage_error_exit_code(self, tmp_path, capsys):
         path = save(tmp_path, "twin.pag", "pag", two_treatment_pag())
         code = main(["idp", "--graph", path, "--treat", "X1", "--outcome", "X1"])

@@ -9,7 +9,7 @@ from conftest import driver_starts, max_value_gap
 from reference_paths import definite_status_interior, possible_children
 from pagid import catalog, ident_pag
 from pagid.exprs import Conditional, DistRef, Product, render_text, simplify
-from pagid.graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, Pag, induced_subgraph, mag_of_dag, mask_of, names_of, possible_ancestors
+from pagid.graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, Pag, induced_subgraph, mag_of_dag, possible_ancestors
 from pagid.ident_dag import Fail as DagFail
 from pagid.ident_dag import id_dag
 from pagid.ident_pag import Fail, TraceStep, bucket_identifiable, idp, q_reduce_bucket
@@ -23,7 +23,7 @@ from pagid.oracle import (
     random_scm,
 )
 from pagid.separation import m_separated
-from pagid.structure import _order, buckets, cpc_components, pc_component, pto
+from pagid.structure import buckets, cpc_components, pc_component, pto
 from pagid.verify import _sample_graph, expression_gap, interventional_gap
 
 
@@ -310,7 +310,7 @@ def test_component_starts_match_the_product_and_the_removals(monkeypatch):
         for y in p.nodes:
             a = list(possible_ancestors(p, [y]))
             p_a = induced_subgraph(p, a)
-            order = [names_of(p.nodes, b) for b in _order(p, mask_of(p, a))]
+            order = pto(p_a).buckets
             blocks = cpc_components(p_a)
             for x in p.nodes:
                 if x == y:

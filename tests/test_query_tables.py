@@ -5,12 +5,14 @@ its scope's buckets, early and late partial orders, blocking witnesses and
 definite c-components off it; ``id_dag`` reads one ``graphs._confounded``
 table per query, and each step closes its candidates' c-components over it.
 Over every scope that the queries visit, on the catalog and on 300
-``verify._sample_graph`` draws, each is held against the from-scratch
-kernel: ``structure._order`` and ``structure._dc`` on the scope mask, the
-blocking witness of ``test_scopes.blocking_child_by_names`` on the induced
-subgraph, and ``ident_dag._scope``.  The queries also run through
-``reference_ident``, whose Q[V] start takes many more steps with one table
-each.  About 4 s of tier-1 time on a 2-core x86 host.
+``verify._sample_graph`` draws, each is held against the scope's induced
+subgraph, read by name: its ``pto``, the order of
+``test_scopes.order_by_names`` that postpones each bucket, its
+``dc_component`` and the blocking witness of
+``test_scopes.blocking_child_by_names``; and each node step against
+``ident_dag._scope``.  The queries also run through ``reference_ident``,
+whose Q[V] start takes many more steps with one table each.  About 5 s of
+tier-1 time on a 2-core x86 host.
 """
 
 import numpy as np
@@ -20,16 +22,16 @@ import reference_ident
 from pagid import catalog, ident_dag, ident_pag
 from pagid.graphs import induced_subgraph, mask_of, names_of
 from pagid.oracle import equivalence_class, pag_of_class
-from pagid.structure import _dc, _order
+from pagid.structure import dc_component, pto
 from pagid.verify import _sample_graph, _sample_query
 from test_removal_steps import _queries
-from test_scopes import blocking_child_by_names
+from test_scopes import _names, blocking_child_by_names, order_by_names
 
 
 @pytest.fixture
 def checked_tables(monkeypatch):
     """Spy on both removal steps; check each step's tables against the
-    from-scratch kernels and count the scopes checked."""
+    scope's induced subgraph and count the scopes checked."""
     checked = {"bucket": 0, "node": 0}
     remove_bucket, remove_node, reduced_q = ident_pag._remove_bucket, ident_dag._remove_node, ident_dag.reduced_q
     reductions = []
@@ -37,11 +39,12 @@ def checked_tables(monkeypatch):
     def bucket_step(p, t, c_set, q, rng, trace, rows):
         scope, sub = mask_of(p, t), induced_subgraph(p, t)
         order = rows.order(scope)
-        assert order == _order(p, scope)
+        assert _names(p, order) == pto(sub).buckets
         for b in order:
-            assert rows.order(scope, b) == _order(p, scope, b)
-            assert rows.dc(b, scope) == _dc(p, b, scope)
-            assert ident_pag._blocking_child(rows, b, scope) == blocking_child_by_names(sub, names_of(p.nodes, b))
+            bucket = names_of(p.nodes, b)
+            assert _names(p, rows.order(scope, b)) == order_by_names(sub, bucket)
+            assert names_of(p.nodes, rows.dc(b, scope)) == dc_component(sub, bucket)
+            assert ident_pag._blocking_child(rows, b, scope) == blocking_child_by_names(sub, bucket)
         checked["bucket"] += 1
         return remove_bucket(p, t, c_set, q, rng, trace, rows)
 

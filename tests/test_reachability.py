@@ -37,7 +37,7 @@ from pagid.graphs import (
 )
 from pagid.oracle import equivalence_class, pag_of_class
 from pagid.separation import d_separated, definitely_m_separated, m_separated, proper_paths
-from pagid.structure import _invisible_masks, _pc, cpc_components, graphical_visible_edges, pc_component, visible_edges
+from pagid.structure import _ScopeRows, cpc_components, graphical_visible_edges, pc_component, visible_edges
 from pagid.verify import _sample_graph
 
 FAMILIES = ("complete_bidirected", "bidirected_chain", "bidirected_cycle", "circle_clique")
@@ -479,7 +479,7 @@ class TestWalkKernel:
                 assert got == ref.reach(adj, starts, col, non)[0] | starts, (g, s)
 
     def test_pc_closure_matches_the_walk(self):
-        """``_pc`` from random multi-node seeds inside random ``within``
+        """``_ScopeRows.pc`` from random multi-node seeds inside random ``within``
         masks against the reference walk over the invisible edges, with
         colliders allowed in ``within`` and no non-colliders, 10 per graph,
         on the mixed graphs above and the 1,500 random marked graphs of 2-12
@@ -488,11 +488,11 @@ class TestWalkKernel:
         mixed = (g for g in kernel_graphs(rng, 200) if isinstance(g, MixedGraph))
         checked = 0
         for g in itertools.chain(mixed, random_marked_graphs()):
-            adj, n = _invisible_masks(g), len(g.nodes)
+            rows, n = _ScopeRows(g), len(g.nodes)
             for _ in range(10):
                 seed, within = random_mask(rng, n), random_mask(rng, n)
-                reached, _ = ref.reach(adj, seed, within, 0)
-                assert _pc(g, seed, within) == reached & within | seed, g
+                reached, _ = ref.reach(rows.invisible, seed, within, 0)
+                assert rows.pc(seed, within) == reached & within | seed, g
                 checked += seed.bit_count() > 1 and reached & within & ~seed != 0
         assert checked > 3000
 

@@ -19,11 +19,12 @@ import reference_exprs
 import reference_ident
 from pagid import catalog, exprs, ident_dag, ident_pag
 from pagid.exprs import expr_size, render_text
-from pagid.graphs import find_closure_violation, induced_subgraph, mask_of, names_of
+from pagid.graphs import find_closure_violation, induced_subgraph
 from pagid.ident_pag import bucket_identifiable, q_reduce_bucket
 from pagid.oracle import canonical_dag_of_mag, equivalence_class, pag_of_class
-from pagid.structure import PartialOrder, _order, pto
+from pagid.structure import PartialOrder, pto
 from pagid.verify import _sample_graph, _sample_query
+from test_scopes import order_by_names
 
 
 @pytest.fixture
@@ -53,8 +54,7 @@ def checked_steps(monkeypatch, referenced_rewrites):
             assert bucket_identifiable(p_t, pick) == (True, None)
             assert find_closure_violation(p_t) is None
             early = q_reduce_bucket(p_t, pick, q, pto(p_t))
-            late_order = _order(p, mask_of(p, t), mask_of(p, pick))
-            late = q_reduce_bucket(p_t, pick, q, PartialOrder(tuple(names_of(p.nodes, b) for b in late_order)))
+            late = q_reduce_bucket(p_t, pick, q, PartialOrder(order_by_names(p_t, pick)))
             assert reduced == min((early, late), key=expr_size)
             taken["bucket"] += 1
         return step

@@ -15,7 +15,7 @@ import pagid.oracle
 import pagid.verify
 
 from pagid.exprs import Conditional, DistRef, evaluate_table, vsort
-from pagid.graphs import LatentDag, MixedGraph, _confounded, _possible_ancestors, bits, mark_masks, mask_of, names_of
+from pagid.graphs import LatentDag, MixedGraph, _confounded, _possible_ancestors, induced_subgraph, mark_masks, mask_of, names_of
 from pagid.ident_dag import Fail, _scope, id_dag
 from pagid.ident_pag import Fail as IdpFail
 from pagid.ident_pag import idp
@@ -28,7 +28,7 @@ from pagid.oracle import (
     random_scm,
     truncated,
 )
-from pagid.structure import _order, _pc
+from pagid.structure import _ScopeRows, pc_component, pto
 from pagid.verify import (
     _sample_graph,
     _sample_query,
@@ -162,12 +162,12 @@ def loop_subsumption(pag, class_dags, sel):
     """The three subsumption verdicts per class DAG, as the pipeline once
     read them on node names: a DAG's observed ancestors in G[sel] and its
     c-components of G[sel], against possible ancestors, pc-components and
-    bucket positions in P[sel]."""
-    obs = list(pag.nodes)
+    bucket positions in P[sel], the last two read on the induced subgraph."""
+    obs, sub = list(pag.nodes), induced_subgraph(pag, sel)
     within, outside = mask_of(pag, sel), set(obs) - set(sel)
-    pos = {v: i for i, b in enumerate(_order(pag, within)) for v in names_of(obs, b)}
+    pos = {v: i for i, b in enumerate(pto(sub).buckets) for v in b}
     possible_anc = {v: set(names_of(obs, _possible_ancestors(pag, mask_of(pag, [v]), within))) for v in sel}
-    pc_of = {v: set(names_of(obs, _pc(pag, mask_of(pag, [v]), within))) for v in sel}
+    pc_of = {v: set(pc_component(sub, [v])) for v in sel}
     verdicts = []
     for cdag in class_dags:
         anc = {v: set(_observed_ancestors(cdag, [v], outside)) for v in sel}
@@ -199,7 +199,7 @@ def test_mask_subsumption_equals_its_name_loop():
             size = int(rng.integers(2, len(obs) + 1))
             sel = sorted([obs[i] for i in rng.permutation(len(obs))][:size])
             for p in pags:
-                got = list(_subsumption(p, steps, mask_of(p, sel)))
+                got = list(_subsumption(p, _ScopeRows(p), steps, mask_of(p, sel)))
                 assert got == loop_subsumption(p, class_dags, sel)
                 verdicts.update((k, ok) for row in got for k, ok in enumerate(row))
         previous = pag
@@ -264,10 +264,16 @@ def forced(monkeypatch, case):
     elif case == "fail":
         monkeypatch.setattr(pagid.ident_pag, "idp", lambda xs, ys, pag: IdpFail((), (), ()))
     elif case == "subsumption":
-        order = pagid.verify._order
+
+        class Shrunk(pagid.verify._ScopeRows):
+            def order(self, within, first=0):
+                return super().order(within, first)[::-1]
+
+            def pc(self, seed, within):
+                return seed
+
         monkeypatch.setattr(pagid.verify, "_possible_ancestors", lambda g, y, within: y)
-        monkeypatch.setattr(pagid.verify, "_pcs", lambda g, within: {v: 1 << v for v in bits(within)})
-        monkeypatch.setattr(pagid.verify, "_order", lambda g, within, first=0: order(g, within)[::-1])
+        monkeypatch.setattr(pagid.verify, "_ScopeRows", Shrunk)
     else:
         monkeypatch.setattr(pagid.verify, "canonical_dag_of_mag", lambda m: LatentDag(m.nodes, [], []))
 
