@@ -1,5 +1,6 @@
 """Identification of interventional distributions given a latent-variable DAG,
-and the identification driver it shares with the PAG recursion.
+and the identification driver and removal step it shares with the PAG
+recursion.
 
 Shared (:func:`identify`, behind both :func:`id_dag` and
 :func:`.ident_pag.idp`), on node masks of the graph's one table: the input
@@ -9,28 +10,39 @@ component's start at Q of the block of A that holds it, read off P(A) in
 closed form by :func:`.exprs.q_of_joint`; the repeated removals from that
 start; marginalising D outside the outcome; and the cleanup by
 :func:`simplify` and independence-certified conditioning drops and marginal
-joins.  Every removal ends in the one rewrite :func:`.exprs.reduced_q`,
-Q[t \\ x] = q / Q[S] * sum_x Q[S], given the S and the order that the
-step's own removability test derived; the public :func:`q_reduce` and
+joins.  The caller gives a row table of its graph, its certificate and the
+builder of its failure value.  A row table has the ``nodes``, the
+``children`` rows and the methods of :class:`.structure._ScopeRows` that
+the driver and the step read, each on a ``within`` node mask: ``order``,
+the blocks (nodes or buckets) in a (partial) topological order, ``cpc``,
+the components, and ``pc`` and ``dc``, the component of a seed that blocks
+its removal and the one its removal rewrites.  There is one removal step,
+:func:`_remove_bucket`: it removes the first block outside the target, in a
+reverse scan of the order, of which no member has a child in the scope and
+in its own ``pc`` component, and ends in the one rewrite
+:func:`.exprs.reduced_q`, Q[t \\ x] = q / Q[S] * sum_x Q[S], S the block's
+``dc`` component, along the order; the public :func:`q_reduce` and
 :func:`.ident_pag.q_reduce_bucket` derive and check them again for direct
 callers.
 
-Specific to latent DAGs: the blocks are c-components (shared-latent
-connectivity) and single nodes in the DAG's topological order,
-d-separation is the certificate, and a step removes a single node that is
-not confounded with any of its children, scanned in reverse topological
-order.  Such a node has no descendant in its c-component, so it is the
-descendant set that :func:`q_reduce` checks for.  Nothing reads a
-subgraph: a node's parents are its neighbours without its children, so
-the possible ancestors on the DAG's table are its ancestors, and the
-components and the steps read a scope t off the input DAG: the latents
-with both children in t join G[t]'s c-components, and the DAG's order
-restricted to t is topological in G[t], as each edge of G[t] is the DAG's;
-the Q-decomposition takes any topological order (Tian & Pearl, AAAI 2002).
-A query reads the latent pairs once, as :func:`.graphs._confounded` rows:
-the components close over them, and each step closes a candidate's
-c-component in G[t] over them inside t.  Non-identifiability is reported
-as a value carrying the offending node and its confounded component.
+Specific to latent DAGs (:class:`_DagRows`): a node is the one-node case of
+a PAG's bucket, and its c-component the case of its pc- and dc-component,
+as a DAG's c-component lies in one pc-component of its PAG (Tian & Pearl,
+AAAI 2002; Jaber, Zhang & Bareinboim, UAI 2018).  So the blocks are single
+nodes in the DAG's topological order, pc and dc are both the c-component
+and cpc the c-components, d-separation is the certificate, and a step
+removes a single node that is not confounded with any of its children.
+Such a node has no descendant in its c-component, so it is the descendant
+set that :func:`q_reduce` checks for.  Nothing reads a subgraph: a node's
+parents are its neighbours without its children, so the possible ancestors
+on the DAG's table are its ancestors, and the rows read a scope t off the
+input DAG: the latents with both children in t join G[t]'s c-components,
+and the DAG's order restricted to t is topological in G[t], as each edge of
+G[t] is the DAG's; the Q-decomposition takes any topological order (Tian &
+Pearl, AAAI 2002).  A query reads the latent pairs once, as
+:func:`.graphs._confounded` rows, and every component closes over them
+inside its scope.  Non-identifiability is reported as a value carrying the
+first node the step found blocked and its confounded component.
 """
 
 from __future__ import annotations
@@ -45,9 +57,11 @@ from .exprs import (
     Product,
     SumOver,
     drop_certified_givens,
+    expr_size,
     join_certified_marginals,
     q_of_joint,
     reduced_q,
+    render_text,
     simplify,
 )
 from .graphs import LatentDag, _blocks, _close, _confounded, _possible_ancestors, adjacency_masks, bits, mask_of, names_of
@@ -72,9 +86,53 @@ class Fail:
         )
 
 
+@dataclass
+class TraceStep:
+    """One removal: Q[scope \\ bucket] was derived from Q[scope]."""
+
+    scope: tuple[str, ...]
+    bucket: tuple[str, ...]
+    reduced: Expr
+
+    def __str__(self) -> str:
+        return f"Q[{','.join(v for v in self.scope if v not in self.bucket)}] = {render_text(self.reduced)}"
+
+
+class _DagRows:
+    """The row table of a latent DAG, with the names of
+    :class:`.structure._ScopeRows` (see the module): per node index its
+    children, and the :func:`.graphs._confounded` rows, read once.  Each
+    method takes a ``within`` mask of observed nodes and answers on G[within]:
+    ``order`` lists its nodes as one-node masks in the DAG's topological
+    order, ``pc`` and ``dc`` close a seed into its c-component, and ``cpc``
+    splits it into its c-components.  ``order`` ignores ``first``: a latent
+    DAG's step reduces along the one order, so it builds no late-order
+    alternative.
+    """
+
+    __slots__ = ("nodes", "children", "confounded", "topo")
+
+    def __init__(self, d: LatentDag):
+        self.nodes = d.nodes
+        self.children = [out for _, _, out in adjacency_masks(d)]
+        self.confounded = _confounded(d)
+        self.topo = [1 << d._index[v] for v in d.topological_order()]
+
+    def order(self, within: int, first: int = 0) -> list[int]:
+        return [b for b in self.topo if b & within]
+
+    def pc(self, seed: int, within: int) -> int:
+        return _close(self.confounded, seed, within)
+
+    dc = pc
+
+    def cpc(self, within: int) -> list[int]:
+        return _blocks(self.confounded, within)
+
+
 def c_components(d: LatentDag) -> tuple[tuple[str, ...], ...]:
     """Partition of the observed nodes by shared-latent connectivity."""
-    return tuple(names_of(d.nodes, b) for b in _blocks(_confounded(d), (1 << len(d.observed)) - 1))
+    return tuple(names_of(d.nodes, b) for b in _DagRows(d).cpc((1 << len(d.observed)) - 1))
 
 
 def q_reduce(d: LatentDag, t: Iterable[str], x: Iterable[str], q: Expr) -> Expr:
@@ -87,29 +145,20 @@ def q_reduce(d: LatentDag, t: Iterable[str], x: Iterable[str], q: Expr) -> Expr:
     t_set, x_set = set(t), set(x)
     if not x_set or not x_set < t_set:
         raise ValueError("x must be a nonempty strict subset of t")
-    comp_of, topo = _scope(d, t_set)
-    s_union = set().union(*(comp_of[v] for v in x))
-    adj, x_mask = adjacency_masks(d), mask_of(d, x)
-    children = 0
+    rows, scope, x_mask = _DagRows(d), mask_of(d, t_set), mask_of(d, x_set)
+    s_mask, children = rows.dc(x_mask, scope), 0
     for v in bits(x_mask):
-        children |= adj[v][2]
-    escaped = names_of(d.nodes, children & mask_of(d, s_union) & ~x_mask)
+        children |= rows.children[v]
+    escaped = names_of(d.nodes, children & s_mask & ~x_mask)
     if escaped:
         raise ValueError(
             f"{sorted(x_set)} is not a descendant set in its component: "
             f"descendants {sorted(escaped)} escape"
         )
-    return reduced_q(q, [(v,) for v in topo], s_union, x, t)
+    return reduced_q(q, [names_of(d.nodes, b) for b in rows.order(scope)], set(names_of(d.nodes, s_mask)), x, t)
 
 
-def _scope(d: LatentDag, t_set: set[str]) -> tuple[dict[str, tuple[str, ...]], list[str]]:
-    """Each node's c-component in G[t], and G[t]'s order (see the module)."""
-    comps = (names_of(d.nodes, b) for b in _blocks(_confounded(d), mask_of(d, t_set)))
-    comp_of = {v: comp for comp in comps for v in comp}
-    return comp_of, [v for v in d.topological_order() if v in t_set]
-
-
-def identify(g, observed, x, y, *, components, order, separated, remove, choice_seed):
+def identify(g, observed, x, y, *, rows, separated, fail, choice_seed, trace=None):
     """Effect of ``x`` on ``y`` in ``g``, whose observed nodes are
     ``observed``, or the failure value of the first removal that gets stuck.
 
@@ -117,18 +166,20 @@ def identify(g, observed, x, y, *, components, order, separated, remove, choice_
     those along paths that avoid ``x``, off ``g``'s mask table with
     :func:`.graphs._possible_ancestors`; on a :class:`LatentDag` a node's
     neighbours without its children are its parents, so there they are
-    the ancestors along directed paths.  The caller supplies its graph's
-    parts, each on node masks: ``components(within)`` splits a mask into
-    the components of the subgraph over it, and ``order(within)`` lists
+    the ancestors along directed paths.  The caller gives ``rows``, the row
+    table of ``g`` (see the module): ``rows.cpc(within)`` splits a mask into
+    the components of the subgraph over it, and ``rows.order(within)`` lists
     that subgraph's blocks (nodes or buckets) in a (partial) topological
-    order; ``separated(g, a, b, z)`` certifies the cleanup rewrites, and
+    order.  ``separated(g, a, b, z)`` certifies the cleanup rewrites, and
     each distinct (a, b, z) is asked once per query, its answer kept in a
-    dict that lives only as long as the query; and
-    ``remove(t, c_set, q, rng)`` takes one step from Q[t], held in ``q``,
-    towards Q[c_set], over the components and a (partial) topological
-    order of G[t], and returns ``(removed, reduced q)`` or a failure value.
-    Each component of D starts at Q[t], t the block of ``components(A)``
-    that meets it, read off P(A) along ``order(A)`` by
+    dict that lives only as long as the query.  Every removal is one call of
+    :func:`_remove_bucket` from Q[t] towards Q[c], both read off ``rows``;
+    when every candidate is blocked, the query answers ``fail(t, c,
+    witness)``, t and c as node names in node order and ``witness`` the
+    step's first.  ``choice_seed`` seeds the generator that shuffles each
+    step's candidates, and ``trace`` gets a :class:`TraceStep` per removal.
+    Each component of D starts at Q[t], t the block of ``rows.cpc(A)`` that
+    meets it, read off P(A) along ``rows.order(A)`` by
     :func:`.exprs.q_of_joint`.
 
     The components are those of G[D], D the ancestors of ``y`` in G without
@@ -185,19 +236,20 @@ def identify(g, observed, x, y, *, components, order, separated, remove, choice_
     nodes, kept, y_mask = g.nodes, mask_of(g, obs), mask_of(g, y_set)
     a = _possible_ancestors(g, y_mask, -1) & kept
     d = _possible_ancestors(g, y_mask, ~mask_of(g, x_set)) & kept
-    comps = components(d)
-    blocks = comps if d == a else components(a)  # with no x in A, D = A
-    joint_order = [v for b in order(a) for v in names_of(nodes, b)]
+    comps = rows.cpc(d)
+    blocks = comps if d == a else rows.cpc(a)  # with no x in A, D = A
+    joint_order = [v for b in rows.order(a) for v in names_of(nodes, b)]
     parts: list[Expr] = []
     for comp in comps:
-        t = list(names_of(nodes, next(b for b in blocks if b & comp)))
-        q, c_set = q_of_joint(joint_order, set(t)), set(names_of(nodes, comp))
-        while set(t) != c_set:
-            step = remove(t, c_set, q, rng)
-            if not isinstance(step, tuple):
-                return step
-            removed, q = step
-            t = [v for v in t if v not in removed]
+        t = next(b for b in blocks if b & comp)
+        q = q_of_joint(joint_order, set(names_of(nodes, t)))
+        while t != comp:
+            pick, reduced = _remove_bucket(rows, t, comp, q, rng)
+            if not pick:  # every candidate is blocked, and ``reduced`` is the first witness
+                return fail(names_of(nodes, t), names_of(nodes, comp), reduced)
+            if trace is not None:
+                trace.append(TraceStep(names_of(nodes, t), names_of(nodes, pick), reduced))
+            t, q = t & ~pick, reduced
         parts.append(q)
     expr = parts[0] if len(parts) == 1 else Product(tuple(parts))
     if d & ~y_mask:
@@ -216,42 +268,66 @@ def identify(g, observed, x, y, *, components, order, separated, remove, choice_
     return join_certified_marginals(expr, lambda a, b: certified(a, b, ()))
 
 
+def _remove_bucket(rows, scope: int, target: int, q: Expr, rng) -> tuple[int, Expr | tuple[str, str] | None]:
+    """The one removal step of both engines, from Q[scope], held in ``q``,
+    towards Q[target], both node masks on ``rows``.
+
+    Takes the first block of ``rows.order(scope)`` outside ``target``, in
+    reverse order or, given the generator ``rng``, in its shuffle of the
+    forward list, that :func:`_blocking_child` finds unblocked, and returns
+    it as a mask with Q[scope without it]: the rewrite along the order, over
+    the block's ``dc`` component, or, where ``rows.order(scope, block)``
+    differs, the smaller of that and the rewrite along it.  Any valid
+    partial order is sound.  When every candidate is blocked it returns 0
+    and the first witness (None when there is no candidate)."""
+    order = rows.order(scope)
+    candidates = [b for b in order if not b & target]
+    sequence = candidates[::-1] if rng is None else [candidates[i] for i in rng.permutation(len(candidates))]
+    witness = None
+    for pick in sequence:
+        wit = _blocking_child(rows, pick, scope)
+        if wit is None:
+            break
+        witness = witness or wit
+    else:
+        return 0, witness
+    nodes = rows.nodes
+    bucket, s_union, t = names_of(nodes, pick), set(names_of(nodes, rows.dc(pick, scope))), names_of(nodes, scope)
+    reduced = reduced_q(q, [names_of(nodes, b) for b in order], s_union, bucket, t)
+    late_order = rows.order(scope, pick)
+    if late_order != order:
+        alternative = reduced_q(q, [names_of(nodes, b) for b in late_order], s_union, bucket, t)
+        if expr_size(alternative) < expr_size(reduced):
+            reduced = alternative
+    return pick, reduced
+
+
+def _blocking_child(rows, bucket: int, within: int) -> tuple[str, str] | None:
+    """The first (member, child) pair, in node order, that blocks removing
+    ``bucket`` from the subgraph over ``within``, or None: a child outside
+    the bucket in the member's ``pc`` component, read off ``rows``."""
+    for u in bits(bucket):
+        hit = rows.children[u] & within & ~bucket
+        hit = hit and hit & rows.pc(1 << u, within)
+        if hit:
+            return rows.nodes[u], rows.nodes[(hit & -hit).bit_length() - 1]
+    return None
+
+
 def id_dag(
     x: Iterable[str], y: Iterable[str], d: LatentDag, *, choice_seed: int | None = None
 ) -> Expr | Fail:
     """Expression for the effect of ``x`` on ``y``, or a :class:`Fail` value.
 
-    ``choice_seed`` shuffles the scan order over removal candidates; the
-    default is a reverse-topological scan.  Any valid choice is sound and the
-    verdict does not depend on it.
+    ``choice_seed`` seeds the shuffle of each step's candidate nodes, taken
+    in topological order; the default scans them in reverse topological
+    order.  :func:`.ident_pag.idp` shuffles its buckets the same way.  Any
+    valid choice is sound and the verdict does not depend on it.
     """
-    confounded = _confounded(d)
-    return identify(
-        d, d.observed, x, y,
-        components=lambda within: _blocks(confounded, within),
-        order=lambda within: [b for b in (1 << d._index[v] for v in d.topological_order()) if b & within],
-        separated=d_separated,
-        remove=lambda t, c_set, q, rng: _remove_node(d, t, c_set, q, rng, confounded),
-        choice_seed=choice_seed,
-    )
+    rows = _DagRows(d)
 
+    def fail(t: tuple[str, ...], c: tuple[str, ...], witness: tuple[str, str]) -> Fail:
+        component = names_of(d.nodes, rows.dc(mask_of(d, witness[:1]), mask_of(d, t)))
+        return Fail(node=witness[0], component=component, scope=t, target=c)
 
-def _remove_node(d: LatentDag, t: list[str], c_set: set[str], q: Expr, rng, confounded: list[int]):
-    """Remove the first node of ``t \\ c_set`` in the scan order that shares
-    its c-component with none of its children.  A candidate's c-component
-    in G[t] is its closure inside ``t`` over the query's ``confounded``
-    rows (:func:`.graphs._confounded`), read only for the candidates the
-    scan tests."""
-    scope, index = mask_of(d, t), d._index
-    topo = [v for v in d.topological_order() if scope >> index[v] & 1]
-    scan = [v for v in reversed(topo) if v not in c_set]
-    if rng is not None:
-        scan = [scan[i] for i in rng.permutation(len(scan))]
-    adj = adjacency_masks(d)
-    for b in scan:
-        comp = _close(confounded, 1 << index[b], scope)
-        if not comp & adj[index[b]][2]:
-            return (b,), reduced_q(q, [(v,) for v in topo], set(names_of(d.nodes, comp)), (b,), tuple(t))
-    b = scan[0]
-    comp = names_of(d.nodes, _close(confounded, 1 << index[b], scope))
-    return Fail(node=b, component=comp, scope=tuple(t), target=d.sort_nodes(c_set))
+    return identify(d, d.observed, x, y, rows=rows, separated=d_separated, fail=fail, choice_seed=choice_seed)

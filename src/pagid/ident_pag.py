@@ -2,17 +2,20 @@
 
 The top level is the driver shared with the DAG-side algorithm,
 :func:`.ident_dag.identify`, which derives P_A, P_D, the components and
-each component's start from P's mask table.  Specific to PAGs: the blocks
-are composite pc-components and buckets in a partial order, definite
-m-separation is the certificate, and the removal step removes whole
-buckets.  With those blocks, each component starts at Q[C], C its
-composite pc-component of P_A: the product of P(B | the buckets before B)
-over the buckets B inside C in a partial order of P_A (Jaber, Zhang &
-Bareinboim, UAI 2018).  A bucket is removable from the current scope when
-none of its members has, within that scope, a possible child outside the
-bucket lying in the same possible c-component.  Each removal rewrites the
-running expression through the bucket-level reduction, keeping the
-smaller of the reductions under two partial orders.
+each component's start from P's mask table, and takes every removal with
+the one step :func:`.ident_dag._remove_bucket`.  :func:`idp` gives it P's
+row table, definite m-separation as the certificate and this module's
+:class:`Fail` as the failure value.  With those rows the blocks are
+composite pc-components and buckets in a partial order, and each component
+starts at Q[C], C its composite pc-component of P_A: the product of P(B |
+the buckets before B) over the buckets B inside C in a partial order of P_A
+(Jaber, Zhang & Bareinboim, UAI 2018).  A bucket is removable from the
+current scope when none of its members has, within that scope, a possible
+child outside the bucket lying in the same possible c-component.  Each
+removal rewrites the running expression through the bucket-level
+reduction over the bucket's definite c-component, keeping the smaller of
+the reductions under two partial orders: the early one, and the one that
+postpones the removed bucket.
 
 No restricted copy of P is built.  P without x, P_D, P_A and each scope P_t
 are node masks.  A query reads P's rows off its table once, into one
@@ -21,10 +24,9 @@ the invisible edges with their bidirected part, and the name ranks), the
 row table behind every bucket, order and component of :mod:`.structure`;
 each test reads those rows ANDed with its mask, which is the test on the
 induced subgraph.  The start's components and order and every step's
-buckets, early and late partial orders, blocking witnesses and definite
-c-component read them, and they are dropped when the query returns.  A
-step proves its bucket removable once and reduces with what it derived:
-the definite c-component S serves both partial orders, and the checked
+buckets, partial orders, blocking witnesses and definite c-component read
+them, and they are dropped when the query returns.  A step proves its
+bucket removable once and reduces with what it derived, so the checked
 entry points for direct callers, :func:`bucket_identifiable` and
 :func:`q_reduce_bucket`, are not called.
 Every :class:`.graphs.Pag`, and so every scope of one, is a valid PAG by
@@ -36,9 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .exprs import Expr, expr_size, reduced_q, render_text
-from .graphs import MixedGraph, Pag, bits, mask_of, names_of
-from .ident_dag import identify
+from .exprs import Expr, reduced_q
+from .graphs import MixedGraph, Pag, mask_of, names_of
+from .ident_dag import TraceStep, _blocking_child, identify
 from .separation import definitely_m_separated
 from .structure import PartialOrder, _ScopeRows, _every, dc_component
 
@@ -66,18 +68,6 @@ class Fail:
         return msg
 
 
-@dataclass
-class TraceStep:
-    """One bucket removal: Q[scope \\ bucket] was derived from Q[scope]."""
-
-    scope: tuple[str, ...]
-    bucket: tuple[str, ...]
-    reduced: Expr
-
-    def __str__(self) -> str:
-        return f"Q[{','.join(v for v in self.scope if v not in self.bucket)}] = {render_text(self.reduced)}"
-
-
 def bucket_identifiable(p_t: MixedGraph, x: Iterable[str]) -> tuple[bool, tuple[str, str] | None]:
     """Decide whether intervening on bucket ``x`` is reducible in ``p_t``.
 
@@ -91,18 +81,6 @@ def bucket_identifiable(p_t: MixedGraph, x: Iterable[str]) -> tuple[bool, tuple[
         raise ValueError("bucket must be a strict subset of the graph nodes")
     witness = _blocking_child(rows, mask_of(p_t, x_set), -1)
     return witness is None, witness
-
-
-def _blocking_child(rows: _ScopeRows, bucket: int, within: int) -> tuple[str, str] | None:
-    """The first (member, child) pair, in node order, that blocks removing
-    ``bucket`` from the subgraph over ``within``, or None: a possible child
-    outside the bucket in the member's pc-component, read off ``rows``."""
-    for u in bits(bucket):
-        hit = rows.children[u] & within & ~bucket
-        hit = hit and hit & rows.pc(1 << u, within)
-        if hit:
-            return rows.nodes[u], rows.nodes[(hit & -hit).bit_length() - 1]
-    return None
 
 
 def q_reduce_bucket(
@@ -133,48 +111,13 @@ def idp(
 ) -> Expr | Fail:
     """Expression for the effect of ``x`` on ``y`` given a PAG, or ``Fail``.
 
-    ``choice_seed`` randomises which removable bucket is taken first (the
-    default walks the partial order backwards); the verdict is invariant to
-    that choice.  ``trace`` collects the intermediate reductions.
+    ``choice_seed`` seeds the shuffle of each step's candidate buckets,
+    taken in partial order; the default scans them in reverse partial order.
+    :func:`.ident_dag.id_dag` shuffles its nodes the same way.  The verdict
+    is invariant to that choice.  ``trace`` collects the intermediate
+    reductions.
     """
-    rows = _ScopeRows(p)
     return identify(
-        p, p.nodes, x, y,
-        components=rows.cpc,
-        order=rows.order,
-        separated=definitely_m_separated,
-        remove=lambda t, c_set, q, rng: _remove_bucket(p, t, c_set, q, rng, trace, rows),
-        choice_seed=choice_seed,
+        p, p.nodes, x, y, rows=_ScopeRows(p), separated=definitely_m_separated, fail=Fail,
+        choice_seed=choice_seed, trace=trace,
     )
-
-
-def _remove_bucket(p: Pag, t: list[str], c_set: set[str], q: Expr, rng, trace: list[TraceStep] | None, rows: _ScopeRows):
-    """Remove the first removable bucket of ``t`` outside ``c_set`` in the
-    scan order, reading the scope's buckets, order, pc and dc off the
-    query's ``rows``."""
-    scope, target = mask_of(p, t), mask_of(p, c_set)
-    order = rows.order(scope)
-    candidates = [b for b in order if not b & target]
-    sequence = list(reversed(candidates))
-    if rng is not None:
-        sequence = [candidates[i] for i in rng.permutation(len(candidates))]
-    witness = None
-    for pick in sequence:
-        wit = _blocking_child(rows, pick, scope)
-        if wit is None:
-            break
-        witness = witness or wit
-    else:
-        return Fail(scope=tuple(t), component=p.sort_nodes(c_set), witness=witness)
-    # Any valid partial order is sound; also try the one that postpones
-    # the removed bucket and keep whichever reduction came out smaller.
-    bucket, s_union = names_of(p.nodes, pick), set(names_of(p.nodes, rows.dc(pick, scope)))
-    reduced = reduced_q(q, [names_of(p.nodes, b) for b in order], s_union, bucket, tuple(t))
-    late_order = rows.order(scope, pick)
-    if late_order != order:
-        alternative = reduced_q(q, [names_of(p.nodes, b) for b in late_order], s_union, bucket, tuple(t))
-        if expr_size(alternative) < expr_size(reduced):
-            reduced = alternative
-    if trace is not None:
-        trace.append(TraceStep(scope=tuple(t), bucket=bucket, reduced=reduced))
-    return bucket, reduced

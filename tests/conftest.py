@@ -12,9 +12,10 @@ from pagid.catalog import (
     confounded_chain_pag,
     two_treatment_pag,
 )
-from pagid import ident_dag
+import reference_ident
+from pagid import ident_dag, ident_pag
 from pagid.exprs import JointTable, evaluate_table
-from pagid.graphs import ARROW, TAIL, LatentDag
+from pagid.graphs import ARROW, TAIL, LatentDag, names_of
 
 
 @pytest.fixture
@@ -88,22 +89,36 @@ def max_value_gap(e1, e2, table):
     return gap
 
 
-def driver_starts(monkeypatch, module, remove):
+def driver_starts(monkeypatch):
     """Spy on the starts the shared driver derives: ``starts`` gets each
-    start's order of A, its set and its Q, and ``steps`` the scope and Q of
-    every call of ``module``'s removal step ``remove``."""
+    start's order of A, its set and its Q, and ``steps`` the scope, as node
+    names, and Q of every call of the one removal step."""
     starts, steps = [], []
-    q_of_joint, real = ident_dag.q_of_joint, getattr(module, remove)
+    q_of_joint, real = ident_dag.q_of_joint, ident_dag._remove_bucket
 
     def start(order, s_union):
         q = q_of_joint(order, s_union)
         starts.append((list(order), set(s_union), q))
         return q
 
-    def step(g, t, c_set, q, *rest):
-        steps.append((list(t), q))
-        return real(g, t, c_set, q, *rest)
+    def step(rows, scope, target, q, rng):
+        steps.append((list(names_of(rows.nodes, scope)), q))
+        return real(rows, scope, target, q, rng)
 
     monkeypatch.setattr(ident_dag, "q_of_joint", start)
-    monkeypatch.setattr(module, remove, step)
+    monkeypatch.setattr(ident_dag, "_remove_bucket", step)
     return starts, steps
+
+
+@pytest.fixture
+def remembered_graphs(monkeypatch):
+    """Give every row table that ``idp``, ``id_dag`` and ``reference_ident``
+    build the attribute ``graph``, the graph it was built from, so that a spy
+    on the one removal step can read the scope's induced subgraph."""
+    for module, name in ((ident_pag, "_ScopeRows"), (reference_ident, "_ScopeRows"), (ident_dag, "_DagRows")):
+        class Remembered(getattr(module, name)):
+            def __init__(self, g):
+                super().__init__(g)
+                self.graph = g
+
+        monkeypatch.setattr(module, name, Remembered)

@@ -5,11 +5,12 @@ observed (possible) ancestors of the outcome, at the closed-form Q of the
 component's c-component of G[A] (``id_dag``) or composite pc-component of
 P_A (``idp``).  This module keeps the version that starts at the whole
 observed distribution P(V) and removes every node or bucket outside the
-component one step at a time, with the production removal steps and
+component one step at a time, with the production's one removal step and
 cleanup, so that the differential tests can compare the verdicts, the
 failure values and the values of the answers of the two.  Its DAG prune,
-:func:`_observed_ancestors`, reads ancestors on node names; the tests hold
-the driver's mask closure against it.
+:func:`_observed_ancestors`, reads ancestors on node names, and
+:func:`c_components` reads c-components on them; the tests hold the
+driver's mask closure and the DAG's row table against them.
 """
 
 from __future__ import annotations
@@ -18,13 +19,16 @@ import numpy as np
 
 from pagid import ident_dag, ident_pag
 from pagid.exprs import DistRef, Product, SumOver, drop_certified_givens, join_certified_marginals, simplify
-from pagid.graphs import _close, _confounded, induced_subgraph, mark_masks, mask_of, names_of, possible_ancestors
+from pagid.graphs import _close, induced_subgraph, mark_masks, mask_of, names_of, possible_ancestors
 from pagid.separation import d_separated, definitely_m_separated
 from pagid.structure import _ScopeRows, cpc_components
+from reference_paths import partition
 
 
-def identify(g, observed, x, y, *, prune, components, separated, remove, choice_seed):
-    """``ident_dag.identify`` with every component started at Q[V] = P(V)."""
+def identify(g, observed, x, y, *, prune, components, rows, separated, fail, choice_seed):
+    """``ident_dag.identify`` with every component started at Q[V] = P(V),
+    each removal taken by the one step ``ident_dag._remove_bucket`` on
+    ``rows``."""
     x, y = tuple(x), tuple(y)
     x_set, y_set = set(x), set(y)
     obs = set(observed)
@@ -38,13 +42,12 @@ def identify(g, observed, x, y, *, prune, components, separated, remove, choice_
     q0 = DistRef(tuple(observed))
     parts = []
     for comp in components(induced_subgraph(g, big_d)):
-        c_set, t, q = set(comp), list(observed), q0
-        while set(t) != c_set:
-            step = remove(t, c_set, q, rng)
-            if not isinstance(step, tuple):
-                return step
-            removed, q = step
-            t = [v for v in t if v not in removed]
+        target, t, q = mask_of(g, comp), mask_of(g, observed), q0
+        while t != target:
+            pick, q = ident_dag._remove_bucket(rows, t, target, q, rng)
+            if not pick:
+                return fail(names_of(g.nodes, t), comp, q)
+            t &= ~pick
         parts.append(q)
     expr = parts[0] if len(parts) == 1 else Product(tuple(parts))
     leftover = set(big_d) - y_set
@@ -61,29 +64,38 @@ def identify(g, observed, x, y, *, prune, components, separated, remove, choice_
 def idp(x, y, p, *, choice_seed=None):
     """``ident_pag.idp`` through the reference :func:`identify`, its steps
     reading one ``_ScopeRows`` of ``p``."""
-    rows = _ScopeRows(p)
     return identify(
-        p, p.nodes, x, y,
-        prune=possible_ancestors,
-        components=cpc_components,
-        separated=definitely_m_separated,
-        remove=lambda t, c_set, q, rng: ident_pag._remove_bucket(p, t, c_set, q, rng, None, rows),
-        choice_seed=choice_seed,
+        p, p.nodes, x, y, prune=possible_ancestors, components=cpc_components, rows=_ScopeRows(p),
+        separated=definitely_m_separated, fail=ident_pag.Fail, choice_seed=choice_seed,
     )
 
 
 def id_dag(x, y, d, *, choice_seed=None):
     """``ident_dag.id_dag`` through the reference :func:`identify`, its
-    steps reading one ``_confounded`` table of ``d``."""
-    confounded = _confounded(d)
+    steps reading one ``_DagRows`` of ``d``, with the components and the
+    failure's c-component read on names."""
+    def fail(t, c, witness):
+        comp = next(b for b in c_components(induced_subgraph(d, t)) if witness[0] in b)
+        return ident_dag.Fail(node=witness[0], component=comp, scope=t, target=c)
+
     return identify(
-        d, d.observed, x, y,
-        prune=_observed_ancestors,
-        components=ident_dag.c_components,
-        separated=d_separated,
-        remove=lambda t, c_set, q, rng: ident_dag._remove_node(d, t, c_set, q, rng, confounded),
-        choice_seed=choice_seed,
+        d, d.observed, x, y, prune=_observed_ancestors, components=c_components, rows=ident_dag._DagRows(d),
+        separated=d_separated, fail=fail, choice_seed=choice_seed,
     )
+
+
+def c_components(d):
+    """The c-components of a latent DAG on names: its observed nodes, joined
+    through the children of each latent; members in node order, blocks by
+    first member."""
+    return partition(d.observed, (d.children(u) for u in d.latent))
+
+
+def scope_by_names(d, t):
+    """Each node's c-component in G[t], read on names, and the DAG's
+    topological order restricted to ``t``, which is topological in G[t]."""
+    comp_of = {v: comp for comp in c_components(induced_subgraph(d, t)) for v in comp}
+    return comp_of, [v for v in d.topological_order() if v in comp_of]
 
 
 def _observed_ancestors(d, ys, avoid=()):

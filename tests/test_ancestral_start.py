@@ -164,14 +164,14 @@ def test_ladders_agree_with_the_reference(agreement, family):
 @pytest.fixture
 def removals(monkeypatch):
     taken = []
-    remove_node = ident_dag._remove_node
+    remove_bucket = ident_dag._remove_bucket
 
     def spy(*args):
-        step = remove_node(*args)
+        step = remove_bucket(*args)
         taken.append(step)
         return step
 
-    monkeypatch.setattr(ident_dag, "_remove_node", spy)
+    monkeypatch.setattr(ident_dag, "_remove_bucket", spy)
     return taken
 
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import reference_paths as ref
+import reference_ident
 from conftest import driver_starts
-from reference_ident import _observed_ancestors
+from reference_ident import _observed_ancestors, scope_by_names
 from pagid import catalog, ident_dag, ident_pag
-from pagid.exprs import Conditional, DistRef, Product, render_text, simplify
+from pagid.exprs import Conditional, DistRef, Expr, Product, render_text, simplify
 from pagid.graphs import LatentDag, _possible_ancestors, ancestors_in, induced_subgraph, mask_of, names_of
 from pagid.ident_dag import Fail, c_components, id_dag, q_reduce
 from pagid.oracle import equivalence_class, pag_of_class, random_latent_dag, random_scm
@@ -122,25 +122,40 @@ class TestIdDag:
             assert interventional_gap(res, random_scm(rng, d), xs, ys) <= 1e-9
 
 
-def test_scope_matches_the_induced_subgraph():
-    # the removal step reads G[t]'s components and order off the whole DAG,
-    # and verify reads ancestors in G[t] off it too; the rebuilt subgraph,
-    # with a union-find over its latents' children, stays the reference.
-    # Under 0.2 s of tier-1 time
+def test_dag_rows_match_the_induced_subgraph():
+    """The DAG's row table, read on the whole DAG, against G[within], the
+    rebuilt subgraph, over every nonempty ``within`` mask of the catalog
+    DAGs and of 30 seeded ``verify`` draws, each also with its node list
+    reversed, so that the order must come from the edges and not from the
+    node list.  ``order(within)`` is a topological order of G[within] in
+    one-node masks, whatever its ``first``; ``cpc(within)`` and the public
+    ``c_components`` of G[within] are its c-components read on names by
+    ``reference_ident.c_components``; ``pc`` and ``dc`` close each node into
+    its block.  verify reads ancestors in G[within] off the whole DAG too,
+    and the driver's closure and ``reference_ident``'s name walk are held
+    against the subgraph's ancestors.  Under 0.2 s of tier-1 time on a
+    2-core x86 host."""
     rng = np.random.default_rng(0)
     dags = [catalog.confounded_chain_dag(), catalog.confounded_chain_dag_alt(), catalog.bow_dag()]
     dags += [_sample_graph(rng)[0] for _ in range(30)]
-    # sampled edges run forward in node order; reversed, the order must come
-    # from the edges and not from the node list
     dags += [LatentDag(d.observed[::-1], d.latent, d.edges()) for d in dags]
     checked = 0
     for d in dags:
+        rows = ident_dag._DagRows(d)
         for k in range(1, len(d.observed) + 1):
             for t in itertools.combinations(d.observed, k):
-                dt = induced_subgraph(d, t)
-                comp_of, topo = ident_dag._scope(d, set(t))
-                assert c_components(dt) == ref.partition(dt.observed, (dt.children(u) for u in dt.latent))
-                assert {v: comp for comp in c_components(dt) for v in comp} == comp_of
+                within, dt = mask_of(d, t), induced_subgraph(d, t)
+                order = rows.order(within)
+                topo = [v for b in order for v in names_of(d.nodes, b)]
+                assert len(order) == len(t) and sorted(topo) == sorted(t)
+                position = {v: i for i, v in enumerate(topo)}
+                assert all(position[p] < position[c] for p, c in dt.edges() if p in position)
+                assert all(rows.order(within, first) == order for first in [0, *order])
+                blocks = tuple(names_of(d.nodes, b) for b in rows.cpc(within))
+                assert blocks == c_components(dt) == reference_ident.c_components(dt)
+                for block in blocks:
+                    for v in block:
+                        assert rows.pc(mask_of(d, [v]), within) == rows.dc(mask_of(d, [v]), within) == mask_of(d, block)
                 outside = set(d.observed) - set(t)
                 for v in t:
                     in_dt = tuple(u for u in ancestors_in(dt, [v]) if u in t)
@@ -148,9 +163,6 @@ def test_scope_matches_the_induced_subgraph():
                     # the driver's prune: a DAG's possible parents are its parents
                     closed = _possible_ancestors(d, mask_of(d, [v]), ~mask_of(d, outside))
                     assert names_of(d.nodes, closed & mask_of(d, d.observed)) == in_dt
-                assert sorted(topo) == sorted(t)
-                position = {v: i for i, v in enumerate(topo)}
-                assert all(position[p] < position[c] for p, c in dt.edges() if p in position)
                 checked += 1
     assert checked > 1800 and sum(bool(d.latent) for d in dags) > 30
 
@@ -229,13 +241,13 @@ def test_component_starts_match_the_product_and_the_removals(monkeypatch):
     # P(v | the nodes of A before v) over S, and what removing A \ S from
     # P(A) node by node with the checked q_reduce gives; a first removal
     # step from it gets S in node order.  About 1.5 s of tier-1 time
-    starts, steps = driver_starts(monkeypatch, ident_dag, "_remove_node")
+    starts, steps = driver_starts(monkeypatch)
     checked, runs, stepped, seen = 0, 0, 0, set()
     for k, d in enumerate(_start_dags()):
         for y in d.observed:
             a_set = set(_observed_ancestors(d, (y,)))
             a = [v for v in d.observed if v in a_set]
-            comp_of, topo = ident_dag._scope(d, a_set)
+            comp_of, topo = scope_by_names(d, a)
             for x in d.observed:
                 if x == y:
                     continue
@@ -260,7 +272,7 @@ def test_component_starts_match_the_product_and_the_removals(monkeypatch):
                     runs += isinstance(q, Product)
                     walk, q_walk = list(a), DistRef(tuple(a))
                     while set(walk) != s_set:
-                        walk_comp_of, walk_topo = ident_dag._scope(d, set(walk))
+                        walk_comp_of, walk_topo = scope_by_names(d, walk)
                         b = next(v for v in reversed(walk_topo) if v not in s_set
                                  and not set(walk_comp_of[v]) & set(d.children(v)))
                         q_walk = q_reduce(d, walk, (b,), q_walk)
@@ -273,16 +285,28 @@ def test_component_starts_match_the_product_and_the_removals(monkeypatch):
 
 
 def test_complete_dag_takes_no_removal_step(monkeypatch):
-    # nor does it read a scope: the driver reads D's components and A's
-    # order off the DAG's table, and only a removal step calls _scope
+    # nor does it close a c-component: the driver reads D's components and
+    # A's order off the DAG's row table, and only a removal step reads pc or
+    # dc off it
     nodes = [f"V{i}" for i in range(1, 13)]
     d = LatentDag.from_specs(nodes, [f"{a} -> {b}" for a, b in itertools.combinations(nodes, 2)])
-    calls, scopes = [], []
-    remove_node, scope = ident_dag._remove_node, ident_dag._scope
-    monkeypatch.setattr(ident_dag, "_remove_node", lambda *args: calls.append(args) or remove_node(*args))
-    monkeypatch.setattr(ident_dag, "_scope", lambda *args: scopes.append(args) or scope(*args))
+    calls, closures = [], []
+
+    class Rows(ident_dag._DagRows):
+        def pc(self, *args):
+            closures.append(args)
+            return super().pc(*args)
+
+        dc = pc
+
+    remove_bucket = ident_dag._remove_bucket
+    monkeypatch.setattr(ident_dag, "_remove_bucket", lambda *args: calls.append(args) or remove_bucket(*args))
+    monkeypatch.setattr(ident_dag, "_DagRows", Rows)
     assert render_text(id_dag(["V1"], ["V12"], d)) == "P(v12|v1)"
-    assert calls == [] and scopes == []
+    assert calls == [] and closures == []
+    # the same spies see a query that takes steps
+    assert isinstance(id_dag(["V1"], ["V12"], LatentDag.from_specs(["V1", "V2", "V12"], ["V1 -> V2", "V2 -> V12", "V1 <-> V12"])), Expr)
+    assert calls and closures
 
 
 def test_each_query_closes_a_and_d_once(monkeypatch):
@@ -297,14 +321,13 @@ def test_each_query_closes_a_and_d_once(monkeypatch):
         closures[0] += 1
         return real(*args)
 
+    def step(*args, real=ident_dag._remove_bucket):
+        at_step.append(closures[0])
+        return real(*args)
+
     for module in (ident_dag, ident_pag):
         monkeypatch.setattr(module, "_possible_ancestors", closure, raising=False)
-    for module, name in ((ident_dag, "_remove_node"), (ident_pag, "_remove_bucket")):
-        def step(*args, real=getattr(module, name)):
-            at_step.append(closures[0])
-            return real(*args)
-
-        monkeypatch.setattr(module, name, step)
+    monkeypatch.setattr(ident_dag, "_remove_bucket", step)
     rng = np.random.default_rng(5)
     stepped = {id_dag: 0, ident_pag.idp: 0}
     for _ in range(40):

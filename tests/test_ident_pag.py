@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import driver_starts, max_value_gap
 from reference_paths import definite_status_interior, possible_children
-from pagid import catalog, ident_pag
+from pagid import catalog, ident_dag
 from pagid.exprs import Conditional, DistRef, Product, render_text, simplify
 from pagid.graphs import ARROW, CIRCLE, TAIL, LatentDag, Mag, Pag, induced_subgraph, mag_of_dag, possible_ancestors
 from pagid.ident_dag import Fail as DagFail
@@ -302,7 +302,7 @@ def test_component_starts_match_the_product_and_the_removals(monkeypatch):
     # C in node order.  The walk takes the last bucket outside C each time,
     # which the checked reducer refuses unless it is removable, as the
     # identify docstring argues.  About 2 s of tier-1 time
-    starts, steps = driver_starts(monkeypatch, ident_pag, "_remove_bucket")
+    starts, steps = driver_starts(monkeypatch)
     rng = np.random.default_rng(1)
     checked, walked, unequal, runs, stepped, seen = 0, 0, 0, 0, 0, set()
     for k, (p, d) in enumerate(_start_pags()):
@@ -364,7 +364,7 @@ def test_cap12_bucket_walk_is_gone(monkeypatch):
          "V4 <-- V7", "V4 <-- V8", "V5 <-- V9 visible", "V6 <-- V7", "V8 --> V9"],
     )
     calls = []
-    remove_bucket = ident_pag._remove_bucket
-    monkeypatch.setattr(ident_pag, "_remove_bucket", lambda *args: calls.append(args) or remove_bucket(*args))
+    remove_bucket = ident_dag._remove_bucket
+    monkeypatch.setattr(ident_dag, "_remove_bucket", lambda *args: calls.append(args) or remove_bucket(*args))
     assert render_text(idp(["V1"], ["V2", "V5"], p)) == "P(v2,v5)"
     assert calls == []

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from reference_paths import possible_children
-from pagid import catalog, graphs, ident_pag
+from pagid import catalog, graphs, ident_dag
 from pagid.graphs import ARROW, CIRCLE, MixedGraph, Pag, _possible_ancestors, induced_subgraph, mask_of, names_of, possible_ancestors
 from pagid.ident_pag import Fail, TraceStep, idp
 from pagid.oracle import equivalence_class, pag_of_class
@@ -108,7 +108,7 @@ def test_within_kernels_match_the_induced_subgraph():
                 for b in buckets(sub):
                     bucket = mask_of(g, b)
                     assert _names(g, rows.order(within, bucket)) == order_by_names(sub, b)
-                    assert ident_pag._blocking_child(rows, bucket, within) == blocking_child_by_names(sub, b)
+                    assert ident_dag._blocking_child(rows, bucket, within) == blocking_child_by_names(sub, b)
                     assert names_of(g.nodes, rows.pc(bucket, within)) == pc_component(sub, b)
                     assert names_of(g.nodes, rows.dc(bucket, within)) == dc_component(sub, b)
                 for v in keep:

@@ -16,7 +16,7 @@ import pagid.verify
 
 from pagid.exprs import Conditional, DistRef, evaluate_table, vsort
 from pagid.graphs import LatentDag, MixedGraph, _confounded, _possible_ancestors, induced_subgraph, mark_masks, mask_of, names_of
-from pagid.ident_dag import Fail, _scope, id_dag
+from pagid.ident_dag import Fail, id_dag
 from pagid.ident_pag import Fail as IdpFail
 from pagid.ident_pag import idp
 from pagid.oracle import (
@@ -37,7 +37,7 @@ from pagid.verify import (
     interventional_gap,
     run_verification,
 )
-from reference_ident import _observed_ancestors
+from reference_ident import _observed_ancestors, scope_by_names
 
 
 def loop_interventional_gap(expr, scm, x_vars, y_vars):
@@ -171,7 +171,7 @@ def loop_subsumption(pag, class_dags, sel):
     verdicts = []
     for cdag in class_dags:
         anc = {v: set(_observed_ancestors(cdag, [v], outside)) for v in sel}
-        comp_of = _scope(cdag, set(sel))[0]
+        comp_of = scope_by_names(cdag, sel)[0]
         verdicts.append((
             all(anc[v] <= possible_anc[v] for v in sel),
             all(set(comp_of[a]) <= pc_of[a] for a in sel),
@@ -208,8 +208,8 @@ def test_mask_subsumption_equals_its_name_loop():
 
 def test_verification_cost_shape(monkeypatch):
     """Each interventional_gap call builds one product of factors and
-    clamps no value alone, and the pipeline reads no DAG scope on names
-    outside id_dag; id_dag's own ancestor closures show that it ran."""
+    clamps no value alone, and the pipeline builds no DAG row table outside
+    id_dag; id_dag's own row tables and ancestor closures show that it ran."""
     made, per_gap, calls = {"_product": 0, "_clamp": 0}, [], {"inside": 0, "outside": 0, "closures": 0}
     depth = [0]
     for name in made:
@@ -236,21 +236,22 @@ def test_verification_cost_shape(monkeypatch):
     monkeypatch.setattr(pagid.verify, "interventional_gap", gap)
     monkeypatch.setattr(pagid.ident_dag, "id_dag", dag_answer)
 
-    def scope(*args, real=pagid.ident_dag._scope):
-        calls["inside" if depth[0] else "outside"] += 1
-        return real(*args)
+    class Rows(pagid.ident_dag._DagRows):
+        def __init__(self, d):
+            calls["inside" if depth[0] else "outside"] += 1
+            super().__init__(d)
 
     def closure(*args, real=pagid.ident_dag._possible_ancestors):
         calls["closures"] += depth[0] > 0
         return real(*args)
 
-    monkeypatch.setattr(pagid.ident_dag, "_scope", scope)
+    monkeypatch.setattr(pagid.ident_dag, "_DagRows", Rows)
     # a name bound in verify itself would go round the module's
-    monkeypatch.setattr(pagid.verify, "_scope", scope, raising=False)
+    monkeypatch.setattr(pagid.verify, "_DagRows", Rows, raising=False)
     monkeypatch.setattr(pagid.ident_dag, "_possible_ancestors", closure)
     run_verification(seed=0, runs=20, quiet=True)
     assert len(per_gap) > 20 and set(per_gap) == {(1, 0)}
-    assert calls["outside"] == 0 and calls["closures"] > 0
+    assert calls["outside"] == 0 and calls["inside"] > 0 and calls["closures"] > 0
 
 
 def forced(monkeypatch, case):
