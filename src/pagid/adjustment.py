@@ -116,7 +116,7 @@ def gac(x: Iterable[str], y: Iterable[str], p: Pag) -> tuple[str, ...] | Fail:
 def adjustment_formula(z: Iterable[str], x: Iterable[str], y: Iterable[str]) -> Expr:
     """sum_z P(y | x, z) P(z); collapses to P(y | x) for an empty set."""
     z, x, y = vsort(z), vsort(x), vsort(y)
-    cond = Conditional(y, vsort(x + z), DistRef(vsort(y + x + z)))
+    cond = Conditional(y, vsort(x + z))
     if not z:
         return simplify(cond)
     return simplify(SumOver(z, Product((cond, DistRef(z)))))

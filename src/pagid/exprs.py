@@ -1,12 +1,17 @@
 """Symbolic probability expressions with exact evaluation and simplification.
 
-Expression trees are built from distribution references, conditional factors,
-products, quotients and sums.  ``simplify`` applies a fixed rewrite calculus
-(quotient cancellation, chain-rule recombination, sum marginalisation) that
-preserves the numeric value on every probability table.  Conditioning-set
-drops are *not* algebraic and only happen through
-:func:`drop_certified_givens`, where the caller supplies an independence
-certificate.
+Expression trees are built from factors, products, quotients and sums.  Each
+factor is a distribution of the one observational joint P(V): a
+:class:`DistRef` is the marginal P(scope), and a :class:`Conditional` is
+P(target | given) with a non-empty given.  Both sort their variables when
+built, so every factor is canonical and normalisation returns it as it is.
+Evaluation reads each factor's marginal off the joint table.
+
+``simplify`` applies a fixed rewrite calculus (quotient cancellation,
+chain-rule recombination, sum marginalisation) that preserves the numeric
+value on every probability table.  Conditioning-set drops are *not*
+algebraic and only happen through :func:`drop_certified_givens`, where the
+caller supplies an independence certificate.
 
 Every removal step ends in :func:`reduced_q`.  From a factor chain it reads
 the result off the chain when ``x`` lies in one block that fits one factor,
@@ -132,25 +137,27 @@ class DistRef(Expr):
 
 @_node
 class Conditional(Expr):
-    """Conditional factor ``P(target | given)`` of the distribution ``base``."""
+    """Conditional factor ``P(target | given)`` of the observational joint.
+
+    Every distribution an expression names is a marginal of the one joint
+    P(V), so the pair (target, given) is the whole factor.  Both are sorted
+    by :func:`vsort`, and the given is not empty: P(target) is a
+    :class:`DistRef`.  So every factor that can be built is canonical.
+    """
 
     target: tuple[str, ...]
     given: tuple[str, ...]
-    base: DistRef
 
     def __post_init__(self):
-        if not isinstance(self.base, DistRef):
-            raise TypeError(f"conditional base must be a DistRef, not {type(self.base).__name__}")
         object.__setattr__(self, "target", vsort(self.target))
         object.__setattr__(self, "given", vsort(self.given))
         if set(self.target) & set(self.given):
             raise ValueError("target and given overlap")
         if not self.target:
             raise ValueError("empty conditional target")
-        missing = (set(self.target) | set(self.given)) - set(self.base.free_vars())
-        if missing:
-            raise ValueError(f"conditional over variables missing from base: {sorted(missing)}")
-        self._seal(vsort(self.target + self.given), (self.target, self.given, self.base))
+        if not self.given:
+            raise ValueError("empty conditional given; P(target) is a DistRef")
+        self._seal(vsort(self.target + self.given), (self.target, self.given))
 
 
 @_node
@@ -270,15 +277,10 @@ def evaluate_table(e: Expr, table: JointTable) -> tuple[tuple[str, ...], np.ndar
     if isinstance(e, DistRef):
         return e.scope, table.array_for(e.scope)
     if isinstance(e, Conditional):
-        bvars, barr = evaluate_table(e.base, table)
-        tg = vsort(e.target + e.given)
-        n = len(bvars)
-        num_vars = tuple(v for v in bvars if v in set(tg))
-        num = barr.sum(axis=tuple(i - n for i, v in enumerate(bvars) if v not in set(tg))) if bvars else barr
-        den_keep = set(e.given)
-        den = barr.sum(axis=tuple(i - n for i, v in enumerate(bvars) if v not in den_keep)) if bvars else barr
-        den_vars = tuple(v for v in bvars if v in den_keep)
-        (union, (num_a, den_a)) = _align([(num_vars, num), (den_vars, den)])
+        tg = e.free_vars()
+        num = table.array_for(tg)
+        den = num.sum(axis=tuple(i - len(tg) for i, v in enumerate(tg) if v in e.target))
+        (union, (num_a, den_a)) = _align([(tg, num), (e.given, den)])
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(den_a > 0, num_a / np.where(den_a > 0, den_a, 1.0), 0.0)
         return union, out
@@ -334,19 +336,12 @@ def _as_factor(e: Expr) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     return None
 
 
-def _is_canonical(e: Expr) -> bool:
-    """Whether ``e`` is a factor exactly as :func:`_from_factor` builds it."""
-    return isinstance(e, DistRef) or (
-        isinstance(e, Conditional) and bool(e.given) and e.base.scope == vsort(e.target + e.given)
-    )
-
-
 def _from_factor(target: tuple[str, ...], given: tuple[str, ...]) -> Expr:
     if not target:
         return ONE
     if not given:
         return DistRef(target)
-    return Conditional(target, given, DistRef(vsort(target + given)))
+    return Conditional(target, given)
 
 
 def _flatten(e: Expr, num: list[Expr], den: list[Expr], invert: bool = False) -> None:
@@ -445,10 +440,8 @@ def _rebuild(num: list[Expr], den: list[Expr]) -> Expr:
 
 
 def _norm(e: Expr) -> Expr:
-    if e._fixed or isinstance(e, Const) or _is_canonical(e):
+    if e._fixed or isinstance(e, (Const, DistRef, Conditional)):
         return e
-    if isinstance(e, Conditional):
-        return _from_factor(e.target, e.given)
     if isinstance(e, (Product, Quotient)):
         num: list[Expr] = []
         den: list[Expr] = []
@@ -515,11 +508,12 @@ def _norm(e: Expr) -> Expr:
 
 
 def expr_size(e: Expr) -> int:
-    """Node count of the tree; used to rank equivalent canonical forms."""
+    """Node count of the tree; used to rank equivalent canonical forms.  A
+    conditional counts 2, the factor and the joint it is read from."""
     if isinstance(e, (Const, DistRef)):
         return 1
     if isinstance(e, Conditional):
-        return 1 + expr_size(e.base)
+        return 2
     if isinstance(e, Product):
         return 1 + sum(expr_size(f) for f in e.factors)
     if isinstance(e, Quotient):
@@ -559,9 +553,9 @@ def conditional_of(q: Expr, target: Iterable[str], given: Iterable[str], scope: 
 def _chain(q: Expr, t: set[str]) -> list[tuple] | None:
     """(factor, C_k, H_k) of each factor of ``q`` in chain order when
     ``q`` is a factor chain over ``t`` (see :func:`reduced_q`), else None."""
-    if _is_canonical(q):
+    if isinstance(q, (DistRef, Conditional)):
         factors = [q]
-    elif isinstance(q, Product) and q._fixed and all(map(_is_canonical, q.factors)):
+    elif isinstance(q, Product) and q._fixed and all(isinstance(f, (DistRef, Conditional)) for f in q.factors):
         factors = q.factors
     else:
         return None
@@ -618,11 +612,11 @@ def reduced_q(
     the checked entry points.
 
     When ``q`` is a factor chain over t, the removals below are answered
-    from the chain and build no quotient.  A chain is one canonical factor
-    (see :func:`_is_canonical`), or a product of them that :func:`simplify`
-    has marked as its fixed point, P(C_1 | H_1) * ... * P(C_n | H_n), where
-    the C_k partition t and each H_k meets t in exactly C_<k, the targets
-    before it.  The mark is load-bearing: ``simplify`` would first merge the
+    from the chain and build no quotient.  A chain is one factor (a
+    :class:`DistRef` or :class:`Conditional`), or a product of them that
+    :func:`simplify` has marked as its fixed point,
+    P(C_1 | H_1) * ... * P(C_n | H_n), where the C_k partition t and each
+    H_k meets t in exactly C_<k, the targets before it.  The mark is load-bearing: ``simplify`` would first merge the
     factors of an unmarked product, and its quotient would not be the one
     below.
 

@@ -20,15 +20,15 @@ postpones the removed bucket.
 No restricted copy of P is built.  P without x, P_D, P_A and each scope P_t
 are node masks.  A query reads P's rows off its table once, into one
 :class:`.structure._ScopeRows` (the possible children, the ``o-o`` edges,
-the invisible edges with their bidirected part, and the name ranks), the
-row table behind every bucket, order and component of :mod:`.structure`;
-each test reads those rows ANDed with its mask, which is the test on the
-induced subgraph.  The start's components and order and every step's
-buckets, partial orders, blocking witnesses and definite c-component read
-them, and they are dropped when the query returns.  A step proves its
-bucket removable once and reduces with what it derived, so the checked
-entry points for direct callers, :func:`bucket_identifiable` and
-:func:`q_reduce_bucket`, are not called.
+and the invisible edges with their bidirected part), the row table behind
+every bucket, order and component of :mod:`.structure`; each test reads
+those rows ANDed with its mask, which is the test on the induced subgraph.
+The start's components and order and every step's buckets, partial orders,
+blocking witnesses and definite c-component read them, and they are dropped
+when the query returns.  A step proves its bucket removable once and
+reduces with what it derived, so the checked entry points for direct
+callers, :func:`bucket_identifiable` and :func:`q_reduce_bucket`, are not
+called.
 Every :class:`.graphs.Pag`, and so every scope of one, is a valid PAG by
 construction, so the partial order checks no closure.
 """

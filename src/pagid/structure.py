@@ -9,12 +9,12 @@ argued in its docstring; none walks the kernel.
 
 One class builds the rows that the buckets, the partial order, pc, dc and
 the cpc blocks read: :class:`_ScopeRows` takes a graph's possible-children,
-``o-o``, invisible and bidirected rows and its name ranks off its table
-once, and each of its methods takes a ``within`` node mask and reads those
-rows ANDed with it.  On a :class:`.graphs.Pag` that is the public function
-on the induced subgraph over the mask, as a restriction keeps its parent's
-marks and visibility flags.  The public functions build one table and call
-its method with every node within; an identification query builds one for
+``o-o``, invisible and bidirected rows off its table once, and each of its
+methods takes a ``within`` node mask and reads those rows ANDed with it.
+On a :class:`.graphs.Pag` that is the public function on the induced
+subgraph over the mask, as a restriction keeps its parent's marks and
+visibility flags.  The public functions build one table and call its
+method with every node within; an identification query builds one for
 P and serves every scope from it.  Buckets and cpc blocks are the
 :func:`.graphs._blocks` components of the ``o-o`` and the invisible edges,
 and a pc-component is a :func:`.graphs._close` closure over the invisible
@@ -135,8 +135,8 @@ class _ScopeRows:
     children (the neighbours w with no arrowhead at u on the edge to w),
     its ``o-o`` neighbours, its invisible rows (:func:`.graphs.adjacency_masks`
     without the visible edges) with their bidirected part and their
-    neighbours, and the position of its name in sorted order.  A visible
-    edge is directed, so the invisible rows keep every bidirected edge.
+    neighbours.  A visible edge is directed, so the invisible rows keep
+    every bidirected edge.
 
     An ``o-o`` neighbour has a circle at both ends.  A :class:`.graphs.Pag`
     refuses a tail facing a circle, so there a circle neighbour with no
@@ -150,7 +150,7 @@ class _ScopeRows:
     identification query builds one table and reads every scope off it.
     """
 
-    __slots__ = ("nodes", "children", "circle_circle", "invisible", "bidirected", "linked", "rank")
+    __slots__ = ("nodes", "children", "circle_circle", "invisible", "bidirected", "linked")
 
     def __init__(self, g: MixedGraph):
         adj, circle = adjacency_masks(g), mark_masks(g)[1]
@@ -163,9 +163,6 @@ class _ScopeRows:
         self.invisible = [(nbr & ~vis, head & ~vis, out & ~vis) for (nbr, head, out), vis in zip(adj, _visible_masks(g))]
         self.bidirected = [head & out for _, head, out in self.invisible]
         self.linked = [nbr for nbr, _, _ in self.invisible]
-        self.rank = rank = [0] * len(g.nodes)
-        for r, i in enumerate(sorted(range(len(g.nodes)), key=g.nodes.__getitem__)):
-            rank[i] = r
 
     def buckets(self, within: int) -> list[int]:
         """The buckets: the components of the ``o-o`` edges."""
@@ -180,14 +177,14 @@ class _ScopeRows:
         its members' children outside it as one mask, and the buckets wait in
         falling order of their smallest member name, so the first extractable
         one is the one whose smallest member is largest."""
-        children, rank = self.children, self.rank
+        children, nodes = self.children, self.nodes
         pending, lead = [], None
         for b in self.buckets(within):
-            kids, least = 0, len(rank)
+            kids, least = 0, nodes[(b & -b).bit_length() - 1]
             for u in bits(b):
                 kids |= children[u]
-                if rank[u] < least:
-                    least = rank[u]
+                if nodes[u] < least:
+                    least = nodes[u]
             if b == first:
                 lead = (b, kids & ~b)
             else:

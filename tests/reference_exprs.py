@@ -17,11 +17,35 @@ each conditional of Q[S] a quotient of two sums over the request's scope,
 everything simplified by the rewrite calculus.  It exists only so that the
 differential tests can compare the closed forms, and
 ``exprs.conditional_of``, with the paths written out here.
+
+It also keeps the evaluation of a conditional through a base distribution:
+P(target | given) read off the marginal P(base) of the joint for any base
+that holds target and given.  ``exprs.Conditional`` names no base, as every
+base is a marginal of the one joint and gives the same value; the
+differential test of ``exprs.evaluate_table`` compares against it.
 """
 
 from __future__ import annotations
 
-from pagid.exprs import Product, Quotient, SumOver, simplify, vsort
+import numpy as np
+
+from pagid.exprs import Product, Quotient, SumOver, _align, simplify, vsort
+
+
+def conditional_table(target, given, base, table):
+    """``(variables, values)`` of P(target | given) over the joint ``table``,
+    as ``exprs.evaluate_table`` returns them, with the numerator and the
+    denominator each a sum of the one marginal P(base); zero-mass
+    conditioning events give 0."""
+    bvars = vsort(base)
+    barr = table.array_for(bvars)
+    n, tg, g = len(bvars), set(target) | set(given), set(given)
+    num = barr.sum(axis=tuple(i - n for i, v in enumerate(bvars) if v not in tg))
+    den = barr.sum(axis=tuple(i - n for i, v in enumerate(bvars) if v not in g))
+    union, (num_a, den_a) = _align([(tuple(v for v in bvars if v in tg), num), (tuple(v for v in bvars if v in g), den)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(den_a > 0, num_a / np.where(den_a > 0, den_a, 1.0), 0.0)
+    return union, out
 
 
 def conditional_of(q, target, given, scope):

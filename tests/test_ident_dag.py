@@ -265,7 +265,7 @@ def test_component_starts_match_the_product_and_the_removals(monkeypatch):
                         continue
                     seen.add((k, y, frozenset(s_set)))
                     factors = [
-                        Conditional((v,), topo[:i], DistRef((v, *topo[:i]))) if i else DistRef((v,))
+                        Conditional((v,), topo[:i]) if i else DistRef((v,))
                         for i, v in enumerate(topo) if v in s_set
                     ]
                     assert q == simplify(Product(tuple(factors))) and q._fixed

@@ -332,7 +332,7 @@ def test_component_starts_match_the_product_and_the_removals(monkeypatch):
                     factors, before = [], ()
                     for b in order:
                         if c_set.issuperset(b):
-                            factors.append(Conditional(b, before, DistRef(b + before)) if before else DistRef(b))
+                            factors.append(Conditional(b, before) if before else DistRef(b))
                         before += b
                     assert q == simplify(Product(tuple(factors))) and q._fixed
                     runs += isinstance(q, Product)

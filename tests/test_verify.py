@@ -14,7 +14,7 @@ import pagid.ident_pag
 import pagid.oracle
 import pagid.verify
 
-from pagid.exprs import Conditional, DistRef, evaluate_table, vsort
+from pagid.exprs import Conditional, evaluate_table, vsort
 from pagid.graphs import LatentDag, MixedGraph, _confounded, _possible_ancestors, induced_subgraph, mark_masks, mask_of, names_of
 from pagid.ident_dag import Fail, id_dag
 from pagid.ident_pag import Fail as IdpFail
@@ -70,7 +70,7 @@ def loop_expression_gap(e1, e2, scm):
 
 def naive(xs, ys):
     """P(y | x): wrong under confounding, so its gaps are mostly nonzero."""
-    return Conditional(vsort(ys), vsort(xs), DistRef(vsort(xs + ys)))
+    return Conditional(vsort(ys), vsort(xs))
 
 
 @given(st.integers(0, 100_000))
