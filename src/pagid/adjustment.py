@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .exprs import Conditional, DistRef, Expr, Product, SumOver, simplify, vsort
+from .exprs import Expr, adjustment_sum
 from .graphs import ARROW, MixedGraph, Pag, _close, _possible_ancestors, adjacency_masks, bits, mask_of, names_of, possible_ancestors
 from .separation import open_definite_step, proper_paths
 from .structure import visible_edges
@@ -114,9 +114,7 @@ def gac(x: Iterable[str], y: Iterable[str], p: Pag) -> tuple[str, ...] | Fail:
 
 
 def adjustment_formula(z: Iterable[str], x: Iterable[str], y: Iterable[str]) -> Expr:
-    """sum_z P(y | x, z) P(z); collapses to P(y | x) for an empty set."""
-    z, x, y = vsort(z), vsort(x), vsort(y)
-    cond = Conditional(y, vsort(x + z))
-    if not z:
-        return simplify(cond)
-    return simplify(SumOver(z, Product((cond, DistRef(z)))))
+    """sum_z P(y | x, z) P(z); collapses to P(y | x) for an empty set.
+    Built in closed form by :func:`.exprs.adjustment_sum`, as the node
+    :func:`.exprs.simplify` would return."""
+    return adjustment_sum(y, x, z)

@@ -30,12 +30,14 @@ Nodes are immutable, so facts about a node are stored on it, outside its
   rewrite calculus, and normalisation returns a marked node as it is.  The
   mark is truthful because ``simplify`` only returns a node that one more
   normalisation pass left unchanged.  Only :func:`simplify`,
-  :func:`q_of_joint` and :func:`reduced_q` set the mark: the closed forms
-  of a start and of a removal mark the factor chain they return, the node
-  ``simplify`` returns for the product or quotient it stands for, for the
-  same reason.  :func:`reduced_q` also reads the mark: it takes a product
-  for a factor chain only when marked, because ``simplify`` would first
-  merge the factors of an unmarked one.
+  :func:`q_of_joint`, :func:`reduced_q` and :func:`adjustment_sum` set the
+  mark: the closed forms of a start and of a removal mark the factor chain
+  they return, the node ``simplify`` returns for the product or quotient
+  it stands for, and the closed form of the adjustment formula marks the
+  sum ``simplify`` returns for it, each for the same reason.
+  :func:`reduced_q` also reads the mark: it takes a product for a factor
+  chain only when marked, because ``simplify`` would first merge the
+  factors of an unmarked one.
 
 The certified cleanup keeps the marks.  Each pass of
 :func:`drop_certified_givens` and :func:`join_certified_marginals` returns
@@ -591,6 +593,30 @@ def q_of_joint(order: Iterable[str], s_union: set[str]) -> Expr:
             factors.append(_from_factor(run, vsort(before)))
         before += run
     out = _rebuild(factors, [])
+    object.__setattr__(out, "_fixed", True)
+    return out
+
+
+def adjustment_sum(y: Iterable[str], x: Iterable[str], z: Iterable[str]) -> Expr:
+    """sum_z P(y | x u z) * P(z), the adjustment formula over the set ``z``,
+    in closed form; P(y | x) when ``z`` is empty.  ``x`` must not be empty,
+    and the three sets must be disjoint.
+
+    For a non-empty ``z`` this is the node :func:`simplify` returns for
+    SumOver(z, Product((P(y | x u z), P(z)))), marked as a fixed point: its
+    two factors in :func:`_rebuild` order under the sum.  Normalisation
+    leaves it unchanged.  The factors do not chain-merge: P(z) * P(y | x u z)
+    would need the given x u z to be z, and x is not empty, and the other
+    order would need an empty given.  There is no quotient.  The sum keeps
+    every variable of ``z``, as both factors hold each one, and no factor
+    lies outside it.
+    """
+    x, z = tuple(x), tuple(z)
+    if not x or not set(z).isdisjoint(x):
+        raise ValueError("adjustment needs a non-empty treatment disjoint from the adjustment set")
+    if not z:
+        return Conditional(y, x)
+    out = SumOver(z, _rebuild([Conditional(y, x + z), DistRef(z)], []))
     object.__setattr__(out, "_fixed", True)
     return out
 

@@ -5,13 +5,15 @@ recursion.
 Shared (:func:`identify`, behind both :func:`id_dag` and
 :func:`.ident_pag.idp`), on node masks of the graph's one table: the input
 checks; A, the observed (possible) ancestors of the outcome, and D, those
-along paths that avoid the treatment; the split of D into components; each
-component's start at Q of the block of A that holds it, read off P(A) in
-closed form by :func:`.exprs.q_of_joint`; the repeated removals from that
-start; marginalising D outside the outcome; and the cleanup by
-:func:`simplify` and independence-certified conditioning drops and marginal
-joins.  The caller gives a row table of its graph, its certificate and the
-builder of its failure value.  A row table has the ``nodes``, the
+along paths that avoid the treatment; the split of D into components; the
+starts, read off P(A) in closed form by :func:`.exprs.q_of_joint`: one
+factor chain over the union of the components that are whole blocks of A
+and take no removal step, and Q of its block of A for every other
+component; the repeated removals from a start; marginalising D outside the
+outcome; and the cleanup by :func:`simplify` and independence-certified
+conditioning drops and marginal joins.  The caller gives a row table of
+its graph, its certificate and the builder of its failure value.  A row
+table has the ``nodes``, the
 ``children`` rows and the methods of :class:`.structure._ScopeRows` that
 the driver and the step read, each on a ``within`` node mask: ``order``,
 the blocks (nodes or buckets) in a (partial) topological order, ``cpc``,
@@ -180,7 +182,10 @@ def identify(g, observed, x, y, *, rows, separated, fail, choice_seed, trace=Non
     step's candidates, and ``trace`` gets a :class:`TraceStep` per removal.
     Each component of D starts at Q[t], t the block of ``rows.cpc(A)`` that
     meets it, read off P(A) along ``rows.order(A)`` by
-    :func:`.exprs.q_of_joint`.
+    :func:`.exprs.q_of_joint`.  A component that is itself such a block
+    takes no removal step, so the driver ORs every such component into one
+    mask U and reads Q[U] off P(A) with one ``q_of_joint`` call; only the
+    other components get a start of their own and the removal loop.
 
     The components are those of G[D], D the ancestors of ``y`` in G without
     ``x``.  Every component's removals start inside A, the ancestors of
@@ -224,6 +229,26 @@ def identify(g, observed, x, y, *, rows, separated, fail, choice_seed, trace=Non
     In both, removability only grows as the scope shrinks, so every order of
     removals gets stuck at the same scope, and the verdict and the failure
     value of the default scan stay the same.
+
+    Why one chain over U, the union of the components that take no step, is
+    sound: U is a union of c-components of G[A] (for a PAG, of blocks of
+    ``cpc_components`` of P_A, each a union of c-components of every DAG of
+    the class, as argued above), so by the Q-decomposition Q[U] is the
+    product of the Q of its blocks, and it is the product of P(v | the
+    nodes of A before v) over U (Tian & Pearl, AAAI 2002, Lemma 2; for a
+    PAG, P(B | the buckets before B) over the buckets B inside U).
+    :func:`.exprs.q_of_joint` merges each maximal run of U in A's order
+    into one factor.  Why it is the fixed point that :func:`simplify`
+    reaches from the product of the blocks' own chains: each of those is
+    one factor P(R | the nodes before R) per maximal run R of its block,
+    and two such factors chain-merge, P(R1 | H) * P(R2 | H u R1), exactly
+    when R2 follows R1 with no node outside U between them.  Merging every
+    such pair leaves one factor per maximal run of U, the chain built here.
+    The untouched components take no step and cannot fail, so the failures
+    and traces are those of one start per component; that the answers are
+    too, once ``simplify`` has merged the chain with the stepped
+    components' results, the differential tests check against that driver
+    (``tests/reference_ident.py``).
     """
     x_set, y_set = set(x), set(y)
     obs = set(observed)
@@ -240,8 +265,12 @@ def identify(g, observed, x, y, *, rows, separated, fail, choice_seed, trace=Non
     blocks = comps if d == a else rows.cpc(a)  # with no x in A, D = A
     joint_order = [v for b in rows.order(a) for v in names_of(nodes, b)]
     parts: list[Expr] = []
+    untouched = 0
     for comp in comps:
         t = next(b for b in blocks if b & comp)
+        if t == comp:
+            untouched |= comp
+            continue
         q = q_of_joint(joint_order, set(names_of(nodes, t)))
         while t != comp:
             pick, reduced = _remove_bucket(rows, t, comp, q, rng)
@@ -251,6 +280,8 @@ def identify(g, observed, x, y, *, rows, separated, fail, choice_seed, trace=Non
                 trace.append(TraceStep(names_of(nodes, t), names_of(nodes, pick), reduced))
             t, q = t & ~pick, reduced
         parts.append(q)
+    if untouched:
+        parts.insert(0, q_of_joint(joint_order, set(names_of(nodes, untouched))))
     expr = parts[0] if len(parts) == 1 else Product(tuple(parts))
     if d & ~y_mask:
         expr = SumOver(names_of(nodes, d & ~y_mask), expr)

@@ -9,9 +9,11 @@ row table, definite m-separation as the certificate and this module's
 composite pc-components and buckets in a partial order, and each component
 starts at Q[C], C its composite pc-component of P_A: the product of P(B |
 the buckets before B) over the buckets B inside C in a partial order of P_A
-(Jaber, Zhang & Bareinboim, UAI 2018).  A bucket is removable from the
-current scope when none of its members has, within that scope, a possible
-child outside the bucket lying in the same possible c-component.  Each
+(Jaber, Zhang & Bareinboim, UAI 2018).  The components that are whole
+composite pc-components of P_A take no removal step and share one such
+product over their union.  A bucket is removable from the current scope
+when none of its members has, within that scope, a possible child outside
+the bucket lying in the same possible c-component.  Each
 removal rewrites the running expression through the bucket-level
 reduction over the bucket's definite c-component, keeping the smaller of
 the reductions under two partial orders: the early one, and the one that

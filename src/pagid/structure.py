@@ -8,9 +8,10 @@ composite pc-components are closed forms on the node masks of
 argued in its docstring; none walks the kernel.
 
 One class builds the rows that the buckets, the partial order, pc, dc and
-the cpc blocks read: :class:`_ScopeRows` takes a graph's possible-children,
-``o-o``, invisible and bidirected rows off its table once, and each of its
-methods takes a ``within`` node mask and reads those rows ANDed with it.
+the cpc blocks read: :class:`_ScopeRows` takes each of a graph's
+possible-children, ``o-o``, invisible and bidirected rows off its table
+once, on its first read, and each of its methods takes a ``within`` node
+mask and reads those rows ANDed with it.
 On a :class:`.graphs.Pag` that is the public function on the induced
 subgraph over the mask, as a restriction keeps its parent's marks and
 visibility flags.  The public functions build one table and call its
@@ -26,6 +27,7 @@ A :class:`.graphs.Pag` settles its visible-edge set when it is built;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .graphs import MixedGraph, Pag, _blocks, _close, _directed_pairs, _graphical_visible, adjacency_masks, bits, find_closure_violation, flag_masks, mark_masks, mask_of, names_of
@@ -134,9 +136,14 @@ class _ScopeRows:
     read, each built in one pass over the nodes: per node u, its possible
     children (the neighbours w with no arrowhead at u on the edge to w),
     its ``o-o`` neighbours, its invisible rows (:func:`.graphs.adjacency_masks`
-    without the visible edges) with their bidirected part and their
-    neighbours.  A visible edge is directed, so the invisible rows keep
-    every bidirected edge.
+    without the visible edges) with their bidirected part, and its
+    invisible neighbours.  A visible edge is directed, so the invisible rows
+    keep every bidirected edge.
+
+    Each row is built on its first read and kept in the table, so a table
+    builds only the rows its calls read: :func:`cpc_components` reads only
+    the invisible neighbours, and an identification query that takes no
+    removal step builds no pc or dc rows.
 
     An ``o-o`` neighbour has a circle at both ends.  A :class:`.graphs.Pag`
     refuses a tail facing a circle, so there a circle neighbour with no
@@ -150,19 +157,35 @@ class _ScopeRows:
     identification query builds one table and reads every scope off it.
     """
 
-    __slots__ = ("nodes", "children", "circle_circle", "invisible", "bidirected", "linked")
-
     def __init__(self, g: MixedGraph):
-        adj, circle = adjacency_masks(g), mark_masks(g)[1]
         self.nodes = g.nodes
-        self.children = [nbr & ~head for nbr, head, _ in adj]
+        self._graph = g
+
+    @cached_property
+    def children(self) -> list[int]:
+        return [nbr & ~head for nbr, head, _ in adjacency_masks(self._graph)]
+
+    @cached_property
+    def circle_circle(self) -> list[int]:
+        g = self._graph
+        circle = mark_masks(g)[1]
         if isinstance(g, Pag):
-            self.circle_circle = [c & ~out for c, (_, _, out) in zip(circle, adj)]
-        else:
-            self.circle_circle = [sum(1 << j for j in bits(c) if circle[j] >> i & 1) for i, c in enumerate(circle)]
-        self.invisible = [(nbr & ~vis, head & ~vis, out & ~vis) for (nbr, head, out), vis in zip(adj, _visible_masks(g))]
-        self.bidirected = [head & out for _, head, out in self.invisible]
-        self.linked = [nbr for nbr, _, _ in self.invisible]
+            return [c & ~out for c, (_, _, out) in zip(circle, adjacency_masks(g))]
+        return [sum(1 << j for j in bits(c) if circle[j] >> i & 1) for i, c in enumerate(circle)]
+
+    @cached_property
+    def invisible(self) -> list[tuple[int, int, int]]:
+        g = self._graph
+        return [(nbr & ~vis, head & ~vis, out & ~vis) for (nbr, head, out), vis in zip(adjacency_masks(g), _visible_masks(g))]
+
+    @cached_property
+    def bidirected(self) -> list[int]:
+        return [head & out for _, head, out in self.invisible]
+
+    @cached_property
+    def linked(self) -> list[int]:
+        g = self._graph
+        return [nbr & ~vis for (nbr, _, _), vis in zip(adjacency_masks(g), _visible_masks(g))]
 
     def buckets(self, within: int) -> list[int]:
         """The buckets: the components of the ``o-o`` edges."""

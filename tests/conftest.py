@@ -15,7 +15,8 @@ from pagid.catalog import (
 import reference_ident
 from pagid import ident_dag, ident_pag
 from pagid.exprs import JointTable, evaluate_table
-from pagid.graphs import ARROW, TAIL, LatentDag, names_of
+from pagid.graphs import ARROW, TAIL, LatentDag, Pag, names_of
+from pagid.structure import graphical_visible_edges
 
 
 @pytest.fixture
@@ -72,6 +73,31 @@ def wide_latent_dag(rng, n, density):
         if rng.random() < density
     ]
     return LatentDag.from_edges([f"V{i + 1}" for i in range(n)], edges)
+
+
+def latent_dag_at(rng, n_obs, n_latent, edge_prob):
+    """A random latent DAG by the recipe of ``bench/workloads.py``'s
+    ``_random_latent_dag``: observed ``V1``..``Vn`` in a shuffled causal
+    order, each forward pair joined with probability ``edge_prob``, and
+    ``n_latent`` distinct pairs confounded by latents ``L1``, ``L2``, ..."""
+    observed = tuple(f"V{i + 1}" for i in range(n_obs))
+    order = [observed[i] for i in rng.permutation(n_obs)]
+    edges = [(order[i], order[j]) for i, j in itertools.combinations(range(n_obs), 2) if rng.random() < edge_prob]
+    pairs = list(itertools.combinations(observed, 2))
+    latent = []
+    for k, pick in enumerate(sorted(int(i) for i in rng.choice(len(pairs), n_latent, replace=False))):
+        latent.append(f"L{k + 1}")
+        edges += [(latent[-1], pairs[pick][0]), (latent[-1], pairs[pick][1])]
+    return LatentDag(observed, tuple(latent), edges)
+
+
+def mag_as_pag(mag):
+    """The circle-free MAG ``mag`` read as a PAG, its visible edges those
+    the graphical condition certifies, as ``bench/workloads.py``'s
+    ``_mag_as_pag`` reads it.  Its class holds the MAG, so an effect
+    identified on it holds in every DAG the MAG projects."""
+    visible = graphical_visible_edges(mag)
+    return Pag(mag.nodes, [(a, b, ma, mb, (a, b) in visible or (b, a) in visible) for a, b, ma, mb, _ in mag.edges()])
 
 
 def max_value_gap(e1, e2, table):

@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from pagid import ident_dag, ident_pag
-from pagid.exprs import DistRef, Product, SumOver, drop_certified_givens, join_certified_marginals, simplify
-from pagid.graphs import _close, induced_subgraph, mark_masks, mask_of, names_of, possible_ancestors
+from pagid.exprs import DistRef, Product, SumOver, drop_certified_givens, join_certified_marginals, q_of_joint, simplify
+from pagid.graphs import LatentDag, _close, _possible_ancestors, induced_subgraph, mark_masks, mask_of, names_of, possible_ancestors
 from pagid.separation import d_separated, definitely_m_separated
 from pagid.structure import _ScopeRows, cpc_components
 from reference_paths import partition
@@ -59,6 +59,62 @@ def identify(g, observed, x, y, *, prune, components, rows, separated, fail, cho
         expr, lambda target, var, rest: separated(g, target, [var], rest), eligible
     )
     return join_certified_marginals(expr, lambda a, b: separated(g, a, b, ()))
+
+
+def identify_by_component(g, observed, x, y, *, rows, separated, fail, choice_seed, trace=None):
+    """``ident_dag.identify`` with a start of its own for every component of
+    D: Q of the component's block of ``rows.cpc(A)``, read off P(A) by one
+    ``q_of_joint`` call per component, and the starts of the components
+    that take no removal step merged only by the final ``simplify``."""
+    x_set, y_set = set(x), set(y)
+    obs = set(observed)
+    if not x_set or not y_set or x_set & y_set:
+        raise ValueError("treatment and outcome must be nonempty and disjoint")
+    if not x_set <= obs or not y_set <= obs:
+        raise ValueError("treatment/outcome outside the observed graph nodes")
+    rng = np.random.default_rng(choice_seed) if choice_seed is not None else None
+
+    nodes, kept, y_mask = g.nodes, mask_of(g, obs), mask_of(g, y_set)
+    a = _possible_ancestors(g, y_mask, -1) & kept
+    d = _possible_ancestors(g, y_mask, ~mask_of(g, x_set)) & kept
+    comps = rows.cpc(d)
+    blocks = rows.cpc(a)
+    joint_order = [v for b in rows.order(a) for v in names_of(nodes, b)]
+    parts = []
+    for comp in comps:
+        t = next(b for b in blocks if b & comp)
+        q = q_of_joint(joint_order, set(names_of(nodes, t)))
+        while t != comp:
+            pick, reduced = ident_dag._remove_bucket(rows, t, comp, q, rng)
+            if not pick:
+                return fail(names_of(nodes, t), names_of(nodes, comp), reduced)
+            if trace is not None:
+                trace.append(ident_dag.TraceStep(names_of(nodes, t), names_of(nodes, pick), reduced))
+            t, q = t & ~pick, reduced
+        parts.append(q)
+    expr = parts[0] if len(parts) == 1 else Product(tuple(parts))
+    if d & ~y_mask:
+        expr = SumOver(names_of(nodes, d & ~y_mask), expr)
+    expr = simplify(expr)
+    eligible = set(expr.free_vars()) - x_set - y_set
+    expr = drop_certified_givens(
+        expr, lambda target, var, rest: separated(g, target, [var], rest), eligible
+    )
+    return join_certified_marginals(expr, lambda a, b: separated(g, a, b, ()))
+
+
+def engine(g):
+    """The keyword arguments ``rows``, ``separated`` and ``fail`` that
+    ``idp`` (for a PAG) or ``id_dag`` (for a latent DAG) hand the driver."""
+    if not isinstance(g, LatentDag):
+        return {"rows": _ScopeRows(g), "separated": definitely_m_separated, "fail": ident_pag.Fail}
+    rows = ident_dag._DagRows(g)
+
+    def fail(t, c, witness):
+        component = names_of(g.nodes, rows.dc(mask_of(g, witness[:1]), mask_of(g, t)))
+        return ident_dag.Fail(node=witness[0], component=component, scope=t, target=c)
+
+    return {"rows": rows, "separated": d_separated, "fail": fail}
 
 
 def idp(x, y, p, *, choice_seed=None):

@@ -292,19 +292,22 @@ def _start_pags():
 
 
 def test_component_starts_match_the_product_and_the_removals(monkeypatch):
-    # the start the driver derives for each component of P_D, over the
-    # queries (x, y) of single nodes: Q[C], C the component's composite
-    # pc-component of P_A, A = PossAn(y).  The closed-form Q[C] is the
-    # simplified product of P(B | the buckets before B) over the buckets B
-    # inside C, and takes the value of removing A \ C from P(A) bucket by
-    # bucket with the checked q_reduce_bucket, on the observed joint of a
-    # random model of a DAG in the class; a first removal step from it gets
-    # C in node order.  The walk takes the last bucket outside C each time,
-    # which the checked reducer refuses unless it is removable, as the
-    # identify docstring argues.  About 2 s of tier-1 time
+    # the starts the driver derives for the components of P_D, over the
+    # queries (x, y) of single nodes: Q[C], C a union of whole blocks of
+    # cpc_components(P_A), A = PossAn(y).  A component that takes a removal
+    # step starts at its own composite pc-component; the components that
+    # take none (each is a block) share one start, over their union.  The
+    # closed-form Q[C] is the simplified product of P(B | the buckets before
+    # B) over the buckets B inside C, and takes the value of removing A \ C
+    # from P(A) bucket by bucket with the checked q_reduce_bucket, on the
+    # observed joint of a random model of a DAG in the class; a first
+    # removal step from it gets C in node order.  The walk takes the last
+    # bucket outside C each time, which the checked reducer refuses unless
+    # it is removable, as the identify docstring argues.  About 2 s of
+    # tier-1 time
     starts, steps = driver_starts(monkeypatch)
     rng = np.random.default_rng(1)
-    checked, walked, unequal, runs, stepped, seen = 0, 0, 0, 0, 0, set()
+    checked, walked, unequal, runs, stepped, merged, seen = 0, 0, 0, 0, 0, 0, set()
     for k, (p, d) in enumerate(_start_pags()):
         table = joint(random_scm(rng, d))
         for y in p.nodes:
@@ -322,13 +325,15 @@ def test_component_starts_match_the_product_and_the_removals(monkeypatch):
                     first.setdefault(id(q), t)
                 for joint_order, c_set, q in starts:
                     c = p.sort_nodes(c_set)
-                    assert joint_order == [v for b in order for v in b] and c in blocks
+                    covered = [b for b in blocks if c_set.issuperset(b)]
+                    assert joint_order == [v for b in order for v in b] and sum(map(len, covered)) == len(c)
                     if id(q) in first:
                         assert first[id(q)] == list(c)
                         stepped += 1
                     if (k, y, c) in seen:
                         continue
                     seen.add((k, y, c))
+                    merged += len(covered) > 1
                     factors, before = [], ()
                     for b in order:
                         if c_set.issuperset(b):
@@ -348,10 +353,10 @@ def test_component_starts_match_the_product_and_the_removals(monkeypatch):
                         unequal += 1
                     walked += len(a) > len(c)
                     checked += 1
-    # all 1,582 components of some P_A are started; 320 walks take a step,
-    # 16 of them end in another form of Q[C]; 106 starts have more than one
-    # run; the driver takes 2,465 first steps from a start
-    assert checked > 1500 and walked > 300 and unequal > 10 and runs > 100 and stepped > 2000
+    # 1,714 distinct starts, 190 of them over more than one block; 326 walks
+    # take a step, 28 of them end in another form of Q[C]; 160 starts have
+    # more than one run; the driver takes 2,465 first steps from a start
+    assert checked > 1500 and walked > 300 and unequal > 10 and runs > 100 and stepped > 2000 and merged > 150
 
 
 def test_cap12_bucket_walk_is_gone(monkeypatch):
